@@ -35,7 +35,9 @@ class RecordingReporter : public benchmark::ConsoleReporter {
       for (const auto& [key, counter] : run.counters) {
         w.KV(key, counter.value);
       }
-      w.KV("time_ns", run.GetAdjustedRealTime());
+      // GetAdjustedRealTime is in the benchmark's Unit(); records are ns.
+      w.KV("time_ns", run.GetAdjustedRealTime() * 1e9 /
+                          benchmark::GetTimeUnitMultiplier(run.time_unit));
       w.EndObject();
       AddRecord(os.str());
     }

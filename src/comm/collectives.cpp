@@ -84,11 +84,15 @@ void Communicator::AllReduceSum(std::vector<Tensor*> tensors, Phase phase,
     Axpy(1.0f, *tensors[i], sum);
   }
   for (std::size_t i = 0; i < c; ++i) *tensors[i] = sum;
+  ChargeAllReduceSum(sum, phase, gradient_sync);
+}
+
+void Communicator::ChargeAllReduceSum(const Tensor& reduced, Phase phase,
+                                      bool gradient_sync) {
   // Ring allreduce moves 2 * (C-1)/C * bytes per device. Bytes-only codec:
-  // the reduced VALUES above are exact fp32 regardless of codec choice.
-  const Codec codec = gradient_sync ? grad_codec_ : wire_codec(RingClass());
-  ChargeRing(sum.bytes(), CodecWireBytes(codec, sum), /*factor=*/2.0, phase,
-             "allreduce");
+  // the reduced VALUES are exact fp32 regardless of codec choice.
+  ChargeRing(reduced.bytes(), CodecWireBytes(AllReduceCodec(gradient_sync), reduced),
+             /*factor=*/2.0, phase, "allreduce");
 }
 
 void Communicator::AllReduceDoubles(std::vector<std::vector<double>*> vecs,
@@ -477,11 +481,10 @@ void Communicator::AllToAllBytes(
 void Communicator::AllReduceSumShape(std::int64_t rows, std::int64_t cols,
                                      Phase phase, bool gradient_sync) {
   if (num_devices() == 0) return;
-  const Codec codec = gradient_sync ? grad_codec_ : wire_codec(RingClass());
   // Shape-based wire bytes: identical to the byte-moving path for identity /
   // bf16 / int8; kDeltaBitmask is content-dependent and charges its dense
   // worst case here (the parity suite covers the shape-faithful codecs).
-  ChargeRing(rows * cols * 4, CodecWireBytes(codec, rows, cols),
+  ChargeRing(rows * cols * 4, CodecWireBytes(AllReduceCodec(gradient_sync), rows, cols),
              /*factor=*/2.0, phase, "allreduce");
 }
 

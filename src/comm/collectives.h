@@ -146,6 +146,13 @@ class Communicator {
   // ------------------------------------------------------------------
   void AllReduceSum(std::vector<Tensor*> tensors, Phase phase,
                     bool gradient_sync = false);
+  /// Charges the ring of an AllReduceSum whose elementwise sum is `reduced`
+  /// and moves no data: for callers that already summed their partials in
+  /// place (NFP). AllReduceSum charges through this too, so both give the
+  /// same clocks, metrics, flight records and fault thresholds, and
+  /// kDeltaBitmask wire bytes follow `reduced`'s content.
+  void ChargeAllReduceSum(const Tensor& reduced, Phase phase,
+                          bool gradient_sync = false);
 
   // ------------------------------------------------------------------
   // AllBroadcast (allgather): device i contributes payload i; every device
@@ -271,6 +278,11 @@ class Communicator {
   }
   void ChargeRingImpl(std::int64_t total_bytes, std::int64_t wire_total_bytes,
                       double factor, Phase phase, const char* label);
+  /// Wire codec of an AllReduceSum: grad_codec for gradient sync, else the
+  /// ring's traffic-class codec.
+  Codec AllReduceCodec(bool gradient_sync) const {
+    return gradient_sync ? grad_codec_ : wire_codec(RingClass());
+  }
   /// Traffic class of a ring schedule over all devices.
   TrafficClass RingClass() const {
     return ctx_->cluster().num_machines() > 1 ? TrafficClass::kCrossMachine

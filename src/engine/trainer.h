@@ -62,6 +62,8 @@ class ParallelTrainer {
 
   SimContext& sim() { return *sim_; }
   GnnModel& model0() { return *models_[0]; }
+  /// Device `d`'s model replica (replicas stay in sync after every step).
+  GnnModel& replica(DeviceId d) { return *models_[static_cast<std::size_t>(d)]; }
   const TrainerSetup& setup() const { return setup_; }
   std::int64_t StepsPerEpoch() const { return plan_->StepsPerEpoch(); }
 

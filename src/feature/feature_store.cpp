@@ -72,7 +72,7 @@ FeatureStore::FeatureStore(const Tensor& features, std::vector<MachineId> node_m
                            SimContext& ctx)
     : features_(&features), node_machine_(std::move(node_machine)), ctx_(&ctx) {
   APT_CHECK_EQ(static_cast<std::int64_t>(node_machine_.size()), features.rows());
-  cache_sorted_.assign(static_cast<std::size_t>(ctx.num_devices()), {});
+  InitCacheMasks();
 }
 
 FeatureStore::FeatureStore(NodeId num_nodes, std::int64_t feature_dim,
@@ -88,7 +88,7 @@ FeatureStore::FeatureStore(NodeId num_nodes, std::int64_t feature_dim,
   APT_CHECK_GT(num_nodes, 0);
   APT_CHECK_GT(feature_dim, 0);
   APT_CHECK_EQ(static_cast<NodeId>(node_machine_.size()), num_nodes);
-  cache_sorted_.assign(static_cast<std::size_t>(ctx.num_devices()), {});
+  InitCacheMasks();
 }
 
 void FeatureStore::SetStorageCodec(Codec codec, bool materialize) {
@@ -105,40 +105,75 @@ void FeatureStore::SetStorageCodec(Codec codec, bool materialize) {
   }
 }
 
-void FeatureStore::ConfigureCaches(const std::vector<std::vector<NodeId>>& cache_nodes,
-                                   std::int64_t bytes_per_cached_row) {
-  APT_CHECK_EQ(cache_nodes.size(), cache_sorted_.size());
-  for (std::size_t d = 0; d < cache_nodes.size(); ++d) {
-    std::vector<NodeId> sorted = cache_nodes[d];
-    for (NodeId v : sorted) {
-      APT_CHECK(v >= 0 && v < num_nodes()) << "cache node " << v;
+void FeatureStore::InitCacheMasks() {
+  const ClusterSpec& cluster = ctx_->cluster();
+  for (MachineId m = 0; m < cluster.num_machines(); ++m) {
+    APT_CHECK_LE(cluster.machine(m).num_gpus, 64) << "cache masks hold 64 GPUs per machine";
+  }
+  cache_masks_.resize(static_cast<std::size_t>(cluster.num_machines()));
+}
+
+FeatureStore::CacheMaskTable::CacheMaskTable(std::size_t max_entries) {
+  if (max_entries == 0) return;
+  std::size_t size = 2;
+  shift_ = 63;
+  while (size < 2 * max_entries) {
+    size *= 2;
+    --shift_;
+  }
+  slots_.resize(size);
+}
+
+void FeatureStore::CacheMaskTable::Set(NodeId v, std::int32_t local) {
+  for (std::size_t i = Home(v);; i = (i + 1) & (slots_.size() - 1)) {
+    Slot& s = slots_[i];
+    if (s.node == kEmpty) s.node = v;
+    if (s.node == v) {
+      s.mask |= std::uint64_t{1} << local;
+      return;
     }
-    std::sort(sorted.begin(), sorted.end());
-    sorted.erase(std::unique(sorted.begin(), sorted.end()), sorted.end());
-    cache_sorted_[d] = std::move(sorted);
-    // Footprint stays the CALLER's row count (duplicates included) — same
-    // memory accounting as before the sorted-membership representation.
-    ctx_->AllocPersistent(static_cast<DeviceId>(d),
-                          static_cast<std::int64_t>(cache_nodes[d].size()) *
-                              bytes_per_cached_row);
   }
 }
 
-FeatureTier FeatureStore::Classify(DeviceId dev, NodeId v) const {
-  if (Cached(dev, v)) return FeatureTier::kGpuCache;
+void FeatureStore::ConfigureCaches(const std::vector<std::vector<NodeId>>& cache_nodes,
+                                   std::int64_t bytes_per_cached_row) {
+  const ClusterSpec& cluster = ctx_->cluster();
+  APT_CHECK_EQ(static_cast<std::int32_t>(cache_nodes.size()), cluster.num_devices());
+  // Duplicates over-count a machine's entries, which only lowers the load
+  // factor: the bound stays O(cached rows).
+  std::vector<std::size_t> entries(cache_masks_.size(), 0);
+  for (std::size_t d = 0; d < cache_nodes.size(); ++d) {
+    entries[static_cast<std::size_t>(cluster.MachineOf(static_cast<DeviceId>(d)))] +=
+        cache_nodes[d].size();
+  }
+  for (std::size_t m = 0; m < cache_masks_.size(); ++m) {
+    cache_masks_[m] = CacheMaskTable(entries[m]);
+  }
+  for (std::size_t d = 0; d < cache_nodes.size(); ++d) {
+    const auto dev = static_cast<DeviceId>(d);
+    CacheMaskTable& table = cache_masks_[static_cast<std::size_t>(cluster.MachineOf(dev))];
+    const std::int32_t local = cluster.LocalIndex(dev);
+    for (NodeId v : cache_nodes[d]) {
+      APT_CHECK(v >= 0 && v < num_nodes()) << "cache node " << v;
+      table.Set(v, local);
+    }
+    // Footprint is the CALLER's row count, duplicates included.
+    ctx_->AllocPersistent(dev, static_cast<std::int64_t>(cache_nodes[d].size()) *
+                                   bytes_per_cached_row);
+  }
+}
+
+FeatureStore::Residence FeatureStore::ResidenceOf(DeviceId dev) const {
   const ClusterSpec& cluster = ctx_->cluster();
   const MachineId m = cluster.MachineOf(dev);
+  const MachineSpec& machine = cluster.machine(m);
+  const std::uint64_t own = std::uint64_t{1} << cluster.LocalIndex(dev);
   // Peer-GPU reads require fast interconnect (paper feature-map rule 1).
-  if (cluster.machine(m).has_nvlink) {
-    const std::int32_t local = cluster.LocalIndex(dev);
-    const DeviceId base = dev - local;
-    for (std::int32_t i = 0; i < cluster.machine(m).num_gpus; ++i) {
-      const DeviceId peer = base + i;
-      if (peer != dev && Cached(peer, v)) return FeatureTier::kPeerGpu;
-    }
-  }
-  if (node_machine_[static_cast<std::size_t>(v)] == m) return FeatureTier::kLocalCpu;
-  return FeatureTier::kRemoteCpu;
+  const std::uint64_t all =
+      machine.num_gpus >= 64 ? ~std::uint64_t{0}
+                             : (std::uint64_t{1} << machine.num_gpus) - 1;
+  return {&cache_masks_[static_cast<std::size_t>(m)], own,
+          machine.has_nvlink ? all & ~own : 0, m};
 }
 
 LoadVolume FeatureStore::CountGather(DeviceId dev, std::span<const NodeId> nodes,
@@ -147,8 +182,9 @@ LoadVolume FeatureStore::CountGather(DeviceId dev, std::span<const NodeId> nodes
   const std::int64_t row_bytes =
       (col_hi - col_lo) * static_cast<std::int64_t>(sizeof(float));
   LoadVolume vol;
+  const Residence residence = ResidenceOf(dev);
   for (NodeId v : nodes) {
-    const auto tier = static_cast<std::size_t>(Classify(dev, v));
+    const auto tier = static_cast<std::size_t>(Classify(residence, v));
     vol.rows[tier] += 1;
     vol.bytes[tier] += row_bytes;
   }

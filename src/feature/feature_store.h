@@ -4,9 +4,11 @@
 // caches the rows its strategy expects to touch most. A gather request is
 // served tier by tier — own GPU cache, peer GPU (NVLink only), local CPU,
 // remote CPU — with real row copies plus simulated transfer time per tier.
+// Cache membership lives in one table per machine mapping each cached node
+// to the bitmask of the local GPUs holding it, so classifying a row is one
+// hash probe.
 #pragma once
 
-#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <span>
@@ -105,9 +107,11 @@ class FeatureStore {
     return CodecWireBytes(storage_codec_, 1, width);
   }
 
-  /// Installs per-device cached node sets (from a CachePolicy). For NFP the
-  /// cached slice is narrower; `bytes_per_cached_row` lets the caller account
-  /// the true footprint. Registers the footprint with SimContext memory.
+  /// Installs per-device cached node sets (from a CachePolicy), replacing
+  /// the membership of any earlier call, and rebuilds the per-machine mask
+  /// tables. For NFP the cached slice is narrower; `bytes_per_cached_row`
+  /// lets the caller account the true footprint. Registers the footprint
+  /// with SimContext memory.
   void ConfigureCaches(const std::vector<std::vector<NodeId>>& cache_nodes,
                        std::int64_t bytes_per_cached_row);
 
@@ -126,15 +130,11 @@ class FeatureStore {
   /// per non-empty tier; bandwidth from the cluster link model).
   double LoadSeconds(DeviceId dev, const LoadVolume& volume) const;
 
-  /// True if dev's cache holds v. Membership is a binary search over the
-  /// device's sorted cached-node list: O(nodes) memory per device instead of
-  /// the O(num_nodes) bitmap a 100M-node procedural graph cannot afford.
-  bool Cached(DeviceId dev, NodeId v) const {
-    const auto& nodes = cache_sorted_[static_cast<std::size_t>(dev)];
-    return std::binary_search(nodes.begin(), nodes.end(), v);
+  /// Tier rule: own cache, then an NVLink peer on the same machine, then the
+  /// local CPU shard, then a remote one. One table probe per row.
+  FeatureTier Classify(DeviceId dev, NodeId v) const {
+    return Classify(ResidenceOf(dev), v);
   }
-
-  FeatureTier Classify(DeviceId dev, NodeId v) const;
 
   std::int64_t feature_dim() const {
     return procedural_ ? procedural_dim_ : features_->cols();
@@ -151,12 +151,68 @@ class FeatureStore {
     return rounded_.numel() > 0 ? rounded_ : *features_;
   }
 
+  /// Cache membership of one machine: an open-addressing (linear probing)
+  /// table from NodeId to the bitmask of the machine's local GPUs that cache
+  /// the node (bit i = local GPU i). It holds only cached nodes, at load
+  /// factor <= 1/2, so memory is O(cached rows) rather than the O(num_nodes)
+  /// bitmap a 100M-node procedural graph cannot afford.
+  class CacheMaskTable {
+   public:
+    /// Sizes the table for up to `max_entries` distinct nodes.
+    explicit CacheMaskTable(std::size_t max_entries = 0);
+    /// Sets bit `local` in v's mask, inserting v if absent.
+    void Set(NodeId v, std::int32_t local);
+    /// v's mask; 0 when no local GPU caches v.
+    std::uint64_t Find(NodeId v) const {
+      if (slots_.empty()) return 0;
+      for (std::size_t i = Home(v);; i = (i + 1) & (slots_.size() - 1)) {
+        const Slot& s = slots_[i];
+        if (s.node == v) return s.mask;
+        if (s.node == kEmpty) return 0;
+      }
+    }
+
+   private:
+    static constexpr NodeId kEmpty = -1;
+    struct Slot {
+      NodeId node = kEmpty;
+      std::uint64_t mask = 0;
+    };
+    std::size_t Home(NodeId v) const {
+      return static_cast<std::size_t>(
+          (static_cast<std::uint64_t>(v) * 0x9e3779b97f4a7c15ULL) >> shift_);
+    }
+    std::vector<Slot> slots_;  ///< power-of-two size (or empty)
+    int shift_ = 64;           ///< 64 - log2(slots_.size())
+  };
+
+  /// What classifying rows for one device needs, resolved once per gather:
+  /// its machine's table, its own mask bit, and the masks of the peers it
+  /// may read from (zero without NVLink).
+  struct Residence {
+    const CacheMaskTable* table;
+    std::uint64_t own;
+    std::uint64_t peers;
+    MachineId machine;
+  };
+  Residence ResidenceOf(DeviceId dev) const;
+  /// One empty table per machine; machines hold at most 64 GPUs.
+  void InitCacheMasks();
+  FeatureTier Classify(const Residence& r, NodeId v) const {
+    const std::uint64_t mask = r.table->Find(v);
+    if ((mask & r.own) != 0) return FeatureTier::kGpuCache;
+    if ((mask & r.peers) != 0) return FeatureTier::kPeerGpu;
+    return node_machine_[static_cast<std::size_t>(v)] == r.machine
+               ? FeatureTier::kLocalCpu
+               : FeatureTier::kRemoteCpu;
+  }
+
   const Tensor* features_;  ///< null in procedural mode
   std::vector<MachineId> node_machine_;
   SimContext* ctx_;
   Codec storage_codec_ = Codec::kIdentity;
   Tensor rounded_;  ///< codec-rounded copy (empty when identity/unmaterialized)
-  std::vector<std::vector<NodeId>> cache_sorted_;  ///< per device, sorted+deduped
+  std::vector<CacheMaskTable> cache_masks_;  ///< one per machine
   bool procedural_ = false;
   NodeId procedural_nodes_ = 0;
   std::int64_t procedural_dim_ = 0;

@@ -2,8 +2,17 @@
 // and cost-model sanity (inter-machine slower than intra-machine).
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <sstream>
+#include <string>
+
 #include "comm/collectives.h"
 #include "comm/profiler.h"
+#include "core/error.h"
+#include "core/random.h"
+#include "obs/flight.h"
+#include "obs/metrics.h"
+#include "sim/fault.h"
 #include "tensor/ops.h"
 
 namespace apt {
@@ -86,6 +95,109 @@ TEST(AllReduceTest, ShapeMismatchThrows) {
   Tensor a(2, 2), b(3, 2);
   std::vector<Tensor*> ptrs{&a, &b};
   EXPECT_THROW(comm.AllReduceSum(ptrs, Phase::kTrain), Error);
+}
+
+// Charge parity: charging the reduced tensor directly (callers that summed
+// their partials in place) must be indistinguishable from AllReduceSum over
+// the partials: same clocks, comm.allreduce.* deltas, flight records, and
+// the same CollectiveError under an injected fault, for every wire codec.
+struct AllReduceObservation {
+  std::vector<double> clocks;
+  std::vector<std::int64_t> metric_deltas;
+  std::vector<std::string> flight;
+  std::string error;
+};
+
+std::vector<std::int64_t> AllReduceCounters() {
+  std::vector<std::int64_t> v;
+  for (const char* name : {"comm.allreduce.calls", "comm.allreduce.bytes",
+                           "comm.allreduce.wire_bytes"}) {
+    v.push_back(obs::Metrics::Global().counter(name).Get());
+  }
+  return v;
+}
+
+std::string Describe(const obs::FlightEvent& e) {
+  std::ostringstream os;
+  os << std::hexfloat << e.kind << "/" << (e.label ? e.label : "") << "@" << e.sim_s;
+  for (int i = 0; i < e.num_args; ++i) {
+    const obs::TraceArg& a = e.args[static_cast<std::size_t>(i)];
+    os << " " << a.key << "=" << a.num << (a.str ? a.str : "");
+  }
+  return os.str();
+}
+
+/// Runs three allreduces of `parts` on a fresh context, either through
+/// AllReduceSum or by charging their device-order sum.
+AllReduceObservation ObserveAllReduce(const ClusterSpec& cluster, Codec codec,
+                                      const std::vector<Tensor>& parts,
+                                      bool charge_reduced, bool inject_fault) {
+  SimContext sim(cluster);
+  if (inject_fault) {
+    FaultPlan plan;
+    plan.collectives.push_back({/*after_bytes=*/100});
+    sim.InstallFaults(plan);
+  }
+  Communicator comm(sim);
+  comm.SetWireCodecAll(codec);
+  comm.set_grad_codec(codec);
+  sim.Advance(1, 1e-4, Phase::kTrain);  // a straggler the barrier absorbs
+  obs::Flight().Clear();
+  const std::vector<std::int64_t> before = AllReduceCounters();
+  AllReduceObservation out;
+  try {
+    for (bool gradient_sync : {false, true, false}) {
+      if (charge_reduced) {
+        Tensor sum = parts[0];
+        for (std::size_t i = 1; i < parts.size(); ++i) Axpy(1.0f, parts[i], sum);
+        comm.ChargeAllReduceSum(sum, Phase::kTrain, gradient_sync);
+      } else {
+        std::vector<Tensor> copies = parts;
+        std::vector<Tensor*> ptrs;
+        for (auto& t : copies) ptrs.push_back(&t);
+        comm.AllReduceSum(ptrs, Phase::kTrain, gradient_sync);
+      }
+    }
+  } catch (const CollectiveError& e) {
+    out.error = e.what();
+  }
+  const std::vector<std::int64_t> after = AllReduceCounters();
+  for (std::size_t i = 0; i < after.size(); ++i) out.metric_deltas.push_back(after[i] - before[i]);
+  for (const obs::FlightEvent& e : obs::Flight().Snapshot()) out.flight.push_back(Describe(e));
+  for (DeviceId d = 0; d < sim.num_devices(); ++d) out.clocks.push_back(sim.Now(d));
+  return out;
+}
+
+TEST(AllReduceTest, ChargingTheReducedTensorMatchesAllReduceSum) {
+  const ClusterSpec cluster = MultiMachineCluster(2, 2);
+  Rng rng(7);
+  std::vector<Tensor> parts;
+  for (DeviceId d = 0; d < cluster.num_devices(); ++d) {
+    Tensor t(5, 6);
+    // Sparse content, so kDeltaBitmask wire bytes depend on the sum.
+    for (std::int64_t i = 0; i < t.numel(); ++i) {
+      if (rng.NextBelow(3) == 0) t.data()[i] = rng.NextUniform(-1.0f, 1.0f);
+    }
+    parts.push_back(std::move(t));
+  }
+  for (Codec codec : {Codec::kIdentity, Codec::kBf16, Codec::kInt8, Codec::kDeltaBitmask}) {
+    for (bool fault : {false, true}) {
+      SCOPED_TRACE(std::string(ToString(codec)) + (fault ? " with fault" : ""));
+      const AllReduceObservation moved = ObserveAllReduce(cluster, codec, parts, false, fault);
+      const AllReduceObservation charged = ObserveAllReduce(cluster, codec, parts, true, fault);
+      EXPECT_EQ(moved.error.empty(), !fault) << moved.error;
+      EXPECT_EQ(moved.error, charged.error);
+      ASSERT_EQ(moved.clocks.size(), charged.clocks.size());
+      for (std::size_t d = 0; d < moved.clocks.size(); ++d) {
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(moved.clocks[d]),
+                  std::bit_cast<std::uint64_t>(charged.clocks[d]))
+            << "device " << d;
+      }
+      EXPECT_EQ(moved.metric_deltas, charged.metric_deltas);
+      EXPECT_FALSE(moved.flight.empty());
+      EXPECT_EQ(moved.flight, charged.flight);
+    }
+  }
 }
 
 TEST(AllBroadcastTest, EveryoneSeesEverything) {

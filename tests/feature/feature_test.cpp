@@ -2,8 +2,11 @@
 // correctness, time charging, and the per-strategy cache rules of §3.2.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
+#include <string>
 
+#include "core/random.h"
 #include "feature/cache_policy.h"
 #include "feature/feature_store.h"
 #include "graph/generators.h"
@@ -125,6 +128,109 @@ TEST(FeatureStoreTest, CacheRegistersMemory) {
   store.ConfigureCaches({{0, 1, 2}, {5}}, 100);
   EXPECT_EQ(sim.PeakMemory(0), 300);
   EXPECT_EQ(sim.PeakMemory(1), 100);
+}
+
+// Tier-classification parity: the per-machine cache-mask table must agree
+// with a brute-force scan of the device caches under the tier rule (own
+// cache, then an NVLink peer on the same machine, then the local CPU shard,
+// then a remote one), for Classify and CountGather alike.
+FeatureTier ReferenceTier(const ClusterSpec& cluster,
+                          const std::vector<std::vector<NodeId>>& caches,
+                          const std::vector<MachineId>& placement, DeviceId dev,
+                          NodeId v) {
+  const auto cached = [&](DeviceId d) {
+    const auto& nodes = caches[static_cast<std::size_t>(d)];
+    return std::find(nodes.begin(), nodes.end(), v) != nodes.end();
+  };
+  if (cached(dev)) return FeatureTier::kGpuCache;
+  const MachineId m = cluster.MachineOf(dev);
+  if (cluster.machine(m).has_nvlink) {
+    const DeviceId base = dev - cluster.LocalIndex(dev);
+    for (std::int32_t i = 0; i < cluster.machine(m).num_gpus; ++i) {
+      if (base + i != dev && cached(base + i)) return FeatureTier::kPeerGpu;
+    }
+  }
+  return placement[static_cast<std::size_t>(v)] == m ? FeatureTier::kLocalCpu
+                                                      : FeatureTier::kRemoteCpu;
+}
+
+/// Random per-device caches over [0, n): some devices empty, others with
+/// repeated nodes.
+std::vector<std::vector<NodeId>> RandomCaches(Rng& rng, std::int32_t devices, NodeId n) {
+  std::vector<std::vector<NodeId>> caches(static_cast<std::size_t>(devices));
+  for (auto& nodes : caches) {
+    if (rng.NextBelow(4) == 0) continue;
+    const std::uint64_t count = rng.NextBelow(static_cast<std::uint64_t>(n));
+    for (std::uint64_t i = 0; i < count; ++i) {
+      nodes.push_back(static_cast<NodeId>(rng.NextBelow(static_cast<std::uint64_t>(n))));
+      if (rng.NextBelow(8) == 0) nodes.push_back(nodes.back());
+    }
+  }
+  return caches;
+}
+
+void ExpectTierParity(const ClusterSpec& cluster, bool procedural, std::uint64_t seed) {
+  constexpr NodeId kNodes = 300;
+  constexpr std::int64_t kDim = 4;
+  Rng rng(seed);
+  SimContext sim(cluster);
+  std::vector<MachineId> placement(static_cast<std::size_t>(kNodes));
+  for (auto& m : placement) {
+    m = static_cast<MachineId>(rng.NextBelow(static_cast<std::uint64_t>(cluster.num_machines())));
+  }
+  const Tensor feats = MakeFeatures(kNodes, kDim);
+  FeatureStore store = procedural ? FeatureStore(kNodes, kDim, seed, placement, sim)
+                                  : FeatureStore(feats, placement, sim);
+  // A second ConfigureCaches replaces the first membership entirely.
+  for (int round = 0; round < 2; ++round) {
+    SCOPED_TRACE("round " + std::to_string(round));
+    const auto caches = RandomCaches(rng, cluster.num_devices(), kNodes);
+    store.ConfigureCaches(caches, store.CachedRowBytes(kDim));
+    for (DeviceId dev = 0; dev < cluster.num_devices(); ++dev) {
+      LoadVolume expected;
+      std::vector<NodeId> nodes;
+      for (NodeId v = 0; v < kNodes; ++v) {
+        const FeatureTier tier = ReferenceTier(cluster, caches, placement, dev, v);
+        ASSERT_EQ(store.Classify(dev, v), tier) << "device " << dev << " node " << v;
+        // Gather requests repeat nodes; each repeat counts as a row.
+        const std::uint64_t repeats = rng.NextBelow(3);
+        for (std::uint64_t r = 0; r < repeats; ++r) {
+          nodes.push_back(v);
+          expected.rows[static_cast<std::size_t>(tier)] += 1;
+        }
+      }
+      const LoadVolume counted = store.CountGather(dev, nodes, 1, 3);
+      for (std::size_t t = 0; t < kNumFeatureTiers; ++t) {
+        EXPECT_EQ(counted.rows[t], expected.rows[t]) << "device " << dev << " tier " << t;
+        EXPECT_EQ(counted.bytes[t], expected.rows[t] * 2 * 4);
+      }
+    }
+  }
+}
+
+TEST(FeatureStoreTest, TierParitySingleMachineNvlink) {
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    ExpectTierParity(SingleMachineCluster(8, /*nvlink=*/true), false, seed);
+  }
+}
+
+TEST(FeatureStoreTest, TierParitySingleMachinePcie) {
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    ExpectTierParity(SingleMachineCluster(8, /*nvlink=*/false), false, seed);
+  }
+}
+
+TEST(FeatureStoreTest, TierParityMultiMachine) {
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    ExpectTierParity(MultiMachineCluster(4, 4, /*nvlink=*/true), false, seed);
+    ExpectTierParity(MultiMachineCluster(4, 4, /*nvlink=*/false), false, seed);
+  }
+}
+
+TEST(FeatureStoreTest, TierParityProceduralStore) {
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    ExpectTierParity(MultiMachineCluster(4, 4, /*nvlink=*/true), true, seed);
+  }
 }
 
 // ---------------------------------------------------------------------------
