@@ -5,6 +5,7 @@
 
 #include "core/timer.h"
 #include "engine/exec_common.h"
+#include "runtime/parallel_for.h"
 #include "sampling/frequency.h"
 #include "sampling/minibatch.h"
 #include "sampling/neighbor_sampler.h"
@@ -44,15 +45,6 @@ std::vector<std::vector<NodeId>> Assign(std::span<const NodeId> seeds,
     }
   }
   return out;
-}
-
-double SampleCost(const ClusterSpec& cluster, DeviceId dev, const SampledBatch& batch) {
-  // Mirrors engine/exec_common SampleSeconds exactly: the per-seed
-  // expansion multiset, not the deduplicated node lists, drives UVA
-  // sampling work.
-  const MachineSpec& m = cluster.machine(cluster.MachineOf(dev));
-  return SampleTreeEdges(batch) * m.cpu_sample_edge_s +
-         static_cast<double>(batch.blocks.size()) * m.gpu.kernel_launch_s;
 }
 
 /// Execute compute time for one device's batch: the full forward+backward
@@ -106,13 +98,18 @@ void SamplingEpoch(const Dataset& ds, const EngineOptions& opts,
       const std::vector<NodeId> step_seeds = plan.StepSeeds(epoch_seeds, step);
       per_device = Assign(step_seeds, assignment, partition, c);
     }
-    Rng step_rng = epoch_rng.Fork(static_cast<std::uint64_t>(step));
+    const Rng step_rng = epoch_rng.Fork(static_cast<std::uint64_t>(step));
+    // Each device forks its own stream and fills only its own slot, so the
+    // samples are bit-identical at any lane count; `visit` stays serial.
     std::vector<SampledBatch> batches(static_cast<std::size_t>(c));
-    for (std::int32_t dev = 0; dev < c; ++dev) {
-      Rng dev_rng = step_rng.Fork(static_cast<std::uint64_t>(dev));
-      batches[static_cast<std::size_t>(dev)] =
-          sampler.Sample(per_device[static_cast<std::size_t>(dev)], dev_rng);
-    }
+    ParallelFor(
+        0, c,
+        [&](std::int64_t dev) {
+          Rng dev_rng = step_rng.Fork(static_cast<std::uint64_t>(dev));
+          batches[static_cast<std::size_t>(dev)] =
+              sampler.Sample(per_device[static_cast<std::size_t>(dev)], dev_rng);
+        },
+        /*grain=*/1);
     visit(step, batches);
   }
 }
@@ -128,9 +125,7 @@ DryRunResult DryRun(const Dataset& dataset, const ClusterSpec& cluster,
   const std::int64_t d = dataset.feature_dim();
   const std::int64_t d1 = Layer0OutDim(model);
   const bool gat = model.kind == ModelKind::kGat;
-  res.profile = opts.sim.scale_mode == ScaleMode::kScale
-                    ? ProfileCommunicationAnalytic(cluster)
-                    : ProfileCommunication(cluster);
+  res.profile = ProfileCommunication(cluster);
   // Parameter-carrying probe for the compute half of the overlap-aware cost
   // model (flop counting only; nothing is ever run through it).
   const GnnModel probe(model);
@@ -192,7 +187,7 @@ DryRunResult DryRun(const Dataset& dataset, const ClusterSpec& cluster,
       const SampledBatch& b = batches[static_cast<std::size_t>(dev)];
       // The slowest device bounds each step (the trainer synchronizes at
       // every collective), so the epoch estimate sums per-step maxima.
-      step_sample_max = std::max(step_sample_max, SampleCost(cluster, dev, b));
+      step_sample_max = std::max(step_sample_max, SampleSeconds(cluster, dev, b));
       step_compute_max = std::max(step_compute_max, ComputeCost(cluster, probe, dev, b));
       const Block& b0 = b.blocks.front();
       // GDP: the device loads its own input features at full width.
@@ -260,7 +255,7 @@ DryRunResult DryRun(const Dataset& dataset, const ClusterSpec& cluster,
     for (std::int32_t o = 0; o < c; ++o) {
       step_sample_max =
           std::max(step_sample_max,
-                   SampleCost(cluster, o, batches[static_cast<std::size_t>(o)]));
+                   SampleSeconds(cluster, o, batches[static_cast<std::size_t>(o)]));
       step_compute_max =
           std::max(step_compute_max,
                    ComputeCost(cluster, probe, o, batches[static_cast<std::size_t>(o)]));
@@ -292,8 +287,6 @@ DryRunResult DryRun(const Dataset& dataset, const ClusterSpec& cluster,
         const NodeId dst = b0.src_nodes[static_cast<std::size_t>(i)];
         const auto dst_owner =
             static_cast<std::size_t>(partition[static_cast<std::size_t>(dst)]);
-        const std::int64_t deg = b0.indptr[static_cast<std::size_t>(i) + 1] -
-                                 b0.indptr[static_cast<std::size_t>(i)];
         std::fill(touched.begin(), touched.end(), 0);
         for (std::int64_t e = b0.indptr[static_cast<std::size_t>(i)];
              e < b0.indptr[static_cast<std::size_t>(i) + 1]; ++e) {

@@ -92,9 +92,7 @@ void ResilientRunner::MaybeReplan(ResilienceReport& report, bool force) {
   // Measure post-fault operator speeds as of the current simulated instant
   // and re-run strategy selection on the dry-run volumes.
   const CommProfile degraded =
-      trainer_->setup().engine.sim.scale_mode == ScaleMode::kScale
-          ? ProfileCommunicationAnalytic(trainer_->setup().cluster, opts_.faults, now)
-          : ProfileCommunication(trainer_->setup().cluster, opts_.faults, now);
+      ProfileCommunication(trainer_->setup().cluster, opts_.faults, now);
   const auto estimates =
       ReestimateWithProfile(system_->Plan().dryrun, degraded,
                             trainer_->setup().engine.pipeline_depth);

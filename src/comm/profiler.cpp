@@ -4,7 +4,6 @@
 
 #include "comm/collectives.h"
 #include "sim/sim_context.h"
-#include "tensor/tensor.h"
 
 namespace apt {
 
@@ -15,13 +14,15 @@ namespace {
 /// `at_time_s` before the trial, so link faults active at that simulated
 /// time degrade the measured speeds.
 CommProfile ProfileImpl(const ClusterSpec& cluster, std::int64_t trial_bytes,
-                        const FaultPlan* faults, double at_time_s, bool analytic) {
+                        const FaultPlan* faults, double at_time_s) {
   CommProfile profile;
   const std::int32_t c = cluster.num_devices();
   const std::int64_t cols = 64;
   const std::int64_t rows =
       std::max<std::int64_t>(1, trial_bytes / (cols * static_cast<std::int64_t>(sizeof(float))));
-  const SimOptions sim_options{analytic ? ScaleMode::kScale : ScaleMode::kOff};
+  // Scale mode lets wide clusters advance their clocks in parallel; the
+  // charged seconds are the same either way.
+  const SimOptions sim_options{ScaleMode::kScale};
 
   const auto prepare = [&](SimContext& ctx) {
     if (faults == nullptr) return;
@@ -38,26 +39,13 @@ CommProfile ProfileImpl(const ClusterSpec& cluster, std::int64_t trial_bytes,
     prepare(ctx);
     Communicator comm(ctx);
     const std::int64_t rows_per_peer = std::max<std::int64_t>(1, rows / std::max(1, c));
-    if (analytic) {
-      std::vector<std::vector<Communicator::TensorShape>> parts(
-          static_cast<std::size_t>(c));
-      for (std::int32_t i = 0; i < c; ++i) {
-        for (std::int32_t j = 0; j < c; ++j) {
-          parts[static_cast<std::size_t>(i)].push_back(
-              {i == j ? 0 : rows_per_peer, cols});
-        }
+    std::vector<std::vector<Communicator::TensorShape>> parts(static_cast<std::size_t>(c));
+    for (std::int32_t i = 0; i < c; ++i) {
+      for (std::int32_t j = 0; j < c; ++j) {
+        parts[static_cast<std::size_t>(i)].push_back({i == j ? 0 : rows_per_peer, cols});
       }
-      comm.AllToAllTensorShapes(parts, Phase::kTrain);
-    } else {
-      std::vector<std::vector<Tensor>> parts(static_cast<std::size_t>(c));
-      for (std::int32_t i = 0; i < c; ++i) {
-        for (std::int32_t j = 0; j < c; ++j) {
-          parts[static_cast<std::size_t>(i)].emplace_back(i == j ? 0 : rows_per_peer,
-                                                          cols);
-        }
-      }
-      comm.AllToAllTensors(parts, Phase::kTrain);
     }
+    comm.AllToAllTensorShapes(parts, Phase::kTrain);
     const double per_device_bytes = static_cast<double>(rows_per_peer) * cols *
                                     sizeof(float) * std::max(0, c - 1);
     profile.alltoall_bytes_per_s = per_device_bytes / elapsed(ctx);
@@ -68,16 +56,7 @@ CommProfile ProfileImpl(const ClusterSpec& cluster, std::int64_t trial_bytes,
     SimContext ctx(cluster, sim_options);
     prepare(ctx);
     Communicator comm(ctx);
-    if (analytic) {
-      comm.AllReduceSumShape(rows, cols, Phase::kTrain);
-    } else {
-      std::vector<Tensor> bufs;
-      std::vector<Tensor*> ptrs;
-      bufs.reserve(static_cast<std::size_t>(c));
-      for (std::int32_t i = 0; i < c; ++i) bufs.emplace_back(rows, cols);
-      for (auto& b : bufs) ptrs.push_back(&b);
-      comm.AllReduceSum(ptrs, Phase::kTrain);
-    }
+    comm.AllReduceSumShape(rows, cols, Phase::kTrain);
     profile.allreduce_bytes_per_s =
         static_cast<double>(rows * cols * static_cast<std::int64_t>(sizeof(float))) /
         elapsed(ctx);
@@ -88,15 +67,9 @@ CommProfile ProfileImpl(const ClusterSpec& cluster, std::int64_t trial_bytes,
     SimContext ctx(cluster, sim_options);
     prepare(ctx);
     Communicator comm(ctx);
-    if (analytic) {
-      std::vector<Communicator::TensorShape> inputs(static_cast<std::size_t>(c),
-                                                    {rows, cols});
-      comm.AllBroadcastTensorShapes(inputs, Phase::kTrain);
-    } else {
-      std::vector<Tensor> inputs;
-      for (std::int32_t i = 0; i < c; ++i) inputs.emplace_back(rows, cols);
-      comm.AllBroadcastTensors(inputs, Phase::kTrain);
-    }
+    const std::vector<Communicator::TensorShape> inputs(static_cast<std::size_t>(c),
+                                                        {rows, cols});
+    comm.AllBroadcastTensorShapes(inputs, Phase::kTrain);
     const double total =
         static_cast<double>(rows * cols * static_cast<std::int64_t>(sizeof(float))) * c;
     profile.broadcast_bytes_per_s = total / elapsed(ctx);
@@ -127,23 +100,12 @@ CommProfile ProfileImpl(const ClusterSpec& cluster, std::int64_t trial_bytes,
 }  // namespace
 
 CommProfile ProfileCommunication(const ClusterSpec& cluster, std::int64_t trial_bytes) {
-  return ProfileImpl(cluster, trial_bytes, nullptr, 0.0, /*analytic=*/false);
+  return ProfileImpl(cluster, trial_bytes, nullptr, 0.0);
 }
 
 CommProfile ProfileCommunication(const ClusterSpec& cluster, const FaultPlan& faults,
                                  double at_time_s, std::int64_t trial_bytes) {
-  return ProfileImpl(cluster, trial_bytes, &faults, at_time_s, /*analytic=*/false);
-}
-
-CommProfile ProfileCommunicationAnalytic(const ClusterSpec& cluster,
-                                         std::int64_t trial_bytes) {
-  return ProfileImpl(cluster, trial_bytes, nullptr, 0.0, /*analytic=*/true);
-}
-
-CommProfile ProfileCommunicationAnalytic(const ClusterSpec& cluster,
-                                         const FaultPlan& faults, double at_time_s,
-                                         std::int64_t trial_bytes) {
-  return ProfileImpl(cluster, trial_bytes, &faults, at_time_s, /*analytic=*/true);
+  return ProfileImpl(cluster, trial_bytes, &faults, at_time_s);
 }
 
 }  // namespace apt

@@ -2,8 +2,13 @@
 //
 // APT measures the achieved speed of each communication operator before
 // planning, so the cost models can convert dry-run volumes into seconds.
-// The profiler runs timed trials through the same Communicator / link model
-// the execution engine uses, on a scratch SimContext.
+// The all-to-all, allreduce and broadcast trials are charged through the same
+// Communicator / link model the execution engine uses, on a scratch
+// SimContext, via its shape-only entry points: the link model alone decides
+// the charged seconds, so no trial tensor is allocated or moved (the
+// golden-parity suite pins the shape entry points to the byte-moving
+// collectives). Planning, re-planning and scale mode share this one
+// implementation.
 #pragma once
 
 #include <cstdint>
@@ -25,7 +30,7 @@ struct CommProfile {
   double peer_gpu_bytes_per_s = 0.0;    ///< GPU <- peer GPU (NVLink/PCIe)
 };
 
-/// Runs trials of `trial_bytes` per device and derives the profile.
+/// Charges trials of `trial_bytes` per device and derives the profile.
 CommProfile ProfileCommunication(const ClusterSpec& cluster,
                                  std::int64_t trial_bytes = 16LL << 20);
 
@@ -37,17 +42,5 @@ CommProfile ProfileCommunication(const ClusterSpec& cluster,
 CommProfile ProfileCommunication(const ClusterSpec& cluster, const FaultPlan& faults,
                                  double at_time_s,
                                  std::int64_t trial_bytes = 16LL << 20);
-
-/// Scale-mode variants: identical trial geometry and link/codec math, but the
-/// trials run through the analytic shape entry points (no trial tensors are
-/// materialized or moved) on a scale-mode scratch context. Charged seconds —
-/// and hence the derived bytes/s — are bit-identical to ProfileCommunication
-/// (the golden-parity suite pins this); only the profiling wall cost changes,
-/// which is what lets ResilientRunner re-profile a 1000-device cluster.
-CommProfile ProfileCommunicationAnalytic(const ClusterSpec& cluster,
-                                         std::int64_t trial_bytes = 16LL << 20);
-CommProfile ProfileCommunicationAnalytic(const ClusterSpec& cluster,
-                                         const FaultPlan& faults, double at_time_s,
-                                         std::int64_t trial_bytes = 16LL << 20);
 
 }  // namespace apt

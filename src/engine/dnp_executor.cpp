@@ -232,7 +232,8 @@ class DnpExecutor final : public StrategyExecutor {
         qblocks[static_cast<std::size_t>(g)].push_back(
             QuantizedBlockGrad{w.block.num_dst, w.saved.get(), &grad_out});
       } else {
-        layer0.Backward(w.block.csr(), w.block.num_dst, *w.saved, grad_out);
+        layer0.Backward(w.block.csr(), w.block.num_dst, *w.saved, grad_out,
+                        /*input_grad=*/false);
       }
       ctx_->sim->ChargeCompute(
           g, layer0.BackwardFlops(w.block.num_src(), w.block.num_dst,

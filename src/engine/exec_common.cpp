@@ -61,8 +61,9 @@ double SampleTreeEdges(const SampledBatch& batch) {
   return tree_edges;
 }
 
-double SampleSeconds(const EngineCtx& ctx, DeviceId dev, const SampledBatch& batch) {
-  const MachineSpec& m = ctx.sim->cluster().machine(ctx.sim->cluster().MachineOf(dev));
+double SampleSeconds(const ClusterSpec& cluster, DeviceId dev,
+                     const SampledBatch& batch) {
+  const MachineSpec& m = cluster.machine(cluster.MachineOf(dev));
   return SampleTreeEdges(batch) * m.cpu_sample_edge_s +
          static_cast<double>(batch.blocks.size()) * m.gpu.kernel_launch_s;
 }
@@ -82,7 +83,8 @@ std::vector<DeviceBatch> SampleDeviceBatches(
       batch.labels.push_back(ctx.dataset->labels[static_cast<std::size_t>(s)]);
     }
     ctx.sim->Advance(static_cast<DeviceId>(d),
-                     SampleSeconds(ctx, static_cast<DeviceId>(d), batch.sample),
+                     SampleSeconds(ctx.sim->cluster(), static_cast<DeviceId>(d),
+                                   batch.sample),
                      Phase::kSample);
   }
   return batches;

@@ -33,8 +33,10 @@ void AllReduceGradients(EngineCtx& ctx);
 void ChargeStepCompute(EngineCtx& ctx, DeviceId dev, std::span<const Block> blocks,
                        int first_layer);
 
-/// Simulated cost of sampling `batch` on `dev` (UVA edge traversals).
-double SampleSeconds(const EngineCtx& ctx, DeviceId dev, const SampledBatch& batch);
+/// Simulated cost of sampling `batch` on `dev` (UVA edge traversals). The
+/// trainer charges it and the dry-run estimates with it, so the two agree.
+double SampleSeconds(const ClusterSpec& cluster, DeviceId dev,
+                     const SampledBatch& batch);
 
 /// Size of the per-seed expansion multiset tree of `batch` (the number of
 /// UVA topology reads sampling performs; see the definition in the .cpp).

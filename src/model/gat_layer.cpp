@@ -60,9 +60,11 @@ Tensor GatLayer::Project(const Tensor& input) const {
   return z;
 }
 
-Tensor GatLayer::ProjectBackward(const Tensor& input, const Tensor& grad_z) {
+Tensor GatLayer::ProjectBackward(const Tensor& input, const Tensor& grad_z,
+                                 bool input_grad) {
   APT_CHECK_EQ(grad_z.rows(), input.rows());
   MatmulTN(input, grad_z, w_.grad, 1.0f, 1.0f);
+  if (!input_grad) return Tensor();
   Tensor grad_input(input.rows(), in_dim_);
   MatmulNT(grad_z, w_.value, grad_input);
   return grad_input;
@@ -204,10 +206,11 @@ Tensor GatLayer::Forward(const CsrView& csr, std::int64_t num_dst, const Tensor&
 }
 
 Tensor GatLayer::Backward(const CsrView& csr, std::int64_t num_dst,
-                          const LayerContext& saved, const Tensor& grad_out) {
+                          const LayerContext& saved, const Tensor& grad_out,
+                          bool input_grad) {
   const auto& ctx = dynamic_cast<const GatFullContext&>(saved);
   const Tensor grad_z = AttentionBackward(csr, num_dst, *ctx.attn, grad_out);
-  return ProjectBackward(ctx.input, grad_z);
+  return ProjectBackward(ctx.input, grad_z, input_grad);
 }
 
 void GatLayer::CollectParams(std::vector<Param*>& out) {

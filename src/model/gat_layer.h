@@ -33,7 +33,7 @@ class GatLayer final : public GnnLayer {
   Tensor Forward(const CsrView& csr, std::int64_t num_dst, const Tensor& input,
                  std::unique_ptr<LayerContext>* saved) override;
   Tensor Backward(const CsrView& csr, std::int64_t num_dst, const LayerContext& saved,
-                  const Tensor& grad_out) override;
+                  const Tensor& grad_out, bool input_grad) override;
   void CollectParams(std::vector<Param*>& out) override;
   std::int64_t in_dim() const override { return in_dim_; }
   std::int64_t out_dim() const override { return num_heads_ * head_dim_; }
@@ -46,8 +46,9 @@ class GatLayer final : public GnnLayer {
 
   /// z = input W  ([rows, heads*head_dim]).
   Tensor Project(const Tensor& input) const;
-  /// Accumulates grad_W (+nothing else); returns grad_input.
-  Tensor ProjectBackward(const Tensor& input, const Tensor& grad_z);
+  /// Accumulates grad_W (+nothing else); returns grad_input, or an empty
+  /// tensor without `input_grad`.
+  Tensor ProjectBackward(const Tensor& input, const Tensor& grad_z, bool input_grad);
 
   /// Attention given already-projected sources. The dst prefix convention
   /// applies to z as it does to input rows.

@@ -33,9 +33,13 @@ class GnnLayer {
                          const Tensor& input,
                          std::unique_ptr<LayerContext>* saved) = 0;
 
-  /// Returns grad_input [num_src, in_dim]; accumulates parameter grads.
+  /// Accumulates parameter grads. With `input_grad` returns grad_input
+  /// [num_src, in_dim]; without it returns an empty tensor and skips that
+  /// pass (layer 0, whose input is raw features). Parameter grads are
+  /// bit-identical either way.
   virtual Tensor Backward(const CsrView& csr, std::int64_t num_dst,
-                          const LayerContext& saved, const Tensor& grad_out) = 0;
+                          const LayerContext& saved, const Tensor& grad_out,
+                          bool input_grad) = 0;
 
   virtual void CollectParams(std::vector<Param*>& out) = 0;
 

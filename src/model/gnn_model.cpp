@@ -86,7 +86,8 @@ Tensor GnnModel::BackwardTo(int first_layer, std::span<const Block> blocks,
   for (int k = num_layers() - 1; k >= first_layer; --k) {
     const Block& b = blocks[static_cast<std::size_t>(k)];
     grad = layers_[static_cast<std::size_t>(k)]->Backward(
-        b.csr(), b.num_dst, *tape.layer_ctx[static_cast<std::size_t>(k)], grad);
+        b.csr(), b.num_dst, *tape.layer_ctx[static_cast<std::size_t>(k)], grad,
+        /*input_grad=*/k > 0);
     if (k >= 1) {
       const Tensor& raw = tape.pre_activation[static_cast<std::size_t>(k)];
       Tensor grad_raw(raw.rows(), raw.cols());

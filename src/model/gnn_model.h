@@ -60,6 +60,8 @@ class GnnModel {
 
   /// Backward counterpart; returns the gradient w.r.t. `input` as passed to
   /// ForwardFrom (i.e. including the entry-ReLU backward for layers >= 1).
+  /// With first_layer == 0 that input is the raw features, which need no
+  /// gradient: layer 0 skips its input-gradient pass and the result is empty.
   Tensor BackwardTo(int first_layer, std::span<const Block> blocks,
                     const ModelTape& tape, const Tensor& grad_logits);
 

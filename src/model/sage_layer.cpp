@@ -52,7 +52,8 @@ Tensor SageLayer::Forward(const CsrView& csr, std::int64_t num_dst, const Tensor
 }
 
 Tensor SageLayer::Backward(const CsrView& csr, std::int64_t num_dst,
-                           const LayerContext& saved, const Tensor& grad_out) {
+                           const LayerContext& saved, const Tensor& grad_out,
+                           bool input_grad) {
   const auto& ctx = dynamic_cast<const SageContext&>(saved);
   APT_CHECK_EQ(grad_out.rows(), num_dst);
   APT_CHECK_EQ(grad_out.cols(), out_dim_);
@@ -66,6 +67,7 @@ Tensor SageLayer::Backward(const CsrView& csr, std::int64_t num_dst,
   Tensor gb(1, out_dim_);
   BiasGradRows(grad_out, gb);
   Axpy(1.0f, gb, bias_.grad);
+  if (!input_grad) return Tensor();
 
   // Input grads.
   Tensor grad_input(num_src, in_dim_);

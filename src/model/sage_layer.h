@@ -22,7 +22,7 @@ class SageLayer final : public GnnLayer {
   Tensor Forward(const CsrView& csr, std::int64_t num_dst, const Tensor& input,
                  std::unique_ptr<LayerContext>* saved) override;
   Tensor Backward(const CsrView& csr, std::int64_t num_dst, const LayerContext& saved,
-                  const Tensor& grad_out) override;
+                  const Tensor& grad_out, bool input_grad) override;
   void CollectParams(std::vector<Param*>& out) override;
   std::int64_t in_dim() const override { return in_dim_; }
   std::int64_t out_dim() const override { return out_dim_; }

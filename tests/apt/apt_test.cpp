@@ -1,7 +1,11 @@
 // Tests for the APT core: dry-run, cost models, planner, adapter, system.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+
 #include "apt/apt_system.h"
+#include "runtime/parallel_for.h"
 #include "test_util.h"
 
 namespace apt {
@@ -210,6 +214,122 @@ TEST(AptSystemTest, PlanIsCached) {
   const PlanReport& a = system.Plan();
   const PlanReport& b = system.Plan();
   EXPECT_EQ(&a, &b);
+}
+
+/// FNV-1a over the bit patterns of everything a plan decides from.
+class PlanHasher {
+ public:
+  void Add(std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h_ ^= (v >> (8 * i)) & 0xffu;
+      h_ *= 1099511628211ull;
+    }
+  }
+  void Add(std::int64_t v) { Add(static_cast<std::uint64_t>(v)); }
+  void Add(double v) { Add(std::bit_cast<std::uint64_t>(v)); }
+  template <typename T>
+  void AddAll(const T& values) {
+    Add(static_cast<std::uint64_t>(values.size()));
+    for (const auto& v : values) Add(static_cast<std::int64_t>(v));
+  }
+  std::uint64_t value() const { return h_; }
+
+ private:
+  std::uint64_t h_ = 1469598103934665603ull;
+};
+
+/// Digest of a plan: hotness, caches, every per-strategy volume, seconds and
+/// transient field, the profile, the estimates and the pick. Host wall time
+/// is left out.
+std::uint64_t PlanDigest(const PlanReport& plan) {
+  const DryRunResult& dry = plan.dryrun;
+  PlanHasher h;
+  h.AddAll(dry.hotness);
+  for (const CacheConfig& cache : dry.caches) {
+    for (const auto& nodes : cache.cache_nodes) h.AddAll(nodes);
+    h.Add(cache.bytes_per_cached_row);
+  }
+  for (const StrategyDryRun& st : dry.per_strategy) {
+    h.Add(st.sample_seconds);
+    h.Add(st.graph_shuffle_bytes);
+    h.Add(st.graph_shuffle_seconds);
+    for (const LoadVolume& v : st.load) {
+      h.AddAll(v.bytes);
+      h.AddAll(v.wire_bytes);
+      h.AddAll(v.rows);
+    }
+    h.Add(st.load_seconds);
+    h.Add(st.shuffle_rows);
+    h.Add(st.shuffle_bytes);
+    h.Add(st.shuffle_wire_bytes);
+    h.Add(st.shuffle_seconds);
+    h.Add(st.codec_seconds);
+    h.Add(st.peak_transient_bytes);
+    h.Add(st.train_compute_seconds);
+    h.Add(static_cast<std::int64_t>(st.fits_memory));
+  }
+  const CommProfile& p = dry.profile;
+  for (double v : {p.alltoall_bytes_per_s, p.allreduce_bytes_per_s,
+                   p.broadcast_bytes_per_s, p.local_cpu_bytes_per_s,
+                   p.remote_cpu_bytes_per_s, p.gpu_cache_bytes_per_s,
+                   p.peer_gpu_bytes_per_s}) {
+    h.Add(v);
+  }
+  h.Add(dry.train_fixed_seconds);
+  h.Add(dry.quantized_sync_seconds);
+  for (const CostEstimate& e : plan.estimates) {
+    for (double v : {e.t_build, e.t_load, e.t_shuffle, e.t_sample, e.t_compute,
+                     e.t_fixed, e.t_codec}) {
+      h.Add(v);
+    }
+    h.Add(static_cast<std::int64_t>(e.feasible));
+  }
+  h.Add(static_cast<std::int64_t>(plan.selected));
+  return h.value();
+}
+
+/// ps_like at scale 0.1 on two 4-GPU machines: enough devices and steps
+/// for the dry-run's per-device sampling to fan out across lanes.
+struct PsLikePlanFixture {
+  Dataset ds = MakeDataset(PsLikeParams(0.1));
+  ClusterSpec cluster = MultiMachineCluster(2, 4);
+  ModelConfig model;
+  EngineOptions opts;
+  std::vector<PartId> partition;
+
+  PsLikePlanFixture() {
+    model.kind = ModelKind::kSage;
+    model.num_layers = 2;
+    model.hidden_dim = 32;
+    model.input_dim = ds.feature_dim();
+    model.num_classes = ds.num_classes;
+    opts.fanouts = {10, 10};
+    opts.batch_size_per_device = 32;
+    opts.cache_bytes_per_device = ds.FeatureBytes() / 16;
+    MultilevelPartitioner ml;
+    partition = ml.Partition(ds.graph, cluster.num_devices());
+  }
+};
+
+TEST(DryRunTest, PlanIsIdenticalAtAnyLaneCount) {
+  PsLikePlanFixture f;
+  PlanReport serial;
+  {
+    ScopedParallelismLimit one_lane(1);
+    serial = MakePlan(f.ds, f.cluster, f.partition, f.opts, f.model);
+  }
+  const PlanReport wide = MakePlan(f.ds, f.cluster, f.partition, f.opts, f.model);
+  EXPECT_EQ(serial.dryrun.hotness, wide.dryrun.hotness);
+  for (Strategy s : kAllStrategies) {
+    const auto i = static_cast<std::size_t>(s);
+    EXPECT_EQ(serial.dryrun.caches[i].cache_nodes, wide.dryrun.caches[i].cache_nodes)
+        << ToString(s);
+  }
+  EXPECT_EQ(serial.selected, wide.selected);
+  EXPECT_EQ(PlanDigest(serial), PlanDigest(wide));
+  // Recorded from the dry-run that sampled devices one after another and
+  // profiled with byte-moving trials.
+  EXPECT_EQ(PlanDigest(wide), 0xc61ba41b4918ffbcull);
 }
 
 }  // namespace

@@ -2,9 +2,12 @@
 // and cost-model sanity (inter-machine slower than intra-machine).
 #include <gtest/gtest.h>
 
+#include <array>
 #include <bit>
+#include <cstdint>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "comm/collectives.h"
 #include "comm/profiler.h"
@@ -292,6 +295,78 @@ TEST(ProfilerTest, NvlinkSpeedsUpPeerReads) {
   const CommProfile with = ProfileCommunication(SingleMachineCluster(4, true));
   const CommProfile without = ProfileCommunication(SingleMachineCluster(4, false));
   EXPECT_GT(with.peer_gpu_bytes_per_s, without.peer_gpu_bytes_per_s);
+}
+
+/// A plan whose link faults are active at t = 1 s on all three traffic
+/// classes, plus a collective fault at byte 0 that would abort the very
+/// first trial if the profiler did not strip it.
+FaultPlan ProfilerGoldenFaults() {
+  FaultPlan plan;
+  LinkFault net;
+  net.link_class = static_cast<int>(TrafficClass::kCrossMachine);
+  net.start_s = 0.5;
+  net.end_s = 2.0;
+  net.bandwidth_factor = 0.25;
+  net.extra_latency_s = 1e-5;
+  LinkFault peer;
+  peer.link_class = static_cast<int>(TrafficClass::kPeerGpu);
+  peer.bandwidth_factor = 0.5;
+  LinkFault pcie;
+  pcie.link_class = static_cast<int>(TrafficClass::kLocalCpuGpu);
+  pcie.start_s = 0.9;
+  pcie.end_s = 1.1;
+  pcie.bandwidth_factor = 0.8;
+  plan.links = {net, peer, pcie};
+  plan.collectives.push_back(CollectiveFault{0});
+  return plan;
+}
+
+TEST(ProfilerTest, MatchesGoldenProfilesOfTheByteMovingTrials) {
+  // `want` was captured from the profiler that allocated and moved 16 MiB
+  // per device per trial. Shape-only trials must reproduce every field bit
+  // for bit: the link model, not the moved bytes, decides the seconds.
+  struct Case {
+    const char* name;
+    ClusterSpec cluster;
+    bool faulted;  ///< profile under ProfilerGoldenFaults() at t = 1 s
+    std::array<double, 7> want;
+  };
+  const std::vector<Case> cases = {
+      {"single8_nvlink", SingleMachineCluster(8, true), false,
+       {0x1.3affab7174182p+35, 0x1.73396be14acf6p+34, 0x1.7c1d345bbf6a9p+35,
+        0x1.641982f8dc184p+33, 0x0p+0, 0x1.176592ep+38, 0x1.4c998dd0477d4p+35}},
+      {"single8_pcie", SingleMachineCluster(8, false), false,
+       {0x1.59c1da380f49ap+33, 0x1.91d1e2eee0d06p+32, 0x1.96f895aeb264dp+33,
+        0x1.641982f8dc184p+33, 0x0p+0, 0x1.176592ep+38, 0x1.641982f8dc184p+33}},
+      {"multi2x4", MultiMachineCluster(2, 4), false,
+       {0x1.330aa10652c7ap+33, 0x1.5b5498c3c9663p+32, 0x1.6f6e3a728882fp+33,
+        0x1.641982f8dc184p+33, 0x1.4180732437728p+33, 0x1.176592ep+38,
+        0x1.641982f8dc184p+33}},
+      {"multi4x4", MultiMachineCluster(4, 4), false,
+       {0x1.06bedfb894da6p+33, 0x1.2e232afd65f87p+32, 0x1.56ef69c03b24ep+33,
+        0x1.641982f8dc184p+33, 0x1.4180732437728p+33, 0x1.176592ep+38,
+        0x1.641982f8dc184p+33}},
+      {"multi2x4_faulted", MultiMachineCluster(2, 4), true,
+       {0x1.992ad583e7739p+31, 0x1.6d1544e181d25p+30, 0x1.7437a24c7d1a3p+31,
+        0x1.1d1f973c14324p+33, 0x1.45b0ae02ed761p+31, 0x1.176592ep+38,
+        0x1.64dcb4437a6eep+32}},
+  };
+  const std::array<const char*, 7> fields = {
+      "alltoall", "allreduce", "broadcast", "local_cpu", "remote_cpu", "gpu_cache",
+      "peer_gpu"};
+  for (const Case& c : cases) {
+    const CommProfile p = c.faulted
+                              ? ProfileCommunication(c.cluster, ProfilerGoldenFaults(), 1.0)
+                              : ProfileCommunication(c.cluster);
+    const std::array<double, 7> got = {
+        p.alltoall_bytes_per_s,   p.allreduce_bytes_per_s,  p.broadcast_bytes_per_s,
+        p.local_cpu_bytes_per_s,  p.remote_cpu_bytes_per_s, p.gpu_cache_bytes_per_s,
+        p.peer_gpu_bytes_per_s};
+    for (std::size_t f = 0; f < got.size(); ++f) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(got[f]), std::bit_cast<std::uint64_t>(c.want[f]))
+          << c.name << " " << fields[f] << ": " << got[f] << " vs " << c.want[f];
+    }
+  }
 }
 
 }  // namespace

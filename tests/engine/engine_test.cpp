@@ -237,7 +237,8 @@ TEST(ExecCommonTest, SampleSecondsGrowWithFanout) {
   std::iota(seeds.begin(), seeds.end(), NodeId{100});
   const SampledBatch lb = light.Sample(seeds, rng);
   const SampledBatch hb = heavy.Sample(seeds, rng);
-  EXPECT_GT(SampleSeconds(f.ctx, 0, hb), 2 * SampleSeconds(f.ctx, 0, lb));
+  const ClusterSpec& cluster = f.ctx.sim->cluster();
+  EXPECT_GT(SampleSeconds(cluster, 0, hb), 2 * SampleSeconds(cluster, 0, lb));
 }
 
 }  // namespace

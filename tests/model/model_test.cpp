@@ -2,7 +2,10 @@
 // plumbing, and optimizers.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include "model/gat_layer.h"
 #include "model/gnn_model.h"
@@ -49,7 +52,7 @@ void CheckParamGrad(LayerT& layer, Param& param, const TinyBlock& blk,
        }()) {
     p->ZeroGrad();
   }
-  layer.Backward(blk.csr(), blk.num_dst, *ctx, gy);
+  layer.Backward(blk.csr(), blk.num_dst, *ctx, gy, /*input_grad=*/true);
   const float eps = 1e-2f;
   Rng pick(31);
   for (int trial = 0; trial < 6; ++trial) {
@@ -65,6 +68,29 @@ void CheckParamGrad(LayerT& layer, Param& param, const TinyBlock& blk,
     EXPECT_NEAR(param.grad.data()[idx], fd, tol)
         << param.name << " index " << idx;
   }
+}
+
+/// Parameter-gradient bit patterns after one Backward with or without the
+/// input gradient (GDP and DNP skip it on layer 0; the trained bits must
+/// not notice).
+std::vector<std::vector<std::uint32_t>> ParamGradBits(GnnLayer& layer, const TinyBlock& blk,
+                                                      const Tensor& input, const Tensor& gy,
+                                                      bool input_grad) {
+  std::unique_ptr<LayerContext> ctx;
+  layer.Forward(blk.csr(), blk.num_dst, input, &ctx);
+  std::vector<Param*> params;
+  layer.CollectParams(params);
+  for (Param* p : params) p->ZeroGrad();
+  const Tensor gin = layer.Backward(blk.csr(), blk.num_dst, *ctx, gy, input_grad);
+  EXPECT_EQ(gin.rows(), input_grad ? input.rows() : 0);
+  std::vector<std::vector<std::uint32_t>> bits;
+  for (const Param* p : params) {
+    auto& b = bits.emplace_back();
+    for (std::int64_t i = 0; i < p->grad.numel(); ++i) {
+      b.push_back(std::bit_cast<std::uint32_t>(p->grad.data()[i]));
+    }
+  }
+  return bits;
 }
 
 TEST(SageLayerTest, ForwardMatchesManual) {
@@ -104,7 +130,8 @@ TEST(SageLayerTest, InputGradMatchesFiniteDifference) {
   const Tensor gy = RandTensor(2, 2, 7);
   std::unique_ptr<LayerContext> ctx;
   layer.Forward(blk.csr(), blk.num_dst, input, &ctx);
-  const Tensor gin = layer.Backward(blk.csr(), blk.num_dst, *ctx, gy);
+  const Tensor gin =
+      layer.Backward(blk.csr(), blk.num_dst, *ctx, gy, /*input_grad=*/true);
   const float eps = 1e-2f;
   for (std::int64_t i = 0; i < input.numel(); ++i) {
     const float orig = input.data()[i];
@@ -115,6 +142,16 @@ TEST(SageLayerTest, InputGradMatchesFiniteDifference) {
     input.data()[i] = orig;
     EXPECT_NEAR(gin.data()[i], (Inner(op, gy) - Inner(om, gy)) / (2 * eps), 5e-3f);
   }
+}
+
+TEST(SageLayerTest, SkippingInputGradLeavesParamGradsBitIdentical) {
+  Rng rng(40);
+  SageLayer layer(5, 4, rng);
+  TinyBlock blk;
+  const Tensor input = RandTensor(3, 5, 41);
+  const Tensor gy = RandTensor(2, 4, 42);
+  EXPECT_EQ(ParamGradBits(layer, blk, input, gy, true),
+            ParamGradBits(layer, blk, input, gy, false));
 }
 
 TEST(GatLayerTest, OutputShapeConcatenatesHeads) {
@@ -149,7 +186,8 @@ TEST(GatLayerTest, InputGradMatchesFiniteDifference) {
   const Tensor gy = RandTensor(2, 2, 15);
   std::unique_ptr<LayerContext> ctx;
   layer.Forward(blk.csr(), blk.num_dst, input, &ctx);
-  const Tensor gin = layer.Backward(blk.csr(), blk.num_dst, *ctx, gy);
+  const Tensor gin =
+      layer.Backward(blk.csr(), blk.num_dst, *ctx, gy, /*input_grad=*/true);
   const float eps = 1e-2f;
   for (std::int64_t i = 0; i < input.numel(); ++i) {
     const float orig = input.data()[i];
@@ -160,6 +198,16 @@ TEST(GatLayerTest, InputGradMatchesFiniteDifference) {
     input.data()[i] = orig;
     EXPECT_NEAR(gin.data()[i], (Inner(op, gy) - Inner(om, gy)) / (2 * eps), 2e-2f);
   }
+}
+
+TEST(GatLayerTest, SkippingInputGradLeavesParamGradsBitIdentical) {
+  Rng rng(43);
+  GatLayer layer(5, 3, 2, rng);
+  TinyBlock blk;
+  const Tensor input = RandTensor(3, 5, 44);
+  const Tensor gy = RandTensor(2, 6, 45);
+  EXPECT_EQ(ParamGradBits(layer, blk, input, gy, true),
+            ParamGradBits(layer, blk, input, gy, false));
 }
 
 TEST(GatLayerTest, SplitPathMatchesMonolithic) {
