@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <sstream>
+#include <tuple>
 
 #include "obs/flight.h"
 #include "obs/metrics.h"
@@ -45,24 +46,19 @@ std::vector<std::vector<Tensor>> Communicator::AllToAllTensors(
     const std::vector<std::vector<Tensor>>& parts, Phase phase) {
   const auto c = static_cast<std::size_t>(num_devices());
   APT_CHECK_EQ(parts.size(), c);
-  std::vector<std::vector<std::int64_t>> bytes(c, std::vector<std::int64_t>(c, 0));
-  std::vector<std::vector<std::int64_t>> wire(c, std::vector<std::int64_t>(c, 0));
+  AllToAllTraffic traffic;
   std::vector<std::vector<Tensor>> recv(c, std::vector<Tensor>(c));
   for (std::size_t i = 0; i < c; ++i) {
     APT_CHECK_EQ(parts[i].size(), c);
     for (std::size_t j = 0; j < c; ++j) {
       const Tensor& p = parts[i][j];
-      bytes[i][j] = p.bytes();
-      wire[i][j] =
-          i == j ? bytes[i][j]
-                 : CodecWireBytes(wire_codec(ctx_->ClassifyDeviceLink(
-                                      static_cast<DeviceId>(i),
-                                      static_cast<DeviceId>(j))),
-                                  p.rows(), p.cols());
+      const auto from = static_cast<DeviceId>(i), to = static_cast<DeviceId>(j);
+      if (i != j) traffic.Add(to, p.bytes(), RowsWireBytes(from, to, p.rows(), p.cols()));
       recv[j][i] = p;
     }
+    traffic.EndSender();
   }
-  ChargeAllToAll(bytes, wire, phase);
+  ChargeAllToAll(traffic, phase);
   return recv;
 }
 
@@ -135,43 +131,6 @@ std::vector<Tensor> Communicator::AllBroadcastTensors(const std::vector<Tensor>&
   return inputs;
 }
 
-void Communicator::GroupReduce(
-    const std::vector<std::vector<Tensor>>& parts,
-    const std::vector<std::vector<std::vector<std::int64_t>>>& index,
-    std::vector<Tensor*> out, Phase phase) {
-  const auto c = static_cast<std::size_t>(num_devices());
-  APT_CHECK_EQ(parts.size(), c);
-  APT_CHECK_EQ(index.size(), c);
-  APT_CHECK_EQ(out.size(), c);
-  std::vector<std::vector<std::int64_t>> bytes(c, std::vector<std::int64_t>(c, 0));
-  std::vector<std::vector<std::int64_t>> wire(c, std::vector<std::int64_t>(c, 0));
-  for (std::size_t i = 0; i < c; ++i) {
-    APT_CHECK_EQ(parts[i].size(), c);
-    APT_CHECK_EQ(index[i].size(), c);
-    for (std::size_t j = 0; j < c; ++j) {
-      const Tensor& p = parts[i][j];
-      if (p.rows() != static_cast<std::int64_t>(index[i][j].size())) {
-        std::ostringstream os;
-        os << "groupreduce index/rows mismatch from device " << i << " to " << j;
-        ctx_->PoisonBarrier(os.str());
-        throw CollectiveError(os.str());
-      }
-      if (p.rows() > 0) {
-        APT_CHECK(out[j] != nullptr);
-        ScatterAddRows(p, index[i][j], *out[j]);
-      }
-      if (i != j) {
-        bytes[i][j] = p.bytes();  // local partials are free
-        wire[i][j] = CodecWireBytes(
-            wire_codec(ctx_->ClassifyDeviceLink(static_cast<DeviceId>(i),
-                                                static_cast<DeviceId>(j))),
-            p.rows(), p.cols());
-      }
-    }
-  }
-  ChargeAllToAll(bytes, wire, phase);
-}
-
 LinkSpec Communicator::RingBottleneck() const {
   LinkSpec bottleneck{};
   bool first = true;
@@ -219,92 +178,128 @@ void Communicator::MaybeFailCollective(std::int64_t wire_bytes,
   throw CollectiveError(os.str());
 }
 
-void Communicator::ChargeAllToAll(const std::vector<std::vector<std::int64_t>>& bytes,
-                                  const std::vector<std::vector<std::int64_t>>& wire,
-                                  Phase phase) {
+void Communicator::ChargeAllToAll(const AllToAllTraffic& traffic, Phase phase) {
   if (ctx_->RecordingStep()) {
     // One structured op on the step tape; the flat advances the Impl issues
     // are suppressed so fast-forward re-runs the charge (fault thresholds,
     // link degradation) instead of replaying stale numbers.
-    ctx_->RecordAllToAll(bytes, wire, phase);
+    ctx_->RecordAllToAll(traffic, phase);
     SimContext::RecordSuppressScope suppress(*ctx_);
-    ChargeAllToAllImpl(bytes, wire, phase);
+    ChargeAllToAllImpl(traffic, phase);
     return;
   }
-  ChargeAllToAllImpl(bytes, wire, phase);
+  ChargeAllToAllImpl(traffic, phase);
 }
 
-void Communicator::ChargeAllToAllImpl(
-    const std::vector<std::vector<std::int64_t>>& bytes,
-    const std::vector<std::vector<std::int64_t>>& wire, Phase phase) {
+namespace {
+
+/// Transfer seconds of each lane under installed link faults, evaluated at
+/// the current (pre-collective) clocks. A link fault notes its first
+/// observation once, stamped with the clock of the lane that saw it, so
+/// lanes resolve in device-major order: device i takes its egress lane
+/// (i, j) and then its ingress lane (j, i) for each peer j in turn, which
+/// reaches lane (s, r) first at (min(s, r), max(s, r), s > r).
+std::vector<double> FaultedLaneSeconds(const SimContext& ctx,
+                                       const AllToAllTraffic& traffic) {
+  struct Visit {
+    DeviceId lo, hi;
+    bool ingress;  ///< first reached as the lower device's ingress lane
+    DeviceId from, to;
+    std::size_t lane;
+  };
+  std::vector<Visit> visits;
+  for (std::size_t s = 0; s + 1 < traffic.indptr.size(); ++s) {
+    for (auto k = static_cast<std::size_t>(traffic.indptr[s]);
+         k < static_cast<std::size_t>(traffic.indptr[s + 1]); ++k) {
+      if (traffic.wire[k] <= 0) continue;
+      const auto from = static_cast<DeviceId>(s);
+      const DeviceId to = traffic.peer[k];
+      visits.push_back({std::min(from, to), std::max(from, to), from > to, from, to, k});
+    }
+  }
+  std::sort(visits.begin(), visits.end(), [](const Visit& a, const Visit& b) {
+    return std::tie(a.lo, a.hi, a.ingress) < std::tie(b.lo, b.hi, b.ingress);
+  });
+  std::vector<double> seconds(traffic.peer.size(), 0.0);
+  for (const Visit& v : visits) {
+    seconds[v.lane] =
+        ctx.EffectiveLinkBetween(v.from, v.to).TransferSeconds(traffic.wire[v.lane]);
+  }
+  return seconds;
+}
+
+}  // namespace
+
+void Communicator::ChargeAllToAllImpl(const AllToAllTraffic& traffic, Phase phase) {
   const auto c = static_cast<std::size_t>(num_devices());
-  // Scale mode batches the O(C^2) lane costing and the O(C) clock commits
-  // through the fork-join pool. Per-device results are bit-identical to the
-  // serial loop: each device's lane math keeps its serial FP order, and the
-  // cross-device totals are int64 sums (order-free).
-  const bool scale = ctx_->scale_mode() == ScaleMode::kScale && c >= 64;
-  // Cost every lane up front at the PRE-collective clocks (link faults are
+  APT_CHECK_EQ(traffic.indptr.size(), c + 1);
+  const ClusterSpec& cluster = ctx_->cluster();
+  // Cost every lane once at the PRE-collective clocks (link faults are
   // evaluated against the time the transfer starts), so a mid-call failure
-  // can charge each participant the same completed fraction. Egress of i and
-  // ingress of i are serialized on i's adapters; the device is busy for the
+  // can charge each participant the same completed fraction. A lane's
+  // seconds land on its sender's egress and its receiver's ingress; the
+  // sweep runs sender by sender with peers ascending, so every device sums
+  // its egress and its ingress lanes in ascending peer order. Egress and
+  // ingress serialize on the device's own adapters; it is busy for the
   // larger of the two. Time moves WIRE (post-codec) bytes.
-  std::vector<double> busy(c, 0.0);
+  std::vector<MachineId> machine_of(c);
+  for (std::size_t d = 0; d < c; ++d) {
+    machine_of[d] = cluster.MachineOf(static_cast<DeviceId>(d));
+  }
+  std::vector<LinkSpec> intra(static_cast<std::size_t>(cluster.num_machines()));
+  for (std::size_t m = 0; m < intra.size(); ++m) {
+    const MachineSpec& spec = cluster.machines[m];
+    intra[m] = spec.has_nvlink ? spec.nvlink : spec.pcie;
+  }
+  const bool faulted_links = !ctx_->faults().links.empty();
+  const std::vector<double> faulted_seconds =
+      faulted_links ? FaultedLaneSeconds(*ctx_, traffic) : std::vector<double>{};
+  std::vector<double> egress(c, 0.0), ingress(c, 0.0);
   std::vector<std::int64_t> egress_bytes(c, 0), ingress_bytes(c, 0);
   std::vector<std::int64_t> wire_part(c, 0);
+  // Codec compute: lanes whose wire representation differs from the logical
+  // one pay one encode pass at the sender and one decode pass at the
+  // receiver, each a memory-bound sweep over the LOGICAL bytes. The identity
+  // codec keeps wire == bytes on every lane and charges nothing.
+  std::vector<std::int64_t> xcode_bytes(c, 0);
   constexpr std::size_t kCls = static_cast<std::size_t>(TrafficClass::kNumClasses);
-  // Per-sender per-class lane totals (scale mode only): the serial path
-  // counts each (i,j) lane individually; scale mode aggregates the same
-  // int64 sums and issues one CountTraffic per class.
-  std::vector<std::array<std::int64_t, kCls>> cls_bytes;
-  std::vector<std::array<std::int64_t, kCls>> cls_wire;
-  if (scale) {
-    cls_bytes.assign(c, {});
-    cls_wire.assign(c, {});
-  }
-  const auto cost_one = [&](std::size_t i) {
-    double egress = 0.0, ingress = 0.0;
-    // Codec compute: lanes whose wire representation differs from the
-    // logical one pay one encode pass at the sender and one decode pass at
-    // the receiver, each a memory-bound sweep over the LOGICAL bytes. The
-    // identity codec keeps wire == bytes on every lane and charges nothing.
-    std::int64_t xcode_bytes = 0;
-    for (std::size_t j = 0; j < c; ++j) {
-      if (i == j) continue;
-      const auto di = static_cast<DeviceId>(i);
-      const auto dj = static_cast<DeviceId>(j);
-      if (wire[i][j] > 0) {
-        egress += ctx_->EffectiveLinkBetween(di, dj).TransferSeconds(wire[i][j]);
-        egress_bytes[i] += bytes[i][j];
-        wire_part[i] += wire[i][j];
-        if (wire[i][j] != bytes[i][j]) xcode_bytes += bytes[i][j];
+  std::array<std::int64_t, kCls> cls_bytes{}, cls_wire{};
+  for (std::size_t s = 0; s < c; ++s) {
+    const MachineId ms = machine_of[s];
+    for (auto k = static_cast<std::size_t>(traffic.indptr[s]);
+         k < static_cast<std::size_t>(traffic.indptr[s + 1]); ++k) {
+      const auto r = static_cast<std::size_t>(traffic.peer[k]);
+      const std::int64_t b = traffic.bytes[k];
+      const std::int64_t w = traffic.wire[k];
+      const bool cross = machine_of[r] != ms;
+      if (b > 0) {
+        const auto cls = static_cast<std::size_t>(cross ? TrafficClass::kCrossMachine
+                                                        : TrafficClass::kPeerGpu);
+        cls_bytes[cls] += b;
+        cls_wire[cls] += w;
       }
-      if (wire[j][i] > 0) {
-        ingress += ctx_->EffectiveLinkBetween(dj, di).TransferSeconds(wire[j][i]);
-        ingress_bytes[i] += bytes[j][i];
-        if (wire[j][i] != bytes[j][i]) xcode_bytes += bytes[j][i];
-      }
-      if (scale && i != j && bytes[i][j] > 0) {
-        const auto cls = static_cast<std::size_t>(ctx_->ClassifyDeviceLink(di, dj));
-        cls_bytes[i][cls] += bytes[i][j];
-        cls_wire[i][cls] += wire[i][j];
+      if (w <= 0) continue;
+      const double t = faulted_links
+                           ? faulted_seconds[k]
+                           : (cross ? cluster.network : intra[static_cast<std::size_t>(ms)])
+                                 .TransferSeconds(w);
+      egress[s] += t;
+      ingress[r] += t;
+      egress_bytes[s] += b;
+      ingress_bytes[r] += b;
+      wire_part[s] += w;
+      if (w != b) {
+        xcode_bytes[s] += b;
+        xcode_bytes[r] += b;
       }
     }
-    busy[i] = std::max(egress, ingress) +
-              static_cast<double>(xcode_bytes) /
-                  ctx_->cluster().device(static_cast<DeviceId>(i)).mem_bandwidth_bytes_per_s;
-  };
-  if (scale) {
-    ParallelForChunks(0, static_cast<std::int64_t>(c),
-                      [&](std::int64_t lo, std::int64_t hi) {
-                        for (std::int64_t i = lo; i < hi; ++i) {
-                          cost_one(static_cast<std::size_t>(i));
-                        }
-                      });
-  } else {
-    for (std::size_t i = 0; i < c; ++i) cost_one(i);
   }
+  std::vector<double> busy(c, 0.0);
   std::int64_t total_bytes = 0, total_wire = 0;
   for (std::size_t i = 0; i < c; ++i) {
+    busy[i] = std::max(egress[i], ingress[i]) +
+              static_cast<double>(xcode_bytes[i]) /
+                  cluster.device(static_cast<DeviceId>(i)).mem_bandwidth_bytes_per_s;
     total_bytes += egress_bytes[i];
     total_wire += wire_part[i];
   }
@@ -313,53 +308,29 @@ void Communicator::ChargeAllToAllImpl(
   // whenever the cluster has more than one machine). Fault thresholds see
   // wire bytes: "fail after N bytes" means bytes that actually crossed links.
   const char* a2a_class =
-      ToString(ctx_->cluster().num_machines() > 1 ? TrafficClass::kCrossMachine
-                                                  : TrafficClass::kPeerGpu);
+      ToString(cluster.num_machines() > 1 ? TrafficClass::kCrossMachine
+                                          : TrafficClass::kPeerGpu);
   MaybeFailCollective(total_wire, busy, phase, "alltoall", a2a_class);
-  if (scale) {
-    // Same per-class int64 totals as the per-lane loop below; only the
-    // per-call event granularity (trace counter samples) coarsens.
-    for (std::size_t cls = 0; cls < kCls; ++cls) {
-      std::int64_t b = 0, w = 0;
-      for (std::size_t i = 0; i < c; ++i) {
-        b += cls_bytes[i][cls];
-        w += cls_wire[i][cls];
-      }
-      if (b > 0) ctx_->CountTraffic(static_cast<TrafficClass>(cls), b, w);
+  for (std::size_t cls = 0; cls < kCls; ++cls) {
+    if (cls_bytes[cls] > 0) {
+      ctx_->CountTraffic(static_cast<TrafficClass>(cls), cls_bytes[cls], cls_wire[cls]);
     }
-    const auto advance_one = [&](std::size_t i) {
-      ctx_->AdvanceComm(static_cast<DeviceId>(i), busy[i], phase, "alltoall",
-                        {{"egress_bytes", static_cast<double>(egress_bytes[i]), nullptr},
-                         {"ingress_bytes", static_cast<double>(ingress_bytes[i]), nullptr},
-                         {"participants", static_cast<double>(c), nullptr}});
-    };
-    if (!ctx_->PipelineCapturing()) {
-      // Disjoint per-device clock writes; the pipeline-capture path appends
-      // to a shared tape, so it stays serial.
-      ParallelForChunks(0, static_cast<std::int64_t>(c),
-                        [&](std::int64_t lo, std::int64_t hi) {
-                          for (std::int64_t i = lo; i < hi; ++i) {
-                            advance_one(static_cast<std::size_t>(i));
-                          }
-                        });
-    } else {
-      for (std::size_t i = 0; i < c; ++i) advance_one(i);
-    }
+  }
+  const auto advance_one = [&](std::size_t i) {
+    ctx_->AdvanceComm(static_cast<DeviceId>(i), busy[i], phase, "alltoall",
+                      {{"egress_bytes", static_cast<double>(egress_bytes[i]), nullptr},
+                       {"ingress_bytes", static_cast<double>(ingress_bytes[i]), nullptr},
+                       {"participants", static_cast<double>(c), nullptr}});
+  };
+  if (ctx_->ParallelCommit()) {
+    ParallelForChunks(0, static_cast<std::int64_t>(c),
+                      [&](std::int64_t lo, std::int64_t hi) {
+                        for (std::int64_t i = lo; i < hi; ++i) {
+                          advance_one(static_cast<std::size_t>(i));
+                        }
+                      });
   } else {
-    for (std::size_t i = 0; i < c; ++i) {
-      for (std::size_t j = 0; j < c; ++j) {
-        if (i != j && bytes[i][j] > 0) {
-          const auto di = static_cast<DeviceId>(i);
-          const auto dj = static_cast<DeviceId>(j);
-          ctx_->CountTraffic(ctx_->ClassifyDeviceLink(di, dj), bytes[i][j],
-                             wire[i][j]);
-        }
-      }
-      ctx_->AdvanceComm(static_cast<DeviceId>(i), busy[i], phase, "alltoall",
-                        {{"egress_bytes", static_cast<double>(egress_bytes[i]), nullptr},
-                         {"ingress_bytes", static_cast<double>(ingress_bytes[i]), nullptr},
-                         {"participants", static_cast<double>(c), nullptr}});
-    }
+    for (std::size_t i = 0; i < c; ++i) advance_one(i);
   }
   AllToAllMetrics().calls.Increment();
   AllToAllMetrics().bytes.Add(total_bytes);
@@ -424,8 +395,7 @@ void Communicator::ChargeRingImpl(std::int64_t total_bytes,
                        {"participants", static_cast<double>(c), nullptr},
                        {"class", 0.0, cls}});
   };
-  if (ctx_->scale_mode() == ScaleMode::kScale && c >= 64 &&
-      !ctx_->PipelineCapturing()) {
+  if (ctx_->ParallelCommit()) {
     ParallelForChunks(0, static_cast<std::int64_t>(c),
                       [&](std::int64_t lo, std::int64_t hi) {
                         for (std::int64_t d = lo; d < hi; ++d) {
@@ -454,28 +424,32 @@ void Communicator::AllToAllTensorShapes(
     const std::vector<std::vector<TensorShape>>& parts, Phase phase) {
   const auto c = static_cast<std::size_t>(num_devices());
   APT_CHECK_EQ(parts.size(), c);
-  std::vector<std::vector<std::int64_t>> bytes(c, std::vector<std::int64_t>(c, 0));
-  std::vector<std::vector<std::int64_t>> wire(c, std::vector<std::int64_t>(c, 0));
+  AllToAllTraffic traffic;
   for (std::size_t i = 0; i < c; ++i) {
     APT_CHECK_EQ(parts[i].size(), c);
     for (std::size_t j = 0; j < c; ++j) {
       const TensorShape& p = parts[i][j];
-      bytes[i][j] = p.bytes();
-      wire[i][j] =
-          i == j ? bytes[i][j]
-                 : CodecWireBytes(wire_codec(ctx_->ClassifyDeviceLink(
-                                      static_cast<DeviceId>(i),
-                                      static_cast<DeviceId>(j))),
-                                  p.rows, p.cols);
+      const auto from = static_cast<DeviceId>(i), to = static_cast<DeviceId>(j);
+      if (i != j) traffic.Add(to, p.bytes(), RowsWireBytes(from, to, p.rows, p.cols));
     }
+    traffic.EndSender();
   }
-  ChargeAllToAll(bytes, wire, phase);
+  ChargeAllToAll(traffic, phase);
 }
 
 void Communicator::AllToAllBytes(
     const std::vector<std::vector<std::int64_t>>& bytes, Phase phase) {
-  APT_CHECK_EQ(bytes.size(), static_cast<std::size_t>(num_devices()));
-  ChargeAllToAll(bytes, phase);
+  const auto c = static_cast<std::size_t>(num_devices());
+  APT_CHECK_EQ(bytes.size(), c);
+  AllToAllTraffic traffic;
+  for (std::size_t i = 0; i < c; ++i) {
+    APT_CHECK_EQ(bytes[i].size(), c);
+    for (std::size_t j = 0; j < c; ++j) {
+      traffic.Add(static_cast<DeviceId>(j), bytes[i][j], bytes[i][j]);
+    }
+    traffic.EndSender();
+  }
+  ChargeAllToAll(traffic, phase);
 }
 
 void Communicator::AllReduceSumShape(std::int64_t rows, std::int64_t cols,
@@ -519,7 +493,7 @@ void Communicator::FastForwardStep(const StepTape& tape) {
           ctx_->ChargeCompute(op.dev, op.flops);
           break;
         case StepTapeOp::Kind::kAllToAll:
-          ChargeAllToAllImpl(op.a2a_bytes, op.a2a_wire, op.phase);
+          ChargeAllToAllImpl(op.a2a, op.phase);
           break;
         case StepTapeOp::Kind::kRing:
           ChargeRingImpl(op.bytes, op.wire_bytes, op.factor, op.phase, op.label);

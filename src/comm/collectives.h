@@ -43,8 +43,8 @@ class Communicator {
   std::int32_t num_devices() const { return ctx_->num_devices(); }
 
   // ------------------------------------------------------------------
-  // Wire codecs. Float-tensor payloads (AllToAllTensors, GroupReduce
-  // partials, AllBroadcastTensors, AllReduceSum) charge CODEC bytes on the
+  // Wire codecs. Float-tensor payloads (AllToAllTensors, AllBroadcastTensors,
+  // AllReduceSum, row lanes priced by RowsWireBytes) charge CODEC bytes on the
   // wire, chosen per traffic class; id/object collectives carry structural
   // integer data and always travel uncompressed. The communicator never
   // changes VALUES — lossy rounding happens exactly once at the producer
@@ -78,15 +78,17 @@ class Communicator {
     APT_CHECK_EQ(sends.size(), c);
     std::vector<std::vector<std::vector<T>>> recv(
         c, std::vector<std::vector<T>>(c));
-    std::vector<std::vector<std::int64_t>> bytes(c, std::vector<std::int64_t>(c, 0));
+    AllToAllTraffic traffic;
     for (std::size_t i = 0; i < c; ++i) {
       APT_CHECK_EQ(sends[i].size(), c);
       for (std::size_t j = 0; j < c; ++j) {
         recv[j][i] = sends[i][j];
-        bytes[i][j] = static_cast<std::int64_t>(sends[i][j].size() * sizeof(T));
+        const auto b = static_cast<std::int64_t>(sends[i][j].size() * sizeof(T));
+        traffic.Add(static_cast<DeviceId>(j), b, b);
       }
+      traffic.EndSender();
     }
-    ChargeAllToAll(bytes, phase);
+    ChargeAllToAll(traffic, phase);
     return recv;
   }
 
@@ -101,19 +103,22 @@ class Communicator {
                                               const BytesFn& bytes_fn, Phase phase) {
     const auto c = static_cast<std::size_t>(num_devices());
     APT_CHECK_EQ(sends.size(), c);
-    std::vector<std::vector<std::int64_t>> bytes(c, std::vector<std::int64_t>(c, 0));
+    AllToAllTraffic traffic;
     for (std::size_t i = 0; i < c; ++i) {
       APT_CHECK_EQ(sends[i].size(), c);
       for (std::size_t j = 0; j < c; ++j) {
-        bytes[i][j] = i == j ? 0 : static_cast<std::int64_t>(bytes_fn(sends[i][j]));
+        if (i == j) continue;
+        const auto b = static_cast<std::int64_t>(bytes_fn(sends[i][j]));
+        traffic.Add(static_cast<DeviceId>(j), b, b);
       }
+      traffic.EndSender();
     }
     std::vector<std::vector<T>> recv(c);
     for (std::size_t j = 0; j < c; ++j) {
       recv[j].resize(c);
       for (std::size_t i = 0; i < c; ++i) recv[j][i] = std::move(sends[i][j]);
     }
-    ChargeAllToAll(bytes, phase);
+    ChargeAllToAll(traffic, phase);
     return recv;
   }
 
@@ -189,20 +194,29 @@ class Communicator {
   void AllReduceDoubles(std::vector<std::vector<double>*> vecs, ReduceOp op,
                         Phase phase);
 
-  // ------------------------------------------------------------------
-  // GroupReduce: device i holds `parts[i][j]` = partial rows destined for
-  // device j plus `index[i][j]` = target row on j for each partial row.
-  // Each destination j receives all partials and accumulates them into
-  // `out[j]` (out[j].row(index[i][j][r]) += parts[i][j].row(r)).
-  // Used by SNP to merge virtual-node partial embeddings.
-  // ------------------------------------------------------------------
-  void GroupReduce(const std::vector<std::vector<Tensor>>& parts,
-                   const std::vector<std::vector<std::vector<std::int64_t>>>& index,
-                   std::vector<Tensor*> out, Phase phase);
-
   /// Bottleneck link of a ring over all devices (the slowest hop), after
   /// applying any active link faults at the participants' current clocks.
   LinkSpec RingBottleneck() const;
+
+  // ------------------------------------------------------------------
+  // All-to-all charge from sparse per-sender lanes, for callers that move
+  // their payloads themselves (SNP's flat per-device row blocks). Every
+  // all-to-all above charges through this one body: each device serializes
+  // its egress and ingress on its own link, pays codec encode/decode passes
+  // when a lane's wire bytes differ from its logical bytes, and the
+  // collective completes at the slowest participant. Traced as one
+  // "alltoall" slice per participant and attributed to SimContext comm
+  // time; fault thresholds, link degradation and the wire counters all see
+  // wire bytes.
+  // ------------------------------------------------------------------
+  void ChargeAllToAll(const AllToAllTraffic& traffic, Phase phase);
+  /// Wire bytes of a rows x cols fp32 payload sent from `from` to `to`
+  /// under the wire codec of their link's traffic class (kDeltaBitmask
+  /// charges its dense worst case, the shape-only convention).
+  std::int64_t RowsWireBytes(DeviceId from, DeviceId to, std::int64_t rows,
+                             std::int64_t cols) const {
+    return CodecWireBytes(wire_codec(ctx_->ClassifyDeviceLink(from, to)), rows, cols);
+  }
 
   // ------------------------------------------------------------------
   // Analytic fast-forward collectives (scale mode). Shape-only analogs of
@@ -249,25 +263,10 @@ class Communicator {
   SimContext& ctx() { return *ctx_; }
 
  private:
-  /// Per-device serialized egress/ingress model; barrier at the end. Traced
-  /// as one "alltoall" slice per participant (egress/ingress bytes,
-  /// participant count) and attributed to SimContext comm time. `bytes` is
-  /// the logical fp32 matrix; `wire` is the codec bytes that actually cross
-  /// each link (time, faults, and wire counters use it). The two-arg form
-  /// is for uncompressed (structural) payloads: wire == logical.
-  void ChargeAllToAll(const std::vector<std::vector<std::int64_t>>& bytes,
-                      const std::vector<std::vector<std::int64_t>>& wire,
-                      Phase phase);
-  void ChargeAllToAll(const std::vector<std::vector<std::int64_t>>& bytes,
-                      Phase phase) {
-    ChargeAllToAll(bytes, bytes, phase);
-  }
   /// The real all-to-all charge. ChargeAllToAll is a thin wrapper that,
   /// while a step tape records, appends ONE structured kAllToAll op (and
   /// suppresses the flat advances below) so fast-forward re-runs this code.
-  void ChargeAllToAllImpl(const std::vector<std::vector<std::int64_t>>& bytes,
-                          const std::vector<std::vector<std::int64_t>>& wire,
-                          Phase phase);
+  void ChargeAllToAllImpl(const AllToAllTraffic& traffic, Phase phase);
   /// Ring collective: time = latency_terms + factor * (C-1)/C * wire / bw.
   /// `label` names the trace slices ("allreduce" / "allbroadcast").
   void ChargeRing(std::int64_t total_bytes, std::int64_t wire_total_bytes,

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "runtime/parallel_for.h"
 #include "sampling/neighbor_sampler.h"
 #include "tensor/ops.h"
 
@@ -74,18 +75,27 @@ std::vector<DeviceBatch> SampleDeviceBatches(
   NeighborSampler sampler(ctx.dataset->graph, ctx.opts.fanouts);
   const auto c = static_cast<std::size_t>(ctx.num_devices());
   std::vector<DeviceBatch> batches(c);
+  std::vector<double> seconds(c, 0.0);
+  // Each device forks its own stream and fills only its own slot, so the
+  // batches are bit-identical at any lane count. The clocks advance
+  // afterwards in device order, so step tapes and pipelined capture see the
+  // same sequence as a serial loop.
+  ParallelFor(
+      0, static_cast<std::int64_t>(c),
+      [&](std::int64_t i) {
+        const auto d = static_cast<std::size_t>(i);
+        Rng dev_rng = step_rng.Fork(d);
+        DeviceBatch& batch = batches[d];
+        batch.sample = sampler.Sample(seeds_per_device[d], dev_rng);
+        batch.labels.reserve(seeds_per_device[d].size());
+        for (NodeId s : seeds_per_device[d]) {
+          batch.labels.push_back(ctx.dataset->labels[static_cast<std::size_t>(s)]);
+        }
+        seconds[d] = SampleSeconds(ctx.sim->cluster(), static_cast<DeviceId>(d), batch.sample);
+      },
+      /*grain=*/1);
   for (std::size_t d = 0; d < c; ++d) {
-    Rng dev_rng = step_rng.Fork(d);
-    DeviceBatch& batch = batches[d];
-    batch.sample = sampler.Sample(seeds_per_device[d], dev_rng);
-    batch.labels.reserve(seeds_per_device[d].size());
-    for (NodeId s : seeds_per_device[d]) {
-      batch.labels.push_back(ctx.dataset->labels[static_cast<std::size_t>(s)]);
-    }
-    ctx.sim->Advance(static_cast<DeviceId>(d),
-                     SampleSeconds(ctx.sim->cluster(), static_cast<DeviceId>(d),
-                                   batch.sample),
-                     Phase::kSample);
+    ctx.sim->Advance(static_cast<DeviceId>(d), seconds[d], Phase::kSample);
   }
   return batches;
 }

@@ -14,11 +14,21 @@
 // requesting device, which runs attention locally — the paper's "extra
 // communication for attention-based models".
 //
+// Host layout: a step's routing is flat. Every (origin, owner) pair that
+// carries rows owns one contiguous range of a single step-wide buffer
+// (origin-major, owners ascending), and each owner processes its pairs as
+// one contiguous row block (origins ascending). Each device therefore runs
+// one SpMM and one GEMM per weight over all of its rows, and the shuffles
+// charge one sparse lane per non-empty pair, so a step costs O(rows moved)
+// rather than O(C^2) per-pair objects. The arithmetic is bit-identical to
+// per-pair execution (DESIGN.md "SNP on the host").
+//
 // Pipelined execution (EngineOptions::pipeline_depth > 1): the virtual-node
 // all-to-all, the owners' source gathers (kLoad) and the partial GroupReduce
 // ride the per-device comm stream and overlap with the projection compute of
 // the neighbouring micro-batches.
-#include <unordered_map>
+#include <algorithm>
+#include <utility>
 
 #include "engine/exec_common.h"
 #include "engine/executor.h"
@@ -29,27 +39,223 @@ namespace apt {
 
 namespace {
 
-/// Virtual-node batch shipped from origin o to source-owner g.
-struct SnpVirtualBatch {
-  std::vector<std::int64_t> dst_local;   ///< row in origin's layer-1 output
-  std::vector<std::int64_t> deg_total;   ///< destination's total sampled degree
-  std::vector<NodeId> self_node;         ///< kInvalidNode, or dst id if owner(d)==g
-  std::vector<std::int64_t> src_indptr;  ///< per virtual node (size n+1)
-  std::vector<NodeId> srcs;              ///< global source ids
+/// One (origin, owner) pair that carries rows: the owner does layer-1 work
+/// for the origin. The pair's items (SAGE virtual nodes, GAT requested
+/// rows) are [first, last) of the step's flat buffer; in the owner's row
+/// block they start at `row`.
+struct SnpPair {
+  DeviceId origin = 0;
+  DeviceId owner = 0;
+  std::size_t first = 0;
+  std::size_t last = 0;
+  std::int64_t row = 0;
 
-  std::int64_t size() const { return static_cast<std::int64_t>(dst_local.size()); }
-  std::int64_t bytes() const {
-    return static_cast<std::int64_t>(
-        dst_local.size() * 8 + deg_total.size() * 8 + self_node.size() * 8 +
-        src_indptr.size() * 8 + srcs.size() * 8);
+  std::int64_t items() const { return static_cast<std::int64_t>(last - first); }
+};
+
+/// A step's routing: the non-empty pairs numbered origin-major with owners
+/// ascending, so each origin's items are one contiguous run of the buffer,
+/// and the same pairs listed per owner with origins ascending, so each
+/// owner's rows form one contiguous block.
+struct SnpRouting {
+  std::vector<SnpPair> pairs;
+  std::vector<std::size_t> origin_ptr{0};  ///< origin o: pairs [origin_ptr[o], origin_ptr[o+1])
+  std::vector<std::size_t> owner_ptr;      ///< owner g: by_owner[owner_ptr[g], owner_ptr[g+1])
+  std::vector<std::size_t> by_owner;       ///< pair indices
+  std::vector<std::int64_t> owner_rows;    ///< rows in each owner's block
+
+  std::span<const SnpPair> OfOrigin(DeviceId o) const {
+    const auto i = static_cast<std::size_t>(o);
+    return std::span<const SnpPair>(pairs).subspan(origin_ptr[i],
+                                                   origin_ptr[i + 1] - origin_ptr[i]);
+  }
+  std::span<const std::size_t> OfOwner(DeviceId g) const {
+    const auto i = static_cast<std::size_t>(g);
+    return std::span<const std::size_t>(by_owner).subspan(owner_ptr[i],
+                                                          owner_ptr[i + 1] - owner_ptr[i]);
+  }
+  std::int64_t Rows(DeviceId g) const { return owner_rows[static_cast<std::size_t>(g)]; }
+
+  void AddPair(DeviceId o, DeviceId g, std::size_t first, std::size_t n) {
+    pairs.push_back({o, g, first, first + n, 0});
+  }
+  void EndOrigin() { origin_ptr.push_back(pairs.size()); }
+
+  /// Builds the per-owner view once every origin is closed.
+  void IndexOwners(std::int32_t c) {
+    const auto n = static_cast<std::size_t>(c);
+    owner_ptr.assign(n + 1, 0);
+    for (const SnpPair& pr : pairs) ++owner_ptr[static_cast<std::size_t>(pr.owner) + 1];
+    for (std::size_t g = 0; g < n; ++g) owner_ptr[g + 1] += owner_ptr[g];
+    std::vector<std::size_t> next(owner_ptr.begin(), owner_ptr.end() - 1);
+    owner_rows.assign(n, 0);
+    by_owner.resize(pairs.size());
+    for (std::size_t p = 0; p < pairs.size(); ++p) {
+      SnpPair& pr = pairs[p];
+      const auto g = static_cast<std::size_t>(pr.owner);
+      by_owner[next[g]++] = p;
+      pr.row = owner_rows[g];
+      owner_rows[g] += pr.items();
+    }
+  }
+
+  /// Owner g's row-block boundaries, one segment per pair.
+  std::vector<std::int64_t> Segments(DeviceId g) const {
+    std::vector<std::int64_t> seg;
+    for (std::size_t p : OfOwner(g)) seg.push_back(pairs[p].row);
+    seg.push_back(Rows(g));
+    return seg;
+  }
+
+  /// Traffic of one message per pair, each origin sending to its owners
+  /// (`to_owners`) or each owner back to its origins; `lane(pair)` returns
+  /// the message's {logical, wire} bytes.
+  template <typename Lane>
+  AllToAllTraffic Traffic(bool to_owners, const Lane& lane) const {
+    AllToAllTraffic traffic;
+    const auto add = [&](const SnpPair& pr) {
+      const auto [bytes, wire] = lane(pr);
+      traffic.Add(to_owners ? pr.owner : pr.origin, bytes, wire);
+    };
+    for (std::size_t d = 0; d < owner_rows.size(); ++d) {
+      if (to_owners) {
+        for (const SnpPair& pr : OfOrigin(static_cast<DeviceId>(d))) add(pr);
+      } else {
+        for (std::size_t p : OfOwner(static_cast<DeviceId>(d))) add(pairs[p]);
+      }
+      traffic.EndSender();
+    }
+    return traffic;
+  }
+  /// Traffic of one fp32 row of `cols` per item, under each link's wire
+  /// codec.
+  AllToAllTraffic RowTraffic(const Communicator& comm, std::int64_t cols,
+                             bool to_owners) const {
+    return Traffic(to_owners, [&](const SnpPair& pr) {
+      const DeviceId from = to_owners ? pr.origin : pr.owner;
+      const DeviceId to = to_owners ? pr.owner : pr.origin;
+      return std::pair<std::int64_t, std::int64_t>(
+          pr.items() * cols * 4, comm.RowsWireBytes(from, to, pr.items(), cols));
+    });
   }
 };
 
-/// Node-id request batch (SNP+GAT): origin asks owner for projected rows.
-struct SnpZRequest {
-  std::vector<NodeId> nodes;
-  std::int64_t bytes() const { return static_cast<std::int64_t>(nodes.size() * 8); }
+/// Per-owner scratch for bucketing one origin's items by owner (a counting
+/// sort). Only the owners an origin touches are visited and reset, so a
+/// step costs O(items + touched owners), not O(C) per destination.
+struct OwnerBuckets {
+  explicit OwnerBuckets(std::int32_t c)
+      : count(static_cast<std::size_t>(c), 0), extra(count), next(count), extra_next(count),
+        seen(count.size(), -1) {}
+
+  /// True the first time owner g is seen under `stamp`.
+  bool FirstSight(DeviceId g, std::int64_t stamp) {
+    std::int64_t& s = seen[static_cast<std::size_t>(g)];
+    if (s == stamp) return false;
+    s = stamp;
+    return true;
+  }
+  /// Counts one item for owner g.
+  void Count(DeviceId g) {
+    if (count[static_cast<std::size_t>(g)]++ == 0) touched.push_back(g);
+  }
+  /// Lays out origin o's touched owners in ascending order, each owner's
+  /// items from `base` and its extra payload from `extra_base`, appends one
+  /// pair per owner, and resets the counts.
+  void Layout(DeviceId o, std::size_t& base, std::size_t& extra_base, SnpRouting& routing) {
+    std::sort(touched.begin(), touched.end());
+    for (DeviceId g : touched) {
+      const auto i = static_cast<std::size_t>(g);
+      routing.AddPair(o, g, base, count[i]);
+      next[i] = base;
+      extra_next[i] = extra_base;
+      base += count[i];
+      extra_base += extra[i];
+      count[i] = extra[i] = 0;
+    }
+    routing.EndOrigin();
+    touched.clear();
+  }
+
+  std::vector<std::size_t> count;       ///< items per owner
+  std::vector<std::size_t> extra;       ///< extra payload per owner (SAGE sources)
+  std::vector<std::size_t> next;        ///< fill cursor of each owner's items
+  std::vector<std::size_t> extra_next;  ///< fill cursor of each owner's payload
+  std::vector<std::int64_t> seen;       ///< stamp of the last item that saw each owner
+  std::vector<DeviceId> touched;
 };
+
+/// Node -> gather-row map reused across (owner, origin) pairs: open
+/// addressing over a power-of-two table whose slots carry a generation
+/// stamp, so starting the next pair is O(1) instead of a fresh hash map.
+class NodeRowTable {
+ public:
+  /// Starts a new pair expecting at most `n` distinct nodes.
+  void Reset(std::size_t n) {
+    std::size_t cap = 16;
+    while (cap < 2 * n) cap <<= 1;
+    if (cap > keys_.size()) {
+      keys_.assign(cap, 0);
+      rows_.assign(cap, 0);
+      gen_of_.assign(cap, 0);
+      gen_ = 0;
+    }
+    if (++gen_ == 0) {
+      std::fill(gen_of_.begin(), gen_of_.end(), 0);
+      gen_ = 1;
+    }
+  }
+  /// Row of `node` for the current pair; a first sighting becomes the next
+  /// row of `rows` (the device's batched gather list).
+  std::int64_t Insert(NodeId node, std::vector<NodeId>& rows) {
+    const std::size_t mask = keys_.size() - 1;
+    std::size_t i =
+        static_cast<std::size_t>((static_cast<std::uint64_t>(node) * 0x9E3779B97F4A7C15ULL) >> 32) &
+        mask;
+    while (gen_of_[i] == gen_) {
+      if (keys_[i] == node) return rows_[i];
+      i = (i + 1) & mask;
+    }
+    gen_of_[i] = gen_;
+    keys_[i] = node;
+    rows_[i] = static_cast<std::int64_t>(rows.size());
+    rows.push_back(node);
+    return rows_[i];
+  }
+
+ private:
+  std::vector<NodeId> keys_;
+  std::vector<std::int64_t> rows_;
+  std::vector<std::uint32_t> gen_of_;
+  std::uint32_t gen_ = 0;
+};
+
+/// dst.row(index[k]) += src.row(src_row0 + k), in k order.
+void AddRowsAt(const Tensor& src, std::int64_t src_row0, std::span<const std::int64_t> index,
+               Tensor& dst) {
+  const std::int64_t n = src.cols();
+  for (std::size_t k = 0; k < index.size(); ++k) {
+    const float* srow = src.row(src_row0 + static_cast<std::int64_t>(k));
+    float* drow = dst.row(index[k]);
+    for (std::int64_t j = 0; j < n; ++j) drow[j] += srow[j];
+  }
+}
+
+/// dst.row(dst_row0 + k) = src.row(index[k]).
+void CopyRowsTo(const Tensor& src, std::span<const std::int64_t> index, Tensor& dst,
+                std::int64_t dst_row0) {
+  for (std::size_t k = 0; k < index.size(); ++k) {
+    std::copy_n(src.row(index[k]), src.cols(), dst.row(dst_row0 + static_cast<std::int64_t>(k)));
+  }
+}
+
+/// Pair-by-pair flop sum, accumulated in the order per-pair kernels charged.
+template <typename PerPair>
+double PairFlops(const SnpRouting& routing, DeviceId g, const PerPair& per_pair) {
+  double flops = 0.0;
+  for (std::size_t p : routing.OfOwner(g)) flops += per_pair(routing.pairs[p]);
+  return flops;
+}
 
 class SnpExecutor final : public StrategyExecutor {
  public:
@@ -81,6 +287,31 @@ class SnpExecutor final : public StrategyExecutor {
   bool machine_local_;
 };
 
+/// SAGE virtual nodes of one step. Pair p's virtual nodes are
+/// [first, last) of these arrays; virtual node v's sources are
+/// srcs[src_ptr[v], src_ptr[v+1]), so each pair's sources are contiguous.
+struct SnpVirtualNodes {
+  std::vector<std::int64_t> dst_local;  ///< row in origin's layer-1 output
+  std::vector<std::int64_t> deg_total;  ///< destination's total sampled degree
+  std::vector<NodeId> self_node;        ///< kInvalidNode, or dst id if owner(d)==g
+  std::vector<std::size_t> src_ptr{0};
+  std::vector<NodeId> srcs;  ///< global source ids
+
+  std::span<const std::int64_t> DstLocal(const SnpPair& pr) const {
+    return std::span<const std::int64_t>(dst_local).subspan(pr.first, pr.last - pr.first);
+  }
+  std::size_t Sources(const SnpPair& pr) const { return src_ptr[pr.last] - src_ptr[pr.first]; }
+};
+
+/// One owner's layer-0 state over its row block (all of its virtual nodes).
+struct SnpOwnerRows {
+  Tensor aggd;    ///< partial means, one row per virtual node
+  Tensor self_h;  ///< features of the destinations owned here
+  Tensor part;    ///< partial layer-0 outputs
+  std::vector<std::int64_t> self_rows;  ///< rows with a self term
+  std::vector<std::int64_t> self_seg;   ///< per-pair boundaries of self_rows
+};
+
 StepStats SnpExecutor::StepSage(std::vector<DeviceBatch>& batches) {
   const std::int32_t c = ctx_->num_devices();
   std::int64_t total_seeds = 0;
@@ -89,150 +320,175 @@ StepStats SnpExecutor::StepSage(std::vector<DeviceBatch>& batches) {
   agg.num_seeds = total_seeds;
 
   // ---- Permute: split each origin's layer-1 graph by source owner. -------
+  // A destination gets one virtual node on every owner of one of its
+  // sources and on its own owner (which adds the self term); each owner's
+  // virtual nodes keep destination order. Two passes per origin: count per
+  // touched owner, then fill the owners' blocks.
   obs::StageSpan stage("permute", "snp");
-  std::vector<std::vector<SnpVirtualBatch>> sends(
-      static_cast<std::size_t>(c), std::vector<SnpVirtualBatch>(static_cast<std::size_t>(c)));
-  for (DeviceId o = 0; o < c; ++o) {
-    const Block& b = batches[static_cast<std::size_t>(o)].sample.blocks[0];
-    std::vector<std::vector<NodeId>> by_owner(static_cast<std::size_t>(c));
-    for (std::int64_t i = 0; i < b.num_dst; ++i) {
-      const std::int64_t deg = b.indptr[static_cast<std::size_t>(i) + 1] -
-                               b.indptr[static_cast<std::size_t>(i)];
-      for (auto& v : by_owner) v.clear();
-      for (std::int64_t e = b.indptr[static_cast<std::size_t>(i)];
-           e < b.indptr[static_cast<std::size_t>(i) + 1]; ++e) {
-        const NodeId u = b.src_nodes[static_cast<std::size_t>(
-            b.col[static_cast<std::size_t>(e)])];
-        by_owner[static_cast<std::size_t>(RouteOwner(o, u))].push_back(u);
+  SnpRouting routing;
+  SnpVirtualNodes vn;
+  {
+    OwnerBuckets buckets(c);
+    std::vector<DeviceId> edge_owner, dst_owners;
+    std::int64_t stamp = 0;
+    std::size_t num_vn = 0, num_srcs = 0;
+    for (DeviceId o = 0; o < c; ++o) {
+      const Block& b = batches[static_cast<std::size_t>(o)].sample.blocks[0];
+      const auto src_of = [&](std::int64_t e) {
+        return b.src_nodes[static_cast<std::size_t>(b.col[static_cast<std::size_t>(e)])];
+      };
+      edge_owner.resize(static_cast<std::size_t>(b.num_edges()));
+      for (std::int64_t i = 0; i < b.num_dst; ++i) {
+        ++stamp;
+        for (std::int64_t e = b.indptr[static_cast<std::size_t>(i)];
+             e < b.indptr[static_cast<std::size_t>(i) + 1]; ++e) {
+          const DeviceId g = RouteOwner(o, src_of(e));
+          edge_owner[static_cast<std::size_t>(e)] = g;
+          ++buckets.extra[static_cast<std::size_t>(g)];
+          if (buckets.FirstSight(g, stamp)) buckets.Count(g);
+        }
+        const DeviceId self_owner = RouteOwner(o, b.src_nodes[static_cast<std::size_t>(i)]);
+        if (buckets.FirstSight(self_owner, stamp)) buckets.Count(self_owner);
       }
-      const NodeId dst_global = b.src_nodes[static_cast<std::size_t>(i)];
-      const PartId self_owner = RouteOwner(o, dst_global);
-      for (DeviceId g = 0; g < c; ++g) {
-        const auto& srcs = by_owner[static_cast<std::size_t>(g)];
-        const bool self_here = g == self_owner;
-        if (srcs.empty() && !self_here) continue;
-        SnpVirtualBatch& vb = sends[static_cast<std::size_t>(o)][static_cast<std::size_t>(g)];
-        if (vb.src_indptr.empty()) vb.src_indptr.push_back(0);
-        vb.dst_local.push_back(i);
-        vb.deg_total.push_back(deg);
-        vb.self_node.push_back(self_here ? dst_global : kInvalidNode);
-        vb.srcs.insert(vb.srcs.end(), srcs.begin(), srcs.end());
-        vb.src_indptr.push_back(static_cast<std::int64_t>(vb.srcs.size()));
+      buckets.Layout(o, num_vn, num_srcs, routing);
+      vn.dst_local.resize(num_vn);
+      vn.deg_total.resize(num_vn);
+      vn.self_node.resize(num_vn);
+      vn.src_ptr.resize(num_vn + 1);
+      vn.srcs.resize(num_srcs);
+      // Destination i's virtual node on owner g opens where g's sources
+      // cursor stands when g is first seen for i.
+      const auto open = [&](DeviceId g) {
+        if (!buckets.FirstSight(g, stamp)) return;
+        const auto gi = static_cast<std::size_t>(g);
+        dst_owners.push_back(g);
+        vn.src_ptr[buckets.next[gi]] = buckets.extra_next[gi];
+      };
+      for (std::int64_t i = 0; i < b.num_dst; ++i) {
+        ++stamp;
+        dst_owners.clear();
+        const std::int64_t e0 = b.indptr[static_cast<std::size_t>(i)];
+        const std::int64_t e1 = b.indptr[static_cast<std::size_t>(i) + 1];
+        for (std::int64_t e = e0; e < e1; ++e) {
+          const DeviceId g = edge_owner[static_cast<std::size_t>(e)];
+          open(g);
+          vn.srcs[buckets.extra_next[static_cast<std::size_t>(g)]++] = src_of(e);
+        }
+        const NodeId dst_global = b.src_nodes[static_cast<std::size_t>(i)];
+        const DeviceId self_owner = RouteOwner(o, dst_global);
+        open(self_owner);
+        for (DeviceId g : dst_owners) {
+          const std::size_t v = buckets.next[static_cast<std::size_t>(g)]++;
+          vn.dst_local[v] = i;
+          vn.deg_total[v] = e1 - e0;
+          vn.self_node[v] = g == self_owner ? dst_global : kInvalidNode;
+        }
       }
+      vn.src_ptr.back() = num_srcs;
     }
+    routing.IndexOwners(c);
   }
 
   // ---- Shuffle: virtual-node batches to source owners. --------------------
+  // A batch of n virtual nodes travels as dst_local, deg_total, self_node,
+  // a source indptr (n + 1) and the sources, all int64. Owners then read
+  // their blocks of the step buffer in place.
   stage.Next("shuffle");
-  // recv[g][o] = batch from origin o handled on device g.
-  auto recv = ctx_->comm->AllToAllObjects(
-      std::move(sends), [](const SnpVirtualBatch& v) { return v.bytes(); },
+  ctx_->comm->ChargeAllToAll(
+      routing.Traffic(/*to_owners=*/true,
+                      [&](const SnpPair& pr) {
+                        const auto bytes = static_cast<std::int64_t>(
+                            8 * (4 * (pr.last - pr.first) + 1 + vn.Sources(pr)));
+                        return std::pair<std::int64_t, std::int64_t>(bytes, bytes);
+                      }),
       Phase::kSample);
 
   // ---- Execute: partial aggregation + projection at each owner. ----------
+  // One batched feature gather per device per step (DGL-style): each
+  // origin's unique sources, then its owned destinations' self rows, origin
+  // after origin, fetched in a single store request.
   stage.Next("execute");
   const std::int64_t d = ctx_->feature_dim();
-  std::vector<std::vector<Tensor>> partials(
-      static_cast<std::size_t>(c), std::vector<Tensor>(static_cast<std::size_t>(c)));
-  std::vector<std::vector<std::vector<std::int64_t>>> route_index(
-      static_cast<std::size_t>(c),
-      std::vector<std::vector<std::int64_t>>(static_cast<std::size_t>(c)));
-  // Saved for the weight-gradient pass: per (g, o).
-  std::vector<std::vector<Tensor>> saved_agg(partials.size(),
-                                             std::vector<Tensor>(partials.size()));
-  std::vector<std::vector<Tensor>> saved_self(partials.size(),
-                                              std::vector<Tensor>(partials.size()));
-  std::vector<std::vector<std::vector<std::int64_t>>> saved_self_rows(
-      partials.size(), std::vector<std::vector<std::int64_t>>(partials.size()));
-  for (DeviceId g = 0; g < c; ++g) {
-    auto& sage = dynamic_cast<SageLayer&>(ctx_->model(g).layer(0));
-    // One batched feature gather per device per step (DGL-style): collect
-    // the per-origin unique source lists plus owned-destination self rows,
-    // fetch all of them in a single store request, then slice per origin.
-    struct OriginView {
-      std::vector<std::int64_t> col;        ///< edge -> row in the batched gather
-      std::int64_t self_base = 0;           ///< first self row in the gather
-      std::vector<std::int64_t> self_rows;  ///< virtual rows with a self term
-    };
-    std::vector<OriginView> views(static_cast<std::size_t>(c));
+  const std::int64_t out = ctx_->model(0).layer(0).out_dim();
+  std::vector<SnpOwnerRows> owners(static_cast<std::size_t>(c));
+  {
+    NodeRowTable table;
     std::vector<NodeId> gather_nodes;
-    for (DeviceId o = 0; o < c; ++o) {
-      const SnpVirtualBatch& vb = recv[static_cast<std::size_t>(g)][static_cast<std::size_t>(o)];
-      if (vb.size() == 0) continue;
-      OriginView& view = views[static_cast<std::size_t>(o)];
-      std::unordered_map<NodeId, std::int64_t> local;
-      local.reserve(vb.srcs.size() * 2);
-      view.col.resize(vb.srcs.size());
-      for (std::size_t i = 0; i < vb.srcs.size(); ++i) {
-        auto [it, inserted] = local.try_emplace(
-            vb.srcs[i], static_cast<std::int64_t>(gather_nodes.size()));
-        if (inserted) gather_nodes.push_back(vb.srcs[i]);
-        view.col[i] = it->second;
-      }
-      view.self_base = static_cast<std::int64_t>(gather_nodes.size());
-      for (std::int64_t r = 0; r < vb.size(); ++r) {
-        if (vb.self_node[static_cast<std::size_t>(r)] != kInvalidNode) {
-          view.self_rows.push_back(r);
-          gather_nodes.push_back(vb.self_node[static_cast<std::size_t>(r)]);
+    std::vector<std::int64_t> indptr, col, self_gather;
+    std::vector<float> inv_deg;
+    for (DeviceId g = 0; g < c; ++g) {
+      auto& sage = dynamic_cast<SageLayer&>(ctx_->model(g).layer(0));
+      SnpOwnerRows& st = owners[static_cast<std::size_t>(g)];
+      gather_nodes.clear();
+      indptr.assign(1, 0);
+      col.clear();
+      self_gather.clear();
+      inv_deg.clear();
+      st.self_seg.assign(1, 0);
+      double flops = 0.0;
+      for (std::size_t p : routing.OfOwner(g)) {
+        const SnpPair& pr = routing.pairs[p];
+        const std::size_t s0 = vn.src_ptr[pr.first], s1 = vn.src_ptr[pr.last];
+        table.Reset(s1 - s0);
+        for (std::size_t s = s0; s < s1; ++s) col.push_back(table.Insert(vn.srcs[s], gather_nodes));
+        const std::int64_t col0 = indptr.back();
+        for (std::size_t v = pr.first; v < pr.last; ++v) {
+          indptr.push_back(col0 + static_cast<std::int64_t>(vn.src_ptr[v + 1] - s0));
+          inv_deg.push_back(1.0f / static_cast<float>(vn.deg_total[v]));
         }
+        for (std::size_t v = pr.first; v < pr.last; ++v) {
+          if (vn.self_node[v] == kInvalidNode) continue;
+          st.self_rows.push_back(pr.row + static_cast<std::int64_t>(v - pr.first));
+          self_gather.push_back(static_cast<std::int64_t>(gather_nodes.size()));
+          gather_nodes.push_back(vn.self_node[v]);
+        }
+        const std::int64_t num_self =
+            static_cast<std::int64_t>(st.self_rows.size()) - st.self_seg.back();
+        st.self_seg.push_back(static_cast<std::int64_t>(st.self_rows.size()));
+        flops += 2.0 * static_cast<double>(s1 - s0) * d +
+                 2.0 * static_cast<double>(pr.items()) * d * sage.out_dim() +
+                 2.0 * static_cast<double>(num_self) * d * sage.out_dim();
       }
-    }
-    Tensor h_all(static_cast<std::int64_t>(gather_nodes.size()), d);
-    if (!gather_nodes.empty()) ctx_->store->Gather(g, gather_nodes, 0, d, h_all);
+      Tensor h_all(static_cast<std::int64_t>(gather_nodes.size()), d);
+      if (!gather_nodes.empty()) ctx_->store->Gather(g, gather_nodes, 0, d, h_all);
 
-    double flops = 0.0;
-    std::int64_t transient = h_all.bytes();
-    for (DeviceId o = 0; o < c; ++o) {
-      const SnpVirtualBatch& vb = recv[static_cast<std::size_t>(g)][static_cast<std::size_t>(o)];
-      if (vb.size() == 0) continue;
-      OriginView& view = views[static_cast<std::size_t>(o)];
       // Partial mean: sum local sources / total degree.
-      Tensor aggd(vb.size(), d);
-      const CsrView local_csr{vb.src_indptr, view.col};
-      SpmmSum(local_csr, h_all, aggd);
-      for (std::int64_t r = 0; r < aggd.rows(); ++r) {
-        const float inv = 1.0f / static_cast<float>(vb.deg_total[static_cast<std::size_t>(r)]);
-        float* row = aggd.row(r);
+      st.aggd = Tensor(routing.Rows(g), d);
+      SpmmSum(CsrView{indptr, col}, h_all, st.aggd);
+      for (std::int64_t r = 0; r < st.aggd.rows(); ++r) {
+        const float inv = inv_deg[static_cast<std::size_t>(r)];
+        float* row = st.aggd.row(r);
         for (std::int64_t j = 0; j < d; ++j) row[j] *= inv;
       }
-      Tensor part(vb.size(), sage.out_dim());
-      Matmul(aggd, sage.w_neigh().value, part);
+      st.part = Tensor(st.aggd.rows(), out);
+      Matmul(st.aggd, sage.w_neigh().value, st.part);
       // Self terms for destinations owned here.
-      const auto num_self = static_cast<std::int64_t>(view.self_rows.size());
-      Tensor self_h(num_self, d);
-      if (num_self > 0) {
-        std::copy_n(h_all.row(view.self_base), num_self * d, self_h.data());
-        Tensor self_out(num_self, sage.out_dim());
-        Matmul(self_h, sage.w_self().value, self_out);
-        ScatterAddRows(self_out, view.self_rows, part);
+      st.self_h = Tensor(static_cast<std::int64_t>(self_gather.size()), d);
+      if (!self_gather.empty()) {
+        GatherRows(h_all, self_gather, st.self_h);
+        Tensor self_out(st.self_h.rows(), out);
+        Matmul(st.self_h, sage.w_self().value, self_out);
+        ScatterAddRows(self_out, st.self_rows, st.part);
       }
-      flops += 2.0 * static_cast<double>(vb.srcs.size()) * d +
-               2.0 * static_cast<double>(vb.size()) * d * sage.out_dim() +
-               2.0 * static_cast<double>(num_self) * d * sage.out_dim();
-      transient += part.bytes();
-      partials[static_cast<std::size_t>(g)][static_cast<std::size_t>(o)] = std::move(part);
-      route_index[static_cast<std::size_t>(g)][static_cast<std::size_t>(o)] =
-          std::vector<std::int64_t>(vb.dst_local.begin(), vb.dst_local.end());
-      saved_agg[static_cast<std::size_t>(g)][static_cast<std::size_t>(o)] = std::move(aggd);
-      saved_self[static_cast<std::size_t>(g)][static_cast<std::size_t>(o)] = std::move(self_h);
-      saved_self_rows[static_cast<std::size_t>(g)][static_cast<std::size_t>(o)] =
-          std::move(view.self_rows);
+      ctx_->sim->ChargeCompute(g, flops);
+      ctx_->sim->NoteTransient(g, h_all.bytes() + st.part.bytes());
     }
-    ctx_->sim->ChargeCompute(g, flops);
-    ctx_->sim->NoteTransient(g, transient);
   }
 
   // ---- Reshuffle: GroupReduce partials at the requesting devices. --------
+  // Each origin adds its partials owner by owner, ascending.
   stage.Next("reshuffle");
   std::vector<Tensor> raw0(static_cast<std::size_t>(c));
-  std::vector<Tensor*> out_ptrs(static_cast<std::size_t>(c), nullptr);
   for (DeviceId o = 0; o < c; ++o) {
-    const Block& b = batches[static_cast<std::size_t>(o)].sample.blocks[0];
-    raw0[static_cast<std::size_t>(o)] =
-        Tensor(b.num_dst, ctx_->model(o).layer(0).out_dim());
-    out_ptrs[static_cast<std::size_t>(o)] = &raw0[static_cast<std::size_t>(o)];
+    Tensor& r0 = raw0[static_cast<std::size_t>(o)];
+    r0 = Tensor(batches[static_cast<std::size_t>(o)].sample.blocks[0].num_dst, out);
+    for (const SnpPair& pr : routing.OfOrigin(o)) {
+      AddRowsAt(owners[static_cast<std::size_t>(pr.owner)].part, pr.row, vn.DstLocal(pr), r0);
+    }
   }
-  ctx_->comm->GroupReduce(partials, route_index, out_ptrs, Phase::kTrain);
+  ctx_->comm->ChargeAllToAll(routing.RowTraffic(*ctx_->comm, out, /*to_owners=*/false),
+                             Phase::kTrain);
+  for (SnpOwnerRows& st : owners) st.part = Tensor();
 
   // ---- Remainder of the model at each origin. -----------------------------
   stage.Next("execute");
@@ -259,42 +515,39 @@ StepStats SnpExecutor::StepSage(std::vector<DeviceBatch>& batches) {
   }
 
   // ---- Backward shuffle: destination grads back to partial computers. ----
+  // An origin with virtual nodes has seeds, hence a layer-0 gradient.
   stage.Next("reshuffle");
-  std::vector<std::vector<Tensor>> grad_sends(
-      static_cast<std::size_t>(c), std::vector<Tensor>(static_cast<std::size_t>(c)));
+  std::vector<Tensor> grad_rows(static_cast<std::size_t>(c));
   for (DeviceId g = 0; g < c; ++g) {
-    for (DeviceId o = 0; o < c; ++o) {
-      const auto& idx = route_index[static_cast<std::size_t>(g)][static_cast<std::size_t>(o)];
-      if (idx.empty() || grad_raw0[static_cast<std::size_t>(o)].rows() == 0) continue;
-      Tensor rows(static_cast<std::int64_t>(idx.size()),
-                  grad_raw0[static_cast<std::size_t>(o)].cols());
-      GatherRows(grad_raw0[static_cast<std::size_t>(o)], idx, rows);
-      grad_sends[static_cast<std::size_t>(o)][static_cast<std::size_t>(g)] = std::move(rows);
+    Tensor& grows = grad_rows[static_cast<std::size_t>(g)];
+    grows = Tensor(routing.Rows(g), out);
+    for (std::size_t p : routing.OfOwner(g)) {
+      const SnpPair& pr = routing.pairs[p];
+      const Tensor& src = grad_raw0[static_cast<std::size_t>(pr.origin)];
+      APT_CHECK_GT(src.rows(), 0);
+      CopyRowsTo(src, vn.DstLocal(pr), grows, pr.row);
     }
   }
-  auto grad_recv = ctx_->comm->AllToAllTensors(grad_sends, Phase::kTrain);
+  ctx_->comm->ChargeAllToAll(routing.RowTraffic(*ctx_->comm, out, /*to_owners=*/true),
+                             Phase::kTrain);
 
   // ---- Weight gradients at the partial computers. -------------------------
+  // One segmented GEMM per weight folds in the pairs' row blocks origin by
+  // origin, the order per-pair GEMMs accumulated them in.
   stage.Next("execute");
   for (DeviceId g = 0; g < c; ++g) {
     auto& sage = dynamic_cast<SageLayer&>(ctx_->model(g).layer(0));
-    double flops = 0.0;
-    for (DeviceId o = 0; o < c; ++o) {
-      const Tensor& grows = grad_recv[static_cast<std::size_t>(g)][static_cast<std::size_t>(o)];
-      if (grows.rows() == 0) continue;
-      const Tensor& aggd = saved_agg[static_cast<std::size_t>(g)][static_cast<std::size_t>(o)];
-      MatmulTN(aggd, grows, sage.w_neigh().grad, 1.0f, 1.0f);
-      const Tensor& self_h = saved_self[static_cast<std::size_t>(g)][static_cast<std::size_t>(o)];
-      const auto& self_rows =
-          saved_self_rows[static_cast<std::size_t>(g)][static_cast<std::size_t>(o)];
-      if (self_h.rows() > 0) {
-        Tensor gsel(self_h.rows(), grows.cols());
-        GatherRows(grows, self_rows, gsel);
-        MatmulTN(self_h, gsel, sage.w_self().grad, 1.0f, 1.0f);
-      }
-      flops += 4.0 * static_cast<double>(grows.rows()) * d * sage.out_dim();
+    const SnpOwnerRows& st = owners[static_cast<std::size_t>(g)];
+    const Tensor& grows = grad_rows[static_cast<std::size_t>(g)];
+    SegmentedMatmulTN(st.aggd, grows, routing.Segments(g), sage.w_neigh().grad, 1.0f, 1.0f);
+    if (st.self_h.rows() > 0) {
+      Tensor gsel(st.self_h.rows(), grows.cols());
+      GatherRows(grows, st.self_rows, gsel);
+      SegmentedMatmulTN(st.self_h, gsel, st.self_seg, sage.w_self().grad, 1.0f, 1.0f);
     }
-    ctx_->sim->ChargeCompute(g, flops);
+    ctx_->sim->ChargeCompute(g, PairFlops(routing, g, [&](const SnpPair& pr) {
+                               return 4.0 * static_cast<double>(pr.items()) * d * sage.out_dim();
+                             }));
   }
   return agg;
 }
@@ -308,68 +561,79 @@ StepStats SnpExecutor::StepGat(std::vector<DeviceBatch>& batches) {
   agg.num_seeds = total_seeds;
 
   // ---- Permute: every layer-1 source node's z row is requested from its
-  // owner (dedup per (origin, owner) pair). ---------------------------------
+  // owner (one request per (origin, owner) pair, in source order). ---------
   obs::StageSpan stage("permute", "snp");
-  std::vector<std::vector<SnpZRequest>> requests(
-      static_cast<std::size_t>(c), std::vector<SnpZRequest>(static_cast<std::size_t>(c)));
-  // For reassembly: position of each src node in the origin's z tensor.
-  std::vector<std::vector<std::vector<std::int64_t>>> positions(
-      static_cast<std::size_t>(c),
-      std::vector<std::vector<std::int64_t>>(static_cast<std::size_t>(c)));
-  for (DeviceId o = 0; o < c; ++o) {
-    const Block& b = batches[static_cast<std::size_t>(o)].sample.blocks[0];
-    for (std::int64_t i = 0; i < b.num_src(); ++i) {
-      const NodeId v = b.src_nodes[static_cast<std::size_t>(i)];
-      const auto g = static_cast<std::size_t>(RouteOwner(o, v));
-      requests[static_cast<std::size_t>(o)][g].nodes.push_back(v);
-      positions[static_cast<std::size_t>(o)][g].push_back(i);
+  SnpRouting routing;
+  std::vector<NodeId> req_nodes;      ///< requested node per item
+  std::vector<std::int64_t> req_pos;  ///< its row in the origin's z tensor
+  {
+    OwnerBuckets buckets(c);
+    std::vector<DeviceId> src_owner;
+    std::size_t num_req = 0, no_extra = 0;
+    for (DeviceId o = 0; o < c; ++o) {
+      const Block& b = batches[static_cast<std::size_t>(o)].sample.blocks[0];
+      src_owner.resize(static_cast<std::size_t>(b.num_src()));
+      for (std::int64_t i = 0; i < b.num_src(); ++i) {
+        const DeviceId g = RouteOwner(o, b.src_nodes[static_cast<std::size_t>(i)]);
+        src_owner[static_cast<std::size_t>(i)] = g;
+        buckets.Count(g);
+      }
+      buckets.Layout(o, num_req, no_extra, routing);
+      req_nodes.resize(num_req);
+      req_pos.resize(num_req);
+      for (std::int64_t i = 0; i < b.num_src(); ++i) {
+        const std::size_t slot =
+            buckets.next[static_cast<std::size_t>(src_owner[static_cast<std::size_t>(i)])]++;
+        req_nodes[slot] = b.src_nodes[static_cast<std::size_t>(i)];
+        req_pos[slot] = i;
+      }
     }
+    routing.IndexOwners(c);
   }
+  const auto positions = [&](const SnpPair& pr) {
+    return std::span<const std::int64_t>(req_pos).subspan(pr.first, pr.last - pr.first);
+  };
   stage.Next("shuffle");
-  auto recv_req = ctx_->comm->AllToAllObjects(
-      std::move(requests), [](const SnpZRequest& r) { return r.bytes(); },
-      Phase::kSample);
+  ctx_->comm->ChargeAllToAll(routing.Traffic(/*to_owners=*/true,
+                                             [](const SnpPair& pr) {
+                                               return std::pair<std::int64_t, std::int64_t>(
+                                                   pr.items() * 8, pr.items() * 8);
+                                             }),
+                             Phase::kSample);
 
   // ---- Execute at owners: load features, project, ship z rows. ------------
+  // One batched gather per device per step; each origin's requests are one
+  // contiguous row range of it, and the owner projects all rows at once.
   stage.Next("execute");
-  std::vector<std::vector<Tensor>> z_sends(
-      static_cast<std::size_t>(c), std::vector<Tensor>(static_cast<std::size_t>(c)));
-  std::vector<std::vector<Tensor>> saved_h(z_sends.size(),
-                                           std::vector<Tensor>(z_sends.size()));
-  for (DeviceId g = 0; g < c; ++g) {
-    auto& gat = dynamic_cast<GatLayer&>(ctx_->model(g).layer(0));
-    // One batched gather per device per step; per-origin requests are
-    // served as contiguous row ranges of the batched fetch.
+  std::vector<Tensor> saved_h(static_cast<std::size_t>(c));
+  std::vector<Tensor> z_rows(static_cast<std::size_t>(c));
+  const std::int64_t out = ctx_->model(0).layer(0).out_dim();
+  {
     std::vector<NodeId> gather_nodes;
-    std::vector<std::int64_t> base(static_cast<std::size_t>(c), 0);
-    for (DeviceId o = 0; o < c; ++o) {
-      base[static_cast<std::size_t>(o)] = static_cast<std::int64_t>(gather_nodes.size());
-      const auto& req = recv_req[static_cast<std::size_t>(g)][static_cast<std::size_t>(o)];
-      gather_nodes.insert(gather_nodes.end(), req.nodes.begin(), req.nodes.end());
+    for (DeviceId g = 0; g < c; ++g) {
+      auto& gat = dynamic_cast<GatLayer&>(ctx_->model(g).layer(0));
+      gather_nodes.clear();
+      std::int64_t transient = 0;
+      for (std::size_t p : routing.OfOwner(g)) {
+        const SnpPair& pr = routing.pairs[p];
+        gather_nodes.insert(gather_nodes.end(), req_nodes.begin() + static_cast<std::ptrdiff_t>(pr.first),
+                            req_nodes.begin() + static_cast<std::ptrdiff_t>(pr.last));
+        transient += pr.items() * d * 4 + pr.items() * gat.out_dim() * 4;  // h + z
+      }
+      Tensor& h = saved_h[static_cast<std::size_t>(g)];
+      h = Tensor(static_cast<std::int64_t>(gather_nodes.size()), d);
+      if (!gather_nodes.empty()) ctx_->store->Gather(g, gather_nodes, 0, d, h);
+      z_rows[static_cast<std::size_t>(g)] = gat.Project(h);
+      ctx_->sim->ChargeCompute(g, PairFlops(routing, g, [&](const SnpPair& pr) {
+                                 return 2.0 * static_cast<double>(pr.items()) * d * gat.out_dim();
+                               }));
+      ctx_->sim->NoteTransient(g, h.bytes() + transient);
     }
-    Tensor h_all(static_cast<std::int64_t>(gather_nodes.size()), d);
-    if (!gather_nodes.empty()) ctx_->store->Gather(g, gather_nodes, 0, d, h_all);
-
-    double flops = 0.0;
-    std::int64_t transient = h_all.bytes();
-    for (DeviceId o = 0; o < c; ++o) {
-      const auto& req = recv_req[static_cast<std::size_t>(g)][static_cast<std::size_t>(o)];
-      if (req.nodes.empty()) continue;
-      const auto n = static_cast<std::int64_t>(req.nodes.size());
-      Tensor h(n, d);
-      std::copy_n(h_all.row(base[static_cast<std::size_t>(o)]), n * d, h.data());
-      Tensor z = gat.Project(h);
-      flops += 2.0 * static_cast<double>(n) * d * gat.out_dim();
-      transient += h.bytes() + z.bytes();
-      z_sends[static_cast<std::size_t>(g)][static_cast<std::size_t>(o)] = std::move(z);
-      saved_h[static_cast<std::size_t>(g)][static_cast<std::size_t>(o)] = std::move(h);
-    }
-    ctx_->sim->ChargeCompute(g, flops);
-    ctx_->sim->NoteTransient(g, transient);
   }
   // Hidden-embedding shuffle (the GAT extra communication).
   stage.Next("reshuffle");
-  auto z_recv = ctx_->comm->AllToAllTensors(z_sends, Phase::kTrain);
+  ctx_->comm->ChargeAllToAll(routing.RowTraffic(*ctx_->comm, out, /*to_owners=*/false),
+                             Phase::kTrain);
 
   // ---- Attention + remainder at origins. -----------------------------------
   stage.Next("execute");
@@ -380,10 +644,12 @@ StepStats SnpExecutor::StepGat(std::vector<DeviceBatch>& batches) {
     auto& gat = dynamic_cast<GatLayer&>(ctx_->model(o).layer(0));
     const Block& b = batch.sample.blocks[0];
     Tensor z(b.num_src(), gat.out_dim());
-    for (DeviceId g = 0; g < c; ++g) {
-      const Tensor& rows = z_recv[static_cast<std::size_t>(o)][static_cast<std::size_t>(g)];
-      if (rows.rows() == 0) continue;
-      ScatterRows(rows, positions[static_cast<std::size_t>(o)][static_cast<std::size_t>(g)], z);
+    for (const SnpPair& pr : routing.OfOrigin(o)) {
+      const std::span<const std::int64_t> pos = positions(pr);
+      const Tensor& rows = z_rows[static_cast<std::size_t>(pr.owner)];
+      for (std::size_t k = 0; k < pos.size(); ++k) {
+        std::copy_n(rows.row(pr.row + static_cast<std::int64_t>(k)), z.cols(), z.row(pos[k]));
+      }
     }
     std::unique_ptr<GatAttentionContext> attn_ctx;
     const Tensor raw0 = gat.AttentionForward(b.csr(), b.num_dst, z, &attn_ctx);
@@ -401,35 +667,32 @@ StepStats SnpExecutor::StepGat(std::vector<DeviceBatch>& batches) {
     agg.loss += s.loss;
     agg.correct += s.correct;
   }
+  z_rows.clear();
 
   // ---- Backward: grad_z rows return to the owners. -------------------------
+  // An origin with requests has seeds, hence a z gradient.
   stage.Next("reshuffle");
-  std::vector<std::vector<Tensor>> gz_sends(
-      static_cast<std::size_t>(c), std::vector<Tensor>(static_cast<std::size_t>(c)));
-  for (DeviceId o = 0; o < c; ++o) {
-    const Tensor& gz = grad_z_full[static_cast<std::size_t>(o)];
-    if (gz.rows() == 0) continue;
-    for (DeviceId g = 0; g < c; ++g) {
-      const auto& pos = positions[static_cast<std::size_t>(o)][static_cast<std::size_t>(g)];
-      if (pos.empty()) continue;
-      Tensor rows(static_cast<std::int64_t>(pos.size()), gz.cols());
-      GatherRows(gz, pos, rows);
-      gz_sends[static_cast<std::size_t>(o)][static_cast<std::size_t>(g)] = std::move(rows);
+  std::vector<Tensor> gz_rows(static_cast<std::size_t>(c));
+  for (DeviceId g = 0; g < c; ++g) {
+    Tensor& rows = gz_rows[static_cast<std::size_t>(g)];
+    rows = Tensor(routing.Rows(g), out);
+    for (std::size_t p : routing.OfOwner(g)) {
+      const SnpPair& pr = routing.pairs[p];
+      const Tensor& gz = grad_z_full[static_cast<std::size_t>(pr.origin)];
+      APT_CHECK_GT(gz.rows(), 0);
+      CopyRowsTo(gz, positions(pr), rows, pr.row);
     }
   }
-  auto gz_recv = ctx_->comm->AllToAllTensors(gz_sends, Phase::kTrain);
+  ctx_->comm->ChargeAllToAll(routing.RowTraffic(*ctx_->comm, out, /*to_owners=*/true),
+                             Phase::kTrain);
   stage.Next("execute");
   for (DeviceId g = 0; g < c; ++g) {
     auto& gat = dynamic_cast<GatLayer&>(ctx_->model(g).layer(0));
-    double flops = 0.0;
-    for (DeviceId o = 0; o < c; ++o) {
-      const Tensor& grows = gz_recv[static_cast<std::size_t>(g)][static_cast<std::size_t>(o)];
-      if (grows.rows() == 0) continue;
-      const Tensor& h = saved_h[static_cast<std::size_t>(g)][static_cast<std::size_t>(o)];
-      MatmulTN(h, grows, gat.w().grad, 1.0f, 1.0f);
-      flops += 2.0 * static_cast<double>(grows.rows()) * d * gat.out_dim();
-    }
-    ctx_->sim->ChargeCompute(g, flops);
+    SegmentedMatmulTN(saved_h[static_cast<std::size_t>(g)], gz_rows[static_cast<std::size_t>(g)],
+                      routing.Segments(g), gat.w().grad, 1.0f, 1.0f);
+    ctx_->sim->ChargeCompute(g, PairFlops(routing, g, [&](const SnpPair& pr) {
+                               return 2.0 * static_cast<double>(pr.items()) * d * gat.out_dim();
+                             }));
   }
   return agg;
 }

@@ -193,10 +193,7 @@ void SimContext::BarrierAll(Phase phase) {
     }
     clocks_[i] = target;
   };
-  if (options_.scale_mode == ScaleMode::kScale && clocks_.size() >= 64) {
-    // Scale mode: per-device waits are disjoint writes, so the commit
-    // batches through the fork-join pool. Values are bit-identical to the
-    // serial loop (no cross-device arithmetic).
+  if (ParallelCommit()) {
     ParallelForChunks(0, static_cast<std::int64_t>(clocks_.size()),
                       [&](std::int64_t lo, std::int64_t hi) {
                         for (std::int64_t i = lo; i < hi; ++i) {
@@ -341,14 +338,11 @@ StepTape SimContext::EndStepRecord() {
   return out;
 }
 
-void SimContext::RecordAllToAll(std::vector<std::vector<std::int64_t>> bytes,
-                                std::vector<std::vector<std::int64_t>> wire_bytes,
-                                Phase phase) {
+void SimContext::RecordAllToAll(const AllToAllTraffic& traffic, Phase phase) {
   StepTapeOp op;
   op.kind = StepTapeOp::Kind::kAllToAll;
   op.phase = phase;
-  op.a2a_bytes = std::move(bytes);
-  op.a2a_wire = std::move(wire_bytes);
+  op.a2a = traffic;
   record_tape_.ops.push_back(std::move(op));
 }
 

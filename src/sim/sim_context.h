@@ -53,12 +53,37 @@ const char* ToString(TrafficClass c);
 // inflation, and wire-byte fault thresholds re-evaluate at the replay-time
 // clocks exactly as a real step would evaluate them.
 
+/// Traffic of one all-to-all as per-sender sparse rows: sender s's lanes
+/// are [indptr[s], indptr[s+1]), in ascending peer order. Only off-diagonal
+/// lanes whose logical or wire bytes are non-zero are kept (a device's
+/// payload to itself is a free local copy), so the record costs
+/// O(non-empty lanes), not O(C^2). `bytes` is the logical fp32 volume of a
+/// lane; `wire` is the codec bytes that actually cross its link.
+struct AllToAllTraffic {
+  std::vector<std::int64_t> indptr{0};
+  std::vector<DeviceId> peer;
+  std::vector<std::int64_t> bytes;
+  std::vector<std::int64_t> wire;
+
+  /// Sender whose row Add() currently appends to.
+  DeviceId sender() const { return static_cast<DeviceId>(indptr.size() - 1); }
+  /// Appends the lane sender() -> `to`; peers must ascend within a row.
+  void Add(DeviceId to, std::int64_t lane_bytes, std::int64_t lane_wire) {
+    if (to == sender() || (lane_bytes == 0 && lane_wire == 0)) return;
+    peer.push_back(to);
+    bytes.push_back(lane_bytes);
+    wire.push_back(lane_wire);
+  }
+  /// Closes sender()'s row; the next Add() appends to the following sender.
+  void EndSender() { indptr.push_back(static_cast<std::int64_t>(peer.size())); }
+};
+
 struct StepTapeOp {
   enum class Kind : std::uint8_t {
     kAdvance = 0,         ///< flat clock advance (dev, dt, phase, comm)
     kBarrier = 1,         ///< BarrierAll(phase)
     kCompute = 2,         ///< ChargeCompute(dev, flops): straggler re-eval
-    kAllToAll = 3,        ///< Communicator all-to-all charge (byte matrices)
+    kAllToAll = 3,        ///< Communicator all-to-all charge (sparse lanes)
     kRing = 4,            ///< Communicator ring charge (totals + factor)
     kTraffic = 5,         ///< CountTraffic outside a collective (gathers)
     kBeginPipelined = 6,  ///< BeginPipelinedStep(depth)
@@ -76,9 +101,9 @@ struct StepTapeOp {
   std::int64_t wire_bytes = 0;
   double factor = 1.0;          ///< kRing volume factor
   TrafficClass cls = TrafficClass::kLocalCpuGpu;  ///< kTraffic
-  /// kAllToAll: per-lane logical / wire byte matrices (empty otherwise).
-  std::vector<std::vector<std::int64_t>> a2a_bytes;
-  std::vector<std::vector<std::int64_t>> a2a_wire;
+  /// kAllToAll: the collective's sparse lane traffic. Other ops keep all
+  /// four arrays empty (no allocation per recorded op).
+  AllToAllTraffic a2a{{}, {}, {}, {}};
 };
 
 struct StepTape {
@@ -91,7 +116,6 @@ class SimContext {
   explicit SimContext(ClusterSpec cluster, SimOptions options = {});
 
   const SimOptions& options() const { return options_; }
-  ScaleMode scale_mode() const { return options_.scale_mode; }
 
   const ClusterSpec& cluster() const { return cluster_; }
   std::int32_t num_devices() const { return static_cast<std::int32_t>(clocks_.size()); }
@@ -201,6 +225,15 @@ class SimContext {
   bool PipelineCapturing() const { return pipeline_depth_ > 1; }
   /// Depth of the step being captured; 1 outside a pipelined scope.
   int PipelineDepth() const { return pipeline_depth_; }
+  /// True when per-device clock commits (a barrier's waits, a collective's
+  /// busy-time advances) fan out over the fork-join pool: scale mode at
+  /// >= 64 devices, outside pipelined capture (which appends to one shared
+  /// tape). The writes are disjoint per device, so clocks are bit-identical
+  /// to the serial loop.
+  bool ParallelCommit() const {
+    return options_.scale_mode == ScaleMode::kScale && num_devices() >= 64 &&
+           !PipelineCapturing();
+  }
 
   /// RAII wrapper for Begin/EndPipelinedStep; no-op at depth <= 1, and
   /// replays on destruction even when the step throws (collective faults).
@@ -246,9 +279,7 @@ class SimContext {
   }
   /// Appends a structured collective op (called by the Communicator, which
   /// then suppresses + executes the real charge).
-  void RecordAllToAll(std::vector<std::vector<std::int64_t>> bytes,
-                      std::vector<std::vector<std::int64_t>> wire_bytes,
-                      Phase phase);
+  void RecordAllToAll(const AllToAllTraffic& traffic, Phase phase);
   void RecordRing(std::int64_t total_bytes, std::int64_t wire_bytes,
                   double factor, Phase phase, const char* label);
   /// Replays one flat advance from a tape (empty annotations; accounting

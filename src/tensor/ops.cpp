@@ -224,6 +224,31 @@ void MatmulTN(const Tensor& a, const Tensor& b, Tensor& c, float alpha, float be
   }, RowGrain(k + n));
 }
 
+void SegmentedMatmulTN(const Tensor& a, const Tensor& b,
+                       std::span<const std::int64_t> segments, Tensor& c,
+                       float alpha, float beta) {
+  const std::int64_t k = a.rows(), m = a.cols(), n = b.cols();
+  APT_CHECK_EQ(b.rows(), k);
+  APT_CHECK_EQ(c.rows(), m);
+  APT_CHECK_EQ(c.cols(), n);
+  if (segments.size() < 2 || m == 0 || n == 0) return;
+  for (std::size_t s = 0; s + 1 < segments.size(); ++s) {
+    APT_CHECK(segments[s] >= 0 && segments[s] <= segments[s + 1] && segments[s + 1] <= k)
+        << "segment [" << segments[s] << ", " << segments[s + 1] << ") of " << k << " rows";
+  }
+  const float* ap = a.data();
+  const float* bp = b.data();
+  float* cp = c.data();
+  const std::int64_t rows = segments.back() - segments.front();
+  ParallelForChunks(0, m, [&](std::int64_t lo, std::int64_t hi) {
+    for (std::size_t s = 0; s + 1 < segments.size(); ++s) {
+      const std::int64_t r0 = segments[s];
+      GemmRowBlockTN(ap + r0 * m, m, bp + r0 * n, n, cp, segments[s + 1] - r0, lo, hi,
+                     alpha, s == 0 ? beta : 1.0f);
+    }
+  }, RowGrain(rows + n));
+}
+
 void MatmulNT(const Tensor& a, const Tensor& b, Tensor& c, float alpha, float beta) {
   // B is [n, k]; C = A B^T is [m, n].
   const std::int64_t m = a.rows(), k = a.cols(), n = b.rows();

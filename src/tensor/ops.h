@@ -23,6 +23,15 @@ void Matmul(const Tensor& a, const Tensor& b, Tensor& c, float alpha = 1.0f,
 /// C[m,n] = A[k,m]^T * B[k,n].
 void MatmulTN(const Tensor& a, const Tensor& b, Tensor& c, float alpha = 1.0f,
               float beta = 0.0f);
+/// C[m,n] = beta * C + alpha * sum_s A_s^T B_s, where segment s is rows
+/// [segments[s], segments[s+1]) of both A[k,m] and B[k,n]. Bit-identical to
+/// MatmulTN(A_0, B_0, C, alpha, beta) followed by MatmulTN(A_s, B_s, C,
+/// alpha, 1) for each later segment in order (each segment's k-panels land
+/// in the same sequence), but parallelized over C's rows once. Fewer than
+/// two boundaries leave C untouched.
+void SegmentedMatmulTN(const Tensor& a, const Tensor& b,
+                       std::span<const std::int64_t> segments, Tensor& c,
+                       float alpha = 1.0f, float beta = 0.0f);
 /// C[m,n] = A[m,k] * B[n,k]^T.
 void MatmulNT(const Tensor& a, const Tensor& b, Tensor& c, float alpha = 1.0f,
               float beta = 0.0f);

@@ -2,9 +2,12 @@
 // and cost-model sanity (inter-machine slower than intra-machine).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <bit>
+#include <cmath>
 #include <cstdint>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -15,6 +18,8 @@
 #include "core/random.h"
 #include "obs/flight.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
+#include "runtime/parallel_for.h"
 #include "sim/fault.h"
 #include "tensor/ops.h"
 
@@ -203,6 +208,336 @@ TEST(AllReduceTest, ChargingTheReducedTensorMatchesAllReduceSum) {
   }
 }
 
+// --- all-to-all charge parity ------------------------------------------------
+//
+// The Communicator costs an all-to-all in one sparse sweep over its
+// non-empty lanes. The oracle below is the dense per-lane formulation it
+// replaced: device i walks every peer j, costing its egress lane (i, j) and
+// its ingress lane (j, i) through EffectiveLinkBetween, then counts traffic
+// lane by lane and advances its clock. Random sparse and dense traffic,
+// with and without codecs (wire != logical), link faults and a collective
+// fault that fires mid-call, on 1-100 machines, in scale mode and out, must
+// charge bit-identical clocks, counters, traffic, flight records and
+// link-fault first observations.
+
+using LaneMatrix = std::vector<std::vector<std::int64_t>>;
+
+void OracleMaybeFail(SimContext& ctx, std::int64_t wire_bytes,
+                     const std::vector<double>& busy, Phase phase,
+                     const char* traffic_class) {
+  const std::optional<double> fraction = ctx.CollectiveFailureFraction(wire_bytes);
+  if (!fraction.has_value()) return;
+  const int depth = ctx.PipelineDepth();
+  const double microbatch =
+      depth > 1 ? std::min<double>(static_cast<double>(depth - 1),
+                                   std::floor(*fraction * static_cast<double>(depth)))
+                : 0.0;
+  obs::Flight().Record("collective.fail", "alltoall", ctx.MaxNow(),
+                       {{"bytes", static_cast<double>(wire_bytes), nullptr},
+                        {"fraction", *fraction, nullptr},
+                        {"class", 0.0, traffic_class},
+                        {"microbatch", microbatch, nullptr}});
+  for (std::size_t d = 0; d < busy.size(); ++d) {
+    ctx.AdvanceComm(static_cast<DeviceId>(d), *fraction * busy[d], phase,
+                    "fault.collective",
+                    {{"fraction", *fraction, nullptr}, {"op", 0.0, "alltoall"}});
+  }
+  std::ostringstream os;
+  os << "alltoall failed after " << ctx.CollectiveBytesDone()
+     << " collective bytes (completed fraction " << *fraction << ")";
+  ctx.PoisonBarrier(os.str());
+  throw CollectiveError(os.str());
+}
+
+void OracleChargeAllToAll(SimContext& ctx, const LaneMatrix& bytes, const LaneMatrix& wire,
+                          Phase phase) {
+  const auto c = static_cast<std::size_t>(ctx.num_devices());
+  std::vector<double> busy(c, 0.0);
+  std::vector<std::int64_t> egress_bytes(c, 0), ingress_bytes(c, 0);
+  std::vector<std::int64_t> wire_part(c, 0);
+  for (std::size_t i = 0; i < c; ++i) {
+    double egress = 0.0, ingress = 0.0;
+    std::int64_t xcode_bytes = 0;
+    for (std::size_t j = 0; j < c; ++j) {
+      if (i == j) continue;
+      const auto di = static_cast<DeviceId>(i);
+      const auto dj = static_cast<DeviceId>(j);
+      if (wire[i][j] > 0) {
+        egress += ctx.EffectiveLinkBetween(di, dj).TransferSeconds(wire[i][j]);
+        egress_bytes[i] += bytes[i][j];
+        wire_part[i] += wire[i][j];
+        if (wire[i][j] != bytes[i][j]) xcode_bytes += bytes[i][j];
+      }
+      if (wire[j][i] > 0) {
+        ingress += ctx.EffectiveLinkBetween(dj, di).TransferSeconds(wire[j][i]);
+        ingress_bytes[i] += bytes[j][i];
+        if (wire[j][i] != bytes[j][i]) xcode_bytes += bytes[j][i];
+      }
+    }
+    busy[i] = std::max(egress, ingress) +
+              static_cast<double>(xcode_bytes) /
+                  ctx.cluster().device(static_cast<DeviceId>(i)).mem_bandwidth_bytes_per_s;
+  }
+  std::int64_t total_bytes = 0, total_wire = 0;
+  for (std::size_t i = 0; i < c; ++i) {
+    total_bytes += egress_bytes[i];
+    total_wire += wire_part[i];
+  }
+  const char* a2a_class =
+      ToString(ctx.cluster().num_machines() > 1 ? TrafficClass::kCrossMachine
+                                                : TrafficClass::kPeerGpu);
+  OracleMaybeFail(ctx, total_wire, busy, phase, a2a_class);
+  for (std::size_t i = 0; i < c; ++i) {
+    for (std::size_t j = 0; j < c; ++j) {
+      if (i != j && bytes[i][j] > 0) {
+        const auto di = static_cast<DeviceId>(i);
+        const auto dj = static_cast<DeviceId>(j);
+        ctx.CountTraffic(ctx.ClassifyDeviceLink(di, dj), bytes[i][j], wire[i][j]);
+      }
+    }
+    ctx.AdvanceComm(static_cast<DeviceId>(i), busy[i], phase, "alltoall",
+                    {{"egress_bytes", static_cast<double>(egress_bytes[i]), nullptr},
+                     {"ingress_bytes", static_cast<double>(ingress_bytes[i]), nullptr},
+                     {"participants", static_cast<double>(c), nullptr}});
+  }
+  obs::Metrics::Global().counter("comm.alltoall.calls").Increment();
+  obs::Metrics::Global().counter("comm.alltoall.bytes").Add(total_bytes);
+  obs::Metrics::Global().counter("comm.alltoall.wire_bytes").Add(total_wire);
+  obs::Flight().Record("collective", "alltoall", ctx.MaxNow(),
+                       {{"bytes", static_cast<double>(total_bytes), nullptr},
+                        {"wire_bytes", static_cast<double>(total_wire), nullptr},
+                        {"participants", static_cast<double>(c), nullptr},
+                        {"class", 0.0, a2a_class}});
+  ctx.BarrierAll(phase);
+}
+
+struct AllToAllCase {
+  ClusterSpec cluster;
+  bool scale = false;
+  LaneMatrix bytes, wire;
+  FaultPlan faults;
+  std::vector<double> skew;  ///< per-device clock before the call
+  Codec codec = Codec::kIdentity;  ///< wire codec of the tensor adapter
+  std::int64_t cols = 0;           ///< tensor-adapter payload width
+};
+
+struct AllToAllObservation {
+  std::vector<std::uint64_t> clock_bits;  ///< Now, then per-phase time and comm
+  std::vector<std::int64_t> counter_deltas;
+  std::vector<std::int64_t> traffic;
+  std::vector<std::string> flight;
+  std::vector<std::string> link_markers;  ///< fault.link first observations
+  std::int64_t faults_observed = 0;
+  bool poisoned = false;
+  std::string error;
+};
+
+std::vector<std::int64_t> AllToAllCounters() {
+  std::vector<std::int64_t> v;
+  for (const char* name :
+       {"comm.alltoall.calls", "comm.alltoall.bytes", "comm.alltoall.wire_bytes",
+        "sim.traffic.peer_gpu.bytes", "sim.traffic.peer_gpu.wire_bytes",
+        "sim.traffic.cross_machine.bytes", "sim.traffic.cross_machine.wire_bytes",
+        "fault.link.observed", "fault.collective.injected"}) {
+    v.push_back(obs::Metrics::Global().counter(name).Get());
+  }
+  return v;
+}
+
+enum class Charger { kOracle, kSparse, kDenseAdapter, kTensorAdapter };
+
+/// Charges `c`'s all-to-all twice on a fresh context (so the second call
+/// sees the first one's clocks and fault state) through `charger`.
+AllToAllObservation ObserveAllToAll(const AllToAllCase& c, Charger charger) {
+  SimContext sim(c.cluster, SimOptions{c.scale ? ScaleMode::kScale : ScaleMode::kOff});
+  sim.InstallFaults(c.faults);
+  Communicator comm(sim);
+  comm.SetWireCodecAll(c.codec);
+  for (DeviceId d = 0; d < sim.num_devices(); ++d) {
+    sim.Advance(d, c.skew[static_cast<std::size_t>(d)], Phase::kSample);
+  }
+  AllToAllTraffic traffic;
+  for (std::size_t i = 0; i < c.bytes.size(); ++i) {
+    for (std::size_t j = 0; j < c.bytes.size(); ++j) {
+      traffic.Add(static_cast<DeviceId>(j), c.bytes[i][j], c.wire[i][j]);
+    }
+    traffic.EndSender();
+  }
+  const std::int32_t pid = sim.ObsPid();
+  obs::Flight().Clear();
+  obs::Tracer::Global().Clear();
+  obs::SetTracingEnabled(true);
+  const std::vector<std::int64_t> before = AllToAllCounters();
+  AllToAllObservation out;
+  try {
+    for (Phase phase : {Phase::kSample, Phase::kTrain}) {
+      switch (charger) {
+        case Charger::kOracle:
+          OracleChargeAllToAll(sim, c.bytes, c.wire, phase);
+          break;
+        case Charger::kSparse:
+          comm.ChargeAllToAll(traffic, phase);
+          break;
+        case Charger::kDenseAdapter:
+          comm.AllToAllBytes(c.bytes, phase);
+          break;
+        case Charger::kTensorAdapter: {
+          std::vector<std::vector<Tensor>> parts(c.bytes.size());
+          for (std::size_t i = 0; i < c.bytes.size(); ++i) {
+            for (std::int64_t b : c.bytes[i]) parts[i].emplace_back(b / (4 * c.cols), c.cols);
+          }
+          comm.AllToAllTensors(parts, phase);
+          break;
+        }
+      }
+    }
+  } catch (const CollectiveError& e) {
+    out.error = e.what();
+  }
+  obs::SetTracingEnabled(false);
+  const std::vector<std::int64_t> after = AllToAllCounters();
+  for (std::size_t i = 0; i < after.size(); ++i) out.counter_deltas.push_back(after[i] - before[i]);
+  for (const obs::FlightEvent& e : obs::Flight().Snapshot()) out.flight.push_back(Describe(e));
+  for (const obs::TraceEvent& e : obs::Tracer::Global().Drain()) {
+    if (e.pid != pid || e.name == nullptr || std::string(e.name) != "fault.link") continue;
+    std::ostringstream os;
+    os << std::hexfloat << e.tid << "@" << e.ts_us << " " << e.args[0].str << " "
+       << e.args[1].num;
+    out.link_markers.push_back(os.str());
+  }
+  for (DeviceId d = 0; d < sim.num_devices(); ++d) {
+    out.clock_bits.push_back(std::bit_cast<std::uint64_t>(sim.Now(d)));
+    for (int p = 0; p < kNumPhases; ++p) {
+      out.clock_bits.push_back(std::bit_cast<std::uint64_t>(sim.PhaseOf(d, static_cast<Phase>(p))));
+      out.clock_bits.push_back(std::bit_cast<std::uint64_t>(sim.CommOf(d, static_cast<Phase>(p))));
+    }
+  }
+  for (int cls = 0; cls < static_cast<int>(TrafficClass::kNumClasses); ++cls) {
+    out.traffic.push_back(sim.TrafficBytes(static_cast<TrafficClass>(cls)));
+    out.traffic.push_back(sim.TrafficWireBytes(static_cast<TrafficClass>(cls)));
+  }
+  out.faults_observed = sim.FaultsObserved();
+  out.poisoned = sim.BarrierPoisoned();
+  return out;
+}
+
+void ExpectSameObservation(const AllToAllObservation& want, const AllToAllObservation& got) {
+  EXPECT_EQ(want.error, got.error);
+  EXPECT_EQ(want.clock_bits, got.clock_bits);
+  EXPECT_EQ(want.counter_deltas, got.counter_deltas);
+  EXPECT_EQ(want.traffic, got.traffic);
+  EXPECT_EQ(want.flight, got.flight);
+  EXPECT_EQ(want.link_markers, got.link_markers);
+  EXPECT_EQ(want.faults_observed, got.faults_observed);
+  EXPECT_EQ(want.poisoned, got.poisoned);
+}
+
+AllToAllCase RandomAllToAllCase(Rng& rng, std::int32_t machines, std::int32_t gpus,
+                                double density, int wire_mode, int fault_mode, bool scale) {
+  AllToAllCase c;
+  c.cluster = MultiMachineCluster(machines, gpus, /*nvlink=*/rng.NextBelow(2) == 0);
+  c.scale = scale;
+  const auto n = static_cast<std::size_t>(c.cluster.num_devices());
+  c.bytes.assign(n, std::vector<std::int64_t>(n, 0));
+  c.wire.assign(n, std::vector<std::int64_t>(n, 0));
+  std::int64_t total_wire = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < n; ++j) {
+      if (rng.NextDouble() >= density) continue;
+      const auto b = static_cast<std::int64_t>(rng.NextBelow(1 << 20));
+      std::int64_t w = b;
+      if (wire_mode == 1) w = b / 4 + 4 * static_cast<std::int64_t>(rng.NextBelow(64));
+      if (wire_mode == 2) w = static_cast<std::int64_t>(rng.NextBelow(1 << 20));
+      c.bytes[i][j] = b;
+      c.wire[i][j] = w;
+      if (i != j) total_wire += w;
+    }
+  }
+  c.skew.resize(n);
+  for (double& t : c.skew) t = rng.NextDouble() * 1e-3;
+  if (fault_mode & 1) {
+    // Active for part of the skew window, so some lanes see the degraded
+    // link and others do not.
+    for (TrafficClass cls : {TrafficClass::kPeerGpu, TrafficClass::kCrossMachine}) {
+      LinkFault f;
+      f.link_class = static_cast<int>(cls);
+      f.start_s = 4e-4 + 2e-4 * rng.NextDouble();
+      f.bandwidth_factor = 0.25 + 0.5 * rng.NextDouble();
+      f.extra_latency_s = 1e-5;
+      c.faults.links.push_back(f);
+    }
+  }
+  if (fault_mode & 2) {
+    // Fires part-way through the second call.
+    c.faults.collectives.push_back(
+        {total_wire + static_cast<std::int64_t>(rng.NextDouble() * static_cast<double>(total_wire))});
+  }
+  return c;
+}
+
+TEST(AllToAllChargeParityTest, SparseSweepMatchesPerLaneCharge) {
+  struct Shape {
+    std::int32_t machines, gpus;
+  };
+  const Shape shapes[] = {{1, 1}, {1, 4}, {2, 2}, {3, 3}, {17, 4}, {100, 1}, {40, 2}};
+  Rng rng(2024);
+  int cases = 0, link_markers = 0;
+  for (const Shape& shape : shapes) {
+    for (double density : {0.05, 0.5, 1.0}) {
+      for (int wire_mode : {0, 1, 2}) {
+        for (int fault_mode : {0, 1, 2, 3}) {
+          const bool scale = rng.NextBelow(2) == 0;
+          const AllToAllCase c = RandomAllToAllCase(rng, shape.machines, shape.gpus, density,
+                                                    wire_mode, fault_mode, scale);
+          SCOPED_TRACE(::testing::Message()
+                       << shape.machines << "x" << shape.gpus << " density " << density
+                       << " wire mode " << wire_mode << " faults " << fault_mode
+                       << (scale ? " scale" : ""));
+          const AllToAllObservation want = ObserveAllToAll(c, Charger::kOracle);
+          ExpectSameObservation(want, ObserveAllToAll(c, Charger::kSparse));
+          if (wire_mode == 0) ExpectSameObservation(want, ObserveAllToAll(c, Charger::kDenseAdapter));
+          if ((fault_mode & 2) && density == 1.0 && c.bytes.size() > 1) {
+            EXPECT_FALSE(want.error.empty());  // the fault path did run
+          }
+          if (!want.link_markers.empty()) ++link_markers;
+          ++cases;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(cases, 7 * 3 * 3 * 4);
+  EXPECT_GT(link_markers, 0);
+}
+
+TEST(AllToAllChargeParityTest, SameChargeAtOneLaneAndFullWidth) {
+  Rng rng(99);
+  const AllToAllCase c = RandomAllToAllCase(rng, 20, 4, 0.3, 1, 1, /*scale=*/true);
+  const AllToAllObservation wide = ObserveAllToAll(c, Charger::kSparse);
+  ScopedParallelismLimit serial(1);
+  ExpectSameObservation(wide, ObserveAllToAll(c, Charger::kSparse));
+}
+
+// The tensor adapter prices each lane with the real wire codec of its
+// link's class (bf16 and int8 make wire != logical bytes).
+TEST(AllToAllChargeParityTest, TensorAdapterWithCodecsMatchesPerLaneCharge) {
+  Rng rng(5);
+  for (Codec codec : {Codec::kIdentity, Codec::kBf16, Codec::kInt8}) {
+    SCOPED_TRACE(ToString(codec));
+    AllToAllCase c = RandomAllToAllCase(rng, 17, 4, 0.3, 0, 1, /*scale=*/rng.NextBelow(2) == 0);
+    c.codec = codec;
+    c.cols = 8;
+    for (std::size_t i = 0; i < c.bytes.size(); ++i) {
+      for (std::size_t j = 0; j < c.bytes.size(); ++j) {
+        const auto rows = static_cast<std::int64_t>(c.bytes[i][j] > 0 ? rng.NextBelow(64) : 0);
+        c.bytes[i][j] = rows * c.cols * 4;
+        c.wire[i][j] = CodecWireBytes(codec, rows, c.cols);
+      }
+    }
+    ExpectSameObservation(ObserveAllToAll(c, Charger::kOracle),
+                          ObserveAllToAll(c, Charger::kTensorAdapter));
+  }
+}
+
 TEST(AllBroadcastTest, EveryoneSeesEverything) {
   SimContext sim(SingleMachineCluster(2));
   Communicator comm(sim);
@@ -220,25 +555,6 @@ TEST(AllBroadcastObjectsTest, ChargesBytesFn) {
       std::move(inputs), [](const std::string& s) { return s.size(); }, Phase::kSample);
   EXPECT_EQ(out[1], "world!");
   EXPECT_GT(sim.MaxNow(), 0.0);
-}
-
-TEST(GroupReduceTest, AccumulatesPartialsAtDestination) {
-  SimContext sim(SingleMachineCluster(2));
-  Communicator comm(sim);
-  // Device 0 and device 1 both contribute partial rows for device 0's
-  // output rows {0, 1}.
-  std::vector<std::vector<Tensor>> parts(2, std::vector<Tensor>(2));
-  std::vector<std::vector<std::vector<std::int64_t>>> index(
-      2, std::vector<std::vector<std::int64_t>>(2));
-  parts[0][0] = Filled(2, 1, 1.0f);
-  index[0][0] = {0, 1};
-  parts[1][0] = Filled(1, 1, 5.0f);
-  index[1][0] = {1};
-  Tensor out0(2, 1);
-  std::vector<Tensor*> outs{&out0, nullptr};
-  comm.GroupReduce(parts, index, outs, Phase::kTrain);
-  EXPECT_FLOAT_EQ(out0(0, 0), 1.0f);
-  EXPECT_FLOAT_EQ(out0(1, 0), 6.0f);
 }
 
 TEST(RingBottleneckTest, CrossMachineDominates) {

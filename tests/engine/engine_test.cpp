@@ -6,6 +6,7 @@
 #include <numeric>
 
 #include "engine/exec_common.h"
+#include "runtime/parallel_for.h"
 #include "sampling/neighbor_sampler.h"
 #include "tensor/ops.h"
 #include "test_util.h"
@@ -14,6 +15,7 @@ namespace apt {
 namespace {
 
 using ::apt::testing::MakeTrainer;
+using ::apt::testing::MaxParamDiff;
 using ::apt::testing::SmallDataset;
 
 TEST(EngineTrafficTest, GdpMovesNoPeerTraffic) {
@@ -239,6 +241,69 @@ TEST(ExecCommonTest, SampleSecondsGrowWithFanout) {
   const SampledBatch hb = heavy.Sample(seeds, rng);
   const ClusterSpec& cluster = f.ctx.sim->cluster();
   EXPECT_GT(SampleSeconds(cluster, 0, hb), 2 * SampleSeconds(cluster, 0, lb));
+}
+
+// Sampling fans devices out over the fork-join pool, each device filling
+// its own batch slot from its own forked stream, then advances the clocks
+// in device order: batches, clocks and trained bits must not depend on the
+// lane count.
+TEST(ExecCommonTest, SampleDeviceBatchesMatchAtOneLaneAndFullWidth) {
+  std::vector<std::vector<NodeId>> seeds(4);
+  for (std::size_t d = 0; d < seeds.size(); ++d) {
+    for (NodeId s = 0; s < 40; ++s) seeds[d].push_back(static_cast<NodeId>(d) * 400 + 7 * s);
+  }
+  const auto sample = [&](CommonFixture& f) {
+    Rng step_rng = Rng(11).Fork(3);
+    return SampleDeviceBatches(f.ctx, seeds, step_rng);
+  };
+  CommonFixture wide_fixture, serial_fixture;
+  const std::vector<DeviceBatch> wide = sample(wide_fixture);
+  std::vector<DeviceBatch> serial;
+  {
+    ScopedParallelismLimit one_lane(1);
+    serial = sample(serial_fixture);
+  }
+  ASSERT_EQ(wide.size(), serial.size());
+  for (std::size_t d = 0; d < wide.size(); ++d) {
+    EXPECT_EQ(wide[d].labels, serial[d].labels);
+    ASSERT_EQ(wide[d].sample.blocks.size(), serial[d].sample.blocks.size());
+    for (std::size_t k = 0; k < wide[d].sample.blocks.size(); ++k) {
+      const Block& a = wide[d].sample.blocks[k];
+      const Block& b = serial[d].sample.blocks[k];
+      EXPECT_EQ(a.num_dst, b.num_dst);
+      EXPECT_EQ(a.src_nodes, b.src_nodes);
+      EXPECT_EQ(a.indptr, b.indptr);
+      EXPECT_EQ(a.col, b.col);
+    }
+    const auto dev = static_cast<DeviceId>(d);
+    EXPECT_GT(wide_fixture.sim.Now(dev), 0.0);
+    EXPECT_EQ(wide_fixture.sim.Now(dev), serial_fixture.sim.Now(dev));
+  }
+}
+
+TEST(ExecCommonTest, TrainingMatchesAtOneLaneAndFullWidth) {
+  const Dataset ds = SmallDataset();
+  const ClusterSpec cluster = MultiMachineCluster(2, 2);
+  for (Strategy strategy : {Strategy::kGDP, Strategy::kSNP}) {
+    for (int depth : {1, 4}) {
+      SCOPED_TRACE(::testing::Message() << ToString(strategy) << " depth " << depth);
+      const auto train = [&] {
+        auto trainer = MakeTrainer(ds, cluster, strategy, ModelKind::kSage,
+                                   /*force_chunked=*/true, 1 << 20, {5, 5}, 128,
+                                   /*hidden=*/0, RecoveryOptions{}, depth);
+        const EpochStats stats = trainer->TrainEpoch(0);
+        return std::make_pair(std::move(trainer), stats);
+      };
+      auto [wide, wide_stats] = train();
+      ScopedParallelismLimit one_lane(1);
+      auto [serial, serial_stats] = train();
+      EXPECT_EQ(wide_stats.loss, serial_stats.loss);
+      for (DeviceId d = 0; d < cluster.num_devices(); ++d) {
+        EXPECT_EQ(wide->sim().Now(d), serial->sim().Now(d)) << "device " << d;
+      }
+      EXPECT_EQ(MaxParamDiff(wide->model0(), serial->model0()), 0.0);
+    }
+  }
 }
 
 }  // namespace

@@ -2,9 +2,16 @@
 // gradient checks for the loss.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <memory>
+#include <span>
+#include <utility>
+#include <vector>
 
 #include "core/random.h"
+#include "runtime/parallel_for.h"
 #include "tensor/init.h"
 #include "tensor/ops.h"
 
@@ -187,6 +194,83 @@ TEST(MatmulTest, EmptyOutputsAreNoOps) {
   c2.Fill(7.0f);
   Matmul(a2, b2, c2, 1.0f, 0.0f);  // k == 0: beta pass still applies
   EXPECT_FLOAT_EQ(c2(1, 2), 0.0f);
+}
+
+// SegmentedMatmulTN must equal running MatmulTN segment by segment: the
+// first segment applies beta, every later one accumulates with beta = 1.
+// Segment lengths straddle the register tile (kMr = 4 rows) and the k-panel
+// (kKc = 256), empty segments included; C's row count leaves a ragged tile.
+Tensor SegmentRows(const Tensor& t, std::int64_t lo, std::int64_t hi) {
+  Tensor out(hi - lo, t.cols());
+  std::copy_n(t.row(lo), out.numel(), out.data());
+  return out;
+}
+
+void ExpectSegmentedMatchesPerSegment(std::span<const std::int64_t> segments,
+                                      std::int64_t m, std::int64_t n, float alpha,
+                                      float beta, std::uint64_t seed) {
+  const std::int64_t k = segments.empty() ? 0 : segments.back();
+  const Tensor a = RandTensor(k, m, seed);
+  const Tensor b = RandTensor(k, n, seed + 1);
+  const Tensor c0 = RandTensor(m, n, seed + 2);
+  Tensor want = c0;
+  for (std::size_t s = 0; s + 1 < segments.size(); ++s) {
+    MatmulTN(SegmentRows(a, segments[s], segments[s + 1]),
+             SegmentRows(b, segments[s], segments[s + 1]), want, alpha,
+             s == 0 ? beta : 1.0f);
+  }
+  Tensor got = c0;
+  SegmentedMatmulTN(a, b, segments, got, alpha, beta);
+  for (std::int64_t i = 0; i < want.numel(); ++i) {
+    ASSERT_EQ(std::bit_cast<std::uint32_t>(want.data()[i]),
+              std::bit_cast<std::uint32_t>(got.data()[i]))
+        << "element " << i << " of " << m << "x" << n;
+  }
+}
+
+TEST(SegmentedMatmulTest, MatchesPerSegmentMatmulTN) {
+  const std::vector<std::vector<std::int64_t>> layouts = {
+      {0, 5},                          // one segment
+      {0, 0, 3, 3, 10},                // empty segments first and in between
+      {0, 1, 2, 7, 300, 301},          // shorter than kMr, longer than kKc
+      {0, 600, 600, 1200},             // several k-panels per segment
+      {0, 3, 4, 5, 6, 7, 8, 9, 40},    // many short segments
+  };
+  std::uint64_t seed = 100;
+  for (std::int64_t limit : {std::int64_t{1}, std::int64_t{0}}) {
+    std::unique_ptr<ScopedParallelismLimit> lanes;
+    if (limit > 0) lanes = std::make_unique<ScopedParallelismLimit>(limit);
+    for (const auto& layout : layouts) {
+      for (const auto& [m, n] : {std::pair<std::int64_t, std::int64_t>{13, 7},
+                                 {64, 24}, {3, 33}, {257, 16}}) {
+        for (const auto& [alpha, beta] :
+             {std::pair<float, float>{1.0f, 1.0f}, {1.0f, 0.0f}, {-0.5f, 2.0f}, {0.25f, 1.0f}}) {
+          SCOPED_TRACE(::testing::Message() << "segments " << layout.size() - 1 << " m " << m
+                                            << " n " << n << " alpha " << alpha << " beta "
+                                            << beta << " lanes " << limit);
+          ExpectSegmentedMatchesPerSegment(layout, m, n, alpha, beta, seed++);
+        }
+      }
+    }
+  }
+}
+
+TEST(SegmentedMatmulTest, NoSegmentsLeaveOutputUntouched) {
+  const Tensor a = RandTensor(6, 4, 1), b = RandTensor(6, 5, 2);
+  const Tensor c0 = RandTensor(4, 5, 3);
+  for (const std::vector<std::int64_t>& segments :
+       {std::vector<std::int64_t>{}, std::vector<std::int64_t>{3}}) {
+    Tensor c = c0;
+    SegmentedMatmulTN(a, b, segments, c, 1.0f, 0.0f);
+    EXPECT_EQ(MaxAbsDiff(c, c0), 0.0f);
+  }
+}
+
+TEST(SegmentedMatmulTest, RejectsOutOfRangeSegments) {
+  const Tensor a = RandTensor(6, 4, 1), b = RandTensor(6, 5, 2);
+  Tensor c(4, 5);
+  EXPECT_THROW(SegmentedMatmulTN(a, b, std::vector<std::int64_t>{0, 7}, c), Error);
+  EXPECT_THROW(SegmentedMatmulTN(a, b, std::vector<std::int64_t>{4, 2}, c), Error);
 }
 
 TEST(ElementwiseTest, AxpyScaleAdd) {
