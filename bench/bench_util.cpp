@@ -1,6 +1,8 @@
 #include "bench_util.h"
 
+#include <charconv>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <sstream>
@@ -42,7 +44,7 @@ struct BenchRun {
   std::string records_out;
   std::string telemetry_out;
   std::string prom_out;
-  bool scale_mode = false;
+  std::int64_t sample_period = 1;
   std::vector<std::string> records;
 };
 
@@ -68,7 +70,7 @@ void WriteEpochJson(obs::JsonWriter& w, const EpochStats& e) {
   w.KV("comm_sample_seconds", e.comm_sample_seconds);
   w.KV("comm_train_seconds", e.comm_train_seconds);
   w.KV("loss", e.loss);
-  // Scale mode: fast-forwarded steps mark loss (and accuracy) as
+  // Sampled execution: fast-forwarded steps mark loss (and accuracy) as
   // EXTRAPOLATED from the probe steps; the timing metrics above stay
   // exact-model. Both counts are deterministic, so the gate holds them tight.
   if (e.steps_fast_forwarded > 0) {
@@ -124,8 +126,9 @@ void BenchInit(const std::string& name, int* argc, char** argv) {
           TakeFlag(argv[i], "--prom-out=", &run.prom_out)) {
         continue;
       }
-      if (std::strcmp(argv[i], "--scale-mode") == 0) {
-        run.scale_mode = true;
+      std::string period;
+      if (TakeFlag(argv[i], "--sample-period=", &period)) {
+        run.sample_period = PositiveIntFlag("--sample-period", period.c_str());
         continue;
       }
       argv[w++] = argv[i];
@@ -157,7 +160,7 @@ int BenchFinish() {
     w.KV("compiler", __VERSION__);
     w.KV("threads",
          static_cast<std::int64_t>(ThreadPool::Global().ParallelismDegree()));
-    w.KV("scale_mode", run.scale_mode);
+    w.KV("sample_period", run.sample_period);
     w.EndObject();
     w.Key("records");
     w.BeginArray();
@@ -227,16 +230,24 @@ const Dataset& ImLike() {
   return ds;
 }
 
-bool ScaleModeRequested() { return Run().scale_mode; }
+std::int64_t PositiveIntFlag(const char* flag, const char* value) {
+  std::int64_t v = 0;
+  const char* end = value + std::strlen(value);
+  const auto [ptr, ec] = std::from_chars(value, end, v);
+  if (ec != std::errc() || ptr != end || v < 1) {
+    std::fprintf(stderr, "%s=%s: expected a positive integer\n", flag, value);
+    std::exit(2);
+  }
+  return v;
+}
 
 EngineOptions PaperDefaults() {
   EngineOptions opts;
   opts.fanouts = {10, 10, 10};
   opts.batch_size_per_device = 128;  // paper: 1024/GPU at 100x our graph size
-  // --scale-mode flips every figure bench into sampled execution + analytic
-  // fast-forward (timing metrics stay exact-model; loss is extrapolated and
-  // the records flag it).
-  if (ScaleModeRequested()) opts.sim.scale_mode = ScaleMode::kScale;
+  // --sample-period=N puts every figure bench into sampled execution (timing
+  // metrics stay exact-model; loss is extrapolated and the records flag it).
+  opts.scale_sample_period = Run().sample_period;
   return opts;
 }
 

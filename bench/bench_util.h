@@ -90,13 +90,14 @@ void PrintCaseRow(const CaseResult& result);
 ///   --telemetry-out=<file> windowed telemetry timeline JSONL on finish
 ///                          (feed to `aptperf timeline` / `aptperf slo`)
 ///   --prom-out=<file>     Prometheus-style text snapshot on finish
-///   --scale-mode          run with SimOptions::scale_mode = kScale (sampled
-///                         execution + analytic fast-forward collectives);
-///                         PaperDefaults() picks it up, records are flagged
+///   --sample-period=<N>   sampled execution: PaperDefaults() sets
+///                         EngineOptions::scale_sample_period = N (a
+///                         positive integer), records are flagged
 void BenchInit(const std::string& name, int* argc = nullptr, char** argv = nullptr);
 
-/// True when --scale-mode was passed to BenchInit (stripped from argv).
-bool ScaleModeRequested();
+/// Parses `value` of `flag` as a positive integer; anything else prints a
+/// message and exits with status 2.
+std::int64_t PositiveIntFlag(const char* flag, const char* value);
 
 /// Appends one pre-serialized JSON object to the run's records.
 void AddRecord(std::string json_object);

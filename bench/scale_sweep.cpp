@@ -1,11 +1,11 @@
-// Scale-mode sweep: the deviation-D1 experiment at paper scale.
+// Scale sweep: the deviation-D1 experiment at paper scale.
 //
 // EXPERIMENTS.md D1 records that the bench-scale FS stand-in mutes the
 // paper's hidden-dim crossover: at ~30k nodes the per-device frontiers are
 // small enough that (a) feature loading is a minor epoch fraction and
 // (c) SNP's fixed per-collective latencies never amortize, so GDP wins
-// every cell. Scale mode removes the reason to shrink the experiment:
-// analytic fast-forward collectives + sampled execution train a 100M-node-
+// every cell. Sampled execution removes the reason to shrink the experiment:
+// together with analytic fast-forward collectives, it trains a 100M-node-
 // class RMAT graph on simulated clusters up to 100 machines / 1000 devices
 // in minutes on one workstation.
 //
@@ -46,7 +46,6 @@
 #include "graph/generators.h"
 #include "obs/json.h"
 #include "sim/hardware.h"
-#include "sim/scale.h"
 
 namespace {
 
@@ -146,7 +145,8 @@ bool ApplyFlag(SweepConfig* cfg, ClusterBlock* custom, const char* arg) {
   else if (eat("--machines=", &v)) custom->machines = std::atoi(v);
   else if (eat("--gpus=", &v)) custom->gpus_per_machine = std::atoi(v);
   else if (eat("--batch=", &v)) custom->batch_per_device = std::atoll(v);
-  else if (eat("--period=", &v)) custom->sample_period = std::atoll(v);
+  else if (eat("--period=", &v))
+    custom->sample_period = bench::PositiveIntFlag("--period", v);
   else if (eat("--steps=", &v)) custom->max_steps = std::atoll(v);
   else if (eat("--hiddens=", &v)) custom->hidden_dims = ParseInt64List(v);
   else if (eat("--fanout=", &v)) {
@@ -208,7 +208,6 @@ CellResult RunCell(const Dataset& ds, const ClusterSpec& cluster,
   opts.batch_size_per_device = block.batch_per_device;
   opts.cache_bytes_per_device = 0;  // cold cache: the crossover is loads-vs-shuffles
   opts.seed_assignment = EngineOptions::DefaultAssignment(strategy);
-  opts.sim.scale_mode = ScaleMode::kScale;
   opts.scale_sample_period = block.sample_period;
   opts.max_steps_per_epoch = block.max_steps;
 
@@ -221,7 +220,7 @@ CellResult RunCell(const Dataset& ds, const ClusterSpec& cluster,
 
   // Modulo partition: the no-quality-partition regime (see header comment).
   // The planner/dry-run pipeline is deliberately skipped — at 134M nodes the
-  // multilevel partitioner is part of what scale mode routes around.
+  // multilevel partitioner is part of what this sweep routes around.
   TrainerSetup setup;
   setup.cluster = cluster;
   setup.model = model;

@@ -181,7 +181,7 @@ void Communicator::MaybeFailCollective(std::int64_t wire_bytes,
 void Communicator::ChargeAllToAll(const AllToAllTraffic& traffic, Phase phase) {
   if (ctx_->RecordingStep()) {
     // One structured op on the step tape; the flat advances the Impl issues
-    // are suppressed so fast-forward re-runs the charge (fault thresholds,
+    // are inner ops, so fast-forward re-runs the charge (fault thresholds,
     // link degradation) instead of replaying stale numbers.
     ctx_->RecordAllToAll(traffic, phase);
     SimContext::RecordSuppressScope suppress(*ctx_);
@@ -418,7 +418,7 @@ void Communicator::ChargeRingImpl(std::int64_t total_bytes,
   ctx_->BarrierAll(phase);
 }
 
-// --- analytic fast-forward collectives (scale mode) -------------------------
+// --- analytic fast-forward collectives ---------------------------------------
 
 void Communicator::AllToAllTensorShapes(
     const std::vector<std::vector<TensorShape>>& parts, Phase phase) {
@@ -431,21 +431,6 @@ void Communicator::AllToAllTensorShapes(
       const TensorShape& p = parts[i][j];
       const auto from = static_cast<DeviceId>(i), to = static_cast<DeviceId>(j);
       if (i != j) traffic.Add(to, p.bytes(), RowsWireBytes(from, to, p.rows, p.cols));
-    }
-    traffic.EndSender();
-  }
-  ChargeAllToAll(traffic, phase);
-}
-
-void Communicator::AllToAllBytes(
-    const std::vector<std::vector<std::int64_t>>& bytes, Phase phase) {
-  const auto c = static_cast<std::size_t>(num_devices());
-  APT_CHECK_EQ(bytes.size(), c);
-  AllToAllTraffic traffic;
-  for (std::size_t i = 0; i < c; ++i) {
-    APT_CHECK_EQ(bytes[i].size(), c);
-    for (std::size_t j = 0; j < c; ++j) {
-      traffic.Add(static_cast<DeviceId>(j), bytes[i][j], bytes[i][j]);
     }
     traffic.EndSender();
   }
@@ -476,7 +461,7 @@ void Communicator::AllBroadcastTensorShapes(
   ChargeRing(total, wire_total, /*factor=*/1.0, phase, "allbroadcast");
 }
 
-// --- sampled-execution fast-forward (scale mode) ----------------------------
+// --- sampled-execution fast-forward -----------------------------------------
 
 void Communicator::FastForwardStep(const StepTape& tape) {
   bool in_pipeline = false;

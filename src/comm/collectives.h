@@ -67,32 +67,6 @@ class Communicator {
   Codec grad_codec() const { return grad_codec_; }
 
   // ------------------------------------------------------------------
-  // AllToAll of raw element vectors (computation-graph shuffles).
-  // sends[i][j] = payload from device i to device j (i==j is a free local
-  // copy). Returns recv where recv[j][i] = sends[i][j].
-  // ------------------------------------------------------------------
-  template <typename T>
-  std::vector<std::vector<std::vector<T>>> AllToAllVec(
-      const std::vector<std::vector<std::vector<T>>>& sends, Phase phase) {
-    const auto c = static_cast<std::size_t>(num_devices());
-    APT_CHECK_EQ(sends.size(), c);
-    std::vector<std::vector<std::vector<T>>> recv(
-        c, std::vector<std::vector<T>>(c));
-    AllToAllTraffic traffic;
-    for (std::size_t i = 0; i < c; ++i) {
-      APT_CHECK_EQ(sends[i].size(), c);
-      for (std::size_t j = 0; j < c; ++j) {
-        recv[j][i] = sends[i][j];
-        const auto b = static_cast<std::int64_t>(sends[i][j].size() * sizeof(T));
-        traffic.Add(static_cast<DeviceId>(j), b, b);
-      }
-      traffic.EndSender();
-    }
-    ChargeAllToAll(traffic, phase);
-    return recv;
-  }
-
-  // ------------------------------------------------------------------
   // AllToAll of arbitrary message objects. sends[i][j] is the message from
   // device i to device j; `bytes_fn(msg)` must return the serialized size so
   // the link model charges the true wire cost. Used for shuffling sampled
@@ -159,25 +133,6 @@ class Communicator {
   void ChargeAllReduceSum(const Tensor& reduced, Phase phase,
                           bool gradient_sync = false);
 
-  // ------------------------------------------------------------------
-  // AllBroadcast (allgather): device i contributes payload i; every device
-  // receives all payloads. Used by NFP to broadcast layer-1 computation
-  // graphs. Returns gathered[j] == inputs (same for every receiver j).
-  // ------------------------------------------------------------------
-  template <typename T>
-  std::vector<std::vector<T>> AllBroadcastVec(
-      const std::vector<std::vector<T>>& inputs, Phase phase) {
-    const auto c = static_cast<std::size_t>(num_devices());
-    APT_CHECK_EQ(inputs.size(), c);
-    std::int64_t total_bytes = 0;
-    for (const auto& v : inputs) {
-      total_bytes += static_cast<std::int64_t>(v.size() * sizeof(T));
-    }
-    ChargeRing(total_bytes, /*factor=*/1.0, phase, "allbroadcast");
-    std::vector<std::vector<T>> out = inputs;
-    return out;
-  }
-
   /// Tensor flavor of AllBroadcast; receiver sees the senders' tensors.
   std::vector<Tensor> AllBroadcastTensors(const std::vector<Tensor>& inputs,
                                           Phase phase);
@@ -219,7 +174,7 @@ class Communicator {
   }
 
   // ------------------------------------------------------------------
-  // Analytic fast-forward collectives (scale mode). Shape-only analogs of
+  // Analytic fast-forward collectives. Shape-only analogs of
   // the byte-moving collectives above: they run the SAME charging code
   // (link/codec/fault-threshold math, per-class wire-byte counters) from
   // byte matrices derived purely from shapes, without materializing or
@@ -239,10 +194,6 @@ class Communicator {
   /// Analytic AllToAllTensors: parts[i][j] = shape device i sends to j.
   void AllToAllTensorShapes(const std::vector<std::vector<TensorShape>>& parts,
                             Phase phase);
-  /// Analytic all-to-all of structural (uncompressed) payloads: wire ==
-  /// logical bytes. Covers AllToAllVec / AllToAllObjects.
-  void AllToAllBytes(const std::vector<std::vector<std::int64_t>>& bytes,
-                     Phase phase);
   /// Analytic AllReduceSum of one rows x cols tensor per device.
   void AllReduceSumShape(std::int64_t rows, std::int64_t cols, Phase phase,
                          bool gradient_sync = false);
@@ -251,7 +202,7 @@ class Communicator {
                                 Phase phase);
 
   // ------------------------------------------------------------------
-  // Sampled-execution fast-forward (scale mode): replays a recorded step
+  // Sampled-execution fast-forward: replays a recorded step
   // tape through the virtual clocks. Flat advances and barriers replay
   // literally; collectives and compute re-run their real charging code, so
   // link faults, stragglers, and wire-byte collective-failure thresholds
@@ -264,8 +215,8 @@ class Communicator {
 
  private:
   /// The real all-to-all charge. ChargeAllToAll is a thin wrapper that,
-  /// while a step tape records, appends ONE structured kAllToAll op (and
-  /// suppresses the flat advances below) so fast-forward re-runs this code.
+  /// while a step records, appends ONE structured kAllToAll op (and marks
+  /// the flat advances below inner) so fast-forward re-runs this code.
   void ChargeAllToAllImpl(const AllToAllTraffic& traffic, Phase phase);
   /// Ring collective: time = latency_terms + factor * (C-1)/C * wire / bw.
   /// `label` names the trace slices ("allreduce" / "allbroadcast").

@@ -20,9 +20,6 @@ CommProfile ProfileImpl(const ClusterSpec& cluster, std::int64_t trial_bytes,
   const std::int64_t cols = 64;
   const std::int64_t rows =
       std::max<std::int64_t>(1, trial_bytes / (cols * static_cast<std::int64_t>(sizeof(float))));
-  // Scale mode lets wide clusters advance their clocks in parallel; the
-  // charged seconds are the same either way.
-  const SimOptions sim_options{ScaleMode::kScale};
 
   const auto prepare = [&](SimContext& ctx) {
     if (faults == nullptr) return;
@@ -35,7 +32,7 @@ CommProfile ProfileImpl(const ClusterSpec& cluster, std::int64_t trial_bytes,
 
   // --- AllToAll: every device sends rows/C to every peer. -----------------
   {
-    SimContext ctx(cluster, sim_options);
+    SimContext ctx(cluster);
     prepare(ctx);
     Communicator comm(ctx);
     const std::int64_t rows_per_peer = std::max<std::int64_t>(1, rows / std::max(1, c));
@@ -53,7 +50,7 @@ CommProfile ProfileImpl(const ClusterSpec& cluster, std::int64_t trial_bytes,
 
   // --- AllReduce. -----------------------------------------------------------
   {
-    SimContext ctx(cluster, sim_options);
+    SimContext ctx(cluster);
     prepare(ctx);
     Communicator comm(ctx);
     comm.AllReduceSumShape(rows, cols, Phase::kTrain);
@@ -64,7 +61,7 @@ CommProfile ProfileImpl(const ClusterSpec& cluster, std::int64_t trial_bytes,
 
   // --- AllBroadcast. ---------------------------------------------------------
   {
-    SimContext ctx(cluster, sim_options);
+    SimContext ctx(cluster);
     prepare(ctx);
     Communicator comm(ctx);
     const std::vector<Communicator::TensorShape> inputs(static_cast<std::size_t>(c),

@@ -7,7 +7,7 @@
 // SimContext, via its shape-only entry points: the link model alone decides
 // the charged seconds, so no trial tensor is allocated or moved (the
 // golden-parity suite pins the shape entry points to the byte-moving
-// collectives). Planning, re-planning and scale mode share this one
+// collectives). Planning, re-planning and scale sweeps share this one
 // implementation.
 #pragma once
 

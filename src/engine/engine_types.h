@@ -6,7 +6,6 @@
 
 #include "core/types.h"
 #include "sampling/block.h"
-#include "sim/scale.h"
 #include "tensor/codec.h"
 
 namespace apt {
@@ -77,17 +76,15 @@ struct EngineOptions {
   /// (bitmap + packed nonzeros); lossy codecs here change BYTES only, never
   /// gradient values (documented modeling deviation, DESIGN.md).
   Codec grad_codec = Codec::kIdentity;
-  /// Simulator options (scale mode). With scale_mode == kScale the trainer
-  /// executes one step in every `scale_sample_period` for real (a PROBE —
-  /// bit-identical to the same step of an unsampled run, because each step
-  /// forks its own rng stream) and fast-forwards the rest by replaying the
-  /// probe's recorded step tape through the virtual clocks. Loss/accuracy
-  /// of fast-forwarded steps are extrapolated from the probe (flagged in
-  /// EpochStats::steps_fast_forwarded and the aptperf report).
-  SimOptions sim;
-  /// Scale mode: execute 1 step in N for real; >= 1 (1 = probe every step,
-  /// which must be bit-identical to scale_mode off).
-  std::int64_t scale_sample_period = 8;
+  /// Sampled execution, >= 1. Above 1 the trainer executes one step in
+  /// every `scale_sample_period` for real (a PROBE — bit-identical to the
+  /// same step of an unsampled run, because each step forks its own rng
+  /// stream) and fast-forwards the rest by replaying the probe's recorded
+  /// step tape through the virtual clocks. Loss/accuracy of fast-forwarded
+  /// steps are extrapolated from the probe (flagged in
+  /// EpochStats::steps_fast_forwarded and the aptperf report). At 1 every
+  /// step runs for real and nothing is recorded.
+  std::int64_t scale_sample_period = 1;
   /// If > 0: cap the number of steps per epoch (scale sweeps run a fixed
   /// step budget instead of the full multi-thousand-step epoch).
   std::int64_t max_steps_per_epoch = 0;
@@ -135,7 +132,7 @@ struct EpochStats {
   /// model's graph-shuffle and T_shuffle terms.
   double comm_sample_seconds = 0.0;
   double comm_train_seconds = 0.0;
-  /// Scale mode: how many of this epoch's steps ran for real (probes) vs
+  /// Sampled execution: how many of this epoch's steps ran for real (probes) vs
   /// were fast-forwarded from a probe's step tape. steps_fast_forwarded > 0
   /// marks loss/accuracy as EXTRAPOLATED (timing stays exact-model: every
   /// fast-forwarded step re-runs the charging math on the virtual clocks).

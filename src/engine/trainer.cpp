@@ -77,7 +77,8 @@ double ComparableNow(const SimContext& sim, int pipeline_depth) {
 ParallelTrainer::ParallelTrainer(const Dataset& dataset, TrainerSetup setup)
     : dataset_(&dataset), setup_(std::move(setup)) {
   APT_CHECK_EQ(static_cast<NodeId>(setup_.partition.size()), dataset.graph.num_nodes());
-  sim_ = std::make_unique<SimContext>(setup_.cluster, setup_.engine.sim);
+  APT_CHECK_GE(setup_.engine.scale_sample_period, 1) << "scale_sample_period";
+  sim_ = std::make_unique<SimContext>(setup_.cluster);
   comm_ = std::make_unique<Communicator>(*sim_);
   if (setup_.feature_placement.empty()) {
     setup_.feature_placement.assign(
@@ -163,13 +164,13 @@ EpochStats ParallelTrainer::TrainEpoch(std::int64_t epoch) {
       setup_.engine.max_steps_per_epoch > 0
           ? std::min(full_steps, setup_.engine.max_steps_per_epoch)
           : full_steps;
-  // Scale mode: execute one step in `period` for real (a probe), advance the
-  // rest by replaying the probe's step tape through the clocks. Probes
-  // consume SEQUENTIAL minibatch indices (sched_step below), so probe j is
-  // bit-identical to step j of an unsampled run — the sampled-parity tests'
-  // anchor.
-  const bool scale = setup_.engine.sim.scale_mode == ScaleMode::kScale;
-  const std::int64_t period = std::max<std::int64_t>(1, setup_.engine.scale_sample_period);
+  // Sampled execution (period > 1): execute one step in `period` for real (a
+  // probe), advance the rest by replaying the probe's step tape through the
+  // clocks. Probes consume SEQUENTIAL minibatch indices (sched_step below),
+  // so probe j is bit-identical to step j of an unsampled run — the
+  // sampled-parity tests' anchor.
+  const std::int64_t period = setup_.engine.scale_sample_period;
+  const bool sampled = period > 1;
   StepTape tape;
   StepStats last_stats;
   std::int64_t probe_index = 0, ff_steps = 0;
@@ -205,8 +206,8 @@ EpochStats ParallelTrainer::TrainEpoch(std::int64_t epoch) {
       }
     }
     // Fast-forwarded steps replay the probe's tape; only probes sample.
-    const bool probe = !scale || tape.empty() || (step % period == 0);
-    const std::int64_t sched_step = scale ? probe_index : step;
+    const bool probe = !sampled || tape.empty() || (step % period == 0);
+    const std::int64_t sched_step = sampled ? probe_index : step;
     std::vector<std::vector<NodeId>> per_device;
     if (probe) {
       if (partitioned) {
@@ -239,7 +240,7 @@ EpochStats ParallelTrainer::TrainEpoch(std::int64_t epoch) {
           s = last_stats;  // extrapolated from the probe (flagged below)
           break;
         }
-        if (scale) sim_->BeginStepRecord();
+        if (sampled) sim_->BeginStepRecord();
         Rng step_rng = epoch_rng.Fork(static_cast<std::uint64_t>(sched_step));
         std::vector<DeviceBatch> batches =
             SampleDeviceBatches(ctx_, per_device, step_rng);
@@ -260,7 +261,7 @@ EpochStats ParallelTrainer::TrainEpoch(std::int64_t epoch) {
       } catch (const FaultError& e) {
         // A faulted probe's partial tape is useless (the replayable unit is
         // one COMPLETED step); the retry records afresh.
-        if (scale && probe) sim_->AbortStepRecord();
+        if (sampled && probe) sim_->AbortStepRecord();
         ++recovery_stats_.collective_failures;
         if (!rec.retry_collectives || attempt >= rec.max_retries_per_step) {
           ++recovery_stats_.giveups;
@@ -301,12 +302,12 @@ EpochStats ParallelTrainer::TrainEpoch(std::int64_t epoch) {
         optimizers_[d]->Step(models_[d]->Params());
       }
       // Optimizer work is identical on every replica; charge a nominal cost.
-      // Recorded on the tape (kCompute) while scale mode probes, so
+      // Recorded on the tape (kCompute) while a sampled run probes, so
       // fast-forwarded steps charge it too.
       for (DeviceId d = 0; d < sim_->num_devices(); ++d) {
         sim_->ChargeCompute(d, 2.0 * static_cast<double>(models_[0]->ParamBytes()) / 4);
       }
-      if (scale) {
+      if (sampled) {
         tape = sim_->EndStepRecord();
         last_stats = s;
         ++probe_index;
@@ -386,7 +387,7 @@ EpochStats ParallelTrainer::TrainEpoch(std::int64_t epoch) {
   auto& metrics = obs::Metrics::Global();
   metrics.counter("trainer.epochs").Increment();
   metrics.counter("trainer.steps").Add(steps);
-  if (scale) {
+  if (sampled) {
     metrics.counter("trainer.steps_executed").Add(stats.steps_executed);
     metrics.counter("trainer.steps_fast_forwarded").Add(ff_steps);
   }

@@ -81,7 +81,7 @@ class FeatureStore {
   FeatureStore(const Tensor& features, std::vector<MachineId> node_machine,
                SimContext& ctx);
 
-  /// Procedural store (scale mode): no backing matrix — row v's features are
+  /// Procedural store (scale sweeps): no backing matrix — row v's features are
   /// generated on demand from a hash of (seed, v, col), so 100M-node-class
   /// graphs train without materializing num_nodes x dim fp32. Deterministic
   /// and batching-independent: the same (node, col) always reads the same

@@ -30,7 +30,7 @@ struct Dataset {
   std::vector<NodeId> val_nodes;
   std::vector<NodeId> test_nodes;
   std::int32_t num_communities = 0; ///< generator communities (0 if unknown)
-  /// Procedural features (scale mode): when `features` is empty and this is
+  /// Procedural features (scale sweeps): when `features` is empty and this is
   /// > 0, feature rows are generated on demand from a hash of
   /// (procedural_feature_seed, node, col) by the FeatureStore — 100M-node
   /// graphs train without a num_nodes x dim matrix. Values are deterministic

@@ -305,7 +305,7 @@ TraceSet AnalyzeSlices(
       if (strat != s->str_args.end()) a.strategy = strat->second;
       if (s->name == "step") {
         step_s.push_back(s->dur_s);
-        // Scale-mode fast-forwarded steps (tape replay, extrapolated
+        // Sampled-execution fast-forwarded steps (tape replay, extrapolated
         // loss/accuracy) mark themselves; the report flags the track.
         if (MapOr(s->num_args, "fast_forward", 0.0) != 0.0) {
           ++a.steps_fast_forwarded;
@@ -511,8 +511,8 @@ void WriteTrackReport(std::ostream& os, const TraceAnalysis& a) {
        << Ms(a.steps.p99_s) << "  max " << Ms(a.steps.max_s);
     if (a.steps_fast_forwarded > 0) {
       os << "  [EXTRAPOLATED: " << a.steps_fast_forwarded
-         << " fast-forwarded (scale mode) — timing exact-model, loss/accuracy "
-            "from probe steps]";
+         << " fast-forwarded (sampled execution) — timing exact-model, "
+            "loss/accuracy from probe steps]";
     }
     os << "\n";
   }

@@ -138,9 +138,9 @@ struct TraceAnalysis {
   /// Distribution over "step" marker spans (empty when the engine hooks were
   /// not active, e.g. traces from raw SimContext use).
   StepTimes steps;
-  /// Scale mode: step markers flagged fast_forward (tape replay). When > 0,
-  /// model-quality metrics of this track are EXTRAPOLATED from the probe
-  /// steps; timing metrics stay exact-model. Report rows carry the flag.
+  /// Sampled execution: step markers flagged fast_forward (tape replay).
+  /// When > 0, model-quality metrics of this track are EXTRAPOLATED from the
+  /// probe steps; timing metrics stay exact-model. Report rows carry the flag.
   std::int64_t steps_fast_forwarded = 0;
 
   /// Serving-engine request/batch/shed statistics (zero when the track ran

@@ -68,12 +68,11 @@ const char* ToString(TrafficClass c) {
   return "?";
 }
 
-SimContext::SimContext(ClusterSpec cluster, SimOptions options)
-    : cluster_(std::move(cluster)), options_(options) {
+SimContext::SimContext(ClusterSpec cluster) : cluster_(std::move(cluster)) {
   const auto n = static_cast<std::size_t>(cluster_.num_devices());
   APT_CHECK_GT(n, 0u);
   // Built here (single-threaded) so concurrent consumers — serving workers,
-  // the scale-mode parallel clock advance — never race a lazy build.
+  // the parallel clock commit — never race a lazy build.
   cluster_.EnsureDeviceIndex();
   clocks_.assign(n, 0.0);
   phase_time_.assign(n, {});
@@ -118,33 +117,19 @@ void SimContext::AdvanceInternal(DeviceId dev, double dt, Phase phase,
                                  bool comm) {
   APT_CHECK_GE(dt, 0.0) << "negative time step";
   const std::size_t i = Check(dev);
-  if (RecordingStep()) {
-    // Recorded BEFORE the pipeline-capture branch: fast-forward replays the
-    // op into a re-opened pipelined scope (kBeginPipelined), reproducing the
-    // capture-then-replay scheduling of the real step.
-    StepTapeOp op;
-    op.kind = StepTapeOp::Kind::kAdvance;
+  if (PipelineCapturing() || RecordingStep()) {
+    StepTapeOp& op = PushOp(StepTapeOp::Kind::kAdvance);
     op.dev = dev;
     op.dt = dt;
     op.phase = phase;
     op.comm = comm;
     op.label = label;
-    record_tape_.ops.push_back(std::move(op));
-  }
-  if (pipeline_depth_ > 1) {
-    // Capturing: defer to the micro-batch replay at EndPipelinedStep.
-    PipelineOp op;
-    op.dev = dev;
-    op.dt = dt;
-    op.phase = phase;
-    op.label = label;
-    op.comm = comm;
     for (const obs::TraceArg& a : args) {
       if (op.num_args == obs::kMaxTraceArgs) break;
       op.args[static_cast<std::size_t>(op.num_args++)] = a;
     }
-    pipeline_tape_.push_back(op);
-    return;
+    // Capturing: defer to the micro-batch replay at EndPipelinedStep.
+    if (PipelineCapturing()) return;
   }
   const double t0 = clocks_[i];
   clocks_[i] += dt;
@@ -166,20 +151,11 @@ void SimContext::BarrierAll(Phase phase) {
   if (poisoned_) {
     throw BarrierPoisonedError("barrier poisoned: " + poison_reason_);
   }
-  if (RecordingStep()) {
-    StepTapeOp op;
-    op.kind = StepTapeOp::Kind::kBarrier;
-    op.phase = phase;
-    record_tape_.ops.push_back(std::move(op));
-  }
-  if (pipeline_depth_ > 1) {
+  if (PipelineCapturing() || RecordingStep()) {
+    PushOp(StepTapeOp::Kind::kBarrier).phase = phase;
     // Capturing: the barrier becomes a per-micro-batch stream-sync point
     // (poison still throws above — it must surface immediately).
-    PipelineOp op;
-    op.dev = -1;
-    op.phase = phase;
-    pipeline_tape_.push_back(op);
-    return;
+    if (PipelineCapturing()) return;
   }
   const double target = MaxNow();
   const bool tracing = obs::TracingEnabled();
@@ -300,11 +276,9 @@ void SimContext::ChargeCompute(DeviceId dev, double flops) {
   if (RecordingStep()) {
     // Structured op: replay calls ChargeCompute again, so straggler factors
     // re-evaluate at the REPLAY-time clock, not the recorded one.
-    StepTapeOp op;
-    op.kind = StepTapeOp::Kind::kCompute;
+    StepTapeOp& op = PushOp(StepTapeOp::Kind::kCompute);
     op.dev = dev;
     op.flops = flops;
-    record_tape_.ops.push_back(std::move(op));
     RecordSuppressScope suppress(*this);
     AdvanceLabeled(dev, ComputeSeconds(dev, flops), Phase::kTrain, "compute",
                    {{"flops", flops, nullptr}});
@@ -314,19 +288,27 @@ void SimContext::ChargeCompute(DeviceId dev, double flops) {
                  {{"flops", flops, nullptr}});
 }
 
-// --- step tape recording ----------------------------------------------------
+// --- step tape ---------------------------------------------------------------
+
+StepTapeOp& SimContext::PushOp(StepTapeOp::Kind kind) {
+  StepTapeOp& op = tape_.ops.emplace_back();
+  op.kind = kind;
+  op.inner = record_suppress_ > 0;
+  return op;
+}
 
 void SimContext::BeginStepRecord() {
   APT_CHECK(!recording_) << "step record scopes cannot nest";
+  APT_CHECK(!PipelineCapturing()) << "step record inside a pipelined scope";
   APT_CHECK_EQ(record_suppress_, 0);
   recording_ = true;
-  record_tape_.ops.clear();
+  tape_.ops.clear();
 }
 
 void SimContext::AbortStepRecord() {
   recording_ = false;
   record_suppress_ = 0;
-  record_tape_.ops.clear();
+  tape_.ops.clear();
 }
 
 StepTape SimContext::EndStepRecord() {
@@ -334,28 +316,24 @@ StepTape SimContext::EndStepRecord() {
   APT_CHECK_EQ(record_suppress_, 0);
   recording_ = false;
   StepTape out;
-  std::swap(out, record_tape_);
+  std::swap(out, tape_);
   return out;
 }
 
 void SimContext::RecordAllToAll(const AllToAllTraffic& traffic, Phase phase) {
-  StepTapeOp op;
-  op.kind = StepTapeOp::Kind::kAllToAll;
+  StepTapeOp& op = PushOp(StepTapeOp::Kind::kAllToAll);
   op.phase = phase;
   op.a2a = traffic;
-  record_tape_.ops.push_back(std::move(op));
 }
 
 void SimContext::RecordRing(std::int64_t total_bytes, std::int64_t wire_bytes,
                             double factor, Phase phase, const char* label) {
-  StepTapeOp op;
-  op.kind = StepTapeOp::Kind::kRing;
+  StepTapeOp& op = PushOp(StepTapeOp::Kind::kRing);
   op.phase = phase;
   op.bytes = total_bytes;
   op.wire_bytes = wire_bytes;
   op.factor = factor;
   op.label = label;
-  record_tape_.ops.push_back(std::move(op));
 }
 
 TrafficClass SimContext::ClassifyDeviceLink(DeviceId a, DeviceId b) const {
@@ -373,12 +351,10 @@ void SimContext::CountTraffic(TrafficClass c, std::int64_t bytes,
   if (RecordingStep()) {
     // Recorded AND counted: the probe step's own traffic is real; replay
     // re-issues the count so fast-forwarded steps accumulate identically.
-    StepTapeOp op;
-    op.kind = StepTapeOp::Kind::kTraffic;
+    StepTapeOp& op = PushOp(StepTapeOp::Kind::kTraffic);
     op.cls = c;
     op.bytes = bytes;
     op.wire_bytes = wire_bytes;
-    record_tape_.ops.push_back(std::move(op));
   }
   const std::size_t i = static_cast<std::size_t>(c);
   const std::int64_t total =

@@ -20,7 +20,6 @@
 #include "obs/trace.h"
 #include "sim/fault.h"
 #include "sim/hardware.h"
-#include "sim/scale.h"
 
 namespace apt {
 
@@ -42,16 +41,22 @@ enum class TrafficClass : int {
 
 const char* ToString(TrafficClass c);
 
-// --- step tape (scale mode) -------------------------------------------------
+// --- step tape -------------------------------------------------------------
 //
-// Scale mode's sampled execution records one really-executed training step as
-// a tape of timing-relevant operations, then fast-forwards the remaining
-// steps of the period by replaying the tape through the virtual clocks
-// (Communicator::FastForwardStep). The tape is a STRUCTURED record: advances
-// and barriers replay literally, while collectives and compute replay through
-// the SAME charging code the real step used — so link degradation, straggler
-// inflation, and wire-byte fault thresholds re-evaluate at the replay-time
-// clocks exactly as a real step would evaluate them.
+// SimContext keeps ONE tape of timing-relevant operations, with two readers:
+//
+//  * the pipelined scheduler (ReplayPipeline): inside a pipelined scope,
+//    advances and barriers land on the tape instead of moving clocks, and
+//    the scope exit schedules them as micro-batches;
+//  * sampled execution (Communicator::FastForwardStep): the trainer records
+//    one really-executed training step and fast-forwards the remaining
+//    steps of the period by replaying it through the virtual clocks.
+//
+// The recorded step is a STRUCTURED record: advances and barriers replay
+// literally, while collectives and compute replay through the SAME charging
+// code the real step used — so link degradation, straggler inflation, and
+// wire-byte fault thresholds re-evaluate at the replay-time clocks exactly as
+// a real step would evaluate them.
 
 /// Traffic of one all-to-all as per-sender sparse rows: sender s's lanes
 /// are [indptr[s], indptr[s+1]), in ascending peer order. Only off-diagonal
@@ -90,17 +95,24 @@ struct StepTapeOp {
     kEndPipelined = 7,    ///< EndPipelinedStep()
   };
   Kind kind = Kind::kAdvance;
+  /// Issued inside a compound charge (a RecordSuppressScope): only the
+  /// pipelined scheduler reads it, and it is dropped once its scope replays.
+  bool inner = false;
   DeviceId dev = -1;
   Phase phase = Phase::kTrain;
   bool comm = false;
+  std::int8_t num_args = 0;     ///< kAdvance: used entries of `args`
   double dt = 0.0;
   double flops = 0.0;
   const char* label = nullptr;  ///< string literal (TraceArg lifetime rule)
+  /// kAdvance: the annotations its pipelined slices carry (literals, as
+  /// `label`).
+  std::array<obs::TraceArg, obs::kMaxTraceArgs> args{};
   int depth = 1;                ///< kBeginPipelined
+  TrafficClass cls = TrafficClass::kLocalCpuGpu;  ///< kTraffic
   std::int64_t bytes = 0;       ///< kRing totals / kTraffic logical bytes
   std::int64_t wire_bytes = 0;
   double factor = 1.0;          ///< kRing volume factor
-  TrafficClass cls = TrafficClass::kLocalCpuGpu;  ///< kTraffic
   /// kAllToAll: the collective's sparse lane traffic. Other ops keep all
   /// four arrays empty (no allocation per recorded op).
   AllToAllTraffic a2a{{}, {}, {}, {}};
@@ -113,9 +125,7 @@ struct StepTape {
 
 class SimContext {
  public:
-  explicit SimContext(ClusterSpec cluster, SimOptions options = {});
-
-  const SimOptions& options() const { return options_; }
+  explicit SimContext(ClusterSpec cluster);
 
   const ClusterSpec& cluster() const { return cluster_; }
   std::int32_t num_devices() const { return static_cast<std::int32_t>(clocks_.size()); }
@@ -190,8 +200,8 @@ class SimContext {
   // (depth 1) the comm stream is unused and every advance lands on the
   // device clock exactly as before. In pipelined mode the engine wraps one
   // training step in Begin/EndPipelinedStep(depth): advances issued inside
-  // the scope are CAPTURED to a tape instead of moving clocks, then the
-  // scope exit replays the tape as `depth` micro-batches. Each captured op
+  // the scope are CAPTURED to the step tape instead of moving clocks, then
+  // the scope exit replays them as `depth` micro-batches. Each captured op
   // is split into `depth` equal chunks; chunks whose op was a collective
   // (AdvanceComm) or a feature gather (Phase::kLoad) are scheduled on the
   // comm stream, everything else on the compute stream. Micro-batch m's
@@ -217,7 +227,7 @@ class SimContext {
 
   /// Starts capturing one pipelined step. depth >= 2; scopes cannot nest.
   void BeginPipelinedStep(int depth);
-  /// Replays the captured tape as `depth` micro-batches, advancing clocks,
+  /// Replays the captured ops as `depth` micro-batches, advancing clocks,
   /// phase/comm accounting and comm-stream time. Safe to call with an
   /// exception in flight (the engine's fault path): partial tapes replay so
   /// partially-charged faults still land on the clocks.
@@ -226,13 +236,12 @@ class SimContext {
   /// Depth of the step being captured; 1 outside a pipelined scope.
   int PipelineDepth() const { return pipeline_depth_; }
   /// True when per-device clock commits (a barrier's waits, a collective's
-  /// busy-time advances) fan out over the fork-join pool: scale mode at
-  /// >= 64 devices, outside pipelined capture (which appends to one shared
-  /// tape). The writes are disjoint per device, so clocks are bit-identical
-  /// to the serial loop.
+  /// busy-time advances) fan out over the fork-join pool: at >= 64 devices,
+  /// outside pipelined capture (which appends to the one shared tape). The
+  /// writes are disjoint per device, so clocks are bit-identical to the
+  /// serial loop.
   bool ParallelCommit() const {
-    return options_.scale_mode == ScaleMode::kScale && num_devices() >= 64 &&
-           !PipelineCapturing();
+    return num_devices() >= 64 && !PipelineCapturing();
   }
 
   /// RAII wrapper for Begin/EndPipelinedStep; no-op at depth <= 1, and
@@ -258,27 +267,29 @@ class SimContext {
   double CommStreamOf(DeviceId dev, Phase phase) const;
   double CommStreamMax(Phase phase) const;
 
-  // --- step tape recording (scale mode) --------------------------------
+  // --- step recording (sampled execution) -------------------------------
   //
   // While recording, every clock mutation and traffic count appends a
   // structured op to the tape IN ADDITION to executing normally — the
   // recorded step itself is bit-identical to an unrecorded one. Compound
-  // charges (collectives, ChargeCompute) record ONE structured op and
-  // suppress the flat advances their implementation issues, so replay
+  // charges (collectives, ChargeCompute) record ONE structured op and mark
+  // the flat advances their implementation issues as inner, so replay
   // re-runs the charging math instead of replaying stale numbers.
 
-  /// Starts recording; any partial previous tape is discarded.
+  /// Starts recording; any partial previous tape is discarded. Not inside a
+  /// pipelined scope.
   void BeginStepRecord();
   /// Discards the partial tape (fault path: the replayable unit is a
   /// completed step, a faulted attempt is re-executed for real on retry).
+  /// Not inside a pipelined scope: the scope still owns its captured ops.
   void AbortStepRecord();
-  /// Stops recording and returns the completed tape.
+  /// Stops recording and returns the completed tape (outer ops only).
   StepTape EndStepRecord();
   bool RecordingStep() const {
     return recording_ && record_suppress_ == 0;
   }
   /// Appends a structured collective op (called by the Communicator, which
-  /// then suppresses + executes the real charge).
+  /// then executes the real charge inside a RecordSuppressScope).
   void RecordAllToAll(const AllToAllTraffic& traffic, Phase phase);
   void RecordRing(std::int64_t total_bytes, std::int64_t wire_bytes,
                   double factor, Phase phase, const char* label);
@@ -289,8 +300,9 @@ class SimContext {
     AdvanceInternal(dev, dt, phase, label, {}, comm);
   }
 
-  /// Suppresses recording for a scope: flat advances issued inside a
-  /// compound charge do not land on the tape (the compound op does).
+  /// Marks a compound charge: flat advances issued inside it are inner ops
+  /// (captured for the pipelined scheduler only; the compound op is what
+  /// the recorded step keeps).
   class RecordSuppressScope {
    public:
     explicit RecordSuppressScope(SimContext& sim) : sim_(sim) {
@@ -435,21 +447,14 @@ class SimContext {
   void AdvanceInternal(DeviceId dev, double dt, Phase phase, const char* label,
                        std::initializer_list<obs::TraceArg> args, bool comm);
 
-  /// One captured advance (dev >= 0) or barrier (dev < 0) on the pipeline
-  /// tape. Labels/arg strings are literals (same lifetime rule as TraceArg).
-  struct PipelineOp {
-    DeviceId dev = -1;
-    double dt = 0.0;
-    Phase phase = Phase::kTrain;
-    const char* label = nullptr;
-    bool comm = false;
-    std::int8_t num_args = 0;
-    std::array<obs::TraceArg, obs::kMaxTraceArgs> args{};
-  };
+  /// The one push path onto the tape; marks the op inner inside a compound
+  /// charge.
+  StepTapeOp& PushOp(StepTapeOp::Kind kind);
 
-  /// Schedules the tape as `depth` micro-batches over the compute + comm
+  /// Schedules the advances and barriers of the scope opened at
+  /// tape_.ops[begin] as `depth` micro-batches over the compute + comm
   /// streams and commits the resulting times (see sim_pipeline.cpp).
-  void ReplayPipeline(const std::vector<PipelineOp>& tape, int depth);
+  void ReplayPipeline(std::size_t begin, int depth);
 
   /// One-shot fault.* metric + trace emission when a straggler/link fault is
   /// first seen active (const: observation does not change simulation state).
@@ -458,10 +463,10 @@ class SimContext {
   void NoteLinkObserved(std::size_t fault_index, double at_s) const;
 
   ClusterSpec cluster_;
-  SimOptions options_;
-  bool recording_ = false;    ///< step-tape recording active
+  bool recording_ = false;    ///< step recording active
   int record_suppress_ = 0;   ///< >0 inside a compound charge
-  StepTape record_tape_;
+  /// Recorded step and/or the open pipelined scope's captured ops.
+  StepTape tape_;
   std::vector<double> clocks_;
   std::vector<std::array<double, kNumPhases>> phase_time_;
   std::vector<std::array<double, kNumPhases>> comm_time_;
@@ -470,7 +475,7 @@ class SimContext {
   /// tracks the compute timeline.
   std::vector<std::array<double, kNumPhases>> comm_stream_time_;
   int pipeline_depth_ = 1;  ///< >1 while capturing a pipelined step
-  std::vector<PipelineOp> pipeline_tape_;
+  std::size_t pipeline_begin_ = 0;  ///< tape index of the scope's kBeginPipelined
   // Traffic totals and fault-observation flags are atomic: concurrent
   // serving workers gather features (CountTraffic) and evaluate link /
   // straggler faults (NoteObserved) from different threads. Everything else

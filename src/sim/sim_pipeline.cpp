@@ -1,9 +1,11 @@
 // Pipelined micro-batch replay: the second virtual timeline per logical GPU.
 //
-// SimContext captures one training step's advances/barriers to a tape (see
-// the capture hooks in sim_context.cpp), then this file schedules the tape
-// as `depth` micro-batches over two streams per device — compute (the
-// device clock) and communication — and commits the resulting times.
+// SimContext captures one training step's advances/barriers to the step tape
+// (see the push path in sim_context.cpp), then this file schedules them as
+// `depth` micro-batches over two streams per device — compute (the device
+// clock) and communication — and commits the resulting times. A recorded
+// step's compound ops (collectives, compute, traffic) share the tape; the
+// scheduler skips them and reads the flat advances they issued instead.
 //
 // Scheduling model:
 //  * Every captured op is split into `depth` equal chunks (dt / depth), one
@@ -31,6 +33,7 @@
 
 #include <algorithm>
 #include <array>
+#include <span>
 #include <vector>
 
 #include "sim/sim_context.h"
@@ -40,40 +43,38 @@ namespace apt {
 void SimContext::BeginPipelinedStep(int depth) {
   APT_CHECK_GT(depth, 1) << "pipelined scope needs depth >= 2";
   APT_CHECK_EQ(pipeline_depth_, 1) << "pipelined steps cannot nest";
-  if (RecordingStep()) {
-    // Step-tape hook (scale mode): fast-forward re-opens the scope so the
-    // replayed ops are captured and scheduled exactly like the real step.
-    // The replay commits in ReplayPipeline write clock arrays directly —
-    // never through Advance/BarrierAll — so only the scope boundaries need
-    // recording.
-    StepTapeOp op;
-    op.kind = StepTapeOp::Kind::kBeginPipelined;
-    op.depth = depth;
-    record_tape_.ops.push_back(std::move(op));
-  }
+  // The scope's first op, recorded or not: fast-forward re-opens the scope
+  // from it so the replayed ops are captured and scheduled exactly like the
+  // real step. The replay commits in ReplayPipeline write clock arrays
+  // directly — never through Advance/BarrierAll — so only the scope
+  // boundaries need recording.
+  pipeline_begin_ = tape_.ops.size();
+  PushOp(StepTapeOp::Kind::kBeginPipelined).depth = depth;
   pipeline_depth_ = depth;
-  pipeline_tape_.clear();
 }
 
 void SimContext::EndPipelinedStep() {
   if (pipeline_depth_ <= 1) return;
-  if (RecordingStep()) {
-    StepTapeOp op;
-    op.kind = StepTapeOp::Kind::kEndPipelined;
-    record_tape_.ops.push_back(std::move(op));
-  }
   const int depth = pipeline_depth_;
   pipeline_depth_ = 1;  // replay below charges clocks live
-  std::vector<PipelineOp> tape;
-  tape.swap(pipeline_tape_);
-  if (!tape.empty()) ReplayPipeline(tape, depth);
+  if (tape_.ops.size() > pipeline_begin_ + 1) ReplayPipeline(pipeline_begin_, depth);
+  // Only a recorded step keeps the scope, minus its inner ops.
+  auto scope = tape_.ops.begin() + static_cast<std::ptrdiff_t>(pipeline_begin_);
+  if (RecordingStep()) {
+    tape_.ops.erase(std::remove_if(scope, tape_.ops.end(),
+                                   [](const StepTapeOp& op) { return op.inner; }),
+                    tape_.ops.end());
+    PushOp(StepTapeOp::Kind::kEndPipelined);
+  } else {
+    tape_.ops.erase(scope, tape_.ops.end());
+  }
 }
 
-void SimContext::ReplayPipeline(const std::vector<PipelineOp>& tape, int depth) {
+void SimContext::ReplayPipeline(std::size_t begin, int depth) {
   struct Chunk {
     double t0 = 0.0;
     double t1 = 0.0;
-    const PipelineOp* op = nullptr;
+    const StepTapeOp* op = nullptr;
     int mb = 0;
   };
 
@@ -90,10 +91,11 @@ void SimContext::ReplayPipeline(const std::vector<PipelineOp>& tape, int depth) 
   std::vector<std::vector<Chunk>> comp_chunks(n);
   std::vector<std::vector<Chunk>> comm_chunks(n);
 
+  const auto scope = std::span(tape_.ops).subspan(begin + 1);
   for (int m = 0; m < depth; ++m) {
     chain = start;  // every micro-batch's inputs are ready at step start
-    for (const PipelineOp& op : tape) {
-      if (op.dev < 0) {
+    for (const StepTapeOp& op : scope) {
+      if (op.kind == StepTapeOp::Kind::kBarrier) {
         // Barrier: all devices' micro-batch-m chains join; each comm stream
         // stays busy until the join (collective exit).
         double target = 0.0;
@@ -104,6 +106,7 @@ void SimContext::ReplayPipeline(const std::vector<PipelineOp>& tape, int depth) 
         }
         continue;
       }
+      if (op.kind != StepTapeOp::Kind::kAdvance) continue;  // compound op
       const std::size_t d = Check(op.dev);
       const bool on_comm = op.comm || op.phase == Phase::kLoad;
       double t0 = std::max(chain[d], on_comm ? comm_free[d] : comp_free[d]);

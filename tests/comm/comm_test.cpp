@@ -71,6 +71,7 @@ TEST(AllToAllTest, ClocksSynchronizedAfter) {
   EXPECT_GE(t, 1.0);
 }
 
+// Vector payloads route through the object all-to-all (the path DNP uses).
 TEST(AllToAllVecTest, RoutesVectors) {
   SimContext sim(SingleMachineCluster(2));
   Communicator comm(sim);
@@ -78,7 +79,9 @@ TEST(AllToAllVecTest, RoutesVectors) {
                                                    std::vector<std::vector<int>>(2));
   sends[0][1] = {1, 2, 3};
   sends[1][0] = {7};
-  const auto recv = comm.AllToAllVec(sends, Phase::kSample);
+  const auto recv = comm.AllToAllObjects(
+      std::move(sends), [](const std::vector<int>& v) { return v.size() * sizeof(int); },
+      Phase::kSample);
   EXPECT_EQ(recv[1][0], (std::vector<int>{1, 2, 3}));
   EXPECT_EQ(recv[0][1], (std::vector<int>{7}));
   EXPECT_TRUE(recv[0][0].empty());
@@ -216,9 +219,9 @@ TEST(AllReduceTest, ChargingTheReducedTensorMatchesAllReduceSum) {
 // its ingress lane (j, i) through EffectiveLinkBetween, then counts traffic
 // lane by lane and advances its clock. Random sparse and dense traffic,
 // with and without codecs (wire != logical), link faults and a collective
-// fault that fires mid-call, on 1-100 machines, in scale mode and out, must
-// charge bit-identical clocks, counters, traffic, flight records and
-// link-fault first observations.
+// fault that fires mid-call, on 1-100 machines, must charge bit-identical
+// clocks, counters, traffic, flight records and link-fault first
+// observations.
 
 using LaneMatrix = std::vector<std::vector<std::int64_t>>;
 
@@ -313,7 +316,6 @@ void OracleChargeAllToAll(SimContext& ctx, const LaneMatrix& bytes, const LaneMa
 
 struct AllToAllCase {
   ClusterSpec cluster;
-  bool scale = false;
   LaneMatrix bytes, wire;
   FaultPlan faults;
   std::vector<double> skew;  ///< per-device clock before the call
@@ -344,12 +346,12 @@ std::vector<std::int64_t> AllToAllCounters() {
   return v;
 }
 
-enum class Charger { kOracle, kSparse, kDenseAdapter, kTensorAdapter };
+enum class Charger { kOracle, kSparse, kObjectAdapter, kTensorAdapter };
 
 /// Charges `c`'s all-to-all twice on a fresh context (so the second call
 /// sees the first one's clocks and fault state) through `charger`.
 AllToAllObservation ObserveAllToAll(const AllToAllCase& c, Charger charger) {
-  SimContext sim(c.cluster, SimOptions{c.scale ? ScaleMode::kScale : ScaleMode::kOff});
+  SimContext sim(c.cluster);
   sim.InstallFaults(c.faults);
   Communicator comm(sim);
   comm.SetWireCodecAll(c.codec);
@@ -378,8 +380,10 @@ AllToAllObservation ObserveAllToAll(const AllToAllCase& c, Charger charger) {
         case Charger::kSparse:
           comm.ChargeAllToAll(traffic, phase);
           break;
-        case Charger::kDenseAdapter:
-          comm.AllToAllBytes(c.bytes, phase);
+        case Charger::kObjectAdapter:
+          // Each lane's message is its own byte count.
+          comm.AllToAllObjects(
+              c.bytes, [](std::int64_t bytes) { return bytes; }, phase);
           break;
         case Charger::kTensorAdapter: {
           std::vector<std::vector<Tensor>> parts(c.bytes.size());
@@ -433,10 +437,9 @@ void ExpectSameObservation(const AllToAllObservation& want, const AllToAllObserv
 }
 
 AllToAllCase RandomAllToAllCase(Rng& rng, std::int32_t machines, std::int32_t gpus,
-                                double density, int wire_mode, int fault_mode, bool scale) {
+                                double density, int wire_mode, int fault_mode) {
   AllToAllCase c;
   c.cluster = MultiMachineCluster(machines, gpus, /*nvlink=*/rng.NextBelow(2) == 0);
-  c.scale = scale;
   const auto n = static_cast<std::size_t>(c.cluster.num_devices());
   c.bytes.assign(n, std::vector<std::int64_t>(n, 0));
   c.wire.assign(n, std::vector<std::int64_t>(n, 0));
@@ -486,16 +489,14 @@ TEST(AllToAllChargeParityTest, SparseSweepMatchesPerLaneCharge) {
     for (double density : {0.05, 0.5, 1.0}) {
       for (int wire_mode : {0, 1, 2}) {
         for (int fault_mode : {0, 1, 2, 3}) {
-          const bool scale = rng.NextBelow(2) == 0;
           const AllToAllCase c = RandomAllToAllCase(rng, shape.machines, shape.gpus, density,
-                                                    wire_mode, fault_mode, scale);
+                                                    wire_mode, fault_mode);
           SCOPED_TRACE(::testing::Message()
                        << shape.machines << "x" << shape.gpus << " density " << density
-                       << " wire mode " << wire_mode << " faults " << fault_mode
-                       << (scale ? " scale" : ""));
+                       << " wire mode " << wire_mode << " faults " << fault_mode);
           const AllToAllObservation want = ObserveAllToAll(c, Charger::kOracle);
           ExpectSameObservation(want, ObserveAllToAll(c, Charger::kSparse));
-          if (wire_mode == 0) ExpectSameObservation(want, ObserveAllToAll(c, Charger::kDenseAdapter));
+          if (wire_mode == 0) ExpectSameObservation(want, ObserveAllToAll(c, Charger::kObjectAdapter));
           if ((fault_mode & 2) && density == 1.0 && c.bytes.size() > 1) {
             EXPECT_FALSE(want.error.empty());  // the fault path did run
           }
@@ -511,7 +512,7 @@ TEST(AllToAllChargeParityTest, SparseSweepMatchesPerLaneCharge) {
 
 TEST(AllToAllChargeParityTest, SameChargeAtOneLaneAndFullWidth) {
   Rng rng(99);
-  const AllToAllCase c = RandomAllToAllCase(rng, 20, 4, 0.3, 1, 1, /*scale=*/true);
+  const AllToAllCase c = RandomAllToAllCase(rng, 20, 4, 0.3, 1, 1);
   const AllToAllObservation wide = ObserveAllToAll(c, Charger::kSparse);
   ScopedParallelismLimit serial(1);
   ExpectSameObservation(wide, ObserveAllToAll(c, Charger::kSparse));
@@ -523,7 +524,7 @@ TEST(AllToAllChargeParityTest, TensorAdapterWithCodecsMatchesPerLaneCharge) {
   Rng rng(5);
   for (Codec codec : {Codec::kIdentity, Codec::kBf16, Codec::kInt8}) {
     SCOPED_TRACE(ToString(codec));
-    AllToAllCase c = RandomAllToAllCase(rng, 17, 4, 0.3, 0, 1, /*scale=*/rng.NextBelow(2) == 0);
+    AllToAllCase c = RandomAllToAllCase(rng, 17, 4, 0.3, 0, 1);
     c.codec = codec;
     c.cols = 8;
     for (std::size_t i = 0; i < c.bytes.size(); ++i) {

@@ -1,9 +1,10 @@
 // Chaos-at-scale regression tests: FaultPlan semantics must fire
-// identically in scale mode. Fast-forwarded steps replay the probe's tape
-// through the REAL charging code, so wire-byte collective-failure
-// thresholds, straggler inflation, and barrier poisoning behave exactly as
-// in live execution — and a giveup mid-fast-forward still leaves a
-// parseable flight dump whose step events carry the fast_forward flag.
+// identically under sampled execution. Fast-forwarded steps replay the
+// probe's tape through the REAL charging code, so wire-byte
+// collective-failure thresholds, straggler inflation, and barrier poisoning
+// behave exactly as in live execution — and a giveup mid-fast-forward still
+// leaves a parseable flight dump whose step events carry the fast_forward
+// flag.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -15,7 +16,6 @@
 #include "obs/json.h"
 #include "obs/metrics.h"
 #include "sim/fault.h"
-#include "sim/scale.h"
 #include "test_util.h"
 
 namespace apt {
@@ -29,10 +29,10 @@ std::int64_t ScaleCounter(const char* name) {
   return obs::Metrics::Global().counter(name).Get();
 }
 
-/// Scale-mode options: probe step 0 only, fast-forward the remaining 7
-/// steps of the epoch. One step of this config moves ~10KB of collective
-/// wire bytes, so an `after_bytes` threshold in the tens of KB fires while
-/// the epoch is fast-forwarding, not during the probe.
+/// Sampled-execution options: probe step 0 only, fast-forward the
+/// remaining 7 steps of the epoch. One step of this config moves ~10KB of
+/// collective wire bytes, so an `after_bytes` threshold in the tens of KB
+/// fires while the epoch is fast-forwarding, not during the probe.
 EngineOptions ScaleChaosOptions(RecoveryOptions recovery = {}) {
   EngineOptions opts;
   opts.strategy = Strategy::kGDP;
@@ -41,7 +41,6 @@ EngineOptions ScaleChaosOptions(RecoveryOptions recovery = {}) {
   opts.cache_bytes_per_device = 1 << 18;
   opts.seed_assignment = SeedAssignment::kChunked;
   opts.recovery = recovery;
-  opts.sim.scale_mode = ScaleMode::kScale;
   opts.scale_sample_period = 1000;
   opts.max_steps_per_epoch = 8;
   return opts;
@@ -102,34 +101,40 @@ TEST(ChaosScaleTest, StragglerInflatesFastForwardedTimeButNotParams) {
   EXPECT_GT(b.wall_seconds, 1.5 * a.wall_seconds);
 }
 
-// FaultPlan parity between scale-off and period-1 scale mode: probing every
-// step with recording on must consume thresholds and charge failures at
-// bit-identical times.
-TEST(ChaosScaleTest, FaultPlanFiresIdenticallyAtPeriodOne) {
+// FaultPlan parity between a recorded probe and the unsampled run: a fault
+// firing INSIDE the probe aborts its recording (AbortStepRecord) and the
+// retry records afresh, at bit-identical thresholds, retries and times.
+TEST(ChaosScaleTest, FaultInsideRecordedProbeFiresIdentically) {
   const Dataset ds = SmallDataset(/*feature_dim=*/32, /*nodes=*/8000);
   FaultPlan plan;
-  plan.collectives.push_back({.after_bytes = 20000});
+  plan.collectives.push_back({.after_bytes = 2000});
   RecoveryOptions recovery;
   recovery.retry_collectives = true;
 
-  EngineOptions scale_opts = ScaleChaosOptions(recovery);
-  scale_opts.scale_sample_period = 1;
-  auto scale = MakeTrainerWithOptions(ds, SingleMachineCluster(4), scale_opts);
-  scale->sim().InstallFaults(plan);
+  EngineOptions sampled_opts = ScaleChaosOptions(recovery);
+  sampled_opts.scale_sample_period = 4;
+  sampled_opts.max_steps_per_epoch = 1;  // exactly one recorded probe
+  auto sampled = MakeTrainerWithOptions(ds, SingleMachineCluster(4), sampled_opts);
+  sampled->sim().InstallFaults(plan);
 
-  EngineOptions off_opts = ScaleChaosOptions(recovery);
-  off_opts.sim.scale_mode = ScaleMode::kOff;
-  auto off = MakeTrainerWithOptions(ds, SingleMachineCluster(4), off_opts);
-  off->sim().InstallFaults(plan);
+  EngineOptions plain_opts = sampled_opts;
+  plain_opts.scale_sample_period = 1;
+  auto plain = MakeTrainerWithOptions(ds, SingleMachineCluster(4), plain_opts);
+  plain->sim().InstallFaults(plan);
 
-  const EpochStats s = scale->TrainEpoch(0);
-  const EpochStats o = off->TrainEpoch(0);
-  EXPECT_EQ(s.loss, o.loss);
-  EXPECT_EQ(s.wall_seconds, o.wall_seconds);
-  EXPECT_EQ(s.sim_seconds, o.sim_seconds);
-  EXPECT_EQ(MaxParamDiff(scale->model0(), off->model0()), 0.0);
-  EXPECT_EQ(scale->recovery_stats().retries, off->recovery_stats().retries);
-  EXPECT_EQ(scale->sim().FaultsObserved(), off->sim().FaultsObserved());
+  const EpochStats s = sampled->TrainEpoch(0);
+  const EpochStats p = plain->TrainEpoch(0);
+  EXPECT_GE(sampled->recovery_stats().retries, 1);  // fired inside the probe
+  EXPECT_EQ(s.steps_executed, 1);
+  EXPECT_EQ(s.loss, p.loss);
+  EXPECT_EQ(s.wall_seconds, p.wall_seconds);
+  EXPECT_EQ(s.sim_seconds, p.sim_seconds);
+  for (DeviceId d = 0; d < sampled->sim().num_devices(); ++d) {
+    EXPECT_EQ(sampled->sim().Now(d), plain->sim().Now(d)) << "device " << d;
+  }
+  EXPECT_EQ(MaxParamDiff(sampled->model0(), plain->model0()), 0.0);
+  EXPECT_EQ(sampled->recovery_stats().retries, plain->recovery_stats().retries);
+  EXPECT_EQ(sampled->sim().FaultsObserved(), plain->sim().FaultsObserved());
 }
 
 TEST(ChaosScaleTest, GiveupDuringFastForwardLeavesAParseableFlightDump) {
@@ -160,7 +165,7 @@ TEST(ChaosScaleTest, GiveupDuringFastForwardLeavesAParseableFlightDump) {
   EXPECT_NE(doc.StrOrNull("reason")->find("retry budget exhausted"),
             std::string::npos);
 
-  // The dump must tell the scale-mode story: the failing collective AND
+  // The dump must tell the sampled-execution story: the failing collective AND
   // completed fast-forwarded steps (flagged fast_forward=1) before it.
   const obs::JsonValue* events = doc.Find("events");
   ASSERT_NE(events, nullptr);

@@ -1,9 +1,9 @@
-// Sampled-execution parity suite for scale mode (DESIGN.md "Scale mode").
+// Sampled-execution parity suite (DESIGN.md "Sampled execution at scale").
 //
 // The invariant under test: fast-forwarding never changes trained
 // parameters or charged seconds of the steps that DO run. Probe steps
 // consume sequential mini-batch indices and fork their own rng streams, so
-// probe j of a scale run is bit-identical to step j of an unsampled run;
+// probe j of a sampled run is bit-identical to step j of an unsampled run;
 // fast-forwarded steps replay the last probe's step tape through the
 // virtual clocks, so timing stays exact-model while loss/accuracy become
 // EXTRAPOLATED (flagged via EpochStats::steps_fast_forwarded).
@@ -11,8 +11,8 @@
 
 #include <cmath>
 
+#include "core/error.h"
 #include "engine/trainer.h"
-#include "sim/scale.h"
 #include "test_util.h"
 
 namespace apt {
@@ -37,16 +37,15 @@ constexpr Strategy kAllStrategies[] = {Strategy::kGDP, Strategy::kNFP,
                                        Strategy::kSNP, Strategy::kDNP};
 
 // Probe steps must be BIT-identical to the same steps of an unsampled run:
-// a scale run with period 4 over 16 steps executes probes 0..3, which see
-// exactly the mini-batches and rng streams of steps 0..3 of a scale-off run
-// capped at 4 steps. Trained parameters therefore match exactly.
+// a run with period 4 over 16 steps executes probes 0..3, which see exactly
+// the mini-batches and rng streams of steps 0..3 of an unsampled run capped
+// at 4 steps. Trained parameters therefore match exactly.
 TEST(ScaleSampledTest, ProbesAreBitIdenticalToUnsampledRun) {
   const Dataset ds = SmallDataset(/*feature_dim=*/32, /*nodes=*/8000);
   const ClusterSpec cluster = SingleMachineCluster(4);
   for (const Strategy strategy : kAllStrategies) {
     SCOPED_TRACE(ToString(strategy));
     EngineOptions scale_opts = BaseOptions(strategy);
-    scale_opts.sim.scale_mode = ScaleMode::kScale;
     scale_opts.scale_sample_period = 4;
     scale_opts.max_steps_per_epoch = 16;
     auto scale = MakeTrainerWithOptions(ds, cluster, scale_opts);
@@ -65,32 +64,55 @@ TEST(ScaleSampledTest, ProbesAreBitIdenticalToUnsampledRun) {
   }
 }
 
-// period = 1 probes every step: scale mode ON must be bit-identical to
-// scale mode OFF in params, loss, AND charged seconds (nothing is ever
-// fast-forwarded; recording a tape must not perturb the clocks).
-TEST(ScaleSampledTest, PeriodOneIsBitIdenticalToScaleOff) {
+// A one-step epoch at period 4 is exactly one recorded probe: it must be
+// bit-identical to the unsampled run in params, loss, AND every charged
+// second — recording a step tape must not perturb the clocks, pipelined or
+// not.
+TEST(ScaleSampledTest, RecordedProbeIsBitIdenticalToUnsampledRun) {
   const Dataset ds = SmallDataset(/*feature_dim=*/32, /*nodes=*/8000);
   const ClusterSpec cluster = SingleMachineCluster(4);
   for (const Strategy strategy : {Strategy::kGDP, Strategy::kSNP}) {
-    SCOPED_TRACE(ToString(strategy));
-    EngineOptions scale_opts = BaseOptions(strategy);
-    scale_opts.sim.scale_mode = ScaleMode::kScale;
-    scale_opts.scale_sample_period = 1;
-    scale_opts.max_steps_per_epoch = 8;
-    auto scale = MakeTrainerWithOptions(ds, cluster, scale_opts);
-    const EpochStats scale_stats = scale->TrainEpoch(0);
+    for (const int depth : {1, 4}) {
+      SCOPED_TRACE(std::string(ToString(strategy)) + " depth " + std::to_string(depth));
+      EngineOptions sampled_opts = BaseOptions(strategy, depth);
+      sampled_opts.scale_sample_period = 4;
+      sampled_opts.max_steps_per_epoch = 1;
+      auto sampled = MakeTrainerWithOptions(ds, cluster, sampled_opts);
+      const EpochStats sampled_stats = sampled->TrainEpoch(0);
 
-    EngineOptions off_opts = BaseOptions(strategy);
-    off_opts.max_steps_per_epoch = 8;
-    auto off = MakeTrainerWithOptions(ds, cluster, off_opts);
-    const EpochStats off_stats = off->TrainEpoch(0);
+      EngineOptions plain_opts = BaseOptions(strategy, depth);
+      plain_opts.max_steps_per_epoch = 1;
+      auto plain = MakeTrainerWithOptions(ds, cluster, plain_opts);
+      const EpochStats plain_stats = plain->TrainEpoch(0);
 
-    EXPECT_EQ(scale_stats.steps_executed, 8);
-    EXPECT_EQ(scale_stats.steps_fast_forwarded, 0);
-    EXPECT_EQ(scale_stats.loss, off_stats.loss);
-    EXPECT_EQ(scale_stats.wall_seconds, off_stats.wall_seconds);
-    EXPECT_EQ(scale_stats.sim_seconds, off_stats.sim_seconds);
-    EXPECT_EQ(MaxParamDiff(scale->model0(), off->model0()), 0.0);
+      EXPECT_EQ(sampled_stats.steps_executed, 1);
+      EXPECT_EQ(sampled_stats.steps_fast_forwarded, 0);
+      EXPECT_EQ(sampled_stats.loss, plain_stats.loss);
+      EXPECT_EQ(sampled_stats.wall_seconds, plain_stats.wall_seconds);
+      EXPECT_EQ(sampled_stats.sim_seconds, plain_stats.sim_seconds);
+      for (DeviceId d = 0; d < cluster.num_devices(); ++d) {
+        EXPECT_EQ(sampled->sim().Now(d), plain->sim().Now(d)) << "device " << d;
+        for (int p = 0; p < kNumPhases; ++p) {
+          const auto phase = static_cast<Phase>(p);
+          EXPECT_EQ(sampled->sim().PhaseOf(d, phase), plain->sim().PhaseOf(d, phase));
+          EXPECT_EQ(sampled->sim().CommOf(d, phase), plain->sim().CommOf(d, phase));
+          EXPECT_EQ(sampled->sim().CommStreamOf(d, phase),
+                    plain->sim().CommStreamOf(d, phase));
+        }
+      }
+      EXPECT_EQ(MaxParamDiff(sampled->model0(), plain->model0()), 0.0);
+    }
+  }
+}
+
+// A sample period below 1 is a configuration error, not a silent period 1.
+TEST(ScaleSampledTest, RejectsNonPositivePeriod) {
+  const Dataset ds = SmallDataset(/*feature_dim=*/32, /*nodes=*/8000);
+  for (const std::int64_t period : {0, -3}) {
+    EngineOptions opts = BaseOptions(Strategy::kGDP);
+    opts.scale_sample_period = period;
+    EXPECT_THROW(MakeTrainerWithOptions(ds, SingleMachineCluster(4), opts), Error)
+        << "period " << period;
   }
 }
 
@@ -100,7 +122,6 @@ TEST(ScaleSampledTest, ProbeParityHoldsUnderPipelining) {
   const Dataset ds = SmallDataset(/*feature_dim=*/32, /*nodes=*/8000);
   const ClusterSpec cluster = SingleMachineCluster(4);
   EngineOptions scale_opts = BaseOptions(Strategy::kSNP, /*pipeline_depth=*/4);
-  scale_opts.sim.scale_mode = ScaleMode::kScale;
   scale_opts.scale_sample_period = 3;
   scale_opts.max_steps_per_epoch = 9;
   auto scale = MakeTrainerWithOptions(ds, cluster, scale_opts);
@@ -124,7 +145,6 @@ TEST(ScaleSampledTest, FastForwardReplaysTheProbesCharges) {
   const ClusterSpec cluster = SingleMachineCluster(4);
   const std::int64_t steps = 6;
   EngineOptions scale_opts = BaseOptions(Strategy::kGDP);
-  scale_opts.sim.scale_mode = ScaleMode::kScale;
   scale_opts.scale_sample_period = 1000;  // 1 probe, 5 fast-forwards
   scale_opts.max_steps_per_epoch = steps;
   auto scale = MakeTrainerWithOptions(ds, cluster, scale_opts);
@@ -151,7 +171,6 @@ TEST(ScaleSampledTest, ExtrapolatedEpochTimeIsWithinBoundOfExactRun) {
   for (const Strategy strategy : kAllStrategies) {
     SCOPED_TRACE(ToString(strategy));
     EngineOptions scale_opts = BaseOptions(strategy);
-    scale_opts.sim.scale_mode = ScaleMode::kScale;
     scale_opts.scale_sample_period = 4;
     scale_opts.max_steps_per_epoch = 16;
     auto scale = MakeTrainerWithOptions(ds, cluster, scale_opts);
@@ -167,26 +186,6 @@ TEST(ScaleSampledTest, ExtrapolatedEpochTimeIsWithinBoundOfExactRun) {
     EXPECT_NEAR(scale_stats.sim_seconds, exact_stats.sim_seconds,
                 0.20 * exact_stats.sim_seconds);
   }
-}
-
-// Scale mode off must remain byte-for-byte the pre-scale-mode engine: the
-// default options train identically whether the scale fields are at their
-// defaults or explicitly zeroed.
-TEST(ScaleSampledTest, ScaleModeOffIsUnchangedByScaleKnobs) {
-  const Dataset ds = SmallDataset(/*feature_dim=*/32, /*nodes=*/8000);
-  const ClusterSpec cluster = SingleMachineCluster(4);
-  EngineOptions a = BaseOptions(Strategy::kGDP);
-  a.max_steps_per_epoch = 6;
-  EngineOptions b = a;
-  b.scale_sample_period = 64;  // ignored while scale_mode == kOff
-  auto ta = MakeTrainerWithOptions(ds, cluster, a);
-  auto tb = MakeTrainerWithOptions(ds, cluster, b);
-  const EpochStats sa = ta->TrainEpoch(0);
-  const EpochStats sb = tb->TrainEpoch(0);
-  EXPECT_EQ(sa.loss, sb.loss);
-  EXPECT_EQ(sa.wall_seconds, sb.wall_seconds);
-  EXPECT_EQ(sa.steps_fast_forwarded, 0);
-  EXPECT_EQ(MaxParamDiff(ta->model0(), tb->model0()), 0.0);
 }
 
 }  // namespace

@@ -21,7 +21,6 @@
 #include <string>
 #include <vector>
 
-#include "sim/scale.h"
 #include "test_util.h"
 
 namespace apt {
@@ -181,7 +180,6 @@ Observed RunSnpSteps(Case config, ModelKind kind, int depth, Codec storage) {
     opts.fanouts = {4, 4};
     opts.batch_size_per_device = 8;
     opts.cache_bytes_per_device = 1 << 18;
-    opts.sim.scale_mode = ScaleMode::kScale;
     opts.scale_sample_period = 4;
     opts.max_steps_per_epoch = 8;
   } else {

@@ -1,11 +1,11 @@
-// Golden-parity property suite for scale mode's analytic fast-forward
-// collectives (DESIGN.md "Scale mode" invariant): the shape-only entry
-// points (AllToAllTensorShapes / AllToAllBytes / AllReduceSumShape /
-// AllBroadcastTensorShapes) must charge BIT-IDENTICAL virtual seconds and
-// per-TrafficClass logical + wire bytes to their byte-moving twins — across
-// random clusters, wire/gradient codecs, and pipeline depths — because they
-// run the same link/codec/fault-threshold math and only skip materializing
-// and moving the payload.
+// Golden-parity property suite for the analytic fast-forward collectives
+// (DESIGN.md "Sampled execution at scale" invariant): the shape-only entry
+// points (AllToAllTensorShapes / AllReduceSumShape / AllBroadcastTensorShapes,
+// and ChargeAllToAll for structural payloads) must charge BIT-IDENTICAL
+// virtual seconds and per-TrafficClass logical + wire bytes to their
+// byte-moving twins — across random clusters, wire/gradient codecs, and
+// pipeline depths — because they run the same link/codec/fault-threshold
+// math and only skip materializing and moving the payload.
 //
 // kDeltaBitmask is deliberately absent: its wire bytes depend on payload
 // content, so the shape path charges the documented dense worst case
@@ -18,9 +18,9 @@
 #include "comm/collectives.h"
 #include "core/error.h"
 #include "core/random.h"
+#include "runtime/parallel_for.h"
 #include "sim/fault.h"
 #include "sim/hardware.h"
-#include "sim/scale.h"
 #include "sim/sim_context.h"
 #include "tensor/tensor.h"
 
@@ -38,7 +38,7 @@ struct Geometry {
   std::int64_t allreduce_rows = 0;
   bool gradient_sync = false;
   std::vector<std::int64_t> broadcast_rows;          ///< AllBroadcastTensors
-  std::vector<std::vector<std::int64_t>> vec_lens;   ///< AllToAllVec<int64> i->j
+  std::vector<std::vector<std::int64_t>> vec_lens;   ///< AllToAllObjects i->j
 };
 
 Geometry DrawGeometry(Rng& rng, std::int32_t devices) {
@@ -113,7 +113,10 @@ void RunByteMoving(SimContext& ctx, Communicator& comm, const Geometry& g,
       sends[i][j].assign(static_cast<std::size_t>(g.vec_lens[i][j]), 7);
     }
   }
-  comm.AllToAllVec(sends, Phase::kSample);
+  comm.AllToAllObjects(
+      std::move(sends),
+      [](const std::vector<std::int64_t>& v) { return v.size() * sizeof(std::int64_t); },
+      Phase::kSample);
   if (depth > 1) ctx.EndPipelinedStep();
 }
 
@@ -138,15 +141,17 @@ void RunAnalytic(SimContext& ctx, Communicator& comm, const Geometry& g,
   for (std::size_t i = 0; i < c; ++i) inputs[i] = {g.broadcast_rows[i], g.cols};
   comm.AllBroadcastTensorShapes(inputs, Phase::kSample);
 
-  std::vector<std::vector<std::int64_t>> bytes(c,
-                                               std::vector<std::int64_t>(c, 0));
+  // Structural payloads travel uncompressed: wire == logical bytes.
+  AllToAllTraffic traffic;
   for (std::size_t i = 0; i < c; ++i) {
     for (std::size_t j = 0; j < c; ++j) {
-      bytes[i][j] =
+      const std::int64_t b =
           g.vec_lens[i][j] * static_cast<std::int64_t>(sizeof(std::int64_t));
+      traffic.Add(static_cast<DeviceId>(j), b, b);
     }
+    traffic.EndSender();
   }
-  comm.AllToAllBytes(bytes, Phase::kSample);
+  comm.ChargeAllToAll(traffic, Phase::kSample);
   if (depth > 1) ctx.EndPipelinedStep();
 }
 
@@ -181,7 +186,7 @@ TEST(ScaleParityTest, AnalyticTwinsChargeBitIdenticalSecondsAndBytes) {
         const Geometry g = DrawGeometry(rng, cluster.num_devices());
 
         SimContext real_ctx(cluster);
-        SimContext shape_ctx(cluster, SimOptions{ScaleMode::kScale});
+        SimContext shape_ctx(cluster);
         Communicator real(real_ctx);
         Communicator shape(shape_ctx);
         for (Communicator* c : {&real, &shape}) {
@@ -196,23 +201,31 @@ TEST(ScaleParityTest, AnalyticTwinsChargeBitIdenticalSecondsAndBytes) {
   }
 }
 
-// Scale mode parallelizes the per-device clock advance of barriers and
-// collective charging once the device count crosses its threshold (64). The
-// parallel path must be bit-identical to the serial scale-off path: per-device
-// FP sequences are unchanged, only the loop over devices is distributed.
+// From 64 devices on, the per-device clock commits of barriers and
+// collective charging fan out over the fork-join pool
+// (SimContext::ParallelCommit). The fan-out must be bit-identical to the
+// same context run on one lane: per-device FP sequences are unchanged, only
+// the loop over devices is distributed.
 TEST(ScaleParityTest, ParallelClockAdvanceIsBitIdenticalAt64Devices) {
   const ClusterSpec cluster = MultiMachineCluster(16, 4);  // 64 devices
   Rng rng(4242);
   const Geometry g = DrawGeometry(rng, cluster.num_devices());
-  SimContext serial_ctx(cluster);  // scale off -> serial advance
-  SimContext parallel_ctx(cluster, SimOptions{ScaleMode::kScale});
+  SimContext serial_ctx(cluster);
+  SimContext parallel_ctx(cluster);
+  ASSERT_TRUE(parallel_ctx.ParallelCommit());
   Communicator serial(serial_ctx);
   Communicator parallel(parallel_ctx);
   for (int round = 0; round < 3; ++round) {
-    RunAnalytic(serial_ctx, serial, g, /*depth=*/1);
+    {
+      ScopedParallelismLimit one_lane(1);
+      RunAnalytic(serial_ctx, serial, g, /*depth=*/1);
+    }
     RunAnalytic(parallel_ctx, parallel, g, /*depth=*/1);
   }
-  serial_ctx.BarrierAll(Phase::kTrain);
+  {
+    ScopedParallelismLimit one_lane(1);
+    serial_ctx.BarrierAll(Phase::kTrain);
+  }
   parallel_ctx.BarrierAll(Phase::kTrain);
   ExpectBitIdentical(serial_ctx, parallel_ctx);
 }
@@ -231,7 +244,7 @@ TEST(ScaleParityTest, CollectiveFaultThresholdFiresIdenticallyOnAnalyticPath) {
     plan.collectives.push_back({/*after_bytes=*/64});
 
     SimContext real_ctx(cluster);
-    SimContext shape_ctx(cluster, SimOptions{ScaleMode::kScale});
+    SimContext shape_ctx(cluster);
     real_ctx.InstallFaults(plan);
     shape_ctx.InstallFaults(plan);
     Communicator real(real_ctx);

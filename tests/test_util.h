@@ -80,7 +80,7 @@ inline std::unique_ptr<ParallelTrainer> MakeTrainer(
 }
 
 /// As MakeTrainer, but driven by a fully caller-specified EngineOptions —
-/// the scale-mode suites tweak sim options / sampling periods / step caps
+/// the sampled-execution suites tweak sampling periods / step caps
 /// that the positional MakeTrainer signature doesn't expose. The model is
 /// derived the same way (Sage, hidden 16 unless overridden).
 inline std::unique_ptr<ParallelTrainer> MakeTrainerWithOptions(

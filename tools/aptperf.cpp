@@ -143,7 +143,7 @@ void WriteCsv(std::ostream& os, const TraceSet& set, bool all_tracks) {
       row("steps/p95_s", a.steps.p95_s);
       row("steps/p99_s", a.steps.p99_s);
       // Count, not seconds: > 0 marks the track's model-quality metrics as
-      // extrapolated from probe steps (scale mode).
+      // extrapolated from probe steps (sampled execution).
       row("steps/fast_forwarded", static_cast<double>(a.steps_fast_forwarded));
     }
     if (a.serve.Any()) {
