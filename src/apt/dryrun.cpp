@@ -174,7 +174,6 @@ DryRunResult DryRun(const Dataset& dataset, const ClusterSpec& cluster,
   auto& dnp = res.per_strategy[static_cast<std::size_t>(Strategy::kDNP)];
 
   // ---- Pass 2 (chunked): GDP + NFP volumes. ---------------------------------
-  const std::int64_t slice = std::max<std::int64_t>(1, d / c);
   SamplingEpoch(dataset, opts, partition, c, SeedAssignment::kChunked,
                 [&](std::int64_t, const std::vector<SampledBatch>& batches) {
     std::int64_t nfp_graph_bytes = 0;
@@ -203,13 +202,16 @@ DryRunResult DryRun(const Dataset& dataset, const ClusterSpec& cluster,
       // NFP: graph broadcast + every device loads its slice of this graph.
       nfp_graph_bytes += b0.bytes();
       for (std::int32_t g = 0; g < c; ++g) {
+        // The executor's column slice of device g: uneven splits give the
+        // first d % c devices one more column, devices past d none.
+        const auto [lo, hi] = DimSlice(d, c, g);
         const LoadVolume nfp_step =
             stores[static_cast<std::size_t>(Strategy::kNFP)]->CountGather(
-                g, b0.src_nodes, 0, slice);
+                g, b0.src_nodes, lo, hi);
         nfp.load[static_cast<std::size_t>(g)].Add(nfp_step);
         nfp_step_vol[static_cast<std::size_t>(g)].Add(nfp_step);
         nfp_transient[static_cast<std::size_t>(g)] +=
-            b0.num_src() * slice * kF +
+            b0.num_src() * (hi - lo) * kF +
             (gat ? b0.num_src() * d1 * kF : b0.num_dst * d1 * kF);
       }
       // NFP hidden shuffle rows (fwd reduce + bwd broadcast).

@@ -13,10 +13,15 @@
 // its weight-slice gradient. This is the "extra communication" and
 // "intermediate tensors exceed GPU memory" behaviour of Fig 10.
 //
-// The simulator charges the c x c partials (transient memory and one ring
-// allreduce per origin); the host adds each partial into its origin's sum in
-// device order, the Axpy sequence AllReduceSum runs, and forms weight
-// gradients with one full-width GEMM per origin. Both are bit-identical.
+// The simulator charges every device's slice gather, flops and the c x c
+// partials (transient memory and one ring allreduce per origin). The host
+// never builds those partials. Each device gathers its columns straight into
+// one full-width buffer; each origin is aggregated once at full width (the
+// mean is element-wise, so its columns are the slice results); one fused
+// GEMM per origin (SliceSumMatmul) forms each device's partial in an L1
+// scratch and adds it into the origin's sum in device order, the Axpy
+// sequence AllReduceSum runs; weight gradients take one full-width GEMM per
+// origin. All of it is bit-identical to the per-device formulation.
 //
 // Pipelined execution (EngineOptions::pipeline_depth > 1): the graph
 // AllBroadcast, the dimension-slice feature gathers (kLoad) and the partial
@@ -27,27 +32,11 @@
 #include "engine/executor.h"
 #include "obs/trace.h"
 #include "tensor/ops.h"
+#include "tensor/segment_ops.h"
 
 namespace apt {
 
 namespace {
-
-/// Row range [lo, hi) of the feature dimension owned by dev.
-std::pair<std::int64_t, std::int64_t> DimSlice(std::int64_t dim, std::int32_t num_devices,
-                                               DeviceId dev) {
-  const std::int64_t base = dim / num_devices;
-  const std::int64_t extra = dim % num_devices;
-  const std::int64_t lo = dev * base + std::min<std::int64_t>(dev, extra);
-  const std::int64_t hi = lo + base + (dev < extra ? 1 : 0);
-  return {lo, hi};
-}
-
-/// Copies rows [lo, lo + rows) of `t` into a contiguous tensor.
-Tensor Rows(const Tensor& t, std::int64_t lo, std::int64_t rows) {
-  Tensor out(rows, t.cols());
-  std::copy_n(t.row(lo), rows * t.cols(), out.data());
-  return out;
-}
 
 /// Adds rows [lo, hi) of `full` into the same rows of grad.
 void AddRowBlock(Tensor& grad, const Tensor& full, std::int64_t lo, std::int64_t hi) {
@@ -55,13 +44,6 @@ void AddRowBlock(Tensor& grad, const Tensor& full, std::int64_t lo, std::int64_t
     float* dst = grad.row(r);
     const float* src = full.row(r);
     for (std::int64_t j = 0; j < full.cols(); ++j) dst[j] += src[j];
-  }
-}
-
-/// Writes `slice` into columns [lo, lo + slice.cols()) of dst.
-void SetColumns(Tensor& dst, std::int64_t lo, const Tensor& slice) {
-  for (std::int64_t r = 0; r < slice.rows(); ++r) {
-    std::copy_n(slice.row(r), slice.cols(), dst.row(r) + lo);
   }
 }
 
@@ -75,62 +57,82 @@ std::vector<Block> BroadcastLayer1Graphs(EngineCtx& ctx,
       std::move(block0s), [](const Block& b) { return b.bytes(); }, Phase::kSample);
 }
 
-/// Layer-1 partials of every origin from every device's dimension slice.
-/// Device g gathers columns [lo, hi) of all origins' sources in one batch;
-/// partial_fn(g, lo, hi) returns its per-origin step (o, h, flops) -> partial.
-/// Partials are summed per origin in device order (AllReduceSum's Axpy
-/// order). Each device is charged its flops and a transient holding its
-/// gathered slice plus all c partials, as if it kept them for the allreduce.
-template <typename PartialFn>
-std::vector<Tensor> SlicePartials(EngineCtx& ctx, const std::vector<Block>& all0,
-                                  const PartialFn& partial_fn) {
+/// Row where each origin's sources start in the origin-stacked h_all.
+std::vector<std::int64_t> SourceRows(const std::vector<Block>& all0) {
+  std::vector<std::int64_t> first;
+  std::int64_t rows = 0;
+  for (const Block& b : all0) {
+    first.push_back(rows);
+    rows += b.num_src();
+  }
+  return first;
+}
+
+/// The NFP column slices of the feature dimension as SliceSumMatmul bounds.
+std::vector<std::int64_t> SliceBounds(std::int64_t dim, std::int32_t c) {
+  std::vector<std::int64_t> bounds{0};
+  for (DeviceId g = 0; g < c; ++g) bounds.push_back(DimSlice(dim, c, g).second);
+  return bounds;
+}
+
+/// Layer-1 inputs of every origin, stacked in origin order at full width.
+/// Device g gathers columns [lo, hi) of all origins' sources in one batch,
+/// straight into those columns, in device order. Right after its gather each
+/// device is charged its slice's flops, slice_flops(b, hi - lo) summed over
+/// the origins with destinations, and a transient holding its gathered slice
+/// plus those origins' partials (partial_rows(b) x out_dim each), as if it
+/// kept them for the allreduce.
+template <typename SliceFlops, typename PartialRows>
+Tensor GatherSlices(EngineCtx& ctx, const std::vector<Block>& all0, std::int64_t out_dim,
+                    const SliceFlops& slice_flops, const PartialRows& partial_rows) {
   const std::int32_t c = ctx.num_devices();
-  std::vector<Tensor> sums(all0.size());
+  constexpr std::int64_t kF = sizeof(float);
   std::vector<NodeId> nodes;
   for (const Block& b : all0) nodes.insert(nodes.end(), b.src_nodes.begin(), b.src_nodes.end());
+  const auto rows = static_cast<std::int64_t>(nodes.size());
+  Tensor h_all(rows, ctx.feature_dim());
   for (DeviceId g = 0; g < c; ++g) {
     const auto [lo, hi] = DimSlice(ctx.feature_dim(), c, g);
-    Tensor h_all(static_cast<std::int64_t>(nodes.size()), hi - lo);
-    if (!nodes.empty()) ctx.store->Gather(g, nodes, lo, hi, h_all);
-    const auto partial = partial_fn(g, lo, hi);
-    std::int64_t transient = h_all.bytes();
-    std::int64_t first = 0;  // origin o's first row in h_all
+    if (!nodes.empty()) ctx.store->Gather(g, nodes, lo, hi, h_all, lo);
+    std::int64_t transient = rows * (hi - lo) * kF;
     double flops = 0.0;
-    for (std::size_t o = 0; o < all0.size(); first += all0[o].num_src(), ++o) {
-      if (all0[o].num_dst == 0) continue;
-      Tensor part = partial(o, Rows(h_all, first, all0[o].num_src()), flops);
-      transient += part.bytes();
-      if (g == 0) {
-        sums[o] = std::move(part);
-      } else {
-        Axpy(1.0f, part, sums[o]);
-      }
+    for (const Block& b : all0) {
+      if (b.num_dst == 0) continue;
+      flops += slice_flops(b, hi - lo);
+      transient += partial_rows(b) * out_dim * kF;
     }
     ctx.sim->ChargeCompute(g, flops);
     ctx.sim->NoteTransient(g, transient);
   }
-  return sums;
+  return h_all;
 }
 
-/// Layer-1 weight gradients of the dimension slices. For each saved input k
-/// one full-width GEMM per origin forms saved_k[o]^T grads[o]; device g adds
-/// its row block [lo, hi) into grad_of(g, k), origin after origin. Each
-/// device is then charged its slices' flops, in device order.
-template <typename GradOf>
-void SliceWeightGrads(EngineCtx& ctx, const std::vector<Tensor>& grads,
-                      const std::vector<const std::vector<Tensor>*>& saved,
-                      const GradOf& grad_of) {
+/// Origin o's rows of a saved layer-1 input: rows [row0, row0 + n) of *t.
+struct SavedRows {
+  const Tensor* t;
+  std::int64_t row0;
+};
+
+/// Layer-1 weight gradients of the dimension slices. For each of the
+/// num_saved inputs k one full-width GEMM per origin forms
+/// saved_of(k, o)^T grads[o]; device g adds its row block [lo, hi) into
+/// grad_of(g, k), origin after origin. Each device is then charged its
+/// slices' flops, in device order.
+template <typename SavedOf, typename GradOf>
+void SliceWeightGrads(EngineCtx& ctx, const std::vector<Tensor>& grads, std::size_t num_saved,
+                      const SavedOf& saved_of, const GradOf& grad_of) {
   const std::int32_t c = ctx.num_devices();
   const std::int64_t d = ctx.feature_dim();
   const std::int64_t out_dim = ctx.model(0).layer(0).out_dim();
-  const double gemm_flops = 2.0 * static_cast<double>(saved.size());
+  const double gemm_flops = 2.0 * static_cast<double>(num_saved);
   std::vector<double> flops(static_cast<std::size_t>(c), 0.0);
+  Tensor gw(d, out_dim);
   for (std::size_t o = 0; o < grads.size(); ++o) {
     const Tensor& go = grads[o];
     if (go.rows() == 0) continue;
-    for (std::size_t k = 0; k < saved.size(); ++k) {
-      Tensor gw(d, out_dim);
-      MatmulTN((*saved[k])[o], go, gw);
+    for (std::size_t k = 0; k < num_saved; ++k) {
+      const SavedRows saved = saved_of(k, o);
+      MatmulTN(*saved.t, saved.row0, go, gw);
       for (DeviceId g = 0; g < c; ++g) {
         const auto [lo, hi] = DimSlice(d, c, g);
         AddRowBlock(grad_of(g, k), gw, lo, hi);
@@ -173,31 +175,36 @@ StepStats NfpExecutor::StepSage(std::vector<DeviceBatch>& batches, StepStats agg
   const std::vector<Block> all0 = BroadcastLayer1Graphs(*ctx_, batches);
 
   stage.Next("execute");
-  // Execute: each device computes dimension-sliced partials for ALL graphs.
-  // saved_agg[o] / saved_self[o] hold origin o's full-width aggregate and
-  // self rows for the weight-gradient pass; device g fills columns [lo, hi).
-  std::vector<Tensor> saved_agg(uc), saved_self(uc);
-  for (std::size_t o = 0; o < uc; ++o) saved_agg[o] = saved_self[o] = Tensor(all0[o].num_dst, d);
-  std::vector<Tensor> raw0 = SlicePartials(*ctx_, all0, [&](DeviceId g, std::int64_t lo,
-                                                            std::int64_t hi) {
+  // Execute: each device gathers its dimension slice of ALL graphs' inputs.
+  // The host then aggregates each origin at full width and sums the c slice
+  // partials with one fused GEMM per origin: saved_agg[o] and the self rows
+  // in h_all feed the weight-gradient pass.
+  const std::int64_t out = ctx_->model(0).layer(0).out_dim();
+  const std::vector<std::int64_t> first = SourceRows(all0);
+  const Tensor h_all = GatherSlices(
+      *ctx_, all0, out,
+      [out](const Block& b, std::int64_t w) {
+        return 4.0 * static_cast<double>(b.num_dst) * w * out +
+               2.0 * static_cast<double>(b.num_edges()) * w;
+      },
+      [](const Block& b) { return b.num_dst; });
+  std::vector<const Tensor*> w_neigh(uc), w_self(uc);
+  for (DeviceId g = 0; g < c; ++g) {
     auto& sage = dynamic_cast<SageLayer&>(ctx_->model(g).layer(0));
-    return [&, lo, hi, out = sage.out_dim(), w_neigh = Rows(sage.w_neigh().value, lo, hi - lo),
-            w_self = Rows(sage.w_self().value, lo, hi - lo)](std::size_t o, const Tensor& h,
-                                                              double& flops) {
-      const Block& b = all0[o];
-      Tensor aggd(b.num_dst, hi - lo);
-      SpmmMean(b.csr(), h, aggd);
-      const Tensor self = Rows(h, 0, b.num_dst);
-      Tensor part(b.num_dst, out);
-      Matmul(aggd, w_neigh, part);
-      Matmul(self, w_self, part, 1.0f, 1.0f);
-      flops += 4.0 * static_cast<double>(b.num_dst) * (hi - lo) * out +
-               2.0 * static_cast<double>(b.num_edges()) * (hi - lo);
-      SetColumns(saved_agg[o], lo, aggd);
-      SetColumns(saved_self[o], lo, self);
-      return part;
-    };
-  });
+    w_neigh[static_cast<std::size_t>(g)] = &sage.w_neigh().value;
+    w_self[static_cast<std::size_t>(g)] = &sage.w_self().value;
+  }
+  const std::vector<std::int64_t> bounds = SliceBounds(d, c);
+  std::vector<Tensor> saved_agg(uc), raw0(uc);
+  for (std::size_t o = 0; o < uc; ++o) {
+    const Block& b = all0[o];
+    if (b.num_dst == 0) continue;
+    saved_agg[o] = Tensor(b.num_dst, d);
+    SpmmMean(b.csr(), h_all, first[o], saved_agg[o]);
+    raw0[o] = Tensor(b.num_dst, out);
+    const SliceTerm terms[] = {{&saved_agg[o], 0, w_neigh}, {&h_all, first[o], w_self}};
+    SliceSumMatmul(terms, bounds, raw0[o]);
+  }
 
   stage.Next("reshuffle");
   // Reshuffle (forward): SparseAllreduce per origin; raw0 already holds the sums.
@@ -217,6 +224,7 @@ StepStats NfpExecutor::StepSage(std::vector<DeviceBatch>& batches, StepStats agg
     const auto& blocks = batch.sample.blocks;
     ModelTape tape;
     const Tensor logits = ctx_->model(o).ForwardFrom(1, blocks, r0, &tape);
+    r0 = Tensor();  // ForwardFrom keeps its own copy: free the sum before backward
     Tensor grad_logits;
     const StepStats s = SeedLossAndGrad(*ctx_, o, batch, logits, agg.num_seeds, grad_logits);
     grad_raw0[static_cast<std::size_t>(o)] =
@@ -236,11 +244,15 @@ StepStats NfpExecutor::StepSage(std::vector<DeviceBatch>& batches, StepStats agg
       ctx_->comm->AllBroadcastTensors(grad_raw0, Phase::kTrain);
 
   stage.Next("execute");
-  SliceWeightGrads(*ctx_, all_grad, {&saved_agg, &saved_self},
-                   [&](DeviceId g, std::size_t k) -> Tensor& {
-                     auto& sage = dynamic_cast<SageLayer&>(ctx_->model(g).layer(0));
-                     return k == 0 ? sage.w_neigh().grad : sage.w_self().grad;
-                   });
+  SliceWeightGrads(
+      *ctx_, all_grad, 2,
+      [&](std::size_t k, std::size_t o) {
+        return k == 0 ? SavedRows{&saved_agg[o], 0} : SavedRows{&h_all, first[o]};
+      },
+      [&](DeviceId g, std::size_t k) -> Tensor& {
+        auto& sage = dynamic_cast<SageLayer&>(ctx_->model(g).layer(0));
+        return k == 0 ? sage.w_neigh().grad : sage.w_self().grad;
+      });
   return agg;
 }
 
@@ -255,22 +267,30 @@ StepStats NfpExecutor::StepGat(std::vector<DeviceBatch>& batches, StepStats agg)
   stage.Next("execute");
   // Partial projections z from each dimension slice, for all graphs. Every
   // device holds z for EVERY graph's full source set: the memory blowup the
-  // paper observes for NFP + attention at large hidden dims. saved_h[o] holds
-  // origin o's full-width sources; device g fills columns [lo, hi).
-  std::vector<Tensor> saved_h(uc);
-  for (std::size_t o = 0; o < uc; ++o) saved_h[o] = Tensor(all0[o].num_src(), d);
-  std::vector<Tensor> z_full = SlicePartials(*ctx_, all0, [&](DeviceId g, std::int64_t lo,
-                                                              std::int64_t hi) {
-    auto& gat = dynamic_cast<GatLayer&>(ctx_->model(g).layer(0));
-    return [&, lo, hi, out = gat.out_dim(), w = Rows(gat.w().value, lo, hi - lo)](
-               std::size_t o, const Tensor& h, double& flops) {
-      Tensor z(h.rows(), out);
-      Matmul(h, w, z);
-      flops += 2.0 * static_cast<double>(h.rows()) * (hi - lo) * out;
-      SetColumns(saved_h[o], lo, h);
-      return z;
-    };
-  });
+  // paper observes for NFP + attention at large hidden dims. The host sums
+  // the c slice partials with one fused GEMM per origin; h_all keeps the
+  // full-width sources for the weight-gradient pass.
+  const std::int64_t out = ctx_->model(0).layer(0).out_dim();
+  const std::vector<std::int64_t> first = SourceRows(all0);
+  const Tensor h_all = GatherSlices(
+      *ctx_, all0, out,
+      [out](const Block& b, std::int64_t w) {
+        return 2.0 * static_cast<double>(b.num_src()) * w * out;
+      },
+      [](const Block& b) { return b.num_src(); });
+  std::vector<const Tensor*> w(uc);
+  for (DeviceId g = 0; g < c; ++g) {
+    w[static_cast<std::size_t>(g)] =
+        &dynamic_cast<GatLayer&>(ctx_->model(g).layer(0)).w().value;
+  }
+  const std::vector<std::int64_t> bounds = SliceBounds(d, c);
+  std::vector<Tensor> z_full(uc);
+  for (std::size_t o = 0; o < uc; ++o) {
+    if (all0[o].num_dst == 0) continue;
+    z_full[o] = Tensor(all0[o].num_src(), out);
+    const SliceTerm term{&h_all, first[o], w};
+    SliceSumMatmul({&term, 1}, bounds, z_full[o]);
+  }
 
   stage.Next("reshuffle");
   // Allreduce partial projections per origin; z_full already holds the sums.
@@ -309,9 +329,12 @@ StepStats NfpExecutor::StepGat(std::vector<DeviceBatch>& batches, StepStats agg)
   const std::vector<Tensor> all_grad_z =
       ctx_->comm->AllBroadcastTensors(grad_z, Phase::kTrain);
   stage.Next("execute");
-  SliceWeightGrads(*ctx_, all_grad_z, {&saved_h}, [&](DeviceId g, std::size_t) -> Tensor& {
-    return dynamic_cast<GatLayer&>(ctx_->model(g).layer(0)).w().grad;
-  });
+  SliceWeightGrads(
+      *ctx_, all_grad_z, 1,
+      [&](std::size_t, std::size_t o) { return SavedRows{&h_all, first[o]}; },
+      [&](DeviceId g, std::size_t) -> Tensor& {
+        return dynamic_cast<GatLayer&>(ctx_->model(g).layer(0)).w().grad;
+      });
   return agg;
 }
 

@@ -237,10 +237,18 @@ double FeatureStore::LoadSeconds(DeviceId dev, const LoadVolume& volume) const {
 
 LoadVolume FeatureStore::Gather(DeviceId dev, std::span<const NodeId> nodes,
                                 std::int64_t col_lo, std::int64_t col_hi, Tensor& out) {
-  APT_CHECK_EQ(out.rows(), static_cast<std::int64_t>(nodes.size()));
   APT_CHECK_EQ(out.cols(), col_hi - col_lo);
+  return Gather(dev, nodes, col_lo, col_hi, out, 0);
+}
+
+LoadVolume FeatureStore::Gather(DeviceId dev, std::span<const NodeId> nodes,
+                                std::int64_t col_lo, std::int64_t col_hi, Tensor& out,
+                                std::int64_t out_col) {
+  APT_CHECK_EQ(out.rows(), static_cast<std::int64_t>(nodes.size()));
   const LoadVolume vol = CountGather(dev, nodes, col_lo, col_hi);
   const std::int64_t width = col_hi - col_lo;
+  APT_CHECK(out_col >= 0 && out_col + width <= out.cols())
+      << "columns [" << out_col << ", " << out_col + width << ") of " << out.cols();
   if (procedural_) {
     // Generate each requested row on the fly. The FULL row is generated and
     // (under a lossy codec) rounded before slicing: bf16/int8 round per
@@ -259,7 +267,7 @@ LoadVolume FeatureStore::Gather(DeviceId dev, std::span<const NodeId> nodes,
                             r[col] = ProceduralFeature(procedural_seed_, v, col);
                           }
                           if (lossy) CodecRoundRows(storage_codec_, row_buf);
-                          std::copy_n(r + col_lo, width, out.row(i));
+                          std::copy_n(r + col_lo, width, out.row(i) + out_col);
                         }
                       });
   } else {
@@ -269,7 +277,7 @@ LoadVolume FeatureStore::Gather(DeviceId dev, std::span<const NodeId> nodes,
     // The row copies are independent; this is the memory-bound half of T_load.
     ParallelFor(0, static_cast<std::int64_t>(nodes.size()), [&](std::int64_t i) {
       const float* src = src_tensor.row(nodes[static_cast<std::size_t>(i)]) + col_lo;
-      std::copy_n(src, width, out.row(i));
+      std::copy_n(src, width, out.row(i) + out_col);
     }, std::max<std::int64_t>(1, 16384 / std::max<std::int64_t>(1, width)));
   }
   GatherMetrics& metrics = FeatureMetrics();

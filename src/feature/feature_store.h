@@ -121,6 +121,12 @@ class FeatureStore {
   LoadVolume Gather(DeviceId dev, std::span<const NodeId> nodes, std::int64_t col_lo,
                     std::int64_t col_hi, Tensor& out);
 
+  /// The same gather, charge and counters, but the columns land in columns
+  /// [out_col, out_col + col_hi - col_lo) of a wider `out` (nodes.size()
+  /// rows), so per-device slices can fill one full-width buffer.
+  LoadVolume Gather(DeviceId dev, std::span<const NodeId> nodes, std::int64_t col_lo,
+                    std::int64_t col_hi, Tensor& out, std::int64_t out_col);
+
   /// Volume-only variant used by dry-run: classifies tiers and charges
   /// nothing, copies nothing.
   LoadVolume CountGather(DeviceId dev, std::span<const NodeId> nodes,

@@ -142,11 +142,13 @@ inline void GemmRowBlockImpl(const float* a, std::int64_t lda, const float* b,
   }
 }
 
+// Row block of C = A B where A's rows are `lda` floats apart (lda >= k), so
+// A may be a column slice of a wider matrix.
 APT_GEMM_CLONES
-void GemmRowBlockNN(const float* a, const float* b, std::int64_t n, float* c,
-                    std::int64_t k, std::int64_t lo, std::int64_t hi,
-                    float alpha, float beta) {
-  GemmRowBlockImpl<false>(a, k, b, n, c, k, lo, hi, alpha, beta);
+void GemmRowBlockNN(const float* a, std::int64_t lda, const float* b,
+                    std::int64_t n, float* c, std::int64_t k, std::int64_t lo,
+                    std::int64_t hi, float alpha, float beta) {
+  GemmRowBlockImpl<false>(a, lda, b, n, c, k, lo, hi, alpha, beta);
 }
 
 APT_GEMM_CLONES
@@ -193,6 +195,21 @@ void GemmRowBlockNT(const float* ap, const float* bp, float* cp,
 
 #pragma GCC diagnostic pop
 
+// C = A^T B where `ap` points at k rows of an [., m] matrix.
+void MatmulTNRows(const float* ap, std::int64_t k, std::int64_t m, const Tensor& b,
+                  Tensor& c, float alpha, float beta) {
+  const std::int64_t n = b.cols();
+  APT_CHECK_EQ(b.rows(), k);
+  APT_CHECK_EQ(c.rows(), m);
+  APT_CHECK_EQ(c.cols(), n);
+  if (m == 0 || n == 0) return;
+  const float* bp = b.data();
+  float* cp = c.data();
+  ParallelForChunks(0, m, [&](std::int64_t lo, std::int64_t hi) {
+    GemmRowBlockTN(ap, m, bp, n, cp, k, lo, hi, alpha, beta);
+  }, RowGrain(k + n));
+}
+
 }  // namespace
 
 void Matmul(const Tensor& a, const Tensor& b, Tensor& c, float alpha, float beta) {
@@ -205,23 +222,19 @@ void Matmul(const Tensor& a, const Tensor& b, Tensor& c, float alpha, float beta
   const float* bp = b.data();
   float* cp = c.data();
   ParallelForChunks(0, m, [&](std::int64_t lo, std::int64_t hi) {
-    GemmRowBlockNN(ap, bp, n, cp, k, lo, hi, alpha, beta);
+    GemmRowBlockNN(ap, k, bp, n, cp, k, lo, hi, alpha, beta);
   }, RowGrain(k + n));
 }
 
 void MatmulTN(const Tensor& a, const Tensor& b, Tensor& c, float alpha, float beta) {
   // A is [k, m]; C = A^T B is [m, n].
-  const std::int64_t k = a.rows(), m = a.cols(), n = b.cols();
-  APT_CHECK_EQ(b.rows(), k);
-  APT_CHECK_EQ(c.rows(), m);
-  APT_CHECK_EQ(c.cols(), n);
-  if (m == 0 || n == 0) return;
-  const float* ap = a.data();
-  const float* bp = b.data();
-  float* cp = c.data();
-  ParallelForChunks(0, m, [&](std::int64_t lo, std::int64_t hi) {
-    GemmRowBlockTN(ap, m, bp, n, cp, k, lo, hi, alpha, beta);
-  }, RowGrain(k + n));
+  MatmulTNRows(a.data(), a.rows(), a.cols(), b, c, alpha, beta);
+}
+
+void MatmulTN(const Tensor& a, std::int64_t a_row0, const Tensor& b, Tensor& c) {
+  APT_CHECK(a_row0 >= 0 && a_row0 + b.rows() <= a.rows())
+      << "rows [" << a_row0 << ", " << a_row0 + b.rows() << ") of " << a.rows();
+  MatmulTNRows(a.data() + a_row0 * a.cols(), b.rows(), a.cols(), b, c, 1.0f, 0.0f);
 }
 
 void SegmentedMatmulTN(const Tensor& a, const Tensor& b,
@@ -247,6 +260,52 @@ void SegmentedMatmulTN(const Tensor& a, const Tensor& b,
                      alpha, s == 0 ? beta : 1.0f);
     }
   }, RowGrain(rows + n));
+}
+
+void SliceSumMatmul(std::span<const SliceTerm> terms,
+                    std::span<const std::int64_t> bounds, Tensor& c) {
+  const std::int64_t m = c.rows(), n = c.cols();
+  APT_CHECK(!terms.empty());
+  APT_CHECK_GE(bounds.size(), 2u);
+  const std::size_t slices = bounds.size() - 1;
+  for (const SliceTerm& t : terms) {
+    APT_CHECK(t.a_row0 >= 0 && t.a_row0 + m <= t.a->rows())
+        << "rows [" << t.a_row0 << ", " << t.a_row0 + m << ") of " << t.a->rows();
+    APT_CHECK(bounds.front() >= 0 && bounds.back() <= t.a->cols());
+    APT_CHECK_EQ(t.b.size(), slices);
+    for (const Tensor* b : t.b) {
+      APT_CHECK_EQ(b->rows(), t.a->cols());
+      APT_CHECK_EQ(b->cols(), n);
+    }
+  }
+  for (std::size_t s = 0; s < slices; ++s) APT_CHECK_LE(bounds[s], bounds[s + 1]);
+  if (m == 0 || n == 0) return;
+  // Rows per block: a 16 KB partial, so it stays in L1 while it is formed
+  // and added into C.
+  const std::int64_t block = std::max(kMr, 4096 / n / kMr * kMr);
+  float* cp = c.data();
+  ParallelForChunks(0, m, [&](std::int64_t lo, std::int64_t hi) {
+    std::vector<float> scratch(static_cast<std::size_t>(std::min(block, hi - lo) * n));
+    for (std::int64_t r0 = lo; r0 < hi; r0 += block) {
+      const std::int64_t rows = std::min(block, hi - r0);
+      float* crows = cp + r0 * n;
+      for (std::size_t s = 0; s < slices; ++s) {
+        // Slice 0 is formed in C itself, as if C = P_0; later slices go
+        // through the scratch and are added in, as Axpy(1, P_s, C) adds.
+        float* out = s == 0 ? crows : scratch.data();
+        const std::int64_t k0 = bounds[s];
+        for (std::size_t t = 0; t < terms.size(); ++t) {
+          const Tensor& a = *terms[t].a;
+          GemmRowBlockNN(a.data() + (terms[t].a_row0 + r0) * a.cols() + k0, a.cols(),
+                         terms[t].b[s]->data() + k0 * n, n, out, bounds[s + 1] - k0, 0,
+                         rows, 1.0f, t == 0 ? 0.0f : 1.0f);
+        }
+        if (s == 0) continue;
+        const float* part = scratch.data();
+        for (std::int64_t i = 0; i < rows * n; ++i) crows[i] += part[i];
+      }
+    }
+  }, RowGrain(bounds.back() - bounds.front() + n));
 }
 
 void MatmulNT(const Tensor& a, const Tensor& b, Tensor& c, float alpha, float beta) {

@@ -5,6 +5,7 @@
 #include <cstdint>
 
 #include "apt/apt_system.h"
+#include "obs/trace.h"
 #include "runtime/parallel_for.h"
 #include "test_util.h"
 
@@ -95,6 +96,63 @@ TEST(DryRunTest, SnpSeesFewerCpuReadsThanGdpWithCache) {
                    .CpuBytes();
   }
   EXPECT_LT(snp_cpu, gdp_cpu);
+}
+
+// The dry-run counts NFP's feature loads with the executor's column slices:
+// at feature dim 30 over 4 devices (8, 8, 7 and 7 columns) every device's
+// estimated load equals what its gathers move in a traced training epoch.
+TEST(DryRunTest, NfpLoadMatchesExecutorGathersOnUnevenSlices) {
+  const Dataset ds = SmallDataset(/*feature_dim=*/30);
+  const ClusterSpec cluster = MultiMachineCluster(2, 2);
+  ModelConfig model;
+  model.kind = ModelKind::kSage;
+  model.num_layers = 2;
+  model.hidden_dim = 16;
+  model.input_dim = ds.feature_dim();
+  model.num_classes = ds.num_classes;
+  EngineOptions opts;
+  opts.strategy = Strategy::kNFP;
+  opts.fanouts = {5, 5};
+  opts.batch_size_per_device = 128;
+  opts.cache_bytes_per_device = 1 << 20;
+  opts.seed_assignment = SeedAssignment::kChunked;
+  MultilevelPartitioner ml;
+  TrainerSetup setup;
+  setup.cluster = cluster;
+  setup.model = model;
+  setup.engine = opts;
+  setup.partition = ml.Partition(ds.graph, cluster.num_devices());
+  const DryRunResult dry = DryRun(ds, cluster, setup.partition, opts, model);
+  setup.cache = dry.caches[static_cast<std::size_t>(Strategy::kNFP)];
+  setup.feature_placement = FeaturePlacementFromPartition(setup.partition, cluster);
+  setup.minibatch_seed = 1234;  // the dry-run's epoch order (MinibatchPlan default)
+  ParallelTrainer trainer(ds, std::move(setup));
+
+  obs::Tracer::Global().Clear();
+  obs::SetTracingEnabled(true);
+  trainer.TrainEpoch(0);
+  obs::SetTracingEnabled(false);
+  std::vector<double> rows(4, 0.0), bytes(4, 0.0);
+  for (const obs::TraceEvent& e : obs::Tracer::Global().Drain()) {
+    if (e.domain != obs::Domain::kSim || std::string(e.name) != "gather") continue;
+    ASSERT_TRUE(e.tid >= 0 && e.tid < 4) << "lane " << e.tid;
+    for (int i = 0; i < e.num_args; ++i) {
+      const std::string key = e.args[static_cast<std::size_t>(i)].key;
+      const double v = e.args[static_cast<std::size_t>(i)].num;
+      if (key == "rows") rows[static_cast<std::size_t>(e.tid)] += v;
+      if (key == "bytes") bytes[static_cast<std::size_t>(e.tid)] += v;
+    }
+  }
+  const StrategyDryRun& nfp = dry.per_strategy[static_cast<std::size_t>(Strategy::kNFP)];
+  for (std::size_t g = 0; g < 4; ++g) {
+    const LoadVolume& est = nfp.load[g];
+    std::int64_t est_rows = 0;
+    for (std::int64_t r : est.rows) est_rows += r;
+    EXPECT_GT(est_rows, 0) << "device " << g;
+    EXPECT_EQ(static_cast<std::int64_t>(rows[g]), est_rows) << "device " << g;
+    EXPECT_EQ(static_cast<std::int64_t>(bytes[g]), est.TotalBytes()) << "device " << g;
+    EXPECT_EQ(est.TotalBytes(), est_rows * (g < 2 ? 8 : 7) * 4) << "device " << g;
+  }
 }
 
 TEST(DryRunTest, Layer0OutDimRules) {

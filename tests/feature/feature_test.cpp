@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <numeric>
 #include <string>
 
@@ -10,6 +11,8 @@
 #include "feature/cache_policy.h"
 #include "feature/feature_store.h"
 #include "graph/generators.h"
+#include "obs/metrics.h"
+#include "tensor/init.h"
 #include "tensor/ops.h"
 
 namespace apt {
@@ -119,6 +122,129 @@ TEST(FeatureStoreTest, CountGatherMatchesGather) {
   }
   EXPECT_EQ(counted.TotalBytes(), 4 * 8 * 4);
   EXPECT_EQ(counted.CpuBytes(), 2 * 8 * 4);
+}
+
+// Column-block gather: each device gathering its column slice straight into
+// one full-width buffer must equal the per-slice gathers concatenated, with
+// identical volumes, device clocks, traffic and feature.* counters. Under
+// int8 both forms round the full row before slicing, so the buffer also
+// equals one full-width gather.
+std::vector<std::int64_t> FeatureCounters() {
+  std::vector<std::int64_t> values;
+  auto& m = obs::Metrics::Global();
+  values.push_back(m.counter("feature.gathers").Get());
+  for (const char* kind : {"rows", "bytes", "wire_bytes"}) {
+    for (int t = 0; t < kNumFeatureTiers; ++t) {
+      values.push_back(m.counter(std::string("feature.") + kind + "." +
+                                 ToString(static_cast<FeatureTier>(t)))
+                           .Get());
+    }
+  }
+  return values;
+}
+
+std::vector<std::int64_t> CounterDelta(const std::vector<std::int64_t>& before) {
+  std::vector<std::int64_t> delta = FeatureCounters();
+  for (std::size_t i = 0; i < delta.size(); ++i) delta[i] -= before[i];
+  return delta;
+}
+
+void ExpectColumnBlockGatherMatchesSlices(bool procedural, Codec codec) {
+  constexpr NodeId kNodes = 64;
+  constexpr std::int64_t kDim = 30;  // 8, 8, 7 and 7 columns over 4 devices
+  const ClusterSpec cluster = MultiMachineCluster(2, 2, /*nvlink=*/true);
+  std::vector<MachineId> placement(static_cast<std::size_t>(kNodes));
+  for (NodeId v = 0; v < kNodes; ++v) placement[static_cast<std::size_t>(v)] = v % 2;
+  Tensor feats(kNodes, kDim);
+  Rng rng(11);
+  UniformInit(feats, rng, -3.0f, 3.0f);
+  Rng node_rng(12);
+  std::vector<NodeId> nodes;
+  for (int i = 0; i < 90; ++i) {
+    nodes.push_back(static_cast<NodeId>(node_rng.NextBelow(kNodes)));  // repeats too
+  }
+  const std::vector<std::vector<NodeId>> caches{{0, 1, 2, 3}, {4, 5}, {}, {6, 7, 8}};
+  auto configure = [&](FeatureStore& store) {
+    store.SetStorageCodec(codec);
+    store.ConfigureCaches(caches, store.CachedRowBytes(kDim / 4));
+  };
+  SimContext sim_slices(cluster), sim_block(cluster);
+  FeatureStore slices = procedural ? FeatureStore(kNodes, kDim, 5, placement, sim_slices)
+                                   : FeatureStore(feats, placement, sim_slices);
+  FeatureStore block = procedural ? FeatureStore(kNodes, kDim, 5, placement, sim_block)
+                                  : FeatureStore(feats, placement, sim_block);
+  configure(slices);
+  configure(block);
+  const auto rows = static_cast<std::int64_t>(nodes.size());
+  const std::int32_t c = cluster.num_devices();
+  auto slice_of = [&](DeviceId g) {
+    const std::int64_t lo = g * (kDim / c) + std::min<std::int64_t>(g, kDim % c);
+    return std::pair{lo, lo + kDim / c + (g < kDim % c ? 1 : 0)};
+  };
+
+  Tensor want(rows, kDim);
+  std::vector<LoadVolume> slice_vols;
+  const std::vector<std::int64_t> before_slices = FeatureCounters();
+  for (DeviceId g = 0; g < c; ++g) {
+    const auto [lo, hi] = slice_of(g);
+    Tensor part(rows, hi - lo);
+    slice_vols.push_back(slices.Gather(g, nodes, lo, hi, part));
+    for (std::int64_t r = 0; r < rows; ++r) std::copy_n(part.row(r), hi - lo, want.row(r) + lo);
+  }
+  const std::vector<std::int64_t> slice_counters = CounterDelta(before_slices);
+
+  Tensor got(rows, kDim);
+  const std::vector<std::int64_t> before_block = FeatureCounters();
+  for (DeviceId g = 0; g < c; ++g) {
+    const auto [lo, hi] = slice_of(g);
+    const LoadVolume vol = block.Gather(g, nodes, lo, hi, got, lo);
+    const LoadVolume& ref = slice_vols[static_cast<std::size_t>(g)];
+    EXPECT_EQ(vol.rows, ref.rows) << "device " << g;
+    EXPECT_EQ(vol.bytes, ref.bytes) << "device " << g;
+    EXPECT_EQ(vol.wire_bytes, ref.wire_bytes) << "device " << g;
+  }
+  EXPECT_EQ(CounterDelta(before_block), slice_counters);
+
+  for (std::int64_t i = 0; i < want.numel(); ++i) {
+    ASSERT_EQ(std::bit_cast<std::uint32_t>(want.data()[i]),
+              std::bit_cast<std::uint32_t>(got.data()[i]))
+        << "element " << i;
+  }
+  for (DeviceId g = 0; g < c; ++g) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(sim_block.Now(g)),
+              std::bit_cast<std::uint64_t>(sim_slices.Now(g)))
+        << "device " << g;
+  }
+  for (TrafficClass t : {TrafficClass::kLocalCpuGpu, TrafficClass::kPeerGpu,
+                         TrafficClass::kCrossMachine}) {
+    EXPECT_EQ(sim_block.TrafficBytes(t), sim_slices.TrafficBytes(t));
+  }
+  Tensor full(rows, kDim);
+  slices.Gather(0, nodes, 0, kDim, full);
+  EXPECT_EQ(MaxAbsDiff(full, got), 0.0f);
+}
+
+TEST(FeatureStoreTest, ColumnBlockGatherMatchesConcatenatedSlices) {
+  for (bool procedural : {false, true}) {
+    for (Codec codec : {Codec::kIdentity, Codec::kInt8}) {
+      SCOPED_TRACE(::testing::Message() << (procedural ? "procedural" : "materialized") << " "
+                                        << ToString(codec));
+      ExpectColumnBlockGatherMatchesSlices(procedural, codec);
+    }
+  }
+}
+
+TEST(FeatureStoreTest, ColumnBlockGatherRejectsColumnsPastTheBuffer) {
+  SimContext sim(SingleMachineCluster(1));
+  const Tensor feats = MakeFeatures(4, 8);
+  FeatureStore store(feats, std::vector<MachineId>(4, 0), sim);
+  store.ConfigureCaches({{}}, 0);
+  Tensor out(1, 8);
+  EXPECT_THROW(store.Gather(0, std::vector<NodeId>{3}, 2, 5, out, 6), Error);
+  EXPECT_THROW(store.Gather(0, std::vector<NodeId>{3}, 2, 5, out, -1), Error);
+  store.Gather(0, std::vector<NodeId>{3}, 2, 5, out, 5);
+  EXPECT_FLOAT_EQ(out(0, 5), 3002.0f);
+  EXPECT_FLOAT_EQ(out(0, 7), 3004.0f);
 }
 
 TEST(FeatureStoreTest, CacheRegistersMemory) {
