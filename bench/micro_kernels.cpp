@@ -135,6 +135,60 @@ void BM_MatmulNT(benchmark::State& state) {
 }
 BENCHMARK(BM_MatmulNT)->Arg(4096);
 
+// GDP-shaped GEMMs: one device's sampled layer in train_fig09 is about
+// 3500 rows x feature/hidden dim 128. Args are (rows, k, n): C[rows, n] =
+// A[rows, k] W[k, n] forward, dW[k, n] = A^T G contracting over the rows,
+// dA[rows, k] = G W^T; n = 24 leaves a column rim past the widest tile.
+void SetGemmRate(benchmark::State& state) {
+  const double flops = 2.0 * static_cast<double>(state.range(0)) *
+                       static_cast<double>(state.range(1)) *
+                       static_cast<double>(state.range(2));
+  SetRate(state, "flops_per_s", flops);
+  SetThreadsCounter(state, EffectiveLanes(0));
+}
+
+void BM_GdpMatmul(benchmark::State& state) {
+  const std::int64_t rows = state.range(0), k = state.range(1), n = state.range(2);
+  const Tensor a = RandTensor(rows, k, 21);
+  const Tensor w = RandTensor(k, n, 22);
+  Tensor c(rows, n);
+  for (auto _ : state) {
+    Matmul(a, w, c);
+    benchmark::DoNotOptimize(c.data());
+    benchmark::ClobberMemory();
+  }
+  SetGemmRate(state);
+}
+BENCHMARK(BM_GdpMatmul)->Args({3500, 128, 128})->Args({3500, 128, 24});
+
+void BM_GdpMatmulTN(benchmark::State& state) {
+  const std::int64_t rows = state.range(0), k = state.range(1), n = state.range(2);
+  const Tensor a = RandTensor(rows, k, 23);
+  const Tensor g = RandTensor(rows, n, 24);
+  Tensor dw(k, n);
+  for (auto _ : state) {
+    MatmulTN(a, g, dw);
+    benchmark::DoNotOptimize(dw.data());
+    benchmark::ClobberMemory();
+  }
+  SetGemmRate(state);
+}
+BENCHMARK(BM_GdpMatmulTN)->Args({3500, 128, 128});
+
+void BM_GdpMatmulNT(benchmark::State& state) {
+  const std::int64_t rows = state.range(0), k = state.range(1), n = state.range(2);
+  const Tensor g = RandTensor(rows, n, 25);
+  const Tensor w = RandTensor(k, n, 26);
+  Tensor da(rows, k);
+  for (auto _ : state) {
+    MatmulNT(g, w, da);
+    benchmark::DoNotOptimize(da.data());
+    benchmark::ClobberMemory();
+  }
+  SetGemmRate(state);
+}
+BENCHMARK(BM_GdpMatmulNT)->Args({3500, 128, 128});
+
 struct SpmmFixture {
   std::vector<std::int64_t> indptr;
   std::vector<std::int64_t> col;

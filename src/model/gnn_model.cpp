@@ -50,32 +50,43 @@ Tensor GnnModel::ForwardFrom(int first_layer, std::span<const Block> blocks,
     tape->layer_ctx.resize(static_cast<std::size_t>(num_layers()));
     tape->pre_activation.resize(static_cast<std::size_t>(num_layers()));
   }
-  Tensor h = input;
+  // A layer-0 start reads `input` in place; the entry activation below
+  // rounds its operand, so a later start copies it once.
+  const Tensor* x = &input;
+  Tensor h;
   for (int k = first_layer; k < num_layers(); ++k) {
     if (k >= 1) {
+      Tensor raw;
+      if (k == first_layer) {
+        raw = input;
+      } else {
+        raw = std::move(h);
+      }
       // Quantized boundary: round the layer-0 raw output ONCE at layer 1's
       // entry, before it is saved or activated. Every strategy funnels
       // through this point with the same row values, so the rounded tensor
       // is identical across strategies.
-      if (k == 1) CodecRoundRows(boundary_codec_, h);
+      if (k == 1) CodecRoundRows(boundary_codec_, raw);
       // Entry activation: ReLU on the previous layer's raw output. Save the
       // raw values for the backward pass.
+      h = Tensor(raw.rows(), raw.cols());
+      Relu(raw, h);
       if (tape != nullptr) {
-        tape->pre_activation[static_cast<std::size_t>(k)] = h;
+        tape->pre_activation[static_cast<std::size_t>(k)] = std::move(raw);
       }
-      Tensor activated(h.rows(), h.cols());
-      Relu(h, activated);
-      h = std::move(activated);
+      x = &h;
     }
     const Block& b = blocks[static_cast<std::size_t>(k)];
-    APT_CHECK_EQ(h.rows(), b.num_src()) << "layer " << k << " input rows";
+    APT_CHECK_EQ(x->rows(), b.num_src()) << "layer " << k << " input rows";
     std::unique_ptr<LayerContext> ctx;
     h = layers_[static_cast<std::size_t>(k)]->Forward(
-        b.csr(), b.num_dst, h, tape != nullptr ? &ctx : nullptr);
+        b.csr(), b.num_dst, *x, tape != nullptr ? &ctx : nullptr);
+    x = &h;
     if (tape != nullptr) {
       tape->layer_ctx[static_cast<std::size_t>(k)] = std::move(ctx);
     }
   }
+  if (x == &input) return input;  // no layer ran: the identity case
   return h;
 }
 

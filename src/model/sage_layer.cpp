@@ -12,8 +12,9 @@ namespace apt {
 namespace {
 
 struct SageContext final : LayerContext {
-  Tensor input;  ///< [num_src, in_dim]
-  Tensor agg;    ///< [num_dst, in_dim] mean-aggregated neighbors
+  Tensor self;               ///< [num_dst, in_dim] the input's dst prefix rows
+  Tensor agg;                ///< [num_dst, in_dim] mean-aggregated neighbors
+  std::int64_t num_src = 0;  ///< input rows (the input gradient's shape)
 };
 
 }  // namespace
@@ -37,15 +38,16 @@ Tensor SageLayer::Forward(const CsrView& csr, std::int64_t num_dst, const Tensor
   SpmmMean(csr, input, ctx->agg);
 
   Tensor out(num_dst, out_dim_);
-  // Self term: only the dst prefix of the input participates.
-  Tensor self_rows(num_dst, in_dim_);
-  std::copy_n(input.data(), num_dst * in_dim_, self_rows.data());
-  Matmul(self_rows, w_self_.value, out);
+  // Self term: only the dst prefix of the input participates, so only
+  // those rows are saved for backward.
+  Matmul(input, 0, w_self_.value, out);
   Matmul(ctx->agg, w_neigh_.value, out, 1.0f, 1.0f);
   AddBiasRows(out, bias_.value);
 
   if (saved != nullptr) {
-    ctx->input = input;
+    ctx->self = Tensor(num_dst, in_dim_);
+    std::copy_n(input.data(), num_dst * in_dim_, ctx->self.data());
+    ctx->num_src = input.rows();
     *saved = std::move(ctx);
   }
   return out;
@@ -57,12 +59,10 @@ Tensor SageLayer::Backward(const CsrView& csr, std::int64_t num_dst,
   const auto& ctx = dynamic_cast<const SageContext&>(saved);
   APT_CHECK_EQ(grad_out.rows(), num_dst);
   APT_CHECK_EQ(grad_out.cols(), out_dim_);
-  const std::int64_t num_src = ctx.input.rows();
+  const std::int64_t num_src = ctx.num_src;
 
   // Parameter grads.
-  Tensor self_rows(num_dst, in_dim_);
-  std::copy_n(ctx.input.data(), num_dst * in_dim_, self_rows.data());
-  MatmulTN(self_rows, grad_out, w_self_.grad, 1.0f, 1.0f);
+  MatmulTN(ctx.self, grad_out, w_self_.grad, 1.0f, 1.0f);
   MatmulTN(ctx.agg, grad_out, w_neigh_.grad, 1.0f, 1.0f);
   Tensor gb(1, out_dim_);
   BiasGradRows(grad_out, gb);
@@ -89,9 +89,10 @@ Tensor SageLayer::Backward(const CsrView& csr, std::int64_t num_dst,
 double SageLayer::QuantizedInputMaxAbs(std::int64_t num_dst,
                                        const LayerContext& saved) const {
   const auto& ctx = dynamic_cast<const SageContext&>(saved);
+  APT_CHECK_EQ(ctx.self.rows(), num_dst);
   double m = 0.0;
-  const float* self = ctx.input.data();
-  for (std::int64_t i = 0; i < num_dst * in_dim_; ++i) {
+  const float* self = ctx.self.data();
+  for (std::int64_t i = 0; i < ctx.self.numel(); ++i) {
     m = std::max(m, static_cast<double>(std::fabs(self[i])));
   }
   const float* agg = ctx.agg.data();
@@ -126,7 +127,7 @@ void SageLayer::BackwardQuantized(std::int64_t num_dst, const LayerContext& save
         double* self_row = w_self_acc + m * out;
         double* neigh_row = w_neigh_acc + m * out;
         for (std::int64_t r = 0; r < num_dst; ++r) {
-          const double a_self = static_cast<double>(ctx.input.row(r)[m]);
+          const double a_self = static_cast<double>(ctx.self.row(r)[m]);
           const double a_agg = static_cast<double>(ctx.agg.row(r)[m]);
           const float* g = grad_out.row(r);
           for (std::int64_t n = 0; n < out; ++n) {

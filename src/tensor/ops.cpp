@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "runtime/parallel_for.h"
+#include "tensor/gemm_kernel.h"
 
 namespace apt {
 
@@ -15,185 +16,65 @@ std::int64_t RowGrain(std::int64_t cols) {
 }
 
 // ---------------------------------------------------------------------------
-// Blocked GEMM. A register-tiled microkernel updates a kMr x kNr tile of C
-// over one k-panel: the accumulators live in registers for the whole panel,
-// so the inner loop issues one B load and kMr fused multiply-adds per
-// element with no C traffic. Accumulation order over p is identical to the
-// naive row kernel, keeping results deterministic without -ffast-math.
+// Blocked GEMM (kernels in gemm_kernel.h). Runtime ISA dispatch: the binary
+// stays baseline x86-64, but ifunc resolution picks an AVX2 or AVX-512
+// version of each driver when the host has one, and each version
+// instantiates the kernels at the tile its register file holds:
+//   default (16 xmm):        4 x 8 NN/TN tiles, 2 A rows per NT pass;
+//   avx2 (16 ymm):           8 x 8 (8 x 16 spills, 3x slower), 4;
+//   arch=x86-64-v4 (32 zmm): 8 x 16, 4.
+// Only x86-64-v4 has FMA, so only that version fuses multiply-adds; the
+// tile never changes a bit within a version (see gemm_kernel.h). `flatten`
+// pulls the kernels into each version so the vector code is lowered with
+// that version's ISA. Disabled under sanitizers: ifunc resolvers run during
+// relocation, before the sanitizer runtime is initialized, and crash at
+// startup.
 // ---------------------------------------------------------------------------
 
-constexpr std::int64_t kMr = 4;  // C tile rows held in registers
-constexpr std::int64_t kNr = 8;  // C tile cols: one SSE pair / one AVX lane
-// k-panel length: the kMr x kKc A panel (~4 KB) and kKc x kNr B tile (~8 KB)
-// stay L1-resident while a C tile is updated.
-constexpr std::int64_t kKc = 256;
+#define APT_GEMM_DRIVERS(ATTRS, MR, NR, NT_ROWS)                                       \
+  /* Row block of C = A B; A's rows are `lda` floats apart (lda >= k). */              \
+  ATTRS void GemmRowBlockNN(const float* a, std::int64_t lda, const float* b,          \
+                            std::int64_t n, float* c, std::int64_t k, std::int64_t lo, \
+                            std::int64_t hi, float alpha, float beta) {                \
+    gemm::RowBlock<false, MR, NR>(a, lda, b, n, c, k, lo, hi, alpha, beta);            \
+  }                                                                                    \
+  /* Row block of C = A^T B for A [k, m]. */                                           \
+  ATTRS void GemmRowBlockTN(const float* a, std::int64_t m, const float* b,            \
+                            std::int64_t n, float* c, std::int64_t k, std::int64_t lo, \
+                            std::int64_t hi, float alpha, float beta) {                \
+    gemm::RowBlock<true, MR, NR>(a, m, b, n, c, k, lo, hi, alpha, beta);               \
+  }                                                                                    \
+  /* Row block of C = A B^T for A [m, k] and B [n, k]. */                              \
+  ATTRS void GemmRowBlockNT(const float* a, const float* b, float* c, std::int64_t k,  \
+                            std::int64_t n, std::int64_t lo, std::int64_t hi,          \
+                            float alpha, float beta) {                                 \
+    gemm::RowBlockNT<NT_ROWS>(a, b, c, k, n, lo, hi, alpha, beta);                     \
+  }
 
-// kNr-wide float vector. GCC/Clang lower the element-wise ops to the widest
-// ISA the target allows (one AVX register, or a pair of SSE registers on the
-// x86-64 baseline) — written explicitly because the autovectorizer turns the
-// equivalent scalar tile into a slow shuffle-heavy SLP form.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wpsabi"  // VecNr never crosses a real ABI
-                                          // boundary: every user is inlined.
-typedef float VecNr __attribute__((vector_size(kNr * sizeof(float))));
-
-// Runtime ISA dispatch for the GEMM drivers: the binary stays baseline
-// x86-64, but ifunc resolution picks an AVX2+FMA or AVX-512 clone when the
-// host has one. `flatten` pulls the microkernel into each clone so the
-// vector code is lowered with the clone's ISA. Disabled under sanitizers:
-// ifunc resolvers run during relocation, before the sanitizer runtime is
-// initialized, and crash at startup.
 #if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__) && \
     !defined(__SANITIZE_THREAD__) && !defined(__SANITIZE_ADDRESS__)
-#define APT_GEMM_CLONES \
-  __attribute__((target_clones("default", "avx2", "arch=x86-64-v4"), flatten))
+APT_GEMM_DRIVERS(__attribute__((target("default"), flatten)), 4, 8, 2)
+APT_GEMM_DRIVERS(__attribute__((target("avx2"), flatten)), 8, 8, 4)
+APT_GEMM_DRIVERS(__attribute__((target("arch=x86-64-v4"), flatten)), 8, 16, 4)
 #else
-#define APT_GEMM_CLONES
+APT_GEMM_DRIVERS(, 4, 8, 2)
 #endif
 
-inline VecNr LoadVec(const float* p) {
-  VecNr v;
-  __builtin_memcpy(&v, p, sizeof(v));
-  return v;
+#undef APT_GEMM_DRIVERS
+
+// C = A B where `ap` points at C's rows of an [., k] matrix.
+void MatmulRows(const float* ap, std::int64_t k, const Tensor& b, Tensor& c, float alpha,
+                float beta) {
+  const std::int64_t m = c.rows(), n = b.cols();
+  APT_CHECK_EQ(b.rows(), k);
+  APT_CHECK_EQ(c.cols(), n);
+  if (m == 0 || n == 0) return;
+  const float* bp = b.data();
+  float* cp = c.data();
+  ParallelForChunks(0, m, [&](std::int64_t lo, std::int64_t hi) {
+    GemmRowBlockNN(ap, k, bp, n, cp, k, lo, hi, alpha, beta);
+  }, RowGrain(k + n));
 }
-
-inline void StoreVec(float* p, VecNr v) { __builtin_memcpy(p, &v, sizeof(v)); }
-
-// C[0:kMr, 0:kNr] += alpha * A-tile * B[0:kc, 0:kNr]. kTransA selects the A
-// element layout: a(r, p) = a[r * lda + p] for row-major A (C = A B), or
-// a[p * lda + r] when `a` points into a [k, m] matrix (C = A^T B). The
-// accumulator tile lives in vector registers for the whole k-panel, so the
-// inner loop issues one B load and kMr multiply-adds per vector with no C
-// traffic. Per-element accumulation order over p matches the naive row
-// kernel: element-wise vector ops never re-associate, so no -ffast-math.
-template <bool kTransA>
-inline void GemmMicroKernel(const float* a, std::int64_t lda, const float* b,
-                            std::int64_t ldb, float* c, std::int64_t ldc,
-                            std::int64_t kc, float alpha) {
-  VecNr acc0 = {}, acc1 = {}, acc2 = {}, acc3 = {};
-  static_assert(kMr == 4, "accumulator rows are hand-unrolled");
-  for (std::int64_t p = 0; p < kc; ++p) {
-    const VecNr bv = LoadVec(b + p * ldb);
-    const float* ap = kTransA ? a + p * lda : a + p;
-    const std::int64_t step = kTransA ? 1 : lda;
-    acc0 += ap[0 * step] * bv;
-    acc1 += ap[1 * step] * bv;
-    acc2 += ap[2 * step] * bv;
-    acc3 += ap[3 * step] * bv;
-  }
-  StoreVec(c + 0 * ldc, LoadVec(c + 0 * ldc) + alpha * acc0);
-  StoreVec(c + 1 * ldc, LoadVec(c + 1 * ldc) + alpha * acc1);
-  StoreVec(c + 2 * ldc, LoadVec(c + 2 * ldc) + alpha * acc2);
-  StoreVec(c + 3 * ldc, LoadVec(c + 3 * ldc) + alpha * acc3);
-}
-
-// Scalar edge-tile update for the ragged rim (mr < kMr and/or nr < kNr).
-template <bool kTransA>
-inline void GemmEdgeTile(const float* a, std::int64_t lda, const float* b,
-                         std::int64_t ldb, float* c, std::int64_t ldc,
-                         std::int64_t kc, std::int64_t mr, std::int64_t nr,
-                         float alpha) {
-  float acc[kMr][kNr] = {};
-  for (std::int64_t p = 0; p < kc; ++p) {
-    const float* brow = b + p * ldb;
-    for (std::int64_t r = 0; r < mr; ++r) {
-      const float av = kTransA ? a[p * lda + r] : a[r * lda + p];
-      for (std::int64_t j = 0; j < nr; ++j) acc[r][j] += av * brow[j];
-    }
-  }
-  for (std::int64_t r = 0; r < mr; ++r) {
-    float* crow = c + r * ldc;
-    for (std::int64_t j = 0; j < nr; ++j) crow[j] += alpha * acc[r][j];
-  }
-}
-
-// Applies beta and runs the tiled update for C rows [lo, hi). `k` is the
-// contraction length; lda is k for row-major A and m (C rows) for A^T.
-template <bool kTransA>
-inline void GemmRowBlockImpl(const float* a, std::int64_t lda, const float* b,
-                             std::int64_t n, float* c, std::int64_t k,
-                             std::int64_t lo, std::int64_t hi, float alpha,
-                             float beta) {
-  for (std::int64_t i = lo; i < hi; ++i) {
-    float* crow = c + i * n;
-    if (beta == 0.0f) {
-      std::fill(crow, crow + n, 0.0f);
-    } else if (beta != 1.0f) {
-      for (std::int64_t j = 0; j < n; ++j) crow[j] *= beta;
-    }
-  }
-  for (std::int64_t p0 = 0; p0 < k; p0 += kKc) {
-    const std::int64_t kc = std::min(kKc, k - p0);
-    for (std::int64_t i = lo; i < hi; i += kMr) {
-      const std::int64_t mr = std::min(kMr, hi - i);
-      const float* atile = kTransA ? a + p0 * lda + i : a + i * lda + p0;
-      std::int64_t j = 0;
-      if (mr == kMr) {
-        for (; j + kNr <= n; j += kNr) {
-          GemmMicroKernel<kTransA>(atile, lda, b + p0 * n + j, n,
-                                   c + i * n + j, n, kc, alpha);
-        }
-      }
-      for (; j < n; j += kNr) {
-        GemmEdgeTile<kTransA>(atile, lda, b + p0 * n + j, n, c + i * n + j, n,
-                              kc, mr, std::min(kNr, n - j), alpha);
-      }
-    }
-  }
-}
-
-// Row block of C = A B where A's rows are `lda` floats apart (lda >= k), so
-// A may be a column slice of a wider matrix.
-APT_GEMM_CLONES
-void GemmRowBlockNN(const float* a, std::int64_t lda, const float* b,
-                    std::int64_t n, float* c, std::int64_t k, std::int64_t lo,
-                    std::int64_t hi, float alpha, float beta) {
-  GemmRowBlockImpl<false>(a, lda, b, n, c, k, lo, hi, alpha, beta);
-}
-
-APT_GEMM_CLONES
-void GemmRowBlockTN(const float* a, std::int64_t m, const float* b,
-                    std::int64_t n, float* c, std::int64_t k, std::int64_t lo,
-                    std::int64_t hi, float alpha, float beta) {
-  GemmRowBlockImpl<true>(a, m, b, n, c, k, lo, hi, alpha, beta);
-}
-
-// Row block of C = A B^T: rows of C are dot products along the contiguous k
-// axis of both operands. kNr partial-sum lanes make the reduction
-// vectorizable without -ffast-math reassociation; kJb B rows share each A
-// load.
-APT_GEMM_CLONES
-void GemmRowBlockNT(const float* ap, const float* bp, float* cp,
-                    std::int64_t k, std::int64_t n, std::int64_t lo,
-                    std::int64_t hi, float alpha, float beta) {
-  constexpr std::int64_t kLanes = kNr;
-  constexpr std::int64_t kJb = 4;
-  for (std::int64_t i = lo; i < hi; ++i) {
-    const float* arow = ap + i * k;
-    float* crow = cp + i * n;
-    for (std::int64_t j0 = 0; j0 < n; j0 += kJb) {
-      const std::int64_t jb = std::min(kJb, n - j0);
-      VecNr lanes[kJb] = {};
-      std::int64_t p = 0;
-      for (; p + kLanes <= k; p += kLanes) {
-        const VecNr av = LoadVec(arow + p);
-        for (std::int64_t r = 0; r < jb; ++r) {
-          lanes[r] += av * LoadVec(bp + (j0 + r) * k + p);
-        }
-      }
-      for (std::int64_t r = 0; r < jb; ++r) {
-        const float* brow = bp + (j0 + r) * k;
-        float acc = 0.0f;
-        for (std::int64_t l = 0; l < kLanes; ++l) acc += lanes[r][l];
-        for (std::int64_t pt = p; pt < k; ++pt) acc += arow[pt] * brow[pt];
-        const std::int64_t j = j0 + r;
-        crow[j] = alpha * acc + (beta == 0.0f ? 0.0f : beta * crow[j]);
-      }
-    }
-  }
-}
-
-#pragma GCC diagnostic pop
 
 // C = A^T B where `ap` points at k rows of an [., m] matrix.
 void MatmulTNRows(const float* ap, std::int64_t k, std::int64_t m, const Tensor& b,
@@ -213,17 +94,14 @@ void MatmulTNRows(const float* ap, std::int64_t k, std::int64_t m, const Tensor&
 }  // namespace
 
 void Matmul(const Tensor& a, const Tensor& b, Tensor& c, float alpha, float beta) {
-  const std::int64_t m = a.rows(), k = a.cols(), n = b.cols();
-  APT_CHECK_EQ(b.rows(), k);
-  APT_CHECK_EQ(c.rows(), m);
-  APT_CHECK_EQ(c.cols(), n);
-  if (m == 0 || n == 0) return;
-  const float* ap = a.data();
-  const float* bp = b.data();
-  float* cp = c.data();
-  ParallelForChunks(0, m, [&](std::int64_t lo, std::int64_t hi) {
-    GemmRowBlockNN(ap, k, bp, n, cp, k, lo, hi, alpha, beta);
-  }, RowGrain(k + n));
+  APT_CHECK_EQ(c.rows(), a.rows());
+  MatmulRows(a.data(), a.cols(), b, c, alpha, beta);
+}
+
+void Matmul(const Tensor& a, std::int64_t a_row0, const Tensor& b, Tensor& c) {
+  APT_CHECK(a_row0 >= 0 && a_row0 + c.rows() <= a.rows())
+      << "rows [" << a_row0 << ", " << a_row0 + c.rows() << ") of " << a.rows();
+  MatmulRows(a.data() + a_row0 * a.cols(), a.cols(), b, c, 1.0f, 0.0f);
 }
 
 void MatmulTN(const Tensor& a, const Tensor& b, Tensor& c, float alpha, float beta) {
@@ -281,8 +159,9 @@ void SliceSumMatmul(std::span<const SliceTerm> terms,
   for (std::size_t s = 0; s < slices; ++s) APT_CHECK_LE(bounds[s], bounds[s + 1]);
   if (m == 0 || n == 0) return;
   // Rows per block: a 16 KB partial, so it stays in L1 while it is formed
-  // and added into C.
-  const std::int64_t block = std::max(kMr, 4096 / n / kMr * kMr);
+  // and added into C; a multiple of every driver version's tile rows.
+  constexpr std::int64_t kTileRows = 8;
+  const std::int64_t block = std::max(kTileRows, 4096 / n / kTileRows * kTileRows);
   float* cp = c.data();
   ParallelForChunks(0, m, [&](std::int64_t lo, std::int64_t hi) {
     std::vector<float> scratch(static_cast<std::size_t>(std::min(block, hi - lo) * n));
@@ -382,8 +261,14 @@ void ReluBackward(const Tensor& x, const Tensor& grad_y, Tensor& grad_x) {
   const float* xp = x.data();
   const float* gy = grad_y.data();
   float* gx = grad_x.data();
-  ParallelFor(0, x.numel(), [&](std::int64_t i) { gx[i] = xp[i] > 0.0f ? gy[i] : 0.0f; },
-              1 << 15);
+  // gy[i] is loaded before the select, so the loop if-converts into
+  // vector blends; a load under the condition compiles to a scalar branch
+  // that mispredicts on about half the elements. Multiplying by a 0/1 mask
+  // would be branchless too, but turns negative gradients into -0.0f.
+  ParallelFor(0, x.numel(), [&](std::int64_t i) {
+    const float g = gy[i];
+    gx[i] = xp[i] > 0.0f ? g : 0.0f;
+  }, 1 << 15);
 }
 
 void LeakyRelu(const Tensor& x, Tensor& out, float slope) {
@@ -401,8 +286,10 @@ void LeakyReluBackward(const Tensor& x, const Tensor& grad_y, Tensor& grad_x,
   const float* xp = x.data();
   const float* gy = grad_y.data();
   float* gx = grad_x.data();
-  ParallelFor(0, x.numel(),
-              [&](std::int64_t i) { gx[i] = xp[i] > 0.0f ? gy[i] : slope * gy[i]; }, 1 << 15);
+  ParallelFor(0, x.numel(), [&](std::int64_t i) {
+    const float g = gy[i];  // unconditional load, as in ReluBackward
+    gx[i] = xp[i] > 0.0f ? g : slope * g;
+  }, 1 << 15);
 }
 
 float MaxAbsDiff(const Tensor& a, const Tensor& b) {

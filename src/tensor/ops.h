@@ -20,6 +20,9 @@ namespace apt {
 /// C[m,n] += A[m,k] * B[k,n]  (beta=0 overwrites).
 void Matmul(const Tensor& a, const Tensor& b, Tensor& c, float alpha = 1.0f,
             float beta = 0.0f);
+/// C[m,n] = A[row0 : row0 + m, :] * B[k,n], with m = C's rows: Matmul on a
+/// window of A's rows, bit-identical to Matmul on a copy of them.
+void Matmul(const Tensor& a, std::int64_t a_row0, const Tensor& b, Tensor& c);
 /// C[m,n] = A[k,m]^T * B[k,n].
 void MatmulTN(const Tensor& a, const Tensor& b, Tensor& c, float alpha = 1.0f,
               float beta = 0.0f);

@@ -11,8 +11,8 @@
 //
 // Host arithmetic has two classes on x86-64: GEMM clones that fuse
 // multiply-adds (AVX-512 hosts) and ones that do not (baseline / AVX2 hosts
-// and sanitizer builds, which compile the clones out). A probe GEMM picks
-// the matching half of the table.
+// and sanitizer builds, which compile the clones out). The shared probe GEMM
+// (test_util.h) picks the matching half of the table.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -25,6 +25,7 @@
 namespace apt {
 namespace {
 
+using ::apt::testing::GemmFusesMultiplyAdd;
 using ::apt::testing::MakeTrainerWithOptions;
 using ::apt::testing::SmallDataset;
 
@@ -159,24 +160,6 @@ constexpr NfpSliceGolden kSliceGoldens[] = {
      {5544876, 5544876, 5544876, 5544876},
      {0xb55a2d0799236919ULL, 0xb55a2d0799236919ULL, 0xb55a2d0799236919ULL, 0xb55a2d0799236919ULL}},
 };
-
-/// True when the GEMM kernels fuse multiply-adds: the second product of
-/// 1*(-1) + (1+2^-12)^2 keeps its 2^-24 bit only under a fused update. The
-/// 4 x 8 output is one full register tile, the path real GEMMs take.
-bool GemmFusesMultiplyAdd() {
-  const float e = 1.0f + 0x1p-12f;
-  Tensor a(4, 2), b(2, 8), c(4, 8);
-  for (std::int64_t r = 0; r < 4; ++r) {
-    a(r, 0) = 1.0f;
-    a(r, 1) = e;
-  }
-  for (std::int64_t j = 0; j < 8; ++j) {
-    b(0, j) = -1.0f;
-    b(1, j) = e;
-  }
-  Matmul(a, b, c);
-  return c(0, 0) != 0x1p-11f;
-}
 
 std::uint64_t Fnv1a(std::uint64_t h, const void* data, std::size_t n) {
   const auto* p = static_cast<const unsigned char*>(data);

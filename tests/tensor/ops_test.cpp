@@ -8,13 +8,16 @@
 #include <cstdint>
 #include <memory>
 #include <span>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "core/random.h"
 #include "runtime/parallel_for.h"
+#include "tensor/gemm_kernel.h"
 #include "tensor/init.h"
 #include "tensor/ops.h"
+#include "test_util.h"
 
 namespace apt {
 namespace {
@@ -139,9 +142,9 @@ void RefMatmulNT(const Tensor& a, const Tensor& b, Tensor& c, float alpha,
 }
 
 TEST(MatmulTest, RandomizedParityOddShapes) {
-  // Shapes chosen to hit every edge path of the register-blocked kernels:
-  // partial m-tiles (m % 4), partial n-tiles (n % 8), partial k-panels
-  // (k % 256), and degenerate 1-row/1-col cases.
+  // Shapes chosen to hit edge paths of the register-blocked kernels:
+  // partial m-tiles (m % 8), partial n-tiles (n % 16, n % 8), partial
+  // k-panels (k % 256), and degenerate 1-row/1-col cases.
   const std::int64_t shapes[][3] = {
       {1, 1, 1},  {2, 3, 5},   {3, 9, 7},   {5, 17, 33}, {7, 63, 9},
       {9, 65, 17}, {33, 7, 65}, {63, 33, 63}, {65, 8, 4},  {4, 257, 8},
@@ -199,7 +202,7 @@ TEST(MatmulTest, EmptyOutputsAreNoOps) {
 
 // SegmentedMatmulTN must equal running MatmulTN segment by segment: the
 // first segment applies beta, every later one accumulates with beta = 1.
-// Segment lengths straddle the register tile (kMr = 4 rows) and the k-panel
+// Segment lengths straddle the register tile (4 or 8 rows) and the k-panel
 // (kKc = 256), empty segments included; C's row count leaves a ragged tile.
 Tensor SegmentRows(const Tensor& t, std::int64_t lo, std::int64_t hi) {
   Tensor out(hi - lo, t.cols());
@@ -233,7 +236,7 @@ TEST(SegmentedMatmulTest, MatchesPerSegmentMatmulTN) {
   const std::vector<std::vector<std::int64_t>> layouts = {
       {0, 5},                          // one segment
       {0, 0, 3, 3, 10},                // empty segments first and in between
-      {0, 1, 2, 7, 300, 301},          // shorter than kMr, longer than kKc
+      {0, 1, 2, 7, 300, 301},          // shorter than a tile, longer than kKc
       {0, 600, 600, 1200},             // several k-panels per segment
       {0, 3, 4, 5, 6, 7, 8, 9, 40},    // many short segments
   };
@@ -298,8 +301,8 @@ TEST(MatmulTest, TransposedRowWindowMatchesCopy) {
 // Matmul on copied column/row slices (first term at beta 0, the next at beta
 // 1), then C = P_0 and Axpy(1, P_s, C) slice after slice. Slices are uneven,
 // empty (more slices than columns) or wider than the k-panel (kKc = 256);
-// row counts leave ragged register tiles (kMr = 4) and cross the kernel's
-// row blocks, column counts ragged vector tiles (kNr = 8).
+// row counts leave ragged register tiles (4 or 8 rows) and cross the
+// kernel's row blocks, column counts ragged vector tiles (8 or 16 wide).
 Tensor ColumnSlice(const Tensor& t, std::int64_t row0, std::int64_t rows, std::int64_t lo,
                    std::int64_t hi) {
   Tensor out(rows, hi - lo);
@@ -412,6 +415,288 @@ TEST(SliceSumMatmulTest, RejectsMismatchedShapes) {
   EXPECT_THROW(SliceSumMatmul({&wrong_n, 1}, bounds, c), Error);
 }
 
+// ---------------------------------------------------------------------------
+// Bit-exact GEMM order. Every kernel must reproduce, bit for bit, a scalar
+// reference of the per-element operation sequence gemm_kernel.h documents,
+// fused or unfused as the shared probe reports. The tolerance tests above
+// cannot tell a retiling that moves one rounding from one that does not;
+// these can. Shapes cover every m % 8 and n % 16 rim (so n % 8 too), k below
+// the NT lane count, ragged and multi-panel k, all four alpha/beta pairs,
+// and row chunks that split register tiles across lanes.
+// ---------------------------------------------------------------------------
+
+using ::apt::testing::GemmFusesMultiplyAdd;
+
+float MulAdd(float a, float b, float c, bool fused) {
+  return fused ? std::fma(a, b, c) : a * b + c;
+}
+
+/// C[m, n] = alpha * sum_p a(i, p) b[p, j] + beta * C in the documented
+/// order: beta first, then per k-panel acc = 0, acc += a(i, p) b(p, j) over
+/// ascending p, and C += alpha * acc. `a_at(i, p)` reads op(A).
+template <typename AAt>
+void RefGemm(AAt a_at, const float* b, std::int64_t m, std::int64_t k, std::int64_t n,
+             float* c, float alpha, float beta, bool fused) {
+  for (std::int64_t i = 0; i < m; ++i) {
+    for (std::int64_t j = 0; j < n; ++j) {
+      float& cij = c[i * n + j];
+      if (beta == 0.0f) {
+        cij = 0.0f;
+      } else if (beta != 1.0f) {
+        cij *= beta;
+      }
+      for (std::int64_t p0 = 0; p0 < k; p0 += gemm::kKc) {
+        float acc = 0.0f;
+        for (std::int64_t p = p0; p < std::min(k, p0 + gemm::kKc); ++p) {
+          acc = MulAdd(a_at(i, p), b[p * n + j], acc, fused);
+        }
+        cij = MulAdd(alpha, acc, cij, fused);
+      }
+    }
+  }
+}
+
+/// C = alpha * A B^T + beta * C for A [m, k], B [n, k]: kNtLanes strided
+/// partial sums, added in lane order, then the k % kNtLanes tail in order;
+/// C = beta * C + alpha * acc with the beta product fused, or alpha * acc + 0
+/// at beta 0.
+void RefGemmNT(const float* a, const float* b, std::int64_t m, std::int64_t k,
+               std::int64_t n, float* c, float alpha, float beta, bool fused) {
+  for (std::int64_t i = 0; i < m; ++i) {
+    for (std::int64_t j = 0; j < n; ++j) {
+      const float* arow = a + i * k;
+      const float* brow = b + j * k;
+      float lanes[gemm::kNtLanes] = {};
+      std::int64_t p = 0;
+      for (; p + gemm::kNtLanes <= k; p += gemm::kNtLanes) {
+        for (std::int64_t l = 0; l < gemm::kNtLanes; ++l) {
+          lanes[l] = MulAdd(arow[p + l], brow[p + l], lanes[l], fused);
+        }
+      }
+      float acc = 0.0f;
+      for (float lane : lanes) acc += lane;
+      for (; p < k; ++p) acc = MulAdd(arow[p], brow[p], acc, fused);
+      float& cij = c[i * n + j];
+      cij = beta == 0.0f ? alpha * acc + 0.0f : MulAdd(beta, cij, alpha * acc, fused);
+    }
+  }
+}
+
+void ExpectSameBits(const Tensor& want, const Tensor& got) {
+  ASSERT_TRUE(want.SameShape(got)) << want.ShapeString() << " vs " << got.ShapeString();
+  for (std::int64_t i = 0; i < want.numel(); ++i) {
+    ASSERT_EQ(std::bit_cast<std::uint32_t>(want.data()[i]),
+              std::bit_cast<std::uint32_t>(got.data()[i]))
+        << "element (" << i / want.cols() << ", " << i % want.cols() << ") of "
+        << want.ShapeString() << ": want " << want.data()[i] << " got " << got.data()[i];
+  }
+}
+
+struct GemmShape {
+  std::int64_t m, k, n;
+  float alpha, beta;
+};
+
+/// Every (m, n) with m in [1, 17] and n in [1, 33], each with a k and an
+/// alpha/beta pair drawn in turn from the lists, plus shapes tall enough
+/// that all-lane runs split C's rows mid-tile.
+std::vector<GemmShape> BitExactShapes() {
+  const std::int64_t ks[] = {1, 3, 7, 8, 13, 64, 256, 257, 300, 520};
+  const float ab[][2] = {{1.0f, 0.0f}, {1.0f, 1.0f}, {0.5f, -1.5f}, {2.0f, 0.0f}};
+  std::vector<GemmShape> shapes;
+  std::size_t turn = 0;
+  for (std::int64_t m = 1; m <= 17; ++m) {
+    for (std::int64_t n = 1; n <= 33; ++n, ++turn) {
+      const auto& [alpha, beta] = ab[turn / std::size(ks) % std::size(ab)];
+      shapes.push_back({m, ks[turn % std::size(ks)], n, alpha, beta});
+    }
+  }
+  for (const auto& [alpha, beta] : ab) {
+    shapes.push_back({300, 300, 40, alpha, beta});
+    shapes.push_back({257, 520, 33, alpha, beta});
+    shapes.push_back({1003, 61, 24, alpha, beta});
+  }
+  return shapes;
+}
+
+std::string ShapeTrace(const GemmShape& s) {
+  return (::testing::Message() << "m " << s.m << " k " << s.k << " n " << s.n << " alpha "
+                               << s.alpha << " beta " << s.beta)
+      .GetString();
+}
+
+TEST(GemmBitExactTest, LibraryKernelsMatchReferenceOrder) {
+  const bool fused = GemmFusesMultiplyAdd();
+  std::uint64_t seed = 7000;
+  for (std::int64_t limit : {std::int64_t{1}, std::int64_t{0}}) {
+    std::unique_ptr<ScopedParallelismLimit> lanes;
+    if (limit > 0) lanes = std::make_unique<ScopedParallelismLimit>(limit);
+    for (const GemmShape& s : BitExactShapes()) {
+      SCOPED_TRACE(ShapeTrace(s) + " lanes " + std::to_string(limit));
+      const Tensor c0 = RandTensor(s.m, s.n, seed++);
+      {
+        const Tensor a = RandTensor(s.m, s.k, seed++), b = RandTensor(s.k, s.n, seed++);
+        Tensor want = c0, got = c0;
+        RefGemm([&](std::int64_t i, std::int64_t p) { return a(i, p); }, b.data(), s.m, s.k,
+                s.n, want.data(), s.alpha, s.beta, fused);
+        Matmul(a, b, got, s.alpha, s.beta);
+        ExpectSameBits(want, got);
+      }
+      {
+        const Tensor a = RandTensor(s.k, s.m, seed++), b = RandTensor(s.k, s.n, seed++);
+        Tensor want = c0, got = c0;
+        RefGemm([&](std::int64_t i, std::int64_t p) { return a(p, i); }, b.data(), s.m, s.k,
+                s.n, want.data(), s.alpha, s.beta, fused);
+        MatmulTN(a, b, got, s.alpha, s.beta);
+        ExpectSameBits(want, got);
+      }
+      {
+        const Tensor a = RandTensor(s.m, s.k, seed++), b = RandTensor(s.n, s.k, seed++);
+        Tensor want = c0, got = c0;
+        RefGemmNT(a.data(), b.data(), s.m, s.k, s.n, want.data(), s.alpha, s.beta, fused);
+        MatmulNT(a, b, got, s.alpha, s.beta);
+        ExpectSameBits(want, got);
+      }
+      if (s.alpha == 1.0f && s.beta == 0.0f) {
+        // Row windows: rows [3, 3 + k) of a taller A^T, rows [2, 2 + m) of
+        // a taller A.
+        const Tensor at = RandTensor(s.k + 5, s.m, seed++), b = RandTensor(s.k, s.n, seed++);
+        Tensor want = c0, got = c0;
+        RefGemm([&](std::int64_t i, std::int64_t p) { return at(3 + p, i); }, b.data(), s.m,
+                s.k, s.n, want.data(), 1.0f, 0.0f, fused);
+        MatmulTN(at, 3, b, got);
+        ExpectSameBits(want, got);
+        const Tensor a = RandTensor(s.m + 4, s.k, seed++);
+        RefGemm([&](std::int64_t i, std::int64_t p) { return a(2 + i, p); }, b.data(), s.m,
+                s.k, s.n, want.data(), 1.0f, 0.0f, fused);
+        Matmul(a, 2, b, got);
+        ExpectSameBits(want, got);
+      }
+    }
+  }
+}
+
+TEST(GemmBitExactTest, SegmentedAndSliceSumMatchReferenceOrder) {
+  const bool fused = GemmFusesMultiplyAdd();
+  std::uint64_t seed = 8000;
+  for (std::int64_t limit : {std::int64_t{1}, std::int64_t{0}}) {
+    std::unique_ptr<ScopedParallelismLimit> lanes;
+    if (limit > 0) lanes = std::make_unique<ScopedParallelismLimit>(limit);
+    for (const auto& [m, n] : {std::pair<std::int64_t, std::int64_t>{13, 7},
+                               {9, 24}, {17, 33}, {8, 16}, {70, 128}}) {
+      SCOPED_TRACE(::testing::Message() << "m " << m << " n " << n << " lanes " << limit);
+      // SegmentedMatmulTN: each segment is its own A^T B with k-panels
+      // counted from the segment start, the first at beta, later at 1.
+      const std::vector<std::int64_t> segments{0, 1, 2, 7, 300, 301, 901};
+      const Tensor a = RandTensor(segments.back(), m, seed++);
+      const Tensor b = RandTensor(segments.back(), n, seed++);
+      for (const auto& [alpha, beta] :
+           {std::pair<float, float>{1.0f, 0.0f}, {0.5f, -1.5f}}) {
+        Tensor want = RandTensor(m, n, seed++), got = want;
+        for (std::size_t s = 0; s + 1 < segments.size(); ++s) {
+          const std::int64_t r0 = segments[s];
+          RefGemm([&](std::int64_t i, std::int64_t p) { return a(r0 + p, i); }, b.row(r0), m,
+                  segments[s + 1] - r0, n, want.data(), alpha, s == 0 ? beta : 1.0f, fused);
+        }
+        SegmentedMatmulTN(a, b, segments, got, alpha, beta);
+        ExpectSameBits(want, got);
+      }
+      // SliceSumMatmul: P_s per slice (terms in order, the first at beta
+      // 0), then C = P_0 and C += P_s slice after slice.
+      for (const auto& [k, slices] : {std::pair<std::int64_t, std::int64_t>{30, 4},
+                                      {600, 2}, {3, 5}}) {
+        const std::vector<std::int64_t> bounds = SliceBounds(k, slices);
+        const Tensor a0 = RandTensor(m + 3, k, seed++), a1 = RandTensor(m, k, seed++);
+        std::vector<Tensor> b0, b1;
+        for (std::int64_t s = 0; s < slices; ++s) {
+          b0.push_back(RandTensor(k, n, seed++));
+          b1.push_back(RandTensor(k, n, seed++));
+        }
+        std::vector<const Tensor*> b0_ptrs, b1_ptrs;
+        for (std::int64_t s = 0; s < slices; ++s) {
+          b0_ptrs.push_back(&b0[static_cast<std::size_t>(s)]);
+          b1_ptrs.push_back(&b1[static_cast<std::size_t>(s)]);
+        }
+        Tensor want(m, n), part(m, n);
+        for (std::int64_t s = 0; s < slices; ++s) {
+          const auto us = static_cast<std::size_t>(s);
+          const std::int64_t lo = bounds[us], hi = bounds[us + 1];
+          Tensor& out = s == 0 ? want : part;
+          RefGemm([&](std::int64_t i, std::int64_t p) { return a0(3 + i, lo + p); },
+                  b0[us].data() + lo * n, m, hi - lo, n, out.data(), 1.0f, 0.0f, fused);
+          RefGemm([&](std::int64_t i, std::int64_t p) { return a1(i, lo + p); },
+                  b1[us].data() + lo * n, m, hi - lo, n, out.data(), 1.0f, 1.0f, fused);
+          if (s == 0) continue;
+          for (std::int64_t i = 0; i < want.numel(); ++i) want.data()[i] += part.data()[i];
+        }
+        const SliceTerm terms[] = {{&a0, 3, b0_ptrs}, {&a1, 0, b1_ptrs}};
+        Tensor got = RandTensor(m, n, seed++);
+        SliceSumMatmul(terms, bounds, got);
+        ExpectSameBits(want, got);
+      }
+    }
+  }
+}
+
+// The kernel templates at every tile shape a driver version uses, so a host
+// without AVX-512 still checks the 8 x 16 geometry. Instantiated here, at
+// this file's ISA; the probe on each instantiation picks its arithmetic
+// class. Row ranges start past 0 and A rows are wider than k, as
+// SliceSumMatmul's column slices are.
+template <int Mr, int Nr, int NtRows>
+void ExpectTileShapeMatchesReference() {
+  const auto nn = [](const Tensor& a, const Tensor& b, Tensor& c) {
+    gemm::RowBlock<false, Mr, Nr>(a.data(), a.cols(), b.data(), b.cols(), c.data(), a.cols(),
+                                  0, c.rows(), 1.0f, 0.0f);
+  };
+  const bool fused = GemmFusesMultiplyAdd(nn);
+  std::uint64_t seed = 9000;
+  for (const GemmShape& s : BitExactShapes()) {
+    SCOPED_TRACE(ShapeTrace(s));
+    const std::int64_t lo = std::min<std::int64_t>(3, s.m - 1), wide = s.k + 5;
+    const Tensor c0 = RandTensor(s.m, s.n, seed++);
+    const auto untouched_rows = [&](const Tensor& got) {
+      return std::equal(c0.data(), c0.data() + lo * s.n, got.data());
+    };
+    {
+      const Tensor a = RandTensor(s.m, wide, seed++), b = RandTensor(s.k, s.n, seed++);
+      Tensor want = c0, got = c0;
+      RefGemm([&](std::int64_t i, std::int64_t p) { return a(lo + i, 2 + p); }, b.data(),
+              s.m - lo, s.k, s.n, want.row(lo), s.alpha, s.beta, fused);
+      gemm::RowBlock<false, Mr, Nr>(a.data() + 2, wide, b.data(), s.n, got.data(), s.k, lo,
+                                    s.m, s.alpha, s.beta);
+      EXPECT_TRUE(untouched_rows(got));
+      ExpectSameBits(want, got);
+    }
+    {
+      const Tensor a = RandTensor(s.k, s.m, seed++), b = RandTensor(s.k, s.n, seed++);
+      Tensor want = c0, got = c0;
+      RefGemm([&](std::int64_t i, std::int64_t p) { return a(p, lo + i); }, b.data(),
+              s.m - lo, s.k, s.n, want.row(lo), s.alpha, s.beta, fused);
+      gemm::RowBlock<true, Mr, Nr>(a.data(), s.m, b.data(), s.n, got.data(), s.k, lo, s.m,
+                                   s.alpha, s.beta);
+      EXPECT_TRUE(untouched_rows(got));
+      ExpectSameBits(want, got);
+    }
+    {
+      const Tensor a = RandTensor(s.m, s.k, seed++), b = RandTensor(s.n, s.k, seed++);
+      Tensor want = c0, got = c0;
+      RefGemmNT(a.row(lo), b.data(), s.m - lo, s.k, s.n, want.row(lo), s.alpha, s.beta,
+                fused);
+      gemm::RowBlockNT<NtRows>(a.data(), b.data(), got.data(), s.k, s.n, lo, s.m, s.alpha,
+                               s.beta);
+      EXPECT_TRUE(untouched_rows(got));
+      ExpectSameBits(want, got);
+    }
+  }
+}
+
+TEST(GemmBitExactTest, EveryTileShapeMatchesReferenceOrder) {
+  ExpectTileShapeMatchesReference<4, 8, 2>();   // default
+  ExpectTileShapeMatchesReference<8, 8, 4>();   // avx2
+  ExpectTileShapeMatchesReference<8, 16, 4>();  // arch=x86-64-v4
+}
+
 TEST(ElementwiseTest, AxpyScaleAdd) {
   Tensor x(1, 4, {1, 2, 3, 4});
   Tensor y(1, 4, {10, 20, 30, 40});
@@ -449,6 +734,25 @@ TEST(ActivationTest, ReluForwardBackward) {
   ReluBackward(x, gy, gx);
   EXPECT_FLOAT_EQ(gx(0, 0), 0);
   EXPECT_FLOAT_EQ(gx(0, 2), 1);
+}
+
+// The backward select passes exactly gy where x > 0 and +0.0f elsewhere:
+// never -0.0f for a negative gradient (a 0/1 mask multiply would give it).
+// 1000 elements run the vector body and its scalar rim.
+TEST(ActivationTest, ReluBackwardSelectsGradientOrPositiveZero) {
+  const Tensor x = RandTensor(1, 1000, 60), gy = RandTensor(1, 1000, 61);
+  Tensor gx(1, 1000);
+  ReluBackward(x, gy, gx);
+  Tensor lx(1, 1000);
+  LeakyReluBackward(x, gy, lx, 0.2f);
+  for (std::int64_t i = 0; i < x.numel(); ++i) {
+    const float want = x(0, i) > 0.0f ? gy(0, i) : 0.0f;
+    ASSERT_EQ(std::bit_cast<std::uint32_t>(gx(0, i)), std::bit_cast<std::uint32_t>(want))
+        << "element " << i;
+    const float leaky = x(0, i) > 0.0f ? gy(0, i) : 0.2f * gy(0, i);
+    ASSERT_EQ(std::bit_cast<std::uint32_t>(lx(0, i)), std::bit_cast<std::uint32_t>(leaky))
+        << "element " << i;
+  }
 }
 
 TEST(ActivationTest, LeakyReluForwardBackward) {

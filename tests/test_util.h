@@ -147,4 +147,40 @@ inline void ExpectStrategyParity(const Dataset& ds, const ClusterSpec& cluster,
   }
 }
 
+/// True when `matmul` (C = A B at alpha 1, beta 0) fuses multiply-adds:
+/// the second product of 1*(-1) + (1+2^-12)^2 keeps its 2^-24 bit only
+/// under a fused update. The 9 x 27 output spans a full widest register
+/// tile (8 x 16), the 8-wide column step, the scalar rim columns and a
+/// one-row partial tile. Every element must come out the same, so which
+/// half of a golden table applies never depends on a shape's n % 16; a
+/// disagreement fails the calling test.
+template <typename MatmulFn>
+bool GemmFusesMultiplyAdd(MatmulFn matmul) {
+  const float e = 1.0f + 0x1p-12f;
+  const std::int64_t m = 9, n = 27;
+  Tensor a(m, 2), b(2, n), c(m, n);
+  for (std::int64_t r = 0; r < m; ++r) {
+    a(r, 0) = 1.0f;
+    a(r, 1) = e;
+  }
+  for (std::int64_t j = 0; j < n; ++j) {
+    b(0, j) = -1.0f;
+    b(1, j) = e;
+  }
+  matmul(a, b, c);
+  const float first = c(0, 0);
+  EXPECT_TRUE(first == 0x1p-11f || first == 0x1p-11f + 0x1p-24f) << first;
+  for (std::int64_t r = 0; r < m; ++r) {
+    for (std::int64_t j = 0; j < n; ++j) {
+      EXPECT_EQ(c(r, j), first) << "GEMM tiles disagree on fusion at (" << r << ", " << j << ")";
+    }
+  }
+  return first != 0x1p-11f;
+}
+
+/// The probe on the library's Matmul, the path every executor GEMM takes.
+inline bool GemmFusesMultiplyAdd() {
+  return GemmFusesMultiplyAdd([](const Tensor& a, const Tensor& b, Tensor& c) { Matmul(a, b, c); });
+}
+
 }  // namespace apt::testing
