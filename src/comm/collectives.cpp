@@ -42,26 +42,6 @@ CollectiveMetrics& RingMetrics(const char* label) {
 
 }  // namespace
 
-std::vector<std::vector<Tensor>> Communicator::AllToAllTensors(
-    const std::vector<std::vector<Tensor>>& parts, Phase phase) {
-  const auto c = static_cast<std::size_t>(num_devices());
-  APT_CHECK_EQ(parts.size(), c);
-  AllToAllTraffic traffic;
-  std::vector<std::vector<Tensor>> recv(c, std::vector<Tensor>(c));
-  for (std::size_t i = 0; i < c; ++i) {
-    APT_CHECK_EQ(parts[i].size(), c);
-    for (std::size_t j = 0; j < c; ++j) {
-      const Tensor& p = parts[i][j];
-      const auto from = static_cast<DeviceId>(i), to = static_cast<DeviceId>(j);
-      if (i != j) traffic.Add(to, p.bytes(), RowsWireBytes(from, to, p.rows(), p.cols()));
-      recv[j][i] = p;
-    }
-    traffic.EndSender();
-  }
-  ChargeAllToAll(traffic, phase);
-  return recv;
-}
-
 void Communicator::AllReduceSum(std::vector<Tensor*> tensors, Phase phase,
                                 bool gradient_sync) {
   const auto c = static_cast<std::size_t>(num_devices());
@@ -179,6 +159,22 @@ void Communicator::MaybeFailCollective(std::int64_t wire_bytes,
 }
 
 void Communicator::ChargeAllToAll(const AllToAllTraffic& traffic, Phase phase) {
+  // Validated here, once: the Impl indexes per-device arrays by peer, and
+  // tape replay re-runs it on lanes that passed this check when recorded.
+  const std::int32_t c = num_devices();
+  APT_CHECK_EQ(traffic.indptr.size(), static_cast<std::size_t>(c) + 1);
+  APT_CHECK_EQ(traffic.indptr.back(), static_cast<std::int64_t>(traffic.peer.size()));
+  APT_CHECK(traffic.bytes.size() == traffic.peer.size() &&
+            traffic.wire.size() == traffic.peer.size());
+  for (std::size_t s = 0; s < static_cast<std::size_t>(c); ++s) {
+    for (std::int64_t k = traffic.indptr[s]; k < traffic.indptr[s + 1]; ++k) {
+      const DeviceId r = traffic.peer[static_cast<std::size_t>(k)];
+      APT_CHECK(r >= 0 && r < c) << "all-to-all lane " << s << " -> " << r
+                                 << " names a peer outside [0, " << c << ")";
+      APT_CHECK(k == traffic.indptr[s] || traffic.peer[static_cast<std::size_t>(k) - 1] < r)
+          << "all-to-all peers of sender " << s << " do not strictly ascend at " << r;
+    }
+  }
   if (ctx_->RecordingStep()) {
     // One structured op on the step tape; the flat advances the Impl issues
     // are inner ops, so fast-forward re-runs the charge (fault thresholds,
@@ -232,7 +228,6 @@ std::vector<double> FaultedLaneSeconds(const SimContext& ctx,
 
 void Communicator::ChargeAllToAllImpl(const AllToAllTraffic& traffic, Phase phase) {
   const auto c = static_cast<std::size_t>(num_devices());
-  APT_CHECK_EQ(traffic.indptr.size(), c + 1);
   const ClusterSpec& cluster = ctx_->cluster();
   // Cost every lane once at the PRE-collective clocks (link faults are
   // evaluated against the time the transfer starts), so a mid-call failure
@@ -418,24 +413,7 @@ void Communicator::ChargeRingImpl(std::int64_t total_bytes,
   ctx_->BarrierAll(phase);
 }
 
-// --- analytic fast-forward collectives ---------------------------------------
-
-void Communicator::AllToAllTensorShapes(
-    const std::vector<std::vector<TensorShape>>& parts, Phase phase) {
-  const auto c = static_cast<std::size_t>(num_devices());
-  APT_CHECK_EQ(parts.size(), c);
-  AllToAllTraffic traffic;
-  for (std::size_t i = 0; i < c; ++i) {
-    APT_CHECK_EQ(parts[i].size(), c);
-    for (std::size_t j = 0; j < c; ++j) {
-      const TensorShape& p = parts[i][j];
-      const auto from = static_cast<DeviceId>(i), to = static_cast<DeviceId>(j);
-      if (i != j) traffic.Add(to, p.bytes(), RowsWireBytes(from, to, p.rows, p.cols));
-    }
-    traffic.EndSender();
-  }
-  ChargeAllToAll(traffic, phase);
-}
+// --- shape-only ring collectives ---------------------------------------------
 
 void Communicator::AllReduceSumShape(std::int64_t rows, std::int64_t cols,
                                      Phase phase, bool gradient_sync) {

@@ -7,8 +7,9 @@
 // the same simulated instant (SimContext::BarrierAll).
 //
 // Cost model per collective (documented per function):
-//   * point-to-point batches (AllToAll): each device serializes its egress
-//     and ingress on its own link; the collective completes at the slowest.
+//   * point-to-point batches (ChargeAllToAll): each device serializes its
+//     egress and ingress on its own link; the collective completes at the
+//     slowest.
 //   * ring collectives (AllReduce, AllGather): classic 2(C-1)/C and
 //     (C-1)/C volume terms over the bottleneck link of the ring.
 //
@@ -43,9 +44,9 @@ class Communicator {
   std::int32_t num_devices() const { return ctx_->num_devices(); }
 
   // ------------------------------------------------------------------
-  // Wire codecs. Float-tensor payloads (AllToAllTensors, AllBroadcastTensors,
-  // AllReduceSum, row lanes priced by RowsWireBytes) charge CODEC bytes on the
-  // wire, chosen per traffic class; id/object collectives carry structural
+  // Wire codecs. Float-tensor payloads (AllBroadcastTensors, AllReduceSum,
+  // all-to-all row lanes priced by RowsWireBytes) charge CODEC bytes on the
+  // wire, chosen per traffic class; id/object payloads carry structural
   // integer data and always travel uncompressed. The communicator never
   // changes VALUES — lossy rounding happens exactly once at the producer
   // (FeatureStore / model boundary hooks), which is what keeps quantized
@@ -67,36 +68,6 @@ class Communicator {
   Codec grad_codec() const { return grad_codec_; }
 
   // ------------------------------------------------------------------
-  // AllToAll of arbitrary message objects. sends[i][j] is the message from
-  // device i to device j; `bytes_fn(msg)` must return the serialized size so
-  // the link model charges the true wire cost. Used for shuffling sampled
-  // subgraphs / virtual-node records without a serialization round-trip.
-  // ------------------------------------------------------------------
-  template <typename T, typename BytesFn>
-  std::vector<std::vector<T>> AllToAllObjects(std::vector<std::vector<T>> sends,
-                                              const BytesFn& bytes_fn, Phase phase) {
-    const auto c = static_cast<std::size_t>(num_devices());
-    APT_CHECK_EQ(sends.size(), c);
-    AllToAllTraffic traffic;
-    for (std::size_t i = 0; i < c; ++i) {
-      APT_CHECK_EQ(sends[i].size(), c);
-      for (std::size_t j = 0; j < c; ++j) {
-        if (i == j) continue;
-        const auto b = static_cast<std::int64_t>(bytes_fn(sends[i][j]));
-        traffic.Add(static_cast<DeviceId>(j), b, b);
-      }
-      traffic.EndSender();
-    }
-    std::vector<std::vector<T>> recv(c);
-    for (std::size_t j = 0; j < c; ++j) {
-      recv[j].resize(c);
-      for (std::size_t i = 0; i < c; ++i) recv[j][i] = std::move(sends[i][j]);
-    }
-    ChargeAllToAll(traffic, phase);
-    return recv;
-  }
-
-  // ------------------------------------------------------------------
   // AllBroadcast of arbitrary objects (every device receives every input).
   // ------------------------------------------------------------------
   template <typename T, typename BytesFn>
@@ -109,13 +80,6 @@ class Communicator {
     ChargeRing(total, /*factor=*/1.0, phase, "allbroadcast");
     return inputs;
   }
-
-  // ------------------------------------------------------------------
-  // AllToAll of tensor rows: parts[i][j] = rows device i sends to device j.
-  // Returns recv[j][i]. Empty tensors are free (sparse all-to-all).
-  // ------------------------------------------------------------------
-  std::vector<std::vector<Tensor>> AllToAllTensors(
-      const std::vector<std::vector<Tensor>>& parts, Phase phase);
 
   // ------------------------------------------------------------------
   // Ring AllReduce (sum): every device contributes a same-shape tensor and
@@ -154,15 +118,18 @@ class Communicator {
   LinkSpec RingBottleneck() const;
 
   // ------------------------------------------------------------------
-  // All-to-all charge from sparse per-sender lanes, for callers that move
-  // their payloads themselves (SNP's flat per-device row blocks). Every
-  // all-to-all above charges through this one body: each device serializes
-  // its egress and ingress on its own link, pays codec encode/decode passes
-  // when a lane's wire bytes differ from its logical bytes, and the
-  // collective completes at the slowest participant. Traced as one
-  // "alltoall" slice per participant and attributed to SimContext comm
-  // time; fault thresholds, link degradation and the wire counters all see
-  // wire bytes.
+  // The communicator's one all-to-all: a charge from sparse per-sender
+  // lanes. Callers move their payloads themselves (the SNP and DNP
+  // executors' flat pair routing, engine/pair_routing.h) and describe the
+  // messages as lanes. Each device serializes its egress and ingress on its
+  // own link, pays codec encode/decode passes when a lane's wire bytes
+  // differ from its logical bytes, and the collective completes at the
+  // slowest participant. Traced as one "alltoall" slice per participant and
+  // attributed to SimContext comm time; fault thresholds, link degradation
+  // and the wire counters all see wire bytes. Throws apt::Error, before
+  // recording or charging anything, when a peer is outside [0, C) or peers
+  // do not strictly ascend within a sender's row (the order every device
+  // sums its lanes in).
   // ------------------------------------------------------------------
   void ChargeAllToAll(const AllToAllTraffic& traffic, Phase phase);
   /// Wire bytes of a rows x cols fp32 payload sent from `from` to `to`
@@ -174,14 +141,12 @@ class Communicator {
   }
 
   // ------------------------------------------------------------------
-  // Analytic fast-forward collectives. Shape-only analogs of
-  // the byte-moving collectives above: they run the SAME charging code
-  // (link/codec/fault-threshold math, per-class wire-byte counters) from
-  // byte matrices derived purely from shapes, without materializing or
-  // moving any payload. The golden-parity suite pins them bit-identical
-  // to their byte-moving twins. kDeltaBitmask wire bytes are
-  // content-dependent, so shape-based entry points treat it as its dense
-  // worst case (the CodecWireBytes(rows, cols) convention).
+  // Shape-only ring collectives: the profiler's trials. They run the SAME
+  // charging code as their byte-moving twins (link/codec/fault-threshold
+  // math, per-class wire-byte counters) from shapes alone, without
+  // materializing any payload. kDeltaBitmask wire bytes are
+  // content-dependent, so these treat it as its dense worst case (the
+  // CodecWireBytes(rows, cols) convention).
   // ------------------------------------------------------------------
 
   /// Logical rows x cols of one would-be payload tensor.
@@ -191,9 +156,6 @@ class Communicator {
     std::int64_t bytes() const { return rows * cols * 4; }
   };
 
-  /// Analytic AllToAllTensors: parts[i][j] = shape device i sends to j.
-  void AllToAllTensorShapes(const std::vector<std::vector<TensorShape>>& parts,
-                            Phase phase);
   /// Analytic AllReduceSum of one rows x cols tensor per device.
   void AllReduceSumShape(std::int64_t rows, std::int64_t cols, Phase phase,
                          bool gradient_sync = false);
@@ -214,9 +176,10 @@ class Communicator {
   SimContext& ctx() { return *ctx_; }
 
  private:
-  /// The real all-to-all charge. ChargeAllToAll is a thin wrapper that,
-  /// while a step records, appends ONE structured kAllToAll op (and marks
-  /// the flat advances below inner) so fast-forward re-runs this code.
+  /// The real all-to-all charge. ChargeAllToAll is a thin wrapper that
+  /// validates the lanes and, while a step records, appends ONE structured
+  /// kAllToAll op (and marks the flat advances below inner) so fast-forward
+  /// re-runs this code on the already-validated lanes.
   void ChargeAllToAllImpl(const AllToAllTraffic& traffic, Phase phase);
   /// Ring collective: time = latency_terms + factor * (C-1)/C * wire / bw.
   /// `label` names the trace slices ("allreduce" / "allbroadcast").

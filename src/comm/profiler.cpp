@@ -36,13 +36,15 @@ CommProfile ProfileImpl(const ClusterSpec& cluster, std::int64_t trial_bytes,
     prepare(ctx);
     Communicator comm(ctx);
     const std::int64_t rows_per_peer = std::max<std::int64_t>(1, rows / std::max(1, c));
-    std::vector<std::vector<Communicator::TensorShape>> parts(static_cast<std::size_t>(c));
-    for (std::int32_t i = 0; i < c; ++i) {
-      for (std::int32_t j = 0; j < c; ++j) {
-        parts[static_cast<std::size_t>(i)].push_back({i == j ? 0 : rows_per_peer, cols});
+    AllToAllTraffic traffic;
+    for (DeviceId i = 0; i < c; ++i) {
+      for (DeviceId j = 0; j < c; ++j) {
+        traffic.Add(j, rows_per_peer * cols * static_cast<std::int64_t>(sizeof(float)),
+                    comm.RowsWireBytes(i, j, rows_per_peer, cols));
       }
+      traffic.EndSender();
     }
-    comm.AllToAllTensorShapes(parts, Phase::kTrain);
+    comm.ChargeAllToAll(traffic, Phase::kTrain);
     const double per_device_bytes = static_cast<double>(rows_per_peer) * cols *
                                     sizeof(float) * std::max(0, c - 1);
     profile.alltoall_bytes_per_s = per_device_bytes / elapsed(ctx);

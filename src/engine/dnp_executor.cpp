@@ -13,10 +13,14 @@
 // all-to-all, the owners' feature gathers (kLoad) and the embedding-row
 // return shuffle ride the per-device comm stream; the owner-side layer-1
 // compute overlaps with the neighbouring micro-batches' shuffles.
-#include <unordered_map>
-
+//
+// Host layout: the flat pair routing shared with SNP (engine/pair_routing.h).
+// Each owner runs one layer-1 block over all of its pairs, and the arithmetic
+// is bit-identical to per-pair execution (DESIGN.md "Pair routing on the
+// host").
 #include "engine/exec_common.h"
 #include "engine/executor.h"
+#include "engine/pair_routing.h"
 #include "engine/quantized_grad.h"
 #include "obs/trace.h"
 #include "tensor/ops.h"
@@ -25,18 +29,22 @@ namespace apt {
 
 namespace {
 
-/// Destination records shipped from origin o to owner g.
-struct DnpDstBatch {
-  std::vector<std::int64_t> dst_local;   ///< row in origin's layer-1 output
+/// Destination records of one step. Pair p's records are [first, last) of
+/// these arrays; record r's sources are srcs[src_ptr[r], src_ptr[r+1]), so
+/// each pair's sources are contiguous.
+struct DnpRecords {
+  std::vector<std::int64_t> dst_local;  ///< row in origin's layer-1 output
   std::vector<NodeId> dst_global;
-  std::vector<std::int64_t> src_indptr;  ///< size n+1
-  std::vector<NodeId> srcs;              ///< global source ids (per edge)
+  std::vector<std::size_t> src_ptr{0};
+  std::vector<NodeId> srcs;  ///< global source ids (per edge)
 
-  std::int64_t size() const { return static_cast<std::int64_t>(dst_local.size()); }
-  std::int64_t bytes() const {
-    return static_cast<std::int64_t>(dst_local.size() * 8 + dst_global.size() * 8 +
-                                     src_indptr.size() * 8 + srcs.size() * 8);
-  }
+  std::size_t Sources(const RoutePair& pr) const { return src_ptr[pr.last] - src_ptr[pr.first]; }
+};
+
+/// One owner's layer-1 work over its row block.
+struct DnpOwnerWork {
+  Block block;  ///< owner-local layer-1 graph, one dst row per record
+  std::unique_ptr<LayerContext> saved;
 };
 
 class DnpExecutor final : public StrategyExecutor {
@@ -53,108 +61,111 @@ class DnpExecutor final : public StrategyExecutor {
     StepStats agg;
     agg.num_seeds = total_seeds;
 
-    // ---- Permute: group destinations by owner. ---------------------------
+    // ---- Permute: counting-sort each origin's destinations by owner. ------
+    // Each owner's records keep destination order.
     obs::StageSpan stage("permute", "dnp");
-    std::vector<std::vector<DnpDstBatch>> sends(
-        static_cast<std::size_t>(c), std::vector<DnpDstBatch>(static_cast<std::size_t>(c)));
-    for (DeviceId o = 0; o < c; ++o) {
-      const Block& b = batches[static_cast<std::size_t>(o)].sample.blocks[0];
-      for (std::int64_t i = 0; i < b.num_dst; ++i) {
-        const NodeId dst = b.src_nodes[static_cast<std::size_t>(i)];
-        const auto g = static_cast<std::size_t>(ctx_->OwnerOf(dst));
-        DnpDstBatch& db = sends[static_cast<std::size_t>(o)][g];
-        if (db.src_indptr.empty()) db.src_indptr.push_back(0);
-        db.dst_local.push_back(i);
-        db.dst_global.push_back(dst);
-        for (std::int64_t e = b.indptr[static_cast<std::size_t>(i)];
-             e < b.indptr[static_cast<std::size_t>(i) + 1]; ++e) {
-          db.srcs.push_back(
-              b.src_nodes[static_cast<std::size_t>(b.col[static_cast<std::size_t>(e)])]);
+    PairRouting routing;
+    DnpRecords rec;
+    {
+      OwnerBuckets buckets(c);
+      std::vector<DeviceId> dst_owner;
+      std::size_t num_rec = 0, num_srcs = 0;
+      for (DeviceId o = 0; o < c; ++o) {
+        const Block& b = batches[static_cast<std::size_t>(o)].sample.blocks[0];
+        const auto n = static_cast<std::size_t>(b.num_dst);
+        dst_owner.resize(n);
+        for (std::size_t i = 0; i < n; ++i) {
+          const auto g = static_cast<DeviceId>(ctx_->OwnerOf(b.src_nodes[i]));
+          dst_owner[i] = g;
+          buckets.Count(g);
+          buckets.extra[static_cast<std::size_t>(g)] +=
+              static_cast<std::size_t>(b.indptr[i + 1] - b.indptr[i]);
         }
-        db.src_indptr.push_back(static_cast<std::int64_t>(db.srcs.size()));
+        buckets.Layout(o, num_rec, num_srcs, routing);
+        rec.dst_local.resize(num_rec);
+        rec.dst_global.resize(num_rec);
+        rec.src_ptr.resize(num_rec + 1);
+        rec.srcs.resize(num_srcs);
+        for (std::size_t i = 0; i < n; ++i) {
+          const auto g = static_cast<std::size_t>(dst_owner[i]);
+          const std::size_t r = buckets.next[g]++;
+          rec.dst_local[r] = static_cast<std::int64_t>(i);
+          rec.dst_global[r] = b.src_nodes[i];
+          rec.src_ptr[r] = buckets.extra_next[g];
+          for (std::int64_t e = b.indptr[i]; e < b.indptr[i + 1]; ++e) {
+            rec.srcs[buckets.extra_next[g]++] =
+                b.src_nodes[static_cast<std::size_t>(b.col[static_cast<std::size_t>(e)])];
+          }
+        }
+        rec.src_ptr.back() = num_srcs;
       }
+      routing.IndexOwners(c);
     }
 
     // ---- Shuffle destinations to their owners. ---------------------------
+    // A batch of n records travels as dst_local, dst_global, a source indptr
+    // (n + 1) and the sources, all int64. Owners then read their pairs of
+    // the step buffer in place.
     stage.Next("shuffle");
-    auto recv = ctx_->comm->AllToAllObjects(
-        std::move(sends), [](const DnpDstBatch& b) { return b.bytes(); },
+    ctx_->comm->ChargeAllToAll(
+        routing.Traffic(/*to_owners=*/true,
+                        [&](const RoutePair& pr) {
+                          const auto bytes = static_cast<std::int64_t>(
+                              8 * (3 * (pr.last - pr.first) + 1 + rec.Sources(pr)));
+                          return std::pair<std::int64_t, std::int64_t>(bytes, bytes);
+                        }),
         Phase::kSample);
 
     // ---- Execute: owners build a local block and run the full layer. ------
+    // Destination rows come first (Block prefix convention), origins
+    // ascending; each record keeps its own row even if the same node arrives
+    // from two origins, because its sampled edge lists differ per origin.
+    // Sources are deduplicated within each pair only (one DGL gather per
+    // arriving virtual-node batch, matching the per-block loading semantics
+    // the cost model assumes), and never share a destination prefix row.
+    // The output stays in the owner's row block.
     stage.Next("execute");
-    struct OwnerWork {
-      Block block;                             ///< owner-local layer-1 graph
-      std::vector<DeviceId> origin_of;         ///< per local dst
-      std::vector<std::int64_t> dst_local_of;  ///< per local dst
-      std::unique_ptr<LayerContext> saved;
-    };
-    std::vector<OwnerWork> work(static_cast<std::size_t>(c));
-    std::vector<std::vector<Tensor>> out_sends(
-        static_cast<std::size_t>(c), std::vector<Tensor>(static_cast<std::size_t>(c)));
-    for (DeviceId g = 0; g < c; ++g) {
-      OwnerWork& w = work[static_cast<std::size_t>(g)];
-      // Destination rows come first (Block prefix convention); each record
-      // keeps its own row even if the same node arrives from two origins,
-      // because its sampled edge lists differ per origin.
-      Block& lb = w.block;
-      for (DeviceId o = 0; o < c; ++o) {
-        const DnpDstBatch& db = recv[static_cast<std::size_t>(g)][static_cast<std::size_t>(o)];
-        for (std::int64_t r = 0; r < db.size(); ++r) {
-          lb.src_nodes.push_back(db.dst_global[static_cast<std::size_t>(r)]);
-          w.origin_of.push_back(o);
-          w.dst_local_of.push_back(db.dst_local[static_cast<std::size_t>(r)]);
+    std::vector<DnpOwnerWork> work(static_cast<std::size_t>(c));
+    std::vector<Tensor> owner_out(static_cast<std::size_t>(c));
+    {
+      NodeRowTable table;
+      for (DeviceId g = 0; g < c; ++g) {
+        DnpOwnerWork& w = work[static_cast<std::size_t>(g)];
+        Block& lb = w.block;
+        for (std::size_t p : routing.OfOwner(g)) {
+          const std::span<const NodeId> dsts = routing.pairs[p].Of(rec.dst_global);
+          lb.src_nodes.insert(lb.src_nodes.end(), dsts.begin(), dsts.end());
         }
-      }
-      lb.num_dst = static_cast<std::int64_t>(lb.src_nodes.size());
-      lb.indptr.push_back(0);
-      // Sources are deduplicated within each origin's batch only (one DGL
-      // gather per arriving virtual-node batch, matching the per-block
-      // loading semantics the cost model assumes). Destination prefix rows
-      // are never shared as source slots: duplicate destinations from
-      // different origins keep distinct rows and distinct edge lists.
-      std::unordered_map<NodeId, std::int64_t> local;
-      std::int64_t cursor = 0;
-      for (DeviceId o = 0; o < c; ++o) {
-        const DnpDstBatch& db = recv[static_cast<std::size_t>(g)][static_cast<std::size_t>(o)];
-        local.clear();
-        for (std::int64_t r = 0; r < db.size(); ++r, ++cursor) {
-          for (std::int64_t e = db.src_indptr[static_cast<std::size_t>(r)];
-               e < db.src_indptr[static_cast<std::size_t>(r) + 1]; ++e) {
-            const NodeId u = db.srcs[static_cast<std::size_t>(e)];
-            auto [it, inserted] = local.try_emplace(
-                u, static_cast<std::int64_t>(lb.src_nodes.size()));
-            if (inserted) lb.src_nodes.push_back(u);
-            lb.col.push_back(it->second);
+        lb.num_dst = routing.Rows(g);
+        lb.indptr.push_back(0);
+        for (std::size_t p : routing.OfOwner(g)) {
+          const RoutePair& pr = routing.pairs[p];
+          table.Reset(rec.Sources(pr));
+          for (std::size_t r = pr.first; r < pr.last; ++r) {
+            for (std::size_t s = rec.src_ptr[r]; s < rec.src_ptr[r + 1]; ++s) {
+              lb.col.push_back(table.Insert(rec.srcs[s], lb.src_nodes));
+            }
+            lb.indptr.push_back(static_cast<std::int64_t>(lb.col.size()));
           }
-          lb.indptr.push_back(static_cast<std::int64_t>(lb.col.size()));
         }
-      }
-      if (lb.num_dst == 0) continue;
+        if (lb.num_dst == 0) continue;
 
-      Tensor feats(lb.num_src(), d);
-      ctx_->store->Gather(g, lb.src_nodes, 0, d, feats);
-      ctx_->sim->NoteTransient(g, 2 * feats.bytes());
-      GnnLayer& layer0 = ctx_->model(g).layer(0);
-      const Tensor out = layer0.Forward(lb.csr(), lb.num_dst, feats, &w.saved);
-      ctx_->sim->ChargeCompute(
-          g, layer0.ForwardFlops(lb.num_src(), lb.num_dst, lb.num_edges()));
-
-      // Split output rows back per origin (rows are grouped by origin).
-      std::int64_t row = 0;
-      for (DeviceId o = 0; o < c; ++o) {
-        const DnpDstBatch& db = recv[static_cast<std::size_t>(g)][static_cast<std::size_t>(o)];
-        if (db.size() == 0) continue;
-        Tensor rows(db.size(), out.cols());
-        std::copy_n(out.row(row), db.size() * out.cols(), rows.data());
-        row += db.size();
-        out_sends[static_cast<std::size_t>(g)][static_cast<std::size_t>(o)] = std::move(rows);
+        Tensor feats(lb.num_src(), d);
+        ctx_->store->Gather(g, lb.src_nodes, 0, d, feats);
+        ctx_->sim->NoteTransient(g, 2 * feats.bytes());
+        GnnLayer& layer0 = ctx_->model(g).layer(0);
+        owner_out[static_cast<std::size_t>(g)] =
+            layer0.Forward(lb.csr(), lb.num_dst, feats, &w.saved);
+        ctx_->sim->ChargeCompute(
+            g, layer0.ForwardFlops(lb.num_src(), lb.num_dst, lb.num_edges()));
       }
     }
 
     // ---- Reshuffle: one embedding row per destination back to origins. ----
     stage.Next("reshuffle");
-    auto out_recv = ctx_->comm->AllToAllTensors(out_sends, Phase::kTrain);
+    const std::int64_t out = ctx_->model(0).layer(0).out_dim();
+    ctx_->comm->ChargeAllToAll(routing.RowTraffic(*ctx_->comm, out, /*to_owners=*/false),
+                               Phase::kTrain);
 
     // ---- Remainder of the model at origins. --------------------------------
     stage.Next("execute");
@@ -163,14 +174,10 @@ class DnpExecutor final : public StrategyExecutor {
       DeviceBatch& batch = batches[static_cast<std::size_t>(o)];
       if (batch.labels.empty()) continue;
       const Block& b = batch.sample.blocks[0];
-      Tensor raw0(b.num_dst, ctx_->model(o).layer(0).out_dim());
-      for (DeviceId g = 0; g < c; ++g) {
-        const Tensor& rows = out_recv[static_cast<std::size_t>(o)][static_cast<std::size_t>(g)];
-        if (rows.rows() == 0) continue;
-        // Row r of `rows` corresponds to dst_local stored at the owner; we
-        // recover the mapping from the send-side batch we built earlier.
-        const DnpDstBatch& db = recv[static_cast<std::size_t>(g)][static_cast<std::size_t>(o)];
-        ScatterRows(rows, db.dst_local, raw0);
+      Tensor raw0(b.num_dst, out);
+      for (const RoutePair& pr : routing.OfOrigin(o)) {
+        CopyRowsFrom(owner_out[static_cast<std::size_t>(pr.owner)], pr.row,
+                     pr.Of(rec.dst_local), raw0);
       }
       const auto& blocks = batch.sample.blocks;
       ModelTape tape;
@@ -184,23 +191,25 @@ class DnpExecutor final : public StrategyExecutor {
       agg.loss += s.loss;
       agg.correct += s.correct;
     }
+    owner_out.clear();
 
     // ---- Backward shuffle: destination grads to the owners. ----------------
+    // An origin with records has seeds, hence a layer-0 gradient.
     stage.Next("reshuffle");
-    std::vector<std::vector<Tensor>> grad_sends(
-        static_cast<std::size_t>(c), std::vector<Tensor>(static_cast<std::size_t>(c)));
-    for (DeviceId o = 0; o < c; ++o) {
-      const Tensor& go = grad_raw0[static_cast<std::size_t>(o)];
-      if (go.rows() == 0) continue;
-      for (DeviceId g = 0; g < c; ++g) {
-        const DnpDstBatch& db = recv[static_cast<std::size_t>(g)][static_cast<std::size_t>(o)];
-        if (db.size() == 0) continue;
-        Tensor rows(db.size(), go.cols());
-        GatherRows(go, db.dst_local, rows);
-        grad_sends[static_cast<std::size_t>(o)][static_cast<std::size_t>(g)] = std::move(rows);
+    std::vector<Tensor> grad_outs(static_cast<std::size_t>(c));
+    for (DeviceId g = 0; g < c; ++g) {
+      if (routing.Rows(g) == 0) continue;
+      Tensor& grad_out = grad_outs[static_cast<std::size_t>(g)];
+      grad_out = Tensor(routing.Rows(g), out);
+      for (std::size_t p : routing.OfOwner(g)) {
+        const RoutePair& pr = routing.pairs[p];
+        const Tensor& src = grad_raw0[static_cast<std::size_t>(pr.origin)];
+        APT_CHECK_GT(src.rows(), 0);
+        CopyRowsTo(src, pr.Of(rec.dst_local), grad_out, pr.row);
       }
     }
-    auto grad_recv = ctx_->comm->AllToAllTensors(grad_sends, Phase::kTrain);
+    ctx_->comm->ChargeAllToAll(routing.RowTraffic(*ctx_->comm, out, /*to_owners=*/true),
+                               Phase::kTrain);
 
     // ---- Layer-1 backward at the owners. -----------------------------------
     // Quantized mode: the owner-grouped layer-0 parameter-grad sum goes
@@ -209,24 +218,12 @@ class DnpExecutor final : public StrategyExecutor {
     // pass, so they live in `grad_outs` rather than the loop body.
     stage.Next("execute");
     const bool quantized = UseQuantizedLayer0(*ctx_);
-    std::vector<Tensor> grad_outs(static_cast<std::size_t>(c));
     std::vector<std::vector<QuantizedBlockGrad>> qblocks(
         static_cast<std::size_t>(c));
     for (DeviceId g = 0; g < c; ++g) {
-      OwnerWork& w = work[static_cast<std::size_t>(g)];
+      DnpOwnerWork& w = work[static_cast<std::size_t>(g)];
       if (w.block.num_dst == 0) continue;
       Tensor& grad_out = grad_outs[static_cast<std::size_t>(g)];
-      grad_out = Tensor(w.block.num_dst, ctx_->model(g).layer(0).out_dim());
-      std::int64_t row = 0;
-      for (DeviceId o = 0; o < c; ++o) {
-        const DnpDstBatch& db = recv[static_cast<std::size_t>(g)][static_cast<std::size_t>(o)];
-        if (db.size() == 0) continue;
-        const Tensor& rows =
-            grad_recv[static_cast<std::size_t>(g)][static_cast<std::size_t>(o)];
-        APT_CHECK_EQ(rows.rows(), db.size());
-        std::copy_n(rows.data(), rows.numel(), grad_out.row(row));
-        row += db.size();
-      }
       GnnLayer& layer0 = ctx_->model(g).layer(0);
       if (quantized) {
         qblocks[static_cast<std::size_t>(g)].push_back(

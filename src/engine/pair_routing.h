@@ -1,0 +1,239 @@
+// Flat (origin, owner) pair routing shared by the SNP and DNP executors.
+//
+// Both strategies send each origin's layer-1 work to the devices that own
+// its nodes and bring rows back. A step's routing is flat: every (origin,
+// owner) pair that carries items owns one contiguous range of a single
+// step-wide buffer (origin-major, owners ascending), and each owner sees its
+// pairs as one contiguous row block (origins ascending). A step therefore
+// costs O(items moved + pairs) host work rather than O(C^2) per-pair
+// objects, and each shuffle charges one sparse lane per non-empty pair
+// (DESIGN.md "Pair routing on the host").
+#pragma once
+
+#include <algorithm>
+#include <cstdint>
+#include <span>
+#include <utility>
+#include <vector>
+
+#include "comm/collectives.h"
+#include "core/types.h"
+#include "sim/sim_context.h"
+#include "tensor/tensor.h"
+
+namespace apt {
+
+/// One (origin, owner) pair that carries items: the owner does layer-1 work
+/// for the origin. The pair's items are [first, last) of the step's flat
+/// buffer; in the owner's row block they start at `row`.
+struct RoutePair {
+  DeviceId origin = 0;
+  DeviceId owner = 0;
+  std::size_t first = 0;
+  std::size_t last = 0;
+  std::int64_t row = 0;
+
+  std::int64_t items() const { return static_cast<std::int64_t>(last - first); }
+  /// This pair's entries of a per-item step buffer.
+  template <typename T>
+  std::span<const T> Of(const std::vector<T>& per_item) const {
+    return std::span<const T>(per_item).subspan(first, last - first);
+  }
+};
+
+/// A step's routing: the non-empty pairs numbered origin-major with owners
+/// ascending, so each origin's items are one contiguous run of the buffer,
+/// and the same pairs listed per owner with origins ascending, so each
+/// owner's rows form one contiguous block.
+struct PairRouting {
+  std::vector<RoutePair> pairs;
+  std::vector<std::size_t> origin_ptr{0};  ///< origin o: pairs [origin_ptr[o], origin_ptr[o+1])
+  std::vector<std::size_t> owner_ptr;      ///< owner g: by_owner[owner_ptr[g], owner_ptr[g+1])
+  std::vector<std::size_t> by_owner;       ///< pair indices
+  std::vector<std::int64_t> owner_rows;    ///< rows in each owner's block
+
+  std::span<const RoutePair> OfOrigin(DeviceId o) const {
+    const auto i = static_cast<std::size_t>(o);
+    return std::span<const RoutePair>(pairs).subspan(origin_ptr[i],
+                                                     origin_ptr[i + 1] - origin_ptr[i]);
+  }
+  std::span<const std::size_t> OfOwner(DeviceId g) const {
+    const auto i = static_cast<std::size_t>(g);
+    return std::span<const std::size_t>(by_owner).subspan(owner_ptr[i],
+                                                          owner_ptr[i + 1] - owner_ptr[i]);
+  }
+  std::int64_t Rows(DeviceId g) const { return owner_rows[static_cast<std::size_t>(g)]; }
+
+  void AddPair(DeviceId o, DeviceId g, std::size_t first, std::size_t n) {
+    pairs.push_back({o, g, first, first + n, 0});
+  }
+  void EndOrigin() { origin_ptr.push_back(pairs.size()); }
+
+  /// Builds the per-owner view once every origin is closed.
+  void IndexOwners(std::int32_t c) {
+    const auto n = static_cast<std::size_t>(c);
+    owner_ptr.assign(n + 1, 0);
+    for (const RoutePair& pr : pairs) ++owner_ptr[static_cast<std::size_t>(pr.owner) + 1];
+    for (std::size_t g = 0; g < n; ++g) owner_ptr[g + 1] += owner_ptr[g];
+    std::vector<std::size_t> next(owner_ptr.begin(), owner_ptr.end() - 1);
+    owner_rows.assign(n, 0);
+    by_owner.resize(pairs.size());
+    for (std::size_t p = 0; p < pairs.size(); ++p) {
+      RoutePair& pr = pairs[p];
+      const auto g = static_cast<std::size_t>(pr.owner);
+      by_owner[next[g]++] = p;
+      pr.row = owner_rows[g];
+      owner_rows[g] += pr.items();
+    }
+  }
+
+  /// Owner g's row-block boundaries, one segment per pair.
+  std::vector<std::int64_t> Segments(DeviceId g) const {
+    std::vector<std::int64_t> seg;
+    for (std::size_t p : OfOwner(g)) seg.push_back(pairs[p].row);
+    seg.push_back(Rows(g));
+    return seg;
+  }
+
+  /// Traffic of one message per pair, each origin sending to its owners
+  /// (`to_owners`) or each owner back to its origins; `lane(pair)` returns
+  /// the message's {logical, wire} bytes.
+  template <typename Lane>
+  AllToAllTraffic Traffic(bool to_owners, const Lane& lane) const {
+    AllToAllTraffic traffic;
+    const auto add = [&](const RoutePair& pr) {
+      const auto [bytes, wire] = lane(pr);
+      traffic.Add(to_owners ? pr.owner : pr.origin, bytes, wire);
+    };
+    for (std::size_t d = 0; d < owner_rows.size(); ++d) {
+      if (to_owners) {
+        for (const RoutePair& pr : OfOrigin(static_cast<DeviceId>(d))) add(pr);
+      } else {
+        for (std::size_t p : OfOwner(static_cast<DeviceId>(d))) add(pairs[p]);
+      }
+      traffic.EndSender();
+    }
+    return traffic;
+  }
+  /// Traffic of one fp32 row of `cols` per item, under each link's wire
+  /// codec.
+  AllToAllTraffic RowTraffic(const Communicator& comm, std::int64_t cols,
+                             bool to_owners) const {
+    return Traffic(to_owners, [&](const RoutePair& pr) {
+      const DeviceId from = to_owners ? pr.origin : pr.owner;
+      const DeviceId to = to_owners ? pr.owner : pr.origin;
+      return std::pair<std::int64_t, std::int64_t>(
+          pr.items() * cols * 4, comm.RowsWireBytes(from, to, pr.items(), cols));
+    });
+  }
+};
+
+/// Per-owner scratch for bucketing one origin's items by owner (a counting
+/// sort). Only the owners an origin touches are visited and reset, so a
+/// step costs O(items + touched owners), not O(C) per item.
+struct OwnerBuckets {
+  explicit OwnerBuckets(std::int32_t c)
+      : count(static_cast<std::size_t>(c), 0), extra(count), next(count), extra_next(count),
+        seen(count.size(), -1) {}
+
+  /// True the first time owner g is seen under `stamp`.
+  bool FirstSight(DeviceId g, std::int64_t stamp) {
+    std::int64_t& s = seen[static_cast<std::size_t>(g)];
+    if (s == stamp) return false;
+    s = stamp;
+    return true;
+  }
+  /// Counts one item for owner g.
+  void Count(DeviceId g) {
+    if (count[static_cast<std::size_t>(g)]++ == 0) touched.push_back(g);
+  }
+  /// Lays out origin o's touched owners in ascending order, each owner's
+  /// items from `base` and its extra payload from `extra_base`, appends one
+  /// pair per owner, and resets the counts.
+  void Layout(DeviceId o, std::size_t& base, std::size_t& extra_base, PairRouting& routing) {
+    std::sort(touched.begin(), touched.end());
+    for (DeviceId g : touched) {
+      const auto i = static_cast<std::size_t>(g);
+      routing.AddPair(o, g, base, count[i]);
+      next[i] = base;
+      extra_next[i] = extra_base;
+      base += count[i];
+      extra_base += extra[i];
+      count[i] = extra[i] = 0;
+    }
+    routing.EndOrigin();
+    touched.clear();
+  }
+
+  std::vector<std::size_t> count;       ///< items per owner
+  std::vector<std::size_t> extra;       ///< extra payload per owner (sources)
+  std::vector<std::size_t> next;        ///< fill cursor of each owner's items
+  std::vector<std::size_t> extra_next;  ///< fill cursor of each owner's payload
+  std::vector<std::int64_t> seen;       ///< stamp of the last item that saw each owner
+  std::vector<DeviceId> touched;
+};
+
+/// Node -> gather-row map reused across (owner, origin) pairs: open
+/// addressing over a power-of-two table whose slots carry a generation
+/// stamp, so starting the next pair is O(1) instead of a fresh hash map.
+class NodeRowTable {
+ public:
+  /// Starts a new pair expecting at most `n` distinct nodes.
+  void Reset(std::size_t n) {
+    std::size_t cap = 16;
+    while (cap < 2 * n) cap <<= 1;
+    if (cap > keys_.size()) {
+      keys_.assign(cap, 0);
+      rows_.assign(cap, 0);
+      gen_of_.assign(cap, 0);
+      gen_ = 0;
+    }
+    if (++gen_ == 0) {
+      std::fill(gen_of_.begin(), gen_of_.end(), 0);
+      gen_ = 1;
+    }
+  }
+  /// Row of `node` for the current pair; a first sighting becomes the next
+  /// row of `rows` (the device's batched gather list).
+  std::int64_t Insert(NodeId node, std::vector<NodeId>& rows) {
+    const std::size_t mask = keys_.size() - 1;
+    std::size_t i =
+        static_cast<std::size_t>((static_cast<std::uint64_t>(node) * 0x9E3779B97F4A7C15ULL) >> 32) &
+        mask;
+    while (gen_of_[i] == gen_) {
+      if (keys_[i] == node) return rows_[i];
+      i = (i + 1) & mask;
+    }
+    gen_of_[i] = gen_;
+    keys_[i] = node;
+    rows_[i] = static_cast<std::int64_t>(rows.size());
+    rows.push_back(node);
+    return rows_[i];
+  }
+
+ private:
+  std::vector<NodeId> keys_;
+  std::vector<std::int64_t> rows_;
+  std::vector<std::uint32_t> gen_of_;
+  std::uint32_t gen_ = 0;
+};
+
+/// dst.row(dst_row0 + k) = src.row(index[k]): an owner's row block filled
+/// from an origin's rows.
+inline void CopyRowsTo(const Tensor& src, std::span<const std::int64_t> index, Tensor& dst,
+                       std::int64_t dst_row0) {
+  for (std::size_t k = 0; k < index.size(); ++k) {
+    std::copy_n(src.row(index[k]), src.cols(), dst.row(dst_row0 + static_cast<std::int64_t>(k)));
+  }
+}
+
+/// dst.row(index[k]) = src.row(src_row0 + k): an owner's row block
+/// scattered back to an origin's rows.
+inline void CopyRowsFrom(const Tensor& src, std::int64_t src_row0,
+                         std::span<const std::int64_t> index, Tensor& dst) {
+  for (std::size_t k = 0; k < index.size(); ++k) {
+    std::copy_n(src.row(src_row0 + static_cast<std::int64_t>(k)), src.cols(), dst.row(index[k]));
+  }
+}
+
+}  // namespace apt

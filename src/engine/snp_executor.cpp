@@ -14,14 +14,10 @@
 // requesting device, which runs attention locally — the paper's "extra
 // communication for attention-based models".
 //
-// Host layout: a step's routing is flat. Every (origin, owner) pair that
-// carries rows owns one contiguous range of a single step-wide buffer
-// (origin-major, owners ascending), and each owner processes its pairs as
-// one contiguous row block (origins ascending). Each device therefore runs
-// one SpMM and one GEMM per weight over all of its rows, and the shuffles
-// charge one sparse lane per non-empty pair, so a step costs O(rows moved)
-// rather than O(C^2) per-pair objects. The arithmetic is bit-identical to
-// per-pair execution (DESIGN.md "SNP on the host").
+// Host layout: the flat pair routing shared with DNP (engine/pair_routing.h).
+// Each device runs one SpMM and one GEMM per weight over its whole row
+// block, and the arithmetic is bit-identical to per-pair execution
+// (DESIGN.md "Pair routing on the host").
 //
 // Pipelined execution (EngineOptions::pipeline_depth > 1): the virtual-node
 // all-to-all, the owners' source gathers (kLoad) and the partial GroupReduce
@@ -32,203 +28,13 @@
 
 #include "engine/exec_common.h"
 #include "engine/executor.h"
+#include "engine/pair_routing.h"
 #include "obs/trace.h"
 #include "tensor/ops.h"
 
 namespace apt {
 
 namespace {
-
-/// One (origin, owner) pair that carries rows: the owner does layer-1 work
-/// for the origin. The pair's items (SAGE virtual nodes, GAT requested
-/// rows) are [first, last) of the step's flat buffer; in the owner's row
-/// block they start at `row`.
-struct SnpPair {
-  DeviceId origin = 0;
-  DeviceId owner = 0;
-  std::size_t first = 0;
-  std::size_t last = 0;
-  std::int64_t row = 0;
-
-  std::int64_t items() const { return static_cast<std::int64_t>(last - first); }
-};
-
-/// A step's routing: the non-empty pairs numbered origin-major with owners
-/// ascending, so each origin's items are one contiguous run of the buffer,
-/// and the same pairs listed per owner with origins ascending, so each
-/// owner's rows form one contiguous block.
-struct SnpRouting {
-  std::vector<SnpPair> pairs;
-  std::vector<std::size_t> origin_ptr{0};  ///< origin o: pairs [origin_ptr[o], origin_ptr[o+1])
-  std::vector<std::size_t> owner_ptr;      ///< owner g: by_owner[owner_ptr[g], owner_ptr[g+1])
-  std::vector<std::size_t> by_owner;       ///< pair indices
-  std::vector<std::int64_t> owner_rows;    ///< rows in each owner's block
-
-  std::span<const SnpPair> OfOrigin(DeviceId o) const {
-    const auto i = static_cast<std::size_t>(o);
-    return std::span<const SnpPair>(pairs).subspan(origin_ptr[i],
-                                                   origin_ptr[i + 1] - origin_ptr[i]);
-  }
-  std::span<const std::size_t> OfOwner(DeviceId g) const {
-    const auto i = static_cast<std::size_t>(g);
-    return std::span<const std::size_t>(by_owner).subspan(owner_ptr[i],
-                                                          owner_ptr[i + 1] - owner_ptr[i]);
-  }
-  std::int64_t Rows(DeviceId g) const { return owner_rows[static_cast<std::size_t>(g)]; }
-
-  void AddPair(DeviceId o, DeviceId g, std::size_t first, std::size_t n) {
-    pairs.push_back({o, g, first, first + n, 0});
-  }
-  void EndOrigin() { origin_ptr.push_back(pairs.size()); }
-
-  /// Builds the per-owner view once every origin is closed.
-  void IndexOwners(std::int32_t c) {
-    const auto n = static_cast<std::size_t>(c);
-    owner_ptr.assign(n + 1, 0);
-    for (const SnpPair& pr : pairs) ++owner_ptr[static_cast<std::size_t>(pr.owner) + 1];
-    for (std::size_t g = 0; g < n; ++g) owner_ptr[g + 1] += owner_ptr[g];
-    std::vector<std::size_t> next(owner_ptr.begin(), owner_ptr.end() - 1);
-    owner_rows.assign(n, 0);
-    by_owner.resize(pairs.size());
-    for (std::size_t p = 0; p < pairs.size(); ++p) {
-      SnpPair& pr = pairs[p];
-      const auto g = static_cast<std::size_t>(pr.owner);
-      by_owner[next[g]++] = p;
-      pr.row = owner_rows[g];
-      owner_rows[g] += pr.items();
-    }
-  }
-
-  /// Owner g's row-block boundaries, one segment per pair.
-  std::vector<std::int64_t> Segments(DeviceId g) const {
-    std::vector<std::int64_t> seg;
-    for (std::size_t p : OfOwner(g)) seg.push_back(pairs[p].row);
-    seg.push_back(Rows(g));
-    return seg;
-  }
-
-  /// Traffic of one message per pair, each origin sending to its owners
-  /// (`to_owners`) or each owner back to its origins; `lane(pair)` returns
-  /// the message's {logical, wire} bytes.
-  template <typename Lane>
-  AllToAllTraffic Traffic(bool to_owners, const Lane& lane) const {
-    AllToAllTraffic traffic;
-    const auto add = [&](const SnpPair& pr) {
-      const auto [bytes, wire] = lane(pr);
-      traffic.Add(to_owners ? pr.owner : pr.origin, bytes, wire);
-    };
-    for (std::size_t d = 0; d < owner_rows.size(); ++d) {
-      if (to_owners) {
-        for (const SnpPair& pr : OfOrigin(static_cast<DeviceId>(d))) add(pr);
-      } else {
-        for (std::size_t p : OfOwner(static_cast<DeviceId>(d))) add(pairs[p]);
-      }
-      traffic.EndSender();
-    }
-    return traffic;
-  }
-  /// Traffic of one fp32 row of `cols` per item, under each link's wire
-  /// codec.
-  AllToAllTraffic RowTraffic(const Communicator& comm, std::int64_t cols,
-                             bool to_owners) const {
-    return Traffic(to_owners, [&](const SnpPair& pr) {
-      const DeviceId from = to_owners ? pr.origin : pr.owner;
-      const DeviceId to = to_owners ? pr.owner : pr.origin;
-      return std::pair<std::int64_t, std::int64_t>(
-          pr.items() * cols * 4, comm.RowsWireBytes(from, to, pr.items(), cols));
-    });
-  }
-};
-
-/// Per-owner scratch for bucketing one origin's items by owner (a counting
-/// sort). Only the owners an origin touches are visited and reset, so a
-/// step costs O(items + touched owners), not O(C) per destination.
-struct OwnerBuckets {
-  explicit OwnerBuckets(std::int32_t c)
-      : count(static_cast<std::size_t>(c), 0), extra(count), next(count), extra_next(count),
-        seen(count.size(), -1) {}
-
-  /// True the first time owner g is seen under `stamp`.
-  bool FirstSight(DeviceId g, std::int64_t stamp) {
-    std::int64_t& s = seen[static_cast<std::size_t>(g)];
-    if (s == stamp) return false;
-    s = stamp;
-    return true;
-  }
-  /// Counts one item for owner g.
-  void Count(DeviceId g) {
-    if (count[static_cast<std::size_t>(g)]++ == 0) touched.push_back(g);
-  }
-  /// Lays out origin o's touched owners in ascending order, each owner's
-  /// items from `base` and its extra payload from `extra_base`, appends one
-  /// pair per owner, and resets the counts.
-  void Layout(DeviceId o, std::size_t& base, std::size_t& extra_base, SnpRouting& routing) {
-    std::sort(touched.begin(), touched.end());
-    for (DeviceId g : touched) {
-      const auto i = static_cast<std::size_t>(g);
-      routing.AddPair(o, g, base, count[i]);
-      next[i] = base;
-      extra_next[i] = extra_base;
-      base += count[i];
-      extra_base += extra[i];
-      count[i] = extra[i] = 0;
-    }
-    routing.EndOrigin();
-    touched.clear();
-  }
-
-  std::vector<std::size_t> count;       ///< items per owner
-  std::vector<std::size_t> extra;       ///< extra payload per owner (SAGE sources)
-  std::vector<std::size_t> next;        ///< fill cursor of each owner's items
-  std::vector<std::size_t> extra_next;  ///< fill cursor of each owner's payload
-  std::vector<std::int64_t> seen;       ///< stamp of the last item that saw each owner
-  std::vector<DeviceId> touched;
-};
-
-/// Node -> gather-row map reused across (owner, origin) pairs: open
-/// addressing over a power-of-two table whose slots carry a generation
-/// stamp, so starting the next pair is O(1) instead of a fresh hash map.
-class NodeRowTable {
- public:
-  /// Starts a new pair expecting at most `n` distinct nodes.
-  void Reset(std::size_t n) {
-    std::size_t cap = 16;
-    while (cap < 2 * n) cap <<= 1;
-    if (cap > keys_.size()) {
-      keys_.assign(cap, 0);
-      rows_.assign(cap, 0);
-      gen_of_.assign(cap, 0);
-      gen_ = 0;
-    }
-    if (++gen_ == 0) {
-      std::fill(gen_of_.begin(), gen_of_.end(), 0);
-      gen_ = 1;
-    }
-  }
-  /// Row of `node` for the current pair; a first sighting becomes the next
-  /// row of `rows` (the device's batched gather list).
-  std::int64_t Insert(NodeId node, std::vector<NodeId>& rows) {
-    const std::size_t mask = keys_.size() - 1;
-    std::size_t i =
-        static_cast<std::size_t>((static_cast<std::uint64_t>(node) * 0x9E3779B97F4A7C15ULL) >> 32) &
-        mask;
-    while (gen_of_[i] == gen_) {
-      if (keys_[i] == node) return rows_[i];
-      i = (i + 1) & mask;
-    }
-    gen_of_[i] = gen_;
-    keys_[i] = node;
-    rows_[i] = static_cast<std::int64_t>(rows.size());
-    rows.push_back(node);
-    return rows_[i];
-  }
-
- private:
-  std::vector<NodeId> keys_;
-  std::vector<std::int64_t> rows_;
-  std::vector<std::uint32_t> gen_of_;
-  std::uint32_t gen_ = 0;
-};
 
 /// dst.row(index[k]) += src.row(src_row0 + k), in k order.
 void AddRowsAt(const Tensor& src, std::int64_t src_row0, std::span<const std::int64_t> index,
@@ -241,17 +47,9 @@ void AddRowsAt(const Tensor& src, std::int64_t src_row0, std::span<const std::in
   }
 }
 
-/// dst.row(dst_row0 + k) = src.row(index[k]).
-void CopyRowsTo(const Tensor& src, std::span<const std::int64_t> index, Tensor& dst,
-                std::int64_t dst_row0) {
-  for (std::size_t k = 0; k < index.size(); ++k) {
-    std::copy_n(src.row(index[k]), src.cols(), dst.row(dst_row0 + static_cast<std::int64_t>(k)));
-  }
-}
-
 /// Pair-by-pair flop sum, accumulated in the order per-pair kernels charged.
 template <typename PerPair>
-double PairFlops(const SnpRouting& routing, DeviceId g, const PerPair& per_pair) {
+double PairFlops(const PairRouting& routing, DeviceId g, const PerPair& per_pair) {
   double flops = 0.0;
   for (std::size_t p : routing.OfOwner(g)) flops += per_pair(routing.pairs[p]);
   return flops;
@@ -297,10 +95,7 @@ struct SnpVirtualNodes {
   std::vector<std::size_t> src_ptr{0};
   std::vector<NodeId> srcs;  ///< global source ids
 
-  std::span<const std::int64_t> DstLocal(const SnpPair& pr) const {
-    return std::span<const std::int64_t>(dst_local).subspan(pr.first, pr.last - pr.first);
-  }
-  std::size_t Sources(const SnpPair& pr) const { return src_ptr[pr.last] - src_ptr[pr.first]; }
+  std::size_t Sources(const RoutePair& pr) const { return src_ptr[pr.last] - src_ptr[pr.first]; }
 };
 
 /// One owner's layer-0 state over its row block (all of its virtual nodes).
@@ -325,7 +120,7 @@ StepStats SnpExecutor::StepSage(std::vector<DeviceBatch>& batches) {
   // virtual nodes keep destination order. Two passes per origin: count per
   // touched owner, then fill the owners' blocks.
   obs::StageSpan stage("permute", "snp");
-  SnpRouting routing;
+  PairRouting routing;
   SnpVirtualNodes vn;
   {
     OwnerBuckets buckets(c);
@@ -396,7 +191,7 @@ StepStats SnpExecutor::StepSage(std::vector<DeviceBatch>& batches) {
   stage.Next("shuffle");
   ctx_->comm->ChargeAllToAll(
       routing.Traffic(/*to_owners=*/true,
-                      [&](const SnpPair& pr) {
+                      [&](const RoutePair& pr) {
                         const auto bytes = static_cast<std::int64_t>(
                             8 * (4 * (pr.last - pr.first) + 1 + vn.Sources(pr)));
                         return std::pair<std::int64_t, std::int64_t>(bytes, bytes);
@@ -427,7 +222,7 @@ StepStats SnpExecutor::StepSage(std::vector<DeviceBatch>& batches) {
       st.self_seg.assign(1, 0);
       double flops = 0.0;
       for (std::size_t p : routing.OfOwner(g)) {
-        const SnpPair& pr = routing.pairs[p];
+        const RoutePair& pr = routing.pairs[p];
         const std::size_t s0 = vn.src_ptr[pr.first], s1 = vn.src_ptr[pr.last];
         table.Reset(s1 - s0);
         for (std::size_t s = s0; s < s1; ++s) col.push_back(table.Insert(vn.srcs[s], gather_nodes));
@@ -482,8 +277,8 @@ StepStats SnpExecutor::StepSage(std::vector<DeviceBatch>& batches) {
   for (DeviceId o = 0; o < c; ++o) {
     Tensor& r0 = raw0[static_cast<std::size_t>(o)];
     r0 = Tensor(batches[static_cast<std::size_t>(o)].sample.blocks[0].num_dst, out);
-    for (const SnpPair& pr : routing.OfOrigin(o)) {
-      AddRowsAt(owners[static_cast<std::size_t>(pr.owner)].part, pr.row, vn.DstLocal(pr), r0);
+    for (const RoutePair& pr : routing.OfOrigin(o)) {
+      AddRowsAt(owners[static_cast<std::size_t>(pr.owner)].part, pr.row, pr.Of(vn.dst_local), r0);
     }
   }
   ctx_->comm->ChargeAllToAll(routing.RowTraffic(*ctx_->comm, out, /*to_owners=*/false),
@@ -522,10 +317,10 @@ StepStats SnpExecutor::StepSage(std::vector<DeviceBatch>& batches) {
     Tensor& grows = grad_rows[static_cast<std::size_t>(g)];
     grows = Tensor(routing.Rows(g), out);
     for (std::size_t p : routing.OfOwner(g)) {
-      const SnpPair& pr = routing.pairs[p];
+      const RoutePair& pr = routing.pairs[p];
       const Tensor& src = grad_raw0[static_cast<std::size_t>(pr.origin)];
       APT_CHECK_GT(src.rows(), 0);
-      CopyRowsTo(src, vn.DstLocal(pr), grows, pr.row);
+      CopyRowsTo(src, pr.Of(vn.dst_local), grows, pr.row);
     }
   }
   ctx_->comm->ChargeAllToAll(routing.RowTraffic(*ctx_->comm, out, /*to_owners=*/true),
@@ -545,7 +340,7 @@ StepStats SnpExecutor::StepSage(std::vector<DeviceBatch>& batches) {
       GatherRows(grows, st.self_rows, gsel);
       SegmentedMatmulTN(st.self_h, gsel, st.self_seg, sage.w_self().grad, 1.0f, 1.0f);
     }
-    ctx_->sim->ChargeCompute(g, PairFlops(routing, g, [&](const SnpPair& pr) {
+    ctx_->sim->ChargeCompute(g, PairFlops(routing, g, [&](const RoutePair& pr) {
                                return 4.0 * static_cast<double>(pr.items()) * d * sage.out_dim();
                              }));
   }
@@ -563,7 +358,7 @@ StepStats SnpExecutor::StepGat(std::vector<DeviceBatch>& batches) {
   // ---- Permute: every layer-1 source node's z row is requested from its
   // owner (one request per (origin, owner) pair, in source order). ---------
   obs::StageSpan stage("permute", "snp");
-  SnpRouting routing;
+  PairRouting routing;
   std::vector<NodeId> req_nodes;      ///< requested node per item
   std::vector<std::int64_t> req_pos;  ///< its row in the origin's z tensor
   {
@@ -590,12 +385,9 @@ StepStats SnpExecutor::StepGat(std::vector<DeviceBatch>& batches) {
     }
     routing.IndexOwners(c);
   }
-  const auto positions = [&](const SnpPair& pr) {
-    return std::span<const std::int64_t>(req_pos).subspan(pr.first, pr.last - pr.first);
-  };
   stage.Next("shuffle");
   ctx_->comm->ChargeAllToAll(routing.Traffic(/*to_owners=*/true,
-                                             [](const SnpPair& pr) {
+                                             [](const RoutePair& pr) {
                                                return std::pair<std::int64_t, std::int64_t>(
                                                    pr.items() * 8, pr.items() * 8);
                                              }),
@@ -615,16 +407,16 @@ StepStats SnpExecutor::StepGat(std::vector<DeviceBatch>& batches) {
       gather_nodes.clear();
       std::int64_t transient = 0;
       for (std::size_t p : routing.OfOwner(g)) {
-        const SnpPair& pr = routing.pairs[p];
-        gather_nodes.insert(gather_nodes.end(), req_nodes.begin() + static_cast<std::ptrdiff_t>(pr.first),
-                            req_nodes.begin() + static_cast<std::ptrdiff_t>(pr.last));
+        const RoutePair& pr = routing.pairs[p];
+        const std::span<const NodeId> nodes = pr.Of(req_nodes);
+        gather_nodes.insert(gather_nodes.end(), nodes.begin(), nodes.end());
         transient += pr.items() * d * 4 + pr.items() * gat.out_dim() * 4;  // h + z
       }
       Tensor& h = saved_h[static_cast<std::size_t>(g)];
       h = Tensor(static_cast<std::int64_t>(gather_nodes.size()), d);
       if (!gather_nodes.empty()) ctx_->store->Gather(g, gather_nodes, 0, d, h);
       z_rows[static_cast<std::size_t>(g)] = gat.Project(h);
-      ctx_->sim->ChargeCompute(g, PairFlops(routing, g, [&](const SnpPair& pr) {
+      ctx_->sim->ChargeCompute(g, PairFlops(routing, g, [&](const RoutePair& pr) {
                                  return 2.0 * static_cast<double>(pr.items()) * d * gat.out_dim();
                                }));
       ctx_->sim->NoteTransient(g, h.bytes() + transient);
@@ -644,12 +436,8 @@ StepStats SnpExecutor::StepGat(std::vector<DeviceBatch>& batches) {
     auto& gat = dynamic_cast<GatLayer&>(ctx_->model(o).layer(0));
     const Block& b = batch.sample.blocks[0];
     Tensor z(b.num_src(), gat.out_dim());
-    for (const SnpPair& pr : routing.OfOrigin(o)) {
-      const std::span<const std::int64_t> pos = positions(pr);
-      const Tensor& rows = z_rows[static_cast<std::size_t>(pr.owner)];
-      for (std::size_t k = 0; k < pos.size(); ++k) {
-        std::copy_n(rows.row(pr.row + static_cast<std::int64_t>(k)), z.cols(), z.row(pos[k]));
-      }
+    for (const RoutePair& pr : routing.OfOrigin(o)) {
+      CopyRowsFrom(z_rows[static_cast<std::size_t>(pr.owner)], pr.row, pr.Of(req_pos), z);
     }
     std::unique_ptr<GatAttentionContext> attn_ctx;
     const Tensor raw0 = gat.AttentionForward(b.csr(), b.num_dst, z, &attn_ctx);
@@ -677,10 +465,10 @@ StepStats SnpExecutor::StepGat(std::vector<DeviceBatch>& batches) {
     Tensor& rows = gz_rows[static_cast<std::size_t>(g)];
     rows = Tensor(routing.Rows(g), out);
     for (std::size_t p : routing.OfOwner(g)) {
-      const SnpPair& pr = routing.pairs[p];
+      const RoutePair& pr = routing.pairs[p];
       const Tensor& gz = grad_z_full[static_cast<std::size_t>(pr.origin)];
       APT_CHECK_GT(gz.rows(), 0);
-      CopyRowsTo(gz, positions(pr), rows, pr.row);
+      CopyRowsTo(gz, pr.Of(req_pos), rows, pr.row);
     }
   }
   ctx_->comm->ChargeAllToAll(routing.RowTraffic(*ctx_->comm, out, /*to_owners=*/true),
@@ -690,7 +478,7 @@ StepStats SnpExecutor::StepGat(std::vector<DeviceBatch>& batches) {
     auto& gat = dynamic_cast<GatLayer&>(ctx_->model(g).layer(0));
     SegmentedMatmulTN(saved_h[static_cast<std::size_t>(g)], gz_rows[static_cast<std::size_t>(g)],
                       routing.Segments(g), gat.w().grad, 1.0f, 1.0f);
-    ctx_->sim->ChargeCompute(g, PairFlops(routing, g, [&](const SnpPair& pr) {
+    ctx_->sim->ChargeCompute(g, PairFlops(routing, g, [&](const RoutePair& pr) {
                                return 2.0 * static_cast<double>(pr.items()) * d * gat.out_dim();
                              }));
   }

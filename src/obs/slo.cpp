@@ -1,6 +1,7 @@
 #include "obs/slo.h"
 
 #include <cctype>
+#include <cmath>
 #include <cstdlib>
 #include <sstream>
 #include <utility>
@@ -107,6 +108,9 @@ bool ParseSloRule(const std::string& text, SloRule* out, std::string* error) {
   rule.bound = std::strtod(bound.c_str(), &end);
   const std::string unit(end);
   if (end == bound.c_str()) return fail("bound is not a number");
+  // strtod accepts "nan", "inf" and overflowing literals ("1e999"): a NaN
+  // bound breaches every window, an infinite one never fires.
+  if (!std::isfinite(rule.bound)) return fail("bound is not finite");
   if (unit == "ns") {
     rule.bound *= 1e-9;
   } else if (unit == "us") {

@@ -72,7 +72,8 @@ struct AllToAllTraffic {
 
   /// Sender whose row Add() currently appends to.
   DeviceId sender() const { return static_cast<DeviceId>(indptr.size() - 1); }
-  /// Appends the lane sender() -> `to`; peers must ascend within a row.
+  /// Appends the lane sender() -> `to`; peers must strictly ascend within a
+  /// row (Communicator::ChargeAllToAll rejects lanes that do not).
   void Add(DeviceId to, std::int64_t lane_bytes, std::int64_t lane_wire) {
     if (to == sender() || (lane_bytes == 0 && lane_wire == 0)) return;
     peer.push_back(to);

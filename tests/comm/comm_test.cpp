@@ -10,6 +10,7 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "comm/collectives.h"
@@ -32,29 +33,24 @@ Tensor Filled(std::int64_t r, std::int64_t c, float v) {
   return t;
 }
 
-TEST(AllToAllTest, RoutesTensorsExactly) {
-  SimContext sim(SingleMachineCluster(3));
-  Communicator comm(sim);
-  std::vector<std::vector<Tensor>> parts(3, std::vector<Tensor>(3));
-  for (int i = 0; i < 3; ++i) {
-    for (int j = 0; j < 3; ++j) {
-      parts[i][j] = Filled(1, 2, static_cast<float>(10 * i + j));
+/// Sparse lanes from a dense per-pair byte matrix (wire == logical bytes).
+AllToAllTraffic DenseLanes(const std::vector<std::vector<std::int64_t>>& bytes) {
+  AllToAllTraffic traffic;
+  for (const std::vector<std::int64_t>& row : bytes) {
+    for (std::size_t j = 0; j < row.size(); ++j) {
+      traffic.Add(static_cast<DeviceId>(j), row[j], row[j]);
     }
+    traffic.EndSender();
   }
-  const auto recv = comm.AllToAllTensors(parts, Phase::kTrain);
-  for (int j = 0; j < 3; ++j) {
-    for (int i = 0; i < 3; ++i) {
-      EXPECT_FLOAT_EQ(recv[j][i](0, 0), static_cast<float>(10 * i + j));
-    }
-  }
-  EXPECT_GT(sim.MaxNow(), 0.0);
+  return traffic;
 }
 
 TEST(AllToAllTest, EmptyTensorsAreFree) {
   SimContext sim(SingleMachineCluster(2));
   Communicator comm(sim);
-  std::vector<std::vector<Tensor>> parts(2, std::vector<Tensor>(2));
-  comm.AllToAllTensors(parts, Phase::kTrain);
+  const AllToAllTraffic traffic = DenseLanes({{0, 0}, {0, 0}});
+  EXPECT_TRUE(traffic.peer.empty());  // empty lanes are never stored
+  comm.ChargeAllToAll(traffic, Phase::kTrain);
   // Only barrier synchronization, no transfer time.
   EXPECT_DOUBLE_EQ(sim.MaxNow(), 0.0);
 }
@@ -63,28 +59,53 @@ TEST(AllToAllTest, ClocksSynchronizedAfter) {
   SimContext sim(SingleMachineCluster(4));
   Communicator comm(sim);
   sim.Advance(2, 1.0, Phase::kSample);  // straggler
-  std::vector<std::vector<Tensor>> parts(4, std::vector<Tensor>(4));
-  parts[0][1] = Filled(100, 10, 1.0f);
-  comm.AllToAllTensors(parts, Phase::kTrain);
+  std::vector<std::vector<std::int64_t>> bytes(4, std::vector<std::int64_t>(4, 0));
+  bytes[0][1] = 100 * 10 * 4;
+  comm.ChargeAllToAll(DenseLanes(bytes), Phase::kTrain);
   const double t = sim.Now(0);
   for (DeviceId d = 1; d < 4; ++d) EXPECT_DOUBLE_EQ(sim.Now(d), t);
   EXPECT_GE(t, 1.0);
 }
 
-// Vector payloads route through the object all-to-all (the path DNP uses).
-TEST(AllToAllVecTest, RoutesVectors) {
-  SimContext sim(SingleMachineCluster(2));
+// Malformed lanes are rejected before anything is recorded or charged: a
+// peer outside [0, C) would index past the per-device arrays, and peers out
+// of order would change the order every device sums its lanes in.
+TEST(AllToAllTest, RejectsPeerOutOfRange) {
+  for (DeviceId bad : {DeviceId{3}, DeviceId{-1}}) {
+    SimContext sim(SingleMachineCluster(3));
+    Communicator comm(sim);
+    AllToAllTraffic traffic;
+    traffic.Add(1, 64, 64);
+    traffic.EndSender();
+    traffic.Add(bad, 64, 64);
+    traffic.EndSender();
+    traffic.EndSender();
+    EXPECT_THROW(comm.ChargeAllToAll(traffic, Phase::kTrain), Error) << bad;
+    EXPECT_DOUBLE_EQ(sim.MaxNow(), 0.0);
+  }
+}
+
+TEST(AllToAllTest, RejectsPeersThatDoNotAscend) {
+  SimContext sim(SingleMachineCluster(3));
   Communicator comm(sim);
-  std::vector<std::vector<std::vector<int>>> sends(2,
-                                                   std::vector<std::vector<int>>(2));
-  sends[0][1] = {1, 2, 3};
-  sends[1][0] = {7};
-  const auto recv = comm.AllToAllObjects(
-      std::move(sends), [](const std::vector<int>& v) { return v.size() * sizeof(int); },
-      Phase::kSample);
-  EXPECT_EQ(recv[1][0], (std::vector<int>{1, 2, 3}));
-  EXPECT_EQ(recv[0][1], (std::vector<int>{7}));
-  EXPECT_TRUE(recv[0][0].empty());
+  const std::int64_t calls_before =
+      obs::Metrics::Global().counter("comm.alltoall.calls").Get();
+  AllToAllTraffic traffic;
+  traffic.Add(2, 64, 64);
+  traffic.Add(1, 64, 64);  // descending within sender 0
+  traffic.EndSender();
+  traffic.EndSender();
+  traffic.EndSender();
+  EXPECT_THROW(comm.ChargeAllToAll(traffic, Phase::kTrain), Error);
+  AllToAllTraffic repeated;
+  repeated.EndSender();
+  repeated.Add(2, 64, 64);
+  repeated.Add(2, 64, 64);  // a repeated peer does not strictly ascend
+  repeated.EndSender();
+  repeated.EndSender();
+  EXPECT_THROW(comm.ChargeAllToAll(repeated, Phase::kTrain), Error);
+  EXPECT_DOUBLE_EQ(sim.MaxNow(), 0.0);
+  EXPECT_EQ(obs::Metrics::Global().counter("comm.alltoall.calls").Get(), calls_before);
 }
 
 TEST(AllReduceTest, SumsAcrossDevices) {
@@ -319,8 +340,9 @@ struct AllToAllCase {
   LaneMatrix bytes, wire;
   FaultPlan faults;
   std::vector<double> skew;  ///< per-device clock before the call
-  Codec codec = Codec::kIdentity;  ///< wire codec of the tensor adapter
-  std::int64_t cols = 0;           ///< tensor-adapter payload width
+  Codec peer_codec = Codec::kIdentity;   ///< wire codec of intra-machine lanes
+  Codec cross_codec = Codec::kIdentity;  ///< wire codec of cross-machine lanes
+  std::int64_t cols = 0;                 ///< row-lane payload width
 };
 
 struct AllToAllObservation {
@@ -346,7 +368,7 @@ std::vector<std::int64_t> AllToAllCounters() {
   return v;
 }
 
-enum class Charger { kOracle, kSparse, kObjectAdapter, kTensorAdapter };
+enum class Charger { kOracle, kSparse, kRowLanes };
 
 /// Charges `c`'s all-to-all twice on a fresh context (so the second call
 /// sees the first one's clocks and fault state) through `charger`.
@@ -354,14 +376,22 @@ AllToAllObservation ObserveAllToAll(const AllToAllCase& c, Charger charger) {
   SimContext sim(c.cluster);
   sim.InstallFaults(c.faults);
   Communicator comm(sim);
-  comm.SetWireCodecAll(c.codec);
+  comm.SetWireCodec(TrafficClass::kPeerGpu, c.peer_codec);
+  comm.SetWireCodec(TrafficClass::kCrossMachine, c.cross_codec);
   for (DeviceId d = 0; d < sim.num_devices(); ++d) {
     sim.Advance(d, c.skew[static_cast<std::size_t>(d)], Phase::kSample);
   }
+  // kRowLanes prices each lane of fp32 rows through RowsWireBytes, the way
+  // the executors' row shuffles do; kSparse takes the case's wire bytes.
   AllToAllTraffic traffic;
   for (std::size_t i = 0; i < c.bytes.size(); ++i) {
     for (std::size_t j = 0; j < c.bytes.size(); ++j) {
-      traffic.Add(static_cast<DeviceId>(j), c.bytes[i][j], c.wire[i][j]);
+      const auto from = static_cast<DeviceId>(i), to = static_cast<DeviceId>(j);
+      const std::int64_t wire =
+          charger == Charger::kRowLanes
+              ? comm.RowsWireBytes(from, to, c.bytes[i][j] / (4 * c.cols), c.cols)
+              : c.wire[i][j];
+      traffic.Add(to, c.bytes[i][j], wire);
     }
     traffic.EndSender();
   }
@@ -378,21 +408,9 @@ AllToAllObservation ObserveAllToAll(const AllToAllCase& c, Charger charger) {
           OracleChargeAllToAll(sim, c.bytes, c.wire, phase);
           break;
         case Charger::kSparse:
+        case Charger::kRowLanes:
           comm.ChargeAllToAll(traffic, phase);
           break;
-        case Charger::kObjectAdapter:
-          // Each lane's message is its own byte count.
-          comm.AllToAllObjects(
-              c.bytes, [](std::int64_t bytes) { return bytes; }, phase);
-          break;
-        case Charger::kTensorAdapter: {
-          std::vector<std::vector<Tensor>> parts(c.bytes.size());
-          for (std::size_t i = 0; i < c.bytes.size(); ++i) {
-            for (std::int64_t b : c.bytes[i]) parts[i].emplace_back(b / (4 * c.cols), c.cols);
-          }
-          comm.AllToAllTensors(parts, phase);
-          break;
-        }
       }
     }
   } catch (const CollectiveError& e) {
@@ -496,7 +514,6 @@ TEST(AllToAllChargeParityTest, SparseSweepMatchesPerLaneCharge) {
                        << " wire mode " << wire_mode << " faults " << fault_mode);
           const AllToAllObservation want = ObserveAllToAll(c, Charger::kOracle);
           ExpectSameObservation(want, ObserveAllToAll(c, Charger::kSparse));
-          if (wire_mode == 0) ExpectSameObservation(want, ObserveAllToAll(c, Charger::kObjectAdapter));
           if ((fault_mode & 2) && density == 1.0 && c.bytes.size() > 1) {
             EXPECT_FALSE(want.error.empty());  // the fault path did run
           }
@@ -518,24 +535,31 @@ TEST(AllToAllChargeParityTest, SameChargeAtOneLaneAndFullWidth) {
   ExpectSameObservation(wide, ObserveAllToAll(c, Charger::kSparse));
 }
 
-// The tensor adapter prices each lane with the real wire codec of its
-// link's class (bf16 and int8 make wire != logical bytes).
-TEST(AllToAllChargeParityTest, TensorAdapterWithCodecsMatchesPerLaneCharge) {
+// Row lanes priced by RowsWireBytes get the wire codec of their link's
+// traffic class (bf16 and int8 make wire != logical bytes), the charge the
+// SNP and DNP row shuffles rely on.
+TEST(AllToAllChargeParityTest, RowLanesGetTheirClassCodecsWireBytes) {
   Rng rng(5);
-  for (Codec codec : {Codec::kIdentity, Codec::kBf16, Codec::kInt8}) {
-    SCOPED_TRACE(ToString(codec));
+  const std::pair<Codec, Codec> codecs[] = {{Codec::kIdentity, Codec::kInt8},
+                                            {Codec::kBf16, Codec::kIdentity},
+                                            {Codec::kInt8, Codec::kBf16}};
+  for (const auto& [peer_codec, cross_codec] : codecs) {
+    SCOPED_TRACE(std::string(ToString(peer_codec)) + " / " + ToString(cross_codec));
     AllToAllCase c = RandomAllToAllCase(rng, 17, 4, 0.3, 0, 1);
-    c.codec = codec;
+    c.peer_codec = peer_codec;
+    c.cross_codec = cross_codec;
     c.cols = 8;
     for (std::size_t i = 0; i < c.bytes.size(); ++i) {
+      const MachineId mi = c.cluster.MachineOf(static_cast<DeviceId>(i));
       for (std::size_t j = 0; j < c.bytes.size(); ++j) {
+        const bool cross = c.cluster.MachineOf(static_cast<DeviceId>(j)) != mi;
         const auto rows = static_cast<std::int64_t>(c.bytes[i][j] > 0 ? rng.NextBelow(64) : 0);
         c.bytes[i][j] = rows * c.cols * 4;
-        c.wire[i][j] = CodecWireBytes(codec, rows, c.cols);
+        c.wire[i][j] = CodecWireBytes(cross ? cross_codec : peer_codec, rows, c.cols);
       }
     }
     ExpectSameObservation(ObserveAllToAll(c, Charger::kOracle),
-                          ObserveAllToAll(c, Charger::kTensorAdapter));
+                          ObserveAllToAll(c, Charger::kRowLanes));
   }
 }
 

@@ -5,11 +5,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <iterator>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "core/random.h"
 #include "obs/flight.h"
 #include "obs/histogram.h"
 #include "obs/json.h"
@@ -335,6 +337,71 @@ TEST(SloRuleTest, ParsesTextualForms) {
   EXPECT_FALSE(obs::ParseSloRule("q p99 <= 1", &r, &error));
   EXPECT_FALSE(obs::ParseSloRule("q p99 < 1zz", &r, &error));
   EXPECT_FALSE(obs::ParseSloRule("q p99 < 1 extra", &r, &error));
+}
+
+// strtod accepts "nan", "inf" and overflowing literals. A NaN bound makes
+// `value < bound` false in every window (the rule always fires), an infinite
+// one never fires; both are rejected with a message.
+TEST(SloRuleTest, RejectsNonFiniteBounds) {
+  for (const char* text : {"x p99 < nan", "x p99 < inf", "x p99 < 1e999", "x max > -inf",
+                           "x p50 < nanms", "x mean < infinity"}) {
+    SloRule r;
+    std::string error;
+    EXPECT_FALSE(obs::ParseSloRule(text, &r, &error)) << text;
+    EXPECT_NE(error.find("not finite"), std::string::npos) << text << ": " << error;
+  }
+}
+
+// Seeded mutation loop over valid rules: edits characters and splices in
+// tokens strtod treats specially. Parsing must never throw, every rejection
+// must explain itself, and every accepted rule must carry a finite bound.
+TEST(SloRuleTest, MutatedRulesNeverThrowAndAcceptOnlyFiniteBounds) {
+  const std::string seeds[] = {"serve.latency_s p99 < 2ms", "train.device.busy_s skew < 1.5x",
+                               "q count > 10", "q p50 < 250us", "serve.shed count < 1",
+                               "x mean > 0.5s", "y min < 3e-7ns"};
+  const std::string splices[] = {"nan", "inf", "1e999", "-", "e", "x", "ms", " ", "0x1p4",
+                                 "1e-400", ".", "<", ">", "p99"};
+  const std::string alphabet = "0123456789.eE+-xnsumiafp <>";
+  Rng rng(20261017);
+  int accepted = 0, rejected = 0;
+  for (int iter = 0; iter < 4000; ++iter) {
+    std::string text = seeds[rng.NextBelow(std::size(seeds))];
+    const int edits = 1 + static_cast<int>(rng.NextBelow(3));
+    for (int e = 0; e < edits; ++e) {
+      const std::size_t at = rng.NextBelow(text.size() + 1);
+      switch (rng.NextBelow(4)) {
+        case 0:  // replace one character
+          if (at < text.size()) text[at] = alphabet[rng.NextBelow(alphabet.size())];
+          break;
+        case 1:  // insert one character
+          text.insert(at, 1, alphabet[rng.NextBelow(alphabet.size())]);
+          break;
+        case 2:  // delete one character
+          if (at < text.size()) text.erase(at, 1);
+          break;
+        default:  // splice a special token, replacing the rule's last word
+          if (rng.NextBelow(2) == 0) {
+            text = text.substr(0, text.rfind(' ') + 1) + splices[rng.NextBelow(std::size(splices))];
+          } else {
+            text.insert(at, splices[rng.NextBelow(std::size(splices))]);
+          }
+          break;
+      }
+    }
+    SloRule r;
+    std::string error;
+    bool ok = false;
+    EXPECT_NO_THROW(ok = obs::ParseSloRule(text, &r, &error)) << text;
+    if (ok) {
+      ++accepted;
+      EXPECT_TRUE(std::isfinite(r.bound)) << text << " -> " << r.bound;
+    } else {
+      ++rejected;
+      EXPECT_FALSE(error.empty()) << text;
+    }
+  }
+  EXPECT_GT(accepted, 100);
+  EXPECT_GT(rejected, 100);
 }
 
 TEST(SloRuleTest, StatOfWindow) {

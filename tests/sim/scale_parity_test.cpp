@@ -1,11 +1,12 @@
-// Golden-parity property suite for the analytic fast-forward collectives
-// (DESIGN.md "Sampled execution at scale" invariant): the shape-only entry
-// points (AllToAllTensorShapes / AllReduceSumShape / AllBroadcastTensorShapes,
-// and ChargeAllToAll for structural payloads) must charge BIT-IDENTICAL
-// virtual seconds and per-TrafficClass logical + wire bytes to their
-// byte-moving twins — across random clusters, wire/gradient codecs, and
-// pipeline depths — because they run the same link/codec/fault-threshold
-// math and only skip materializing and moving the payload.
+// Golden-parity property suite for the shape-only ring collectives
+// (AllReduceSumShape / AllBroadcastTensorShapes, which run the profiler's
+// trials): they must charge BIT-IDENTICAL virtual seconds and
+// per-TrafficClass logical + wire bytes to their byte-moving twins — across
+// random clusters, wire/gradient codecs, and pipeline depths — because they
+// run the same link/codec/fault-threshold math and only skip materializing
+// and moving the payload. The sparse all-to-all charge (ChargeAllToAll) has
+// no twin; the 64-device test below drives its lanes through the parallel
+// clock commit.
 //
 // kDeltaBitmask is deliberately absent: its wire bytes depend on payload
 // content, so the shape path charges the documented dense worst case
@@ -34,26 +35,23 @@ constexpr Codec kShapeFaithfulCodecs[] = {Codec::kIdentity, Codec::kBf16,
 /// before either twin runs, so both charge from identical geometry.
 struct Geometry {
   std::int64_t cols = 0;
-  std::vector<std::vector<std::int64_t>> a2a_rows;   ///< AllToAllTensors i->j
   std::int64_t allreduce_rows = 0;
   bool gradient_sync = false;
-  std::vector<std::int64_t> broadcast_rows;          ///< AllBroadcastTensors
-  std::vector<std::vector<std::int64_t>> vec_lens;   ///< AllToAllObjects i->j
+  std::vector<std::int64_t> broadcast_rows;            ///< AllBroadcastTensors
+  std::vector<std::vector<std::int64_t>> lane_bytes;   ///< all-to-all lane i->j
 };
 
 Geometry DrawGeometry(Rng& rng, std::int32_t devices) {
   const auto c = static_cast<std::size_t>(devices);
   Geometry g;
   g.cols = 1 + static_cast<std::int64_t>(rng.NextBelow(12));
-  g.a2a_rows.assign(c, std::vector<std::int64_t>(c, 0));
-  g.vec_lens.assign(c, std::vector<std::int64_t>(c, 0));
+  g.lane_bytes.assign(c, std::vector<std::int64_t>(c, 0));
   g.broadcast_rows.resize(c);
   for (std::size_t i = 0; i < c; ++i) {
     g.broadcast_rows[i] = static_cast<std::int64_t>(rng.NextBelow(7));
     for (std::size_t j = 0; j < c; ++j) {
-      // 0-row entries exercise the sparse (free-lane) case on both paths.
-      g.a2a_rows[i][j] = static_cast<std::int64_t>(rng.NextBelow(6));
-      g.vec_lens[i][j] = static_cast<std::int64_t>(rng.NextBelow(40));
+      // 0-byte entries exercise the sparse (free-lane) case.
+      g.lane_bytes[i][j] = 8 * static_cast<std::int64_t>(rng.NextBelow(40));
     }
   }
   g.allreduce_rows = 1 + static_cast<std::int64_t>(rng.NextBelow(9));
@@ -84,14 +82,6 @@ void RunByteMoving(SimContext& ctx, Communicator& comm, const Geometry& g,
   const auto c = static_cast<std::size_t>(comm.num_devices());
   Rng fill(99);
   if (depth > 1) ctx.BeginPipelinedStep(depth);
-  std::vector<std::vector<Tensor>> parts(c);
-  for (std::size_t i = 0; i < c; ++i) {
-    for (std::size_t j = 0; j < c; ++j) {
-      parts[i].push_back(FilledTensor(g.a2a_rows[i][j], g.cols, fill));
-    }
-  }
-  comm.AllToAllTensors(parts, Phase::kSample);
-
   std::vector<Tensor> grads;
   std::vector<Tensor*> grad_ptrs;
   for (std::size_t i = 0; i < c; ++i) {
@@ -105,18 +95,6 @@ void RunByteMoving(SimContext& ctx, Communicator& comm, const Geometry& g,
     inputs.push_back(FilledTensor(g.broadcast_rows[i], g.cols, fill));
   }
   comm.AllBroadcastTensors(inputs, Phase::kSample);
-
-  std::vector<std::vector<std::vector<std::int64_t>>> sends(
-      c, std::vector<std::vector<std::int64_t>>(c));
-  for (std::size_t i = 0; i < c; ++i) {
-    for (std::size_t j = 0; j < c; ++j) {
-      sends[i][j].assign(static_cast<std::size_t>(g.vec_lens[i][j]), 7);
-    }
-  }
-  comm.AllToAllObjects(
-      std::move(sends),
-      [](const std::vector<std::int64_t>& v) { return v.size() * sizeof(std::int64_t); },
-      Phase::kSample);
   if (depth > 1) ctx.EndPipelinedStep();
 }
 
@@ -125,34 +103,26 @@ void RunAnalytic(SimContext& ctx, Communicator& comm, const Geometry& g,
                  int depth) {
   const auto c = static_cast<std::size_t>(comm.num_devices());
   if (depth > 1) ctx.BeginPipelinedStep(depth);
-  std::vector<std::vector<Communicator::TensorShape>> parts(
-      c, std::vector<Communicator::TensorShape>(c));
-  for (std::size_t i = 0; i < c; ++i) {
-    for (std::size_t j = 0; j < c; ++j) {
-      parts[i][j] = {g.a2a_rows[i][j], g.cols};
-    }
-  }
-  comm.AllToAllTensorShapes(parts, Phase::kSample);
-
   comm.AllReduceSumShape(g.allreduce_rows, g.cols, Phase::kTrain,
                          g.gradient_sync);
 
   std::vector<Communicator::TensorShape> inputs(c);
   for (std::size_t i = 0; i < c; ++i) inputs[i] = {g.broadcast_rows[i], g.cols};
   comm.AllBroadcastTensorShapes(inputs, Phase::kSample);
+  if (depth > 1) ctx.EndPipelinedStep();
+}
 
-  // Structural payloads travel uncompressed: wire == logical bytes.
+/// One sparse all-to-all of the geometry's structural lanes (uncompressed:
+/// wire == logical bytes).
+void ChargeLanes(Communicator& comm, const Geometry& g) {
   AllToAllTraffic traffic;
-  for (std::size_t i = 0; i < c; ++i) {
-    for (std::size_t j = 0; j < c; ++j) {
-      const std::int64_t b =
-          g.vec_lens[i][j] * static_cast<std::int64_t>(sizeof(std::int64_t));
-      traffic.Add(static_cast<DeviceId>(j), b, b);
+  for (const std::vector<std::int64_t>& row : g.lane_bytes) {
+    for (std::size_t j = 0; j < row.size(); ++j) {
+      traffic.Add(static_cast<DeviceId>(j), row[j], row[j]);
     }
     traffic.EndSender();
   }
   comm.ChargeAllToAll(traffic, Phase::kSample);
-  if (depth > 1) ctx.EndPipelinedStep();
 }
 
 void ExpectBitIdentical(const SimContext& a, const SimContext& b) {
@@ -219,8 +189,10 @@ TEST(ScaleParityTest, ParallelClockAdvanceIsBitIdenticalAt64Devices) {
     {
       ScopedParallelismLimit one_lane(1);
       RunAnalytic(serial_ctx, serial, g, /*depth=*/1);
+      ChargeLanes(serial, g);
     }
     RunAnalytic(parallel_ctx, parallel, g, /*depth=*/1);
+    ChargeLanes(parallel, g);
   }
   {
     ScopedParallelismLimit one_lane(1);
