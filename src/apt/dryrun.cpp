@@ -1,10 +1,10 @@
 #include "apt/dryrun.h"
 
 #include <algorithm>
-#include <unordered_set>
 
 #include "core/timer.h"
 #include "engine/exec_common.h"
+#include "engine/pair_routing.h"
 #include "runtime/parallel_for.h"
 #include "sampling/frequency.h"
 #include "sampling/minibatch.h"
@@ -25,49 +25,20 @@ namespace {
 
 constexpr std::int64_t kF = sizeof(float);
 
-/// Mirrors engine/exec_common AssignSeeds without needing an EngineCtx.
-std::vector<std::vector<NodeId>> Assign(std::span<const NodeId> seeds,
-                                        SeedAssignment assignment,
-                                        const std::vector<PartId>& partition,
-                                        std::int32_t c) {
-  std::vector<std::vector<NodeId>> out(static_cast<std::size_t>(c));
-  if (assignment == SeedAssignment::kChunked) {
-    const std::size_t n = seeds.size();
-    const std::size_t chunk = (n + static_cast<std::size_t>(c) - 1) / c;
-    for (std::size_t dev = 0; dev < static_cast<std::size_t>(c); ++dev) {
-      const std::size_t lo = std::min(n, dev * chunk);
-      const std::size_t hi = std::min(n, lo + chunk);
-      out[dev].assign(seeds.begin() + lo, seeds.begin() + hi);
-    }
-  } else {
-    for (NodeId s : seeds) {
-      out[static_cast<std::size_t>(partition[static_cast<std::size_t>(s)])].push_back(s);
-    }
-  }
-  return out;
-}
-
 /// Execute compute time for one device's batch: the full forward+backward
-/// flop count (mirrors exec_common ChargeStepCompute with first_layer = 0;
-/// the paper's strategy-independent T_train) through the device's flop rate.
+/// flop count (the paper's strategy-independent T_train) through the
+/// device's flop rate.
 double ComputeCost(const ClusterSpec& cluster, const GnnModel& probe, DeviceId dev,
                    const SampledBatch& batch) {
-  const int layers =
-      std::min(probe.num_layers(), static_cast<int>(batch.blocks.size()));
-  double flops = 0.0;
-  for (int k = 0; k < layers; ++k) {
-    const Block& b = batch.blocks[static_cast<std::size_t>(k)];
-    flops += probe.layer(k).ForwardFlops(b.num_src(), b.num_dst, b.num_edges()) +
-             probe.layer(k).BackwardFlops(b.num_src(), b.num_dst, b.num_edges());
-  }
   const auto& gpu = cluster.machine(cluster.MachineOf(dev)).gpu;
-  return gpu.kernel_launch_s + flops / gpu.EffectiveFlops();
+  return gpu.kernel_launch_s + StepFlops(probe, batch.blocks, 0) / gpu.EffectiveFlops();
 }
 
 /// Runs one deterministic epoch of sampling under `assignment`, invoking
-/// `visit(step, per-device batches)` for each step.
+/// `visit(step, per-device batches)` for each step, and returns the number
+/// of steps.
 template <typename Visit>
-void SamplingEpoch(const Dataset& ds, const EngineOptions& opts,
+std::int64_t SamplingEpoch(const Dataset& ds, const EngineOptions& opts,
                    const std::vector<PartId>& partition, std::int32_t c,
                    SeedAssignment assignment, const Visit& visit) {
   NeighborSampler sampler(ds.graph, opts.fanouts);
@@ -96,7 +67,7 @@ void SamplingEpoch(const Dataset& ds, const EngineOptions& opts,
       }
     } else {
       const std::vector<NodeId> step_seeds = plan.StepSeeds(epoch_seeds, step);
-      per_device = Assign(step_seeds, assignment, partition, c);
+      per_device = AssignSeeds(step_seeds, assignment, partition, c);
     }
     const Rng step_rng = epoch_rng.Fork(static_cast<std::uint64_t>(step));
     // Each device forks its own stream and fills only its own slot, so the
@@ -112,6 +83,7 @@ void SamplingEpoch(const Dataset& ds, const EngineOptions& opts,
         /*grain=*/1);
     visit(step, batches);
   }
+  return steps;
 }
 
 }  // namespace
@@ -173,32 +145,53 @@ DryRunResult DryRun(const Dataset& dataset, const ClusterSpec& cluster,
   auto& snp = res.per_strategy[static_cast<std::size_t>(Strategy::kSNP)];
   auto& dnp = res.per_strategy[static_cast<std::size_t>(Strategy::kDNP)];
 
+  // The slowest device bounds each step (the trainer synchronizes at every
+  // collective), so sampling and compute sum per-step maxima over devices.
+  const auto add_step_maxima = [&](const std::vector<SampledBatch>& batches,
+                                   StrategyDryRun& a, StrategyDryRun& b) {
+    double sample = 0.0, compute = 0.0;
+    for (std::int32_t dev = 0; dev < c; ++dev) {
+      const SampledBatch& batch = batches[static_cast<std::size_t>(dev)];
+      sample = std::max(sample, SampleSeconds(cluster, dev, batch));
+      compute = std::max(compute, ComputeCost(cluster, probe, dev, batch));
+    }
+    for (StrategyDryRun* st : {&a, &b}) {
+      st->sample_seconds += sample;
+      st->train_compute_seconds += compute;
+    }
+  };
+  // Counts one step's full-width feature loads of strategy s: device g
+  // gathers expand(g).first and notes expand(g).second transient bytes.
+  using DeviceGather = std::pair<std::span<const NodeId>, std::int64_t>;
+  const auto count_loads = [&](Strategy s, const auto& expand) {
+    StrategyDryRun& st = res.per_strategy[static_cast<std::size_t>(s)];
+    const FeatureStore& store = *stores[static_cast<std::size_t>(s)];
+    double step_load = 0.0;
+    for (std::int32_t g = 0; g < c; ++g) {
+      const auto [gather, transient] = expand(g);
+      const LoadVolume vol = store.CountGather(g, gather, 0, d);
+      st.load[static_cast<std::size_t>(g)].Add(vol);
+      step_load = std::max(step_load, store.LoadSeconds(g, vol));
+      st.peak_transient_bytes = std::max(st.peak_transient_bytes, transient);
+    }
+    st.load_seconds += step_load;
+  };
+
   // ---- Pass 2 (chunked): GDP + NFP volumes. ---------------------------------
-  SamplingEpoch(dataset, opts, partition, c, SeedAssignment::kChunked,
-                [&](std::int64_t, const std::vector<SampledBatch>& batches) {
+  const std::int64_t steps =
+      SamplingEpoch(dataset, opts, partition, c, SeedAssignment::kChunked,
+                    [&](std::int64_t, const std::vector<SampledBatch>& batches) {
+    add_step_maxima(batches, gdp, nfp);
+    // GDP: each device loads its own input features at full width.
+    count_loads(Strategy::kGDP, [&](DeviceId g) {
+      const Block& b0 = batches[static_cast<std::size_t>(g)].blocks.front();
+      return DeviceGather(b0.src_nodes, 2 * b0.num_src() * d * kF);
+    });
     std::int64_t nfp_graph_bytes = 0;
     std::vector<std::int64_t> nfp_transient(static_cast<std::size_t>(c), 0);
-    double step_sample_max = 0.0;
-    double step_compute_max = 0.0;
-    double gdp_step_load = 0.0;
     std::vector<LoadVolume> nfp_step_vol(static_cast<std::size_t>(c));
     for (std::int32_t dev = 0; dev < c; ++dev) {
-      const SampledBatch& b = batches[static_cast<std::size_t>(dev)];
-      // The slowest device bounds each step (the trainer synchronizes at
-      // every collective), so the epoch estimate sums per-step maxima.
-      step_sample_max = std::max(step_sample_max, SampleSeconds(cluster, dev, b));
-      step_compute_max = std::max(step_compute_max, ComputeCost(cluster, probe, dev, b));
-      const Block& b0 = b.blocks.front();
-      // GDP: the device loads its own input features at full width.
-      const LoadVolume gdp_step =
-          stores[static_cast<std::size_t>(Strategy::kGDP)]->CountGather(
-              dev, b0.src_nodes, 0, d);
-      gdp.load[static_cast<std::size_t>(dev)].Add(gdp_step);
-      gdp_step_load = std::max(
-          gdp_step_load,
-          stores[static_cast<std::size_t>(Strategy::kGDP)]->LoadSeconds(dev, gdp_step));
-      gdp.peak_transient_bytes = std::max(gdp.peak_transient_bytes,
-                                          2 * b0.num_src() * d * kF);
+      const Block& b0 = batches[static_cast<std::size_t>(dev)].blocks.front();
       // NFP: graph broadcast + every device loads its slice of this graph.
       nfp_graph_bytes += b0.bytes();
       for (std::int32_t g = 0; g < c; ++g) {
@@ -217,11 +210,6 @@ DryRunResult DryRun(const Dataset& dataset, const ClusterSpec& cluster,
       // NFP hidden shuffle rows (fwd reduce + bwd broadcast).
       nfp.shuffle_rows += gat ? b0.num_src() : b0.num_dst;
     }
-    gdp.sample_seconds += step_sample_max;
-    nfp.sample_seconds += step_sample_max;
-    gdp.train_compute_seconds += step_compute_max;
-    nfp.train_compute_seconds += step_compute_max;
-    gdp.load_seconds += gdp_step_load;
     double nfp_step_load = 0.0;
     for (std::int32_t g = 0; g < c; ++g) {
       nfp_step_load = std::max(
@@ -236,133 +224,57 @@ DryRunResult DryRun(const Dataset& dataset, const ClusterSpec& cluster,
     }
   });
 
-  // ---- Pass 3 (partition): SNP + DNP volumes. -------------------------------
-  std::vector<std::int64_t> snp_dev_rows(static_cast<std::size_t>(c), 0);
-  std::vector<std::int64_t> dnp_dev_rows(static_cast<std::size_t>(c), 0);
-  std::int64_t snp_step_rows_sum = 0;  // sum over steps of the busiest device
-  std::int64_t dnp_step_rows_sum = 0;
-  SamplingEpoch(dataset, opts, partition, c, SeedAssignment::kPartition,
-                [&](std::int64_t, const std::vector<SampledBatch>& batches) {
-    // Per-step, per-owner gather lists. Both SNP and DNP owners gather once
-    // per arriving batch, deduplicated within each origin's batch only — the
-    // same semantics as the executors (and DGL's per-block feature loading).
-    std::vector<std::vector<NodeId>> snp_gather(static_cast<std::size_t>(c));
-    std::vector<std::vector<NodeId>> dnp_gather(static_cast<std::size_t>(c));
-    std::vector<std::unordered_set<NodeId>> dnp_seen(static_cast<std::size_t>(c));
-    std::vector<std::unordered_set<NodeId>> snp_seen(static_cast<std::size_t>(c));
-    std::vector<std::int64_t> step_rows_snp(static_cast<std::size_t>(c), 0);
-    std::vector<std::int64_t> step_rows_dnp(static_cast<std::size_t>(c), 0);
-    double step_sample_max = 0.0;
-    double step_compute_max = 0.0;
-    for (std::int32_t o = 0; o < c; ++o) {
-      step_sample_max =
-          std::max(step_sample_max,
-                   SampleSeconds(cluster, o, batches[static_cast<std::size_t>(o)]));
-      step_compute_max =
-          std::max(step_compute_max,
-                   ComputeCost(cluster, probe, o, batches[static_cast<std::size_t>(o)]));
+  // ---- Pass 3 (partition): SNP + DNP, counted on the executors' plans. ----
+  // Each step builds the routing plans the executors run and counts them:
+  // the graph shuffle's bytes, each owner's gather and transient bytes, and
+  // the hidden-shuffle rows each owner receives from other origins (the
+  // busiest owner bounds the step).
+  const NodeRouter owner_of{&partition};
+  const NodeRouter snp_route{&partition, opts.hybrid_intra_machine ? &cluster : nullptr};
+  std::int64_t snp_max_rows = 0;  // sum over steps of the busiest owner's rows
+  std::int64_t dnp_max_rows = 0;
+  NodeRowTable table;
+  SnpOwnerInputs snp_in;
+  std::vector<NodeId> gat_gather;
+  Block dnp_block;
+  const auto count_plan = [&](Strategy s, const RoutePlan& plan, const auto& expand) {
+    StrategyDryRun& st = res.per_strategy[static_cast<std::size_t>(s)];
+    for (std::int64_t bytes : plan.graph.bytes) st.graph_shuffle_bytes += bytes;
+    std::vector<std::int64_t> rows(static_cast<std::size_t>(c), 0);
+    for (const RoutePair& pr : plan.routing.pairs) {
+      if (pr.origin != pr.owner) rows[static_cast<std::size_t>(pr.owner)] += pr.items();
     }
-    snp.sample_seconds += step_sample_max;
-    dnp.sample_seconds += step_sample_max;
-    snp.train_compute_seconds += step_compute_max;
-    dnp.train_compute_seconds += step_compute_max;
-    for (std::int32_t o = 0; o < c; ++o) {
-      const SampledBatch& b = batches[static_cast<std::size_t>(o)];
-      const Block& b0 = b.blocks.front();
-      for (auto& seen : dnp_seen) seen.clear();
-      for (auto& seen : snp_seen) seen.clear();
-      if (gat) {
-        // SNP+GAT: every layer-1 source's z row comes from its owner.
-        for (std::int64_t i = 0; i < b0.num_src(); ++i) {
-          const NodeId v = b0.src_nodes[static_cast<std::size_t>(i)];
-          const auto g = static_cast<std::size_t>(partition[static_cast<std::size_t>(v)]);
-          snp_gather[g].push_back(v);
-          snp.graph_shuffle_bytes += static_cast<std::int64_t>(g) == o ? 0 : 8;
-          if (static_cast<std::int64_t>(g) != o) {
-            snp.shuffle_rows += 1;
-            ++step_rows_snp[g];
-          }
-        }
-      }
-      std::vector<std::uint8_t> touched(static_cast<std::size_t>(c), 0);
-      for (std::int64_t i = 0; i < b0.num_dst; ++i) {
-        const NodeId dst = b0.src_nodes[static_cast<std::size_t>(i)];
-        const auto dst_owner =
-            static_cast<std::size_t>(partition[static_cast<std::size_t>(dst)]);
-        std::fill(touched.begin(), touched.end(), 0);
-        for (std::int64_t e = b0.indptr[static_cast<std::size_t>(i)];
-             e < b0.indptr[static_cast<std::size_t>(i) + 1]; ++e) {
-          const NodeId u = b0.src_nodes[static_cast<std::size_t>(
-              b0.col[static_cast<std::size_t>(e)])];
-          const auto g = static_cast<std::size_t>(partition[static_cast<std::size_t>(u)]);
-          touched[g] = 1;
-          if (!gat) {
-            if (snp_seen[g].insert(u).second) snp_gather[g].push_back(u);
-            if (static_cast<std::int64_t>(g) != o) snp.graph_shuffle_bytes += 8;
-          }
-          // DNP ships the full edge list to the destination's owner.
-          if (dnp_seen[dst_owner].insert(u).second) {
-            dnp_gather[dst_owner].push_back(u);
-          }
-          if (dst_owner != static_cast<std::size_t>(o)) dnp.graph_shuffle_bytes += 8;
-        }
-        touched[dst_owner] = 1;  // self term / destination row
-        if (!gat && snp_seen[dst_owner].insert(dst).second) {
-          snp_gather[dst_owner].push_back(dst);
-        }
-        if (dnp_seen[dst_owner].insert(dst).second) dnp_gather[dst_owner].push_back(dst);
-        if (!gat) {
-          // One SNP virtual node per (dst, owner-with-sources) pair.
-          for (std::size_t g = 0; g < static_cast<std::size_t>(c); ++g) {
-            if (!touched[g]) continue;
-            snp.graph_shuffle_bytes += static_cast<std::int64_t>(g) == o ? 0 : 3 * 8;
-            if (static_cast<std::int64_t>(g) != o) {
-              snp.shuffle_rows += 1;
-              ++step_rows_snp[g];
-            }
-          }
-        }
-        // One DNP virtual node per remotely-owned destination.
-        dnp.graph_shuffle_bytes += dst_owner == static_cast<std::size_t>(o) ? 0 : 2 * 8;
-        if (dst_owner != static_cast<std::size_t>(o)) {
-          dnp.shuffle_rows += 1;
-          ++step_rows_dnp[dst_owner];
-        }
-      }
+    for (std::int64_t r : rows) st.shuffle_rows += r;
+    count_loads(s, expand);
+    return *std::max_element(rows.begin(), rows.end());
+  };
+  const std::int64_t pass3_steps =
+      SamplingEpoch(dataset, opts, partition, c, SeedAssignment::kPartition,
+                    [&](std::int64_t, const std::vector<SampledBatch>& batches) {
+    add_step_maxima(batches, snp, dnp);
+    std::vector<const Block*> blocks;
+    for (const SampledBatch& b : batches) blocks.push_back(&b.blocks.front());
+    if (gat) {
+      const RoutePlan snp_plan = BuildSnpGatPlan(blocks, snp_route);
+      snp_max_rows += count_plan(Strategy::kSNP, snp_plan, [&](DeviceId g) {
+        snp_plan.OwnerNodes(g, gat_gather);
+        const std::int64_t rows = snp_plan.routing.Rows(g);
+        return DeviceGather(gat_gather, SnpOwnerTransient(true, rows, rows, d, d1));
+      });
+    } else {
+      const RoutePlan snp_plan = BuildSnpSagePlan(blocks, snp_route);
+      snp_max_rows += count_plan(Strategy::kSNP, snp_plan, [&](DeviceId g) {
+        ExpandSnpOwner(snp_plan, g, table, snp_in);
+        const auto gather_rows = static_cast<std::int64_t>(snp_in.gather.size());
+        return DeviceGather(snp_in.gather, SnpOwnerTransient(false, gather_rows,
+                                                             snp_plan.routing.Rows(g), d, d1));
+      });
     }
-    double snp_step_load = 0.0, dnp_step_load = 0.0;
-    for (std::int32_t g = 0; g < c; ++g) {
-      const auto gi = static_cast<std::size_t>(g);
-      const LoadVolume snp_step =
-          stores[static_cast<std::size_t>(Strategy::kSNP)]->CountGather(
-              g, snp_gather[gi], 0, d);
-      const LoadVolume dnp_step =
-          stores[static_cast<std::size_t>(Strategy::kDNP)]->CountGather(
-              g, dnp_gather[gi], 0, d);
-      snp.load[gi].Add(snp_step);
-      dnp.load[gi].Add(dnp_step);
-      snp_step_load = std::max(
-          snp_step_load,
-          stores[static_cast<std::size_t>(Strategy::kSNP)]->LoadSeconds(g, snp_step));
-      dnp_step_load = std::max(
-          dnp_step_load,
-          stores[static_cast<std::size_t>(Strategy::kDNP)]->LoadSeconds(g, dnp_step));
-      snp.peak_transient_bytes =
-          std::max(snp.peak_transient_bytes,
-                   2 * static_cast<std::int64_t>(snp_gather[gi].size()) * d * kF);
-      dnp.peak_transient_bytes =
-          std::max(dnp.peak_transient_bytes,
-                   2 * static_cast<std::int64_t>(dnp_gather[gi].size()) * d * kF);
-      snp_dev_rows[gi] += step_rows_snp[gi];
-      dnp_dev_rows[gi] += step_rows_dnp[gi];
-      dnp_seen[gi].clear();
-    }
-    snp.load_seconds += snp_step_load;
-    dnp.load_seconds += dnp_step_load;
-    snp_step_rows_sum +=
-        *std::max_element(step_rows_snp.begin(), step_rows_snp.end());
-    dnp_step_rows_sum +=
-        *std::max_element(step_rows_dnp.begin(), step_rows_dnp.end());
+    const RoutePlan dnp_plan = BuildDnpPlan(blocks, owner_of);
+    dnp_max_rows += count_plan(Strategy::kDNP, dnp_plan, [&](DeviceId g) {
+      ExpandDnpOwner(dnp_plan, g, table, dnp_block);
+      return DeviceGather(dnp_block.src_nodes, DnpOwnerTransient(dnp_block, d));
+    });
   });
 
   // ---- Convert volumes to seconds with the profiled operator speeds. -------
@@ -373,18 +285,16 @@ DryRunResult DryRun(const Dataset& dataset, const ClusterSpec& cluster,
   // collectives every step, so their fixed costs scale with step count, not
   // bytes. A serialized all-to-all pays (C-1) point-to-point latencies; a
   // ring pays (C-1) hop latencies.
-  const std::int64_t steps =
-      MinibatchPlan(dataset.train_nodes, opts.batch_size_per_device, c)
-          .StepsPerEpoch();
   const MachineSpec& m0 = cluster.machines.front();
   const LinkSpec intra = m0.has_nvlink ? m0.nvlink : m0.pcie;
   const double hop_lat =
       cluster.num_machines() > 1 ? cluster.network.latency_s : intra.latency_s;
   const double coll_lat = static_cast<double>(c - 1) * hop_lat;
-  // SNP/DNP: graph shuffle (1 all-to-all); hidden shuffle fwd + bwd (2).
+  // SNP/DNP: graph shuffle (1 all-to-all); hidden shuffle fwd + bwd (2),
+  // over the partition queues' steps they run.
   // NFP: graph broadcast (1); C forward allreduces + 1 grad broadcast.
-  const double atoa_graph_lat = static_cast<double>(steps) * coll_lat;
-  const double atoa_shuffle_lat = 2.0 * static_cast<double>(steps) * coll_lat;
+  const double atoa_graph_lat = static_cast<double>(pass3_steps) * coll_lat;
+  const double atoa_shuffle_lat = 2.0 * static_cast<double>(pass3_steps) * coll_lat;
   const double nfp_shuffle_lat = static_cast<double>(steps) * (c + 1) * coll_lat;
   // load_seconds was accumulated as a sum of per-step maxima above (the
   // slowest device bounds every step because the engine's collectives are
@@ -393,12 +303,6 @@ DryRunResult DryRun(const Dataset& dataset, const ClusterSpec& cluster,
   nfp.graph_shuffle_seconds =
       (bcb > 0 ? static_cast<double>(nfp.graph_shuffle_bytes) / bcb : 0.0) +
       static_cast<double>(steps) * coll_lat;
-  snp.graph_shuffle_seconds =
-      (atob > 0 ? static_cast<double>(snp.graph_shuffle_bytes) / (atob * c) : 0.0) +
-      atoa_graph_lat;
-  dnp.graph_shuffle_seconds =
-      (atob > 0 ? static_cast<double>(dnp.graph_shuffle_bytes) / (atob * c) : 0.0) +
-      atoa_graph_lat;
   // Hidden-embedding shuffles (forward + backward => factor 2; paper's 2d').
   // These are float-tensor collectives, so the wire codec shrinks what the
   // links carry (CodecDenseRatio at the embedding width) and adds an
@@ -416,28 +320,22 @@ DryRunResult DryRun(const Dataset& dataset, const ClusterSpec& cluster,
                         (bcb > 0 ? nfp_vol * wire_ratio / bcb : 0.0) +
                         nfp_shuffle_lat;
   nfp.codec_seconds = wire_compresses ? 2.0 * 2.0 * nfp_vol / mem_bw : 0.0;
-  const std::int64_t snp_max_rows = snp_step_rows_sum;
-  const std::int64_t dnp_max_rows = dnp_step_rows_sum;
-  snp.shuffle_bytes = 2 * snp.shuffle_rows * d1 * kF;  // 2 d' N_vs
-  dnp.shuffle_bytes = 2 * dnp.shuffle_rows * d1 * kF;  // 2 d' N_vd
+  // SNP/DNP: 2 d' per shuffled row (N_vs, N_vd); the busiest owner's rows
+  // bound each step.
+  for (const auto& [st, max_rows] :
+       {std::pair(&snp, snp_max_rows), std::pair(&dnp, dnp_max_rows)}) {
+    const double max_bytes = 2.0 * static_cast<double>(max_rows) * d1 * kF;
+    st->graph_shuffle_seconds =
+        (atob > 0 ? static_cast<double>(st->graph_shuffle_bytes) / (atob * c) : 0.0) +
+        atoa_graph_lat;
+    st->shuffle_bytes = 2 * st->shuffle_rows * d1 * kF;
+    st->shuffle_seconds = (atob > 0 ? max_bytes * wire_ratio / atob : 0.0) + atoa_shuffle_lat;
+    st->codec_seconds = wire_compresses ? 2.0 * max_bytes / mem_bw : 0.0;
+  }
   for (auto& st : res.per_strategy) {
     st.shuffle_wire_bytes =
         static_cast<std::int64_t>(static_cast<double>(st.shuffle_bytes) * wire_ratio);
   }
-  snp.shuffle_seconds =
-      (atob > 0 ? 2.0 * static_cast<double>(snp_max_rows) * d1 * kF * wire_ratio / atob
-                : 0.0) +
-      atoa_shuffle_lat;
-  dnp.shuffle_seconds =
-      (atob > 0 ? 2.0 * static_cast<double>(dnp_max_rows) * d1 * kF * wire_ratio / atob
-                : 0.0) +
-      atoa_shuffle_lat;
-  snp.codec_seconds = wire_compresses
-                          ? 2.0 * 2.0 * static_cast<double>(snp_max_rows) * d1 * kF / mem_bw
-                          : 0.0;
-  dnp.codec_seconds = wire_compresses
-                          ? 2.0 * 2.0 * static_cast<double>(dnp_max_rows) * d1 * kF / mem_bw
-                          : 0.0;
   // Serial per-step train tail for the pipelined cost model: the gradient
   // ring-allreduce needs every micro-batch's gradients and the optimizer
   // runs after it, so neither overlaps at any pipeline depth. Optimizer

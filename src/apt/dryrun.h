@@ -3,7 +3,8 @@
 // One epoch of graph sampling is performed per seed-assignment family and
 // the samples are routed through each strategy's Permute logic WITHOUT
 // loading features, shuffling embeddings, or computing — only volumes are
-// collected:
+// collected. SNP and DNP are routed by the builders their executors run
+// (engine/pair_routing.h), so their volumes are the executors' charges:
 //   * node access frequencies (drives the cache configuration),
 //   * computation-graph shuffle bytes (the strategy part of T_build),
 //   * per-device feature-load volumes by memory tier (T_load),

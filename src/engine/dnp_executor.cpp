@@ -29,18 +29,6 @@ namespace apt {
 
 namespace {
 
-/// Destination records of one step. Pair p's records are [first, last) of
-/// these arrays; record r's sources are srcs[src_ptr[r], src_ptr[r+1]), so
-/// each pair's sources are contiguous.
-struct DnpRecords {
-  std::vector<std::int64_t> dst_local;  ///< row in origin's layer-1 output
-  std::vector<NodeId> dst_global;
-  std::vector<std::size_t> src_ptr{0};
-  std::vector<NodeId> srcs;  ///< global source ids (per edge)
-
-  std::size_t Sources(const RoutePair& pr) const { return src_ptr[pr.last] - src_ptr[pr.first]; }
-};
-
 /// One owner's layer-1 work over its row block.
 struct DnpOwnerWork {
   Block block;  ///< owner-local layer-1 graph, one dst row per record
@@ -62,68 +50,19 @@ class DnpExecutor final : public StrategyExecutor {
     agg.num_seeds = total_seeds;
 
     // ---- Permute: counting-sort each origin's destinations by owner. ------
-    // Each owner's records keep destination order.
     obs::StageSpan stage("permute", "dnp");
-    PairRouting routing;
-    DnpRecords rec;
-    {
-      OwnerBuckets buckets(c);
-      std::vector<DeviceId> dst_owner;
-      std::size_t num_rec = 0, num_srcs = 0;
-      for (DeviceId o = 0; o < c; ++o) {
-        const Block& b = batches[static_cast<std::size_t>(o)].sample.blocks[0];
-        const auto n = static_cast<std::size_t>(b.num_dst);
-        dst_owner.resize(n);
-        for (std::size_t i = 0; i < n; ++i) {
-          const auto g = static_cast<DeviceId>(ctx_->OwnerOf(b.src_nodes[i]));
-          dst_owner[i] = g;
-          buckets.Count(g);
-          buckets.extra[static_cast<std::size_t>(g)] +=
-              static_cast<std::size_t>(b.indptr[i + 1] - b.indptr[i]);
-        }
-        buckets.Layout(o, num_rec, num_srcs, routing);
-        rec.dst_local.resize(num_rec);
-        rec.dst_global.resize(num_rec);
-        rec.src_ptr.resize(num_rec + 1);
-        rec.srcs.resize(num_srcs);
-        for (std::size_t i = 0; i < n; ++i) {
-          const auto g = static_cast<std::size_t>(dst_owner[i]);
-          const std::size_t r = buckets.next[g]++;
-          rec.dst_local[r] = static_cast<std::int64_t>(i);
-          rec.dst_global[r] = b.src_nodes[i];
-          rec.src_ptr[r] = buckets.extra_next[g];
-          for (std::int64_t e = b.indptr[i]; e < b.indptr[i + 1]; ++e) {
-            rec.srcs[buckets.extra_next[g]++] =
-                b.src_nodes[static_cast<std::size_t>(b.col[static_cast<std::size_t>(e)])];
-          }
-        }
-        rec.src_ptr.back() = num_srcs;
-      }
-      routing.IndexOwners(c);
-    }
+    const RoutePlan plan = BuildDnpPlan(FirstBlocks(batches), NodeRouter{ctx_->partition});
+    const PairRouting& routing = plan.routing;
 
     // ---- Shuffle destinations to their owners. ---------------------------
-    // A batch of n records travels as dst_local, dst_global, a source indptr
-    // (n + 1) and the sources, all int64. Owners then read their pairs of
-    // the step buffer in place.
+    // Owners then read their pairs of the step buffer in place.
     stage.Next("shuffle");
-    ctx_->comm->ChargeAllToAll(
-        routing.Traffic(/*to_owners=*/true,
-                        [&](const RoutePair& pr) {
-                          const auto bytes = static_cast<std::int64_t>(
-                              8 * (3 * (pr.last - pr.first) + 1 + rec.Sources(pr)));
-                          return std::pair<std::int64_t, std::int64_t>(bytes, bytes);
-                        }),
-        Phase::kSample);
+    ctx_->comm->ChargeAllToAll(plan.graph, Phase::kSample);
 
     // ---- Execute: owners build a local block and run the full layer. ------
-    // Destination rows come first (Block prefix convention), origins
-    // ascending; each record keeps its own row even if the same node arrives
-    // from two origins, because its sampled edge lists differ per origin.
     // Sources are deduplicated within each pair only (one DGL gather per
     // arriving virtual-node batch, matching the per-block loading semantics
-    // the cost model assumes), and never share a destination prefix row.
-    // The output stays in the owner's row block.
+    // the cost model assumes). The output stays in the owner's row block.
     stage.Next("execute");
     std::vector<DnpOwnerWork> work(static_cast<std::size_t>(c));
     std::vector<Tensor> owner_out(static_cast<std::size_t>(c));
@@ -132,27 +71,12 @@ class DnpExecutor final : public StrategyExecutor {
       for (DeviceId g = 0; g < c; ++g) {
         DnpOwnerWork& w = work[static_cast<std::size_t>(g)];
         Block& lb = w.block;
-        for (std::size_t p : routing.OfOwner(g)) {
-          const std::span<const NodeId> dsts = routing.pairs[p].Of(rec.dst_global);
-          lb.src_nodes.insert(lb.src_nodes.end(), dsts.begin(), dsts.end());
-        }
-        lb.num_dst = routing.Rows(g);
-        lb.indptr.push_back(0);
-        for (std::size_t p : routing.OfOwner(g)) {
-          const RoutePair& pr = routing.pairs[p];
-          table.Reset(rec.Sources(pr));
-          for (std::size_t r = pr.first; r < pr.last; ++r) {
-            for (std::size_t s = rec.src_ptr[r]; s < rec.src_ptr[r + 1]; ++s) {
-              lb.col.push_back(table.Insert(rec.srcs[s], lb.src_nodes));
-            }
-            lb.indptr.push_back(static_cast<std::int64_t>(lb.col.size()));
-          }
-        }
+        ExpandDnpOwner(plan, g, table, lb);
         if (lb.num_dst == 0) continue;
 
         Tensor feats(lb.num_src(), d);
         ctx_->store->Gather(g, lb.src_nodes, 0, d, feats);
-        ctx_->sim->NoteTransient(g, 2 * feats.bytes());
+        ctx_->sim->NoteTransient(g, DnpOwnerTransient(lb, d));
         GnnLayer& layer0 = ctx_->model(g).layer(0);
         owner_out[static_cast<std::size_t>(g)] =
             layer0.Forward(lb.csr(), lb.num_dst, feats, &w.saved);
@@ -177,37 +101,16 @@ class DnpExecutor final : public StrategyExecutor {
       Tensor raw0(b.num_dst, out);
       for (const RoutePair& pr : routing.OfOrigin(o)) {
         CopyRowsFrom(owner_out[static_cast<std::size_t>(pr.owner)], pr.row,
-                     pr.Of(rec.dst_local), raw0);
+                     pr.Of(plan.local), raw0);
       }
-      const auto& blocks = batch.sample.blocks;
-      ModelTape tape;
-      const Tensor logits = ctx_->model(o).ForwardFrom(1, blocks, raw0, &tape);
-      Tensor grad_logits;
-      const StepStats s =
-          SeedLossAndGrad(*ctx_, o, batch, logits, total_seeds, grad_logits);
       grad_raw0[static_cast<std::size_t>(o)] =
-          ctx_->model(o).BackwardTo(1, blocks, tape, grad_logits);
-      ChargeStepCompute(*ctx_, o, blocks, 1);
-      agg.loss += s.loss;
-      agg.correct += s.correct;
+          TrainFromLayer1(*ctx_, o, batch, std::move(raw0), total_seeds, agg);
     }
     owner_out.clear();
 
     // ---- Backward shuffle: destination grads to the owners. ----------------
-    // An origin with records has seeds, hence a layer-0 gradient.
     stage.Next("reshuffle");
-    std::vector<Tensor> grad_outs(static_cast<std::size_t>(c));
-    for (DeviceId g = 0; g < c; ++g) {
-      if (routing.Rows(g) == 0) continue;
-      Tensor& grad_out = grad_outs[static_cast<std::size_t>(g)];
-      grad_out = Tensor(routing.Rows(g), out);
-      for (std::size_t p : routing.OfOwner(g)) {
-        const RoutePair& pr = routing.pairs[p];
-        const Tensor& src = grad_raw0[static_cast<std::size_t>(pr.origin)];
-        APT_CHECK_GT(src.rows(), 0);
-        CopyRowsTo(src, pr.Of(rec.dst_local), grad_out, pr.row);
-      }
-    }
+    std::vector<Tensor> grad_outs = RowsToOwners(plan, grad_raw0, out);
     ctx_->comm->ChargeAllToAll(routing.RowTraffic(*ctx_->comm, out, /*to_owners=*/true),
                                Phase::kTrain);
 

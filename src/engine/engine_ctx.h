@@ -28,7 +28,6 @@ struct EngineCtx {
   std::int32_t num_devices() const { return sim->num_devices(); }
   ModelKind model_kind() const { return (*models)[0]->config().kind; }
   GnnModel& model(DeviceId d) { return *(*models)[static_cast<std::size_t>(d)]; }
-  PartId OwnerOf(NodeId v) const { return (*partition)[static_cast<std::size_t>(v)]; }
   std::int64_t feature_dim() const { return dataset->feature_dim(); }
 };
 

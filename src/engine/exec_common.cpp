@@ -8,11 +8,13 @@
 
 namespace apt {
 
-std::vector<std::vector<NodeId>> AssignSeeds(const EngineCtx& ctx,
-                                             std::span<const NodeId> step_seeds) {
-  const auto c = static_cast<std::size_t>(ctx.num_devices());
+std::vector<std::vector<NodeId>> AssignSeeds(std::span<const NodeId> step_seeds,
+                                             SeedAssignment assignment,
+                                             const std::vector<PartId>& partition,
+                                             std::int32_t num_devices) {
+  const auto c = static_cast<std::size_t>(num_devices);
   std::vector<std::vector<NodeId>> out(c);
-  if (ctx.opts.seed_assignment == SeedAssignment::kChunked) {
+  if (assignment == SeedAssignment::kChunked) {
     const std::size_t n = step_seeds.size();
     const std::size_t chunk = (n + c - 1) / c;
     for (std::size_t d = 0; d < c; ++d) {
@@ -22,7 +24,7 @@ std::vector<std::vector<NodeId>> AssignSeeds(const EngineCtx& ctx,
     }
   } else {
     for (NodeId s : step_seeds) {
-      out[static_cast<std::size_t>(ctx.OwnerOf(s))].push_back(s);
+      out[static_cast<std::size_t>(partition[static_cast<std::size_t>(s)])].push_back(s);
     }
   }
   return out;
@@ -152,16 +154,35 @@ void AllReduceGradients(EngineCtx& ctx) {
   }
 }
 
-void ChargeStepCompute(EngineCtx& ctx, DeviceId dev, std::span<const Block> blocks,
-                       int first_layer) {
-  GnnModel& model = ctx.model(dev);
+Tensor TrainFromLayer1(EngineCtx& ctx, DeviceId o, const DeviceBatch& batch, Tensor raw0,
+                       std::int64_t total_seeds, StepStats& agg) {
+  const auto& blocks = batch.sample.blocks;
+  ModelTape tape;
+  const Tensor logits = ctx.model(o).ForwardFrom(1, blocks, raw0, &tape);
+  raw0 = Tensor();
+  Tensor grad_logits;
+  const StepStats s = SeedLossAndGrad(ctx, o, batch, logits, total_seeds, grad_logits);
+  Tensor grad_raw0 = ctx.model(o).BackwardTo(1, blocks, tape, grad_logits);
+  ChargeStepCompute(ctx, o, blocks, 1);
+  agg.loss += s.loss;
+  agg.correct += s.correct;
+  return grad_raw0;
+}
+
+double StepFlops(const GnnModel& model, std::span<const Block> blocks, int first_layer) {
+  const int layers = std::min(model.num_layers(), static_cast<int>(blocks.size()));
   double flops = 0.0;
-  for (int k = first_layer; k < model.num_layers(); ++k) {
+  for (int k = first_layer; k < layers; ++k) {
     const Block& b = blocks[static_cast<std::size_t>(k)];
     flops += model.layer(k).ForwardFlops(b.num_src(), b.num_dst, b.num_edges()) +
              model.layer(k).BackwardFlops(b.num_src(), b.num_dst, b.num_edges());
   }
-  ctx.sim->ChargeCompute(dev, flops);
+  return flops;
+}
+
+void ChargeStepCompute(EngineCtx& ctx, DeviceId dev, std::span<const Block> blocks,
+                       int first_layer) {
+  ctx.sim->ChargeCompute(dev, StepFlops(ctx.model(dev), blocks, first_layer));
 }
 
 }  // namespace apt

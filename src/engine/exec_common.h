@@ -23,9 +23,23 @@ inline std::pair<std::int64_t, std::int64_t> DimSlice(std::int64_t dim,
   return {lo, hi};
 }
 
-/// Splits a global step's seeds across devices per the assignment policy.
-std::vector<std::vector<NodeId>> AssignSeeds(const EngineCtx& ctx,
-                                             std::span<const NodeId> step_seeds);
+/// Each device's layer-1 block, as the pair-routing builders take them.
+inline std::vector<const Block*> FirstBlocks(const std::vector<DeviceBatch>& batches) {
+  std::vector<const Block*> blocks;
+  for (const DeviceBatch& b : batches) blocks.push_back(&b.sample.blocks.front());
+  return blocks;
+}
+
+/// Splits a global step's seeds across devices per the assignment policy:
+/// contiguous chunks, or each seed to the device owning its partition.
+std::vector<std::vector<NodeId>> AssignSeeds(std::span<const NodeId> step_seeds,
+                                             SeedAssignment assignment,
+                                             const std::vector<PartId>& partition,
+                                             std::int32_t num_devices);
+inline std::vector<std::vector<NodeId>> AssignSeeds(const EngineCtx& ctx,
+                                                    std::span<const NodeId> step_seeds) {
+  return AssignSeeds(step_seeds, ctx.opts.seed_assignment, *ctx.partition, ctx.num_devices());
+}
 
 /// Samples each device's blocks (charging simulated sampling time) and looks
 /// up seed labels. rng streams are forked per device for determinism.
@@ -40,9 +54,21 @@ StepStats SeedLossAndGrad(EngineCtx& ctx, DeviceId dev, const DeviceBatch& batch
                           const Tensor& logits, std::int64_t total_seeds,
                           Tensor& grad_logits);
 
+/// Layers 1.. at origin `o` on its layer-0 output `raw0`: forward, seed loss
+/// and backward to the gradient of that output, which it returns. Charges
+/// their compute and adds the loss and hits to `agg`; `raw0` is freed once
+/// the forward holds its own copy.
+Tensor TrainFromLayer1(EngineCtx& ctx, DeviceId o, const DeviceBatch& batch, Tensor raw0,
+                       std::int64_t total_seeds, StepStats& agg);
+
 /// DDP gradient synchronization: packs every replica's grads into one flat
 /// tensor, ring-allreduces, unpacks. Charged to kTrain.
 void AllReduceGradients(EngineCtx& ctx);
+
+/// Forward+backward flops of `model`'s layers from `first_layer` on over a
+/// block stack. The executors charge them and the dry-run estimates with
+/// them (first_layer 0).
+double StepFlops(const GnnModel& model, std::span<const Block> blocks, int first_layer);
 
 /// Charges simulated compute time for a full local forward+backward over a
 /// device's block stack (used by layers the strategy does not distribute).

@@ -221,20 +221,11 @@ StepStats NfpExecutor::StepSage(std::vector<DeviceBatch>& batches, StepStats agg
     auto& sage = dynamic_cast<SageLayer&>(ctx_->model(o).layer(0));
     Tensor& r0 = raw0[static_cast<std::size_t>(o)];
     AddBiasRows(r0, sage.bias().value);  // bias applied once, post-reduce
-    const auto& blocks = batch.sample.blocks;
-    ModelTape tape;
-    const Tensor logits = ctx_->model(o).ForwardFrom(1, blocks, r0, &tape);
-    r0 = Tensor();  // ForwardFrom keeps its own copy: free the sum before backward
-    Tensor grad_logits;
-    const StepStats s = SeedLossAndGrad(*ctx_, o, batch, logits, agg.num_seeds, grad_logits);
     grad_raw0[static_cast<std::size_t>(o)] =
-        ctx_->model(o).BackwardTo(1, blocks, tape, grad_logits);
+        TrainFromLayer1(*ctx_, o, batch, std::move(r0), agg.num_seeds, agg);
     Tensor gb(1, sage.out_dim());
     BiasGradRows(grad_raw0[static_cast<std::size_t>(o)], gb);
     Axpy(1.0f, gb, sage.bias().grad);
-    ChargeStepCompute(*ctx_, o, blocks, 1);
-    agg.loss += s.loss;
-    agg.correct += s.correct;
   }
 
   stage.Next("reshuffle");
@@ -307,21 +298,13 @@ StepStats NfpExecutor::StepGat(std::vector<DeviceBatch>& batches, StepStats agg)
     auto& gat = dynamic_cast<GatLayer&>(ctx_->model(o).layer(0));
     const Block& b = batch.sample.blocks[0];
     std::unique_ptr<GatAttentionContext> attn_ctx;
-    const Tensor raw0 = gat.AttentionForward(b.csr(), b.num_dst,
-                                             z_full[static_cast<std::size_t>(o)], &attn_ctx);
-    const auto& blocks = batch.sample.blocks;
-    ModelTape tape;
-    const Tensor logits = ctx_->model(o).ForwardFrom(1, blocks, raw0, &tape);
-    Tensor grad_logits;
-    const StepStats s = SeedLossAndGrad(*ctx_, o, batch, logits, agg.num_seeds, grad_logits);
-    const Tensor grad_raw0 = ctx_->model(o).BackwardTo(1, blocks, tape, grad_logits);
+    Tensor raw0 = gat.AttentionForward(b.csr(), b.num_dst,
+                                       z_full[static_cast<std::size_t>(o)], &attn_ctx);
+    const Tensor grad_raw0 = TrainFromLayer1(*ctx_, o, batch, std::move(raw0), agg.num_seeds, agg);
     grad_z[static_cast<std::size_t>(o)] =
         gat.AttentionBackward(b.csr(), b.num_dst, *attn_ctx, grad_raw0);
-    ChargeStepCompute(*ctx_, o, blocks, 1);
     ctx_->sim->ChargeCompute(
         o, gat.ForwardFlops(b.num_src(), b.num_dst, b.num_edges()));
-    agg.loss += s.loss;
-    agg.correct += s.correct;
   }
 
   stage.Next("reshuffle");

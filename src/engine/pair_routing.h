@@ -1,4 +1,5 @@
-// Flat (origin, owner) pair routing shared by the SNP and DNP executors.
+// Flat (origin, owner) pair routing shared by the SNP and DNP executors and
+// counted by the dry-run.
 //
 // Both strategies send each origin's layer-1 work to the devices that own
 // its nodes and bring rows back. A step's routing is flat: every (origin,
@@ -7,7 +8,9 @@
 // pairs as one contiguous row block (origins ascending). A step therefore
 // costs O(items moved + pairs) host work rather than O(C^2) per-pair
 // objects, and each shuffle charges one sparse lane per non-empty pair
-// (DESIGN.md "Pair routing on the host").
+// (DESIGN.md "Pair routing on the host"). One builder per strategy turns the
+// step's layer-1 blocks into a RoutePlan; the executors run it and the
+// dry-run counts it, so the two cannot drift apart.
 #pragma once
 
 #include <algorithm>
@@ -18,6 +21,8 @@
 
 #include "comm/collectives.h"
 #include "core/types.h"
+#include "sampling/block.h"
+#include "sim/hardware.h"
 #include "sim/sim_context.h"
 #include "tensor/tensor.h"
 
@@ -63,11 +68,6 @@ struct PairRouting {
                                                           owner_ptr[i + 1] - owner_ptr[i]);
   }
   std::int64_t Rows(DeviceId g) const { return owner_rows[static_cast<std::size_t>(g)]; }
-
-  void AddPair(DeviceId o, DeviceId g, std::size_t first, std::size_t n) {
-    pairs.push_back({o, g, first, first + n, 0});
-  }
-  void EndOrigin() { origin_ptr.push_back(pairs.size()); }
 
   /// Builds the per-owner view once every origin is closed.
   void IndexOwners(std::int32_t c) {
@@ -154,14 +154,14 @@ struct OwnerBuckets {
     std::sort(touched.begin(), touched.end());
     for (DeviceId g : touched) {
       const auto i = static_cast<std::size_t>(g);
-      routing.AddPair(o, g, base, count[i]);
+      routing.pairs.push_back({o, g, base, base + count[i], 0});
       next[i] = base;
       extra_next[i] = extra_base;
       base += count[i];
       extra_base += extra[i];
       count[i] = extra[i] = 0;
     }
-    routing.EndOrigin();
+    routing.origin_ptr.push_back(routing.pairs.size());
     touched.clear();
   }
 
@@ -217,6 +217,98 @@ class NodeRowTable {
   std::vector<std::uint32_t> gen_of_;
   std::uint32_t gen_ = 0;
 };
+
+/// The device that does origin `o`'s layer-1 work on node u: the owner of
+/// u's partition. Under hybrid routing (`machine_local` set; the paper's
+/// future-work proposal) a node owned on another machine stays with its
+/// origin, so no hidden embedding crosses the inter-machine network.
+struct NodeRouter {
+  const std::vector<PartId>* partition = nullptr;
+  const ClusterSpec* machine_local = nullptr;
+
+  DeviceId Owner(NodeId u) const {
+    return static_cast<DeviceId>((*partition)[static_cast<std::size_t>(u)]);
+  }
+  DeviceId operator()(DeviceId o, NodeId u) const {
+    const DeviceId g = Owner(u);
+    if (machine_local == nullptr) return g;
+    return machine_local->MachineOf(g) == machine_local->MachineOf(o) ? g : o;
+  }
+};
+
+/// One step's Permute result for SNP or DNP: the pairs, one record per
+/// item in the flat buffer's order, and the graph shuffle that ships the
+/// records to their owners. An item is
+///  * SNP under SAGE: a virtual node, one per destination and device that
+///    holds one of its sources or the destination itself (the self term);
+///  * SNP under GAT: a layer-1 source whose z row its owner projects;
+///  * DNP: a destination with its full sampled edge list.
+struct RoutePlan {
+  PairRouting routing;
+  std::vector<std::int64_t> local;  ///< row at the origin (dst row; GAT: z row)
+  /// DNP: the destination; SNP SAGE: the destination if the owner adds its
+  /// self term, else kInvalidNode; GAT: the requested source.
+  std::vector<NodeId> node;
+  std::vector<std::int64_t> degree;  ///< SNP SAGE: destination's total sampled degree
+  /// Item r's sources are srcs[src_ptr[r], src_ptr[r+1]) (not GAT), so each
+  /// pair's sources are contiguous.
+  std::vector<std::size_t> src_ptr{0};
+  std::vector<NodeId> srcs;
+  AllToAllTraffic graph;  ///< Phase::kSample shuffle of the records
+
+  std::size_t Sources(const RoutePair& pr) const { return src_ptr[pr.last] - src_ptr[pr.first]; }
+  /// Owner g's items' nodes, its pairs in turn (GAT's gather list, DNP's
+  /// destination rows).
+  void OwnerNodes(DeviceId g, std::vector<NodeId>& out) const {
+    out.clear();
+    for (std::size_t p : routing.OfOwner(g)) {
+      const std::span<const NodeId> nodes = routing.pairs[p].Of(node);
+      out.insert(out.end(), nodes.begin(), nodes.end());
+    }
+  }
+};
+
+/// `blocks[o]` is origin o's layer-1 block.
+RoutePlan BuildSnpSagePlan(std::span<const Block* const> blocks, const NodeRouter& route);
+RoutePlan BuildSnpGatPlan(std::span<const Block* const> blocks, const NodeRouter& route);
+RoutePlan BuildDnpPlan(std::span<const Block* const> blocks, const NodeRouter& route);
+
+/// An SNP SAGE owner's layer-0 inputs, expanded from the plan one owner at a
+/// time so only the owner at hand holds them.
+struct SnpOwnerInputs {
+  /// The owner's one feature gather: per pair its unique sources in
+  /// first-sighting order, then its self rows.
+  std::vector<NodeId> gather;
+  std::vector<std::int64_t> indptr, col;  ///< virtual node -> gather rows of its sources
+  std::vector<float> inv_deg;             ///< 1 / total degree, per virtual node
+  std::vector<std::int64_t> self_gather;  ///< gather rows of the self terms
+  std::vector<std::int64_t> self_rows;    ///< block rows with a self term
+  std::vector<std::int64_t> self_seg;     ///< per-pair boundaries of self_rows
+};
+void ExpandSnpOwner(const RoutePlan& plan, DeviceId g, NodeRowTable& table, SnpOwnerInputs& in);
+
+/// DNP owner g's layer-1 block: destination rows first (origins ascending),
+/// then each pair's sources deduplicated within the pair. Each record keeps
+/// its own row even if the same node arrives from two origins, because its
+/// sampled edge lists differ per origin.
+void ExpandDnpOwner(const RoutePlan& plan, DeviceId g, NodeRowTable& table, Block& lb);
+
+/// The backward shuffle's payload: each owner's row block of `cols`-wide
+/// rows, filled pair by pair from its origins' gradients (`per_origin`,
+/// rows picked by `local`). An origin with items has seeds, hence a gradient.
+std::vector<Tensor> RowsToOwners(const RoutePlan& plan, const std::vector<Tensor>& per_origin,
+                                 std::int64_t cols);
+
+/// Transient bytes an SNP owner notes for layer 0: its gathered features and
+/// partial outputs (SAGE), or its features twice and its z rows (GAT).
+inline std::int64_t SnpOwnerTransient(bool gat, std::int64_t gather_rows, std::int64_t rows,
+                                      std::int64_t d, std::int64_t out) {
+  return (gather_rows * d + (gat ? rows * d : 0) + rows * out) * 4;
+}
+/// Transient bytes a DNP owner notes: its block's features and their copy.
+inline std::int64_t DnpOwnerTransient(const Block& lb, std::int64_t d) {
+  return 2 * lb.num_src() * d * 4;
+}
 
 /// dst.row(dst_row0 + k) = src.row(index[k]): an owner's row block filled
 /// from an origin's rows.

@@ -58,12 +58,12 @@ double PairFlops(const PairRouting& routing, DeviceId g, const PerPair& per_pair
 class SnpExecutor final : public StrategyExecutor {
  public:
   /// `machine_local` enables the HYBRID routing the paper's conclusion
-  /// proposes as future work: sources whose owner sits on ANOTHER machine
-  /// are processed by the requesting device itself (GDP-style), so no
-  /// hidden embedding ever crosses the inter-machine network; SNP routing
-  /// applies only between devices of the same machine.
+  /// proposes as future work (NodeRouter): sources whose owner sits on
+  /// ANOTHER machine are processed by the requesting device itself
+  /// (GDP-style); SNP routing applies only between devices of one machine.
   SnpExecutor(EngineCtx& ctx, bool machine_local)
-      : StrategyExecutor(ctx), machine_local_(machine_local) {}
+      : StrategyExecutor(ctx),
+        route_{ctx.partition, machine_local ? &ctx.sim->cluster() : nullptr} {}
 
   StepStats Step(std::vector<DeviceBatch>& batches) override {
     if (ctx_->model_kind() == ModelKind::kSage) return StepSage(batches);
@@ -71,31 +71,10 @@ class SnpExecutor final : public StrategyExecutor {
   }
 
  private:
-  /// The device that processes source node u of origin o's subgraph.
-  DeviceId RouteOwner(DeviceId origin, NodeId u) const {
-    const auto owner = static_cast<DeviceId>(ctx_->OwnerOf(u));
-    if (!machine_local_) return owner;
-    const ClusterSpec& cluster = ctx_->sim->cluster();
-    return cluster.MachineOf(owner) == cluster.MachineOf(origin) ? owner : origin;
-  }
-
   StepStats StepSage(std::vector<DeviceBatch>& batches);
   StepStats StepGat(std::vector<DeviceBatch>& batches);
 
-  bool machine_local_;
-};
-
-/// SAGE virtual nodes of one step. Pair p's virtual nodes are
-/// [first, last) of these arrays; virtual node v's sources are
-/// srcs[src_ptr[v], src_ptr[v+1]), so each pair's sources are contiguous.
-struct SnpVirtualNodes {
-  std::vector<std::int64_t> dst_local;  ///< row in origin's layer-1 output
-  std::vector<std::int64_t> deg_total;  ///< destination's total sampled degree
-  std::vector<NodeId> self_node;        ///< kInvalidNode, or dst id if owner(d)==g
-  std::vector<std::size_t> src_ptr{0};
-  std::vector<NodeId> srcs;  ///< global source ids
-
-  std::size_t Sources(const RoutePair& pr) const { return src_ptr[pr.last] - src_ptr[pr.first]; }
+  NodeRouter route_;
 };
 
 /// One owner's layer-0 state over its row block (all of its virtual nodes).
@@ -116,87 +95,15 @@ StepStats SnpExecutor::StepSage(std::vector<DeviceBatch>& batches) {
 
   // ---- Permute: split each origin's layer-1 graph by source owner. -------
   // A destination gets one virtual node on every owner of one of its
-  // sources and on its own owner (which adds the self term); each owner's
-  // virtual nodes keep destination order. Two passes per origin: count per
-  // touched owner, then fill the owners' blocks.
+  // sources and on its own owner (which adds the self term).
   obs::StageSpan stage("permute", "snp");
-  PairRouting routing;
-  SnpVirtualNodes vn;
-  {
-    OwnerBuckets buckets(c);
-    std::vector<DeviceId> edge_owner, dst_owners;
-    std::int64_t stamp = 0;
-    std::size_t num_vn = 0, num_srcs = 0;
-    for (DeviceId o = 0; o < c; ++o) {
-      const Block& b = batches[static_cast<std::size_t>(o)].sample.blocks[0];
-      const auto src_of = [&](std::int64_t e) {
-        return b.src_nodes[static_cast<std::size_t>(b.col[static_cast<std::size_t>(e)])];
-      };
-      edge_owner.resize(static_cast<std::size_t>(b.num_edges()));
-      for (std::int64_t i = 0; i < b.num_dst; ++i) {
-        ++stamp;
-        for (std::int64_t e = b.indptr[static_cast<std::size_t>(i)];
-             e < b.indptr[static_cast<std::size_t>(i) + 1]; ++e) {
-          const DeviceId g = RouteOwner(o, src_of(e));
-          edge_owner[static_cast<std::size_t>(e)] = g;
-          ++buckets.extra[static_cast<std::size_t>(g)];
-          if (buckets.FirstSight(g, stamp)) buckets.Count(g);
-        }
-        const DeviceId self_owner = RouteOwner(o, b.src_nodes[static_cast<std::size_t>(i)]);
-        if (buckets.FirstSight(self_owner, stamp)) buckets.Count(self_owner);
-      }
-      buckets.Layout(o, num_vn, num_srcs, routing);
-      vn.dst_local.resize(num_vn);
-      vn.deg_total.resize(num_vn);
-      vn.self_node.resize(num_vn);
-      vn.src_ptr.resize(num_vn + 1);
-      vn.srcs.resize(num_srcs);
-      // Destination i's virtual node on owner g opens where g's sources
-      // cursor stands when g is first seen for i.
-      const auto open = [&](DeviceId g) {
-        if (!buckets.FirstSight(g, stamp)) return;
-        const auto gi = static_cast<std::size_t>(g);
-        dst_owners.push_back(g);
-        vn.src_ptr[buckets.next[gi]] = buckets.extra_next[gi];
-      };
-      for (std::int64_t i = 0; i < b.num_dst; ++i) {
-        ++stamp;
-        dst_owners.clear();
-        const std::int64_t e0 = b.indptr[static_cast<std::size_t>(i)];
-        const std::int64_t e1 = b.indptr[static_cast<std::size_t>(i) + 1];
-        for (std::int64_t e = e0; e < e1; ++e) {
-          const DeviceId g = edge_owner[static_cast<std::size_t>(e)];
-          open(g);
-          vn.srcs[buckets.extra_next[static_cast<std::size_t>(g)]++] = src_of(e);
-        }
-        const NodeId dst_global = b.src_nodes[static_cast<std::size_t>(i)];
-        const DeviceId self_owner = RouteOwner(o, dst_global);
-        open(self_owner);
-        for (DeviceId g : dst_owners) {
-          const std::size_t v = buckets.next[static_cast<std::size_t>(g)]++;
-          vn.dst_local[v] = i;
-          vn.deg_total[v] = e1 - e0;
-          vn.self_node[v] = g == self_owner ? dst_global : kInvalidNode;
-        }
-      }
-      vn.src_ptr.back() = num_srcs;
-    }
-    routing.IndexOwners(c);
-  }
+  const RoutePlan plan = BuildSnpSagePlan(FirstBlocks(batches), route_);
+  const PairRouting& routing = plan.routing;
 
   // ---- Shuffle: virtual-node batches to source owners. --------------------
-  // A batch of n virtual nodes travels as dst_local, deg_total, self_node,
-  // a source indptr (n + 1) and the sources, all int64. Owners then read
-  // their blocks of the step buffer in place.
+  // Owners then read their blocks of the step buffer in place.
   stage.Next("shuffle");
-  ctx_->comm->ChargeAllToAll(
-      routing.Traffic(/*to_owners=*/true,
-                      [&](const RoutePair& pr) {
-                        const auto bytes = static_cast<std::int64_t>(
-                            8 * (4 * (pr.last - pr.first) + 1 + vn.Sources(pr)));
-                        return std::pair<std::int64_t, std::int64_t>(bytes, bytes);
-                      }),
-      Phase::kSample);
+  ctx_->comm->ChargeAllToAll(plan.graph, Phase::kSample);
 
   // ---- Execute: partial aggregation + projection at each owner. ----------
   // One batched feature gather per device per step (DGL-style): each
@@ -208,65 +115,45 @@ StepStats SnpExecutor::StepSage(std::vector<DeviceBatch>& batches) {
   std::vector<SnpOwnerRows> owners(static_cast<std::size_t>(c));
   {
     NodeRowTable table;
-    std::vector<NodeId> gather_nodes;
-    std::vector<std::int64_t> indptr, col, self_gather;
-    std::vector<float> inv_deg;
+    SnpOwnerInputs in;
     for (DeviceId g = 0; g < c; ++g) {
       auto& sage = dynamic_cast<SageLayer&>(ctx_->model(g).layer(0));
       SnpOwnerRows& st = owners[static_cast<std::size_t>(g)];
-      gather_nodes.clear();
-      indptr.assign(1, 0);
-      col.clear();
-      self_gather.clear();
-      inv_deg.clear();
-      st.self_seg.assign(1, 0);
-      double flops = 0.0;
-      for (std::size_t p : routing.OfOwner(g)) {
-        const RoutePair& pr = routing.pairs[p];
-        const std::size_t s0 = vn.src_ptr[pr.first], s1 = vn.src_ptr[pr.last];
-        table.Reset(s1 - s0);
-        for (std::size_t s = s0; s < s1; ++s) col.push_back(table.Insert(vn.srcs[s], gather_nodes));
-        const std::int64_t col0 = indptr.back();
-        for (std::size_t v = pr.first; v < pr.last; ++v) {
-          indptr.push_back(col0 + static_cast<std::int64_t>(vn.src_ptr[v + 1] - s0));
-          inv_deg.push_back(1.0f / static_cast<float>(vn.deg_total[v]));
-        }
-        for (std::size_t v = pr.first; v < pr.last; ++v) {
-          if (vn.self_node[v] == kInvalidNode) continue;
-          st.self_rows.push_back(pr.row + static_cast<std::int64_t>(v - pr.first));
-          self_gather.push_back(static_cast<std::int64_t>(gather_nodes.size()));
-          gather_nodes.push_back(vn.self_node[v]);
-        }
-        const std::int64_t num_self =
-            static_cast<std::int64_t>(st.self_rows.size()) - st.self_seg.back();
-        st.self_seg.push_back(static_cast<std::int64_t>(st.self_rows.size()));
-        flops += 2.0 * static_cast<double>(s1 - s0) * d +
-                 2.0 * static_cast<double>(pr.items()) * d * sage.out_dim() +
-                 2.0 * static_cast<double>(num_self) * d * sage.out_dim();
-      }
-      Tensor h_all(static_cast<std::int64_t>(gather_nodes.size()), d);
-      if (!gather_nodes.empty()) ctx_->store->Gather(g, gather_nodes, 0, d, h_all);
+      ExpandSnpOwner(plan, g, table, in);
+      std::size_t k = 0;  // pair index within the owner
+      const double flops = PairFlops(routing, g, [&](const RoutePair& pr) {
+        const std::int64_t num_self = in.self_seg[k + 1] - in.self_seg[k];
+        ++k;
+        return 2.0 * static_cast<double>(plan.Sources(pr)) * d +
+               2.0 * static_cast<double>(pr.items()) * d * sage.out_dim() +
+               2.0 * static_cast<double>(num_self) * d * sage.out_dim();
+      });
+      Tensor h_all(static_cast<std::int64_t>(in.gather.size()), d);
+      if (!in.gather.empty()) ctx_->store->Gather(g, in.gather, 0, d, h_all);
 
       // Partial mean: sum local sources / total degree.
       st.aggd = Tensor(routing.Rows(g), d);
-      SpmmSum(CsrView{indptr, col}, h_all, st.aggd);
+      SpmmSum(CsrView{in.indptr, in.col}, h_all, st.aggd);
       for (std::int64_t r = 0; r < st.aggd.rows(); ++r) {
-        const float inv = inv_deg[static_cast<std::size_t>(r)];
+        const float inv = in.inv_deg[static_cast<std::size_t>(r)];
         float* row = st.aggd.row(r);
         for (std::int64_t j = 0; j < d; ++j) row[j] *= inv;
       }
       st.part = Tensor(st.aggd.rows(), out);
       Matmul(st.aggd, sage.w_neigh().value, st.part);
       // Self terms for destinations owned here.
-      st.self_h = Tensor(static_cast<std::int64_t>(self_gather.size()), d);
-      if (!self_gather.empty()) {
-        GatherRows(h_all, self_gather, st.self_h);
+      st.self_rows = std::move(in.self_rows);
+      st.self_seg = std::move(in.self_seg);
+      st.self_h = Tensor(static_cast<std::int64_t>(in.self_gather.size()), d);
+      if (!in.self_gather.empty()) {
+        GatherRows(h_all, in.self_gather, st.self_h);
         Tensor self_out(st.self_h.rows(), out);
         Matmul(st.self_h, sage.w_self().value, self_out);
         ScatterAddRows(self_out, st.self_rows, st.part);
       }
       ctx_->sim->ChargeCompute(g, flops);
-      ctx_->sim->NoteTransient(g, h_all.bytes() + st.part.bytes());
+      ctx_->sim->NoteTransient(
+          g, SnpOwnerTransient(/*gat=*/false, h_all.rows(), routing.Rows(g), d, out));
     }
   }
 
@@ -278,7 +165,7 @@ StepStats SnpExecutor::StepSage(std::vector<DeviceBatch>& batches) {
     Tensor& r0 = raw0[static_cast<std::size_t>(o)];
     r0 = Tensor(batches[static_cast<std::size_t>(o)].sample.blocks[0].num_dst, out);
     for (const RoutePair& pr : routing.OfOrigin(o)) {
-      AddRowsAt(owners[static_cast<std::size_t>(pr.owner)].part, pr.row, pr.Of(vn.dst_local), r0);
+      AddRowsAt(owners[static_cast<std::size_t>(pr.owner)].part, pr.row, pr.Of(plan.local), r0);
     }
   }
   ctx_->comm->ChargeAllToAll(routing.RowTraffic(*ctx_->comm, out, /*to_owners=*/false),
@@ -294,35 +181,16 @@ StepStats SnpExecutor::StepSage(std::vector<DeviceBatch>& batches) {
     auto& sage = dynamic_cast<SageLayer&>(ctx_->model(o).layer(0));
     Tensor& r0 = raw0[static_cast<std::size_t>(o)];
     AddBiasRows(r0, sage.bias().value);
-    const auto& blocks = batch.sample.blocks;
-    ModelTape tape;
-    const Tensor logits = ctx_->model(o).ForwardFrom(1, blocks, r0, &tape);
-    Tensor grad_logits;
-    const StepStats s = SeedLossAndGrad(*ctx_, o, batch, logits, total_seeds, grad_logits);
     grad_raw0[static_cast<std::size_t>(o)] =
-        ctx_->model(o).BackwardTo(1, blocks, tape, grad_logits);
+        TrainFromLayer1(*ctx_, o, batch, std::move(r0), total_seeds, agg);
     Tensor gb(1, sage.out_dim());
     BiasGradRows(grad_raw0[static_cast<std::size_t>(o)], gb);
     Axpy(1.0f, gb, sage.bias().grad);
-    ChargeStepCompute(*ctx_, o, blocks, 1);
-    agg.loss += s.loss;
-    agg.correct += s.correct;
   }
 
   // ---- Backward shuffle: destination grads back to partial computers. ----
-  // An origin with virtual nodes has seeds, hence a layer-0 gradient.
   stage.Next("reshuffle");
-  std::vector<Tensor> grad_rows(static_cast<std::size_t>(c));
-  for (DeviceId g = 0; g < c; ++g) {
-    Tensor& grows = grad_rows[static_cast<std::size_t>(g)];
-    grows = Tensor(routing.Rows(g), out);
-    for (std::size_t p : routing.OfOwner(g)) {
-      const RoutePair& pr = routing.pairs[p];
-      const Tensor& src = grad_raw0[static_cast<std::size_t>(pr.origin)];
-      APT_CHECK_GT(src.rows(), 0);
-      CopyRowsTo(src, pr.Of(vn.dst_local), grows, pr.row);
-    }
-  }
+  const std::vector<Tensor> grad_rows = RowsToOwners(plan, grad_raw0, out);
   ctx_->comm->ChargeAllToAll(routing.RowTraffic(*ctx_->comm, out, /*to_owners=*/true),
                              Phase::kTrain);
 
@@ -356,42 +224,12 @@ StepStats SnpExecutor::StepGat(std::vector<DeviceBatch>& batches) {
   agg.num_seeds = total_seeds;
 
   // ---- Permute: every layer-1 source node's z row is requested from its
-  // owner (one request per (origin, owner) pair, in source order). ---------
+  // owner. ------------------------------------------------------------------
   obs::StageSpan stage("permute", "snp");
-  PairRouting routing;
-  std::vector<NodeId> req_nodes;      ///< requested node per item
-  std::vector<std::int64_t> req_pos;  ///< its row in the origin's z tensor
-  {
-    OwnerBuckets buckets(c);
-    std::vector<DeviceId> src_owner;
-    std::size_t num_req = 0, no_extra = 0;
-    for (DeviceId o = 0; o < c; ++o) {
-      const Block& b = batches[static_cast<std::size_t>(o)].sample.blocks[0];
-      src_owner.resize(static_cast<std::size_t>(b.num_src()));
-      for (std::int64_t i = 0; i < b.num_src(); ++i) {
-        const DeviceId g = RouteOwner(o, b.src_nodes[static_cast<std::size_t>(i)]);
-        src_owner[static_cast<std::size_t>(i)] = g;
-        buckets.Count(g);
-      }
-      buckets.Layout(o, num_req, no_extra, routing);
-      req_nodes.resize(num_req);
-      req_pos.resize(num_req);
-      for (std::int64_t i = 0; i < b.num_src(); ++i) {
-        const std::size_t slot =
-            buckets.next[static_cast<std::size_t>(src_owner[static_cast<std::size_t>(i)])]++;
-        req_nodes[slot] = b.src_nodes[static_cast<std::size_t>(i)];
-        req_pos[slot] = i;
-      }
-    }
-    routing.IndexOwners(c);
-  }
+  const RoutePlan plan = BuildSnpGatPlan(FirstBlocks(batches), route_);
+  const PairRouting& routing = plan.routing;
   stage.Next("shuffle");
-  ctx_->comm->ChargeAllToAll(routing.Traffic(/*to_owners=*/true,
-                                             [](const RoutePair& pr) {
-                                               return std::pair<std::int64_t, std::int64_t>(
-                                                   pr.items() * 8, pr.items() * 8);
-                                             }),
-                             Phase::kSample);
+  ctx_->comm->ChargeAllToAll(plan.graph, Phase::kSample);
 
   // ---- Execute at owners: load features, project, ship z rows. ------------
   // One batched gather per device per step; each origin's requests are one
@@ -404,14 +242,7 @@ StepStats SnpExecutor::StepGat(std::vector<DeviceBatch>& batches) {
     std::vector<NodeId> gather_nodes;
     for (DeviceId g = 0; g < c; ++g) {
       auto& gat = dynamic_cast<GatLayer&>(ctx_->model(g).layer(0));
-      gather_nodes.clear();
-      std::int64_t transient = 0;
-      for (std::size_t p : routing.OfOwner(g)) {
-        const RoutePair& pr = routing.pairs[p];
-        const std::span<const NodeId> nodes = pr.Of(req_nodes);
-        gather_nodes.insert(gather_nodes.end(), nodes.begin(), nodes.end());
-        transient += pr.items() * d * 4 + pr.items() * gat.out_dim() * 4;  // h + z
-      }
+      plan.OwnerNodes(g, gather_nodes);
       Tensor& h = saved_h[static_cast<std::size_t>(g)];
       h = Tensor(static_cast<std::int64_t>(gather_nodes.size()), d);
       if (!gather_nodes.empty()) ctx_->store->Gather(g, gather_nodes, 0, d, h);
@@ -419,7 +250,8 @@ StepStats SnpExecutor::StepGat(std::vector<DeviceBatch>& batches) {
       ctx_->sim->ChargeCompute(g, PairFlops(routing, g, [&](const RoutePair& pr) {
                                  return 2.0 * static_cast<double>(pr.items()) * d * gat.out_dim();
                                }));
-      ctx_->sim->NoteTransient(g, h.bytes() + transient);
+      ctx_->sim->NoteTransient(
+          g, SnpOwnerTransient(/*gat=*/true, h.rows(), routing.Rows(g), d, out));
     }
   }
   // Hidden-embedding shuffle (the GAT extra communication).
@@ -437,40 +269,21 @@ StepStats SnpExecutor::StepGat(std::vector<DeviceBatch>& batches) {
     const Block& b = batch.sample.blocks[0];
     Tensor z(b.num_src(), gat.out_dim());
     for (const RoutePair& pr : routing.OfOrigin(o)) {
-      CopyRowsFrom(z_rows[static_cast<std::size_t>(pr.owner)], pr.row, pr.Of(req_pos), z);
+      CopyRowsFrom(z_rows[static_cast<std::size_t>(pr.owner)], pr.row, pr.Of(plan.local), z);
     }
     std::unique_ptr<GatAttentionContext> attn_ctx;
-    const Tensor raw0 = gat.AttentionForward(b.csr(), b.num_dst, z, &attn_ctx);
-    const auto& blocks = batch.sample.blocks;
-    ModelTape tape;
-    const Tensor logits = ctx_->model(o).ForwardFrom(1, blocks, raw0, &tape);
-    Tensor grad_logits;
-    const StepStats s = SeedLossAndGrad(*ctx_, o, batch, logits, total_seeds, grad_logits);
-    const Tensor grad_raw0 = ctx_->model(o).BackwardTo(1, blocks, tape, grad_logits);
+    Tensor raw0 = gat.AttentionForward(b.csr(), b.num_dst, z, &attn_ctx);
+    const Tensor grad_raw0 = TrainFromLayer1(*ctx_, o, batch, std::move(raw0), total_seeds, agg);
     grad_z_full[static_cast<std::size_t>(o)] =
         gat.AttentionBackward(b.csr(), b.num_dst, *attn_ctx, grad_raw0);
-    ChargeStepCompute(*ctx_, o, blocks, 1);
     ctx_->sim->ChargeCompute(
         o, gat.ForwardFlops(b.num_src(), b.num_dst, b.num_edges()));
-    agg.loss += s.loss;
-    agg.correct += s.correct;
   }
   z_rows.clear();
 
   // ---- Backward: grad_z rows return to the owners. -------------------------
-  // An origin with requests has seeds, hence a z gradient.
   stage.Next("reshuffle");
-  std::vector<Tensor> gz_rows(static_cast<std::size_t>(c));
-  for (DeviceId g = 0; g < c; ++g) {
-    Tensor& rows = gz_rows[static_cast<std::size_t>(g)];
-    rows = Tensor(routing.Rows(g), out);
-    for (std::size_t p : routing.OfOwner(g)) {
-      const RoutePair& pr = routing.pairs[p];
-      const Tensor& gz = grad_z_full[static_cast<std::size_t>(pr.origin)];
-      APT_CHECK_GT(gz.rows(), 0);
-      CopyRowsTo(gz, pr.Of(req_pos), rows, pr.row);
-    }
-  }
+  const std::vector<Tensor> gz_rows = RowsToOwners(plan, grad_z_full, out);
   ctx_->comm->ChargeAllToAll(routing.RowTraffic(*ctx_->comm, out, /*to_owners=*/true),
                              Phase::kTrain);
   stage.Next("execute");

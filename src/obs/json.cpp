@@ -119,7 +119,7 @@ class Parser {
   explicit Parser(std::string_view text) : s_(text) {}
 
   bool Parse(JsonValue* out, std::string* error) {
-    if (!ParseValue(out)) return Fail(error);
+    if (!ParseValue(out)) return Fail(error, why_);
     SkipWs();
     if (pos_ != s_.size()) return Fail(error, "trailing garbage");
     return true;
@@ -207,7 +207,51 @@ class Parser {
     return Consume('"');
   }
 
+  /// Length of the number at pos_ under JSON's grammar
+  /// -?(0|[1-9][0-9]*)(.[0-9]+)?([eE][+-]?[0-9]+)?, or 0 if there is none
+  /// (strtod alone would also take inf, nan, hex and a leading '+').
+  std::size_t NumberLength() const {
+    std::size_t i = pos_;
+    const auto at = [&](std::string_view set) {
+      return i < s_.size() && set.find(s_[i]) != std::string_view::npos;
+    };
+    const auto digits = [&] {
+      const std::size_t from = i;
+      while (at("0123456789")) ++i;
+      return i > from;
+    };
+    if (at("-")) ++i;
+    if (at("0")) {
+      ++i;
+    } else if (!digits()) {
+      return 0;
+    }
+    if (at(".")) {
+      ++i;
+      if (!digits()) return 0;
+    }
+    if (at("eE")) {
+      ++i;
+      if (at("+-")) ++i;
+      if (!digits()) return 0;
+    }
+    return i - pos_;
+  }
+
+  /// Every value nests one level deeper than its container; the depth is
+  /// capped before the recursion can exhaust the stack.
   bool ParseValue(JsonValue* out) {
+    if (depth_ == kMaxJsonDepth) {
+      why_ = "nesting too deep";
+      return false;
+    }
+    ++depth_;
+    const bool ok = ParseNested(out);
+    --depth_;
+    return ok;
+  }
+
+  bool ParseNested(JsonValue* out) {
     SkipWs();
     if (pos_ >= s_.size()) return false;
     const char c = s_[pos_];
@@ -259,22 +303,23 @@ class Parser {
       out->kind = JsonValue::kNull;
       return ConsumeLiteral("null");
     }
-    // strtod needs NUL termination the view cannot guarantee; numbers are
-    // short, so bounce through a bounded local buffer.
-    char buf[64];
-    const std::size_t n = std::min(s_.size() - pos_, sizeof(buf) - 1);
-    s_.copy(buf, n, pos_);
-    buf[n] = '\0';
-    char* end = nullptr;
-    out->num = std::strtod(buf, &end);
-    if (end == buf) return false;
-    pos_ += static_cast<std::size_t>(end - buf);
+    const std::size_t n = NumberLength();
+    if (n == 0) return false;
+    // strtod needs NUL termination the view cannot guarantee.
+    out->num = std::strtod(std::string(s_.substr(pos_, n)).c_str(), nullptr);
+    if (!std::isfinite(out->num)) {
+      why_ = "number out of range";
+      return false;
+    }
+    pos_ += n;
     out->kind = JsonValue::kNumber;
     return true;
   }
 
   std::string_view s_;
   std::size_t pos_ = 0;
+  int depth_ = 0;
+  const char* why_ = "malformed JSON";
 };
 
 }  // namespace

@@ -99,7 +99,13 @@ struct JsonValue {
   }
 };
 
+/// Deepest value nesting ParseJson accepts (a top-level scalar is depth 1);
+/// deeper input fails with "nesting too deep" instead of overflowing the
+/// stack.
+inline constexpr int kMaxJsonDepth = 256;
+
 /// Parses `text` (which must be exactly one JSON value plus whitespace).
+/// Numbers follow JSON's grammar and must be finite doubles.
 /// On failure returns false and, when `error` is non-null, a one-line
 /// description with the byte offset.
 bool ParseJson(std::string_view text, JsonValue* out, std::string* error = nullptr);

@@ -98,6 +98,61 @@ TEST(DryRunTest, SnpSeesFewerCpuReadsThanGdpWithCache) {
   EXPECT_LT(snp_cpu, gdp_cpu);
 }
 
+/// What one traced training epoch charged: per-device gather rows and bytes,
+/// and the bytes of the graph-shuffle (kSample) and hidden-shuffle (kTrain)
+/// all-to-alls.
+struct EpochCharges {
+  std::vector<double> gather_rows, gather_bytes;
+  double graph_a2a_bytes = 0.0, hidden_a2a_bytes = 0.0;
+};
+
+EpochCharges TraceEpochCharges(const Dataset& ds, TrainerSetup setup) {
+  const auto c = static_cast<std::size_t>(setup.cluster.num_devices());
+  ParallelTrainer trainer(ds, std::move(setup));
+  obs::Tracer::Global().Clear();
+  obs::SetTracingEnabled(true);
+  trainer.TrainEpoch(0);
+  obs::SetTracingEnabled(false);
+  EpochCharges charges{std::vector<double>(c, 0.0), std::vector<double>(c, 0.0)};
+  for (const obs::TraceEvent& e : obs::Tracer::Global().Drain()) {
+    if (e.domain != obs::Domain::kSim) continue;
+    const std::string name = e.name;
+    const auto arg = [&](const std::string& key) {
+      for (int i = 0; i < e.num_args; ++i) {
+        if (key == e.args[static_cast<std::size_t>(i)].key) {
+          return e.args[static_cast<std::size_t>(i)].num;
+        }
+      }
+      return 0.0;
+    };
+    if (name == "gather") {
+      EXPECT_TRUE(e.tid >= 0 && static_cast<std::size_t>(e.tid) < c) << "lane " << e.tid;
+      charges.gather_rows[static_cast<std::size_t>(e.tid)] += arg("rows");
+      charges.gather_bytes[static_cast<std::size_t>(e.tid)] += arg("bytes");
+    } else if (name == "alltoall") {
+      const std::string phase = e.cat;
+      if (phase == ToString(Phase::kSample)) charges.graph_a2a_bytes += arg("egress_bytes");
+      if (phase == ToString(Phase::kTrain)) charges.hidden_a2a_bytes += arg("egress_bytes");
+    }
+  }
+  return charges;
+}
+
+/// Trainer setup for `opts` on the dry-run's caches and epoch order.
+TrainerSetup DryRunOrderSetup(const ClusterSpec& cluster,
+                              const ModelConfig& model, const EngineOptions& opts,
+                              const DryRunResult& dry, std::vector<PartId> partition) {
+  TrainerSetup setup;
+  setup.cluster = cluster;
+  setup.model = model;
+  setup.engine = opts;
+  setup.cache = dry.caches[static_cast<std::size_t>(opts.strategy)];
+  setup.feature_placement = FeaturePlacementFromPartition(partition, cluster);
+  setup.partition = std::move(partition);
+  setup.minibatch_seed = 1234;  // the dry-run's epoch order (MinibatchPlan default)
+  return setup;
+}
+
 // The dry-run counts NFP's feature loads with the executor's column slices:
 // at feature dim 30 over 4 devices (8, 8, 7 and 7 columns) every device's
 // estimated load equals what its gathers move in a traced training epoch.
@@ -117,41 +172,109 @@ TEST(DryRunTest, NfpLoadMatchesExecutorGathersOnUnevenSlices) {
   opts.cache_bytes_per_device = 1 << 20;
   opts.seed_assignment = SeedAssignment::kChunked;
   MultilevelPartitioner ml;
-  TrainerSetup setup;
-  setup.cluster = cluster;
-  setup.model = model;
-  setup.engine = opts;
-  setup.partition = ml.Partition(ds.graph, cluster.num_devices());
-  const DryRunResult dry = DryRun(ds, cluster, setup.partition, opts, model);
-  setup.cache = dry.caches[static_cast<std::size_t>(Strategy::kNFP)];
-  setup.feature_placement = FeaturePlacementFromPartition(setup.partition, cluster);
-  setup.minibatch_seed = 1234;  // the dry-run's epoch order (MinibatchPlan default)
-  ParallelTrainer trainer(ds, std::move(setup));
-
-  obs::Tracer::Global().Clear();
-  obs::SetTracingEnabled(true);
-  trainer.TrainEpoch(0);
-  obs::SetTracingEnabled(false);
-  std::vector<double> rows(4, 0.0), bytes(4, 0.0);
-  for (const obs::TraceEvent& e : obs::Tracer::Global().Drain()) {
-    if (e.domain != obs::Domain::kSim || std::string(e.name) != "gather") continue;
-    ASSERT_TRUE(e.tid >= 0 && e.tid < 4) << "lane " << e.tid;
-    for (int i = 0; i < e.num_args; ++i) {
-      const std::string key = e.args[static_cast<std::size_t>(i)].key;
-      const double v = e.args[static_cast<std::size_t>(i)].num;
-      if (key == "rows") rows[static_cast<std::size_t>(e.tid)] += v;
-      if (key == "bytes") bytes[static_cast<std::size_t>(e.tid)] += v;
-    }
-  }
+  const std::vector<PartId> partition = ml.Partition(ds.graph, cluster.num_devices());
+  const DryRunResult dry = DryRun(ds, cluster, partition, opts, model);
+  const EpochCharges charged =
+      TraceEpochCharges(ds, DryRunOrderSetup(cluster, model, opts, dry, partition));
   const StrategyDryRun& nfp = dry.per_strategy[static_cast<std::size_t>(Strategy::kNFP)];
   for (std::size_t g = 0; g < 4; ++g) {
     const LoadVolume& est = nfp.load[g];
     std::int64_t est_rows = 0;
     for (std::int64_t r : est.rows) est_rows += r;
     EXPECT_GT(est_rows, 0) << "device " << g;
-    EXPECT_EQ(static_cast<std::int64_t>(rows[g]), est_rows) << "device " << g;
-    EXPECT_EQ(static_cast<std::int64_t>(bytes[g]), est.TotalBytes()) << "device " << g;
+    EXPECT_EQ(static_cast<std::int64_t>(charged.gather_rows[g]), est_rows) << "device " << g;
+    EXPECT_EQ(static_cast<std::int64_t>(charged.gather_bytes[g]), est.TotalBytes())
+        << "device " << g;
     EXPECT_EQ(est.TotalBytes(), est_rows * (g < 2 ? 8 : 7) * 4) << "device " << g;
+  }
+}
+
+// SNP and DNP are counted on the routing plans their executors run: every
+// device's estimated gather rows and bytes, the graph-shuffle bytes and the
+// hidden-shuffle rows equal what a traced training epoch charges, for SAGE
+// and GAT SNP, hybrid intra-machine SNP and DNP.
+TEST(DryRunTest, SnpDnpVolumesMatchExecutorCharges) {
+  struct Case {
+    const char* name;
+    Strategy strategy;
+    ModelKind kind;
+    bool hybrid;
+  };
+  const Dataset ds = SmallDataset(/*feature_dim=*/30);
+  const ClusterSpec cluster = MultiMachineCluster(2, 2);
+  MultilevelPartitioner ml;
+  const std::vector<PartId> partition = ml.Partition(ds.graph, cluster.num_devices());
+  for (const Case& k : {Case{"SAGE SNP", Strategy::kSNP, ModelKind::kSage, false},
+                        Case{"GAT SNP", Strategy::kSNP, ModelKind::kGat, false},
+                        Case{"hybrid SNP", Strategy::kSNP, ModelKind::kSage, true},
+                        Case{"DNP", Strategy::kDNP, ModelKind::kSage, false}}) {
+    SCOPED_TRACE(k.name);
+    ModelConfig model;
+    model.kind = k.kind;
+    model.num_layers = 2;
+    model.hidden_dim = 16;
+    model.input_dim = ds.feature_dim();
+    model.num_classes = ds.num_classes;
+    EngineOptions opts;
+    opts.strategy = k.strategy;
+    opts.hybrid_intra_machine = k.hybrid;
+    opts.fanouts = {5, 5};
+    opts.batch_size_per_device = 128;
+    opts.cache_bytes_per_device = 1 << 20;
+    opts.seed_assignment = SeedAssignment::kPartition;
+    const DryRunResult dry = DryRun(ds, cluster, partition, opts, model);
+    const EpochCharges charged =
+        TraceEpochCharges(ds, DryRunOrderSetup(cluster, model, opts, dry, partition));
+    const StrategyDryRun& est = dry.per_strategy[static_cast<std::size_t>(k.strategy)];
+    for (std::size_t g = 0; g < 4; ++g) {
+      std::int64_t est_rows = 0;
+      for (std::int64_t r : est.load[g].rows) est_rows += r;
+      EXPECT_GT(est_rows, 0) << "device " << g;
+      EXPECT_EQ(static_cast<std::int64_t>(charged.gather_rows[g]), est_rows) << "device " << g;
+      EXPECT_EQ(static_cast<std::int64_t>(charged.gather_bytes[g]), est.load[g].TotalBytes())
+          << "device " << g;
+    }
+    EXPECT_GT(est.graph_shuffle_bytes, 0);
+    EXPECT_EQ(static_cast<std::int64_t>(charged.graph_a2a_bytes), est.graph_shuffle_bytes);
+    // Forward and backward each move every shuffled row once.
+    const std::int64_t row_bytes = Layer0OutDim(model) * 4;
+    EXPECT_GT(est.shuffle_rows, 0);
+    EXPECT_EQ(static_cast<std::int64_t>(charged.hidden_a2a_bytes), 2 * est.shuffle_rows * row_bytes);
+  }
+}
+
+// SNP and DNP run one step per batch of the longest partition queue, more
+// steps than the chunked schedule when training nodes crowd one partition;
+// their per-collective latency terms count the steps they run.
+TEST(DryRunTest, SnpDnpLatencyTermsCountPartitionQueueSteps) {
+  PlanFixture f;
+  // Five of every eight nodes live on device 0.
+  for (std::size_t v = 0; v < f.partition.size(); ++v) {
+    f.partition[v] = v % 8 < 5 ? 0 : static_cast<PartId>(v % 8 - 4);
+  }
+  const DryRunResult dry = DryRun(f.ds, f.cluster, f.partition, f.opts, f.model);
+  const std::int64_t queue_steps = QueueStepsPerEpoch(
+      PerDeviceEpochQueues(f.ds.train_nodes, f.partition, 4, /*epoch=*/0),
+      f.opts.batch_size_per_device);
+  ASSERT_GT(queue_steps,
+            MinibatchPlan(f.ds.train_nodes, f.opts.batch_size_per_device, 4).StepsPerEpoch());
+  const MachineSpec& m = f.cluster.machines.front();
+  const double coll_lat = 3.0 * (m.has_nvlink ? m.nvlink : m.pcie).latency_s;
+  const double atob = dry.profile.alltoall_bytes_per_s;
+  const double row_bytes = static_cast<double>(Layer0OutDim(f.model)) * 4.0;
+  for (Strategy s : {Strategy::kSNP, Strategy::kDNP}) {
+    const StrategyDryRun& st = dry.per_strategy[static_cast<std::size_t>(s)];
+    const double graph_lat =
+        st.graph_shuffle_seconds - static_cast<double>(st.graph_shuffle_bytes) / (atob * 4);
+    EXPECT_NEAR(graph_lat, static_cast<double>(queue_steps) * coll_lat, 1e-9 * graph_lat)
+        << ToString(s);
+    // Without its two latency terms per step, the hidden shuffle's seconds
+    // are a byte term: at least zero, at most every shuffled row's bytes.
+    const double hidden_bytes_s =
+        st.shuffle_seconds - 2.0 * static_cast<double>(queue_steps) * coll_lat;
+    EXPECT_GE(hidden_bytes_s, -1e-12) << ToString(s);
+    EXPECT_LE(hidden_bytes_s, 2.0 * static_cast<double>(st.shuffle_rows) * row_bytes / atob)
+        << ToString(s);
   }
 }
 
@@ -385,9 +508,11 @@ TEST(DryRunTest, PlanIsIdenticalAtAnyLaneCount) {
   }
   EXPECT_EQ(serial.selected, wide.selected);
   EXPECT_EQ(PlanDigest(serial), PlanDigest(wide));
-  // Recorded from the dry-run that sampled devices one after another and
-  // profiled with byte-moving trials.
-  EXPECT_EQ(PlanDigest(wide), 0xc61ba41b4918ffbcull);
+  // Re-recorded when SNP and DNP came to be counted on the executors' routing
+  // plans (was 0xc61ba41b4918ffbc); hotness, caches and every GDP and NFP
+  // field still equal the values of the dry-run that sampled devices one
+  // after another and profiled with byte-moving trials.
+  EXPECT_EQ(PlanDigest(wide), 0x869a43144d5ae305ull);
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "core/random.h"
 #include "obs/export.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
@@ -167,8 +168,8 @@ TEST(JsonReaderTest, RejectsMalformedInputWithOffset) {
 }
 
 TEST(JsonReaderTest, NumbersAtBufferEndDoNotOverread) {
-  // The parser reads numbers through a bounded local buffer; a number that
-  // runs to the very end of a non-NUL-terminated view must still parse.
+  // The parser copies each number out of the view before strtod; a number
+  // that runs to the very end of a non-NUL-terminated view must still parse.
   const std::string text = "[1.5e3]";
   JsonValue v;
   ASSERT_TRUE(ParseJson(std::string_view(text.data(), text.size()), &v));
@@ -179,6 +180,185 @@ TEST(JsonReaderTest, DuplicateKeysLastWins) {
   JsonValue v;
   ASSERT_TRUE(ParseJson(R"({"k":1,"k":2})", &v));
   EXPECT_DOUBLE_EQ(v.NumOr("k", 0.0), 2.0);
+}
+
+// strtod also takes inf, nan, hex, a leading '+' and overflowing literals;
+// none is JSON, and a non-finite number would slip past `rel > tolerance`.
+TEST(JsonReaderTest, NumbersFollowJsonGrammarAndStayFinite) {
+  for (const char* text : {"inf", "nan", "+1", "0x10", "1.", ".5", "01", "-", "1e", "1e+",
+                           "Infinity", "-inf", "NaN", "1e999", "-1e400", "0x1p4"}) {
+    JsonValue v;
+    std::string error;
+    EXPECT_FALSE(ParseJson(text, &v, &error)) << text;
+    EXPECT_FALSE(ParseJson("[" + std::string(text) + "]", &v, &error)) << text;
+    EXPECT_FALSE(error.empty()) << text;
+  }
+  for (const auto& [text, num] : std::vector<std::pair<const char*, double>>{
+           {"0", 0.0}, {"-0", -0.0}, {"1.5e-3", 1.5e-3}, {"1E+2", 100.0}, {"-12.25", -12.25},
+           {"1e-400", 0.0}}) {
+    JsonValue v;
+    ASSERT_TRUE(ParseJson(text, &v)) << text;
+    EXPECT_EQ(v.num, num) << text;
+  }
+  std::string error;
+  JsonValue v;
+  EXPECT_FALSE(ParseJson(R"({"rel": 1e999})", &v, &error));
+  EXPECT_NE(error.find("out of range"), std::string::npos) << error;
+}
+
+TEST(JsonReaderTest, RejectsNestingTooDeep) {
+  const std::size_t cap = obs::kMaxJsonDepth;
+  JsonValue v;
+  std::string error;
+  EXPECT_TRUE(ParseJson(std::string(cap, '[') + std::string(cap, ']'), &v, &error)) << error;
+  EXPECT_FALSE(ParseJson(std::string(cap + 1, '[') + std::string(cap + 1, ']'), &v, &error));
+  EXPECT_NE(error.find("nesting too deep"), std::string::npos) << error;
+  EXPECT_FALSE(ParseJson(std::string(100000, '['), &v, &error));
+  EXPECT_NE(error.find("nesting too deep"), std::string::npos) << error;
+  EXPECT_FALSE(ParseJson(std::string(100000, '{'), &v, &error));
+}
+
+/// Writes `v` through JsonWriter (members in key order, numbers as doubles).
+void WriteJson(const JsonValue& v, obs::JsonWriter& w) {
+  switch (v.kind) {
+    case JsonValue::kNull: w.RawValue("null"); break;
+    case JsonValue::kBool: w.Value(v.b); break;
+    case JsonValue::kNumber: w.Value(v.num); break;
+    case JsonValue::kString: w.Value(v.str); break;
+    case JsonValue::kArray:
+      w.BeginArray();
+      for (const JsonValue& e : v.arr) WriteJson(e, w);
+      w.EndArray();
+      break;
+    case JsonValue::kObject:
+      w.BeginObject();
+      for (const auto& [key, e] : v.obj) {
+        w.Key(key);
+        WriteJson(e, w);
+      }
+      w.EndObject();
+      break;
+  }
+}
+
+std::string ToJson(const JsonValue& v) {
+  std::ostringstream os;
+  obs::JsonWriter w(os);
+  WriteJson(v, w);
+  return os.str();
+}
+
+std::string RandomString(Rng& rng) {
+  static const std::string chars = "az09 \"\\/\n\t\r\x01\x1f{}[],:-+.e\xc3\xa9";
+  std::string s;
+  for (std::uint64_t n = rng.NextBelow(6); n > 0; --n) s += chars[rng.NextBelow(chars.size())];
+  return s;
+}
+
+/// A random document: nested containers, strings that need escapes, and
+/// numbers across many magnitudes.
+JsonValue RandomDocument(Rng& rng, int depth) {
+  JsonValue v;
+  switch (rng.NextBelow(depth > 0 ? 6 : 4)) {
+    case 0: break;
+    case 1:
+      v.kind = JsonValue::kBool;
+      v.b = rng.NextBelow(2) == 1;
+      break;
+    case 2:
+      v.kind = JsonValue::kNumber;
+      v.num = rng.NextBelow(2) == 0
+                  ? static_cast<double>(static_cast<std::int64_t>(rng.NextBelow(2000)) - 1000)
+                  : (rng.NextDouble() - 0.5) *
+                        std::pow(10.0, static_cast<double>(rng.NextBelow(80)) - 40.0);
+      break;
+    case 3:
+      v.kind = JsonValue::kString;
+      v.str = RandomString(rng);
+      break;
+    case 4:
+      v.kind = JsonValue::kArray;
+      for (std::uint64_t n = rng.NextBelow(5); n > 0; --n) {
+        v.arr.push_back(RandomDocument(rng, depth - 1));
+      }
+      break;
+    default:
+      v.kind = JsonValue::kObject;
+      for (std::uint64_t n = rng.NextBelow(5); n > 0; --n) {
+        v.obj.insert_or_assign(RandomString(rng), RandomDocument(rng, depth - 1));
+      }
+      break;
+  }
+  return v;
+}
+
+bool AllNumbersFinite(const JsonValue& v) {
+  if (v.kind == JsonValue::kNumber) return std::isfinite(v.num);
+  for (const JsonValue& e : v.arr) {
+    if (!AllNumbersFinite(e)) return false;
+  }
+  for (const auto& [key, e] : v.obj) {
+    if (!AllNumbersFinite(e)) return false;
+  }
+  return true;
+}
+
+// Seeded mutation loop over documents JsonWriter wrote. Each document must
+// round-trip byte for byte; its mutants (character edits plus spliced tokens
+// strtod treats specially and runs of brackets past the depth cap) must
+// parse without crashing, explain every rejection, and, when accepted, hold
+// only finite numbers and round-trip through the writer in turn.
+TEST(JsonReaderTest, MutatedDocumentsNeverCrashAndWrittenOnesRoundTrip) {
+  const std::string splices[] = {"inf",  "nan", "+1",   "0x1p4",  "1e999", "-",     "1.",
+                                 ".5",   "01",  "\\u00", "\"",     "null",  "NaN",   "-Infinity",
+                                 "[[[[", "]}",  ",",    ":",      "1e-400", "\\",
+                                 std::string(300, '['), std::string(300, '{')};
+  const std::string alphabet = "{}[]\",:0123456789-+.eE \\utfnrl";
+  Rng rng(20261018);
+  int accepted = 0, rejected = 0;
+  for (int iter = 0; iter < 3000; ++iter) {
+    const std::string written = ToJson(RandomDocument(rng, 4));
+    JsonValue parsed;
+    std::string error;
+    ASSERT_TRUE(ParseJson(written, &parsed, &error)) << written << ": " << error;
+    ASSERT_EQ(ToJson(parsed), written);
+
+    std::string text = written;
+    for (std::uint64_t e = 1 + rng.NextBelow(3); e > 0; --e) {
+      const std::size_t at = rng.NextBelow(text.size() + 1);
+      switch (rng.NextBelow(4)) {
+        case 0:  // replace one character
+          if (at < text.size()) text[at] = alphabet[rng.NextBelow(alphabet.size())];
+          break;
+        case 1:  // insert one character
+          text.insert(at, 1, alphabet[rng.NextBelow(alphabet.size())]);
+          break;
+        case 2:  // delete one character
+          if (at < text.size()) text.erase(at, 1);
+          break;
+        default:
+          text.insert(at, splices[rng.NextBelow(std::size(splices))]);
+          break;
+      }
+    }
+    JsonValue v;
+    bool ok = false;
+    error.clear();
+    EXPECT_NO_THROW(ok = ParseJson(text, &v, &error)) << text;
+    if (!ok) {
+      ++rejected;
+      EXPECT_FALSE(error.empty()) << text;
+      continue;
+    }
+    ++accepted;
+    EXPECT_TRUE(AllNumbersFinite(v)) << text;
+    const std::string rewritten = ToJson(v);
+    JsonValue again;
+    ASSERT_TRUE(ParseJson(rewritten, &again, &error)) << text << " -> " << rewritten;
+    EXPECT_EQ(ToJson(again), rewritten) << text;
+  }
+  EXPECT_GT(accepted, 100);
+  EXPECT_GT(rejected, 100);
 }
 
 // ---------------------------------------------------------------------------
