@@ -14,6 +14,7 @@
 #include "obs/histogram.h"
 #include "obs/telemetry.h"
 #include "partition/partitioner.h"
+#include "tensor/ops.h"
 
 namespace apt {
 namespace {
@@ -70,10 +71,11 @@ void BM_AllReduce(benchmark::State& state) {
                            Tensor(state.range(0), 32));
   const double sim0 = sim.MaxNow();
   for (auto _ : state) {
-    std::vector<Tensor*> ptrs;
-    for (auto& b : bufs) ptrs.push_back(&b);
-    comm.AllReduceSum(ptrs, Phase::kTrain);
-    benchmark::DoNotOptimize(bufs[0].data());
+    // The caller's device-order sum, then the ring charge.
+    Tensor sum = bufs[0];
+    for (std::size_t d = 1; d < bufs.size(); ++d) Axpy(1.0f, bufs[d], sum);
+    comm.ChargeAllReduce(sum.bytes(), comm.RingWireBytes(sum), Phase::kTrain);
+    benchmark::DoNotOptimize(sum.data());
   }
   state.SetBytesProcessed(state.iterations() * state.range(0) * 32 * 4);
   state.counters["sim_seconds_per_op"] =

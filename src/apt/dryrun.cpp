@@ -131,7 +131,7 @@ DryRunResult DryRun(const Dataset& dataset, const ClusterSpec& cluster,
   std::array<std::unique_ptr<FeatureStore>, kNumStrategies> stores;
   for (Strategy s : kAllStrategies) {
     const auto i = static_cast<std::size_t>(s);
-    stores[i] = std::make_unique<FeatureStore>(dataset.features, placement, scratch);
+    stores[i] = MakeFeatureStore(dataset, placement, scratch);
     // Byte accounting only (CountGather / LoadSeconds): no rounded copy.
     stores[i]->SetStorageCodec(opts.storage_codec, /*materialize=*/false);
     stores[i]->ConfigureCaches(res.caches[i].cache_nodes,

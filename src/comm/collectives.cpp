@@ -8,7 +8,6 @@
 #include "obs/flight.h"
 #include "obs/metrics.h"
 #include "runtime/parallel_for.h"
-#include "tensor/ops.h"
 
 namespace apt {
 
@@ -41,75 +40,6 @@ CollectiveMetrics& RingMetrics(const char* label) {
 }
 
 }  // namespace
-
-void Communicator::AllReduceSum(std::vector<Tensor*> tensors, Phase phase,
-                                bool gradient_sync) {
-  const auto c = static_cast<std::size_t>(num_devices());
-  APT_CHECK_EQ(tensors.size(), c);
-  if (c == 0) return;
-  Tensor sum = *tensors[0];
-  for (std::size_t i = 1; i < c; ++i) {
-    if (!tensors[i]->SameShape(sum)) {
-      // One participant contributed a bad buffer; its peers would block in
-      // the collective forever. Poison so every waiter gets a typed error.
-      std::ostringstream os;
-      os << "allreduce shape mismatch on device " << i;
-      ctx_->PoisonBarrier(os.str());
-      throw CollectiveError(os.str());
-    }
-    Axpy(1.0f, *tensors[i], sum);
-  }
-  for (std::size_t i = 0; i < c; ++i) *tensors[i] = sum;
-  ChargeAllReduceSum(sum, phase, gradient_sync);
-}
-
-void Communicator::ChargeAllReduceSum(const Tensor& reduced, Phase phase,
-                                      bool gradient_sync) {
-  // Ring allreduce moves 2 * (C-1)/C * bytes per device. Bytes-only codec:
-  // the reduced VALUES are exact fp32 regardless of codec choice.
-  ChargeRing(reduced.bytes(), CodecWireBytes(AllReduceCodec(gradient_sync), reduced),
-             /*factor=*/2.0, phase, "allreduce");
-}
-
-void Communicator::AllReduceDoubles(std::vector<std::vector<double>*> vecs,
-                                    ReduceOp op, Phase phase) {
-  const auto c = static_cast<std::size_t>(num_devices());
-  APT_CHECK_EQ(vecs.size(), c);
-  if (c == 0) return;
-  APT_CHECK(vecs[0] != nullptr);
-  std::vector<double> acc = *vecs[0];
-  for (std::size_t i = 1; i < c; ++i) {
-    APT_CHECK(vecs[i] != nullptr);
-    if (vecs[i]->size() != acc.size()) {
-      std::ostringstream os;
-      os << "allreduce(double) size mismatch on device " << i;
-      ctx_->PoisonBarrier(os.str());
-      throw CollectiveError(os.str());
-    }
-    const std::vector<double>& v = *vecs[i];
-    for (std::size_t k = 0; k < acc.size(); ++k) {
-      acc[k] = op == ReduceOp::kSum ? acc[k] + v[k] : std::max(acc[k], v[k]);
-    }
-  }
-  for (std::size_t i = 0; i < c; ++i) *vecs[i] = acc;
-  const auto bytes = static_cast<std::int64_t>(acc.size() * sizeof(double));
-  ChargeRing(bytes, bytes, /*factor=*/2.0, phase, "allreduce");
-}
-
-std::vector<Tensor> Communicator::AllBroadcastTensors(const std::vector<Tensor>& inputs,
-                                                      Phase phase) {
-  const auto c = static_cast<std::size_t>(num_devices());
-  APT_CHECK_EQ(inputs.size(), c);
-  std::int64_t total = 0;
-  std::int64_t wire_total = 0;
-  const Codec codec = wire_codec(RingClass());
-  for (const auto& t : inputs) {
-    total += t.bytes();
-    wire_total += CodecWireBytes(codec, t.rows(), t.cols());
-  }
-  ChargeRing(total, wire_total, /*factor=*/1.0, phase, "allbroadcast");
-  return inputs;
-}
 
 LinkSpec Communicator::RingBottleneck() const {
   LinkSpec bottleneck{};
@@ -411,32 +341,6 @@ void Communicator::ChargeRingImpl(std::int64_t total_bytes,
                         {"participants", static_cast<double>(c), nullptr},
                         {"class", 0.0, cls}});
   ctx_->BarrierAll(phase);
-}
-
-// --- shape-only ring collectives ---------------------------------------------
-
-void Communicator::AllReduceSumShape(std::int64_t rows, std::int64_t cols,
-                                     Phase phase, bool gradient_sync) {
-  if (num_devices() == 0) return;
-  // Shape-based wire bytes: identical to the byte-moving path for identity /
-  // bf16 / int8; kDeltaBitmask is content-dependent and charges its dense
-  // worst case here (the parity suite covers the shape-faithful codecs).
-  ChargeRing(rows * cols * 4, CodecWireBytes(AllReduceCodec(gradient_sync), rows, cols),
-             /*factor=*/2.0, phase, "allreduce");
-}
-
-void Communicator::AllBroadcastTensorShapes(
-    const std::vector<TensorShape>& inputs, Phase phase) {
-  const auto c = static_cast<std::size_t>(num_devices());
-  APT_CHECK_EQ(inputs.size(), c);
-  std::int64_t total = 0;
-  std::int64_t wire_total = 0;
-  const Codec codec = wire_codec(RingClass());
-  for (const TensorShape& t : inputs) {
-    total += t.bytes();
-    wire_total += CodecWireBytes(codec, t.rows, t.cols);
-  }
-  ChargeRing(total, wire_total, /*factor=*/1.0, phase, "allbroadcast");
 }
 
 // --- sampled-execution fast-forward -----------------------------------------

@@ -1,17 +1,20 @@
 // Collective communication over simulated devices.
 //
-// The communicator plays NCCL's role: collectives move real bytes between
-// per-device host buffers (so downstream computation is exact) and charge
-// simulated time on each participant's virtual clock via the cluster's link
-// model. All collectives are group-wide and blocking: participants leave at
-// the same simulated instant (SimContext::BarrierAll).
+// The communicator plays NCCL's role as a clock: every simulated device
+// lives in this process, so callers reduce, copy or read their peers'
+// payloads themselves (which keeps downstream computation exact) and the
+// communicator charges the collective that would have moved them, on each
+// participant's virtual clock, via the cluster's link model. All
+// collectives are group-wide and blocking: participants leave at the same
+// simulated instant (SimContext::BarrierAll).
 //
 // Cost model per collective (documented per function):
 //   * point-to-point batches (ChargeAllToAll): each device serializes its
 //     egress and ingress on its own link; the collective completes at the
 //     slowest.
-//   * ring collectives (AllReduce, AllGather): classic 2(C-1)/C and
-//     (C-1)/C volume terms over the bottleneck link of the ring.
+//   * ring collectives (ChargeAllReduce, ChargeAllBroadcast): classic
+//     2(C-1)/C and (C-1)/C volume terms over the bottleneck link of the
+//     ring.
 //
 // Fault interaction: link costs are computed against the SimContext's
 // EFFECTIVE links (degraded by any active LinkFault), and each charging path
@@ -44,10 +47,10 @@ class Communicator {
   std::int32_t num_devices() const { return ctx_->num_devices(); }
 
   // ------------------------------------------------------------------
-  // Wire codecs. Float-tensor payloads (AllBroadcastTensors, AllReduceSum,
-  // all-to-all row lanes priced by RowsWireBytes) charge CODEC bytes on the
-  // wire, chosen per traffic class; id/object payloads carry structural
-  // integer data and always travel uncompressed. The communicator never
+  // Wire codecs. Float-tensor payloads (ring payloads priced by
+  // RingWireBytes, all-to-all row lanes priced by RowsWireBytes) charge CODEC
+  // bytes on the wire, chosen per traffic class; id/object/double payloads
+  // carry structural or exact data and always travel uncompressed. The communicator never
   // changes VALUES — lossy rounding happens exactly once at the producer
   // (FeatureStore / model boundary hooks), which is what keeps quantized
   // strategies bit-comparable (DESIGN.md invariant 8). Transfer time, fault
@@ -61,57 +64,44 @@ class Communicator {
   Codec wire_codec(TrafficClass cls) const {
     return wire_codecs_[static_cast<std::size_t>(cls)];
   }
-  /// Codec for gradient-allreduce payloads (AllReduceSum with
+  /// Codec for gradient-allreduce payloads (RingWireBytes with
   /// gradient_sync = true). kDeltaBitmask is lossless and charges
   /// content-dependent sparse bytes of the reduced tensor.
   void set_grad_codec(Codec codec) { grad_codec_ = codec; }
   Codec grad_codec() const { return grad_codec_; }
 
   // ------------------------------------------------------------------
-  // AllBroadcast of arbitrary objects (every device receives every input).
+  // The communicator's two ring collectives, charges priced by size. Every
+  // device lives in this process, so callers reduce or read their peers'
+  // payloads in place (AllReduceGradients sums the replicas in device order;
+  // NFP sums its slice partials and reads the broadcast graphs and
+  // gradients where they lie) and then charge the collective that would
+  // have moved them. `bytes` is the logical payload: one device's
+  // contribution for an allreduce, the sum over devices for a broadcast;
+  // `wire_bytes` is the same under the codec (RingWireBytes). A ring moves
+  // factor * (C-1)/C of it per device (factor 2 for AllReduce, 1 for
+  // AllBroadcast); each device pays codec encode/decode passes when wire
+  // and logical bytes differ. Traced as one "allreduce" / "allbroadcast"
+  // slice per participant and attributed to SimContext comm time; link
+  // faults, collective-fault thresholds and the per-class wire counters all
+  // see wire bytes.
   // ------------------------------------------------------------------
-  template <typename T, typename BytesFn>
-  std::vector<T> AllBroadcastObjects(std::vector<T> inputs, const BytesFn& bytes_fn,
-                                     Phase phase) {
-    const auto c = static_cast<std::size_t>(num_devices());
-    APT_CHECK_EQ(inputs.size(), c);
-    std::int64_t total = 0;
-    for (const T& v : inputs) total += static_cast<std::int64_t>(bytes_fn(v));
-    ChargeRing(total, /*factor=*/1.0, phase, "allbroadcast");
-    return inputs;
+  void ChargeAllReduce(std::int64_t bytes, std::int64_t wire_bytes, Phase phase) {
+    ChargeRing(bytes, wire_bytes, /*factor=*/2.0, phase, "allreduce");
   }
-
-  // ------------------------------------------------------------------
-  // Ring AllReduce (sum): every device contributes a same-shape tensor and
-  // receives the elementwise sum. Used for DDP gradient sync
-  // (gradient_sync = true: grad_codec picks the wire bytes) and NFP's
-  // SparseAllreduce of partial embeddings (wire codec of the ring's class).
-  // ------------------------------------------------------------------
-  void AllReduceSum(std::vector<Tensor*> tensors, Phase phase,
-                    bool gradient_sync = false);
-  /// Charges the ring of an AllReduceSum whose elementwise sum is `reduced`
-  /// and moves no data: for callers that already summed their partials in
-  /// place (NFP). AllReduceSum charges through this too, so both give the
-  /// same clocks, metrics, flight records and fault thresholds, and
-  /// kDeltaBitmask wire bytes follow `reduced`'s content.
-  void ChargeAllReduceSum(const Tensor& reduced, Phase phase,
-                          bool gradient_sync = false);
-
-  /// Tensor flavor of AllBroadcast; receiver sees the senders' tensors.
-  std::vector<Tensor> AllBroadcastTensors(const std::vector<Tensor>& inputs,
-                                          Phase phase);
-
-  // ------------------------------------------------------------------
-  // AllReduce over double vectors, elementwise kSum or kMax. The reduction
-  // is exact for the quantized parity path by construction: kMax is
-  // order-invariant outright, and the canonical quantized backward only
-  // sums doubles that are exact multiples of a shared power-of-two grid,
-  // so every addition is exact in any order (DESIGN.md invariant 8).
-  // Charged like AllReduceSum; always travels uncompressed.
-  // ------------------------------------------------------------------
-  enum class ReduceOp { kSum, kMax };
-  void AllReduceDoubles(std::vector<std::vector<double>*> vecs, ReduceOp op,
-                        Phase phase);
+  void ChargeAllBroadcast(std::int64_t bytes, std::int64_t wire_bytes, Phase phase) {
+    ChargeRing(bytes, wire_bytes, /*factor=*/1.0, phase, "allbroadcast");
+  }
+  /// Wire bytes of one device's fp32 `payload` on a ring. Gradient sync uses
+  /// the grad codec on the payload's content, so kDeltaBitmask counts its
+  /// nonzeros; everything else uses the codec of the ring's traffic class on
+  /// the payload's shape (kDeltaBitmask at its dense worst case, the
+  /// RowsWireBytes convention).
+  std::int64_t RingWireBytes(const Tensor& payload, bool gradient_sync = false) const {
+    return gradient_sync
+               ? CodecWireBytes(grad_codec_, payload)
+               : CodecWireBytes(wire_codec(RingClass()), payload.rows(), payload.cols());
+  }
 
   /// Bottleneck link of a ring over all devices (the slowest hop), after
   /// applying any active link faults at the participants' current clocks.
@@ -141,29 +131,6 @@ class Communicator {
   }
 
   // ------------------------------------------------------------------
-  // Shape-only ring collectives: the profiler's trials. They run the SAME
-  // charging code as their byte-moving twins (link/codec/fault-threshold
-  // math, per-class wire-byte counters) from shapes alone, without
-  // materializing any payload. kDeltaBitmask wire bytes are
-  // content-dependent, so these treat it as its dense worst case (the
-  // CodecWireBytes(rows, cols) convention).
-  // ------------------------------------------------------------------
-
-  /// Logical rows x cols of one would-be payload tensor.
-  struct TensorShape {
-    std::int64_t rows = 0;
-    std::int64_t cols = 0;
-    std::int64_t bytes() const { return rows * cols * 4; }
-  };
-
-  /// Analytic AllReduceSum of one rows x cols tensor per device.
-  void AllReduceSumShape(std::int64_t rows, std::int64_t cols, Phase phase,
-                         bool gradient_sync = false);
-  /// Analytic AllBroadcastTensors.
-  void AllBroadcastTensorShapes(const std::vector<TensorShape>& inputs,
-                                Phase phase);
-
-  // ------------------------------------------------------------------
   // Sampled-execution fast-forward: replays a recorded step
   // tape through the virtual clocks. Flat advances and barriers replay
   // literally; collectives and compute re-run their real charging code, so
@@ -185,17 +152,8 @@ class Communicator {
   /// `label` names the trace slices ("allreduce" / "allbroadcast").
   void ChargeRing(std::int64_t total_bytes, std::int64_t wire_total_bytes,
                   double factor, Phase phase, const char* label);
-  void ChargeRing(std::int64_t total_bytes, double factor, Phase phase,
-                  const char* label) {
-    ChargeRing(total_bytes, total_bytes, factor, phase, label);
-  }
   void ChargeRingImpl(std::int64_t total_bytes, std::int64_t wire_total_bytes,
                       double factor, Phase phase, const char* label);
-  /// Wire codec of an AllReduceSum: grad_codec for gradient sync, else the
-  /// ring's traffic-class codec.
-  Codec AllReduceCodec(bool gradient_sync) const {
-    return gradient_sync ? grad_codec_ : wire_codec(RingClass());
-  }
   /// Traffic class of a ring schedule over all devices.
   TrafficClass RingClass() const {
     return ctx_->cluster().num_machines() > 1 ? TrafficClass::kCrossMachine

@@ -20,6 +20,9 @@ CommProfile ProfileImpl(const ClusterSpec& cluster, std::int64_t trial_bytes,
   const std::int64_t cols = 64;
   const std::int64_t rows =
       std::max<std::int64_t>(1, trial_bytes / (cols * static_cast<std::int64_t>(sizeof(float))));
+  // One device's fp32 trial tensor. The trial communicators keep the
+  // identity codec, so wire bytes equal logical bytes.
+  const std::int64_t bytes = rows * cols * static_cast<std::int64_t>(sizeof(float));
 
   const auto prepare = [&](SimContext& ctx) {
     if (faults == nullptr) return;
@@ -50,28 +53,20 @@ CommProfile ProfileImpl(const ClusterSpec& cluster, std::int64_t trial_bytes,
     profile.alltoall_bytes_per_s = per_device_bytes / elapsed(ctx);
   }
 
-  // --- AllReduce. -----------------------------------------------------------
+  // --- AllReduce of one trial tensor per device. ---------------------------
   {
     SimContext ctx(cluster);
     prepare(ctx);
-    Communicator comm(ctx);
-    comm.AllReduceSumShape(rows, cols, Phase::kTrain);
-    profile.allreduce_bytes_per_s =
-        static_cast<double>(rows * cols * static_cast<std::int64_t>(sizeof(float))) /
-        elapsed(ctx);
+    Communicator(ctx).ChargeAllReduce(bytes, bytes, Phase::kTrain);
+    profile.allreduce_bytes_per_s = static_cast<double>(bytes) / elapsed(ctx);
   }
 
-  // --- AllBroadcast. ---------------------------------------------------------
+  // --- AllBroadcast of one trial tensor per device. ------------------------
   {
     SimContext ctx(cluster);
     prepare(ctx);
-    Communicator comm(ctx);
-    const std::vector<Communicator::TensorShape> inputs(static_cast<std::size_t>(c),
-                                                        {rows, cols});
-    comm.AllBroadcastTensorShapes(inputs, Phase::kTrain);
-    const double total =
-        static_cast<double>(rows * cols * static_cast<std::int64_t>(sizeof(float))) * c;
-    profile.broadcast_bytes_per_s = total / elapsed(ctx);
+    Communicator(ctx).ChargeAllBroadcast(bytes * c, bytes * c, Phase::kTrain);
+    profile.broadcast_bytes_per_s = static_cast<double>(bytes) * c / elapsed(ctx);
   }
 
   // --- Feature-read channels (straight from the link model). ----------------

@@ -4,11 +4,11 @@
 // planning, so the cost models can convert dry-run volumes into seconds.
 // The all-to-all, allreduce and broadcast trials are charged through the same
 // Communicator / link model the execution engine uses, on a scratch
-// SimContext, via its shape-only entry points: the link model alone decides
-// the charged seconds, so no trial tensor is allocated or moved (the
-// golden-parity suite pins the shape entry points to the byte-moving
-// collectives). Planning, re-planning and scale sweeps share this one
-// implementation.
+// SimContext: the all-to-all from lanes, the rings through ChargeAllReduce
+// and ChargeAllBroadcast from the trial size, exactly as the executors
+// charge their own collectives. The link model alone decides the charged
+// seconds, so no trial tensor is allocated or moved. Planning, re-planning
+// and scale sweeps share this one implementation.
 #pragma once
 
 #include <cstdint>

@@ -30,40 +30,6 @@ std::vector<std::vector<NodeId>> AssignSeeds(std::span<const NodeId> step_seeds,
   return out;
 }
 
-double SampleTreeEdges(const SampledBatch& batch) {
-  // UVA sampling performs one random topology read per (frontier entry,
-  // sampled slot) pair; the frontier is the per-seed expansion MULTISET —
-  // deduplication only compacts the node-id lists afterwards. We replay the
-  // exact multiset tree by propagating each node's multiplicity through the
-  // sampled blocks (seeds start at multiplicity 1; a sampled neighbor
-  // inherits its destination's multiplicity). This matches large-graph
-  // behaviour, where frontiers of distinct seeds barely overlap; at our
-  // scaled-down sizes, charging deduplicated counts would grant
-  // clustered-seed strategies an outsized sampling discount.
-  double tree_edges = 0.0;
-  std::vector<double> mult;
-  for (auto it = batch.blocks.rbegin(); it != batch.blocks.rend(); ++it) {
-    const Block& b = *it;
-    if (mult.empty()) {
-      mult.assign(static_cast<std::size_t>(b.num_dst), 1.0);
-    }
-    std::vector<double> next(static_cast<std::size_t>(b.num_src()), 0.0);
-    for (std::int64_t i = 0; i < b.num_dst; ++i) {
-      const double m_i = mult[static_cast<std::size_t>(i)];
-      next[static_cast<std::size_t>(i)] += m_i;  // dst carries into frontier
-      const std::int64_t deg = b.indptr[static_cast<std::size_t>(i) + 1] -
-                               b.indptr[static_cast<std::size_t>(i)];
-      tree_edges += m_i * static_cast<double>(deg);
-      for (std::int64_t e = b.indptr[static_cast<std::size_t>(i)];
-           e < b.indptr[static_cast<std::size_t>(i) + 1]; ++e) {
-        next[static_cast<std::size_t>(b.col[static_cast<std::size_t>(e)])] += m_i;
-      }
-    }
-    mult = std::move(next);
-  }
-  return tree_edges;
-}
-
 double SampleSeconds(const ClusterSpec& cluster, DeviceId dev,
                      const SampledBatch& batch) {
   const MachineSpec& m = cluster.machine(cluster.MachineOf(dev));
@@ -125,32 +91,27 @@ StepStats SeedLossAndGrad(EngineCtx& ctx, DeviceId dev, const DeviceBatch& batch
 }
 
 void AllReduceGradients(EngineCtx& ctx) {
-  const auto c = static_cast<std::size_t>(ctx.num_devices());
-  // Flatten each replica's grads into one buffer (the packed-bucket trick
-  // DDP uses) so a single ring allreduce covers the whole model.
-  std::vector<Tensor> flat(c);
+  // Replica 0's grads become the sum over replicas, added in device order;
+  // the sum is charged as one packed bucket (the flat tensor DDP reduces
+  // with a single ring), and every other replica takes a copy.
+  const std::vector<Param*> sum = ctx.model(0).Params();
+  for (DeviceId d = 1; d < ctx.num_devices(); ++d) {
+    const std::vector<Param*> mine = ctx.model(d).Params();
+    for (std::size_t i = 0; i < sum.size(); ++i) Axpy(1.0f, mine[i]->grad, sum[i]->grad);
+  }
   std::int64_t total = 0;
-  {
-    std::vector<Param*> params = ctx.model(0).Params();
-    for (const Param* p : params) total += p->grad.numel();
+  for (const Param* p : sum) total += p->grad.numel();
+  Tensor flat(1, total);
+  std::int64_t off = 0;
+  for (const Param* p : sum) {
+    std::copy_n(p->grad.data(), p->grad.numel(), flat.data() + off);
+    off += p->grad.numel();
   }
-  for (std::size_t d = 0; d < c; ++d) {
-    flat[d] = Tensor(1, total);
-    std::int64_t off = 0;
-    for (Param* p : ctx.model(static_cast<DeviceId>(d)).Params()) {
-      std::copy_n(p->grad.data(), p->grad.numel(), flat[d].data() + off);
-      off += p->grad.numel();
-    }
-  }
-  std::vector<Tensor*> ptrs;
-  for (auto& t : flat) ptrs.push_back(&t);
-  ctx.comm->AllReduceSum(ptrs, Phase::kTrain, /*gradient_sync=*/true);
-  for (std::size_t d = 0; d < c; ++d) {
-    std::int64_t off = 0;
-    for (Param* p : ctx.model(static_cast<DeviceId>(d)).Params()) {
-      std::copy_n(flat[d].data() + off, p->grad.numel(), p->grad.data());
-      off += p->grad.numel();
-    }
+  ctx.comm->ChargeAllReduce(flat.bytes(), ctx.comm->RingWireBytes(flat, /*gradient_sync=*/true),
+                            Phase::kTrain);
+  for (DeviceId d = 1; d < ctx.num_devices(); ++d) {
+    const std::vector<Param*> mine = ctx.model(d).Params();
+    for (std::size_t i = 0; i < sum.size(); ++i) mine[i]->grad = sum[i]->grad;
   }
 }
 

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "engine/engine_ctx.h"
+#include "sampling/block.h"  // SampleTreeEdges
 
 namespace apt {
 
@@ -61,8 +62,9 @@ StepStats SeedLossAndGrad(EngineCtx& ctx, DeviceId dev, const DeviceBatch& batch
 Tensor TrainFromLayer1(EngineCtx& ctx, DeviceId o, const DeviceBatch& batch, Tensor raw0,
                        std::int64_t total_seeds, StepStats& agg);
 
-/// DDP gradient synchronization: packs every replica's grads into one flat
-/// tensor, ring-allreduces, unpacks. Charged to kTrain.
+/// DDP gradient synchronization: every replica ends holding the device-order
+/// sum of all replicas' grads, charged to kTrain as one ring allreduce of
+/// the packed flat gradient.
 void AllReduceGradients(EngineCtx& ctx);
 
 /// Forward+backward flops of `model`'s layers from `first_layer` on over a
@@ -75,13 +77,10 @@ double StepFlops(const GnnModel& model, std::span<const Block> blocks, int first
 void ChargeStepCompute(EngineCtx& ctx, DeviceId dev, std::span<const Block> blocks,
                        int first_layer);
 
-/// Simulated cost of sampling `batch` on `dev` (UVA edge traversals). The
-/// trainer charges it and the dry-run estimates with it, so the two agree.
+/// Simulated cost of sampling `batch` on `dev` (UVA edge traversals,
+/// SampleTreeEdges from sampling/block.h). The trainer charges it and the
+/// dry-run estimates with it, so the two agree.
 double SampleSeconds(const ClusterSpec& cluster, DeviceId dev,
                      const SampledBatch& batch);
-
-/// Size of the per-seed expansion multiset tree of `batch` (the number of
-/// UVA topology reads sampling performs; see the definition in the .cpp).
-double SampleTreeEdges(const SampledBatch& batch);
 
 }  // namespace apt

@@ -19,9 +19,10 @@
 // one full-width buffer; each origin is aggregated once at full width (the
 // mean is element-wise, so its columns are the slice results); one fused
 // GEMM per origin (SliceSumMatmul) forms each device's partial in an L1
-// scratch and adds it into the origin's sum in device order, the Axpy
-// sequence AllReduceSum runs; weight gradients take one full-width GEMM per
-// origin. All of it is bit-identical to the per-device formulation.
+// scratch and adds it into the origin's sum in device order; weight
+// gradients take one full-width GEMM per origin. The broadcast graphs and
+// gradients are read where they lie. All of it is bit-identical to the
+// per-device formulation.
 //
 // Pipelined execution (EngineOptions::pipeline_depth > 1): the graph
 // AllBroadcast, the dimension-slice feature gathers (kLoad) and the partial
@@ -47,23 +48,37 @@ void AddRowBlock(Tensor& grad, const Tensor& full, std::int64_t lo, std::int64_t
   }
 }
 
-/// Shuffle: broadcasts every device's layer-1 computation graph.
-std::vector<Block> BroadcastLayer1Graphs(EngineCtx& ctx,
-                                         const std::vector<DeviceBatch>& batches) {
-  std::vector<Block> block0s;
-  block0s.reserve(batches.size());
-  for (const auto& b : batches) block0s.push_back(b.sample.blocks[0]);
-  return ctx.comm->AllBroadcastObjects(
-      std::move(block0s), [](const Block& b) { return b.bytes(); }, Phase::kSample);
+/// Shuffle: every device reads every device's layer-1 computation graph in
+/// place; charged as one AllBroadcast of the blocks' bytes.
+std::vector<const Block*> BroadcastLayer1Graphs(EngineCtx& ctx,
+                                                const std::vector<DeviceBatch>& batches) {
+  std::vector<const Block*> block0s = FirstBlocks(batches);
+  std::int64_t bytes = 0;
+  for (const Block* b : block0s) bytes += static_cast<std::int64_t>(b->bytes());
+  ctx.comm->ChargeAllBroadcast(bytes, bytes, Phase::kSample);
+  return block0s;
+}
+
+/// Backward shuffle: every device reads every origin's layer-1 output
+/// gradient in place to form its weight slice's gradient; charged as one
+/// AllBroadcast of the gradients under the ring's wire codec.
+void BroadcastGrads(EngineCtx& ctx, const std::vector<Tensor>& grads) {
+  std::int64_t bytes = 0;
+  std::int64_t wire = 0;
+  for (const Tensor& g : grads) {
+    bytes += g.bytes();
+    wire += ctx.comm->RingWireBytes(g);
+  }
+  ctx.comm->ChargeAllBroadcast(bytes, wire, Phase::kTrain);
 }
 
 /// Row where each origin's sources start in the origin-stacked h_all.
-std::vector<std::int64_t> SourceRows(const std::vector<Block>& all0) {
+std::vector<std::int64_t> SourceRows(const std::vector<const Block*>& all0) {
   std::vector<std::int64_t> first;
   std::int64_t rows = 0;
-  for (const Block& b : all0) {
+  for (const Block* b : all0) {
     first.push_back(rows);
-    rows += b.num_src();
+    rows += b->num_src();
   }
   return first;
 }
@@ -83,12 +98,13 @@ std::vector<std::int64_t> SliceBounds(std::int64_t dim, std::int32_t c) {
 /// plus those origins' partials (partial_rows(b) x out_dim each), as if it
 /// kept them for the allreduce.
 template <typename SliceFlops, typename PartialRows>
-Tensor GatherSlices(EngineCtx& ctx, const std::vector<Block>& all0, std::int64_t out_dim,
+Tensor GatherSlices(EngineCtx& ctx, const std::vector<const Block*>& all0,
+                    std::int64_t out_dim,
                     const SliceFlops& slice_flops, const PartialRows& partial_rows) {
   const std::int32_t c = ctx.num_devices();
   constexpr std::int64_t kF = sizeof(float);
   std::vector<NodeId> nodes;
-  for (const Block& b : all0) nodes.insert(nodes.end(), b.src_nodes.begin(), b.src_nodes.end());
+  for (const Block* b : all0) nodes.insert(nodes.end(), b->src_nodes.begin(), b->src_nodes.end());
   const auto rows = static_cast<std::int64_t>(nodes.size());
   Tensor h_all(rows, ctx.feature_dim());
   for (DeviceId g = 0; g < c; ++g) {
@@ -96,10 +112,10 @@ Tensor GatherSlices(EngineCtx& ctx, const std::vector<Block>& all0, std::int64_t
     if (!nodes.empty()) ctx.store->Gather(g, nodes, lo, hi, h_all, lo);
     std::int64_t transient = rows * (hi - lo) * kF;
     double flops = 0.0;
-    for (const Block& b : all0) {
-      if (b.num_dst == 0) continue;
-      flops += slice_flops(b, hi - lo);
-      transient += partial_rows(b) * out_dim * kF;
+    for (const Block* b : all0) {
+      if (b->num_dst == 0) continue;
+      flops += slice_flops(*b, hi - lo);
+      transient += partial_rows(*b) * out_dim * kF;
     }
     ctx.sim->ChargeCompute(g, flops);
     ctx.sim->NoteTransient(g, transient);
@@ -172,7 +188,7 @@ StepStats NfpExecutor::StepSage(std::vector<DeviceBatch>& batches, StepStats agg
   const auto uc = static_cast<std::size_t>(c);
 
   obs::StageSpan stage("shuffle", "nfp");
-  const std::vector<Block> all0 = BroadcastLayer1Graphs(*ctx_, batches);
+  const std::vector<const Block*> all0 = BroadcastLayer1Graphs(*ctx_, batches);
 
   stage.Next("execute");
   // Execute: each device gathers its dimension slice of ALL graphs' inputs.
@@ -197,7 +213,7 @@ StepStats NfpExecutor::StepSage(std::vector<DeviceBatch>& batches, StepStats agg
   const std::vector<std::int64_t> bounds = SliceBounds(d, c);
   std::vector<Tensor> saved_agg(uc), raw0(uc);
   for (std::size_t o = 0; o < uc; ++o) {
-    const Block& b = all0[o];
+    const Block& b = *all0[o];
     if (b.num_dst == 0) continue;
     saved_agg[o] = Tensor(b.num_dst, d);
     SpmmMean(b.csr(), h_all, first[o], saved_agg[o]);
@@ -209,7 +225,10 @@ StepStats NfpExecutor::StepSage(std::vector<DeviceBatch>& batches, StepStats agg
   stage.Next("reshuffle");
   // Reshuffle (forward): SparseAllreduce per origin; raw0 already holds the sums.
   for (std::size_t o = 0; o < uc; ++o) {
-    if (all0[o].num_dst > 0) ctx_->comm->ChargeAllReduceSum(raw0[o], Phase::kTrain);
+    if (all0[o]->num_dst > 0) {
+      ctx_->comm->ChargeAllReduce(raw0[o].bytes(), ctx_->comm->RingWireBytes(raw0[o]),
+                                  Phase::kTrain);
+    }
   }
 
   stage.Next("execute");
@@ -229,14 +248,11 @@ StepStats NfpExecutor::StepSage(std::vector<DeviceBatch>& batches, StepStats agg
   }
 
   stage.Next("reshuffle");
-  // Backward shuffle: broadcast layer-1 output gradients so every device can
-  // form the gradient of its weight slice.
-  const std::vector<Tensor> all_grad =
-      ctx_->comm->AllBroadcastTensors(grad_raw0, Phase::kTrain);
+  BroadcastGrads(*ctx_, grad_raw0);
 
   stage.Next("execute");
   SliceWeightGrads(
-      *ctx_, all_grad, 2,
+      *ctx_, grad_raw0, 2,
       [&](std::size_t k, std::size_t o) {
         return k == 0 ? SavedRows{&saved_agg[o], 0} : SavedRows{&h_all, first[o]};
       },
@@ -253,7 +269,7 @@ StepStats NfpExecutor::StepGat(std::vector<DeviceBatch>& batches, StepStats agg)
   const auto uc = static_cast<std::size_t>(c);
 
   obs::StageSpan stage("shuffle", "nfp");
-  const std::vector<Block> all0 = BroadcastLayer1Graphs(*ctx_, batches);
+  const std::vector<const Block*> all0 = BroadcastLayer1Graphs(*ctx_, batches);
 
   stage.Next("execute");
   // Partial projections z from each dimension slice, for all graphs. Every
@@ -277,8 +293,8 @@ StepStats NfpExecutor::StepGat(std::vector<DeviceBatch>& batches, StepStats agg)
   const std::vector<std::int64_t> bounds = SliceBounds(d, c);
   std::vector<Tensor> z_full(uc);
   for (std::size_t o = 0; o < uc; ++o) {
-    if (all0[o].num_dst == 0) continue;
-    z_full[o] = Tensor(all0[o].num_src(), out);
+    if (all0[o]->num_dst == 0) continue;
+    z_full[o] = Tensor(all0[o]->num_src(), out);
     const SliceTerm term{&h_all, first[o], w};
     SliceSumMatmul({&term, 1}, bounds, z_full[o]);
   }
@@ -286,7 +302,10 @@ StepStats NfpExecutor::StepGat(std::vector<DeviceBatch>& batches, StepStats agg)
   stage.Next("reshuffle");
   // Allreduce partial projections per origin; z_full already holds the sums.
   for (std::size_t o = 0; o < uc; ++o) {
-    if (all0[o].num_dst > 0) ctx_->comm->ChargeAllReduceSum(z_full[o], Phase::kTrain);
+    if (all0[o]->num_dst > 0) {
+      ctx_->comm->ChargeAllReduce(z_full[o].bytes(), ctx_->comm->RingWireBytes(z_full[o]),
+                                  Phase::kTrain);
+    }
   }
 
   stage.Next("execute");
@@ -308,12 +327,10 @@ StepStats NfpExecutor::StepGat(std::vector<DeviceBatch>& batches, StepStats agg)
   }
 
   stage.Next("reshuffle");
-  // Broadcast grad_z so each device forms its weight-slice gradient.
-  const std::vector<Tensor> all_grad_z =
-      ctx_->comm->AllBroadcastTensors(grad_z, Phase::kTrain);
+  BroadcastGrads(*ctx_, grad_z);
   stage.Next("execute");
   SliceWeightGrads(
-      *ctx_, all_grad_z, 1,
+      *ctx_, grad_z, 1,
       [&](std::size_t, std::size_t o) { return SavedRows{&h_all, first[o]}; },
       [&](DeviceId g, std::size_t) -> Tensor& {
         return dynamic_cast<GatLayer&>(ctx_->model(g).layer(0)).w().grad;

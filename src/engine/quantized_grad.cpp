@@ -1,6 +1,7 @@
 #include "engine/quantized_grad.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 
 #include "model/sage_layer.h"
@@ -25,13 +26,6 @@ SageLayer& Layer0(EngineCtx& ctx, DeviceId d) {
   return *layer;
 }
 
-std::vector<std::vector<double>*> Ptrs(std::vector<std::vector<double>>& v) {
-  std::vector<std::vector<double>*> out;
-  out.reserve(v.size());
-  for (auto& e : v) out.push_back(&e);
-  return out;
-}
-
 }  // namespace
 
 bool UseQuantizedLayer0(const EngineCtx& ctx) {
@@ -50,23 +44,24 @@ void QuantizedLayer0Backward(
 
   // 1. Grid stats. Max-reduce {max |inputs|, max |grad_out|}; sum-reduce the
   // global dst-row count. Max is order-invariant outright, and the count is
-  // a small-integer sum — both collectives return the same numbers on every
-  // device regardless of how rows were grouped.
-  std::vector<std::vector<double>> stats(c, std::vector<double>(2, 0.0));
-  std::vector<std::vector<double>> counts(c, std::vector<double>(1, 0.0));
+  // a small-integer sum, so the reductions below give the numbers every
+  // device would hold after the collectives regardless of how rows were
+  // grouped. Each collective is charged at its double-vector size.
+  std::array<double, 2> stats{0.0, 0.0};
+  double count = 0.0;
   for (std::size_t d = 0; d < c; ++d) {
     SageLayer& layer0 = Layer0(ctx, static_cast<DeviceId>(d));
+    double rows = 0.0;
     for (const QuantizedBlockGrad& blk : per_device[d]) {
-      stats[d][0] = std::max(
-          stats[d][0], layer0.QuantizedInputMaxAbs(blk.num_dst, *blk.saved));
-      stats[d][1] = std::max(stats[d][1], MaxAbs(*blk.grad_out));
-      counts[d][0] += static_cast<double>(blk.num_dst);
+      stats[0] = std::max(stats[0], layer0.QuantizedInputMaxAbs(blk.num_dst, *blk.saved));
+      stats[1] = std::max(stats[1], MaxAbs(*blk.grad_out));
+      rows += static_cast<double>(blk.num_dst);
     }
+    count = d == 0 ? rows : count + rows;
   }
-  ctx.comm->AllReduceDoubles(Ptrs(stats), Communicator::ReduceOp::kMax,
-                             Phase::kTrain);
-  ctx.comm->AllReduceDoubles(Ptrs(counts), Communicator::ReduceOp::kSum,
-                             Phase::kTrain);
+  constexpr std::int64_t kD = sizeof(double);
+  ctx.comm->ChargeAllReduce(2 * kD, 2 * kD, Phase::kTrain);
+  ctx.comm->ChargeAllReduce(kD, kD, Phase::kTrain);
 
   // Grid steps: with Mh = max input magnitude, Mg = max grad magnitude and
   // n dst rows, every per-row contribution is bounded by Mh*Mg (bias: Mg)
@@ -75,24 +70,23 @@ void QuantizedLayer0Backward(
   // partial sum is an exact integer multiple of the grid step with fewer
   // than 53 significant bits: double addition of the rounded terms is
   // EXACT, in any order and grouping.
-  const double grid_w = Pow2Ceil(stats[0][0]) * Pow2Ceil(stats[0][1]) *
-                        Pow2Ceil(counts[0][0]) * std::ldexp(1.0, -46);
-  const double grid_b =
-      Pow2Ceil(stats[0][1]) * Pow2Ceil(counts[0][0]) * std::ldexp(1.0, -46);
+  const double grid_w = Pow2Ceil(stats[0]) * Pow2Ceil(stats[1]) * Pow2Ceil(count) *
+                        std::ldexp(1.0, -46);
+  const double grid_b = Pow2Ceil(stats[1]) * Pow2Ceil(count) * std::ldexp(1.0, -46);
 
-  // 2. Per-device grid-rounded accumulation, 3. exact cross-device sum.
-  const std::int64_t acc_size = Layer0(ctx, 0).QuantizedAccumSize();
-  std::vector<std::vector<double>> acc(
-      c, std::vector<double>(static_cast<std::size_t>(acc_size), 0.0));
+  // 2. Grid-rounded accumulation of every device's blocks, 3. the exact
+  // cross-device sum: one total, which the grid argument makes independent
+  // of the order and grouping of the additions.
+  const auto acc_size = static_cast<std::size_t>(Layer0(ctx, 0).QuantizedAccumSize());
+  std::vector<double> total(acc_size, 0.0);
   for (std::size_t d = 0; d < c; ++d) {
     SageLayer& layer0 = Layer0(ctx, static_cast<DeviceId>(d));
     for (const QuantizedBlockGrad& blk : per_device[d]) {
-      layer0.BackwardQuantized(blk.num_dst, *blk.saved, *blk.grad_out, grid_w,
-                               grid_b, acc[d]);
+      layer0.BackwardQuantized(blk.num_dst, *blk.saved, *blk.grad_out, grid_w, grid_b, total);
     }
   }
-  ctx.comm->AllReduceDoubles(Ptrs(acc), Communicator::ReduceOp::kSum,
-                             Phase::kTrain);
+  const auto acc_bytes = static_cast<std::int64_t>(acc_size) * kD;
+  ctx.comm->ChargeAllReduce(acc_bytes, acc_bytes, Phase::kTrain);
 
   // 4. One double->float conversion of the global totals, carried by device
   // 0 only. The float gradient allreduce that follows adds exact zeros from
@@ -103,15 +97,14 @@ void QuantizedLayer0Backward(
     float* w_self = layer0.w_self().grad.data();
     float* w_neigh = layer0.w_neigh().grad.data();
     float* bias = layer0.bias().grad.data();
-    const std::vector<double>& a = acc[d];
     for (std::int64_t i = 0; i < wn; ++i) {
-      w_self[i] = d == 0 ? static_cast<float>(a[static_cast<std::size_t>(i)]) : 0.0f;
+      w_self[i] = d == 0 ? static_cast<float>(total[static_cast<std::size_t>(i)]) : 0.0f;
       w_neigh[i] =
-          d == 0 ? static_cast<float>(a[static_cast<std::size_t>(wn + i)]) : 0.0f;
+          d == 0 ? static_cast<float>(total[static_cast<std::size_t>(wn + i)]) : 0.0f;
     }
     for (std::int64_t i = 0; i < layer0.out_dim(); ++i) {
       bias[i] =
-          d == 0 ? static_cast<float>(a[static_cast<std::size_t>(2 * wn + i)]) : 0.0f;
+          d == 0 ? static_cast<float>(total[static_cast<std::size_t>(2 * wn + i)]) : 0.0f;
     }
   }
 }

@@ -31,11 +31,12 @@ struct QuantizedBlockGrad {
 };
 
 /// Runs the canonical sequence over all devices' layer-0 blocks:
-///  1. global grid stats (max |inputs|, max |grad_out|, dst-row count) via
-///     order-invariant double collectives,
+///  1. global grid stats (max |inputs|, max |grad_out|, dst-row count),
+///     reduced once in device order (order-invariant) and charged as double
+///     allreduces,
 ///  2. per-block grid-rounded double accumulation of parameter-grad
 ///     contributions (SageLayer::BackwardQuantized),
-///  3. exact double sum across devices,
+///  3. exact double sum across devices, charged as one double allreduce,
 ///  4. ONE double->float conversion, written into device 0's layer-0 grads
 ///     with zeros on every other replica — the unchanged float gradient
 ///     allreduce then reproduces the exact total everywhere (x + 0 + ...).

@@ -84,16 +84,7 @@ ParallelTrainer::ParallelTrainer(const Dataset& dataset, TrainerSetup setup)
     setup_.feature_placement.assign(
         static_cast<std::size_t>(dataset.graph.num_nodes()), MachineId{0});
   }
-  if (dataset.features.numel() == 0 && dataset.procedural_feature_dim > 0) {
-    // Scale sweeps: features are generated on demand from a hash of
-    // (seed, node, col) instead of materializing a num_nodes x dim matrix.
-    store_ = std::make_unique<FeatureStore>(
-        dataset.graph.num_nodes(), dataset.procedural_feature_dim,
-        dataset.procedural_feature_seed, setup_.feature_placement, *sim_);
-  } else {
-    store_ = std::make_unique<FeatureStore>(dataset.features,
-                                            setup_.feature_placement, *sim_);
-  }
+  store_ = MakeFeatureStore(dataset, setup_.feature_placement, *sim_);
   // Codec wiring. Storage codec first (ConfigureCaches accounts the cache
   // footprint in at-rest bytes); the wire codec also becomes the model's
   // boundary codec so both halves of the canonical rounding (features at the

@@ -327,4 +327,16 @@ std::vector<MachineId> FeaturePlacementFromPartition(const std::vector<PartId>& 
   return placement;
 }
 
+std::unique_ptr<FeatureStore> MakeFeatureStore(const Dataset& dataset,
+                                               std::vector<MachineId> node_machine,
+                                               SimContext& ctx) {
+  if (dataset.features.numel() == 0 && dataset.procedural_feature_dim > 0) {
+    return std::make_unique<FeatureStore>(dataset.graph.num_nodes(),
+                                          dataset.procedural_feature_dim,
+                                          dataset.procedural_feature_seed,
+                                          std::move(node_machine), ctx);
+  }
+  return std::make_unique<FeatureStore>(dataset.features, std::move(node_machine), ctx);
+}
+
 }  // namespace apt

@@ -11,10 +11,12 @@
 
 #include <array>
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <vector>
 
 #include "core/types.h"
+#include "graph/dataset.h"
 #include "sim/sim_context.h"
 #include "tensor/codec.h"
 #include "tensor/tensor.h"
@@ -229,5 +231,13 @@ class FeatureStore {
 /// device that owns v's partition. With one machine everything is local.
 std::vector<MachineId> FeaturePlacementFromPartition(
     const std::vector<PartId>& part, const ClusterSpec& cluster);
+
+/// The store over `dataset`'s features: procedural when the dataset
+/// generates them (no matrix, procedural_feature_dim > 0), else over its
+/// materialized matrix. The trainer, the dry-run and the serving engine all
+/// build their stores here, so each handles both kinds of dataset.
+std::unique_ptr<FeatureStore> MakeFeatureStore(const Dataset& dataset,
+                                               std::vector<MachineId> node_machine,
+                                               SimContext& ctx);
 
 }  // namespace apt

@@ -64,4 +64,10 @@ struct SampledBatch {
   }
 };
 
+/// Size of the per-seed expansion multiset tree of `batch`: the number of
+/// UVA topology reads sampling performs (see the definition in the .cpp).
+/// The trainer's and the dry-run's sampling cost (SampleSeconds) and the
+/// serving engine's both count it.
+double SampleTreeEdges(const SampledBatch& batch);
+
 }  // namespace apt

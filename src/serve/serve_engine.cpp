@@ -30,37 +30,6 @@ const char* ToString(ShedReason r) {
 
 namespace {
 
-/// Multiset expansion-tree size of one request's block stack — identical
-/// accounting to the trainer's (engine/exec_common.cpp SampleTreeEdges),
-/// restated here so the serving library does not depend on the training
-/// engine: each dst's multiplicity propagates to its sampled neighbors and
-/// every (frontier entry, sampled slot) pair is one UVA topology read.
-double TreeEdges(const SampledBatch& batch) {
-  double tree_edges = 0.0;
-  std::vector<double> mult;
-  for (auto it = batch.blocks.rbegin(); it != batch.blocks.rend(); ++it) {
-    const Block& b = *it;
-    if (mult.empty()) {
-      mult.assign(static_cast<std::size_t>(b.num_dst), 1.0);
-    }
-    std::vector<double> next(static_cast<std::size_t>(b.num_src()), 0.0);
-    for (std::int64_t i = 0; i < b.num_dst; ++i) {
-      const double m_i = mult[static_cast<std::size_t>(i)];
-      next[static_cast<std::size_t>(i)] += m_i;
-      tree_edges += m_i * static_cast<double>(
-                              b.indptr[static_cast<std::size_t>(i) + 1] -
-                              b.indptr[static_cast<std::size_t>(i)]);
-      for (std::int64_t e = b.indptr[static_cast<std::size_t>(i)];
-           e < b.indptr[static_cast<std::size_t>(i) + 1]; ++e) {
-        next[static_cast<std::size_t>(b.col[static_cast<std::size_t>(e)])] +=
-            m_i;
-      }
-    }
-    mult = std::move(next);
-  }
-  return tree_edges;
-}
-
 /// Nearest-rank percentile over an ascending-sorted latency vector.
 double Percentile(const std::vector<double>& sorted, double q) {
   if (sorted.empty()) return 0.0;
@@ -98,9 +67,8 @@ ServeEngine::ServeEngine(const Dataset& dataset, ClusterSpec cluster,
     partition_[static_cast<std::size_t>(v)] =
         static_cast<PartId>((v * devices) / n);
   }
-  store_ = std::make_unique<FeatureStore>(
-      dataset.features, FeaturePlacementFromPartition(partition_, sim_->cluster()),
-      *sim_);
+  store_ = MakeFeatureStore(
+      dataset, FeaturePlacementFromPartition(partition_, sim_->cluster()), *sim_);
   sampler_ = std::make_unique<NeighborSampler>(dataset.graph, opts_.fanouts);
 
   // Warm the GPU caches from the POPULARITY distribution: dry-run sampling
@@ -134,7 +102,7 @@ ServeEngine::ServeEngine(const Dataset& dataset, ClusterSpec cluster,
                             store_->CachedRowBytes(store_->feature_dim()));
   }
 
-  if (model.input_dim == 0) model.input_dim = dataset.features.cols();
+  if (model.input_dim == 0) model.input_dim = dataset.feature_dim();
   if (model.num_classes == 0) model.num_classes = dataset.num_classes;
   models_.reserve(static_cast<std::size_t>(devices));
   for (std::int32_t d = 0; d < devices; ++d) {
@@ -186,7 +154,7 @@ double ServeEngine::ExecuteBatch(DeviceId dev, const PlannedBatch& batch,
   std::size_t hops = 0;
   for (const Request& r : batch.requests) {
     parts.push_back(SampleRequest(r));
-    sample_s += TreeEdges(parts.back()) * edge_s;
+    sample_s += SampleTreeEdges(parts.back()) * edge_s;
     hops = std::max(hops, parts.back().blocks.size());
   }
   sample_s += static_cast<double>(hops) * launch_s;

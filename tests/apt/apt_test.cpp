@@ -515,5 +515,57 @@ TEST(DryRunTest, PlanIsIdenticalAtAnyLaneCount) {
   EXPECT_EQ(PlanDigest(wide), 0x869a43144d5ae305ull);
 }
 
+// The dry-run's scratch stores come from MakeFeatureStore, so a dataset
+// whose features are generated on demand (scale sweeps) plans like the same
+// graph given a materialized matrix of the same width: tier classification
+// reads placement and cache membership, never values.
+TEST(DryRunTest, ProceduralFeaturesCountLikeAMaterializedMatrix) {
+  DatasetParams params;
+  params.num_nodes = 2000;
+  params.num_edges = 16000;
+  params.feature_dim = 24;
+  const Dataset materialized = MakeDataset(params);
+  Dataset procedural = materialized;
+  procedural.features = Tensor();
+  procedural.procedural_feature_dim = params.feature_dim;
+  procedural.procedural_feature_seed = 7;
+  ASSERT_EQ(procedural.feature_dim(), materialized.feature_dim());
+
+  const ClusterSpec cluster = MultiMachineCluster(2, 2);
+  ModelConfig model;
+  model.kind = ModelKind::kSage;
+  model.num_layers = 2;
+  model.hidden_dim = 16;
+  model.input_dim = params.feature_dim;
+  model.num_classes = materialized.num_classes;
+  EngineOptions opts;
+  opts.fanouts = {5, 5};
+  opts.batch_size_per_device = 32;
+  opts.cache_bytes_per_device = materialized.FeatureBytes() / 8;
+  MultilevelPartitioner ml;
+  const std::vector<PartId> partition = ml.Partition(materialized.graph, cluster.num_devices());
+
+  const DryRunResult want = DryRun(materialized, cluster, partition, opts, model);
+  const DryRunResult got = DryRun(procedural, cluster, partition, opts, model);
+  for (Strategy s : kAllStrategies) {
+    SCOPED_TRACE(ToString(s));
+    const StrategyDryRun& a = want.per_strategy[static_cast<std::size_t>(s)];
+    const StrategyDryRun& b = got.per_strategy[static_cast<std::size_t>(s)];
+    ASSERT_EQ(a.load.size(), b.load.size());
+    for (std::size_t d = 0; d < a.load.size(); ++d) {
+      EXPECT_EQ(a.load[d].bytes, b.load[d].bytes) << "device " << d;
+      EXPECT_EQ(a.load[d].wire_bytes, b.load[d].wire_bytes) << "device " << d;
+      EXPECT_EQ(a.load[d].rows, b.load[d].rows) << "device " << d;
+    }
+    EXPECT_EQ(a.load_seconds, b.load_seconds);
+    EXPECT_EQ(a.graph_shuffle_bytes, b.graph_shuffle_bytes);
+    EXPECT_EQ(a.shuffle_rows, b.shuffle_rows);
+    EXPECT_EQ(a.shuffle_bytes, b.shuffle_bytes);
+    EXPECT_EQ(a.shuffle_wire_bytes, b.shuffle_wire_bytes);
+    EXPECT_EQ(a.peak_transient_bytes, b.peak_transient_bytes);
+    EXPECT_GT(a.load[0].TotalBytes(), 0);
+  }
+}
+
 }  // namespace
 }  // namespace apt

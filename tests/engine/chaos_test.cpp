@@ -399,10 +399,10 @@ TEST(ChaosTest, CollectiveFaultThresholdsCountWireBytesNotLogical) {
   comm.set_grad_codec(Codec::kBf16);
 
   const auto reduce = [&] {
-    std::vector<Tensor> bufs(2, Tensor(1, 100));
-    for (Tensor& t : bufs) t.Fill(1.0f);
-    std::vector<Tensor*> ptrs{&bufs[0], &bufs[1]};
-    comm.AllReduceSum(ptrs, Phase::kTrain, /*gradient_sync=*/true);
+    Tensor sum(1, 100);  // the device-order sum of two all-ones gradients
+    sum.Fill(2.0f);
+    comm.ChargeAllReduce(sum.bytes(), comm.RingWireBytes(sum, /*gradient_sync=*/true),
+                         Phase::kTrain);
   };
   EXPECT_NO_THROW(reduce());  // 200 wire bytes < 300
   EXPECT_THROW(reduce(), CollectiveError);  // cumulative 400 > 300

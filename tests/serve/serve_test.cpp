@@ -261,6 +261,34 @@ TEST(ServeEngine, RunIsBitDeterministicAcrossEngines) {
   }
 }
 
+// A dataset whose features are generated on demand serves like the same
+// graph with a materialized matrix: the engine builds its store through
+// MakeFeatureStore and takes the model's input width from the dataset, and
+// the simulated timing depends on shapes and tiers, never on values.
+TEST(ServeEngine, ProceduralFeaturesServeWithTheMaterializedTiming) {
+  const Dataset ds = SmallDataset(16, 1200);
+  Dataset procedural = ds;
+  procedural.features = Tensor();
+  procedural.procedural_feature_dim = ds.feature_dim();
+  procedural.procedural_feature_seed = 3;
+  const std::vector<Request> reqs =
+      GenerateTraffic(SmallTraffic(ds.graph.num_nodes(), 8000.0, 0.01));
+
+  ServeEngine a(ds, SingleMachineCluster(2), SmallModel(), SmallOptions());
+  ServeEngine b(procedural, SingleMachineCluster(2), SmallModel(), SmallOptions());
+  const ServeReport ra = a.Run(reqs);
+  const ServeReport rb = b.Run(reqs);
+
+  EXPECT_GT(rb.served, 0);
+  EXPECT_EQ(ra.served, rb.served);
+  EXPECT_EQ(ra.shed, rb.shed);
+  ASSERT_EQ(ra.responses.size(), rb.responses.size());
+  for (std::size_t i = 0; i < ra.responses.size(); ++i) {
+    EXPECT_EQ(ra.responses[i].done_s, rb.responses[i].done_s) << i;
+    EXPECT_EQ(ra.responses[i].logits.size(), rb.responses[i].logits.size()) << i;
+  }
+}
+
 TEST(ServeEngine, MicroBatchingAmortizesFixedOverheads) {
   const Dataset ds = SmallDataset(16, 1200);
   // Overload: offered rate far beyond single-request service capacity.

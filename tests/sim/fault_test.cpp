@@ -155,25 +155,13 @@ TEST(CommunicatorFaultTest, FailedAllReducePoisonsBarrierForWaiters) {
   ctx.InstallFaults(plan);
   Communicator comm(ctx);
 
-  std::vector<Tensor> bufs;
-  bufs.emplace_back(8, 8);
-  bufs.emplace_back(8, 8);
-  std::vector<Tensor*> ptrs{&bufs[0], &bufs[1]};
-  EXPECT_THROW(comm.AllReduceSum(ptrs, Phase::kTrain), CollectiveError);
+  const std::int64_t bytes = 8 * 8 * 4;  // one 8 x 8 fp32 tensor per device
+  EXPECT_THROW(comm.ChargeAllReduce(bytes, bytes, Phase::kTrain), CollectiveError);
   // A peer arriving at the barrier sees a typed error instead of hanging.
   EXPECT_THROW(ctx.BarrierAll(Phase::kTrain), BarrierPoisonedError);
   // Recovery: clear the poison and retry; the consumed fault lets it pass.
   ctx.ClearBarrierPoison();
-  comm.AllReduceSum(ptrs, Phase::kTrain);
-}
-
-TEST(CommunicatorFaultTest, ShapeMismatchPoisonsInsteadOfCrashing) {
-  SimContext ctx(SingleMachineCluster(2));
-  Communicator comm(ctx);
-  Tensor a(8, 8), b(8, 4);
-  std::vector<Tensor*> ptrs{&a, &b};
-  EXPECT_THROW(comm.AllReduceSum(ptrs, Phase::kTrain), CollectiveError);
-  EXPECT_THROW(ctx.BarrierAll(Phase::kTrain), BarrierPoisonedError);
+  comm.ChargeAllReduce(bytes, bytes, Phase::kTrain);
 }
 
 TEST(RandomFaultPlanTest, SeededAndWellFormed) {

@@ -205,14 +205,11 @@ TEST(PipelineStreamTest, PoisonPropagatesAcrossStreamsUnderCollectiveFault) {
   ctx.InstallFaults(plan);
   Communicator comm(ctx);
 
-  std::vector<Tensor> bufs;
-  bufs.emplace_back(8, 8);
-  bufs.emplace_back(8, 8);
-  std::vector<Tensor*> ptrs{&bufs[0], &bufs[1]};
+  const std::int64_t bytes = 8 * 8 * 4;  // one 8 x 8 fp32 tensor per device
   {
     SimContext::PipelinedStepScope scope(ctx, /*depth=*/4);
     ctx.AdvanceLabeled(0, 0.2, Phase::kLoad, "gather");
-    EXPECT_THROW(comm.AllReduceSum(ptrs, Phase::kTrain), CollectiveError);
+    EXPECT_THROW(comm.ChargeAllReduce(bytes, bytes, Phase::kTrain), CollectiveError);
     // Poison is visible IMMEDIATELY, mid-capture: a peer reaching a barrier
     // inside the same pipelined step must not enqueue more work.
     EXPECT_TRUE(ctx.BarrierPoisoned());
@@ -225,7 +222,7 @@ TEST(PipelineStreamTest, PoisonPropagatesAcrossStreamsUnderCollectiveFault) {
   // The captured pre-fault work still landed on the clocks.
   EXPECT_NEAR(ctx.Now(0), 0.2, 1e-12);
   ctx.ClearBarrierPoison();
-  comm.AllReduceSum(ptrs, Phase::kTrain);  // consumed fault: retry passes
+  comm.ChargeAllReduce(bytes, bytes, Phase::kTrain);  // consumed fault: retry passes
   ctx.DebugCheckClockInvariant();
 }
 
