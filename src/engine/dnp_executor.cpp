@@ -74,7 +74,7 @@ class DnpExecutor final : public StrategyExecutor {
         ExpandDnpOwner(plan, g, table, lb);
         if (lb.num_dst == 0) continue;
 
-        Tensor feats(lb.num_src(), d);
+        Tensor feats = Tensor::Uninit(lb.num_src(), d);
         ctx_->store->Gather(g, lb.src_nodes, 0, d, feats);
         ctx_->sim->NoteTransient(g, DnpOwnerTransient(lb, d));
         GnnLayer& layer0 = ctx_->model(g).layer(0);

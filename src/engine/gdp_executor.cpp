@@ -42,7 +42,7 @@ class GdpExecutor final : public StrategyExecutor {
       if (batch.labels.empty()) continue;
       const auto& blocks = batch.sample.blocks;
       const auto input_nodes = batch.sample.input_nodes();
-      Tensor feats(static_cast<std::int64_t>(input_nodes.size()), d);
+      Tensor feats = Tensor::Uninit(static_cast<std::int64_t>(input_nodes.size()), d);
       ctx_->store->Gather(dev, input_nodes, 0, d, feats);
       ctx_->sim->NoteTransient(dev, 2 * feats.bytes());
 

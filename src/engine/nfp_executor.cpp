@@ -106,7 +106,7 @@ Tensor GatherSlices(EngineCtx& ctx, const std::vector<const Block*>& all0,
   std::vector<NodeId> nodes;
   for (const Block* b : all0) nodes.insert(nodes.end(), b->src_nodes.begin(), b->src_nodes.end());
   const auto rows = static_cast<std::int64_t>(nodes.size());
-  Tensor h_all(rows, ctx.feature_dim());
+  Tensor h_all = Tensor::Uninit(rows, ctx.feature_dim());
   for (DeviceId g = 0; g < c; ++g) {
     const auto [lo, hi] = DimSlice(ctx.feature_dim(), c, g);
     if (!nodes.empty()) ctx.store->Gather(g, nodes, lo, hi, h_all, lo);
@@ -215,9 +215,9 @@ StepStats NfpExecutor::StepSage(std::vector<DeviceBatch>& batches, StepStats agg
   for (std::size_t o = 0; o < uc; ++o) {
     const Block& b = *all0[o];
     if (b.num_dst == 0) continue;
-    saved_agg[o] = Tensor(b.num_dst, d);
+    saved_agg[o] = Tensor::Uninit(b.num_dst, d);
     SpmmMean(b.csr(), h_all, first[o], saved_agg[o]);
-    raw0[o] = Tensor(b.num_dst, out);
+    raw0[o] = Tensor::Uninit(b.num_dst, out);
     const SliceTerm terms[] = {{&saved_agg[o], 0, w_neigh}, {&h_all, first[o], w_self}};
     SliceSumMatmul(terms, bounds, raw0[o]);
   }

@@ -128,26 +128,26 @@ StepStats SnpExecutor::StepSage(std::vector<DeviceBatch>& batches) {
                2.0 * static_cast<double>(pr.items()) * d * sage.out_dim() +
                2.0 * static_cast<double>(num_self) * d * sage.out_dim();
       });
-      Tensor h_all(static_cast<std::int64_t>(in.gather.size()), d);
+      Tensor h_all = Tensor::Uninit(static_cast<std::int64_t>(in.gather.size()), d);
       if (!in.gather.empty()) ctx_->store->Gather(g, in.gather, 0, d, h_all);
 
       // Partial mean: sum local sources / total degree.
-      st.aggd = Tensor(routing.Rows(g), d);
+      st.aggd = Tensor::Uninit(routing.Rows(g), d);
       SpmmSum(CsrView{in.indptr, in.col}, h_all, st.aggd);
       for (std::int64_t r = 0; r < st.aggd.rows(); ++r) {
         const float inv = in.inv_deg[static_cast<std::size_t>(r)];
         float* row = st.aggd.row(r);
         for (std::int64_t j = 0; j < d; ++j) row[j] *= inv;
       }
-      st.part = Tensor(st.aggd.rows(), out);
+      st.part = Tensor::Uninit(st.aggd.rows(), out);
       Matmul(st.aggd, sage.w_neigh().value, st.part);
       // Self terms for destinations owned here.
       st.self_rows = std::move(in.self_rows);
       st.self_seg = std::move(in.self_seg);
-      st.self_h = Tensor(static_cast<std::int64_t>(in.self_gather.size()), d);
+      st.self_h = Tensor::Uninit(static_cast<std::int64_t>(in.self_gather.size()), d);
       if (!in.self_gather.empty()) {
         GatherRows(h_all, in.self_gather, st.self_h);
-        Tensor self_out(st.self_h.rows(), out);
+        Tensor self_out = Tensor::Uninit(st.self_h.rows(), out);
         Matmul(st.self_h, sage.w_self().value, self_out);
         ScatterAddRows(self_out, st.self_rows, st.part);
       }
@@ -244,7 +244,7 @@ StepStats SnpExecutor::StepGat(std::vector<DeviceBatch>& batches) {
       auto& gat = dynamic_cast<GatLayer&>(ctx_->model(g).layer(0));
       plan.OwnerNodes(g, gather_nodes);
       Tensor& h = saved_h[static_cast<std::size_t>(g)];
-      h = Tensor(static_cast<std::int64_t>(gather_nodes.size()), d);
+      h = Tensor::Uninit(static_cast<std::int64_t>(gather_nodes.size()), d);
       if (!gather_nodes.empty()) ctx_->store->Gather(g, gather_nodes, 0, d, h);
       z_rows[static_cast<std::size_t>(g)] = gat.Project(h);
       ctx_->sim->ChargeCompute(g, PairFlops(routing, g, [&](const RoutePair& pr) {

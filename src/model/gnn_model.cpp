@@ -69,7 +69,7 @@ Tensor GnnModel::ForwardFrom(int first_layer, std::span<const Block> blocks,
       if (k == 1) CodecRoundRows(boundary_codec_, raw);
       // Entry activation: ReLU on the previous layer's raw output. Save the
       // raw values for the backward pass.
-      h = Tensor(raw.rows(), raw.cols());
+      h = Tensor::Uninit(raw.rows(), raw.cols());
       Relu(raw, h);
       if (tape != nullptr) {
         tape->pre_activation[static_cast<std::size_t>(k)] = std::move(raw);
@@ -101,7 +101,7 @@ Tensor GnnModel::BackwardTo(int first_layer, std::span<const Block> blocks,
         /*input_grad=*/k > 0);
     if (k >= 1) {
       const Tensor& raw = tape.pre_activation[static_cast<std::size_t>(k)];
-      Tensor grad_raw(raw.rows(), raw.cols());
+      Tensor grad_raw = Tensor::Uninit(raw.rows(), raw.cols());
       ReluBackward(raw, grad, grad_raw);
       grad = std::move(grad_raw);
       // Quantized boundary, backward direction: the gradient handed across

@@ -34,10 +34,10 @@ Tensor SageLayer::Forward(const CsrView& csr, std::int64_t num_dst, const Tensor
   APT_CHECK_EQ(input.cols(), in_dim_);
   APT_CHECK_GE(input.rows(), num_dst);
   auto ctx = std::make_unique<SageContext>();
-  ctx->agg = Tensor(num_dst, in_dim_);
+  ctx->agg = Tensor::Uninit(num_dst, in_dim_);
   SpmmMean(csr, input, ctx->agg);
 
-  Tensor out(num_dst, out_dim_);
+  Tensor out = Tensor::Uninit(num_dst, out_dim_);
   // Self term: only the dst prefix of the input participates, so only
   // those rows are saved for backward.
   Matmul(input, 0, w_self_.value, out);
@@ -45,7 +45,7 @@ Tensor SageLayer::Forward(const CsrView& csr, std::int64_t num_dst, const Tensor
   AddBiasRows(out, bias_.value);
 
   if (saved != nullptr) {
-    ctx->self = Tensor(num_dst, in_dim_);
+    ctx->self = Tensor::Uninit(num_dst, in_dim_);
     std::copy_n(input.data(), num_dst * in_dim_, ctx->self.data());
     ctx->num_src = input.rows();
     *saved = std::move(ctx);
@@ -72,11 +72,11 @@ Tensor SageLayer::Backward(const CsrView& csr, std::int64_t num_dst,
   // Input grads.
   Tensor grad_input(num_src, in_dim_);
   // Through the neighbor path: grad_agg = grad_out W_neigh^T, then SpMM^T.
-  Tensor grad_agg(num_dst, in_dim_);
+  Tensor grad_agg = Tensor::Uninit(num_dst, in_dim_);
   MatmulNT(grad_out, w_neigh_.value, grad_agg);
   SpmmMeanBackward(csr, grad_agg, grad_input);
   // Through the self path: adds into the dst prefix rows.
-  Tensor grad_self(num_dst, in_dim_);
+  Tensor grad_self = Tensor::Uninit(num_dst, in_dim_);
   MatmulNT(grad_out, w_self_.value, grad_self);
   for (std::int64_t i = 0; i < num_dst; ++i) {
     float* dst = grad_input.row(i);

@@ -4,6 +4,10 @@
 #include <cstdlib>
 #include <exception>
 
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
 #include "core/error.h"
 #include "obs/trace.h"
 
@@ -23,6 +27,22 @@ std::size_t EnvThreadOverride() {
   const long v = std::strtol(env, &end, 10);
   if (end == env || v <= 0) return 0;
   return static_cast<std::size_t>(v);
+}
+
+// Training steps free and reallocate the same working set every step. By
+// default glibc serves blocks above its dynamic mmap threshold with fresh
+// mappings and trims the heap's free top after each step, so the next step
+// faults its pages back in as new zero pages. Serving every block below
+// glibc's own threshold ceiling (32 MiB on 64-bit) from the heap and
+// trimming only above 1 GiB keeps the freed pages for the next step. Both
+// are needed: a fixed trim threshold alone also freezes the mmap threshold
+// at 128 KiB. Sanitizer builds replace glibc's allocator and keep theirs.
+bool KeepFreedHeapPages() {
+#if defined(__GLIBC__) && !defined(APT_SANITIZED)
+  mallopt(M_MMAP_THRESHOLD, 32 << 20);
+  mallopt(M_TRIM_THRESHOLD, 1 << 30);
+#endif
+  return true;
 }
 
 }  // namespace
@@ -170,6 +190,7 @@ void ThreadPool::WorkerLoop() {
 }
 
 ThreadPool& ThreadPool::Global() {
+  [[maybe_unused]] static const bool heap_kept = KeepFreedHeapPages();
   static ThreadPool pool;
   return pool;
 }

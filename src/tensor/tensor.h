@@ -7,28 +7,58 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
+#include <memory>
+#include <new>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/error.h"
 
 namespace apt {
 
+/// std::allocator whose value-less construct() default-initializes, so
+/// resizing a vector of floats leaves the new elements unwritten.
+template <typename T>
+struct DefaultInitAllocator : std::allocator<T> {
+  DefaultInitAllocator() = default;
+  template <typename U>
+  DefaultInitAllocator(const DefaultInitAllocator<U>&) noexcept {}
+
+  template <typename U, typename... Args>
+  void construct(U* p, Args&&... args) {
+    if constexpr (sizeof...(Args) == 0) {
+      ::new (static_cast<void*>(p)) U;
+    } else {
+      ::new (static_cast<void*>(p)) U(std::forward<Args>(args)...);
+    }
+  }
+};
+
 class Tensor {
  public:
   Tensor() : rows_(0), cols_(0) {}
 
   /// Zero-initialized rows x cols tensor.
-  Tensor(std::int64_t rows, std::int64_t cols)
-      : rows_(rows), cols_(cols), data_(static_cast<std::size_t>(rows * cols), 0.0f) {
-    APT_CHECK_GE(rows, 0);
-    APT_CHECK_GE(cols, 0);
+  Tensor(std::int64_t rows, std::int64_t cols) : Tensor(rows, cols, kUninit) { Zero(); }
+
+  Tensor(std::int64_t rows, std::int64_t cols, const std::vector<float>& data)
+      : rows_(rows), cols_(cols), data_(data.begin(), data.end()) {
+    APT_CHECK_EQ(static_cast<std::int64_t>(data_.size()), rows * cols);
   }
 
-  Tensor(std::int64_t rows, std::int64_t cols, std::vector<float> data)
-      : rows_(rows), cols_(cols), data_(std::move(data)) {
-    APT_CHECK_EQ(static_cast<std::int64_t>(data_.size()), rows * cols);
+  /// A rows x cols tensor whose elements are left unwritten, for a kernel
+  /// that writes every element before anything reads one (a gather, a
+  /// beta-0 GEMM, an element-wise map). Sanitizer builds fill it with quiet
+  /// NaN, so a read of an element the kernel skipped shows up in results.
+  static Tensor Uninit(std::int64_t rows, std::int64_t cols) {
+    Tensor t(rows, cols, kUninit);
+#if defined(APT_SANITIZED)
+    t.Fill(std::numeric_limits<float>::quiet_NaN());
+#endif
+    return t;
   }
 
   std::int64_t rows() const { return rows_; }
@@ -83,9 +113,18 @@ class Tensor {
   std::int64_t bytes() const { return numel() * static_cast<std::int64_t>(sizeof(float)); }
 
  private:
+  struct UninitTag {};
+  static constexpr UninitTag kUninit{};
+
+  Tensor(std::int64_t rows, std::int64_t cols, UninitTag) : rows_(rows), cols_(cols) {
+    APT_CHECK_GE(rows, 0);
+    APT_CHECK_GE(cols, 0);
+    data_.resize(static_cast<std::size_t>(rows * cols));
+  }
+
   std::int64_t rows_;
   std::int64_t cols_;
-  std::vector<float> data_;
+  std::vector<float, DefaultInitAllocator<float>> data_;
 };
 
 }  // namespace apt

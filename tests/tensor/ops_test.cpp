@@ -56,6 +56,46 @@ TEST(TensorTest, ConstructFromData) {
   EXPECT_THROW(Tensor(2, 2, {1, 2, 3}), Error);
 }
 
+TEST(TensorTest, UninitHasShapeAndIsAValue) {
+  Tensor t = Tensor::Uninit(3, 5);
+  EXPECT_EQ(t.rows(), 3);
+  EXPECT_EQ(t.cols(), 5);
+  EXPECT_EQ(t.numel(), 15);
+  EXPECT_EQ(t.bytes(), 60);
+  EXPECT_TRUE(Tensor::Uninit(0, 4).empty());
+  EXPECT_THROW(Tensor::Uninit(-1, 4), Error);
+  EXPECT_THROW(Tensor::Uninit(4, -1), Error);
+
+  t.Fill(1.5f);
+  t.at(2, 4) = 7.0f;
+  Tensor copy = t;
+  copy.at(0, 0) = -1.0f;
+  EXPECT_EQ(t(0, 0), 1.5f);
+  EXPECT_EQ(copy(2, 4), 7.0f);
+  Tensor moved = std::move(copy);
+  EXPECT_EQ(moved.rows(), 3);
+  EXPECT_EQ(moved(0, 0), -1.0f);
+  EXPECT_EQ(moved(2, 4), 7.0f);
+  Tensor assigned = Tensor::Uninit(1, 1);
+  assigned = t;
+  ASSERT_TRUE(assigned.SameShape(t));
+  EXPECT_TRUE(std::equal(t.data(), t.data() + t.numel(), assigned.data()));
+}
+
+TEST(TensorTest, ZeroConstructorClearsReusedDirtyStorage) {
+  // Freeing a filled tensor and allocating the same shape hands the dirty
+  // block straight back from the allocator's free lists.
+  for (const std::int64_t rows : {4, 256, 4096}) {
+    for (int round = 0; round < 3; ++round) {
+      { Tensor dirty = Tensor::Uninit(rows, 64); dirty.Fill(1.0f); }
+      const Tensor t(rows, 64);
+      for (std::int64_t i = 0; i < t.numel(); ++i) {
+        ASSERT_EQ(std::bit_cast<std::uint32_t>(t.data()[i]), 0u) << "element " << i;
+      }
+    }
+  }
+}
+
 TEST(MatmulTest, KnownProduct) {
   Tensor a(2, 3, {1, 2, 3, 4, 5, 6});
   Tensor b(3, 2, {7, 8, 9, 10, 11, 12});
