@@ -125,6 +125,17 @@ std::vector<std::int64_t> ParseInt64List(const char* s) {
   return out;
 }
 
+/// A positive integer flag no larger than `max`; anything else exits with
+/// status 2, like bench::PositiveIntFlag.
+int BoundedFlag(const char* flag, const char* value, int max) {
+  const std::int64_t v = bench::PositiveIntFlag(flag, value);
+  if (v > max) {
+    std::fprintf(stderr, "%s=%s: expected at most %d\n", flag, value, max);
+    std::exit(2);
+  }
+  return static_cast<int>(v);
+}
+
 /// Exploration overrides (`--dim=...`). Graph flags apply to the shared
 /// graph; block flags replace the default blocks with one custom block.
 /// The checked-in defaults are the full and --smoke configurations above.
@@ -137,8 +148,9 @@ bool ApplyFlag(SweepConfig* cfg, ClusterBlock* custom, const char* arg) {
   };
   const char* v = nullptr;
   // Graph flags (shared dataset) — do not imply a custom block.
-  if (eat("--rmat-scale=", &v)) cfg->rmat_scale = std::atoi(v);
-  else if (eat("--edges-log2=", &v)) cfg->rmat_edges = 1LL << std::atoi(v);
+  if (eat("--rmat-scale=", &v)) cfg->rmat_scale = BoundedFlag("--rmat-scale", v, 30);
+  else if (eat("--edges-log2=", &v))
+    cfg->rmat_edges = EdgeId{1} << BoundedFlag("--edges-log2", v, 62);
   else if (eat("--dim=", &v)) cfg->feature_dim = std::atoll(v);
   else if (eat("--train-nodes=", &v)) cfg->train_nodes = std::atoll(v);
   // Block flags — any of these replaces the default blocks with `custom`.
@@ -308,7 +320,7 @@ int main(int argc, char** argv) {
       std::chrono::duration<double>(std::chrono::steady_clock::now() - g0).count();
   std::printf(
       "=== Scale sweep (deviation D1): %s, %lld nodes / %lld edges, dim %lld "
-      "[graph build %.1fs] ===\n",
+      "[graph build %.2fs] ===\n",
       ds.name.c_str(), static_cast<long long>(ds.graph.num_nodes()),
       static_cast<long long>(ds.graph.num_edges()),
       static_cast<long long>(cfg.feature_dim), graph_wall);

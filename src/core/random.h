@@ -18,10 +18,18 @@ class Rng {
 
   /// Next raw 64-bit value.
   std::uint64_t Next() {
-    std::uint64_t z = (state_ += 0x9e3779b97f4a7c15ULL);
+    std::uint64_t z = (state_ += kGamma);
     z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
     z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
     return z ^ (z >> 31);
+  }
+
+  /// This generator as it will be after `draws` calls of Next(). splitmix64's
+  /// state only ever adds the golden-ratio constant, so the jump is O(1)
+  /// (wrapping like the state does); chunked parallel loops use it to start
+  /// each chunk at exactly the draws a serial loop would reach there.
+  Rng Skipped(std::uint64_t draws) const {
+    return Rng(state_ + draws * kGamma);
   }
 
   /// Uniform in [0, n). n must be > 0.
@@ -55,6 +63,9 @@ class Rng {
   }
 
  private:
+  /// splitmix64's per-draw state increment (2^64 / golden ratio).
+  static constexpr std::uint64_t kGamma = 0x9e3779b97f4a7c15ULL;
+
   std::uint64_t state_;
 };
 

@@ -52,7 +52,9 @@ class CsrGraph {
 
 /// Builds a CSR graph from a (src, dst) edge list interpreted as src -> dst.
 /// Self-loops are kept; duplicate edges are removed; neighbor lists sorted.
-/// If `symmetrize`, the reverse of each edge is also inserted.
+/// If `symmetrize`, the reverse of each edge is also inserted. Ids must lie
+/// in [0, num_nodes). Rows are sorted and deduped on the fork-join pool; the
+/// result does not depend on the lane count.
 CsrGraph BuildCsr(NodeId num_nodes, std::span<const NodeId> src,
                   std::span<const NodeId> dst, bool symmetrize);
 

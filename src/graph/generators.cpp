@@ -4,10 +4,13 @@
 #include <cmath>
 #include <vector>
 
+#include "runtime/parallel_for.h"
+
 namespace apt {
 
 CsrGraph ErdosRenyi(NodeId num_nodes, EdgeId num_edges, Rng rng) {
   APT_CHECK_GT(num_nodes, 1);
+  APT_CHECK_GE(num_edges, 0) << "edge count";
   std::vector<NodeId> src, dst;
   src.reserve(static_cast<std::size_t>(num_edges));
   dst.reserve(static_cast<std::size_t>(num_edges));
@@ -30,6 +33,7 @@ std::int32_t CommunityOf(NodeId v, NodeId num_nodes, std::int32_t num_communitie
 
 CsrGraph ZipfCommunityGraph(const ZipfCommunityParams& params) {
   APT_CHECK_GT(params.num_nodes, 1);
+  APT_CHECK_GE(params.num_edges, 0) << "edge count";
   APT_CHECK_GT(params.num_communities, 0);
   APT_CHECK(params.intra_prob >= 0.0 && params.intra_prob <= 1.0);
   const NodeId n = params.num_nodes;
@@ -80,33 +84,43 @@ CsrGraph ZipfCommunityGraph(const ZipfCommunityParams& params) {
 
 CsrGraph Rmat(int scale, EdgeId num_edges, double a, double b, double c, Rng rng) {
   APT_CHECK(scale > 0 && scale < 31);
+  APT_CHECK_GE(num_edges, 0) << "RMAT edge count";
+  APT_CHECK(a >= 0.0 && b >= 0.0 && c >= 0.0) << "RMAT probabilities must be non-negative";
   const double d = 1.0 - a - b - c;
   APT_CHECK(d >= 0.0) << "RMAT probabilities exceed 1";
   const NodeId n = static_cast<NodeId>(1) << scale;
-  std::vector<NodeId> src, dst;
-  src.reserve(static_cast<std::size_t>(num_edges));
-  dst.reserve(static_cast<std::size_t>(num_edges));
-  for (EdgeId e = 0; e < num_edges; ++e) {
-    NodeId u = 0, v = 0;
-    for (int bit = 0; bit < scale; ++bit) {
-      const double r = rng.NextDouble();
-      u <<= 1;
-      v <<= 1;
-      if (r < a) {
-        // top-left quadrant: no bits set
-      } else if (r < a + b) {
-        v |= 1;
-      } else if (r < a + b + c) {
-        u |= 1;
-      } else {
-        u |= 1;
-        v |= 1;
+  const double ab = a + b;
+  const double abc = a + b + c;
+  // Edge e takes exactly `scale` uniforms, draws [e*scale, (e+1)*scale) of
+  // `rng`, so every chunk starts at its first edge's draws and the edge list
+  // is the same at any lane count.
+  std::vector<NodeId> src(static_cast<std::size_t>(num_edges));
+  std::vector<NodeId> dst(static_cast<std::size_t>(num_edges));
+  ParallelForChunks(0, num_edges, [&](std::int64_t lo, std::int64_t hi) {
+    Rng r = rng.Skipped(static_cast<std::uint64_t>(lo) * static_cast<std::uint64_t>(scale));
+    for (auto e = static_cast<std::size_t>(lo); e < static_cast<std::size_t>(hi); ++e) {
+      NodeId u = 0, v = 0;
+      for (int bit = 0; bit < scale; ++bit) {
+        // Quadrants [0,a) [a,a+b) [a+b,a+b+c) [a+b+c,1) set bits (u,v) =
+        // (0,0) (0,1) (1,0) (1,1); the probabilities are non-negative, so
+        // the three thresholds are ordered and the xor picks v's bit.
+        const double x = r.NextDouble();
+        u = (u << 1) | static_cast<NodeId>(x >= ab);
+        v = (v << 1) | static_cast<NodeId>((x >= a) ^ (x >= ab) ^ (x >= abc));
       }
+      src[e] = u;
+      dst[e] = v;
     }
-    if (u == v) continue;
-    src.push_back(u);
-    dst.push_back(v);
+  });
+  std::size_t kept = 0;
+  for (std::size_t e = 0; e < src.size(); ++e) {
+    if (src[e] == dst[e]) continue;
+    src[kept] = src[e];
+    dst[kept] = dst[e];
+    ++kept;
   }
+  src.resize(kept);
+  dst.resize(kept);
   return BuildCsr(n, src, dst, /*symmetrize=*/true);
 }
 

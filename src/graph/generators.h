@@ -71,6 +71,10 @@ std::int32_t CommunityOf(NodeId v, NodeId num_nodes, std::int32_t num_communitie
 
 /// RMAT generator (Graph500-style recursive quadrant sampling).
 /// Produces heavy-tailed degrees; used by tests and micro benches.
+/// Quadrant probabilities a, b, c must be non-negative and sum to at most 1.
+/// Edge e is drawn from draws [e*scale, (e+1)*scale) of `rng`, so the edges
+/// are drawn in parallel and the graph is the same at any lane count;
+/// self-loops are dropped.
 CsrGraph Rmat(int scale, EdgeId num_edges, double a, double b, double c, Rng rng);
 
 }  // namespace apt

@@ -55,6 +55,31 @@ TEST(RngTest, ForkIndependence) {
   EXPECT_EQ(s1_again.Next(), s1_ref.Next());
 }
 
+// Rng::Skipped(n) is the generator after n calls of Next(): the jump that
+// lets a chunked parallel loop start each chunk at its serial draws.
+TEST(RngTest, SkippedEqualsRepeatedNext) {
+  for (const std::uint64_t n : {0ULL, 1ULL, 1000000ULL}) {
+    Rng stepped(0x5eed);
+    for (std::uint64_t i = 0; i < n; ++i) stepped.Next();
+    Rng skipped = Rng(0x5eed).Skipped(n);
+    for (int i = 0; i < 4; ++i) EXPECT_EQ(skipped.Next(), stepped.Next()) << "n = " << n;
+  }
+}
+
+TEST(RngTest, SkippedWrapsLikeTheState) {
+  // 2^64 - 1 skipped draws plus one more wraps the state back to the start.
+  Rng start(0x5eed);
+  Rng wrapped = start.Skipped(~0ULL);
+  wrapped.Next();
+  Rng ref = start;
+  EXPECT_EQ(wrapped.Next(), ref.Next());
+  // Jumps compose modulo 2^64.
+  const std::uint64_t big = 0xfedcba9876543210ULL;
+  Rng two_jumps = start.Skipped(big).Skipped(big);
+  Rng one_jump = start.Skipped(big + big);
+  EXPECT_EQ(two_jumps.Next(), one_jump.Next());
+}
+
 TEST(RngTest, NextBelowInRange) {
   Rng rng(5);
   for (int i = 0; i < 1000; ++i) {

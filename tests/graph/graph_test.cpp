@@ -1,13 +1,18 @@
 // Tests for the CSR graph, builders, generators, datasets, and statistics.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
 #include <numeric>
 #include <set>
+#include <string>
+#include <utility>
 
 #include "graph/csr_graph.h"
 #include "graph/dataset.h"
 #include "graph/generators.h"
 #include "graph/stats.h"
+#include "runtime/parallel_for.h"
 
 namespace apt {
 namespace {
@@ -53,6 +58,88 @@ TEST(CsrGraphTest, OutOfRangeThrows) {
   const CsrGraph g = BuildCsr(2, std::vector<NodeId>{0}, std::vector<NodeId>{1}, false);
   EXPECT_THROW(g.Neighbors(2), Error);
   EXPECT_THROW(BuildCsr(2, std::vector<NodeId>{5}, std::vector<NodeId>{0}, false), Error);
+}
+
+// The construction BuildCsr's per-row counting sort must reproduce exactly:
+// one global sort + unique of the (dst, src) pairs.
+CsrGraph ReferenceCsr(NodeId num_nodes, const std::vector<NodeId>& src,
+                      const std::vector<NodeId>& dst, bool symmetrize) {
+  std::vector<std::pair<NodeId, NodeId>> pairs;
+  for (std::size_t i = 0; i < src.size(); ++i) {
+    pairs.emplace_back(dst[i], src[i]);
+    if (symmetrize && src[i] != dst[i]) pairs.emplace_back(src[i], dst[i]);
+  }
+  std::sort(pairs.begin(), pairs.end());
+  pairs.erase(std::unique(pairs.begin(), pairs.end()), pairs.end());
+  std::vector<EdgeId> indptr(static_cast<std::size_t>(num_nodes) + 1, 0);
+  std::vector<NodeId> indices;
+  for (const auto& [d, s] : pairs) {
+    ++indptr[static_cast<std::size_t>(d) + 1];
+    indices.push_back(s);
+  }
+  std::partial_sum(indptr.begin(), indptr.end(), indptr.begin());
+  return CsrGraph(std::move(indptr), std::move(indices));
+}
+
+void ExpectSameCsr(const CsrGraph& got, const CsrGraph& want) {
+  EXPECT_TRUE(std::ranges::equal(got.indptr(), want.indptr()));
+  EXPECT_TRUE(std::ranges::equal(got.indices(), want.indices()));
+}
+
+// Seeded edge lists with duplicates, self-loops and isolated nodes, built at
+// one lane and at all lanes; the largest case crosses every parallel grain.
+TEST(CsrGraphTest, CountingSortMatchesSortUnique) {
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    Rng rng(seed);
+    const NodeId n = 4 + static_cast<NodeId>(rng.NextBelow(seed % 2 == 1 ? 40 : 6000));
+    const std::size_t m = seed == 6 ? std::size_t{1} << 17 : rng.NextBelow(30000);
+    // Ids come from the low three quarters only, so the top quarter stays
+    // isolated; a small hub set makes duplicates frequent.
+    const auto id = [&] {
+      const NodeId span = rng.NextBelow(2) == 0 ? std::min<NodeId>(8, n) : n - n / 4;
+      return static_cast<NodeId>(rng.NextBelow(static_cast<std::uint64_t>(span)));
+    };
+    std::vector<NodeId> src(m), dst(m);
+    for (std::size_t i = 0; i < m; ++i) {
+      src[i] = id();
+      const std::uint64_t kind = rng.NextBelow(8);
+      dst[i] = kind == 0 ? src[i] : kind == 1 && i > 0 ? dst[i - 1] : id();
+      if (kind == 1 && i > 0) src[i] = src[i - 1];
+    }
+    for (const bool symmetrize : {false, true}) {
+      const CsrGraph want = ReferenceCsr(n, src, dst, symmetrize);
+      if (m > 100) {  // the case covers what it claims to
+        ASSERT_LT(want.num_edges(), static_cast<EdgeId>(m) * (symmetrize ? 2 : 1));
+        ASSERT_EQ(want.Degree(n - 1), 0);
+        bool self_loop = false;
+        for (NodeId v = 0; v < n; ++v) {
+          const auto nb = want.Neighbors(v);
+          self_loop |= std::binary_search(nb.begin(), nb.end(), v);
+        }
+        ASSERT_TRUE(self_loop);
+      }
+      {
+        ScopedParallelismLimit one_lane(1);
+        ExpectSameCsr(BuildCsr(n, src, dst, symmetrize), want);
+      }
+      ExpectSameCsr(BuildCsr(n, src, dst, symmetrize), want);
+    }
+  }
+}
+
+TEST(CsrGraphTest, ParallelValidationReportsFirstBadEdge) {
+  const std::size_t m = std::size_t{1} << 17;
+  std::vector<NodeId> src(m, 1), dst(m, 2);
+  // The later bad edge's chunk reaches it last, so a report that kept the
+  // most recent find instead of the lowest would name it.
+  dst[10] = -3;
+  src[m - 10] = 7;
+  try {
+    BuildCsr(5, src, dst, true);
+    FAIL() << "expected throw";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("dst -3"), std::string::npos) << e.what();
+  }
 }
 
 TEST(CsrGraphTest, TopologyBytesPositive) {
@@ -115,6 +202,53 @@ TEST(GeneratorTest, RmatHeavyTail) {
   const CsrGraph g = Rmat(12, 40000, 0.57, 0.19, 0.19, Rng(5));
   const DegreeStats s = ComputeDegreeStats(g);
   EXPECT_GT(s.max_degree, 20 * static_cast<EdgeId>(s.mean_degree));
+}
+
+TEST(GeneratorTest, RmatSameAtOneLaneAndAllLanes) {
+  const CsrGraph all_lanes = Rmat(12, 1 << 16, 0.57, 0.19, 0.19, Rng(7));
+  ScopedParallelismLimit one_lane(1);
+  ExpectSameCsr(Rmat(12, 1 << 16, 0.57, 0.19, 0.19, Rng(7)), all_lanes);
+}
+
+TEST(GeneratorTest, RejectsNegativeCounts) {
+  EXPECT_THROW(Rmat(8, -1, 0.57, 0.19, 0.19, Rng(1)), Error);
+  EXPECT_THROW(Rmat(8, 100, 0.7, -0.1, 0.2, Rng(1)), Error);
+  EXPECT_THROW(ErdosRenyi(10, -1, Rng(1)), Error);
+  EXPECT_THROW(ErdosRenyi(-10, 5, Rng(1)), Error);
+  ZipfCommunityParams p;
+  p.num_nodes = 100;
+  p.num_edges = -1;
+  EXPECT_THROW(ZipfCommunityGraph(p), Error);
+  p.num_nodes = -100;
+  p.num_edges = 10;
+  EXPECT_THROW(ZipfCommunityGraph(p), Error);
+  EXPECT_THROW(BuildCsr(-1, std::vector<NodeId>{}, std::vector<NodeId>{}, false), Error);
+}
+
+// FNV-1a over the bytes of indptr then indices.
+std::uint64_t GraphDigest(const CsrGraph& g) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  const auto eat = [&h](auto values) {
+    for (const auto x : values) {
+      unsigned char bytes[sizeof(x)];
+      std::memcpy(bytes, &x, sizeof(x));
+      for (const unsigned char b : bytes) h = (h ^ b) * 0x100000001b3ULL;
+    }
+  };
+  eat(g.indptr());
+  eat(g.indices());
+  return h;
+}
+
+// Digests recorded with the serial draw loop and the global pair sort that
+// the parallel builders replaced: the graphs must not change by one bit.
+TEST(GraphDigestTest, ScaleSweepSmokeRmatPinned) {
+  EXPECT_EQ(GraphDigest(Rmat(16, 1 << 18, 0.57, 0.19, 0.19, Rng(12))),
+            0x1a881165048b4e00ULL);
+}
+
+TEST(GraphDigestTest, PsLikeDatasetGraphPinned) {
+  EXPECT_EQ(GraphDigest(MakeDataset(PsLikeParams(1.0)).graph), 0x16b2c31edd31d0daULL);
 }
 
 TEST(CommunityOfTest, ContiguousBlocks) {
