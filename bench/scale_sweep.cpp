@@ -35,6 +35,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -107,33 +108,31 @@ SweepConfig SmokeConfig() {
   return c;
 }
 
-std::vector<std::int64_t> ParseInt64List(const char* s) {
-  std::vector<std::int64_t> out;
-  std::int64_t v = 0;
-  bool have = false;
-  for (;; ++s) {
-    if (*s >= '0' && *s <= '9') {
-      v = v * 10 + (*s - '0');
-      have = true;
-    } else {
-      if (have) out.push_back(v);
-      v = 0;
-      have = false;
-      if (*s == '\0') break;
-    }
-  }
-  return out;
-}
-
 /// A positive integer flag no larger than `max`; anything else exits with
 /// status 2, like bench::PositiveIntFlag.
-int BoundedFlag(const char* flag, const char* value, int max) {
+int BoundedFlag(const char* flag, const char* value,
+                int max = std::numeric_limits<int>::max()) {
   const std::int64_t v = bench::PositiveIntFlag(flag, value);
   if (v > max) {
     std::fprintf(stderr, "%s=%s: expected at most %d\n", flag, value, max);
     std::exit(2);
   }
   return static_cast<int>(v);
+}
+
+/// A comma-separated list of positive integers, each at most `max`; an
+/// empty list or any other element exits with status 2.
+std::vector<int> BoundedListFlag(const char* flag, const char* value,
+                                 int max = std::numeric_limits<int>::max()) {
+  std::vector<int> out;
+  const std::string list(value);
+  std::size_t start = 0;
+  for (;;) {
+    const std::size_t comma = list.find(',', start);
+    out.push_back(BoundedFlag(flag, list.substr(start, comma - start).c_str(), max));
+    if (comma == std::string::npos) return out;
+    start = comma + 1;
+  }
 }
 
 /// Exploration overrides (`--dim=...`). Graph flags apply to the shared
@@ -151,21 +150,23 @@ bool ApplyFlag(SweepConfig* cfg, ClusterBlock* custom, const char* arg) {
   if (eat("--rmat-scale=", &v)) cfg->rmat_scale = BoundedFlag("--rmat-scale", v, 30);
   else if (eat("--edges-log2=", &v))
     cfg->rmat_edges = EdgeId{1} << BoundedFlag("--edges-log2", v, 62);
-  else if (eat("--dim=", &v)) cfg->feature_dim = std::atoll(v);
-  else if (eat("--train-nodes=", &v)) cfg->train_nodes = std::atoll(v);
+  else if (eat("--dim=", &v)) cfg->feature_dim = bench::PositiveIntFlag("--dim", v);
+  else if (eat("--train-nodes=", &v))
+    cfg->train_nodes = bench::PositiveIntFlag("--train-nodes", v);
   // Block flags — any of these replaces the default blocks with `custom`.
-  else if (eat("--machines=", &v)) custom->machines = std::atoi(v);
-  else if (eat("--gpus=", &v)) custom->gpus_per_machine = std::atoi(v);
-  else if (eat("--batch=", &v)) custom->batch_per_device = std::atoll(v);
+  else if (eat("--machines=", &v)) custom->machines = BoundedFlag("--machines", v);
+  // The feature caches' per-machine GPU masks hold 64 bits.
+  else if (eat("--gpus=", &v)) custom->gpus_per_machine = BoundedFlag("--gpus", v, 64);
+  else if (eat("--batch=", &v))
+    custom->batch_per_device = bench::PositiveIntFlag("--batch", v);
   else if (eat("--period=", &v))
     custom->sample_period = bench::PositiveIntFlag("--period", v);
-  else if (eat("--steps=", &v)) custom->max_steps = std::atoll(v);
-  else if (eat("--hiddens=", &v)) custom->hidden_dims = ParseInt64List(v);
-  else if (eat("--fanout=", &v)) {
-    custom->fanouts.clear();
-    for (std::int64_t f : ParseInt64List(v)) {
-      custom->fanouts.push_back(static_cast<int>(f));
-    }
+  else if (eat("--steps=", &v)) custom->max_steps = bench::PositiveIntFlag("--steps", v);
+  else if (eat("--hiddens=", &v)) {
+    const std::vector<int> dims = BoundedListFlag("--hiddens", v);
+    custom->hidden_dims.assign(dims.begin(), dims.end());
+  } else if (eat("--fanout=", &v)) {
+    custom->fanouts = BoundedListFlag("--fanout", v);
   } else {
     return false;
   }

@@ -11,6 +11,10 @@ namespace apt {
 
 namespace {
 
+// Swap strategies only when the re-estimate predicts at least this relative
+// improvement over staying put (hysteresis against thrash).
+constexpr double kMinReplanImprovement = 0.05;
+
 // Watchdog rules for a runner that configured none: per-device busy time in
 // any telemetry window must stay under 1.5x the mean across devices. This is
 // the pure straggler signal — barrier waits equalize the raw clocks, so only
@@ -60,7 +64,7 @@ ResilienceReport ResilientRunner::Run(int epochs) {
     report.epochs.push_back(trainer_->TrainEpoch(e));
     if (e + 1 >= epochs) break;
     slo_fired = false;
-    if (opts_.replan_on_slo) watchdog.Evaluate(trainer_->sim().MaxNow());
+    watchdog.Evaluate(trainer_->sim().MaxNow());
     if (opts_.replan_on_degradation || slo_fired) {
       MaybeReplan(report, /*force=*/slo_fired);
     }
@@ -104,7 +108,7 @@ void ResilientRunner::MaybeReplan(ResilienceReport& report, bool force) {
   obs::Metrics::Global().gauge("replan.current_cost_s").Set(cur_cost);
   obs::Metrics::Global().gauge("replan.best_cost_s").Set(new_cost);
   if (candidate == current_ || cur_cost <= 0.0 ||
-      (cur_cost - new_cost) / cur_cost < opts_.min_replan_improvement) {
+      (cur_cost - new_cost) / cur_cost < kMinReplanImprovement) {
     APT_LOG_DEBUG << "replan: staying on " << ToString(current_) << " (best "
                   << ToString(candidate) << " " << new_cost << "s vs " << cur_cost
                   << "s)";

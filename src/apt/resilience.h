@@ -37,15 +37,11 @@ struct ResilienceOptions {
   /// Re-evaluate the strategy choice at epoch boundaries that saw fault
   /// activity (fault observations or retries during the epoch).
   bool replan_on_degradation = true;
-  /// Swap strategies only when the re-estimate predicts at least this
-  /// relative improvement over staying put (hysteresis against thrash).
-  double min_replan_improvement = 0.05;
-  /// Evaluate SLO rules against the trainer's telemetry windows at every
-  /// epoch boundary; a fired violation FORCES a re-plan evaluation even when
-  /// no fault/timeout signal has been observed — how a silent straggler
-  /// (drifted hardware, no injected fault event) still triggers adaptation.
-  bool replan_on_slo = true;
-  /// Rules the runner's watchdog evaluates. Empty: one default rule,
+  /// Rules the runner's watchdog evaluates against the trainer's telemetry
+  /// windows at every epoch boundary; a fired violation FORCES a re-plan
+  /// evaluation even when no fault/timeout signal has been observed — how a
+  /// silent straggler (drifted hardware, no injected fault event) still
+  /// triggers adaptation. Empty: one default rule,
   /// "train.device.busy_s skew < 1.5" — per-device busy skew within a
   /// window must stay under 1.5x the mean.
   std::vector<obs::SloRule> slo_rules;

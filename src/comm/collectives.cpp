@@ -7,7 +7,6 @@
 
 #include "obs/flight.h"
 #include "obs/metrics.h"
-#include "runtime/parallel_for.h"
 
 namespace apt {
 
@@ -241,21 +240,11 @@ void Communicator::ChargeAllToAllImpl(const AllToAllTraffic& traffic, Phase phas
       ctx_->CountTraffic(static_cast<TrafficClass>(cls), cls_bytes[cls], cls_wire[cls]);
     }
   }
-  const auto advance_one = [&](std::size_t i) {
+  for (std::size_t i = 0; i < c; ++i) {
     ctx_->AdvanceComm(static_cast<DeviceId>(i), busy[i], phase, "alltoall",
                       {{"egress_bytes", static_cast<double>(egress_bytes[i]), nullptr},
                        {"ingress_bytes", static_cast<double>(ingress_bytes[i]), nullptr},
                        {"participants", static_cast<double>(c), nullptr}});
-  };
-  if (ctx_->ParallelCommit()) {
-    ParallelForChunks(0, static_cast<std::int64_t>(c),
-                      [&](std::int64_t lo, std::int64_t hi) {
-                        for (std::int64_t i = lo; i < hi; ++i) {
-                          advance_one(static_cast<std::size_t>(i));
-                        }
-                      });
-  } else {
-    for (std::size_t i = 0; i < c; ++i) advance_one(i);
   }
   AllToAllMetrics().calls.Increment();
   AllToAllMetrics().bytes.Add(total_bytes);
@@ -314,21 +303,11 @@ void Communicator::ChargeRingImpl(std::int64_t total_bytes,
                       std::vector<double>(static_cast<std::size_t>(c), t), phase,
                       label, cls);
   // Every device is busy for the whole ring schedule.
-  const auto advance_one = [&](DeviceId d) {
+  for (DeviceId d = 0; d < c; ++d) {
     ctx_->AdvanceComm(d, t, phase, label,
                       {{"bytes", static_cast<double>(total_bytes), nullptr},
                        {"participants", static_cast<double>(c), nullptr},
                        {"class", 0.0, cls}});
-  };
-  if (ctx_->ParallelCommit()) {
-    ParallelForChunks(0, static_cast<std::int64_t>(c),
-                      [&](std::int64_t lo, std::int64_t hi) {
-                        for (std::int64_t d = lo; d < hi; ++d) {
-                          advance_one(static_cast<DeviceId>(d));
-                        }
-                      });
-  } else {
-    for (DeviceId d = 0; d < c; ++d) advance_one(d);
   }
   metrics.bytes.Add(static_cast<std::int64_t>(volume));
   metrics.wire_bytes.Add(static_cast<std::int64_t>(wire_volume));

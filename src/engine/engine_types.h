@@ -21,11 +21,9 @@ enum class SeedAssignment {
 /// ParallelTrainer::TrainEpoch. Disabled by default: without it a
 /// CollectiveError propagates out of TrainEpoch unchanged.
 struct RecoveryOptions {
-  bool retry_collectives = false;  ///< retry a step whose collective failed
-  int max_retries_per_step = 3;    ///< give up (rethrow) after this many
-  /// Simulated backoff before attempt k: backoff_base_s * 2^(k-1). Charged
-  /// to every device's clock (kTrain) so retries show up in epoch time.
-  double backoff_base_s = 0.05;
+  /// Retry a step whose collective failed, up to kMaxRetriesPerStep times
+  /// (trainer.cpp), after a simulated exponential backoff.
+  bool retry_collectives = false;
   /// If > 0: steps whose simulated duration exceeds this are counted as
   /// timeouts (fault.step_timeouts) — the re-planning layer's signal that
   /// the current strategy has degraded. Detection only; never aborts.

@@ -15,6 +15,12 @@ namespace apt {
 
 namespace {
 
+/// Collective-fault recovery: give up (rethrow) after this many retries of
+/// one step; before attempt k every device sits out a simulated backoff of
+/// kBackoffBaseS * 2^(k-1), charged as kTrain so retries show in epoch time.
+constexpr int kMaxRetriesPerStep = 3;
+constexpr double kBackoffBaseS = 0.05;
+
 /// Telemetry series the trainer feeds, resolved once per epoch (handles are
 /// stable; the lookup mutex stays off the step path). Null when disabled.
 struct StepTelemetry {
@@ -29,7 +35,7 @@ struct StepTelemetry {
 
   static StepTelemetry Resolve(double window_s) {
     StepTelemetry t;
-    if (window_s <= 0.0 || !obs::Telemetry::Enabled()) return t;
+    if (window_s <= 0.0) return t;
     auto& reg = obs::Telemetry::Global();
     t.epoch = &reg.series("train.epoch.s", window_s);
     t.step = &reg.series("train.step.s", window_s);
@@ -254,7 +260,7 @@ EpochStats ParallelTrainer::TrainEpoch(std::int64_t epoch) {
         // one COMPLETED step); the retry records afresh.
         if (sampled && probe) sim_->AbortStepRecord();
         ++recovery_stats_.collective_failures;
-        if (!rec.retry_collectives || attempt >= rec.max_retries_per_step) {
+        if (!rec.retry_collectives || attempt >= kMaxRetriesPerStep) {
           ++recovery_stats_.giveups;
           obs::Metrics::Global().counter("retry.collective.giveups").Increment();
           // The fault is about to escape the trainer: preserve the last few
@@ -272,7 +278,7 @@ EpochStats ParallelTrainer::TrainEpoch(std::int64_t epoch) {
         sim_->ClearBarrierPoison();
         // Every device sits out the (exponential, simulated) backoff, then
         // re-enters the step together.
-        const double backoff = rec.backoff_base_s * static_cast<double>(1 << attempt);
+        const double backoff = kBackoffBaseS * static_cast<double>(1 << attempt);
         obs::Flight().Record("retry", "collective", sim_->MaxNow(),
                              {{"attempt", static_cast<double>(attempt + 1), nullptr},
                               {"backoff_s", backoff, nullptr}});
@@ -399,16 +405,7 @@ EpochStats ParallelTrainer::TrainEpoch(std::int64_t epoch) {
 }
 
 void ParallelTrainer::LoadParams(GnnModel& src) {
-  std::vector<Param*> from = src.Params();
-  for (auto& model : models_) {
-    std::vector<Param*> to = model->Params();
-    APT_CHECK_EQ(to.size(), from.size()) << "LoadParams across different models";
-    for (std::size_t i = 0; i < to.size(); ++i) {
-      APT_CHECK(to[i]->value.SameShape(from[i]->value))
-          << "LoadParams shape mismatch for " << to[i]->name;
-      to[i]->value = from[i]->value;
-    }
-  }
+  for (auto& model : models_) model->CopyParamsFrom(src);
 }
 
 double ParallelTrainer::EvaluateAccuracy(std::span<const NodeId> nodes,

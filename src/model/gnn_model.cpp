@@ -120,6 +120,17 @@ std::vector<Param*> GnnModel::Params() {
   return out;
 }
 
+void GnnModel::CopyParamsFrom(GnnModel& src) {
+  const std::vector<Param*> from = src.Params();
+  const std::vector<Param*> to = Params();
+  APT_CHECK_EQ(to.size(), from.size()) << "parameter copy across different models";
+  for (std::size_t i = 0; i < to.size(); ++i) {
+    APT_CHECK(to[i]->value.SameShape(from[i]->value))
+        << "parameter copy shape mismatch for " << to[i]->name;
+    to[i]->value = from[i]->value;
+  }
+}
+
 void GnnModel::ZeroGrad() {
   for (Param* p : Params()) p->ZeroGrad();
 }

@@ -77,6 +77,9 @@ class GnnModel {
   Codec boundary_codec() const { return boundary_codec_; }
 
   std::vector<Param*> Params();
+  /// Copies every parameter value of `src`, which must have the same
+  /// parameter list and shapes (checked).
+  void CopyParamsFrom(GnnModel& src);
   void ZeroGrad();
   std::int64_t ParamBytes() const;
 

@@ -1,7 +1,5 @@
 #include "model/optimizer.h"
 
-#include <cmath>
-
 namespace apt {
 
 void Sgd::Step(const std::vector<Param*>& params) {
@@ -10,33 +8,6 @@ void Sgd::Step(const std::vector<Param*>& params) {
     const float* g = p->grad.data();
     for (std::int64_t i = 0; i < p->value.numel(); ++i) {
       v[i] -= lr_ * (g[i] + weight_decay_ * v[i]);
-    }
-  }
-}
-
-Adam::Adam(float lr, float beta1, float beta2, float eps)
-    : lr_(lr), beta1_(beta1), beta2_(beta2), eps_(eps) {}
-
-void Adam::Step(const std::vector<Param*>& params) {
-  ++t_;
-  const float bc1 = 1.0f - std::pow(beta1_, static_cast<float>(t_));
-  const float bc2 = 1.0f - std::pow(beta2_, static_cast<float>(t_));
-  for (Param* p : params) {
-    auto [it, inserted] = state_.try_emplace(p);
-    if (inserted) {
-      it->second.m = Tensor(p->value.rows(), p->value.cols());
-      it->second.v = Tensor(p->value.rows(), p->value.cols());
-    }
-    float* value = p->value.data();
-    const float* g = p->grad.data();
-    float* m = it->second.m.data();
-    float* v = it->second.v.data();
-    for (std::int64_t i = 0; i < p->value.numel(); ++i) {
-      m[i] = beta1_ * m[i] + (1.0f - beta1_) * g[i];
-      v[i] = beta2_ * v[i] + (1.0f - beta2_) * g[i] * g[i];
-      const float mhat = m[i] / bc1;
-      const float vhat = v[i] / bc2;
-      value[i] -= lr_ * mhat / (std::sqrt(vhat) + eps_);
     }
   }
 }

@@ -2,8 +2,6 @@
 // replicas identical because gradients are allreduced before Step).
 #pragma once
 
-#include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "model/param.h"
@@ -25,21 +23,6 @@ class Sgd final : public Optimizer {
  private:
   float lr_;
   float weight_decay_;
-};
-
-class Adam final : public Optimizer {
- public:
-  Adam(float lr, float beta1 = 0.9f, float beta2 = 0.999f, float eps = 1e-8f);
-  void Step(const std::vector<Param*>& params) override;
-
- private:
-  struct State {
-    Tensor m;
-    Tensor v;
-  };
-  float lr_, beta1_, beta2_, eps_;
-  std::int64_t t_ = 0;
-  std::unordered_map<const Param*, State> state_;
 };
 
 }  // namespace apt

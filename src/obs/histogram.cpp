@@ -94,23 +94,6 @@ void Histogram::Merge(const Histogram& other) {
   if (omax != kEmptyMax) AtomicMax(max_fp_, omax);
 }
 
-void Histogram::CopyFrom(const Histogram& other) {
-  for (int i = 0; i < kNumBuckets; ++i) {
-    buckets_[static_cast<std::size_t>(i)].store(
-        other.buckets_[static_cast<std::size_t>(i)].load(
-            std::memory_order_relaxed),
-        std::memory_order_relaxed);
-  }
-  count_.store(other.count_.load(std::memory_order_relaxed),
-               std::memory_order_relaxed);
-  sum_fp_.store(other.sum_fp_.load(std::memory_order_relaxed),
-                std::memory_order_relaxed);
-  min_fp_.store(other.min_fp_.load(std::memory_order_relaxed),
-                std::memory_order_relaxed);
-  max_fp_.store(other.max_fp_.load(std::memory_order_relaxed),
-                std::memory_order_relaxed);
-}
-
 void Histogram::Reset() {
   for (auto& b : buckets_) b.store(0, std::memory_order_relaxed);
   count_.store(0, std::memory_order_relaxed);

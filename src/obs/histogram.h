@@ -55,8 +55,6 @@ class Histogram {
   /// Adds every bucket / the count / the sum of `other` into this histogram.
   /// Associative and commutative with Record and other Merges.
   void Merge(const Histogram& other);
-  /// Copies `other`'s state over this histogram's (snapshot helper).
-  void CopyFrom(const Histogram& other);
   void Reset();
 
   std::int64_t Count() const { return count_.load(std::memory_order_relaxed); }

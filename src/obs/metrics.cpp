@@ -126,17 +126,6 @@ std::string Metrics::ToJson() const {
   return os.str();
 }
 
-std::string Metrics::ToText() const {
-  std::ostringstream os;
-  for (const auto& [name, value] : CounterSnapshot()) {
-    os << name << " " << value << "\n";
-  }
-  for (const auto& [name, value] : GaugeSnapshot()) {
-    os << name << " " << value << "\n";
-  }
-  return os.str();
-}
-
 bool Metrics::WriteJsonFile(const std::string& path) const {
   std::ofstream out(path);
   if (!out) return false;

@@ -79,8 +79,6 @@ class Metrics {
   /// {"schema_version": ..., "meta": {...}, "counters": {...}, "gauges": ...}
   void WriteJson(std::ostream& os) const;
   std::string ToJson() const;
-  /// One "name value" line per metric, counters first.
-  std::string ToText() const;
   /// Writes the JSON dump to `path`; returns false on IO failure.
   bool WriteJsonFile(const std::string& path) const;
 

@@ -11,8 +11,6 @@ namespace apt::obs {
 
 namespace {
 
-std::atomic<bool> g_telemetry_enabled{true};
-
 std::int64_t ToFixedPoint(double v) {
   const double scaled = v * Histogram::kFixedPointScale;
   if (scaled >= 9.2e18) return INT64_MAX;
@@ -152,14 +150,6 @@ std::vector<TimeSeries*> Telemetry::AllSeries() const {
 
 void Telemetry::ResetAll() {
   for (TimeSeries* ts : AllSeries()) ts->Reset();
-}
-
-void Telemetry::SetEnabled(bool enabled) {
-  g_telemetry_enabled.store(enabled, std::memory_order_relaxed);
-}
-
-bool Telemetry::Enabled() {
-  return g_telemetry_enabled.load(std::memory_order_relaxed);
 }
 
 void Telemetry::WriteTimelineJsonl(std::ostream& os) const {

@@ -22,7 +22,6 @@
 #pragma once
 
 #include <array>
-#include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -116,12 +115,6 @@ class Telemetry {
 
   /// Clears every series' windows (registrations stay).
   void ResetAll();
-
-  /// Global kill switch for the Record hot paths (relaxed atomic; default
-  /// on). Instrumentation sites gate on this so the overhead bench can
-  /// measure telemetry-off against telemetry-on.
-  static void SetEnabled(bool enabled);
-  static bool Enabled();
 
   /// Windowed timeline JSONL: a schema header line, then one JSON object
   /// per retained series-window (series/window/t0_s/t1_s/count/sum/min/max/

@@ -11,6 +11,13 @@ namespace apt {
 
 namespace {
 
+constexpr NodeId kCoarsenUntil = 512;  ///< stop coarsening below this many nodes
+constexpr int kMaxLevels = 30;
+constexpr int kRefinePasses = 6;
+constexpr int kInitialAttempts = 8;  ///< randomized restarts on the coarsest graph
+constexpr double kBalanceTolerance = 0.05;  ///< parts may exceed ideal by this factor
+constexpr std::uint64_t kSeed = 13;
+
 /// Weighted graph used internally across coarsening levels.
 struct WGraph {
   std::vector<EdgeId> indptr;
@@ -238,14 +245,13 @@ PartitionAssignment MultilevelPartitioner::Partition(const CsrGraph& graph,
   const NodeId n = graph.num_nodes();
   if (num_parts == 1) return PartitionAssignment(static_cast<std::size_t>(n), 0);
 
-  Rng rng(options_.seed);
+  Rng rng(kSeed);
   // Coarsening phase.
   std::vector<WGraph> levels;
   std::vector<std::vector<NodeId>> maps;  // fine node -> coarse node
   levels.push_back(FromCsr(graph));
-  while (levels.back().num_nodes() > std::max<NodeId>(options_.coarsen_until,
-                                                      4 * num_parts) &&
-         static_cast<int>(levels.size()) < options_.max_levels) {
+  while (levels.back().num_nodes() > std::max<NodeId>(kCoarsenUntil, 4 * num_parts) &&
+         static_cast<int>(levels.size()) < kMaxLevels) {
     NodeId num_coarse = 0;
     auto cid = HeavyEdgeMatch(levels.back(), rng, &num_coarse);
     // Matching degenerated (e.g. star graphs): stop if shrinkage is too weak.
@@ -272,13 +278,10 @@ PartitionAssignment MultilevelPartitioner::Partition(const CsrGraph& graph,
   };
   std::vector<PartId> part;
   std::int64_t best_cut = 0;
-  for (int attempt = 0; attempt < options_.initial_attempts; ++attempt) {
+  for (int attempt = 0; attempt < kInitialAttempts; ++attempt) {
     std::vector<PartId> candidate = InitialPartition(levels.back(), num_parts, rng);
-    for (int pass = 0; pass < 2 * options_.refine_passes; ++pass) {
-      if (RefinePass(levels.back(), candidate, num_parts,
-                     options_.balance_tolerance) == 0) {
-        break;
-      }
+    for (int pass = 0; pass < 2 * kRefinePasses; ++pass) {
+      if (RefinePass(levels.back(), candidate, num_parts, kBalanceTolerance) == 0) break;
     }
     const std::int64_t cut = cut_of(levels.back(), candidate);
     if (attempt == 0 || cut < best_cut) {
@@ -295,8 +298,8 @@ PartitionAssignment MultilevelPartitioner::Partition(const CsrGraph& graph,
       fine_part[v] = part[static_cast<std::size_t>(cid[v])];
     }
     part = std::move(fine_part);
-    for (int pass = 0; pass < options_.refine_passes; ++pass) {
-      if (RefinePass(levels[lvl], part, num_parts, options_.balance_tolerance) == 0) break;
+    for (int pass = 0; pass < kRefinePasses; ++pass) {
+      if (RefinePass(levels[lvl], part, num_parts, kBalanceTolerance) == 0) break;
     }
   }
   return part;

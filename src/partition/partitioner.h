@@ -42,22 +42,8 @@ class RandomPartitioner final : public Partitioner {
 /// uncoarsening. Plays the METIS role.
 class MultilevelPartitioner final : public Partitioner {
  public:
-  struct Options {
-    NodeId coarsen_until = 512;     ///< stop coarsening below this many nodes
-    int max_levels = 30;
-    int refine_passes = 6;
-    int initial_attempts = 8;  ///< randomized restarts on the coarsest graph
-    double balance_tolerance = 0.05;  ///< parts may exceed ideal by this factor
-    std::uint64_t seed = 13;
-  };
-
-  MultilevelPartitioner() = default;
-  explicit MultilevelPartitioner(Options options) : options_(options) {}
   PartitionAssignment Partition(const CsrGraph& graph, PartId num_parts) override;
   std::string Name() const override { return "multilevel"; }
-
- private:
-  Options options_;
 };
 
 /// Number of edges whose endpoints land in different parts.

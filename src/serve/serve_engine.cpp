@@ -30,6 +30,17 @@ const char* ToString(ShedReason r) {
 
 namespace {
 
+// Cache warmup: kWarmupBatches dry-run batches of kWarmupBatchSize seeds
+// drawn from the popularity distribution, on streams forked from
+// kWarmupSeed.
+constexpr int kWarmupBatches = 32;
+constexpr std::int64_t kWarmupBatchSize = 64;
+constexpr std::uint64_t kWarmupSeed = 99;
+constexpr double kPopularityOffset = 0.0;
+
+/// Each sustained SLO violation multiplies the queue bound by this.
+constexpr double kSloQueueTightenFactor = 0.5;
+
 /// Nearest-rank percentile over an ascending-sorted latency vector.
 double Percentile(const std::vector<double>& sorted, double q) {
   if (sorted.empty()) return 0.0;
@@ -77,14 +88,12 @@ ServeEngine::ServeEngine(const Dataset& dataset, ClusterSpec cluster,
   // right one — there is no per-device partition affinity in serving).
   if (opts_.cache_bytes_per_device > 0) {
     FrequencyCollector freq(n);
-    Rng warm(opts_.warmup_seed);
+    Rng warm(kWarmupSeed);
     Rng seed_rng = warm.Fork(0);
     Rng sample_rng = warm.Fork(1);
-    const ZipfSampler popularity(n, opts_.popularity_alpha,
-                                 opts_.popularity_offset);
-    for (int b = 0; b < opts_.warmup_batches; ++b) {
-      std::vector<NodeId> seeds(
-          static_cast<std::size_t>(opts_.warmup_batch_size));
+    const ZipfSampler popularity(n, opts_.popularity_alpha, kPopularityOffset);
+    for (int b = 0; b < kWarmupBatches; ++b) {
+      std::vector<NodeId> seeds(static_cast<std::size_t>(kWarmupBatchSize));
       for (NodeId& s : seeds) s = popularity.Sample(seed_rng);
       Rng rng = sample_rng.Fork(static_cast<std::uint64_t>(b));
       freq.Record(sampler_->Sample(seeds, rng));
@@ -104,25 +113,14 @@ ServeEngine::ServeEngine(const Dataset& dataset, ClusterSpec cluster,
 
   if (model.input_dim == 0) model.input_dim = dataset.feature_dim();
   if (model.num_classes == 0) model.num_classes = dataset.num_classes;
-  models_.reserve(static_cast<std::size_t>(devices));
+  model_ = std::make_unique<GnnModel>(model);
+  // Each simulated GPU still holds its own copy of the parameters.
   for (std::int32_t d = 0; d < devices; ++d) {
-    models_.push_back(std::make_unique<GnnModel>(model));
-    sim_->AllocPersistent(d, models_.back()->ParamBytes());
+    sim_->AllocPersistent(d, model_->ParamBytes());
   }
 }
 
-void ServeEngine::LoadParams(GnnModel& src) {
-  std::vector<Param*> from = src.Params();
-  for (auto& model : models_) {
-    std::vector<Param*> to = model->Params();
-    APT_CHECK_EQ(to.size(), from.size()) << "LoadParams across different models";
-    for (std::size_t i = 0; i < to.size(); ++i) {
-      APT_CHECK(to[i]->value.SameShape(from[i]->value))
-          << "LoadParams shape mismatch for " << to[i]->name;
-      to[i]->value = from[i]->value;
-    }
-  }
-}
+void ServeEngine::LoadParams(GnnModel& src) { model_->CopyParamsFrom(src); }
 
 SampledBatch ServeEngine::SampleRequest(const Request& request) const {
   // The fork is keyed by the REQUEST id, never by batch position: sampling
@@ -171,11 +169,10 @@ double ServeEngine::ExecuteBatch(DeviceId dev, const PlannedBatch& batch,
   Tensor feats(static_cast<std::int64_t>(input_nodes.size()), dim);
   store_->Gather(dev, input_nodes, 0, dim, feats);  // charges Phase::kLoad
 
-  GnnModel& model = *models_[static_cast<std::size_t>(dev)];
   sim_->AdvanceLabeled(dev,
-                       sim_->ComputeSeconds(dev, model.ForwardFlops(merged.batch.blocks)),
+                       sim_->ComputeSeconds(dev, model_->ForwardFlops(merged.batch.blocks)),
                        Phase::kTrain, "serve.forward", {{"rows", rows_arg}});
-  const Tensor logits = model.ForwardFrom(0, merged.batch.blocks, feats, nullptr);
+  const Tensor logits = model_->ForwardFrom(0, merged.batch.blocks, feats, nullptr);
 
   // Virtual timing: the device clock is a BUSY-time accumulator (it never
   // idles between batches), so wall completion = when the batch could start
@@ -229,7 +226,7 @@ ServeReport ServeEngine::Run(std::span<const Request> arrivals) {
   telem_latency_ = nullptr;
   obs::TimeSeries* telem_rows = nullptr;
   obs::TimeSeries* telem_shed = nullptr;
-  if (opts_.telemetry_window_s > 0.0 && obs::Telemetry::Enabled()) {
+  if (opts_.telemetry_window_s > 0.0) {
     auto& telemetry = obs::Telemetry::Global();
     telem_latency_ = &telemetry.series("serve.latency_s", opts_.telemetry_window_s);
     telem_rows = &telemetry.series("serve.batch.rows", opts_.telemetry_window_s);
@@ -242,11 +239,11 @@ ServeReport ServeEngine::Run(std::span<const Request> arrivals) {
   BatchPolicy policy = opts_.batch;
   const bool slo_on = telem_latency_ != nullptr && !opts_.slo_rules.empty();
   obs::SloWatchdog watchdog(opts_.slo_rules);
-  watchdog.set_callback([this, &policy](const obs::SloViolation&) {
+  watchdog.set_callback([&policy](const obs::SloViolation&) {
     const std::int64_t next = std::max<std::int64_t>(
-        opts_.slo_queue_bound_floor,
+        kSloQueueBoundFloor,
         static_cast<std::int64_t>(static_cast<double>(policy.queue_bound) *
-                                  opts_.slo_queue_tighten_factor));
+                                  kSloQueueTightenFactor));
     if (next >= policy.queue_bound) return;
     policy.queue_bound = next;
     auto& m = obs::Metrics::Global();
@@ -431,8 +428,7 @@ Tensor ServeEngine::ServeSolo(const Request& request, DeviceId worker) {
   const std::int64_t dim = store_->feature_dim();
   Tensor feats(static_cast<std::int64_t>(part.input_nodes().size()), dim);
   store_->Gather(worker, part.input_nodes(), 0, dim, feats);
-  GnnModel& model = *models_[static_cast<std::size_t>(worker)];
-  return model.ForwardFrom(0, part.blocks, feats, nullptr);
+  return model_->ForwardFrom(0, part.blocks, feats, nullptr);
 }
 
 }  // namespace apt::serve

@@ -2,12 +2,13 @@
 //
 // N request workers — the devices of a simulated cluster — share one
 // read-mostly FeatureStore (caches warmed from the request popularity
-// distribution via the dry-run frequency machinery) and per-worker frozen
-// GnnModel replicas. Arrivals stream through the dynamic micro-batcher
-// (batcher.h); closed batches round-robin across workers and execute
-// CONCURRENTLY on real threads, one thread per worker, while every cost
-// lands on the worker's virtual clock — so latency percentiles are
-// bit-deterministic regardless of thread schedule.
+// distribution via the dry-run frequency machinery) and one frozen
+// GnnModel: inference forwards write only their outputs, never the layers,
+// so the worker threads run it concurrently. Arrivals stream through the
+// dynamic micro-batcher (batcher.h); closed batches round-robin across
+// workers and execute CONCURRENTLY on real threads, one thread per worker,
+// while every cost lands on the worker's virtual clock — so latency
+// percentiles are bit-deterministic regardless of thread schedule.
 //
 // Determinism invariant (the serving twin of strategy equivalence): each
 // request's subgraph is sampled with an RNG stream keyed by the REQUEST id,
@@ -40,6 +41,9 @@
 
 namespace apt::serve {
 
+/// The SLO watchdog never tightens the admission queue bound below this.
+inline constexpr std::int64_t kSloQueueBoundFloor = 8;
+
 struct ServeOptions {
   std::vector<int> fanouts{10, 10};
   BatchPolicy batch;
@@ -48,10 +52,6 @@ struct ServeOptions {
   /// Popularity distribution used for cache warmup — should match the
   /// traffic's (TrafficConfig) so the cache is warmed for the real mix.
   double popularity_alpha = 0.8;
-  double popularity_offset = 0.0;
-  int warmup_batches = 32;
-  std::int64_t warmup_batch_size = 64;
-  std::uint64_t warmup_seed = 99;
   /// Base stream of per-request sampling forks (request id keys the fork).
   std::uint64_t sample_seed = 7;
   /// Keep per-response logits (tests/parity); off saves memory in benches.
@@ -64,13 +64,10 @@ struct ServeOptions {
   /// SLO rules the engine's watchdog evaluates at batch-close boundaries
   /// (e.g. "serve.latency_s p99 < 2ms"). Empty disables the watchdog —
   /// zero behavior change from pre-SLO serving. A sustained violation
-  /// tightens admission control: queue_bound is multiplied by
-  /// `slo_queue_tighten_factor` (never below `slo_queue_bound_floor`), so
-  /// the engine sheds earlier and the latency of ADMITTED requests recovers
-  /// — trading availability for the latency SLO.
+  /// halves queue_bound (never below kSloQueueBoundFloor), so the engine
+  /// sheds earlier and the latency of ADMITTED requests recovers — trading
+  /// availability for the latency SLO.
   std::vector<obs::SloRule> slo_rules;
-  double slo_queue_tighten_factor = 0.5;
-  std::int64_t slo_queue_bound_floor = 8;
 };
 
 /// Aggregate results of one Run (latencies in simulated seconds).
@@ -99,12 +96,12 @@ class ServeEngine {
  public:
   /// Builds the serving cluster: feature shards placed by a contiguous
   /// block partition, caches warmed from the popularity distribution, one
-  /// frozen model replica per device (identical init seeds). `dataset`
-  /// must outlive the engine.
+  /// frozen model whose parameter bytes every device holds. `dataset` must
+  /// outlive the engine.
   ServeEngine(const Dataset& dataset, ClusterSpec cluster, ModelConfig model,
               ServeOptions options);
 
-  /// Copies trained parameters into every worker replica.
+  /// Copies trained parameters into the served model.
   void LoadParams(GnnModel& src);
 
   /// Serves one open-loop arrival stream (sorted by arrival time).
@@ -117,9 +114,8 @@ class ServeEngine {
 
   SimContext& sim() { return *sim_; }
   FeatureStore& store() { return *store_; }
-  GnnModel& model(DeviceId dev) {
-    return *models_[static_cast<std::size_t>(dev)];
-  }
+  /// The one served model; every worker runs it.
+  GnnModel& model(DeviceId /*dev*/) { return *model_; }
   std::int32_t num_workers() const { return sim_->num_devices(); }
 
  private:
@@ -137,7 +133,7 @@ class ServeEngine {
   std::unique_ptr<SimContext> sim_;
   std::unique_ptr<FeatureStore> store_;
   std::unique_ptr<NeighborSampler> sampler_;
-  std::vector<std::unique_ptr<GnnModel>> models_;  ///< one frozen replica per worker
+  std::unique_ptr<GnnModel> model_;  ///< frozen; shared by every worker
   std::vector<PartId> partition_;
   /// Per-Run latency series (null = telemetry off). Set by Run, recorded
   /// from ExecuteBatch on worker threads (TimeSeries::Record is

@@ -6,7 +6,6 @@
 
 #include "obs/flight.h"
 #include "obs/metrics.h"
-#include "runtime/parallel_for.h"
 
 namespace apt {
 
@@ -159,7 +158,7 @@ void SimContext::BarrierAll(Phase phase) {
   }
   const double target = MaxNow();
   const bool tracing = obs::TracingEnabled();
-  const auto wait_one = [&](std::size_t i) {
+  for (std::size_t i = 0; i < clocks_.size(); ++i) {
     const double wait = target - clocks_[i];
     phase_time_[i][static_cast<std::size_t>(phase)] += wait;
     comm_time_[i][static_cast<std::size_t>(phase)] += wait;
@@ -168,16 +167,6 @@ void SimContext::BarrierAll(Phase phase) {
                        "wait", ToString(phase));
     }
     clocks_[i] = target;
-  };
-  if (ParallelCommit()) {
-    ParallelForChunks(0, static_cast<std::int64_t>(clocks_.size()),
-                      [&](std::int64_t lo, std::int64_t hi) {
-                        for (std::int64_t i = lo; i < hi; ++i) {
-                          wait_one(static_cast<std::size_t>(i));
-                        }
-                      });
-  } else {
-    for (std::size_t i = 0; i < clocks_.size(); ++i) wait_one(i);
   }
 #ifndef NDEBUG
   DebugCheckClockInvariant();
@@ -469,12 +458,6 @@ LinkSpec SimContext::EffectiveLinkBetween(DeviceId a, DeviceId b) const {
   if (faults_.links.empty()) return base;
   const double t = std::max(clocks_[Check(a)], clocks_[Check(b)]);
   return DegradedLink(base, ClassifyDeviceLink(a, b), t);
-}
-
-LinkSpec SimContext::EffectiveLinkToCpu(DeviceId dev, MachineId m) const {
-  const LinkSpec base = cluster_.LinkToCpu(dev, m);
-  if (faults_.links.empty()) return base;
-  return DegradedLink(base, ClassifyCpuLink(dev, m), clocks_[Check(dev)]);
 }
 
 std::optional<double> SimContext::CollectiveFailureFraction(std::int64_t call_bytes) {

@@ -236,14 +236,6 @@ class SimContext {
   bool PipelineCapturing() const { return pipeline_depth_ > 1; }
   /// Depth of the step being captured; 1 outside a pipelined scope.
   int PipelineDepth() const { return pipeline_depth_; }
-  /// True when per-device clock commits (a barrier's waits, a collective's
-  /// busy-time advances) fan out over the fork-join pool: at >= 64 devices,
-  /// outside pipelined capture (which appends to the one shared tape). The
-  /// writes are disjoint per device, so clocks are bit-identical to the
-  /// serial loop.
-  bool ParallelCommit() const {
-    return num_devices() >= 64 && !PipelineCapturing();
-  }
 
   /// RAII wrapper for Begin/EndPipelinedStep; no-op at depth <= 1, and
   /// replays on destruction even when the step throws (collective faults).
@@ -361,10 +353,9 @@ class SimContext {
   const FaultPlan& faults() const { return faults_; }
   bool HasFaults() const { return !faults_.Empty(); }
 
-  /// Cluster link for a device pair / CPU read, degraded by any active link
+  /// Cluster link for a device pair, degraded by any active link
   /// fault at the participants' current simulated time.
   LinkSpec EffectiveLinkBetween(DeviceId a, DeviceId b) const;
-  LinkSpec EffectiveLinkToCpu(DeviceId dev, MachineId m) const;
   /// Applies active link faults of `cls` to an externally chosen base link
   /// at time `at_s` (FeatureStore tiers pick their own base links).
   LinkSpec DegradedLink(LinkSpec base, TrafficClass cls, double at_s) const;

@@ -271,27 +271,6 @@ void ReluBackward(const Tensor& x, const Tensor& grad_y, Tensor& grad_x) {
   }, 1 << 15);
 }
 
-void LeakyRelu(const Tensor& x, Tensor& out, float slope) {
-  APT_CHECK(x.SameShape(out));
-  const float* xp = x.data();
-  float* op = out.data();
-  ParallelFor(0, x.numel(),
-              [&](std::int64_t i) { op[i] = xp[i] > 0.0f ? xp[i] : slope * xp[i]; }, 1 << 15);
-}
-
-void LeakyReluBackward(const Tensor& x, const Tensor& grad_y, Tensor& grad_x,
-                       float slope) {
-  APT_CHECK(x.SameShape(grad_y));
-  APT_CHECK(x.SameShape(grad_x));
-  const float* xp = x.data();
-  const float* gy = grad_y.data();
-  float* gx = grad_x.data();
-  ParallelFor(0, x.numel(), [&](std::int64_t i) {
-    const float g = gy[i];  // unconditional load, as in ReluBackward
-    gx[i] = xp[i] > 0.0f ? g : slope * g;
-  }, 1 << 15);
-}
-
 float MaxAbsDiff(const Tensor& a, const Tensor& b) {
   APT_CHECK(a.SameShape(b)) << a.ShapeString() << " vs " << b.ShapeString();
   float m = 0.0f;
@@ -301,13 +280,6 @@ float MaxAbsDiff(const Tensor& a, const Tensor& b) {
     m = std::max(m, std::fabs(ap[i] - bp[i]));
   }
   return m;
-}
-
-double SumSquares(const Tensor& x) {
-  double s = 0.0;
-  const float* xp = x.data();
-  for (std::int64_t i = 0; i < x.numel(); ++i) s += static_cast<double>(xp[i]) * xp[i];
-  return s;
 }
 
 void GatherRows(const Tensor& src, std::span<const std::int64_t> index, Tensor& out) {
@@ -333,17 +305,6 @@ void ScatterAddRows(const Tensor& src, std::span<const std::int64_t> index, Tens
     float* drow = dst.data() + r * n;
     for (std::int64_t j = 0; j < n; ++j) drow[j] += srow[j];
   }
-}
-
-void ScatterRows(const Tensor& src, std::span<const std::int64_t> index, Tensor& dst) {
-  APT_CHECK_EQ(src.rows(), static_cast<std::int64_t>(index.size()));
-  APT_CHECK_EQ(src.cols(), dst.cols());
-  const std::int64_t n = src.cols();
-  ParallelFor(0, src.rows(), [&](std::int64_t i) {
-    const std::int64_t r = index[static_cast<std::size_t>(i)];
-    APT_CHECK(r >= 0 && r < dst.rows()) << "scatter index " << r << " of " << dst.rows();
-    std::copy_n(src.data() + i * n, n, dst.data() + r * n);
-  }, RowGrain(n));
 }
 
 float SoftmaxCrossEntropy(const Tensor& logits, std::span<const std::int64_t> labels,

@@ -78,15 +78,8 @@ void Relu(const Tensor& x, Tensor& out);
 /// grad_x = grad_y * 1[x > 0].
 void ReluBackward(const Tensor& x, const Tensor& grad_y, Tensor& grad_x);
 
-/// LeakyReLU with slope (GAT uses 0.2).
-void LeakyRelu(const Tensor& x, Tensor& out, float slope);
-void LeakyReluBackward(const Tensor& x, const Tensor& grad_y, Tensor& grad_x,
-                       float slope);
-
 /// Max |a - b| over all elements; shapes must match.
 float MaxAbsDiff(const Tensor& a, const Tensor& b);
-/// Sum of squares of all elements.
-double SumSquares(const Tensor& x);
 
 // ---------------------------------------------------------------------------
 // Row gather / scatter (feature loading and shuffle packing).
@@ -96,8 +89,6 @@ double SumSquares(const Tensor& x);
 void GatherRows(const Tensor& src, std::span<const std::int64_t> index, Tensor& out);
 /// dst.row(index[i]) += src.row(i).
 void ScatterAddRows(const Tensor& src, std::span<const std::int64_t> index, Tensor& dst);
-/// dst.row(index[i]) = src.row(i) (rows must be disjoint for determinism).
-void ScatterRows(const Tensor& src, std::span<const std::int64_t> index, Tensor& dst);
 
 // ---------------------------------------------------------------------------
 // Loss.

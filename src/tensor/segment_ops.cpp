@@ -23,21 +23,13 @@ std::int64_t SrcGrain(std::int64_t dim) {
   return std::max<std::int64_t>(1, 4096 / std::max<std::int64_t>(1, dim));
 }
 
-// Building a scratch transpose only pays off once the scatter volume beats
-// the O(E + num_src) counting sort; below this the serial loop wins.
-bool WorthTransposing(const CsrView& csr, std::int64_t dim) {
-  return csr.num_edges() * dim >= (1 << 14);
-}
-
 // Picks the transpose for a backward scatter: the block-cached one when the
-// view carries a cache, a scratch build when the problem is large enough,
-// nullptr when the serial loop is cheaper.
-const CsrTranspose* BackwardTranspose(const CsrView& csr, std::int64_t num_src,
-                                      std::int64_t dim, CsrTranspose& scratch) {
-  if (csr.tcache != nullptr) return &csr.tcache->Get(csr, num_src);
-  if (!WorthTransposing(csr, dim)) return nullptr;
+// view carries a cache, otherwise a scratch build into `scratch`.
+const CsrTranspose& BackwardTranspose(const CsrView& csr, std::int64_t num_src,
+                                      CsrTranspose& scratch) {
+  if (csr.tcache != nullptr) return csr.tcache->Get(csr, num_src);
   scratch = BuildCsrTranspose(csr, num_src);
-  return &scratch;
+  return scratch;
 }
 
 }  // namespace
@@ -93,37 +85,6 @@ void SpmmSum(const CsrView& csr, const Tensor& src, Tensor& out) {
   }, 64);
 }
 
-void SpmmSumBackward(const CsrView& csr, const Tensor& grad_out, Tensor& grad_src) {
-  APT_CHECK_EQ(grad_out.rows(), csr.num_dst());
-  APT_CHECK_EQ(grad_out.cols(), grad_src.cols());
-  const std::int64_t dim = grad_src.cols();
-  CsrTranspose scratch;
-  const CsrTranspose* t = BackwardTranspose(csr, grad_src.rows(), dim, scratch);
-  if (t != nullptr) {
-    // Source-major parallel gather: each lane owns disjoint source rows.
-    const float* g = grad_out.data();
-    float* out = grad_src.data();
-    ParallelForChunksDynamic(0, t->num_src, [&](std::int64_t lo, std::int64_t hi) {
-      for (std::int64_t s = lo; s < hi; ++s) {
-        float* srow = out + s * dim;
-        for (std::int64_t e = t->indptr[s]; e < t->indptr[s + 1]; ++e) {
-          const float* grow = g + t->dst[static_cast<std::size_t>(e)] * dim;
-          for (std::int64_t j = 0; j < dim; ++j) srow[j] += grow[j];
-        }
-      }
-    }, SrcGrain(dim));
-    return;
-  }
-  // Tiny problems: serial over destinations (edges may share a source row).
-  for (std::int64_t d = 0; d < csr.num_dst(); ++d) {
-    const float* grow = grad_out.data() + d * dim;
-    for (std::int64_t e = csr.indptr[d]; e < csr.indptr[d + 1]; ++e) {
-      float* srow = grad_src.row(csr.col[static_cast<std::size_t>(e)]);
-      for (std::int64_t j = 0; j < dim; ++j) srow[j] += grow[j];
-    }
-  }
-}
-
 void SpmmMean(const CsrView& csr, const Tensor& src, Tensor& out) {
   SpmmMean(csr, src, 0, out);
 }
@@ -151,39 +112,27 @@ void SpmmMeanBackward(const CsrView& csr, const Tensor& grad_out, Tensor& grad_s
   APT_CHECK_EQ(grad_out.cols(), grad_src.cols());
   const std::int64_t dim = grad_src.cols();
   CsrTranspose scratch;
-  const CsrTranspose* t = BackwardTranspose(csr, grad_src.rows(), dim, scratch);
-  if (t != nullptr) {
-    std::vector<float> inv_deg(static_cast<std::size_t>(csr.num_dst()));
-    for (std::int64_t d = 0; d < csr.num_dst(); ++d) {
-      const std::int64_t deg = csr.indptr[d + 1] - csr.indptr[d];
-      inv_deg[static_cast<std::size_t>(d)] =
-          deg > 0 ? 1.0f / static_cast<float>(deg) : 0.0f;
-    }
-    const float* g = grad_out.data();
-    float* out = grad_src.data();
-    ParallelForChunksDynamic(0, t->num_src, [&](std::int64_t lo, std::int64_t hi) {
-      for (std::int64_t s = lo; s < hi; ++s) {
-        float* srow = out + s * dim;
-        for (std::int64_t e = t->indptr[s]; e < t->indptr[s + 1]; ++e) {
-          const std::int64_t d = t->dst[static_cast<std::size_t>(e)];
-          const float inv = inv_deg[static_cast<std::size_t>(d)];
-          const float* grow = g + d * dim;
-          for (std::int64_t j = 0; j < dim; ++j) srow[j] += inv * grow[j];
-        }
-      }
-    }, SrcGrain(dim));
-    return;
-  }
+  const CsrTranspose& t = BackwardTranspose(csr, grad_src.rows(), scratch);
+  std::vector<float> inv_deg(static_cast<std::size_t>(csr.num_dst()));
   for (std::int64_t d = 0; d < csr.num_dst(); ++d) {
     const std::int64_t deg = csr.indptr[d + 1] - csr.indptr[d];
-    if (deg == 0) continue;
-    const float inv = 1.0f / static_cast<float>(deg);
-    const float* grow = grad_out.data() + d * dim;
-    for (std::int64_t e = csr.indptr[d]; e < csr.indptr[d + 1]; ++e) {
-      float* srow = grad_src.row(csr.col[static_cast<std::size_t>(e)]);
-      for (std::int64_t j = 0; j < dim; ++j) srow[j] += inv * grow[j];
-    }
+    inv_deg[static_cast<std::size_t>(d)] =
+        deg > 0 ? 1.0f / static_cast<float>(deg) : 0.0f;
   }
+  // Source-major parallel gather: each lane owns disjoint source rows.
+  const float* g = grad_out.data();
+  float* out = grad_src.data();
+  ParallelForChunksDynamic(0, t.num_src, [&](std::int64_t lo, std::int64_t hi) {
+    for (std::int64_t s = lo; s < hi; ++s) {
+      float* srow = out + s * dim;
+      for (std::int64_t e = t.indptr[s]; e < t.indptr[s + 1]; ++e) {
+        const std::int64_t d = t.dst[static_cast<std::size_t>(e)];
+        const float inv = inv_deg[static_cast<std::size_t>(d)];
+        const float* grow = g + d * dim;
+        for (std::int64_t j = 0; j < dim; ++j) srow[j] += inv * grow[j];
+      }
+    }
+  }, SrcGrain(dim));
 }
 
 void SpmmWeightedSum(const CsrView& csr, std::span<const float> edge_w,
@@ -215,51 +164,31 @@ void SpmmWeightedSumBackward(const CsrView& csr, std::span<const float> edge_w,
     APT_CHECK_EQ(grad_src->rows(), src.rows());
   }
   CsrTranspose scratch;
-  const CsrTranspose* t = BackwardTranspose(csr, src.rows(), dim, scratch);
-  if (t != nullptr) {
-    // Each original edge appears exactly once in the transpose, so the
-    // per-edge grad_w writes are race-free alongside the per-source rows.
-    const float* g = grad_out.data();
-    const float* sp = src.data();
-    float* gsp = grad_src != nullptr ? grad_src->data() : nullptr;
-    ParallelForChunksDynamic(0, t->num_src, [&](std::int64_t lo, std::int64_t hi) {
-      for (std::int64_t s = lo; s < hi; ++s) {
-        const float* srow = sp + s * dim;
-        float* gsrow = gsp != nullptr ? gsp + s * dim : nullptr;
-        for (std::int64_t te = t->indptr[s]; te < t->indptr[s + 1]; ++te) {
-          const std::size_t e = static_cast<std::size_t>(t->eid[static_cast<std::size_t>(te)]);
-          const float* grow = g + t->dst[static_cast<std::size_t>(te)] * dim;
-          if (!grad_w.empty()) {
-            float acc = 0.0f;
-            for (std::int64_t j = 0; j < dim; ++j) acc += grow[j] * srow[j];
-            grad_w[e] += acc;
-          }
-          if (gsrow != nullptr) {
-            const float w = edge_w[e];
-            for (std::int64_t j = 0; j < dim; ++j) gsrow[j] += w * grow[j];
-          }
+  const CsrTranspose& t = BackwardTranspose(csr, src.rows(), scratch);
+  // Each original edge appears exactly once in the transpose, so the
+  // per-edge grad_w writes are race-free alongside the per-source rows.
+  const float* g = grad_out.data();
+  const float* sp = src.data();
+  float* gsp = grad_src != nullptr ? grad_src->data() : nullptr;
+  ParallelForChunksDynamic(0, t.num_src, [&](std::int64_t lo, std::int64_t hi) {
+    for (std::int64_t s = lo; s < hi; ++s) {
+      const float* srow = sp + s * dim;
+      float* gsrow = gsp != nullptr ? gsp + s * dim : nullptr;
+      for (std::int64_t te = t.indptr[s]; te < t.indptr[s + 1]; ++te) {
+        const std::size_t e = static_cast<std::size_t>(t.eid[static_cast<std::size_t>(te)]);
+        const float* grow = g + t.dst[static_cast<std::size_t>(te)] * dim;
+        if (!grad_w.empty()) {
+          float acc = 0.0f;
+          for (std::int64_t j = 0; j < dim; ++j) acc += grow[j] * srow[j];
+          grad_w[e] += acc;
+        }
+        if (gsrow != nullptr) {
+          const float w = edge_w[e];
+          for (std::int64_t j = 0; j < dim; ++j) gsrow[j] += w * grow[j];
         }
       }
-    }, SrcGrain(dim));
-    return;
-  }
-  for (std::int64_t d = 0; d < csr.num_dst(); ++d) {
-    const float* grow = grad_out.data() + d * dim;
-    for (std::int64_t e = csr.indptr[d]; e < csr.indptr[d + 1]; ++e) {
-      const std::int64_t s = csr.col[static_cast<std::size_t>(e)];
-      if (!grad_w.empty()) {
-        const float* srow = src.row(s);
-        float acc = 0.0f;
-        for (std::int64_t j = 0; j < dim; ++j) acc += grow[j] * srow[j];
-        grad_w[static_cast<std::size_t>(e)] += acc;
-      }
-      if (grad_src != nullptr) {
-        const float w = edge_w[static_cast<std::size_t>(e)];
-        float* gsrow = grad_src->row(s);
-        for (std::int64_t j = 0; j < dim; ++j) gsrow[j] += w * grow[j];
-      }
     }
-  }
+  }, SrcGrain(dim));
 }
 
 void SddmmAdd(const CsrView& csr, std::span<const float> a_src,
@@ -279,36 +208,27 @@ void SddmmAddBackward(const CsrView& csr, std::span<const float> grad_score,
                       std::span<float> grad_a_src, std::span<float> grad_a_dst) {
   APT_CHECK_EQ(static_cast<std::int64_t>(grad_score.size()), csr.num_edges());
   APT_CHECK_EQ(static_cast<std::int64_t>(grad_a_dst.size()), csr.num_dst());
-  if (csr.tcache != nullptr) {
-    const CsrTranspose& t =
-        csr.tcache->Get(csr, static_cast<std::int64_t>(grad_a_src.size()));
-    ParallelForChunksDynamic(0, t.num_src, [&](std::int64_t lo, std::int64_t hi) {
-      for (std::int64_t s = lo; s < hi; ++s) {
-        float acc = 0.0f;
-        for (std::int64_t e = t.indptr[s]; e < t.indptr[s + 1]; ++e) {
-          acc += grad_score[static_cast<std::size_t>(t.eid[static_cast<std::size_t>(e)])];
-        }
-        grad_a_src[static_cast<std::size_t>(s)] += acc;
+  CsrTranspose scratch;
+  const CsrTranspose& t =
+      BackwardTranspose(csr, static_cast<std::int64_t>(grad_a_src.size()), scratch);
+  ParallelForChunksDynamic(0, t.num_src, [&](std::int64_t lo, std::int64_t hi) {
+    for (std::int64_t s = lo; s < hi; ++s) {
+      float acc = 0.0f;
+      for (std::int64_t e = t.indptr[s]; e < t.indptr[s + 1]; ++e) {
+        acc += grad_score[static_cast<std::size_t>(t.eid[static_cast<std::size_t>(e)])];
       }
-    }, 512);
-    ParallelForChunks(0, csr.num_dst(), [&](std::int64_t lo, std::int64_t hi) {
-      for (std::int64_t d = lo; d < hi; ++d) {
-        float acc = 0.0f;
-        for (std::int64_t e = csr.indptr[d]; e < csr.indptr[d + 1]; ++e) {
-          acc += grad_score[static_cast<std::size_t>(e)];
-        }
-        grad_a_dst[static_cast<std::size_t>(d)] += acc;
-      }
-    }, 512);
-    return;
-  }
-  for (std::int64_t d = 0; d < csr.num_dst(); ++d) {
-    for (std::int64_t e = csr.indptr[d]; e < csr.indptr[d + 1]; ++e) {
-      const std::int64_t s = csr.col[static_cast<std::size_t>(e)];
-      grad_a_src[static_cast<std::size_t>(s)] += grad_score[static_cast<std::size_t>(e)];
-      grad_a_dst[static_cast<std::size_t>(d)] += grad_score[static_cast<std::size_t>(e)];
+      grad_a_src[static_cast<std::size_t>(s)] += acc;
     }
-  }
+  }, 512);
+  ParallelForChunks(0, csr.num_dst(), [&](std::int64_t lo, std::int64_t hi) {
+    for (std::int64_t d = lo; d < hi; ++d) {
+      float acc = 0.0f;
+      for (std::int64_t e = csr.indptr[d]; e < csr.indptr[d + 1]; ++e) {
+        acc += grad_score[static_cast<std::size_t>(e)];
+      }
+      grad_a_dst[static_cast<std::size_t>(d)] += acc;
+    }
+  }, 512);
 }
 
 void SegmentSoftmax(const CsrView& csr, std::span<const float> score,
@@ -350,66 +270,6 @@ void SegmentSoftmaxBackward(const CsrView& csr, std::span<const float> out,
       grad_score[idx] = out[idx] * (grad_out[idx] - static_cast<float>(dot));
     }
   }, 256);
-}
-
-void SegmentedSpmmMean(std::span<const CsrView> segments,
-                       std::span<const std::int64_t> src_offsets,
-                       std::span<const std::int64_t> dst_offsets, const Tensor& src,
-                       Tensor& out) {
-  APT_CHECK_EQ(src_offsets.size(), segments.size() + 1);
-  APT_CHECK_EQ(dst_offsets.size(), segments.size() + 1);
-  const std::int64_t dim = src.cols();
-  APT_CHECK_EQ(out.cols(), dim);
-  // Segments write disjoint dst row ranges, so they parallelize cleanly;
-  // dynamic chunking absorbs unequal segment sizes.
-  ParallelForDynamic(0, static_cast<std::int64_t>(segments.size()),
-                     [&](std::int64_t si) {
-    const std::size_t s = static_cast<std::size_t>(si);
-    const CsrView& csr = segments[s];
-    const std::int64_t src_base = src_offsets[s];
-    const std::int64_t dst_base = dst_offsets[s];
-    APT_CHECK_EQ(dst_offsets[s + 1] - dst_base, csr.num_dst());
-    for (std::int64_t d = 0; d < csr.num_dst(); ++d) {
-      float* orow = out.row(dst_base + d);
-      std::fill(orow, orow + dim, 0.0f);
-      const std::int64_t deg = csr.indptr[d + 1] - csr.indptr[d];
-      if (deg == 0) continue;
-      for (std::int64_t e = csr.indptr[d]; e < csr.indptr[d + 1]; ++e) {
-        const float* srow = src.row(src_base + csr.col[static_cast<std::size_t>(e)]);
-        for (std::int64_t j = 0; j < dim; ++j) orow[j] += srow[j];
-      }
-      const float inv = 1.0f / static_cast<float>(deg);
-      for (std::int64_t j = 0; j < dim; ++j) orow[j] *= inv;
-    }
-  }, /*grain=*/1);
-}
-
-void SegmentedSpmmMeanBackward(std::span<const CsrView> segments,
-                               std::span<const std::int64_t> src_offsets,
-                               std::span<const std::int64_t> dst_offsets,
-                               const Tensor& grad_out, Tensor& grad_src) {
-  APT_CHECK_EQ(src_offsets.size(), segments.size() + 1);
-  APT_CHECK_EQ(dst_offsets.size(), segments.size() + 1);
-  const std::int64_t dim = grad_src.cols();
-  // Each segment scatters into its own disjoint src row range [src_offsets[s],
-  // src_offsets[s+1]); within a segment the scatter stays serial.
-  ParallelForDynamic(0, static_cast<std::int64_t>(segments.size()),
-                     [&](std::int64_t si) {
-    const std::size_t s = static_cast<std::size_t>(si);
-    const CsrView& csr = segments[s];
-    const std::int64_t src_base = src_offsets[s];
-    const std::int64_t dst_base = dst_offsets[s];
-    for (std::int64_t d = 0; d < csr.num_dst(); ++d) {
-      const std::int64_t deg = csr.indptr[d + 1] - csr.indptr[d];
-      if (deg == 0) continue;
-      const float inv = 1.0f / static_cast<float>(deg);
-      const float* grow = grad_out.row(dst_base + d);
-      for (std::int64_t e = csr.indptr[d]; e < csr.indptr[d + 1]; ++e) {
-        float* srow = grad_src.row(src_base + csr.col[static_cast<std::size_t>(e)]);
-        for (std::int64_t j = 0; j < dim; ++j) srow[j] += inv * grow[j];
-      }
-    }
-  }, /*grain=*/1);
 }
 
 }  // namespace apt

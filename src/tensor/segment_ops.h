@@ -4,11 +4,6 @@
 // A bipartite layer has `num_dst` destination rows; `indptr` (size
 // num_dst + 1) delimits each destination's incoming edges and `col[e]`
 // names the *local* source row of edge e. Features are dense Tensors.
-//
-// The Segmented* variants run the same kernel over a batch of independent
-// bipartite graphs laid out back to back — the paper's SegmentedSpMM /
-// SegmentedSDDMM used by NFP, which broadcasts every GPU's layer-1
-// computation graph and executes them jointly.
 #pragma once
 
 #include <cstdint>
@@ -26,8 +21,8 @@ struct CsrView;
 /// *source* row instead of destination. `dst[t]` is the destination of
 /// transposed edge t and `eid[t]` its index in the original edge order, so
 /// per-edge payloads (weights, scores) stay addressable. Within one source,
-/// edges keep ascending destination order — the same accumulation order the
-/// serial destination-major backward produced, so results are bit-identical.
+/// edges keep ascending destination order — the accumulation order of a
+/// serial destination-major scatter, so results do not depend on lane count.
 struct CsrTranspose {
   std::int64_t num_src = 0;
   std::vector<std::int64_t> indptr;  ///< size num_src + 1
@@ -58,7 +53,8 @@ struct CsrView {
   std::span<const std::int64_t> indptr;  ///< size num_dst + 1
   std::span<const std::int64_t> col;     ///< size num_edges, local src ids
   /// Optional transpose cache (Block::csr() fills this in). Backward kernels
-  /// use it to run scatter-style gradients as parallel source-major gathers.
+  /// run scatter-style gradients as parallel source-major gathers over the
+  /// cached transpose, or over a scratch one built per call without it.
   const CsrTransposeCache* tcache = nullptr;
   std::int64_t num_dst() const { return static_cast<std::int64_t>(indptr.size()) - 1; }
   std::int64_t num_edges() const { return static_cast<std::int64_t>(col.size()); }
@@ -70,8 +66,6 @@ struct CsrView {
 
 /// out.row(d) = sum_{e in d} src.row(col[e]); out must be num_dst x d.
 void SpmmSum(const CsrView& csr, const Tensor& src, Tensor& out);
-/// grad_src.row(col[e]) += grad_out.row(d) for each edge (accumulates).
-void SpmmSumBackward(const CsrView& csr, const Tensor& grad_out, Tensor& grad_src);
 
 /// out.row(d) = mean over d's edges (empty rows produce zeros).
 void SpmmMean(const CsrView& csr, const Tensor& src, Tensor& out);
@@ -119,22 +113,5 @@ void SegmentSoftmax(const CsrView& csr, std::span<const float> score,
 void SegmentSoftmaxBackward(const CsrView& csr, std::span<const float> out,
                             std::span<const float> grad_out,
                             std::span<float> grad_score);
-
-// ---------------------------------------------------------------------------
-// Segmented batch variants (NFP joint execution).
-// ---------------------------------------------------------------------------
-
-/// Runs SpmmMean over `segments` independent graphs; segment s reads rows
-/// [src_offsets[s], src_offsets[s+1]) of src and writes rows
-/// [dst_offsets[s], dst_offsets[s+1]) of out. Each CsrView's col indices are
-/// local to its own segment.
-void SegmentedSpmmMean(std::span<const CsrView> segments,
-                       std::span<const std::int64_t> src_offsets,
-                       std::span<const std::int64_t> dst_offsets, const Tensor& src,
-                       Tensor& out);
-void SegmentedSpmmMeanBackward(std::span<const CsrView> segments,
-                               std::span<const std::int64_t> src_offsets,
-                               std::span<const std::int64_t> dst_offsets,
-                               const Tensor& grad_out, Tensor& grad_src);
 
 }  // namespace apt

@@ -149,7 +149,6 @@ TEST(ChaosTest, RetryBudgetExhaustionRethrows) {
   for (int i = 0; i < 5; ++i) plan.collectives.push_back({.after_bytes = 0});
   RecoveryOptions recovery;
   recovery.retry_collectives = true;
-  recovery.max_retries_per_step = 3;
   auto chaotic = ChaosTrainer(ds, plan, recovery);
   EXPECT_THROW(chaotic->TrainEpoch(0), CollectiveError);
   const RecoveryStats& rs = chaotic->recovery_stats();
@@ -172,7 +171,6 @@ TEST(ChaosTest, ExhaustedRetryBudgetLeavesAFlightRecording) {
   for (int i = 0; i < 5; ++i) plan.collectives.push_back({.after_bytes = 0});
   RecoveryOptions recovery;
   recovery.retry_collectives = true;
-  recovery.max_retries_per_step = 3;
   auto chaotic = ChaosTrainer(ds, plan, recovery);
   EXPECT_THROW(chaotic->TrainEpoch(0), CollectiveError);
 
@@ -349,7 +347,6 @@ TEST(ChaosTest, PipelinedGiveupFlightDumpRecordsInFlightMicrobatch) {
   for (int i = 0; i < 5; ++i) plan.collectives.push_back({.after_bytes = 0});
   RecoveryOptions recovery;
   recovery.retry_collectives = true;
-  recovery.max_retries_per_step = 3;
   auto chaotic = MakeTrainer(ds, SingleMachineCluster(4), Strategy::kNFP,
                              ModelKind::kSage, /*force_chunked=*/true, 1 << 20,
                              {5, 5}, 128, 0, recovery, kDepth);

@@ -312,27 +312,5 @@ TEST(OptimizerTest, SgdWeightDecay) {
   EXPECT_FLOAT_EQ(p.value(0, 0), 2.0f - 0.1f * 0.5f * 2.0f);
 }
 
-TEST(OptimizerTest, AdamConvergesOnQuadratic) {
-  // Minimize (x - 3)^2 with Adam; grad = 2(x-3).
-  Param p("x", 1, 1);
-  p.value = Tensor(1, 1, {0.0f});
-  Adam opt(0.1f);
-  for (int i = 0; i < 300; ++i) {
-    p.grad = Tensor(1, 1, {2.0f * (p.value(0, 0) - 3.0f)});
-    opt.Step({&p});
-  }
-  EXPECT_NEAR(p.value(0, 0), 3.0f, 0.05f);
-}
-
-TEST(OptimizerTest, AdamFirstStepIsLrSized) {
-  Param p("x", 1, 1);
-  p.value = Tensor(1, 1, {1.0f});
-  p.grad = Tensor(1, 1, {123.0f});
-  Adam opt(0.01f);
-  opt.Step({&p});
-  // Bias-corrected first step is ~lr regardless of gradient scale.
-  EXPECT_NEAR(p.value(0, 0), 1.0f - 0.01f, 1e-4f);
-}
-
 }  // namespace
 }  // namespace apt

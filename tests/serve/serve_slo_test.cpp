@@ -127,7 +127,7 @@ TEST(ServeSlo, WatchdogTightensQueueBoundDeterministically) {
   const double bound1 = obs::Metrics::Global().gauge("serve.queue_bound").Get();
   EXPECT_GE(obs::Metrics::Global().counter("slo.violations").Get(), 1);
   EXPECT_GE(tightened1, 1);
-  EXPECT_GE(bound1, static_cast<double>(opts.slo_queue_bound_floor));
+  EXPECT_GE(bound1, static_cast<double>(kSloQueueBoundFloor));
   EXPECT_LT(bound1, static_cast<double>(opts.batch.queue_bound));
 
   const ServeReport r2 = run_once();

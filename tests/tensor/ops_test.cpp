@@ -783,29 +783,11 @@ TEST(ActivationTest, ReluBackwardSelectsGradientOrPositiveZero) {
   const Tensor x = RandTensor(1, 1000, 60), gy = RandTensor(1, 1000, 61);
   Tensor gx(1, 1000);
   ReluBackward(x, gy, gx);
-  Tensor lx(1, 1000);
-  LeakyReluBackward(x, gy, lx, 0.2f);
   for (std::int64_t i = 0; i < x.numel(); ++i) {
     const float want = x(0, i) > 0.0f ? gy(0, i) : 0.0f;
     ASSERT_EQ(std::bit_cast<std::uint32_t>(gx(0, i)), std::bit_cast<std::uint32_t>(want))
         << "element " << i;
-    const float leaky = x(0, i) > 0.0f ? gy(0, i) : 0.2f * gy(0, i);
-    ASSERT_EQ(std::bit_cast<std::uint32_t>(lx(0, i)), std::bit_cast<std::uint32_t>(leaky))
-        << "element " << i;
   }
-}
-
-TEST(ActivationTest, LeakyReluForwardBackward) {
-  Tensor x(1, 2, {-2, 3});
-  Tensor y(1, 2);
-  LeakyRelu(x, y, 0.2f);
-  EXPECT_FLOAT_EQ(y(0, 0), -0.4f);
-  EXPECT_FLOAT_EQ(y(0, 1), 3.0f);
-  Tensor gy(1, 2, {1, 1});
-  Tensor gx(1, 2);
-  LeakyReluBackward(x, gy, gx, 0.2f);
-  EXPECT_FLOAT_EQ(gx(0, 0), 0.2f);
-  EXPECT_FLOAT_EQ(gx(0, 1), 1.0f);
 }
 
 TEST(GatherScatterTest, GatherRows) {
@@ -828,15 +810,6 @@ TEST(GatherScatterTest, ScatterAddAccumulatesDuplicates) {
   ScatterAddRows(src, idx, dst);
   EXPECT_FLOAT_EQ(dst(0, 0), 4);  // 1 + 3
   EXPECT_FLOAT_EQ(dst(1, 0), 2);
-}
-
-TEST(GatherScatterTest, ScatterRowsOverwrites) {
-  Tensor src(2, 1, {5, 6});
-  const std::vector<std::int64_t> idx{1, 0};
-  Tensor dst(2, 1, {9, 9});
-  ScatterRows(src, idx, dst);
-  EXPECT_FLOAT_EQ(dst(0, 0), 6);
-  EXPECT_FLOAT_EQ(dst(1, 0), 5);
 }
 
 TEST(LossTest, PerfectPredictionLowLoss) {
@@ -886,7 +859,6 @@ TEST(ReductionTest, MaxAbsDiffAndSumSquares) {
   Tensor a(1, 3, {1, 2, 3});
   Tensor b(1, 3, {1, 2.5f, 3});
   EXPECT_FLOAT_EQ(MaxAbsDiff(a, b), 0.5f);
-  EXPECT_DOUBLE_EQ(SumSquares(a), 14.0);
 }
 
 TEST(InitTest, XavierRangeAndDeterminism) {
