@@ -424,7 +424,7 @@ double ParallelTrainer::EvaluateAccuracy(std::span<const NodeId> nodes,
     const std::size_t hi = std::min(nodes.size(), lo + static_cast<std::size_t>(batch_size));
     const std::span<const NodeId> seeds = nodes.subspan(lo, hi - lo);
     SampledBatch batch = sampler.Sample(seeds, rng);
-    Tensor feats(batch.blocks[0].num_src(), d);
+    Tensor feats = Tensor::Uninit(batch.blocks[0].num_src(), d);
     GatherRows(dataset_->features, batch.blocks[0].src_nodes, feats);
     const Tensor logits = models_[0]->ForwardFrom(0, batch.blocks, feats, nullptr);
     for (std::int64_t i = 0; i < logits.rows(); ++i) {

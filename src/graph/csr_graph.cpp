@@ -4,6 +4,7 @@
 #include <atomic>
 #include <numeric>
 
+#include "core/default_init_allocator.h"
 #include "runtime/parallel_for.h"
 
 namespace apt {
@@ -54,7 +55,8 @@ CsrGraph BuildCsr(NodeId num_nodes, std::span<const NodeId> src,
     if (symmetrize && src[i] != dst[i]) ++offsets[static_cast<std::size_t>(src[i]) + 1];
   }
   std::partial_sum(offsets.begin(), offsets.end(), offsets.begin());
-  std::vector<NodeId> rows(static_cast<std::size_t>(offsets[n]));
+  // The scatter writes every slot of `rows`: no zero fill.
+  std::vector<NodeId, DefaultInitAllocator<NodeId>> rows(static_cast<std::size_t>(offsets[n]));
   std::vector<EdgeId> fill(offsets.begin(), offsets.end() - 1);
   for (std::size_t i = 0; i < m; ++i) {
     rows[static_cast<std::size_t>(fill[static_cast<std::size_t>(dst[i])]++)] = src[i];

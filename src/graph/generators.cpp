@@ -4,6 +4,7 @@
 #include <cmath>
 #include <vector>
 
+#include "core/default_init_allocator.h"
 #include "runtime/parallel_for.h"
 
 namespace apt {
@@ -94,8 +95,9 @@ CsrGraph Rmat(int scale, EdgeId num_edges, double a, double b, double c, Rng rng
   // Edge e takes exactly `scale` uniforms, draws [e*scale, (e+1)*scale) of
   // `rng`, so every chunk starts at its first edge's draws and the edge list
   // is the same at any lane count.
-  std::vector<NodeId> src(static_cast<std::size_t>(num_edges));
-  std::vector<NodeId> dst(static_cast<std::size_t>(num_edges));
+  // Every slot is drawn below before it is read: no zero fill.
+  std::vector<NodeId, DefaultInitAllocator<NodeId>> src(static_cast<std::size_t>(num_edges));
+  std::vector<NodeId, DefaultInitAllocator<NodeId>> dst(static_cast<std::size_t>(num_edges));
   ParallelForChunks(0, num_edges, [&](std::int64_t lo, std::int64_t hi) {
     Rng r = rng.Skipped(static_cast<std::uint64_t>(lo) * static_cast<std::uint64_t>(scale));
     for (auto e = static_cast<std::size_t>(lo); e < static_cast<std::size_t>(hi); ++e) {

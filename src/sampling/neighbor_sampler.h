@@ -2,7 +2,8 @@
 //
 // Layer k of sampling draws up to fanout[k] distinct neighbors for each
 // frontier node; the resulting Block stack is consumed innermost-first by
-// the execution engine. Deterministic given the Rng.
+// the execution engine. Deterministic given the Rng. Sample may run on
+// several threads at once: each thread samples through its own scratch.
 #pragma once
 
 #include <cstdint>

@@ -166,7 +166,7 @@ double ServeEngine::ExecuteBatch(DeviceId dev, const PlannedBatch& batch,
 
   const std::span<const NodeId> input_nodes = merged.batch.input_nodes();
   const std::int64_t dim = store_->feature_dim();
-  Tensor feats(static_cast<std::int64_t>(input_nodes.size()), dim);
+  Tensor feats = Tensor::Uninit(static_cast<std::int64_t>(input_nodes.size()), dim);
   store_->Gather(dev, input_nodes, 0, dim, feats);  // charges Phase::kLoad
 
   sim_->AdvanceLabeled(dev,
@@ -426,7 +426,7 @@ ServeReport ServeEngine::Run(std::span<const Request> arrivals) {
 Tensor ServeEngine::ServeSolo(const Request& request, DeviceId worker) {
   const SampledBatch part = SampleRequest(request);
   const std::int64_t dim = store_->feature_dim();
-  Tensor feats(static_cast<std::int64_t>(part.input_nodes().size()), dim);
+  Tensor feats = Tensor::Uninit(static_cast<std::int64_t>(part.input_nodes().size()), dim);
   store_->Gather(worker, part.input_nodes(), 0, dim, feats);
   return model_->ForwardFrom(0, part.blocks, feats, nullptr);
 }

@@ -15,27 +15,10 @@
 #include <utility>
 #include <vector>
 
+#include "core/default_init_allocator.h"
 #include "core/error.h"
 
 namespace apt {
-
-/// std::allocator whose value-less construct() default-initializes, so
-/// resizing a vector of floats leaves the new elements unwritten.
-template <typename T>
-struct DefaultInitAllocator : std::allocator<T> {
-  DefaultInitAllocator() = default;
-  template <typename U>
-  DefaultInitAllocator(const DefaultInitAllocator<U>&) noexcept {}
-
-  template <typename U, typename... Args>
-  void construct(U* p, Args&&... args) {
-    if constexpr (sizeof...(Args) == 0) {
-      ::new (static_cast<void*>(p)) U;
-    } else {
-      ::new (static_cast<void*>(p)) U(std::forward<Args>(args)...);
-    }
-  }
-};
 
 class Tensor {
  public:
