@@ -9,17 +9,20 @@
 // names carry the lane count as the last /N.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
 
 #include "bench_gbench.h"
 #include "core/random.h"
+#include "feature/feature_store.h"
 #include "graph/generators.h"
 #include "runtime/parallel_for.h"
 #include "runtime/thread_pool.h"
 #include "sampling/block.h"
 #include "sampling/neighbor_sampler.h"
+#include "sim/sim_context.h"
 #include "tensor/codec.h"
 #include "tensor/init.h"
 #include "tensor/ops.h"
@@ -327,6 +330,73 @@ void BM_NeighborSampling(benchmark::State& state) {
   SetThreadsCounter(state, 1);
 }
 BENCHMARK(BM_NeighborSampling)->Arg(128)->Arg(1024);
+
+// Two hops of fanout 10 from the n highest-degree nodes of an RMAT-16 graph:
+// every first-hop row makes thousands of reservoir draws past the fanout.
+void BM_SampleRmatHubs(benchmark::State& state) {
+  static const CsrGraph graph = Rmat(16, 1 << 20, 0.57, 0.19, 0.19, Rng(12));
+  std::vector<NodeId> seeds(static_cast<std::size_t>(graph.num_nodes()));
+  for (NodeId v = 0; v < graph.num_nodes(); ++v) seeds[static_cast<std::size_t>(v)] = v;
+  const auto hubs = static_cast<std::ptrdiff_t>(state.range(0));
+  std::partial_sort(seeds.begin(), seeds.begin() + hubs, seeds.end(), [](NodeId a, NodeId b) {
+    return graph.Degree(a) > graph.Degree(b);
+  });
+  seeds.resize(static_cast<std::size_t>(hubs));
+  NeighborSampler sampler(graph, {10, 10});
+  Rng rng(9);
+  for (auto _ : state) {
+    const SampledBatch batch = sampler.Sample(seeds, rng);
+    benchmark::DoNotOptimize(batch.blocks.front().num_edges());
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+  SetThreadsCounter(state, 1);
+}
+BENCHMARK(BM_SampleRmatHubs)->Arg(16);
+
+// One-lane procedural gather of 1024 rows at dim d under the identity
+// codec: rows are generated straight into the output.
+void BM_ProceduralGather(benchmark::State& state) {
+  const ScopedParallelismLimit one_lane(1);
+  constexpr NodeId kNodes = 1 << 18;
+  const std::int64_t dim = state.range(0);
+  SimContext sim(SingleMachineCluster(1));
+  FeatureStore store(kNodes, dim, 11, std::vector<MachineId>(kNodes, 0), sim);
+  Rng rng(10);
+  std::vector<NodeId> nodes(1024);
+  for (NodeId& v : nodes) v = static_cast<NodeId>(rng.NextBelow(kNodes));
+  Tensor out(static_cast<std::int64_t>(nodes.size()), dim);
+  for (auto _ : state) {
+    store.Gather(0, nodes, 0, dim, out);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  SetRate(state, "bytes_per_s", static_cast<double>(out.bytes()));
+  SetThreadsCounter(state, 1);
+}
+BENCHMARK(BM_ProceduralGather)->Arg(64);
+
+// An SNP owner's weight gradient at a thousand devices, on one lane: n
+// segments, mostly one row, with empty segments between them, into a
+// 64 x 32 C.
+void BM_SegmentedMatmulOneRow(benchmark::State& state) {
+  const ScopedParallelismLimit one_lane(1);
+  Rng rng(77);
+  std::vector<std::int64_t> segments{0};
+  while (static_cast<std::int64_t>(segments.size()) <= state.range(0)) {
+    segments.push_back(segments.back() + (rng.NextBelow(4) == 0 ? 0 : 1));
+  }
+  const Tensor a = RandTensor(segments.back(), 64, 1);
+  const Tensor b = RandTensor(segments.back(), 32, 2);
+  Tensor c = RandTensor(64, 32, 3);
+  for (auto _ : state) {
+    SegmentedMatmulTN(a, b, segments, c, 1.0f, 1.0f);
+    benchmark::DoNotOptimize(c.data());
+    benchmark::ClobberMemory();
+  }
+  SetRate(state, "flops_per_s", 2.0 * static_cast<double>(segments.back()) * 64 * 32);
+  SetThreadsCounter(state, 1);
+}
+BENCHMARK(BM_SegmentedMatmulOneRow)->Arg(300);
 
 }  // namespace
 }  // namespace apt

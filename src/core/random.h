@@ -14,15 +14,25 @@ namespace apt {
 /// a PRNG and as the mixing function to derive independent substreams.
 class Rng {
  public:
+  /// splitmix64's per-draw state increment (2^64 / golden ratio).
+  static constexpr std::uint64_t kGamma = 0x9e3779b97f4a7c15ULL;
+
   explicit Rng(std::uint64_t seed = 0x9e3779b97f4a7c15ULL) : state_(seed) {}
 
-  /// Next raw 64-bit value.
-  std::uint64_t Next() {
-    std::uint64_t z = (state_ += kGamma);
+  /// splitmix64's output function of one counter value.
+  static std::uint64_t Mix(std::uint64_t z) {
     z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
     z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
     return z ^ (z >> 31);
   }
+
+  /// Next raw 64-bit value.
+  std::uint64_t Next() { return Mix(state_ += kGamma); }
+
+  /// The counter: the k-th next draw (k = 1, 2, ...) is
+  /// Mix(state() + k * kGamma), wrapping, so vector code can make several
+  /// draws at once and then Skipped() past them.
+  std::uint64_t state() const { return state_; }
 
   /// This generator as it will be after `draws` calls of Next(). splitmix64's
   /// state only ever adds the golden-ratio constant, so the jump is O(1)
@@ -63,9 +73,6 @@ class Rng {
   }
 
  private:
-  /// splitmix64's per-draw state increment (2^64 / golden ratio).
-  static constexpr std::uint64_t kGamma = 0x9e3779b97f4a7c15ULL;
-
   std::uint64_t state_;
 };
 

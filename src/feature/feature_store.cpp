@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "core/error.h"
+#include "feature/procedural_rows.h"
 #include "obs/metrics.h"
 #include "runtime/parallel_for.h"
 
@@ -37,20 +38,22 @@ GatherMetrics& FeatureMetrics() {
   return g;
 }
 
-/// Procedural feature value for (seed, node, col): a splitmix64-style mix
-/// mapped to ~[-0.5, 0.5). Element-local, so any batching of any gather
-/// reads the identical value.
-float ProceduralFeature(std::uint64_t seed, NodeId v, std::int64_t col) {
-  std::uint64_t x = seed +
-                    0x9e3779b97f4a7c15ULL * (static_cast<std::uint64_t>(v) + 1) +
-                    0xbf58476d1ce4e5b9ULL * (static_cast<std::uint64_t>(col) + 1);
-  x ^= x >> 30;
-  x *= 0xbf58476d1ce4e5b9ULL;
-  x ^= x >> 27;
-  x *= 0x94d049bb133111ebULL;
-  x ^= x >> 31;
-  return static_cast<float>(x >> 40) * (1.0f / 16777216.0f) - 0.5f;
-}
+// The row generator: procedural::RowScalar, or RowV4 on hosts with AVX-512
+// (ifunc-dispatched, see core/isa.h).
+#define APT_PROCEDURAL_ROW(ATTRS, KERNEL)                                               \
+  ATTRS void ProceduralRow(std::uint64_t seed, NodeId v, std::int64_t col_lo,          \
+                           std::int64_t col_hi, float* out) {                          \
+    procedural::KERNEL(seed, v, col_lo, col_hi, out);                                  \
+  }
+
+#if APT_ISA_DISPATCH
+APT_PROCEDURAL_ROW(__attribute__((target("default"))), RowScalar)
+APT_PROCEDURAL_ROW(__attribute__((target("arch=x86-64-v4"))), RowV4)
+#else
+APT_PROCEDURAL_ROW(, RowScalar)
+#endif
+
+#undef APT_PROCEDURAL_ROW
 
 }  // namespace
 
@@ -250,24 +253,27 @@ LoadVolume FeatureStore::Gather(DeviceId dev, std::span<const NodeId> nodes,
   APT_CHECK(out_col >= 0 && out_col + width <= out.cols())
       << "columns [" << out_col << ", " << out_col + width << ") of " << out.cols();
   if (procedural_) {
-    // Generate each requested row on the fly. The FULL row is generated and
-    // (under a lossy codec) rounded before slicing: bf16/int8 round per
-    // element / per full row, so the slice matches what a materialized store
-    // would have rounded at rest — slicing first would change int8's per-row
-    // maxabs scale.
+    // Generate each requested row on the fly. Under a lossless codec the
+    // requested columns go straight into `out`. A lossy codec rounds the
+    // FULL generated row before slicing: bf16/int8 round per element / per
+    // full row, so the slice matches what a materialized store would have
+    // rounded at rest — slicing first would change int8's per-row maxabs
+    // scale.
     const std::int64_t dim = procedural_dim_;
+    const bool lossy = CodecIsLossy(storage_codec_);
     ParallelForChunks(0, static_cast<std::int64_t>(nodes.size()),
                       [&](std::int64_t lo, std::int64_t hi) {
-                        Tensor row_buf(1, dim);
-                        float* r = row_buf.row(0);
-                        const bool lossy = CodecIsLossy(storage_codec_);
+                        Tensor row_buf = lossy ? Tensor::Uninit(1, dim) : Tensor();
                         for (std::int64_t i = lo; i < hi; ++i) {
                           const NodeId v = nodes[static_cast<std::size_t>(i)];
-                          for (std::int64_t col = 0; col < dim; ++col) {
-                            r[col] = ProceduralFeature(procedural_seed_, v, col);
+                          float* dst = out.row(i) + out_col;
+                          if (!lossy) {
+                            ProceduralRow(procedural_seed_, v, col_lo, col_hi, dst);
+                            continue;
                           }
-                          if (lossy) CodecRoundRows(storage_codec_, row_buf);
-                          std::copy_n(r + col_lo, width, out.row(i) + out_col);
+                          ProceduralRow(procedural_seed_, v, 0, dim, row_buf.data());
+                          CodecRoundRows(storage_codec_, row_buf);
+                          std::copy_n(row_buf.data() + col_lo, width, dst);
                         }
                       });
   } else {

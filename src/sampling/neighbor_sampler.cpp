@@ -4,6 +4,7 @@
 #include <limits>
 
 #include "core/error.h"
+#include "sampling/reservoir_draws.h"
 
 namespace apt {
 
@@ -57,32 +58,30 @@ class LocalIdTable {
   std::uint32_t stamp_ = 0;
 };
 
-/// x % n for n >= 2, exactly (what Rng::NextBelow(n) makes of the draw x),
-/// from recip = floor((2^64 - 1) / n): the quotient estimate mulhi(x, recip)
-/// is floor(x / n) or one less, so one conditional subtraction finishes the
-/// remainder. A multiply replaces the hardware division the reservoir draws
-/// would otherwise wait on.
-std::uint64_t ModByReciprocal(std::uint64_t x, std::uint64_t n, std::uint64_t recip) {
-  const auto q = static_cast<std::uint64_t>((static_cast<unsigned __int128>(x) * recip) >> 64);
-  const std::uint64_t r = x - q * n;
-  return r >= n ? r - n : r;
-}
-
 /// Per-thread sampling scratch, reused across layers and calls: it grows to
 /// the largest layer and the highest degree this thread has sampled and is
 /// never shrunk.
 struct SamplerScratch {
   LocalIdTable ids;
   /// fanout slots plus one that absorbs the draws that land past the
-  /// fanout, so the draw loop stores without a branch.
+  /// fanout, so the scalar draw loop stores without a branch.
   std::vector<NodeId> reservoir;
   /// recip[n] = floor((2^64 - 1) / n) for 2 <= n < recip.size().
   std::vector<std::uint64_t> recip{0, 0};
+  /// The vector draws' hit list: room for every draw of a row plus one
+  /// vector's overhang.
+  std::vector<std::int64_t> hit_slot;
+  std::vector<NodeId> hit_nbr;
 
   void CoverDegree(std::int64_t deg) {
     for (auto n = static_cast<std::uint64_t>(recip.size());
          n <= static_cast<std::uint64_t>(deg); ++n) {
       recip.push_back(~std::uint64_t{0} / n);
+    }
+    const auto hits = static_cast<std::size_t>(deg) + 8;
+    if (hit_slot.size() < hits) {
+      hit_slot.resize(hits);
+      hit_nbr.resize(hits);
     }
   }
 };
@@ -91,6 +90,24 @@ SamplerScratch& ThreadScratch() {
   thread_local SamplerScratch scratch;
   return scratch;
 }
+
+// The row's reservoir draws: reservoir::DrawScalar, or DrawV4 on hosts with
+// AVX-512 (ifunc-dispatched, see core/isa.h).
+#define APT_DRAW_RESERVOIR(ATTRS, KERNEL)                                             \
+  ATTRS void DrawReservoir(Rng draws, const NodeId* nbrs, std::int64_t deg,           \
+                           std::int64_t fanout, const std::uint64_t* recip,           \
+                           NodeId* reservoir, reservoir::HitList hits) {              \
+    reservoir::KERNEL(draws, nbrs, deg, fanout, recip, reservoir, hits);             \
+  }
+
+#if APT_ISA_DISPATCH
+APT_DRAW_RESERVOIR(__attribute__((target("default"))), DrawScalar)
+APT_DRAW_RESERVOIR(__attribute__((target("arch=x86-64-v4"))), DrawV4)
+#else
+APT_DRAW_RESERVOIR(, DrawScalar)
+#endif
+
+#undef APT_DRAW_RESERVOIR
 
 }  // namespace
 
@@ -133,9 +150,6 @@ Block NeighborSampler::SampleLayer(std::span<const NodeId> dst, int fanout,
     block.col.push_back(id);
   };
 
-  // Draw from a local copy so the generator's state stays in a register
-  // across the reservoir stores; the draw sequence is unchanged.
-  Rng draws = rng;
   std::vector<NodeId>& reservoir = scratch.reservoir;
   reservoir.resize(static_cast<std::size_t>(fanout) + 1);
   for (NodeId v : dst) {
@@ -144,24 +158,15 @@ Block NeighborSampler::SampleLayer(std::span<const NodeId> dst, int fanout,
     if (deg <= fanout) {
       for (NodeId u : nbrs) add_edge(u);
     } else {
-      // Reservoir sampling: `fanout` distinct neighbors, uniform w/o
-      // replacement. Neighbor i replaces slot NextBelow(i + 1) when that
-      // slot is below the fanout; the others land in the discard slot.
       scratch.CoverDegree(deg);
-      const std::uint64_t* recip = scratch.recip.data();
-      std::copy_n(nbrs.begin(), fanout, reservoir.begin());
-      for (std::int64_t i = fanout; i < deg; ++i) {
-        const auto n = static_cast<std::uint64_t>(i + 1);
-        const auto j = static_cast<std::int64_t>(ModByReciprocal(draws.Next(), n, recip[n]));
-        reservoir[static_cast<std::size_t>(j < fanout ? j : fanout)] =
-            nbrs[static_cast<std::size_t>(i)];
-      }
+      DrawReservoir(rng, nbrs.data(), deg, fanout, scratch.recip.data(), reservoir.data(),
+                    {scratch.hit_slot.data(), scratch.hit_nbr.data()});
+      rng = rng.Skipped(static_cast<std::uint64_t>(deg - fanout));
       for (std::int64_t i = 0; i < fanout; ++i) {
         add_edge(reservoir[static_cast<std::size_t>(i)]);
       }
     }
   }
-  rng = draws;
   return block;
 }
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "core/isa.h"
 #include "core/logging.h"
 #include "runtime/parallel_for.h"
 
@@ -16,10 +17,9 @@ std::int64_t RowGrain(std::int64_t cols) {
 }
 
 // Runtime ISA dispatch, same recipe as the GEMM drivers (ops.cpp): baseline
-// binary, ifunc-resolved AVX2 / AVX-512 clones, disabled under sanitizers
-// because ifunc resolvers run before the sanitizer runtime is up.
-#if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__) && \
-    !defined(__SANITIZE_THREAD__) && !defined(__SANITIZE_ADDRESS__)
+// binary, ifunc-resolved AVX2 / AVX-512 clones, off where APT_ISA_DISPATCH
+// is (core/isa.h).
+#if APT_ISA_DISPATCH
 #define APT_CODEC_CLONES \
   __attribute__((target_clones("default", "avx2", "arch=x86-64-v4"), flatten))
 #else

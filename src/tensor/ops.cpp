@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "core/isa.h"
 #include "runtime/parallel_for.h"
 #include "tensor/gemm_kernel.h"
 
@@ -26,9 +27,8 @@ std::int64_t RowGrain(std::int64_t cols) {
 // Only x86-64-v4 has FMA, so only that version fuses multiply-adds; the
 // tile never changes a bit within a version (see gemm_kernel.h). `flatten`
 // pulls the kernels into each version so the vector code is lowered with
-// that version's ISA. Disabled under sanitizers: ifunc resolvers run during
-// relocation, before the sanitizer runtime is initialized, and crash at
-// startup.
+// that version's ISA. Only the default version is compiled under
+// sanitizers and clang (APT_ISA_DISPATCH, core/isa.h).
 // ---------------------------------------------------------------------------
 
 #define APT_GEMM_DRIVERS(ATTRS, MR, NR, NT_ROWS)                                       \
@@ -49,10 +49,18 @@ std::int64_t RowGrain(std::int64_t cols) {
                             std::int64_t n, std::int64_t lo, std::int64_t hi,          \
                             float alpha, float beta) {                                 \
     gemm::RowBlockNT<NT_ROWS>(a, b, c, k, n, lo, hi, alpha, beta);                     \
+  }                                                                                    \
+  /* Row block of C = beta C + alpha sum_q A_q^T B_q over k-pieces. */                 \
+  ATTRS void GemmSegmentedRowBlockTN(const float* a, std::int64_t m, const float* b,   \
+                                     std::int64_t n, float* c,                         \
+                                     const std::int64_t* cuts, std::int64_t pieces,    \
+                                     std::int64_t lo, std::int64_t hi, float alpha,    \
+                                     float beta) {                                     \
+    gemm::SegmentedRowBlockTN<MR, NR>(a, m, b, n, c, cuts, pieces, lo, hi, alpha,      \
+                                      beta);                                           \
   }
 
-#if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__) && \
-    !defined(__SANITIZE_THREAD__) && !defined(__SANITIZE_ADDRESS__)
+#if APT_ISA_DISPATCH
 APT_GEMM_DRIVERS(__attribute__((target("default"), flatten)), 4, 8, 2)
 APT_GEMM_DRIVERS(__attribute__((target("avx2"), flatten)), 8, 8, 4)
 APT_GEMM_DRIVERS(__attribute__((target("arch=x86-64-v4"), flatten)), 8, 16, 4)
@@ -127,16 +135,14 @@ void SegmentedMatmulTN(const Tensor& a, const Tensor& b,
     APT_CHECK(segments[s] >= 0 && segments[s] <= segments[s + 1] && segments[s + 1] <= k)
         << "segment [" << segments[s] << ", " << segments[s + 1] << ") of " << k << " rows";
   }
+  std::vector<std::int64_t> cuts;
+  const std::int64_t pieces = gemm::SegmentPieces(segments, cuts);
   const float* ap = a.data();
   const float* bp = b.data();
   float* cp = c.data();
   const std::int64_t rows = segments.back() - segments.front();
   ParallelForChunks(0, m, [&](std::int64_t lo, std::int64_t hi) {
-    for (std::size_t s = 0; s + 1 < segments.size(); ++s) {
-      const std::int64_t r0 = segments[s];
-      GemmRowBlockTN(ap + r0 * m, m, bp + r0 * n, n, cp, segments[s + 1] - r0, lo, hi,
-                     alpha, s == 0 ? beta : 1.0f);
-    }
+    GemmSegmentedRowBlockTN(ap, m, bp, n, cp, cuts.data(), pieces, lo, hi, alpha, beta);
   }, RowGrain(rows + n));
 }
 

@@ -359,6 +359,79 @@ TEST(FeatureStoreTest, TierParityProceduralStore) {
   }
 }
 
+// FNV-1a over the bits of every element of `t`, row-major.
+std::uint64_t FloatDigest(const Tensor& t) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (std::int64_t i = 0; i < t.numel(); ++i) {
+    std::uint32_t u = std::bit_cast<std::uint32_t>(t.data()[i]);
+    for (int b = 0; b < 4; ++b, u >>= 8) h = (h ^ (u & 0xffu)) * 0x100000001b3ULL;
+  }
+  return h;
+}
+
+// Procedural rows are generated on every gather, so nothing else pins their
+// values. These digests were recorded on the scalar row generator: a full-row
+// gather and the column window [3, 11), clipped to the row and written at
+// column 1 of a wider buffer whose other columns must stay as they were, per
+// dim and storage codec. Dims 1, 7, 8 and 9 straddle an 8-column vector; 64
+// and 100 hold several.
+TEST(ProceduralDigestTest, GathersMatchRecordedDigests) {
+  constexpr NodeId kNodes = 100000;
+  struct Pinned {
+    std::int64_t dim;
+    Codec codec;
+    std::uint64_t full;
+    std::uint64_t window;
+  };
+  const Pinned pinned[] = {
+      {1, Codec::kIdentity, 0xfaffdba5b58ffbd8ULL, 0x45d599bfe21283a5ULL},
+      {1, Codec::kBf16, 0xb7a182650d8d70dbULL, 0x45d599bfe21283a5ULL},
+      {1, Codec::kInt8, 0x7690f8f03b80c814ULL, 0x45d599bfe21283a5ULL},
+      {7, Codec::kIdentity, 0x030dde6ff335201fULL, 0x8044ad2ac7905082ULL},
+      {7, Codec::kBf16, 0x95b40ebb62a4e67eULL, 0x74f574cfa2752e86ULL},
+      {7, Codec::kInt8, 0x62540bce919c8874ULL, 0xb6a121e3149f9339ULL},
+      {8, Codec::kIdentity, 0xd46e3b311041b0c7ULL, 0x197c1136a4125cb6ULL},
+      {8, Codec::kBf16, 0x5d6dc035084008cbULL, 0x4e747575ac2bfdf8ULL},
+      {8, Codec::kInt8, 0x9f2a7387cd517a48ULL, 0x30ff034a1186f2cbULL},
+      {9, Codec::kIdentity, 0x7ee550ca28755783ULL, 0xee117d4546d40609ULL},
+      {9, Codec::kBf16, 0xea7ff8d31e90f7b9ULL, 0xcc39eaa4d3db4fcfULL},
+      {9, Codec::kInt8, 0xed49bea96d7a9ed6ULL, 0x45cc8d98b2927a34ULL},
+      {64, Codec::kIdentity, 0xb2619bd2338698ffULL, 0xefc2d9ef57fa4e92ULL},
+      {64, Codec::kBf16, 0x6e9f0c236879ff1fULL, 0xadabb961cf1237deULL},
+      {64, Codec::kInt8, 0x46f2346c454cdec7ULL, 0x8b01b3164ac3ef98ULL},
+      {100, Codec::kIdentity, 0xfcc8ec5602f231a9ULL, 0x261e6e581a44885aULL},
+      {100, Codec::kBf16, 0x8c83674d6f5f0b9eULL, 0x6646ce5e28bd0b7aULL},
+      {100, Codec::kInt8, 0xb3a5ee0b812d6f65ULL, 0xbc23fd0684c709faULL},
+  };
+  const ClusterSpec cluster = MultiMachineCluster(2, 2, /*nvlink=*/true);
+  std::vector<MachineId> placement(static_cast<std::size_t>(kNodes));
+  for (NodeId v = 0; v < kNodes; ++v) placement[static_cast<std::size_t>(v)] = v % 2;
+  Rng rng(23);
+  std::vector<NodeId> nodes{0, kNodes - 1};
+  for (int i = 0; i < 300; ++i) {
+    nodes.push_back(static_cast<NodeId>(rng.NextBelow(kNodes)));
+    if (i % 50 == 0) nodes.push_back(nodes.back());
+  }
+  const auto rows = static_cast<std::int64_t>(nodes.size());
+  for (const Pinned& p : pinned) {
+    SCOPED_TRACE(::testing::Message() << "dim " << p.dim << " codec "
+                                      << static_cast<int>(p.codec));
+    SimContext sim(cluster);
+    FeatureStore store(kNodes, p.dim, 0x5eed + static_cast<std::uint64_t>(p.dim), placement,
+                       sim);
+    store.SetStorageCodec(p.codec);
+    Tensor full(rows, p.dim);
+    store.Gather(1, nodes, 0, p.dim, full);
+    const std::int64_t lo = std::min<std::int64_t>(3, p.dim);
+    const std::int64_t hi = std::min<std::int64_t>(11, p.dim);
+    Tensor window(rows, hi - lo + 2);
+    window.Fill(7.0f);
+    store.Gather(2, nodes, lo, hi, window, 1);
+    EXPECT_EQ(FloatDigest(full), p.full);
+    EXPECT_EQ(FloatDigest(window), p.window);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Cache policy (paper §3.2 rules).
 // ---------------------------------------------------------------------------

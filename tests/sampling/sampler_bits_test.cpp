@@ -1,11 +1,13 @@
 // Bit-identity of the neighbor sampler.
 //
 // The digests below were recorded with the hash-map SampleLayer that the
-// flat id table replaced: every Block (src_nodes, indptr, col) and the rng's
-// position after Sample must not move by one bit, because the trainers, the
-// dry-run and the serving engine all charge and compute from these blocks.
-// The property test compares against an in-test copy of that hash-map
-// sampler on random graphs, at one lane and at all lanes.
+// flat id table replaced, and the tail graph's with the scalar reservoir
+// draws that the AVX-512 draws run beside: every Block (src_nodes, indptr,
+// col) and the rng's position after Sample must not move by one bit,
+// because the trainers, the dry-run and the serving engine all charge and
+// compute from these blocks. The property test compares against an in-test
+// copy of that hash-map sampler on random graphs, at one lane and at all
+// lanes.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -110,6 +112,83 @@ TEST(SamplerDigestTest, DegreeZeroAndDegreeEqualToFanout) {
   const std::vector<NodeId> seeds{0, 1, 2, 3, 0};
   EXPECT_EQ(SampleDigest(g, {3, 3}, seeds, 12), 0xa87c60315e606951ULL);
   EXPECT_EQ(SampleDigest(g, {3}, {0}, 13), 0x98a3bffa7bdc0011ULL);
+}
+
+// Rows 0..23 have 11..34 in-neighbors, one to 24 past a fanout of 10, so the
+// draws of one row end on every tail length of an 8-wide vector three times
+// over; row 24 is a hub of 5003. The other rows have 0 to 29 neighbors.
+const CsrGraph& TailGraph() {
+  static const CsrGraph g = [] {
+    constexpr NodeId kNodes = 6000;
+    Rng rng(21);
+    std::vector<NodeId> src, dst;
+    std::vector<NodeId> perm(kNodes);
+    for (NodeId v = 0; v < kNodes; ++v) perm[static_cast<std::size_t>(v)] = v;
+    for (NodeId v = 0; v < 24; ++v) {
+      rng.Shuffle(perm);
+      for (NodeId t = 0; t < 11 + v; ++t) {
+        src.push_back(perm[static_cast<std::size_t>(t)]);
+        dst.push_back(v);
+      }
+    }
+    rng.Shuffle(perm);
+    for (NodeId t = 0; t < 5003; ++t) {
+      src.push_back(perm[static_cast<std::size_t>(t)]);
+      dst.push_back(24);
+    }
+    for (NodeId v = 25; v < kNodes; ++v) {
+      const auto deg = static_cast<NodeId>(rng.NextBelow(30));
+      for (NodeId t = 0; t < deg; ++t) {
+        src.push_back(static_cast<NodeId>(rng.NextBelow(kNodes)));
+        dst.push_back(v);
+      }
+    }
+    return BuildCsr(kNodes, src, dst, false);
+  }();
+  return g;
+}
+
+std::vector<NodeId> Iota(NodeId n) {
+  std::vector<NodeId> v(static_cast<std::size_t>(n));
+  for (NodeId i = 0; i < n; ++i) v[static_cast<std::size_t>(i)] = i;
+  return v;
+}
+
+TEST(SamplerDigestTest, EveryDrawTailLengthAndAHub) {
+  const CsrGraph& g = TailGraph();
+  ASSERT_EQ(g.Degree(0), 11);
+  ASSERT_EQ(g.Degree(23), 34);
+  ASSERT_EQ(g.Degree(24), 5003);
+  EXPECT_EQ(SampleDigest(g, {10}, Iota(25), 14), 0xeba4717a99183472ULL);
+  EXPECT_EQ(SampleDigest(g, {10, 10}, Iota(25), 15), 0xa46c8c37016ba70eULL);
+  EXPECT_EQ(SampleDigest(g, {3, 7}, {24}, 16), 0x23ecb02d0f4eee0aULL);
+  EXPECT_EQ(SampleDigest(g, {1, 1, 1}, {24, 24, 5, 24}, 17), 0xd7adc97c56873c54ULL);
+}
+
+// Sample leaves the caller's generator exactly one draw further per neighbor
+// past the fanout of every frontier row, in every layer.
+TEST(SamplerDigestTest, CallerRngContinuesPastEveryDraw) {
+  for (const CsrGraph* g : {&TailGraph(), &Rmat16()}) {
+    for (const std::vector<int>& fanouts :
+         {std::vector<int>{10}, std::vector<int>{10, 5}, std::vector<int>{1, 3, 2}}) {
+      const NeighborSampler sampler(*g, fanouts);
+      const std::vector<NodeId> seeds =
+          g == &TailGraph() ? Iota(25) : DrawSeeds(g->num_nodes(), 16, 33);
+      Rng rng(18);
+      const SampledBatch batch = sampler.Sample(seeds, rng);
+      std::uint64_t draws = 0;
+      for (std::size_t k = 0; k < fanouts.size(); ++k) {
+        const Block& b = batch.blocks[fanouts.size() - 1 - k];
+        for (std::int64_t i = 0; i < b.num_dst; ++i) {
+          const std::int64_t deg = g->Degree(b.src_nodes[static_cast<std::size_t>(i)]);
+          if (deg > fanouts[k]) draws += static_cast<std::uint64_t>(deg - fanouts[k]);
+        }
+      }
+      ASSERT_GT(draws, 0u);
+      Rng want = Rng(18).Skipped(draws);
+      for (int t = 0; t < 3; ++t) EXPECT_EQ(rng.Next(), want.Next()) << "draw " << t;
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -246,6 +325,20 @@ TEST(SamplerPropertyTest, MatchesHashMapReferenceAtOneLane) {
 TEST(SamplerPropertyTest, MatchesHashMapReferenceAtAllLanes) {
   for (std::uint64_t seed = 41; seed <= 80; ++seed) {
     CheckCaseAcrossDevices(RandomCase(seed), seed);
+  }
+}
+
+// Every fanout from 1 to 12 on the tail graph: the draws past the fanout end
+// on each vector tail length at many row offsets, the hub included.
+TEST(SamplerPropertyTest, MatchesHashMapReferenceOnEveryTailLength) {
+  const CsrGraph& g = TailGraph();
+  const std::vector<NodeId> seeds = Iota(25);
+  for (int fanout = 1; fanout <= 12; ++fanout) {
+    SCOPED_TRACE("fanout " + std::to_string(fanout));
+    const NeighborSampler sampler(g, {fanout, fanout});
+    Rng a(300 + fanout), b(300 + fanout);
+    ExpectSameBatch(sampler.Sample(seeds, a), RefSample(g, {fanout, fanout}, seeds, b));
+    EXPECT_EQ(a.Next(), b.Next());
   }
 }
 

@@ -299,6 +299,30 @@ TEST(SegmentedMatmulTest, MatchesPerSegmentMatmulTN) {
   }
 }
 
+// An SNP owner's weight gradient at a thousand devices: about 300 segments,
+// one per origin, mostly a single row, with empty segments (origins that
+// routed no row to this owner) between them.
+TEST(SegmentedMatmulTest, SnpAtScaleLayout) {
+  Rng rng(77);
+  std::vector<std::int64_t> layout{0};
+  while (layout.size() < 301) {
+    const std::uint64_t r = rng.NextBelow(10);
+    layout.push_back(layout.back() +
+                     (r < 3 ? 0 : r < 9 ? 1 : 2 + static_cast<std::int64_t>(rng.NextBelow(5))));
+  }
+  std::uint64_t seed = 500;
+  for (std::int64_t limit : {std::int64_t{1}, std::int64_t{0}}) {
+    std::unique_ptr<ScopedParallelismLimit> lanes;
+    if (limit > 0) lanes = std::make_unique<ScopedParallelismLimit>(limit);
+    for (const auto& [alpha, beta] :
+         {std::pair<float, float>{1.0f, 1.0f}, {1.0f, 0.0f}, {-0.5f, 2.0f}}) {
+      SCOPED_TRACE(::testing::Message() << "alpha " << alpha << " beta " << beta << " lanes "
+                                        << limit);
+      ExpectSegmentedMatchesPerSegment(layout, 64, 32, alpha, beta, seed++);
+    }
+  }
+}
+
 TEST(SegmentedMatmulTest, NoSegmentsLeaveOutputUntouched) {
   const Tensor a = RandTensor(6, 4, 1), b = RandTensor(6, 5, 2);
   const Tensor c0 = RandTensor(4, 5, 3);
@@ -725,6 +749,27 @@ void ExpectTileShapeMatchesReference() {
                 fused);
       gemm::RowBlockNT<NtRows>(a.data(), b.data(), got.data(), s.k, s.n, lo, s.m, s.alpha,
                                s.beta);
+      EXPECT_TRUE(untouched_rows(got));
+      ExpectSameBits(want, got);
+    }
+    {
+      // Segmented A^T B: an empty and one-row segments beside long ones
+      // (at k 520 one crosses a k-panel), one MatmulTN per segment.
+      std::vector<std::int64_t> segments{0, 1, 1, s.k / 2, s.k / 2 + 1, s.k};
+      for (std::int64_t& r : segments) r = std::min(r, s.k);
+      std::sort(segments.begin(), segments.end());
+      const Tensor a = RandTensor(s.k, s.m, seed++), b = RandTensor(s.k, s.n, seed++);
+      Tensor want = c0, got = c0;
+      for (std::size_t g = 0; g + 1 < segments.size(); ++g) {
+        const std::int64_t r0 = segments[g];
+        RefGemm([&](std::int64_t i, std::int64_t p) { return a(r0 + p, lo + i); },
+                b.data() + r0 * s.n, s.m - lo, segments[g + 1] - r0, s.n, want.row(lo), s.alpha,
+                g == 0 ? s.beta : 1.0f, fused);
+      }
+      std::vector<std::int64_t> cuts;
+      const std::int64_t pieces = gemm::SegmentPieces(segments, cuts);
+      gemm::SegmentedRowBlockTN<Mr, Nr>(a.data(), s.m, b.data(), s.n, got.data(), cuts.data(),
+                                        pieces, lo, s.m, s.alpha, s.beta);
       EXPECT_TRUE(untouched_rows(got));
       ExpectSameBits(want, got);
     }
