@@ -25,18 +25,9 @@ namespace {
 
 constexpr std::int64_t kF = sizeof(float);
 
-/// Execute compute time for one device's batch: the full forward+backward
-/// flop count (the paper's strategy-independent T_train) through the
-/// device's flop rate.
-double ComputeCost(const ClusterSpec& cluster, const GnnModel& probe, DeviceId dev,
-                   const SampledBatch& batch) {
-  const auto& gpu = cluster.machine(cluster.MachineOf(dev)).gpu;
-  return gpu.kernel_launch_s + StepFlops(probe, batch.blocks, 0) / gpu.EffectiveFlops();
-}
-
 /// Runs one deterministic epoch of sampling under `assignment`, invoking
-/// `visit(step, per-device batches)` for each step, and returns the number
-/// of steps.
+/// `visit(per-device batches, their layer-1 blocks)` for each step, and
+/// returns the number of steps.
 template <typename Visit>
 std::int64_t SamplingEpoch(const Dataset& ds, const EngineOptions& opts,
                    const std::vector<PartId>& partition, std::int32_t c,
@@ -81,7 +72,9 @@ std::int64_t SamplingEpoch(const Dataset& ds, const EngineOptions& opts,
               sampler.Sample(per_device[static_cast<std::size_t>(dev)], dev_rng);
         },
         /*grain=*/1);
-    visit(step, batches);
+    std::vector<const Block*> blocks;
+    for (const SampledBatch& b : batches) blocks.push_back(&b.blocks.front());
+    visit(batches, blocks);
   }
   return steps;
 }
@@ -105,7 +98,7 @@ DryRunResult DryRun(const Dataset& dataset, const ClusterSpec& cluster,
   // ---- Pass 1 (chunked): node access frequencies. --------------------------
   FrequencyCollector freq(dataset.graph.num_nodes());
   SamplingEpoch(dataset, opts, partition, c, SeedAssignment::kChunked,
-                [&](std::int64_t, const std::vector<SampledBatch>& batches) {
+                [&](const std::vector<SampledBatch>& batches, const auto&) {
                   for (const auto& b : batches) freq.Record(b);
                 });
   res.hotness.assign(freq.counts().begin(), freq.counts().end());
@@ -153,23 +146,24 @@ DryRunResult DryRun(const Dataset& dataset, const ClusterSpec& cluster,
     for (std::int32_t dev = 0; dev < c; ++dev) {
       const SampledBatch& batch = batches[static_cast<std::size_t>(dev)];
       sample = std::max(sample, SampleSeconds(cluster, dev, batch));
-      compute = std::max(compute, ComputeCost(cluster, probe, dev, batch));
+      // The full forward+backward (the paper's strategy-independent T_train),
+      // timed by the charge the executors' compute goes through.
+      compute = std::max(compute, scratch.ComputeSeconds(dev, StepFlops(probe, batch.blocks, 0)));
     }
     for (StrategyDryRun* st : {&a, &b}) {
       st->sample_seconds += sample;
       st->train_compute_seconds += compute;
     }
   };
-  // Counts one step's full-width feature loads of strategy s: device g
-  // gathers expand(g).first and notes expand(g).second transient bytes.
-  using DeviceGather = std::pair<std::span<const NodeId>, std::int64_t>;
-  const auto count_loads = [&](Strategy s, const auto& expand) {
+  // Counts one step of strategy s: device g loads load_of(store, g).first
+  // and notes its .second transient bytes; the slowest load bounds the step.
+  using DeviceLoad = std::pair<LoadVolume, std::int64_t>;
+  const auto count_loads = [&](Strategy s, const auto& load_of) {
     StrategyDryRun& st = res.per_strategy[static_cast<std::size_t>(s)];
     const FeatureStore& store = *stores[static_cast<std::size_t>(s)];
     double step_load = 0.0;
     for (std::int32_t g = 0; g < c; ++g) {
-      const auto [gather, transient] = expand(g);
-      const LoadVolume vol = store.CountGather(g, gather, 0, d);
+      const auto [vol, transient] = load_of(store, g);
       st.load[static_cast<std::size_t>(g)].Add(vol);
       step_load = std::max(step_load, store.LoadSeconds(g, vol));
       st.peak_transient_bytes = std::max(st.peak_transient_bytes, transient);
@@ -180,48 +174,22 @@ DryRunResult DryRun(const Dataset& dataset, const ClusterSpec& cluster,
   // ---- Pass 2 (chunked): GDP + NFP volumes. ---------------------------------
   const std::int64_t steps =
       SamplingEpoch(dataset, opts, partition, c, SeedAssignment::kChunked,
-                    [&](std::int64_t, const std::vector<SampledBatch>& batches) {
+                    [&](const std::vector<SampledBatch>& batches, const auto& blocks) {
     add_step_maxima(batches, gdp, nfp);
-    // GDP: each device loads its own input features at full width.
-    count_loads(Strategy::kGDP, [&](DeviceId g) {
-      const Block& b0 = batches[static_cast<std::size_t>(g)].blocks.front();
-      return DeviceGather(b0.src_nodes, 2 * b0.num_src() * d * kF);
+    count_loads(Strategy::kGDP, [&](const auto& store, DeviceId g) {
+      const std::span<const NodeId> inputs = batches[static_cast<std::size_t>(g)].input_nodes();
+      return DeviceLoad(store.CountGather(g, inputs, 0, d),
+                        FullGatherTransient(static_cast<std::int64_t>(inputs.size()), d));
     });
-    std::int64_t nfp_graph_bytes = 0;
-    std::vector<std::int64_t> nfp_transient(static_cast<std::size_t>(c), 0);
-    std::vector<LoadVolume> nfp_step_vol(static_cast<std::size_t>(c));
-    for (std::int32_t dev = 0; dev < c; ++dev) {
-      const Block& b0 = batches[static_cast<std::size_t>(dev)].blocks.front();
-      // NFP: graph broadcast + every device loads its slice of this graph.
-      nfp_graph_bytes += b0.bytes();
-      for (std::int32_t g = 0; g < c; ++g) {
-        // The executor's column slice of device g: uneven splits give the
-        // first d % c devices one more column, devices past d none.
-        const auto [lo, hi] = DimSlice(d, c, g);
-        const LoadVolume nfp_step =
-            stores[static_cast<std::size_t>(Strategy::kNFP)]->CountGather(
-                g, b0.src_nodes, lo, hi);
-        nfp.load[static_cast<std::size_t>(g)].Add(nfp_step);
-        nfp_step_vol[static_cast<std::size_t>(g)].Add(nfp_step);
-        nfp_transient[static_cast<std::size_t>(g)] +=
-            b0.num_src() * (hi - lo) * kF +
-            (gat ? b0.num_src() * d1 * kF : b0.num_dst * d1 * kF);
-      }
-      // NFP hidden shuffle rows (fwd reduce + bwd broadcast).
-      nfp.shuffle_rows += gat ? b0.num_src() : b0.num_dst;
-    }
-    double nfp_step_load = 0.0;
-    for (std::int32_t g = 0; g < c; ++g) {
-      nfp_step_load = std::max(
-          nfp_step_load, stores[static_cast<std::size_t>(Strategy::kNFP)]->LoadSeconds(
-                             g, nfp_step_vol[static_cast<std::size_t>(g)]));
-    }
-    nfp.load_seconds += nfp_step_load;
-    nfp.graph_shuffle_bytes += nfp_graph_bytes;
-    for (std::int32_t g = 0; g < c; ++g) {
-      nfp.peak_transient_bytes = std::max(nfp.peak_transient_bytes,
-                                          nfp_transient[static_cast<std::size_t>(g)]);
-    }
+    const NfpPlan plan = BuildNfpPlan(blocks, d, gat);
+    const std::vector<LoadVolume> slices =
+        stores[static_cast<std::size_t>(Strategy::kNFP)]->CountSlices(plan.sources, plan.bounds);
+    count_loads(Strategy::kNFP, [&](const auto&, DeviceId g) {
+      const auto i = static_cast<std::size_t>(g);
+      return DeviceLoad(slices[i], plan.Transient(plan.bounds[i + 1] - plan.bounds[i], d1));
+    });
+    nfp.graph_shuffle_bytes += plan.graph_bytes;
+    nfp.shuffle_rows += plan.partial_rows;  // fwd allreduce + bwd broadcast
   });
 
   // ---- Pass 3 (partition): SNP + DNP, counted on the executors' plans. ----
@@ -250,30 +218,30 @@ DryRunResult DryRun(const Dataset& dataset, const ClusterSpec& cluster,
   };
   const std::int64_t pass3_steps =
       SamplingEpoch(dataset, opts, partition, c, SeedAssignment::kPartition,
-                    [&](std::int64_t, const std::vector<SampledBatch>& batches) {
+                    [&](const std::vector<SampledBatch>& batches, const auto& blocks) {
     add_step_maxima(batches, snp, dnp);
-    std::vector<const Block*> blocks;
-    for (const SampledBatch& b : batches) blocks.push_back(&b.blocks.front());
     if (gat) {
       const RoutePlan snp_plan = BuildSnpGatPlan(blocks, snp_route);
-      snp_max_rows += count_plan(Strategy::kSNP, snp_plan, [&](DeviceId g) {
+      snp_max_rows += count_plan(Strategy::kSNP, snp_plan, [&](const auto& store, DeviceId g) {
         snp_plan.OwnerNodes(g, gat_gather);
         const std::int64_t rows = snp_plan.routing.Rows(g);
-        return DeviceGather(gat_gather, SnpOwnerTransient(true, rows, rows, d, d1));
+        return DeviceLoad(store.CountGather(g, gat_gather, 0, d),
+                          SnpOwnerTransient(true, rows, rows, d, d1));
       });
     } else {
       const RoutePlan snp_plan = BuildSnpSagePlan(blocks, snp_route);
-      snp_max_rows += count_plan(Strategy::kSNP, snp_plan, [&](DeviceId g) {
+      snp_max_rows += count_plan(Strategy::kSNP, snp_plan, [&](const auto& store, DeviceId g) {
         ExpandSnpOwner(snp_plan, g, table, snp_in);
         const auto gather_rows = static_cast<std::int64_t>(snp_in.gather.size());
-        return DeviceGather(snp_in.gather, SnpOwnerTransient(false, gather_rows,
-                                                             snp_plan.routing.Rows(g), d, d1));
+        return DeviceLoad(store.CountGather(g, snp_in.gather, 0, d),
+                          SnpOwnerTransient(false, gather_rows, snp_plan.routing.Rows(g), d, d1));
       });
     }
     const RoutePlan dnp_plan = BuildDnpPlan(blocks, owner_of);
-    dnp_max_rows += count_plan(Strategy::kDNP, dnp_plan, [&](DeviceId g) {
+    dnp_max_rows += count_plan(Strategy::kDNP, dnp_plan, [&](const auto& store, DeviceId g) {
       ExpandDnpOwner(dnp_plan, g, table, dnp_block);
-      return DeviceGather(dnp_block.src_nodes, DnpOwnerTransient(dnp_block, d));
+      return DeviceLoad(store.CountGather(g, dnp_block.src_nodes, 0, d),
+                        FullGatherTransient(dnp_block.num_src(), d));
     });
   });
 

@@ -76,7 +76,7 @@ class DnpExecutor final : public StrategyExecutor {
 
         Tensor feats = Tensor::Uninit(lb.num_src(), d);
         ctx_->store->Gather(g, lb.src_nodes, 0, d, feats);
-        ctx_->sim->NoteTransient(g, DnpOwnerTransient(lb, d));
+        ctx_->sim->NoteTransient(g, FullGatherTransient(lb.num_src(), d));
         GnnLayer& layer0 = ctx_->model(g).layer(0);
         owner_out[static_cast<std::size_t>(g)] =
             layer0.Forward(lb.csr(), lb.num_dst, feats, &w.saved);

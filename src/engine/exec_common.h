@@ -1,8 +1,6 @@
 // Helpers shared by all strategy executors.
 #pragma once
 
-#include <algorithm>
-#include <utility>
 #include <vector>
 
 #include "engine/engine_ctx.h"
@@ -10,18 +8,10 @@
 
 namespace apt {
 
-/// Columns [lo, hi) of a `dim`-wide feature dimension that NFP assigns to
-/// `dev`: the first dim % num_devices devices get one extra column, and
-/// devices at or past `dim` get none. Shared by the NFP executor and the
-/// dry-run so both count the same slice widths.
-inline std::pair<std::int64_t, std::int64_t> DimSlice(std::int64_t dim,
-                                                      std::int32_t num_devices,
-                                                      DeviceId dev) {
-  const std::int64_t base = dim / num_devices;
-  const std::int64_t extra = dim % num_devices;
-  const std::int64_t lo = dev * base + std::min<std::int64_t>(dev, extra);
-  const std::int64_t hi = lo + base + (dev < extra ? 1 : 0);
-  return {lo, hi};
+/// Transient bytes of a full-width gather of `rows` feature rows plus its
+/// copy: what a GDP device notes for its batch and a DNP owner for its block.
+inline std::int64_t FullGatherTransient(std::int64_t rows, std::int64_t d) {
+  return 2 * rows * d * 4;
 }
 
 /// Each device's layer-1 block, as the pair-routing builders take them.

@@ -44,7 +44,7 @@ class GdpExecutor final : public StrategyExecutor {
       const auto input_nodes = batch.sample.input_nodes();
       Tensor feats = Tensor::Uninit(static_cast<std::int64_t>(input_nodes.size()), d);
       ctx_->store->Gather(dev, input_nodes, 0, d, feats);
-      ctx_->sim->NoteTransient(dev, 2 * feats.bytes());
+      ctx_->sim->NoteTransient(dev, FullGatherTransient(feats.rows(), d));
 
       ModelTape& tape = tapes[static_cast<std::size_t>(dev)];
       const Tensor logits = ctx_->model(dev).ForwardFrom(0, blocks, feats, &tape);

@@ -31,6 +31,7 @@
 // projection/aggregation compute stays on the compute stream.
 #include "engine/exec_common.h"
 #include "engine/executor.h"
+#include "engine/pair_routing.h"
 #include "obs/trace.h"
 #include "tensor/ops.h"
 #include "tensor/segment_ops.h"
@@ -48,17 +49,6 @@ void AddRowBlock(Tensor& grad, const Tensor& full, std::int64_t lo, std::int64_t
   }
 }
 
-/// Shuffle: every device reads every device's layer-1 computation graph in
-/// place; charged as one AllBroadcast of the blocks' bytes.
-std::vector<const Block*> BroadcastLayer1Graphs(EngineCtx& ctx,
-                                                const std::vector<DeviceBatch>& batches) {
-  std::vector<const Block*> block0s = FirstBlocks(batches);
-  std::int64_t bytes = 0;
-  for (const Block* b : block0s) bytes += static_cast<std::int64_t>(b->bytes());
-  ctx.comm->ChargeAllBroadcast(bytes, bytes, Phase::kSample);
-  return block0s;
-}
-
 /// Backward shuffle: every device reads every origin's layer-1 output
 /// gradient in place to form its weight slice's gradient; charged as one
 /// AllBroadcast of the gradients under the ring's wire codec.
@@ -72,53 +62,26 @@ void BroadcastGrads(EngineCtx& ctx, const std::vector<Tensor>& grads) {
   ctx.comm->ChargeAllBroadcast(bytes, wire, Phase::kTrain);
 }
 
-/// Row where each origin's sources start in the origin-stacked h_all.
-std::vector<std::int64_t> SourceRows(const std::vector<const Block*>& all0) {
-  std::vector<std::int64_t> first;
-  std::int64_t rows = 0;
-  for (const Block* b : all0) {
-    first.push_back(rows);
-    rows += b->num_src();
-  }
-  return first;
-}
-
-/// The NFP column slices of the feature dimension as SliceSumMatmul bounds.
-std::vector<std::int64_t> SliceBounds(std::int64_t dim, std::int32_t c) {
-  std::vector<std::int64_t> bounds{0};
-  for (DeviceId g = 0; g < c; ++g) bounds.push_back(DimSlice(dim, c, g).second);
-  return bounds;
-}
-
 /// Layer-1 inputs of every origin, stacked in origin order at full width.
-/// Device g gathers columns [lo, hi) of all origins' sources in one batch,
+/// Device g gathers its columns [lo, hi) of the plan's sources in one batch,
 /// straight into those columns, in device order. Right after its gather each
 /// device is charged its slice's flops, slice_flops(b, hi - lo) summed over
-/// the origins with destinations, and a transient holding its gathered slice
-/// plus those origins' partials (partial_rows(b) x out_dim each), as if it
-/// kept them for the allreduce.
-template <typename SliceFlops, typename PartialRows>
-Tensor GatherSlices(EngineCtx& ctx, const std::vector<const Block*>& all0,
-                    std::int64_t out_dim,
-                    const SliceFlops& slice_flops, const PartialRows& partial_rows) {
-  const std::int32_t c = ctx.num_devices();
-  constexpr std::int64_t kF = sizeof(float);
-  std::vector<NodeId> nodes;
-  for (const Block* b : all0) nodes.insert(nodes.end(), b->src_nodes.begin(), b->src_nodes.end());
-  const auto rows = static_cast<std::int64_t>(nodes.size());
-  Tensor h_all = Tensor::Uninit(rows, ctx.feature_dim());
-  for (DeviceId g = 0; g < c; ++g) {
-    const auto [lo, hi] = DimSlice(ctx.feature_dim(), c, g);
-    if (!nodes.empty()) ctx.store->Gather(g, nodes, lo, hi, h_all, lo);
-    std::int64_t transient = rows * (hi - lo) * kF;
+/// the origins with destinations, and the plan's transient for its slice,
+/// as if it kept its partials for the allreduce.
+template <typename SliceFlops>
+Tensor GatherSlices(EngineCtx& ctx, const NfpPlan& plan, std::span<const Block* const> all0,
+                    std::int64_t out_dim, const SliceFlops& slice_flops) {
+  Tensor h_all = Tensor::Uninit(plan.rows(), ctx.feature_dim());
+  for (DeviceId g = 0; g < ctx.num_devices(); ++g) {
+    const std::int64_t lo = plan.bounds[static_cast<std::size_t>(g)];
+    const std::int64_t hi = plan.bounds[static_cast<std::size_t>(g) + 1];
+    if (plan.rows() > 0) ctx.store->Gather(g, plan.sources, lo, hi, h_all, lo);
     double flops = 0.0;
     for (const Block* b : all0) {
-      if (b->num_dst == 0) continue;
-      flops += slice_flops(*b, hi - lo);
-      transient += partial_rows(*b) * out_dim * kF;
+      if (b->num_dst > 0) flops += slice_flops(*b, hi - lo);
     }
     ctx.sim->ChargeCompute(g, flops);
-    ctx.sim->NoteTransient(g, transient);
+    ctx.sim->NoteTransient(g, plan.Transient(hi - lo, out_dim));
   }
   return h_all;
 }
@@ -135,34 +98,30 @@ struct SavedRows {
 /// grad_of(g, k), origin after origin. Each device is then charged its
 /// slices' flops, in device order.
 template <typename SavedOf, typename GradOf>
-void SliceWeightGrads(EngineCtx& ctx, const std::vector<Tensor>& grads, std::size_t num_saved,
+void SliceWeightGrads(EngineCtx& ctx, const std::vector<Tensor>& grads,
+                      const std::vector<std::int64_t>& bounds, std::size_t num_saved,
                       const SavedOf& saved_of, const GradOf& grad_of) {
-  const std::int32_t c = ctx.num_devices();
-  const std::int64_t d = ctx.feature_dim();
+  const auto c = static_cast<std::size_t>(ctx.num_devices());
   const std::int64_t out_dim = ctx.model(0).layer(0).out_dim();
   const double gemm_flops = 2.0 * static_cast<double>(num_saved);
-  std::vector<double> flops(static_cast<std::size_t>(c), 0.0);
-  Tensor gw(d, out_dim);
+  std::vector<double> flops(c, 0.0);
+  Tensor gw(ctx.feature_dim(), out_dim);
   for (std::size_t o = 0; o < grads.size(); ++o) {
     const Tensor& go = grads[o];
     if (go.rows() == 0) continue;
     for (std::size_t k = 0; k < num_saved; ++k) {
       const SavedRows saved = saved_of(k, o);
       MatmulTN(*saved.t, saved.row0, go, gw);
-      for (DeviceId g = 0; g < c; ++g) {
-        const auto [lo, hi] = DimSlice(d, c, g);
-        AddRowBlock(grad_of(g, k), gw, lo, hi);
+      for (std::size_t g = 0; g < c; ++g) {
+        AddRowBlock(grad_of(static_cast<DeviceId>(g), k), gw, bounds[g], bounds[g + 1]);
       }
     }
-    for (DeviceId g = 0; g < c; ++g) {
-      const auto [lo, hi] = DimSlice(d, c, g);
-      flops[static_cast<std::size_t>(g)] +=
-          gemm_flops * static_cast<double>(go.rows()) * (hi - lo) * out_dim;
+    for (std::size_t g = 0; g < c; ++g) {
+      flops[g] += gemm_flops * static_cast<double>(go.rows()) * (bounds[g + 1] - bounds[g]) *
+                  out_dim;
     }
   }
-  for (DeviceId g = 0; g < c; ++g) {
-    ctx.sim->ChargeCompute(g, flops[static_cast<std::size_t>(g)]);
-  }
+  for (std::size_t g = 0; g < c; ++g) ctx.sim->ChargeCompute(static_cast<DeviceId>(g), flops[g]);
 }
 
 class NfpExecutor final : public StrategyExecutor {
@@ -172,54 +131,57 @@ class NfpExecutor final : public StrategyExecutor {
   StepStats Step(std::vector<DeviceBatch>& batches) override {
     StepStats agg;
     for (const auto& b : batches) agg.num_seeds += static_cast<std::int64_t>(b.labels.size());
-    if (ctx_->model_kind() == ModelKind::kSage) return StepSage(batches, agg);
-    return StepGat(batches, agg);
+    const bool gat = ctx_->model_kind() == ModelKind::kGat;
+    obs::StageSpan stage("shuffle", "nfp");
+    const std::vector<const Block*> all0 = FirstBlocks(batches);
+    const NfpPlan plan = BuildNfpPlan(all0, ctx_->feature_dim(), gat);
+    // Every device reads every origin's layer-1 graph in place.
+    ctx_->comm->ChargeAllBroadcast(plan.graph_bytes, plan.graph_bytes, Phase::kSample);
+    stage.Next("execute");
+    return gat ? StepGat(batches, all0, plan, stage, agg)
+               : StepSage(batches, all0, plan, stage, agg);
   }
 
  private:
-  // `agg` arrives with num_seeds set; the step adds loss and correct.
-  StepStats StepSage(std::vector<DeviceBatch>& batches, StepStats agg);
-  StepStats StepGat(std::vector<DeviceBatch>& batches, StepStats agg);
+  // From Execute on. `agg` arrives with num_seeds set; the step adds loss and correct.
+  StepStats StepSage(std::vector<DeviceBatch>& batches, std::span<const Block* const> all0,
+                     const NfpPlan& plan, obs::StageSpan& stage, StepStats agg);
+  StepStats StepGat(std::vector<DeviceBatch>& batches, std::span<const Block* const> all0,
+                    const NfpPlan& plan, obs::StageSpan& stage, StepStats agg);
 };
 
-StepStats NfpExecutor::StepSage(std::vector<DeviceBatch>& batches, StepStats agg) {
+StepStats NfpExecutor::StepSage(std::vector<DeviceBatch>& batches,
+                                std::span<const Block* const> all0, const NfpPlan& plan,
+                                obs::StageSpan& stage, StepStats agg) {
   const std::int32_t c = ctx_->num_devices();
   const std::int64_t d = ctx_->feature_dim();
   const auto uc = static_cast<std::size_t>(c);
 
-  obs::StageSpan stage("shuffle", "nfp");
-  const std::vector<const Block*> all0 = BroadcastLayer1Graphs(*ctx_, batches);
-
-  stage.Next("execute");
   // Execute: each device gathers its dimension slice of ALL graphs' inputs.
   // The host then aggregates each origin at full width and sums the c slice
   // partials with one fused GEMM per origin: saved_agg[o] and the self rows
   // in h_all feed the weight-gradient pass.
   const std::int64_t out = ctx_->model(0).layer(0).out_dim();
-  const std::vector<std::int64_t> first = SourceRows(all0);
-  const Tensor h_all = GatherSlices(
-      *ctx_, all0, out,
-      [out](const Block& b, std::int64_t w) {
+  const Tensor h_all =
+      GatherSlices(*ctx_, plan, all0, out, [out](const Block& b, std::int64_t w) {
         return 4.0 * static_cast<double>(b.num_dst) * w * out +
                2.0 * static_cast<double>(b.num_edges()) * w;
-      },
-      [](const Block& b) { return b.num_dst; });
+      });
   std::vector<const Tensor*> w_neigh(uc), w_self(uc);
   for (DeviceId g = 0; g < c; ++g) {
     auto& sage = dynamic_cast<SageLayer&>(ctx_->model(g).layer(0));
     w_neigh[static_cast<std::size_t>(g)] = &sage.w_neigh().value;
     w_self[static_cast<std::size_t>(g)] = &sage.w_self().value;
   }
-  const std::vector<std::int64_t> bounds = SliceBounds(d, c);
   std::vector<Tensor> saved_agg(uc), raw0(uc);
   for (std::size_t o = 0; o < uc; ++o) {
     const Block& b = *all0[o];
     if (b.num_dst == 0) continue;
     saved_agg[o] = Tensor::Uninit(b.num_dst, d);
-    SpmmMean(b.csr(), h_all, first[o], saved_agg[o]);
+    SpmmMean(b.csr(), h_all, plan.first[o], saved_agg[o]);
     raw0[o] = Tensor::Uninit(b.num_dst, out);
-    const SliceTerm terms[] = {{&saved_agg[o], 0, w_neigh}, {&h_all, first[o], w_self}};
-    SliceSumMatmul(terms, bounds, raw0[o]);
+    const SliceTerm terms[] = {{&saved_agg[o], 0, w_neigh}, {&h_all, plan.first[o], w_self}};
+    SliceSumMatmul(terms, plan.bounds, raw0[o]);
   }
 
   stage.Next("reshuffle");
@@ -252,9 +214,9 @@ StepStats NfpExecutor::StepSage(std::vector<DeviceBatch>& batches, StepStats agg
 
   stage.Next("execute");
   SliceWeightGrads(
-      *ctx_, grad_raw0, 2,
+      *ctx_, grad_raw0, plan.bounds, 2,
       [&](std::size_t k, std::size_t o) {
-        return k == 0 ? SavedRows{&saved_agg[o], 0} : SavedRows{&h_all, first[o]};
+        return k == 0 ? SavedRows{&saved_agg[o], 0} : SavedRows{&h_all, plan.first[o]};
       },
       [&](DeviceId g, std::size_t k) -> Tensor& {
         auto& sage = dynamic_cast<SageLayer&>(ctx_->model(g).layer(0));
@@ -263,40 +225,33 @@ StepStats NfpExecutor::StepSage(std::vector<DeviceBatch>& batches, StepStats agg
   return agg;
 }
 
-StepStats NfpExecutor::StepGat(std::vector<DeviceBatch>& batches, StepStats agg) {
+StepStats NfpExecutor::StepGat(std::vector<DeviceBatch>& batches,
+                               std::span<const Block* const> all0, const NfpPlan& plan,
+                               obs::StageSpan& stage, StepStats agg) {
   const std::int32_t c = ctx_->num_devices();
-  const std::int64_t d = ctx_->feature_dim();
   const auto uc = static_cast<std::size_t>(c);
 
-  obs::StageSpan stage("shuffle", "nfp");
-  const std::vector<const Block*> all0 = BroadcastLayer1Graphs(*ctx_, batches);
-
-  stage.Next("execute");
   // Partial projections z from each dimension slice, for all graphs. Every
   // device holds z for EVERY graph's full source set: the memory blowup the
   // paper observes for NFP + attention at large hidden dims. The host sums
   // the c slice partials with one fused GEMM per origin; h_all keeps the
   // full-width sources for the weight-gradient pass.
   const std::int64_t out = ctx_->model(0).layer(0).out_dim();
-  const std::vector<std::int64_t> first = SourceRows(all0);
-  const Tensor h_all = GatherSlices(
-      *ctx_, all0, out,
-      [out](const Block& b, std::int64_t w) {
+  const Tensor h_all =
+      GatherSlices(*ctx_, plan, all0, out, [out](const Block& b, std::int64_t w) {
         return 2.0 * static_cast<double>(b.num_src()) * w * out;
-      },
-      [](const Block& b) { return b.num_src(); });
+      });
   std::vector<const Tensor*> w(uc);
   for (DeviceId g = 0; g < c; ++g) {
     w[static_cast<std::size_t>(g)] =
         &dynamic_cast<GatLayer&>(ctx_->model(g).layer(0)).w().value;
   }
-  const std::vector<std::int64_t> bounds = SliceBounds(d, c);
   std::vector<Tensor> z_full(uc);
   for (std::size_t o = 0; o < uc; ++o) {
     if (all0[o]->num_dst == 0) continue;
     z_full[o] = Tensor(all0[o]->num_src(), out);
-    const SliceTerm term{&h_all, first[o], w};
-    SliceSumMatmul({&term, 1}, bounds, z_full[o]);
+    const SliceTerm term{&h_all, plan.first[o], w};
+    SliceSumMatmul({&term, 1}, plan.bounds, z_full[o]);
   }
 
   stage.Next("reshuffle");
@@ -330,8 +285,8 @@ StepStats NfpExecutor::StepGat(std::vector<DeviceBatch>& batches, StepStats agg)
   BroadcastGrads(*ctx_, grad_z);
   stage.Next("execute");
   SliceWeightGrads(
-      *ctx_, grad_z, 1,
-      [&](std::size_t, std::size_t o) { return SavedRows{&h_all, first[o]}; },
+      *ctx_, grad_z, plan.bounds, 1,
+      [&](std::size_t, std::size_t o) { return SavedRows{&h_all, plan.first[o]}; },
       [&](DeviceId g, std::size_t) -> Tensor& {
         return dynamic_cast<GatLayer&>(ctx_->model(g).layer(0)).w().grad;
       });

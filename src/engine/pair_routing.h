@@ -1,16 +1,16 @@
-// Flat (origin, owner) pair routing shared by the SNP and DNP executors and
-// counted by the dry-run.
+// Step plans shared by the executors and counted by the dry-run: the flat
+// (origin, owner) pair routing of SNP and DNP, and NFP's column slices.
 //
-// Both strategies send each origin's layer-1 work to the devices that own
-// its nodes and bring rows back. A step's routing is flat: every (origin,
+// SNP and DNP send each origin's layer-1 work to the devices that own its
+// nodes and bring rows back. A step's routing is flat: every (origin,
 // owner) pair that carries items owns one contiguous range of a single
 // step-wide buffer (origin-major, owners ascending), and each owner sees its
 // pairs as one contiguous row block (origins ascending). A step therefore
 // costs O(items moved + pairs) host work rather than O(C^2) per-pair
 // objects, and each shuffle charges one sparse lane per non-empty pair
 // (DESIGN.md "Pair routing on the host"). One builder per strategy turns the
-// step's layer-1 blocks into a RoutePlan; the executors run it and the
-// dry-run counts it, so the two cannot drift apart.
+// step's layer-1 blocks into its plan (RoutePlan, NfpPlan); the executors
+// run it and the dry-run counts it, so the two cannot drift apart.
 #pragma once
 
 #include <algorithm>
@@ -305,10 +305,40 @@ inline std::int64_t SnpOwnerTransient(bool gat, std::int64_t gather_rows, std::i
                                       std::int64_t d, std::int64_t out) {
   return (gather_rows * d + (gat ? rows * d : 0) + rows * out) * 4;
 }
-/// Transient bytes a DNP owner notes: its block's features and their copy.
-inline std::int64_t DnpOwnerTransient(const Block& lb, std::int64_t d) {
-  return 2 * lb.num_src() * d * 4;
+
+/// NFP's column slices of a `dim`-wide feature dimension: device g gets
+/// columns [bounds[g], bounds[g + 1]). The first dim % num_devices devices
+/// get one extra column, and devices at or past `dim` get none.
+inline std::vector<std::int64_t> SliceBounds(std::int64_t dim, std::int32_t num_devices) {
+  std::vector<std::int64_t> bounds{0};
+  for (DeviceId g = 0; g < num_devices; ++g) {
+    bounds.push_back(bounds.back() + dim / num_devices + (g < dim % num_devices ? 1 : 0));
+  }
+  return bounds;
 }
+
+/// One NFP step: every device gathers its column slice of every origin's
+/// layer-1 sources, stacked in origin order, and keeps a partial layer-1
+/// output per origin with destinations until the partials are allreduced.
+struct NfpPlan {
+  std::vector<NodeId> sources;       ///< every origin's sources, origin after origin
+  std::vector<std::int64_t> first;   ///< origin o's sources start at row first[o]
+  std::vector<std::int64_t> bounds;  ///< device g's columns [bounds[g], bounds[g+1])
+  std::int64_t graph_bytes = 0;      ///< the AllBroadcast of the layer-1 graphs
+  /// One device's partial rows: num_dst (SAGE) or num_src (GAT) summed over
+  /// the origins with destinations. The forward allreduce and the backward
+  /// broadcast each move them once.
+  std::int64_t partial_rows = 0;
+
+  std::int64_t rows() const { return static_cast<std::int64_t>(sources.size()); }
+  /// Transient bytes of a device with a `width`-column slice: its gathered
+  /// slice plus its partials of `out` columns.
+  std::int64_t Transient(std::int64_t width, std::int64_t out) const {
+    return (rows() * width + partial_rows * out) * 4;
+  }
+};
+/// `blocks[o]` is origin o's layer-1 block; `d` is the feature dimension.
+NfpPlan BuildNfpPlan(std::span<const Block* const> blocks, std::int64_t d, bool gat);
 
 /// dst.row(dst_row0 + k) = src.row(index[k]): an owner's row block filled
 /// from an origin's rows.

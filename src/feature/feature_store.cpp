@@ -114,6 +114,16 @@ void FeatureStore::InitCacheMasks() {
     APT_CHECK_LE(cluster.machine(m).num_gpus, 64) << "cache masks hold 64 GPUs per machine";
   }
   cache_masks_.resize(static_cast<std::size_t>(cluster.num_machines()));
+  IndexResidences(
+      std::vector<std::vector<NodeId>>(static_cast<std::size_t>(cluster.num_devices())));
+}
+
+void FeatureStore::IndexResidences(const std::vector<std::vector<NodeId>>& cache_nodes) {
+  shares_residence_.clear();
+  for (std::size_t d = 0; d < cache_nodes.size(); ++d) {
+    shares_residence_.push_back(ctx_->cluster().LocalIndex(static_cast<DeviceId>(d)) > 0 &&
+                                cache_nodes[d] == cache_nodes[d - 1]);
+  }
 }
 
 FeatureStore::CacheMaskTable::CacheMaskTable(std::size_t max_entries) {
@@ -164,6 +174,7 @@ void FeatureStore::ConfigureCaches(const std::vector<std::vector<NodeId>>& cache
     ctx_->AllocPersistent(dev, static_cast<std::int64_t>(cache_nodes[d].size()) *
                                    bytes_per_cached_row);
   }
+  IndexResidences(cache_nodes);
 }
 
 FeatureStore::Residence FeatureStore::ResidenceOf(DeviceId dev) const {
@@ -179,24 +190,38 @@ FeatureStore::Residence FeatureStore::ResidenceOf(DeviceId dev) const {
           machine.has_nvlink ? all & ~own : 0, m};
 }
 
+LoadVolume FeatureStore::SliceVolume(const std::array<std::int64_t, kNumFeatureTiers>& rows,
+                                     std::int64_t width) const {
+  LoadVolume vol;
+  vol.rows = rows;
+  for (std::size_t t = 0; t < rows.size(); ++t) {
+    vol.bytes[t] = rows[t] * width * static_cast<std::int64_t>(sizeof(float));
+    vol.wire_bytes[t] = CodecWireBytes(storage_codec_, rows[t], width);
+  }
+  return vol;
+}
+
 LoadVolume FeatureStore::CountGather(DeviceId dev, std::span<const NodeId> nodes,
                                      std::int64_t col_lo, std::int64_t col_hi) const {
   APT_CHECK(col_lo >= 0 && col_lo <= col_hi && col_hi <= feature_dim());
-  const std::int64_t row_bytes =
-      (col_hi - col_lo) * static_cast<std::int64_t>(sizeof(float));
-  LoadVolume vol;
+  std::array<std::int64_t, kNumFeatureTiers> rows{};
   const Residence residence = ResidenceOf(dev);
-  for (NodeId v : nodes) {
-    const auto tier = static_cast<std::size_t>(Classify(residence, v));
-    vol.rows[tier] += 1;
-    vol.bytes[tier] += row_bytes;
+  for (NodeId v : nodes) ++rows[static_cast<std::size_t>(Classify(residence, v))];
+  return SliceVolume(rows, col_hi - col_lo);
+}
+
+std::vector<LoadVolume> FeatureStore::CountSlices(std::span<const NodeId> nodes,
+                                                  std::span<const std::int64_t> bounds) const {
+  APT_CHECK_EQ(bounds.size(), shares_residence_.size() + 1);
+  std::vector<LoadVolume> vols;
+  for (std::size_t g = 0; g < shares_residence_.size(); ++g) {
+    const std::int64_t lo = bounds[g], hi = bounds[g + 1];
+    APT_CHECK(lo >= 0 && lo <= hi && hi <= feature_dim());
+    vols.push_back(shares_residence_[g]
+                       ? SliceVolume(vols.back().rows, hi - lo)
+                       : CountGather(static_cast<DeviceId>(g), nodes, lo, hi));
   }
-  for (int tier = 0; tier < kNumFeatureTiers; ++tier) {
-    const auto t = static_cast<std::size_t>(tier);
-    vol.wire_bytes[t] =
-        CodecWireBytes(storage_codec_, vol.rows[t], col_hi - col_lo);
-  }
-  return vol;
+  return vols;
 }
 
 double FeatureStore::LoadSeconds(DeviceId dev, const LoadVolume& volume) const {
@@ -325,10 +350,14 @@ LoadVolume FeatureStore::Gather(DeviceId dev, std::span<const NodeId> nodes,
 
 std::vector<MachineId> FeaturePlacementFromPartition(const std::vector<PartId>& part,
                                                      const ClusterSpec& cluster) {
+  // num_devices() and an unindexed MachineOf each scan the machines: once per device.
+  const std::int32_t c = cluster.num_devices();
+  std::vector<MachineId> machine_of;
+  for (DeviceId dev = 0; dev < c; ++dev) machine_of.push_back(cluster.MachineOf(dev));
   std::vector<MachineId> placement(part.size());
   for (std::size_t v = 0; v < part.size(); ++v) {
-    const auto dev = static_cast<DeviceId>(part[v]);
-    placement[v] = cluster.MachineOf(dev % cluster.num_devices());
+    APT_CHECK_GE(part[v], 0);
+    placement[v] = machine_of[static_cast<std::size_t>(part[v] % c)];
   }
   return placement;
 }

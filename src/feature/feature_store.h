@@ -134,6 +134,12 @@ class FeatureStore {
   LoadVolume CountGather(DeviceId dev, std::span<const NodeId> nodes,
                          std::int64_t col_lo, std::int64_t col_hi) const;
 
+  /// CountGather of one node list by every device, device g over columns
+  /// [bounds[g], bounds[g + 1]) (NFP's slices). Each row is classified once
+  /// per residence class, not once per device.
+  std::vector<LoadVolume> CountSlices(std::span<const NodeId> nodes,
+                                      std::span<const std::int64_t> bounds) const;
+
   /// Converts a volume into simulated seconds for `dev` (one latency charge
   /// per non-empty tier; bandwidth from the cluster link model).
   double LoadSeconds(DeviceId dev, const LoadVolume& volume) const;
@@ -206,6 +212,13 @@ class FeatureStore {
   Residence ResidenceOf(DeviceId dev) const;
   /// One empty table per machine; machines hold at most 64 GPUs.
   void InitCacheMasks();
+  /// Marks each device that shares the residence class of the device before
+  /// it: same machine, equal cache list. Tiers depend on the machine and the
+  /// cache set alone, so the two classify every node alike.
+  void IndexResidences(const std::vector<std::vector<NodeId>>& cache_nodes);
+  /// The volume of rows[t] rows in tier t, `width` columns each.
+  LoadVolume SliceVolume(const std::array<std::int64_t, kNumFeatureTiers>& rows,
+                         std::int64_t width) const;
   FeatureTier Classify(const Residence& r, NodeId v) const {
     const std::uint64_t mask = r.table->Find(v);
     if ((mask & r.own) != 0) return FeatureTier::kGpuCache;
@@ -221,6 +234,7 @@ class FeatureStore {
   Codec storage_codec_ = Codec::kIdentity;
   Tensor rounded_;  ///< codec-rounded copy (empty when identity/unmaterialized)
   std::vector<CacheMaskTable> cache_masks_;  ///< one per machine
+  std::vector<bool> shares_residence_;       ///< per device, see IndexResidences
   bool procedural_ = false;
   NodeId procedural_nodes_ = 0;
   std::int64_t procedural_dim_ = 0;

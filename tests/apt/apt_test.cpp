@@ -99,11 +99,13 @@ TEST(DryRunTest, SnpSeesFewerCpuReadsThanGdpWithCache) {
 }
 
 /// What one traced training epoch charged: per-device gather rows and bytes,
-/// and the bytes of the graph-shuffle (kSample) and hidden-shuffle (kTrain)
-/// all-to-alls.
+/// the bytes of the graph-shuffle (kSample) and hidden-shuffle (kTrain)
+/// all-to-alls, and the payload bytes of the ring collectives in each phase
+/// (kTrain includes the gradient sync).
 struct EpochCharges {
   std::vector<double> gather_rows, gather_bytes;
   double graph_a2a_bytes = 0.0, hidden_a2a_bytes = 0.0;
+  double graph_ring_bytes = 0.0, train_ring_bytes = 0.0;
 };
 
 EpochCharges TraceEpochCharges(const Dataset& ds, TrainerSetup setup) {
@@ -133,6 +135,11 @@ EpochCharges TraceEpochCharges(const Dataset& ds, TrainerSetup setup) {
       const std::string phase = e.cat;
       if (phase == ToString(Phase::kSample)) charges.graph_a2a_bytes += arg("egress_bytes");
       if (phase == ToString(Phase::kTrain)) charges.hidden_a2a_bytes += arg("egress_bytes");
+    } else if ((name == "allreduce" || name == "allbroadcast") && e.tid == 0) {
+      // Every participant's slice carries the payload; count device 0's.
+      const std::string phase = e.cat;
+      if (phase == ToString(Phase::kSample)) charges.graph_ring_bytes += arg("bytes");
+      if (phase == ToString(Phase::kTrain)) charges.train_ring_bytes += arg("bytes");
     }
   }
   return charges;
@@ -153,39 +160,65 @@ TrainerSetup DryRunOrderSetup(const ClusterSpec& cluster,
   return setup;
 }
 
-// The dry-run counts NFP's feature loads with the executor's column slices:
-// at feature dim 30 over 4 devices (8, 8, 7 and 7 columns) every device's
-// estimated load equals what its gathers move in a traced training epoch.
+// GDP and NFP are counted on the plans their executors run. At feature dim
+// 30 over 4 devices (NFP slices of 8, 8, 7 and 7 columns) every device's
+// estimated gather rows and bytes equal what its gathers move in a traced
+// training epoch, for GDP and for SAGE and GAT NFP; NFP's graph broadcast
+// bytes and its partial allreduce plus gradient broadcast (2 d' 4 bytes per
+// shuffled row) equal the ring charges.
 TEST(DryRunTest, NfpLoadMatchesExecutorGathersOnUnevenSlices) {
+  struct Case {
+    const char* name;
+    Strategy strategy;
+    ModelKind kind;
+  };
   const Dataset ds = SmallDataset(/*feature_dim=*/30);
   const ClusterSpec cluster = MultiMachineCluster(2, 2);
-  ModelConfig model;
-  model.kind = ModelKind::kSage;
-  model.num_layers = 2;
-  model.hidden_dim = 16;
-  model.input_dim = ds.feature_dim();
-  model.num_classes = ds.num_classes;
-  EngineOptions opts;
-  opts.strategy = Strategy::kNFP;
-  opts.fanouts = {5, 5};
-  opts.batch_size_per_device = 128;
-  opts.cache_bytes_per_device = 1 << 20;
-  opts.seed_assignment = SeedAssignment::kChunked;
   MultilevelPartitioner ml;
   const std::vector<PartId> partition = ml.Partition(ds.graph, cluster.num_devices());
-  const DryRunResult dry = DryRun(ds, cluster, partition, opts, model);
-  const EpochCharges charged =
-      TraceEpochCharges(ds, DryRunOrderSetup(cluster, model, opts, dry, partition));
-  const StrategyDryRun& nfp = dry.per_strategy[static_cast<std::size_t>(Strategy::kNFP)];
-  for (std::size_t g = 0; g < 4; ++g) {
-    const LoadVolume& est = nfp.load[g];
-    std::int64_t est_rows = 0;
-    for (std::int64_t r : est.rows) est_rows += r;
-    EXPECT_GT(est_rows, 0) << "device " << g;
-    EXPECT_EQ(static_cast<std::int64_t>(charged.gather_rows[g]), est_rows) << "device " << g;
-    EXPECT_EQ(static_cast<std::int64_t>(charged.gather_bytes[g]), est.TotalBytes())
-        << "device " << g;
-    EXPECT_EQ(est.TotalBytes(), est_rows * (g < 2 ? 8 : 7) * 4) << "device " << g;
+  for (const Case& k : {Case{"SAGE NFP", Strategy::kNFP, ModelKind::kSage},
+                        Case{"GAT NFP", Strategy::kNFP, ModelKind::kGat},
+                        Case{"GDP", Strategy::kGDP, ModelKind::kSage}}) {
+    SCOPED_TRACE(k.name);
+    ModelConfig model;
+    model.kind = k.kind;
+    model.num_layers = 2;
+    model.hidden_dim = 16;
+    model.input_dim = ds.feature_dim();
+    model.num_classes = ds.num_classes;
+    EngineOptions opts;
+    opts.strategy = k.strategy;
+    opts.fanouts = {5, 5};
+    opts.batch_size_per_device = 128;
+    opts.cache_bytes_per_device = 1 << 20;
+    opts.seed_assignment = SeedAssignment::kChunked;
+    const DryRunResult dry = DryRun(ds, cluster, partition, opts, model);
+    const EpochCharges charged =
+        TraceEpochCharges(ds, DryRunOrderSetup(cluster, model, opts, dry, partition));
+    const StrategyDryRun& est = dry.per_strategy[static_cast<std::size_t>(k.strategy)];
+    const bool nfp = k.strategy == Strategy::kNFP;
+    for (std::size_t g = 0; g < 4; ++g) {
+      const LoadVolume& vol = est.load[g];
+      std::int64_t est_rows = 0;
+      for (std::int64_t r : vol.rows) est_rows += r;
+      EXPECT_GT(est_rows, 0) << "device " << g;
+      EXPECT_EQ(static_cast<std::int64_t>(charged.gather_rows[g]), est_rows) << "device " << g;
+      EXPECT_EQ(static_cast<std::int64_t>(charged.gather_bytes[g]), vol.TotalBytes())
+          << "device " << g;
+      const std::int64_t width = nfp ? (g < 2 ? 8 : 7) : 30;
+      EXPECT_EQ(vol.TotalBytes(), est_rows * width * 4) << "device " << g;
+    }
+    // The kTrain rings carry the gradient sync once per step besides NFP's
+    // partials and gradients.
+    const std::int64_t steps =
+        MinibatchPlan(ds.train_nodes, opts.batch_size_per_device, 4).StepsPerEpoch();
+    const std::int64_t shuffle_ring_bytes =
+        static_cast<std::int64_t>(charged.train_ring_bytes) -
+        steps * GnnModel(model).ParamBytes();
+    EXPECT_EQ(static_cast<std::int64_t>(charged.graph_ring_bytes), est.graph_shuffle_bytes);
+    EXPECT_EQ(shuffle_ring_bytes, 2 * est.shuffle_rows * Layer0OutDim(model) * 4);
+    EXPECT_EQ(est.graph_shuffle_bytes > 0, nfp);
+    EXPECT_EQ(est.shuffle_rows > 0, nfp);
   }
 }
 

@@ -8,6 +8,7 @@
 #include <string>
 
 #include "core/random.h"
+#include "engine/pair_routing.h"
 #include "feature/cache_policy.h"
 #include "feature/feature_store.h"
 #include "graph/generators.h"
@@ -281,10 +282,16 @@ FeatureTier ReferenceTier(const ClusterSpec& cluster,
 }
 
 /// Random per-device caches over [0, n): some devices empty, others with
-/// repeated nodes.
-std::vector<std::vector<NodeId>> RandomCaches(Rng& rng, std::int32_t devices, NodeId n) {
-  std::vector<std::vector<NodeId>> caches(static_cast<std::size_t>(devices));
-  for (auto& nodes : caches) {
+/// repeated nodes, and some repeating the list of the device before them on
+/// their machine (one residence class).
+std::vector<std::vector<NodeId>> RandomCaches(Rng& rng, const ClusterSpec& cluster, NodeId n) {
+  std::vector<std::vector<NodeId>> caches(static_cast<std::size_t>(cluster.num_devices()));
+  for (std::size_t d = 0; d < caches.size(); ++d) {
+    auto& nodes = caches[d];
+    if (d > 0 && cluster.LocalIndex(static_cast<DeviceId>(d)) > 0 && rng.NextBelow(3) == 0) {
+      nodes = caches[d - 1];
+      continue;
+    }
     if (rng.NextBelow(4) == 0) continue;
     const std::uint64_t count = rng.NextBelow(static_cast<std::uint64_t>(n));
     for (std::uint64_t i = 0; i < count; ++i) {
@@ -295,7 +302,8 @@ std::vector<std::vector<NodeId>> RandomCaches(Rng& rng, std::int32_t devices, No
   return caches;
 }
 
-void ExpectTierParity(const ClusterSpec& cluster, bool procedural, std::uint64_t seed) {
+void ExpectTierParity(const ClusterSpec& cluster, bool procedural, std::uint64_t seed,
+                      Codec codec = Codec::kIdentity) {
   constexpr NodeId kNodes = 300;
   constexpr std::int64_t kDim = 4;
   Rng rng(seed);
@@ -307,11 +315,28 @@ void ExpectTierParity(const ClusterSpec& cluster, bool procedural, std::uint64_t
   const Tensor feats = MakeFeatures(kNodes, kDim);
   FeatureStore store = procedural ? FeatureStore(kNodes, kDim, seed, placement, sim)
                                   : FeatureStore(feats, placement, sim);
+  store.SetStorageCodec(codec, /*materialize=*/false);
+  // NFP's column slices of a dimension narrower than the cluster: devices
+  // past kDim count zero-width slices.
+  const std::vector<std::int64_t> bounds = SliceBounds(kDim, cluster.num_devices());
   // A second ConfigureCaches replaces the first membership entirely.
   for (int round = 0; round < 2; ++round) {
     SCOPED_TRACE("round " + std::to_string(round));
-    const auto caches = RandomCaches(rng, cluster.num_devices(), kNodes);
+    const auto caches = RandomCaches(rng, cluster, kNodes);
     store.ConfigureCaches(caches, store.CachedRowBytes(kDim));
+    // One call counts every device's slice of a shared list, classifying each
+    // row once per residence class; each device's volume is its own count.
+    std::vector<NodeId> shared;
+    for (NodeId v = 0; v < kNodes; ++v) shared.insert(shared.end(), rng.NextBelow(3), v);
+    const std::vector<LoadVolume> slices = store.CountSlices(shared, bounds);
+    ASSERT_EQ(slices.size(), static_cast<std::size_t>(cluster.num_devices()));
+    for (DeviceId dev = 0; dev < cluster.num_devices(); ++dev) {
+      const auto i = static_cast<std::size_t>(dev);
+      const LoadVolume want = store.CountGather(dev, shared, bounds[i], bounds[i + 1]);
+      EXPECT_EQ(slices[i].rows, want.rows) << "device " << dev;
+      EXPECT_EQ(slices[i].bytes, want.bytes) << "device " << dev;
+      EXPECT_EQ(slices[i].wire_bytes, want.wire_bytes) << "device " << dev;
+    }
     for (DeviceId dev = 0; dev < cluster.num_devices(); ++dev) {
       LoadVolume expected;
       std::vector<NodeId> nodes;
@@ -356,6 +381,15 @@ TEST(FeatureStoreTest, TierParityMultiMachine) {
 TEST(FeatureStoreTest, TierParityProceduralStore) {
   for (std::uint64_t seed = 1; seed <= 3; ++seed) {
     ExpectTierParity(MultiMachineCluster(4, 4, /*nvlink=*/true), true, seed);
+  }
+}
+
+// int8 storage adds a 4-byte scale per row to the wire bytes, zero-width
+// slices included.
+TEST(FeatureStoreTest, TierParityInt8Storage) {
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    ExpectTierParity(MultiMachineCluster(4, 4, /*nvlink=*/true), false, seed, Codec::kInt8);
+    ExpectTierParity(SingleMachineCluster(8, /*nvlink=*/false), true, seed, Codec::kInt8);
   }
 }
 
