@@ -5,7 +5,7 @@
 //
 // Mean aggregation commutes with the linear projection, so
 //   sum_g (agg(H[:, g]) W[g, :]) == agg(H) W,
-// which is what makes the NFP result bit-for-bit semantically equal to GDP.
+// which is what makes the NFP result equal to GDP's.
 //
 // GAT path: partial *projections* z are allreduced for all layer-1 source
 // nodes (attention itself cannot be dimension-partitioned because softmax
@@ -13,16 +13,14 @@
 // its weight-slice gradient. This is the "extra communication" and
 // "intermediate tensors exceed GPU memory" behaviour of Fig 10.
 //
-// The simulator charges every device's slice gather, flops and the c x c
-// partials (transient memory and one ring allreduce per origin). The host
-// never builds those partials. Each device gathers its columns straight into
-// one full-width buffer; each origin is aggregated once at full width (the
-// mean is element-wise, so its columns are the slice results); one fused
-// GEMM per origin (SliceSumMatmul) forms each device's partial in an L1
-// scratch and adds it into the origin's sum in device order; weight
-// gradients take one full-width GEMM per origin. The broadcast graphs and
-// gradients are read where they lie. All of it is bit-identical to the
-// per-device formulation.
+// The per-device split lives in the charges only. The simulator charges
+// every device's slice gather, flops and the c x c partials (transient
+// memory and one ring allreduce per origin); the host never builds those
+// partials. Each device gathers its columns straight into one full-width
+// buffer, and each origin's layer 0 then runs the model's own kernels on its
+// rows of that buffer, read in place: forward, and weight gradients
+// accumulated into the origin's replica. The gradient allreduce therefore
+// sums what GDP sums, and NFP trains GDP's bits.
 //
 // Pipelined execution (EngineOptions::pipeline_depth > 1): the graph
 // AllBroadcast, the dimension-slice feature gathers (kLoad) and the partial
@@ -39,15 +37,6 @@
 namespace apt {
 
 namespace {
-
-/// Adds rows [lo, hi) of `full` into the same rows of grad.
-void AddRowBlock(Tensor& grad, const Tensor& full, std::int64_t lo, std::int64_t hi) {
-  for (std::int64_t r = lo; r < hi; ++r) {
-    float* dst = grad.row(r);
-    const float* src = full.row(r);
-    for (std::int64_t j = 0; j < full.cols(); ++j) dst[j] += src[j];
-  }
-}
 
 /// Backward shuffle: every device reads every origin's layer-1 output
 /// gradient in place to form its weight slice's gradient; charged as one
@@ -86,36 +75,17 @@ Tensor GatherSlices(EngineCtx& ctx, const NfpPlan& plan, std::span<const Block* 
   return h_all;
 }
 
-/// Origin o's rows of a saved layer-1 input: rows [row0, row0 + n) of *t.
-struct SavedRows {
-  const Tensor* t;
-  std::int64_t row0;
-};
-
-/// Layer-1 weight gradients of the dimension slices. For each of the
-/// num_saved inputs k one full-width GEMM per origin forms
-/// saved_of(k, o)^T grads[o]; device g adds its row block [lo, hi) into
-/// grad_of(g, k), origin after origin. Each device is then charged its
-/// slices' flops, in device order.
-template <typename SavedOf, typename GradOf>
-void SliceWeightGrads(EngineCtx& ctx, const std::vector<Tensor>& grads,
-                      const std::vector<std::int64_t>& bounds, std::size_t num_saved,
-                      const SavedOf& saved_of, const GradOf& grad_of) {
+/// Charges each device, in device order, the flops of its slices of the
+/// layer-1 weight gradients: num_saved GEMMs of every origin's gradient
+/// rows against the device's columns.
+void ChargeSliceWeightGrads(EngineCtx& ctx, const std::vector<Tensor>& grads,
+                            const std::vector<std::int64_t>& bounds, std::size_t num_saved) {
   const auto c = static_cast<std::size_t>(ctx.num_devices());
   const std::int64_t out_dim = ctx.model(0).layer(0).out_dim();
   const double gemm_flops = 2.0 * static_cast<double>(num_saved);
   std::vector<double> flops(c, 0.0);
-  Tensor gw(ctx.feature_dim(), out_dim);
-  for (std::size_t o = 0; o < grads.size(); ++o) {
-    const Tensor& go = grads[o];
+  for (const Tensor& go : grads) {
     if (go.rows() == 0) continue;
-    for (std::size_t k = 0; k < num_saved; ++k) {
-      const SavedRows saved = saved_of(k, o);
-      MatmulTN(*saved.t, saved.row0, go, gw);
-      for (std::size_t g = 0; g < c; ++g) {
-        AddRowBlock(grad_of(static_cast<DeviceId>(g), k), gw, bounds[g], bounds[g + 1]);
-      }
-    }
     for (std::size_t g = 0; g < c; ++g) {
       flops[g] += gemm_flops * static_cast<double>(go.rows()) * (bounds[g + 1] - bounds[g]) *
                   out_dim;
@@ -158,30 +128,25 @@ StepStats NfpExecutor::StepSage(std::vector<DeviceBatch>& batches,
   const auto uc = static_cast<std::size_t>(c);
 
   // Execute: each device gathers its dimension slice of ALL graphs' inputs.
-  // The host then aggregates each origin at full width and sums the c slice
-  // partials with one fused GEMM per origin: saved_agg[o] and the self rows
-  // in h_all feed the weight-gradient pass.
+  // The host then runs each origin's layer 0 as SageLayer::Forward does, on
+  // the origin's rows of h_all: saved_agg[o] and those rows feed the
+  // weight gradients.
   const std::int64_t out = ctx_->model(0).layer(0).out_dim();
   const Tensor h_all =
       GatherSlices(*ctx_, plan, all0, out, [out](const Block& b, std::int64_t w) {
         return 4.0 * static_cast<double>(b.num_dst) * w * out +
                2.0 * static_cast<double>(b.num_edges()) * w;
       });
-  std::vector<const Tensor*> w_neigh(uc), w_self(uc);
-  for (DeviceId g = 0; g < c; ++g) {
-    auto& sage = dynamic_cast<SageLayer&>(ctx_->model(g).layer(0));
-    w_neigh[static_cast<std::size_t>(g)] = &sage.w_neigh().value;
-    w_self[static_cast<std::size_t>(g)] = &sage.w_self().value;
-  }
   std::vector<Tensor> saved_agg(uc), raw0(uc);
   for (std::size_t o = 0; o < uc; ++o) {
     const Block& b = *all0[o];
     if (b.num_dst == 0) continue;
+    auto& sage = dynamic_cast<SageLayer&>(ctx_->model(static_cast<DeviceId>(o)).layer(0));
     saved_agg[o] = Tensor::Uninit(b.num_dst, d);
     SpmmMean(b.csr(), h_all, plan.first[o], saved_agg[o]);
     raw0[o] = Tensor::Uninit(b.num_dst, out);
-    const SliceTerm terms[] = {{&saved_agg[o], 0, w_neigh}, {&h_all, plan.first[o], w_self}};
-    SliceSumMatmul(terms, plan.bounds, raw0[o]);
+    Matmul(h_all, plan.first[o], sage.w_self().value, raw0[o]);
+    Matmul(saved_agg[o], sage.w_neigh().value, raw0[o], 1.0f, 1.0f);
   }
 
   stage.Next("reshuffle");
@@ -194,18 +159,22 @@ StepStats NfpExecutor::StepSage(std::vector<DeviceBatch>& batches,
   }
 
   stage.Next("execute");
-  // Local remainder per origin + loss + backward to the layer-1 boundary.
+  // Local remainder per origin + loss + backward through layer 0, whose
+  // gradients land in the origin's replica as SageLayer::Backward puts them.
   std::vector<Tensor> grad_raw0(uc);
   for (DeviceId o = 0; o < c; ++o) {
-    DeviceBatch& batch = batches[static_cast<std::size_t>(o)];
+    const auto uo = static_cast<std::size_t>(o);
+    DeviceBatch& batch = batches[uo];
     if (batch.labels.empty()) continue;
     auto& sage = dynamic_cast<SageLayer&>(ctx_->model(o).layer(0));
-    Tensor& r0 = raw0[static_cast<std::size_t>(o)];
+    Tensor& r0 = raw0[uo];
     AddBiasRows(r0, sage.bias().value);  // bias applied once, post-reduce
-    grad_raw0[static_cast<std::size_t>(o)] =
-        TrainFromLayer1(*ctx_, o, batch, std::move(r0), agg.num_seeds, agg);
+    grad_raw0[uo] = TrainFromLayer1(*ctx_, o, batch, std::move(r0), agg.num_seeds, agg);
+    const Tensor& g = grad_raw0[uo];
+    MatmulTN(h_all, plan.first[uo], g, sage.w_self().grad, 1.0f, 1.0f);
+    MatmulTN(saved_agg[uo], g, sage.w_neigh().grad, 1.0f, 1.0f);
     Tensor gb(1, sage.out_dim());
-    BiasGradRows(grad_raw0[static_cast<std::size_t>(o)], gb);
+    BiasGradRows(g, gb);
     Axpy(1.0f, gb, sage.bias().grad);
   }
 
@@ -213,15 +182,7 @@ StepStats NfpExecutor::StepSage(std::vector<DeviceBatch>& batches,
   BroadcastGrads(*ctx_, grad_raw0);
 
   stage.Next("execute");
-  SliceWeightGrads(
-      *ctx_, grad_raw0, plan.bounds, 2,
-      [&](std::size_t k, std::size_t o) {
-        return k == 0 ? SavedRows{&saved_agg[o], 0} : SavedRows{&h_all, plan.first[o]};
-      },
-      [&](DeviceId g, std::size_t k) -> Tensor& {
-        auto& sage = dynamic_cast<SageLayer&>(ctx_->model(g).layer(0));
-        return k == 0 ? sage.w_neigh().grad : sage.w_self().grad;
-      });
+  ChargeSliceWeightGrads(*ctx_, grad_raw0, plan.bounds, 2);
   return agg;
 }
 
@@ -233,25 +194,20 @@ StepStats NfpExecutor::StepGat(std::vector<DeviceBatch>& batches,
 
   // Partial projections z from each dimension slice, for all graphs. Every
   // device holds z for EVERY graph's full source set: the memory blowup the
-  // paper observes for NFP + attention at large hidden dims. The host sums
-  // the c slice partials with one fused GEMM per origin; h_all keeps the
-  // full-width sources for the weight-gradient pass.
+  // paper observes for NFP + attention at large hidden dims. The host
+  // projects each origin as GatLayer::Project does, on the origin's rows of
+  // h_all, which also feed the weight gradient.
   const std::int64_t out = ctx_->model(0).layer(0).out_dim();
   const Tensor h_all =
       GatherSlices(*ctx_, plan, all0, out, [out](const Block& b, std::int64_t w) {
         return 2.0 * static_cast<double>(b.num_src()) * w * out;
       });
-  std::vector<const Tensor*> w(uc);
-  for (DeviceId g = 0; g < c; ++g) {
-    w[static_cast<std::size_t>(g)] =
-        &dynamic_cast<GatLayer&>(ctx_->model(g).layer(0)).w().value;
-  }
   std::vector<Tensor> z_full(uc);
   for (std::size_t o = 0; o < uc; ++o) {
     if (all0[o]->num_dst == 0) continue;
+    auto& gat = dynamic_cast<GatLayer&>(ctx_->model(static_cast<DeviceId>(o)).layer(0));
     z_full[o] = Tensor(all0[o]->num_src(), out);
-    const SliceTerm term{&h_all, plan.first[o], w};
-    SliceSumMatmul({&term, 1}, plan.bounds, z_full[o]);
+    Matmul(h_all, plan.first[o], gat.w().value, z_full[o]);
   }
 
   stage.Next("reshuffle");
@@ -264,19 +220,20 @@ StepStats NfpExecutor::StepGat(std::vector<DeviceBatch>& batches,
   }
 
   stage.Next("execute");
-  // Attention + remainder at each origin.
+  // Attention + remainder at each origin; the weight gradient lands in the
+  // origin's replica as GatLayer::ProjectBackward puts it.
   std::vector<Tensor> grad_z(uc);
   for (DeviceId o = 0; o < c; ++o) {
-    DeviceBatch& batch = batches[static_cast<std::size_t>(o)];
+    const auto uo = static_cast<std::size_t>(o);
+    DeviceBatch& batch = batches[uo];
     if (batch.labels.empty()) continue;
     auto& gat = dynamic_cast<GatLayer&>(ctx_->model(o).layer(0));
     const Block& b = batch.sample.blocks[0];
     std::unique_ptr<GatAttentionContext> attn_ctx;
-    Tensor raw0 = gat.AttentionForward(b.csr(), b.num_dst,
-                                       z_full[static_cast<std::size_t>(o)], &attn_ctx);
+    Tensor raw0 = gat.AttentionForward(b.csr(), b.num_dst, z_full[uo], &attn_ctx);
     const Tensor grad_raw0 = TrainFromLayer1(*ctx_, o, batch, std::move(raw0), agg.num_seeds, agg);
-    grad_z[static_cast<std::size_t>(o)] =
-        gat.AttentionBackward(b.csr(), b.num_dst, *attn_ctx, grad_raw0);
+    grad_z[uo] = gat.AttentionBackward(b.csr(), b.num_dst, *attn_ctx, grad_raw0);
+    MatmulTN(h_all, plan.first[uo], grad_z[uo], gat.w().grad, 1.0f, 1.0f);
     ctx_->sim->ChargeCompute(
         o, gat.ForwardFlops(b.num_src(), b.num_dst, b.num_edges()));
   }
@@ -284,12 +241,7 @@ StepStats NfpExecutor::StepGat(std::vector<DeviceBatch>& batches,
   stage.Next("reshuffle");
   BroadcastGrads(*ctx_, grad_z);
   stage.Next("execute");
-  SliceWeightGrads(
-      *ctx_, grad_z, plan.bounds, 1,
-      [&](std::size_t, std::size_t o) { return SavedRows{&h_all, plan.first[o]}; },
-      [&](DeviceId g, std::size_t) -> Tensor& {
-        return dynamic_cast<GatLayer&>(ctx_->model(g).layer(0)).w().grad;
-      });
+  ChargeSliceWeightGrads(*ctx_, grad_z, plan.bounds, 1);
   return agg;
 }
 

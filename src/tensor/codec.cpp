@@ -112,6 +112,7 @@ bool ParseCodec(std::string_view name, Codec* out) {
 }
 
 std::int64_t CodecWireBytes(Codec codec, std::int64_t rows, std::int64_t cols) {
+  if (cols == 0) return 0;  // e.g. an empty NFP column slice
   const std::int64_t numel = rows * cols;
   switch (codec) {
     case Codec::kIdentity:
@@ -128,7 +129,7 @@ std::int64_t CodecWireBytes(Codec codec, std::int64_t rows, std::int64_t cols) {
 }
 
 std::int64_t CodecWireBytes(Codec codec, const Tensor& t) {
-  if (codec == Codec::kDeltaBitmask) {
+  if (codec == Codec::kDeltaBitmask && t.cols() > 0) {
     // Bitmap of occupied slots + packed nonzero values + a count header.
     return CountNonzero(t) * 4 + (t.numel() + 7) / 8 + 8;
   }

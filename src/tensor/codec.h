@@ -40,10 +40,12 @@ bool ParseCodec(std::string_view name, Codec* out);
 
 /// Wire bytes for a dense `rows x cols` fp32 payload. For kDeltaBitmask,
 /// which depends on content, this is the dense worst case (all nonzero);
-/// use the Tensor overload when the data is at hand.
+/// use the Tensor overload when the data is at hand. Zero columns move
+/// nothing under every codec: no per-row scales, no header.
 std::int64_t CodecWireBytes(Codec codec, std::int64_t rows, std::int64_t cols);
 
-/// Wire bytes for this specific tensor (kDeltaBitmask counts nonzeros).
+/// Wire bytes for this specific tensor (kDeltaBitmask counts nonzeros; zero
+/// columns are 0 bytes, as above).
 std::int64_t CodecWireBytes(Codec codec, const Tensor& t);
 
 /// wire/logical byte ratio for dense payloads of width `cols`.

@@ -117,10 +117,11 @@ void MatmulTN(const Tensor& a, const Tensor& b, Tensor& c, float alpha, float be
   MatmulTNRows(a.data(), a.rows(), a.cols(), b, c, alpha, beta);
 }
 
-void MatmulTN(const Tensor& a, std::int64_t a_row0, const Tensor& b, Tensor& c) {
+void MatmulTN(const Tensor& a, std::int64_t a_row0, const Tensor& b, Tensor& c, float alpha,
+              float beta) {
   APT_CHECK(a_row0 >= 0 && a_row0 + b.rows() <= a.rows())
       << "rows [" << a_row0 << ", " << a_row0 + b.rows() << ") of " << a.rows();
-  MatmulTNRows(a.data() + a_row0 * a.cols(), b.rows(), a.cols(), b, c, 1.0f, 0.0f);
+  MatmulTNRows(a.data() + a_row0 * a.cols(), b.rows(), a.cols(), b, c, alpha, beta);
 }
 
 void SegmentedMatmulTN(const Tensor& a, const Tensor& b,
@@ -144,53 +145,6 @@ void SegmentedMatmulTN(const Tensor& a, const Tensor& b,
   ParallelForChunks(0, m, [&](std::int64_t lo, std::int64_t hi) {
     GemmSegmentedRowBlockTN(ap, m, bp, n, cp, cuts.data(), pieces, lo, hi, alpha, beta);
   }, RowGrain(rows + n));
-}
-
-void SliceSumMatmul(std::span<const SliceTerm> terms,
-                    std::span<const std::int64_t> bounds, Tensor& c) {
-  const std::int64_t m = c.rows(), n = c.cols();
-  APT_CHECK(!terms.empty());
-  APT_CHECK_GE(bounds.size(), 2u);
-  const std::size_t slices = bounds.size() - 1;
-  for (const SliceTerm& t : terms) {
-    APT_CHECK(t.a_row0 >= 0 && t.a_row0 + m <= t.a->rows())
-        << "rows [" << t.a_row0 << ", " << t.a_row0 + m << ") of " << t.a->rows();
-    APT_CHECK(bounds.front() >= 0 && bounds.back() <= t.a->cols());
-    APT_CHECK_EQ(t.b.size(), slices);
-    for (const Tensor* b : t.b) {
-      APT_CHECK_EQ(b->rows(), t.a->cols());
-      APT_CHECK_EQ(b->cols(), n);
-    }
-  }
-  for (std::size_t s = 0; s < slices; ++s) APT_CHECK_LE(bounds[s], bounds[s + 1]);
-  if (m == 0 || n == 0) return;
-  // Rows per block: a 16 KB partial, so it stays in L1 while it is formed
-  // and added into C; a multiple of every driver version's tile rows.
-  constexpr std::int64_t kTileRows = 8;
-  const std::int64_t block = std::max(kTileRows, 4096 / n / kTileRows * kTileRows);
-  float* cp = c.data();
-  ParallelForChunks(0, m, [&](std::int64_t lo, std::int64_t hi) {
-    std::vector<float> scratch(static_cast<std::size_t>(std::min(block, hi - lo) * n));
-    for (std::int64_t r0 = lo; r0 < hi; r0 += block) {
-      const std::int64_t rows = std::min(block, hi - r0);
-      float* crows = cp + r0 * n;
-      for (std::size_t s = 0; s < slices; ++s) {
-        // Slice 0 is formed in C itself, as if C = P_0; later slices go
-        // through the scratch and are added in, as Axpy(1, P_s, C) adds.
-        float* out = s == 0 ? crows : scratch.data();
-        const std::int64_t k0 = bounds[s];
-        for (std::size_t t = 0; t < terms.size(); ++t) {
-          const Tensor& a = *terms[t].a;
-          GemmRowBlockNN(a.data() + (terms[t].a_row0 + r0) * a.cols() + k0, a.cols(),
-                         terms[t].b[s]->data() + k0 * n, n, out, bounds[s + 1] - k0, 0,
-                         rows, 1.0f, t == 0 ? 0.0f : 1.0f);
-        }
-        if (s == 0) continue;
-        const float* part = scratch.data();
-        for (std::int64_t i = 0; i < rows * n; ++i) crows[i] += part[i];
-      }
-    }
-  }, RowGrain(bounds.back() - bounds.front() + n));
 }
 
 void MatmulNT(const Tensor& a, const Tensor& b, Tensor& c, float alpha, float beta) {

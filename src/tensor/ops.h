@@ -2,7 +2,9 @@
 // softmax cross-entropy, row gather/scatter.
 //
 // Every backward kernel is paired with its forward so the engine can build
-// exact gradients for all four parallelization strategies.
+// exact gradients for all four parallelization strategies. The row-window
+// GEMMs run a layer's kernels on rows that sit inside a larger buffer (NFP's
+// stacked layer-0 inputs) with the bits of the plain call on a copy.
 #pragma once
 
 #include <cstdint>
@@ -26,9 +28,11 @@ void Matmul(const Tensor& a, std::int64_t a_row0, const Tensor& b, Tensor& c);
 /// C[m,n] = A[k,m]^T * B[k,n].
 void MatmulTN(const Tensor& a, const Tensor& b, Tensor& c, float alpha = 1.0f,
               float beta = 0.0f);
-/// C[m,n] = A[row0 : row0 + k, :]^T * B[k,n], with k = B's rows: MatmulTN
-/// on a window of A's rows, bit-identical to MatmulTN on a copy of them.
-void MatmulTN(const Tensor& a, std::int64_t a_row0, const Tensor& b, Tensor& c);
+/// C[m,n] = alpha * A[row0 : row0 + k, :]^T * B[k,n] + beta * C, with k =
+/// B's rows: MatmulTN on a window of A's rows, bit-identical to MatmulTN on
+/// a copy of them.
+void MatmulTN(const Tensor& a, std::int64_t a_row0, const Tensor& b, Tensor& c,
+              float alpha = 1.0f, float beta = 0.0f);
 /// C[m,n] = beta * C + alpha * sum_s A_s^T B_s, where segment s is rows
 /// [segments[s], segments[s+1]) of both A[k,m] and B[k,n]. Bit-identical to
 /// MatmulTN(A_0, B_0, C, alpha, beta) followed by MatmulTN(A_s, B_s, C,
@@ -38,22 +42,6 @@ void MatmulTN(const Tensor& a, std::int64_t a_row0, const Tensor& b, Tensor& c);
 void SegmentedMatmulTN(const Tensor& a, const Tensor& b,
                        std::span<const std::int64_t> segments, Tensor& c,
                        float alpha = 1.0f, float beta = 0.0f);
-/// One product term of SliceSumMatmul: rows [a_row0, a_row0 + m) of `a`
-/// times one right-hand [a.cols(), n] matrix per slice; slice s reads b[s].
-struct SliceTerm {
-  const Tensor* a;
-  std::int64_t a_row0;
-  std::span<const Tensor* const> b;
-};
-/// C[m,n] = P_0 + P_1 + ... + P_{S-1}, added left to right, where slice s
-/// contracts over columns [bounds[s], bounds[s+1]) and P_s is the sum over
-/// terms t, in order, of A_t[:, slice] * b_t[s][slice, :]. Bit-identical to
-/// forming each P_s with Matmul on copies of the slices (first term at beta
-/// 0, later terms at beta 1) and then setting C = P_0 and running
-/// Axpy(1, P_s, C) for s = 1, 2, ... in order. No P_s is materialized: each
-/// row block's partial lives in an L1-sized scratch while it is added in.
-void SliceSumMatmul(std::span<const SliceTerm> terms,
-                    std::span<const std::int64_t> bounds, Tensor& c);
 /// C[m,n] = A[m,k] * B[n,k]^T.
 void MatmulNT(const Tensor& a, const Tensor& b, Tensor& c, float alpha = 1.0f,
               float beta = 0.0f);

@@ -1,7 +1,12 @@
 // The engine's core claim (paper Fig 6): GDP, NFP, SNP, and DNP are
 // semantically equivalent — given identical mini-batches they produce the
-// same trained model up to floating-point reassociation.
+// same trained model. NFP runs GDP's layer-0 kernels on its gathered column
+// slices, so it trains GDP's bits exactly; SNP and DNP match up to
+// floating-point reassociation.
 #include <gtest/gtest.h>
+
+#include <cstring>
+#include <string>
 
 #include "model/param.h"
 #include "tensor/ops.h"
@@ -14,47 +19,78 @@ using ::apt::testing::MakeTrainer;
 using ::apt::testing::MaxParamDiff;
 using ::apt::testing::SmallDataset;
 
+/// Two epochs of `strategy` against GDP on one config: NFP must match
+/// exactly, the others within float reassociation noise.
+void ExpectMatchesGdpAfterTraining(Strategy strategy, ModelKind kind) {
+  const Dataset ds = SmallDataset();
+  const ClusterSpec cluster = SingleMachineCluster(4);
+  auto ref = MakeTrainer(ds, cluster, Strategy::kGDP, kind);
+  auto alt = MakeTrainer(ds, cluster, strategy, kind);
+  const bool exact = strategy == Strategy::kNFP;
+  for (int epoch = 0; epoch < 2; ++epoch) {
+    const EpochStats a = ref->TrainEpoch(epoch);
+    const EpochStats b = alt->TrainEpoch(epoch);
+    if (exact) {
+      EXPECT_EQ(a.loss, b.loss) << "epoch " << epoch;
+    } else {
+      EXPECT_NEAR(a.loss, b.loss, 1e-3) << "epoch " << epoch;
+    }
+  }
+  if (exact) {
+    EXPECT_EQ(MaxParamDiff(ref->model0(), alt->model0()), 0.0);
+  } else {
+    EXPECT_LT(MaxParamDiff(ref->model0(), alt->model0()), 2e-3);
+  }
+}
+
+/// Every parameter of `a` and `b` holds the same bits.
+void ExpectSameParamBits(GnnModel& a, GnnModel& b) {
+  const auto pa = a.Params();
+  const auto pb = b.Params();
+  ASSERT_EQ(pa.size(), pb.size());
+  for (std::size_t i = 0; i < pa.size(); ++i) {
+    const Tensor& x = pa[i]->value;
+    ASSERT_TRUE(x.SameShape(pb[i]->value)) << pa[i]->name;
+    EXPECT_EQ(std::memcmp(x.data(), pb[i]->value.data(),
+                          static_cast<std::size_t>(x.numel()) * sizeof(float)),
+              0)
+        << pa[i]->name;
+  }
+}
+
+/// DDP invariant: after an epoch every device's replica is bitwise identical
+/// (identical inits, identical summed updates), and a re-run of the same
+/// config trains the same bits.
+void ExpectReplicasStayIdentical(Strategy strategy) {
+  const Dataset ds = SmallDataset();
+  const ClusterSpec cluster = SingleMachineCluster(4);
+  auto trainer = MakeTrainer(ds, cluster, strategy);
+  trainer->TrainEpoch(0);
+  for (DeviceId d = 1; d < cluster.num_devices(); ++d) {
+    SCOPED_TRACE("device " + std::to_string(d));
+    ExpectSameParamBits(trainer->replica(d), trainer->replica(0));
+  }
+  auto trainer2 = MakeTrainer(ds, cluster, strategy);
+  trainer2->TrainEpoch(0);
+  EXPECT_EQ(MaxParamDiff(trainer->model0(), trainer2->model0()), 0.0);
+}
+
 class EquivalenceTest : public ::testing::TestWithParam<Strategy> {};
 
 TEST_P(EquivalenceTest, SageMatchesGdpAfterTraining) {
-  const Dataset ds = SmallDataset();
-  const ClusterSpec cluster = SingleMachineCluster(4);
-  auto ref = MakeTrainer(ds, cluster, Strategy::kGDP);
-  auto alt = MakeTrainer(ds, cluster, GetParam());
-  for (int epoch = 0; epoch < 2; ++epoch) {
-    const EpochStats a = ref->TrainEpoch(epoch);
-    const EpochStats b = alt->TrainEpoch(epoch);
-    EXPECT_NEAR(a.loss, b.loss, 1e-3) << "epoch " << epoch;
-  }
-  EXPECT_LT(MaxParamDiff(ref->model0(), alt->model0()), 2e-3);
+  ExpectMatchesGdpAfterTraining(GetParam(), ModelKind::kSage);
 }
 
 TEST_P(EquivalenceTest, GatMatchesGdpAfterTraining) {
-  const Dataset ds = SmallDataset();
-  const ClusterSpec cluster = SingleMachineCluster(4);
-  auto ref = MakeTrainer(ds, cluster, Strategy::kGDP, ModelKind::kGat);
-  auto alt = MakeTrainer(ds, cluster, GetParam(), ModelKind::kGat);
-  for (int epoch = 0; epoch < 2; ++epoch) {
-    const EpochStats a = ref->TrainEpoch(epoch);
-    const EpochStats b = alt->TrainEpoch(epoch);
-    EXPECT_NEAR(a.loss, b.loss, 1e-3) << "epoch " << epoch;
-  }
-  EXPECT_LT(MaxParamDiff(ref->model0(), alt->model0()), 2e-3);
+  ExpectMatchesGdpAfterTraining(GetParam(), ModelKind::kGat);
 }
 
 TEST_P(EquivalenceTest, ReplicasStayIdenticalAcrossDevices) {
-  // DDP invariant: after any number of steps, every device's replica is
-  // bitwise identical (they apply identical updates to identical inits).
-  const Dataset ds = SmallDataset();
-  const ClusterSpec cluster = SingleMachineCluster(4);
-  auto trainer = MakeTrainer(ds, cluster, GetParam());
-  trainer->TrainEpoch(0);
-  GnnModel probe(trainer->setup().model);  // fresh replica for API access only
-  (void)probe;
-  // Compare replica 0 against a re-run with the same config: determinism.
-  auto trainer2 = MakeTrainer(ds, cluster, GetParam());
-  trainer2->TrainEpoch(0);
-  EXPECT_EQ(MaxParamDiff(trainer->model0(), trainer2->model0()), 0.0);
+  ExpectReplicasStayIdentical(GetParam());
+}
+
+TEST(GdpEquivalenceTest, ReplicasStayIdenticalAcrossDevices) {
+  ExpectReplicasStayIdentical(Strategy::kGDP);
 }
 
 TEST_P(EquivalenceTest, PartitionAssignmentAlsoConverges) {
@@ -77,6 +113,36 @@ INSTANTIATE_TEST_SUITE_P(AllStrategies, EquivalenceTest,
                          [](const ::testing::TestParamInfo<Strategy>& info) {
                            return ToString(info.param);
                          });
+
+// NFP trains GDP's bits where its column slices are most uneven: a feature
+// dim below the device count (empty slices), two machines, serial and
+// pipelined, identity and int8 feature storage, for both layer kinds.
+TEST(NfpExactTest, MatchesGdpBitForBitOnEmptySlices) {
+  const Dataset ds = SmallDataset(/*feature_dim=*/3, /*nodes=*/800);
+  const ClusterSpec cluster = MultiMachineCluster(2, 2);
+  for (ModelKind kind : {ModelKind::kSage, ModelKind::kGat}) {
+    for (int depth : {1, 4}) {
+      for (Codec storage : {Codec::kIdentity, Codec::kInt8}) {
+        SCOPED_TRACE(std::string(ToString(kind)) + " depth " + std::to_string(depth) + " " +
+                     ToString(storage));
+        const auto make = [&](Strategy s) {
+          return MakeTrainer(ds, cluster, s, kind, /*force_chunked=*/true, 1 << 18, {4, 4},
+                             /*batch=*/64, /*hidden=*/0, /*recovery=*/{}, depth,
+                             Codec::kIdentity, storage);
+        };
+        auto gdp = make(Strategy::kGDP);
+        auto nfp = make(Strategy::kNFP);
+        for (int epoch = 0; epoch < 2; ++epoch) {
+          EXPECT_EQ(gdp->TrainEpoch(epoch).loss, nfp->TrainEpoch(epoch).loss) << "epoch " << epoch;
+        }
+        for (DeviceId d = 0; d < cluster.num_devices(); ++d) {
+          SCOPED_TRACE("device " + std::to_string(d));
+          ExpectSameParamBits(gdp->replica(d), nfp->replica(d));
+        }
+      }
+    }
+  }
+}
 
 }  // namespace
 }  // namespace apt

@@ -1,8 +1,9 @@
 // Property-based strategy equivalence: for RANDOM (graph, fanout,
 // hidden-dim, cluster) configurations — not hand-picked shapes — GDP, NFP,
 // SNP, and DNP trained on identical mini-batches produce the same loss and
-// parameters up to float32 reassociation. Each case derives every knob from
-// a single seed, so a failure reproduces from the test name alone.
+// parameters: NFP bit for bit, SNP and DNP up to float32 reassociation.
+// Each case derives every knob from a single seed, so a failure reproduces
+// from the test name alone.
 #include <gtest/gtest.h>
 
 #include <cstdint>

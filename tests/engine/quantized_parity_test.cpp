@@ -89,7 +89,10 @@ INSTANTIATE_TEST_SUITE_P(Seeds, QuantizedParity,
 
 // NFP and SNP keep the standard float backward; their boundary traffic is
 // charged compressed bytes but the partial sums are NOT grid-rounded, so
-// they track quantized GDP only within a quantization-noise tolerance.
+// they track quantized GDP only within a quantization-noise tolerance. NFP
+// runs GDP's layer-0 kernels and equals GDP bit for bit under the identity
+// wire codec; under a lossy one GDP takes the grid-rounded gradient path
+// while NFP keeps the float one, which is what the tolerance absorbs.
 class QuantizedSliceParity : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(QuantizedSliceParity, NfpSnpTrackGdpWithinTolerance) {

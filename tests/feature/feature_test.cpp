@@ -384,12 +384,47 @@ TEST(FeatureStoreTest, TierParityProceduralStore) {
   }
 }
 
-// int8 storage adds a 4-byte scale per row to the wire bytes, zero-width
-// slices included.
+// int8 storage adds a 4-byte scale per row to the wire bytes of every
+// slice that has columns.
 TEST(FeatureStoreTest, TierParityInt8Storage) {
   for (std::uint64_t seed = 1; seed <= 3; ++seed) {
     ExpectTierParity(MultiMachineCluster(4, 4, /*nvlink=*/true), false, seed, Codec::kInt8);
     ExpectTierParity(SingleMachineCluster(8, /*nvlink=*/false), true, seed, Codec::kInt8);
+  }
+}
+
+// An empty NFP column slice (more devices than feature columns) moves
+// nothing: 0 wire bytes and 0 s of load time under every storage codec, in
+// CountGather, CountSlices and a Gather's charge alike.
+TEST(FeatureStoreTest, EmptySliceCostsNothing) {
+  constexpr NodeId kNodes = 100;
+  constexpr std::int64_t kDim = 4;
+  const ClusterSpec cluster = MultiMachineCluster(2, 4);
+  std::vector<NodeId> nodes(kNodes);
+  std::iota(nodes.begin(), nodes.end(), NodeId{0});
+  std::vector<MachineId> placement(kNodes);
+  for (NodeId v = 0; v < kNodes; ++v) placement[static_cast<std::size_t>(v)] = v % 2;
+  const std::vector<std::int64_t> bounds = SliceBounds(kDim, cluster.num_devices());
+  for (int c = 0; c < kNumCodecs; ++c) {
+    const auto codec = static_cast<Codec>(c);
+    SCOPED_TRACE(ToString(codec));
+    SimContext sim(cluster);
+    FeatureStore store(kNodes, kDim, /*seed=*/7, placement, sim);
+    store.SetStorageCodec(codec, /*materialize=*/false);
+    const std::vector<LoadVolume> slices = store.CountSlices(nodes, bounds);
+    for (DeviceId dev = kDim; dev < cluster.num_devices(); ++dev) {
+      const auto i = static_cast<std::size_t>(dev);
+      ASSERT_EQ(bounds[i], bounds[i + 1]) << "device " << dev;
+      const LoadVolume empty = store.CountGather(dev, nodes, kDim, kDim);
+      EXPECT_EQ(empty.TotalWireBytes(), 0) << "device " << dev;
+      EXPECT_EQ(store.LoadSeconds(dev, empty), 0.0) << "device " << dev;
+      EXPECT_EQ(slices[i].rows, empty.rows) << "device " << dev;
+      EXPECT_EQ(slices[i].wire_bytes, empty.wire_bytes) << "device " << dev;
+      Tensor out(kNodes, kDim);
+      const double before = sim.Now(dev);
+      store.Gather(dev, nodes, kDim, kDim, out, kDim);
+      EXPECT_EQ(sim.Now(dev), before) << "device " << dev;
+    }
   }
 }
 

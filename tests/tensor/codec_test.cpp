@@ -43,6 +43,12 @@ TEST(Codec, WireBytes) {
   EXPECT_EQ(CodecWireBytes(Codec::kInt8, 10, 32), 10 * 32 + 10 * 4);
   // Dense worst case: bitmap + every value.
   EXPECT_EQ(CodecWireBytes(Codec::kDeltaBitmask, 1, 64), 64 * 4 + 8);
+  // Zero columns move nothing: no int8 scales, no delta bitmap or header.
+  for (int c = 0; c < kNumCodecs; ++c) {
+    const auto codec = static_cast<Codec>(c);
+    EXPECT_EQ(CodecWireBytes(codec, 10, 0), 0) << ToString(codec);
+    EXPECT_EQ(CodecWireBytes(codec, Tensor(10, 0)), 0) << ToString(codec);
+  }
   EXPECT_DOUBLE_EQ(CodecDenseRatio(Codec::kBf16, 128), 0.5);
   EXPECT_DOUBLE_EQ(CodecDenseRatio(Codec::kInt8, 128),
                    (128.0 + 4.0) / (128.0 * 4.0));

@@ -341,142 +341,27 @@ TEST(SegmentedMatmulTest, RejectsOutOfRangeSegments) {
   EXPECT_THROW(SegmentedMatmulTN(a, b, std::vector<std::int64_t>{4, 2}, c), Error);
 }
 
-// MatmulTN on a window of A's rows equals MatmulTN on a copy of them.
+// MatmulTN on a window of A's rows equals MatmulTN on a copy of them, at
+// beta 0 (C overwritten) and when accumulating into C.
 TEST(MatmulTest, TransposedRowWindowMatchesCopy) {
   const Tensor a = RandTensor(300, 13, 40);
   for (const auto& [row0, k] : {std::pair<std::int64_t, std::int64_t>{0, 300},
                                 {7, 270}, {299, 1}, {150, 0}}) {
     const Tensor b = RandTensor(k, 9, 41);
-    Tensor want(13, 9), got = RandTensor(13, 9, 42);
-    MatmulTN(SegmentRows(a, row0, row0 + k), b, want);
-    MatmulTN(a, row0, b, got);
-    for (std::int64_t i = 0; i < want.numel(); ++i) {
-      ASSERT_EQ(std::bit_cast<std::uint32_t>(want.data()[i]),
-                std::bit_cast<std::uint32_t>(got.data()[i]))
-          << "rows [" << row0 << ", " << row0 + k << ") element " << i;
+    for (const auto& [alpha, beta] : {std::pair<float, float>{1.0f, 0.0f}, {1.0f, 1.0f}}) {
+      Tensor want = RandTensor(13, 9, 42), got = want;
+      MatmulTN(SegmentRows(a, row0, row0 + k), b, want, alpha, beta);
+      MatmulTN(a, row0, b, got, alpha, beta);
+      for (std::int64_t i = 0; i < want.numel(); ++i) {
+        ASSERT_EQ(std::bit_cast<std::uint32_t>(want.data()[i]),
+                  std::bit_cast<std::uint32_t>(got.data()[i]))
+            << "rows [" << row0 << ", " << row0 + k << ") beta " << beta << " element " << i;
+      }
     }
   }
   Tensor c(13, 9);
   EXPECT_THROW(MatmulTN(a, 295, RandTensor(6, 9, 43), c), Error);
   EXPECT_THROW(MatmulTN(a, -1, RandTensor(6, 9, 43), c), Error);
-}
-
-// SliceSumMatmul must equal the composed sequence it replaces: per slice,
-// Matmul on copied column/row slices (first term at beta 0, the next at beta
-// 1), then C = P_0 and Axpy(1, P_s, C) slice after slice. Slices are uneven,
-// empty (more slices than columns) or wider than the k-panel (kKc = 256);
-// row counts leave ragged register tiles (4 or 8 rows) and cross the
-// kernel's row blocks, column counts ragged vector tiles (8 or 16 wide).
-Tensor ColumnSlice(const Tensor& t, std::int64_t row0, std::int64_t rows, std::int64_t lo,
-                   std::int64_t hi) {
-  Tensor out(rows, hi - lo);
-  for (std::int64_t r = 0; r < rows; ++r) {
-    std::copy_n(t.row(row0 + r) + lo, hi - lo, out.row(r));
-  }
-  return out;
-}
-
-/// `slices` near-equal column ranges of [0, k): the first k % slices get one
-/// extra column, and slices past k are empty.
-std::vector<std::int64_t> SliceBounds(std::int64_t k, std::int64_t slices) {
-  std::vector<std::int64_t> bounds{0};
-  for (std::int64_t s = 0; s < slices; ++s) {
-    bounds.push_back(bounds.back() + k / slices + (s < k % slices ? 1 : 0));
-  }
-  return bounds;
-}
-
-void ExpectSliceSumMatchesComposed(std::int64_t k, std::int64_t slices, std::int64_t m,
-                                   std::int64_t n, int num_terms, std::uint64_t seed) {
-  const std::vector<std::int64_t> bounds = SliceBounds(k, slices);
-  std::vector<Tensor> a;
-  std::vector<std::int64_t> row0;
-  std::vector<std::vector<Tensor>> b(static_cast<std::size_t>(num_terms));
-  std::vector<std::vector<const Tensor*>> b_ptrs(static_cast<std::size_t>(num_terms));
-  for (int t = 0; t < num_terms; ++t) {
-    row0.push_back(3 * t);  // terms read different row windows of taller A's
-    a.push_back(RandTensor(m + 5 * t, k, seed++));
-    for (std::int64_t s = 0; s < slices; ++s) {
-      b[static_cast<std::size_t>(t)].push_back(RandTensor(k, n, seed++));
-    }
-    for (const Tensor& bt : b[static_cast<std::size_t>(t)]) {
-      b_ptrs[static_cast<std::size_t>(t)].push_back(&bt);
-    }
-  }
-  Tensor want;
-  for (std::int64_t s = 0; s < slices; ++s) {
-    const auto us = static_cast<std::size_t>(s);
-    const std::int64_t lo = bounds[us], hi = bounds[us + 1];
-    Tensor part(m, n);
-    for (int t = 0; t < num_terms; ++t) {
-      const auto ut = static_cast<std::size_t>(t);
-      Matmul(ColumnSlice(a[ut], row0[ut], m, lo, hi), ColumnSlice(b[ut][us], lo, hi - lo, 0, n),
-             part, 1.0f, t == 0 ? 0.0f : 1.0f);
-    }
-    if (s == 0) {
-      want = std::move(part);
-    } else {
-      Axpy(1.0f, part, want);
-    }
-  }
-  std::vector<SliceTerm> terms;
-  for (int t = 0; t < num_terms; ++t) {
-    const auto ut = static_cast<std::size_t>(t);
-    terms.push_back({&a[ut], row0[ut], b_ptrs[ut]});
-  }
-  Tensor got = RandTensor(m, n, seed);  // every element is overwritten
-  SliceSumMatmul(terms, bounds, got);
-  for (std::int64_t i = 0; i < want.numel(); ++i) {
-    ASSERT_EQ(std::bit_cast<std::uint32_t>(want.data()[i]),
-              std::bit_cast<std::uint32_t>(got.data()[i]))
-        << "element " << i << " of " << m << "x" << n;
-  }
-}
-
-TEST(SliceSumMatmulTest, MatchesComposedMatmulAxpy) {
-  const std::vector<std::pair<std::int64_t, std::int64_t>> splits = {
-      {32, 4},   // even
-      {30, 4},   // uneven: 8, 8, 7, 7
-      {3, 5},    // more slices than columns: two empty slices
-      {600, 2},  // 300 columns per slice: two k-panels each
-      {1100, 4}, // 275 columns per slice
-      {16, 1},   // one slice
-  };
-  std::uint64_t seed = 500;
-  for (std::int64_t limit : {std::int64_t{1}, std::int64_t{0}}) {
-    std::unique_ptr<ScopedParallelismLimit> lanes;
-    if (limit > 0) lanes = std::make_unique<ScopedParallelismLimit>(limit);
-    for (const auto& [k, slices] : splits) {
-      for (const auto& [m, n] : {std::pair<std::int64_t, std::int64_t>{13, 7},
-                                 {70, 128}, {3, 33}, {257, 16}, {64, 24}}) {
-        for (int num_terms : {1, 2}) {
-          SCOPED_TRACE(::testing::Message() << "k " << k << " slices " << slices << " m " << m
-                                            << " n " << n << " terms " << num_terms
-                                            << " lanes " << limit);
-          ExpectSliceSumMatchesComposed(k, slices, m, n, num_terms, seed);
-          seed += 64;
-        }
-      }
-    }
-  }
-}
-
-TEST(SliceSumMatmulTest, RejectsMismatchedShapes) {
-  const Tensor a = RandTensor(6, 4, 1), b = RandTensor(4, 5, 2), wide = RandTensor(4, 6, 3);
-  const std::vector<const Tensor*> one{&b};
-  const std::vector<std::int64_t> bounds{0, 4};
-  Tensor c(4, 5);
-  const SliceTerm past_rows{&a, 3, one};  // rows [3, 7) of 6
-  EXPECT_THROW(SliceSumMatmul({&past_rows, 1}, bounds, c), Error);
-  const SliceTerm ok{&a, 2, one};
-  EXPECT_THROW(SliceSumMatmul({&ok, 1}, std::vector<std::int64_t>{0, 5}, c), Error);
-  const std::vector<const Tensor*> two{&b, &b};
-  const SliceTerm two_slices{&a, 0, two};
-  EXPECT_THROW(SliceSumMatmul({&two_slices, 1}, std::vector<std::int64_t>{0, 3, 2}, c), Error);
-  EXPECT_THROW(SliceSumMatmul({&two_slices, 1}, bounds, c), Error);  // one slice, two b's
-  const std::vector<const Tensor*> mismatched{&wide};
-  const SliceTerm wrong_n{&a, 0, mismatched};
-  EXPECT_THROW(SliceSumMatmul({&wrong_n, 1}, bounds, c), Error);
 }
 
 // ---------------------------------------------------------------------------
@@ -621,15 +506,19 @@ TEST(GemmBitExactTest, LibraryKernelsMatchReferenceOrder) {
         MatmulNT(a, b, got, s.alpha, s.beta);
         ExpectSameBits(want, got);
       }
-      if (s.alpha == 1.0f && s.beta == 0.0f) {
-        // Row windows: rows [3, 3 + k) of a taller A^T, rows [2, 2 + m) of
-        // a taller A.
+      {
+        // Row window: rows [3, 3 + k) of a taller A^T.
         const Tensor at = RandTensor(s.k + 5, s.m, seed++), b = RandTensor(s.k, s.n, seed++);
         Tensor want = c0, got = c0;
         RefGemm([&](std::int64_t i, std::int64_t p) { return at(3 + p, i); }, b.data(), s.m,
-                s.k, s.n, want.data(), 1.0f, 0.0f, fused);
-        MatmulTN(at, 3, b, got);
+                s.k, s.n, want.data(), s.alpha, s.beta, fused);
+        MatmulTN(at, 3, b, got, s.alpha, s.beta);
         ExpectSameBits(want, got);
+      }
+      if (s.alpha == 1.0f && s.beta == 0.0f) {
+        // Row window: rows [2, 2 + m) of a taller A.
+        const Tensor b = RandTensor(s.k, s.n, seed++);
+        Tensor want = c0, got = c0;
         const Tensor a = RandTensor(s.m + 4, s.k, seed++);
         RefGemm([&](std::int64_t i, std::int64_t p) { return a(2 + i, p); }, b.data(), s.m,
                 s.k, s.n, want.data(), 1.0f, 0.0f, fused);
@@ -640,7 +529,7 @@ TEST(GemmBitExactTest, LibraryKernelsMatchReferenceOrder) {
   }
 }
 
-TEST(GemmBitExactTest, SegmentedAndSliceSumMatchReferenceOrder) {
+TEST(GemmBitExactTest, SegmentedMatchesReferenceOrder) {
   const bool fused = GemmFusesMultiplyAdd();
   std::uint64_t seed = 8000;
   for (std::int64_t limit : {std::int64_t{1}, std::int64_t{0}}) {
@@ -665,39 +554,6 @@ TEST(GemmBitExactTest, SegmentedAndSliceSumMatchReferenceOrder) {
         SegmentedMatmulTN(a, b, segments, got, alpha, beta);
         ExpectSameBits(want, got);
       }
-      // SliceSumMatmul: P_s per slice (terms in order, the first at beta
-      // 0), then C = P_0 and C += P_s slice after slice.
-      for (const auto& [k, slices] : {std::pair<std::int64_t, std::int64_t>{30, 4},
-                                      {600, 2}, {3, 5}}) {
-        const std::vector<std::int64_t> bounds = SliceBounds(k, slices);
-        const Tensor a0 = RandTensor(m + 3, k, seed++), a1 = RandTensor(m, k, seed++);
-        std::vector<Tensor> b0, b1;
-        for (std::int64_t s = 0; s < slices; ++s) {
-          b0.push_back(RandTensor(k, n, seed++));
-          b1.push_back(RandTensor(k, n, seed++));
-        }
-        std::vector<const Tensor*> b0_ptrs, b1_ptrs;
-        for (std::int64_t s = 0; s < slices; ++s) {
-          b0_ptrs.push_back(&b0[static_cast<std::size_t>(s)]);
-          b1_ptrs.push_back(&b1[static_cast<std::size_t>(s)]);
-        }
-        Tensor want(m, n), part(m, n);
-        for (std::int64_t s = 0; s < slices; ++s) {
-          const auto us = static_cast<std::size_t>(s);
-          const std::int64_t lo = bounds[us], hi = bounds[us + 1];
-          Tensor& out = s == 0 ? want : part;
-          RefGemm([&](std::int64_t i, std::int64_t p) { return a0(3 + i, lo + p); },
-                  b0[us].data() + lo * n, m, hi - lo, n, out.data(), 1.0f, 0.0f, fused);
-          RefGemm([&](std::int64_t i, std::int64_t p) { return a1(i, lo + p); },
-                  b1[us].data() + lo * n, m, hi - lo, n, out.data(), 1.0f, 1.0f, fused);
-          if (s == 0) continue;
-          for (std::int64_t i = 0; i < want.numel(); ++i) want.data()[i] += part.data()[i];
-        }
-        const SliceTerm terms[] = {{&a0, 3, b0_ptrs}, {&a1, 0, b1_ptrs}};
-        Tensor got = RandTensor(m, n, seed++);
-        SliceSumMatmul(terms, bounds, got);
-        ExpectSameBits(want, got);
-      }
     }
   }
 }
@@ -705,8 +561,8 @@ TEST(GemmBitExactTest, SegmentedAndSliceSumMatchReferenceOrder) {
 // The kernel templates at every tile shape a driver version uses, so a host
 // without AVX-512 still checks the 8 x 16 geometry. Instantiated here, at
 // this file's ISA; the probe on each instantiation picks its arithmetic
-// class. Row ranges start past 0 and A rows are wider than k, as
-// SliceSumMatmul's column slices are.
+// class. Row ranges start past 0 and A rows are wider than k, as column
+// slices of a wider matrix are.
 template <int Mr, int Nr, int NtRows>
 void ExpectTileShapeMatchesReference() {
   const auto nn = [](const Tensor& a, const Tensor& b, Tensor& c) {
