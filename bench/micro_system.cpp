@@ -61,7 +61,7 @@ void BM_ChargeAllToAll(benchmark::State& state) {
   AllToAllTraffic traffic;
   for (DeviceId i = 0; i < c; ++i) {
     for (DeviceId j = 0; j < c; ++j) {
-      traffic.Add(j, rows * cols * 4, comm.RowsWireBytes(i, j, rows, cols));
+      traffic.Add(j, rows * cols * 4, comm.WireBytes(rows, cols));
     }
     traffic.EndSender();
   }

@@ -24,7 +24,6 @@
 // call throws CollectiveError — never a silent hang or time inflation.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <cstring>
 #include <span>
@@ -47,22 +46,24 @@ class Communicator {
   std::int32_t num_devices() const { return ctx_->num_devices(); }
 
   // ------------------------------------------------------------------
-  // Wire codecs. Float-tensor payloads (ring payloads priced by
-  // RingWireBytes, all-to-all row lanes priced by RowsWireBytes) charge CODEC
-  // bytes on the wire, chosen per traffic class; id/object/double payloads
-  // carry structural or exact data and always travel uncompressed. The communicator never
-  // changes VALUES — lossy rounding happens exactly once at the producer
-  // (FeatureStore / model boundary hooks), which is what keeps quantized
-  // strategies bit-comparable (DESIGN.md invariant 8). Transfer time, fault
-  // thresholds, and the wire traffic counters all see codec bytes; logical
-  // fp32 bytes stay visible beside them for ratio reporting.
+  // Wire codec. Float-tensor payloads (ring payloads and all-to-all row
+  // lanes alike, priced by shape through WireBytes) charge CODEC bytes on
+  // the wire, one codec on every link; id/object/double payloads carry
+  // structural or exact data and always travel uncompressed. The
+  // communicator never changes VALUES — lossy rounding happens exactly once
+  // at the producer (FeatureStore / model boundary hooks), which is what
+  // keeps quantized strategies bit-comparable (DESIGN.md invariant 8).
+  // Transfer time, fault thresholds, and the wire traffic counters all see
+  // codec bytes; logical fp32 bytes stay visible beside them for ratio
+  // reporting.
   // ------------------------------------------------------------------
-  void SetWireCodec(TrafficClass cls, Codec codec) {
-    wire_codecs_[static_cast<std::size_t>(cls)] = codec;
-  }
-  void SetWireCodecAll(Codec codec) { wire_codecs_.fill(codec); }
-  Codec wire_codec(TrafficClass cls) const {
-    return wire_codecs_[static_cast<std::size_t>(cls)];
+  void SetWireCodecAll(Codec codec) { wire_codec_ = codec; }
+  Codec wire_codec() const { return wire_codec_; }
+  /// Wire bytes of a rows x cols fp32 payload under the wire codec
+  /// (kDeltaBitmask charges its dense worst case: the shape says nothing of
+  /// the content).
+  std::int64_t WireBytes(std::int64_t rows, std::int64_t cols) const {
+    return CodecWireBytes(wire_codec_, rows, cols);
   }
   /// Codec for gradient-allreduce payloads (RingWireBytes with
   /// gradient_sync = true). kDeltaBitmask is lossless and charges
@@ -74,17 +75,17 @@ class Communicator {
   // The communicator's two ring collectives, charges priced by size. Every
   // device lives in this process, so callers reduce or read their peers'
   // payloads in place (AllReduceGradients sums the replicas in device order;
-  // NFP sums its slice partials and reads the broadcast graphs and
-  // gradients where they lie) and then charge the collective that would
-  // have moved them. `bytes` is the logical payload: one device's
-  // contribution for an allreduce, the sum over devices for a broadcast;
-  // `wire_bytes` is the same under the codec (RingWireBytes). A ring moves
-  // factor * (C-1)/C of it per device (factor 2 for AllReduce, 1 for
-  // AllBroadcast); each device pays codec encode/decode passes when wire
-  // and logical bytes differ. Traced as one "allreduce" / "allbroadcast"
-  // slice per participant and attributed to SimContext comm time; link
-  // faults, collective-fault thresholds and the per-class wire counters all
-  // see wire bytes.
+  // NFP computes each origin's layer 0 whole and charges the partial
+  // allreduce and gradient broadcast its column split would run) and then
+  // charge the collective that would have moved them. `bytes` is the
+  // logical payload: one device's contribution for an allreduce, the sum
+  // over devices for a broadcast; `wire_bytes` is the same under the codec
+  // (RingWireBytes). A ring moves factor * (C-1)/C of it per device (factor
+  // 2 for AllReduce, 1 for AllBroadcast); each device pays codec
+  // encode/decode passes when wire and logical bytes differ. Traced as one
+  // "allreduce" / "allbroadcast" slice per participant and attributed to
+  // SimContext comm time; link faults, collective-fault thresholds and the
+  // per-class wire counters all see wire bytes.
   // ------------------------------------------------------------------
   void ChargeAllReduce(std::int64_t bytes, std::int64_t wire_bytes, Phase phase) {
     ChargeRing(bytes, wire_bytes, /*factor=*/2.0, phase, "allreduce");
@@ -94,13 +95,10 @@ class Communicator {
   }
   /// Wire bytes of one device's fp32 `payload` on a ring. Gradient sync uses
   /// the grad codec on the payload's content, so kDeltaBitmask counts its
-  /// nonzeros; everything else uses the codec of the ring's traffic class on
-  /// the payload's shape (kDeltaBitmask at its dense worst case, the
-  /// RowsWireBytes convention).
+  /// nonzeros; everything else is WireBytes of the payload's shape.
   std::int64_t RingWireBytes(const Tensor& payload, bool gradient_sync = false) const {
-    return gradient_sync
-               ? CodecWireBytes(grad_codec_, payload)
-               : CodecWireBytes(wire_codec(RingClass()), payload.rows(), payload.cols());
+    return gradient_sync ? CodecWireBytes(grad_codec_, payload)
+                         : WireBytes(payload.rows(), payload.cols());
   }
 
   /// Bottleneck link of a ring over all devices (the slowest hop), after
@@ -122,14 +120,6 @@ class Communicator {
   // sums its lanes in).
   // ------------------------------------------------------------------
   void ChargeAllToAll(const AllToAllTraffic& traffic, Phase phase);
-  /// Wire bytes of a rows x cols fp32 payload sent from `from` to `to`
-  /// under the wire codec of their link's traffic class (kDeltaBitmask
-  /// charges its dense worst case, the shape-only convention).
-  std::int64_t RowsWireBytes(DeviceId from, DeviceId to, std::int64_t rows,
-                             std::int64_t cols) const {
-    return CodecWireBytes(wire_codec(ctx_->ClassifyDeviceLink(from, to)), rows, cols);
-  }
-
   // ------------------------------------------------------------------
   // Sampled-execution fast-forward: replays a recorded step
   // tape through the virtual clocks. Flat advances and barriers replay
@@ -154,11 +144,6 @@ class Communicator {
                   double factor, Phase phase, const char* label);
   void ChargeRingImpl(std::int64_t total_bytes, std::int64_t wire_total_bytes,
                       double factor, Phase phase, const char* label);
-  /// Traffic class of a ring schedule over all devices.
-  TrafficClass RingClass() const {
-    return ctx_->cluster().num_machines() > 1 ? TrafficClass::kCrossMachine
-                                              : TrafficClass::kPeerGpu;
-  }
   /// Consults the fault plan with this call's wire bytes. On a hit: charges
   /// each device the completed fraction of busy[d] (as comm time, traced
   /// "fault.collective"), records the failing call in the flight recorder
@@ -169,8 +154,7 @@ class Communicator {
                            const char* traffic_class);
 
   SimContext* ctx_;
-  std::array<Codec, static_cast<std::size_t>(TrafficClass::kNumClasses)>
-      wire_codecs_{Codec::kIdentity, Codec::kIdentity, Codec::kIdentity};
+  Codec wire_codec_ = Codec::kIdentity;
   Codec grad_codec_ = Codec::kIdentity;
 };
 

@@ -43,7 +43,7 @@ CommProfile ProfileImpl(const ClusterSpec& cluster, std::int64_t trial_bytes,
     for (DeviceId i = 0; i < c; ++i) {
       for (DeviceId j = 0; j < c; ++j) {
         traffic.Add(j, rows_per_peer * cols * static_cast<std::int64_t>(sizeof(float)),
-                    comm.RowsWireBytes(i, j, rows_per_peer, cols));
+                    comm.WireBytes(rows_per_peer, cols));
       }
       traffic.EndSender();
     }
@@ -61,33 +61,30 @@ CommProfile ProfileImpl(const ClusterSpec& cluster, std::int64_t trial_bytes,
     profile.allreduce_bytes_per_s = static_cast<double>(bytes) / elapsed(ctx);
   }
 
-  // --- AllBroadcast of one trial tensor per device. ------------------------
+  // --- AllBroadcast of one trial tensor per device, then the feature-read
+  // channels: the link model, degraded by the trial context's faults at
+  // `at_time_s`. ---------------------------------------------------------------
   {
     SimContext ctx(cluster);
     prepare(ctx);
     Communicator(ctx).ChargeAllBroadcast(bytes * c, bytes * c, Phase::kTrain);
     profile.broadcast_bytes_per_s = static_cast<double>(bytes) * c / elapsed(ctx);
-  }
 
-  // --- Feature-read channels (straight from the link model). ----------------
-  const MachineSpec& m0 = cluster.machines.front();
-  LinkSpec intra = m0.has_nvlink ? m0.nvlink : m0.pcie;
-  LinkSpec pcie = m0.pcie;
-  LinkSpec network = cluster.network;
-  if (faults != nullptr) {
-    intra = faults->Degrade(intra, static_cast<int>(TrafficClass::kPeerGpu), at_time_s);
-    pcie = faults->Degrade(pcie, static_cast<int>(TrafficClass::kLocalCpuGpu), at_time_s);
-    network =
-        faults->Degrade(network, static_cast<int>(TrafficClass::kCrossMachine), at_time_s);
+    const MachineSpec& m0 = cluster.machines.front();
+    const LinkSpec intra = ctx.DegradedLink(m0.has_nvlink ? m0.nvlink : m0.pcie,
+                                            TrafficClass::kPeerGpu, at_time_s);
+    const LinkSpec pcie = ctx.DegradedLink(m0.pcie, TrafficClass::kLocalCpuGpu, at_time_s);
+    const LinkSpec network =
+        ctx.DegradedLink(cluster.network, TrafficClass::kCrossMachine, at_time_s);
+    auto effective = [&](const LinkSpec& link) {
+      return static_cast<double>(trial_bytes) / link.TransferSeconds(trial_bytes);
+    };
+    profile.local_cpu_bytes_per_s = effective(pcie);
+    profile.remote_cpu_bytes_per_s =
+        cluster.num_machines() > 1 ? effective(network) : 0.0;
+    profile.gpu_cache_bytes_per_s = m0.gpu.mem_bandwidth_bytes_per_s;
+    profile.peer_gpu_bytes_per_s = effective(intra);
   }
-  auto effective = [&](const LinkSpec& link) {
-    return static_cast<double>(trial_bytes) / link.TransferSeconds(trial_bytes);
-  };
-  profile.local_cpu_bytes_per_s = effective(pcie);
-  profile.remote_cpu_bytes_per_s =
-      cluster.num_machines() > 1 ? effective(network) : 0.0;
-  profile.gpu_cache_bytes_per_s = m0.gpu.mem_bandwidth_bytes_per_s;
-  profile.peer_gpu_bytes_per_s = effective(intra);
   return profile;
 }
 

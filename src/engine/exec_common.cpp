@@ -115,18 +115,25 @@ void AllReduceGradients(EngineCtx& ctx) {
   }
 }
 
-Tensor TrainFromLayer1(EngineCtx& ctx, DeviceId o, const DeviceBatch& batch, Tensor raw0,
-                       std::int64_t total_seeds, StepStats& agg) {
+Tensor TrainFrom(EngineCtx& ctx, DeviceId dev, const DeviceBatch& batch, int first_layer,
+                 Tensor input, int backward_to, std::int64_t total_seeds, StepStats& agg,
+                 ModelTape& tape) {
   const auto& blocks = batch.sample.blocks;
-  ModelTape tape;
-  const Tensor logits = ctx.model(o).ForwardFrom(1, blocks, raw0, &tape);
-  raw0 = Tensor();
+  const Tensor logits = ctx.model(dev).ForwardFrom(first_layer, blocks, input, &tape);
+  input = Tensor();
   Tensor grad_logits;
-  const StepStats s = SeedLossAndGrad(ctx, o, batch, logits, total_seeds, grad_logits);
-  Tensor grad_raw0 = ctx.model(o).BackwardTo(1, blocks, tape, grad_logits);
-  ChargeStepCompute(ctx, o, blocks, 1);
+  const StepStats s = SeedLossAndGrad(ctx, dev, batch, logits, total_seeds, grad_logits);
+  Tensor grad_input = ctx.model(dev).BackwardTo(backward_to, blocks, tape, grad_logits);
   agg.loss += s.loss;
   agg.correct += s.correct;
+  return grad_input;
+}
+
+Tensor TrainFromLayer1(EngineCtx& ctx, DeviceId o, const DeviceBatch& batch, Tensor raw0,
+                       std::int64_t total_seeds, StepStats& agg) {
+  ModelTape tape;
+  Tensor grad_raw0 = TrainFrom(ctx, o, batch, 1, std::move(raw0), 1, total_seeds, agg, tape);
+  ChargeStepCompute(ctx, o, batch.sample.blocks, 1);
   return grad_raw0;
 }
 

@@ -45,10 +45,19 @@ StepStats SeedLossAndGrad(EngineCtx& ctx, DeviceId dev, const DeviceBatch& batch
                           const Tensor& logits, std::int64_t total_seeds,
                           Tensor& grad_logits);
 
-/// Layers 1.. at origin `o` on its layer-0 output `raw0`: forward, seed loss
-/// and backward to the gradient of that output, which it returns. Charges
-/// their compute and adds the loss and hits to `agg`; `raw0` is freed once
-/// the forward holds its own copy.
+/// One device's model pass on its batch: forward from layer `first_layer` on
+/// that layer's input `input`, seed loss, and backward to layer
+/// `backward_to`, returning the gradient of that layer's input (empty at
+/// layer 0: features need none). Adds the loss and hits to `agg` and charges
+/// nothing. `input` is freed once the forward holds what it needs; `tape`
+/// keeps the forward's saved state.
+Tensor TrainFrom(EngineCtx& ctx, DeviceId dev, const DeviceBatch& batch, int first_layer,
+                 Tensor input, int backward_to, std::int64_t total_seeds, StepStats& agg,
+                 ModelTape& tape);
+
+/// Layers 1.. at origin `o` on its layer-0 output `raw0` (TrainFrom layer 1
+/// back to layer 1), charged as their compute; returns the gradient of
+/// `raw0`.
 Tensor TrainFromLayer1(EngineCtx& ctx, DeviceId o, const DeviceBatch& batch, Tensor raw0,
                        std::int64_t total_seeds, StepStats& agg);
 

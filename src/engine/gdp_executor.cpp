@@ -38,31 +38,21 @@ class GdpExecutor final : public StrategyExecutor {
     std::vector<Tensor> grad_raw0(c);
     std::vector<std::vector<QuantizedBlockGrad>> qblocks(c);
     for (DeviceId dev = 0; dev < ctx_->num_devices(); ++dev) {
-      DeviceBatch& batch = batches[static_cast<std::size_t>(dev)];
+      const auto udev = static_cast<std::size_t>(dev);
+      DeviceBatch& batch = batches[udev];
       if (batch.labels.empty()) continue;
       const auto& blocks = batch.sample.blocks;
       const auto input_nodes = batch.sample.input_nodes();
       Tensor feats = Tensor::Uninit(static_cast<std::int64_t>(input_nodes.size()), d);
       ctx_->store->Gather(dev, input_nodes, 0, d, feats);
       ctx_->sim->NoteTransient(dev, FullGatherTransient(feats.rows(), d));
-
-      ModelTape& tape = tapes[static_cast<std::size_t>(dev)];
-      const Tensor logits = ctx_->model(dev).ForwardFrom(0, blocks, feats, &tape);
-      Tensor grad_logits;
-      const StepStats s =
-          SeedLossAndGrad(*ctx_, dev, batch, logits, total_seeds, grad_logits);
+      grad_raw0[udev] = TrainFrom(*ctx_, dev, batch, 0, std::move(feats), quantized ? 1 : 0,
+                                  total_seeds, agg, tapes[udev]);
       if (quantized) {
-        grad_raw0[static_cast<std::size_t>(dev)] =
-            ctx_->model(dev).BackwardTo(1, blocks, tape, grad_logits);
-        qblocks[static_cast<std::size_t>(dev)].push_back(QuantizedBlockGrad{
-            blocks[0].num_dst, tape.layer_ctx[0].get(),
-            &grad_raw0[static_cast<std::size_t>(dev)]});
-      } else {
-        ctx_->model(dev).BackwardTo(0, blocks, tape, grad_logits);
+        qblocks[udev].push_back(QuantizedBlockGrad{
+            blocks[0].num_dst, tapes[udev].layer_ctx[0].get(), &grad_raw0[udev]});
       }
       ChargeStepCompute(*ctx_, dev, blocks, 0);
-      agg.loss += s.loss;
-      agg.correct += s.correct;
     }
     if (quantized) QuantizedLayer0Backward(*ctx_, qblocks);
     return agg;

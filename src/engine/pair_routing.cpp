@@ -206,7 +206,6 @@ NfpPlan BuildNfpPlan(std::span<const Block* const> blocks, std::int64_t d, bool 
   NfpPlan plan;
   plan.bounds = SliceBounds(d, static_cast<std::int32_t>(blocks.size()));
   for (const Block* b : blocks) {
-    plan.first.push_back(plan.rows());
     plan.sources.insert(plan.sources.end(), b->src_nodes.begin(), b->src_nodes.end());
     plan.graph_bytes += b->bytes();
     if (b->num_dst > 0) plan.partial_rows += gat ? b->num_src() : b->num_dst;

@@ -115,15 +115,12 @@ struct PairRouting {
     }
     return traffic;
   }
-  /// Traffic of one fp32 row of `cols` per item, under each link's wire
-  /// codec.
+  /// Traffic of one fp32 row of `cols` per item, under the wire codec.
   AllToAllTraffic RowTraffic(const Communicator& comm, std::int64_t cols,
                              bool to_owners) const {
     return Traffic(to_owners, [&](const RoutePair& pr) {
-      const DeviceId from = to_owners ? pr.origin : pr.owner;
-      const DeviceId to = to_owners ? pr.owner : pr.origin;
-      return std::pair<std::int64_t, std::int64_t>(
-          pr.items() * cols * 4, comm.RowsWireBytes(from, to, pr.items(), cols));
+      return std::pair<std::int64_t, std::int64_t>(pr.items() * cols * 4,
+                                                   comm.WireBytes(pr.items(), cols));
     });
   }
 };
@@ -317,12 +314,12 @@ inline std::vector<std::int64_t> SliceBounds(std::int64_t dim, std::int32_t num_
   return bounds;
 }
 
-/// One NFP step: every device gathers its column slice of every origin's
-/// layer-1 sources, stacked in origin order, and keeps a partial layer-1
+/// One NFP step as its charges count it: every device loads its column
+/// slice of every origin's layer-1 sources and keeps a partial layer-1
 /// output per origin with destinations until the partials are allreduced.
+/// The executor and the dry-run both count the loads with CountSlices.
 struct NfpPlan {
   std::vector<NodeId> sources;       ///< every origin's sources, origin after origin
-  std::vector<std::int64_t> first;   ///< origin o's sources start at row first[o]
   std::vector<std::int64_t> bounds;  ///< device g's columns [bounds[g], bounds[g+1])
   std::int64_t graph_bytes = 0;      ///< the AllBroadcast of the layer-1 graphs
   /// One device's partial rows: num_dst (SAGE) or num_src (GAT) summed over

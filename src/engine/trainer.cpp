@@ -9,7 +9,6 @@
 #include "obs/telemetry.h"
 #include "obs/trace.h"
 #include "sampling/neighbor_sampler.h"
-#include "tensor/ops.h"
 
 namespace apt {
 
@@ -412,9 +411,6 @@ double ParallelTrainer::EvaluateAccuracy(std::span<const NodeId> nodes,
                                          std::uint64_t eval_seed,
                                          std::int64_t batch_size) {
   if (nodes.empty()) return 0.0;
-  APT_CHECK_GT(dataset_->features.numel(), 0)
-      << "EvaluateAccuracy reads materialized features; procedural "
-         "(scale-sweep) datasets train without an eval matrix";
   NeighborSampler sampler(dataset_->graph, setup_.engine.fanouts);
   Rng rng(eval_seed);
   std::int64_t correct = 0;
@@ -425,7 +421,7 @@ double ParallelTrainer::EvaluateAccuracy(std::span<const NodeId> nodes,
     const std::span<const NodeId> seeds = nodes.subspan(lo, hi - lo);
     SampledBatch batch = sampler.Sample(seeds, rng);
     Tensor feats = Tensor::Uninit(batch.blocks[0].num_src(), d);
-    GatherRows(dataset_->features, batch.blocks[0].src_nodes, feats);
+    store_->Read(batch.blocks[0].src_nodes, 0, d, feats);
     const Tensor logits = models_[0]->ForwardFrom(0, batch.blocks, feats, nullptr);
     for (std::int64_t i = 0; i < logits.rows(); ++i) {
       const float* row = logits.row(i);

@@ -48,6 +48,9 @@ class ParallelTrainer {
   EpochStats TrainEpoch(std::int64_t epoch);
 
   /// Mini-batched sampled inference accuracy with replica 0 (not timed).
+  /// Rows come from the feature store (FeatureStore::Read), so evaluation
+  /// sees the values training and serving see: procedural rows, and rows
+  /// rounded by a lossy storage codec.
   double EvaluateAccuracy(std::span<const NodeId> nodes, std::uint64_t eval_seed = 5,
                           std::int64_t batch_size = 4096);
 

@@ -265,18 +265,18 @@ double FeatureStore::LoadSeconds(DeviceId dev, const LoadVolume& volume) const {
 
 LoadVolume FeatureStore::Gather(DeviceId dev, std::span<const NodeId> nodes,
                                 std::int64_t col_lo, std::int64_t col_hi, Tensor& out) {
-  APT_CHECK_EQ(out.cols(), col_hi - col_lo);
-  return Gather(dev, nodes, col_lo, col_hi, out, 0);
+  const LoadVolume vol = CountGather(dev, nodes, col_lo, col_hi);
+  Read(nodes, col_lo, col_hi, out);
+  ChargeLoad(dev, vol);
+  return vol;
 }
 
-LoadVolume FeatureStore::Gather(DeviceId dev, std::span<const NodeId> nodes,
-                                std::int64_t col_lo, std::int64_t col_hi, Tensor& out,
-                                std::int64_t out_col) {
+void FeatureStore::Read(std::span<const NodeId> nodes, std::int64_t col_lo,
+                        std::int64_t col_hi, Tensor& out) const {
+  APT_CHECK(col_lo >= 0 && col_lo <= col_hi && col_hi <= feature_dim());
   APT_CHECK_EQ(out.rows(), static_cast<std::int64_t>(nodes.size()));
-  const LoadVolume vol = CountGather(dev, nodes, col_lo, col_hi);
   const std::int64_t width = col_hi - col_lo;
-  APT_CHECK(out_col >= 0 && out_col + width <= out.cols())
-      << "columns [" << out_col << ", " << out_col + width << ") of " << out.cols();
+  APT_CHECK_EQ(out.cols(), width);
   if (procedural_) {
     // Generate each requested row on the fly. Under a lossless codec the
     // requested columns go straight into `out`. A lossy codec rounds the
@@ -291,14 +291,13 @@ LoadVolume FeatureStore::Gather(DeviceId dev, std::span<const NodeId> nodes,
                         Tensor row_buf = lossy ? Tensor::Uninit(1, dim) : Tensor();
                         for (std::int64_t i = lo; i < hi; ++i) {
                           const NodeId v = nodes[static_cast<std::size_t>(i)];
-                          float* dst = out.row(i) + out_col;
                           if (!lossy) {
-                            ProceduralRow(procedural_seed_, v, col_lo, col_hi, dst);
+                            ProceduralRow(procedural_seed_, v, col_lo, col_hi, out.row(i));
                             continue;
                           }
                           ProceduralRow(procedural_seed_, v, 0, dim, row_buf.data());
                           CodecRoundRows(storage_codec_, row_buf);
-                          std::copy_n(row_buf.data() + col_lo, width, dst);
+                          std::copy_n(row_buf.data() + col_lo, width, out.row(i));
                         }
                       });
   } else {
@@ -308,9 +307,12 @@ LoadVolume FeatureStore::Gather(DeviceId dev, std::span<const NodeId> nodes,
     // The row copies are independent; this is the memory-bound half of T_load.
     ParallelFor(0, static_cast<std::int64_t>(nodes.size()), [&](std::int64_t i) {
       const float* src = src_tensor.row(nodes[static_cast<std::size_t>(i)]) + col_lo;
-      std::copy_n(src, width, out.row(i) + out_col);
+      std::copy_n(src, width, out.row(i));
     }, std::max<std::int64_t>(1, 16384 / std::max<std::int64_t>(1, width)));
   }
+}
+
+void FeatureStore::ChargeLoad(DeviceId dev, const LoadVolume& vol) {
   GatherMetrics& metrics = FeatureMetrics();
   metrics.gathers.Increment();
   std::int64_t total_rows = 0;
@@ -345,7 +347,6 @@ LoadVolume FeatureStore::Gather(DeviceId dev, std::span<const NodeId> nodes,
   ctx_->CountTraffic(TrafficClass::kCrossMachine,
                      vol.bytes[static_cast<std::size_t>(FeatureTier::kRemoteCpu)],
                      vol.WireBytes(FeatureTier::kRemoteCpu));
-  return vol;
 }
 
 std::vector<MachineId> FeaturePlacementFromPartition(const std::vector<PartId>& part,

@@ -4,6 +4,9 @@
 // caches the rows its strategy expects to touch most. A gather request is
 // served tier by tier — own GPU cache, peer GPU (NVLink only), local CPU,
 // remote CPU — with real row copies plus simulated transfer time per tier.
+// Gather is three public steps: CountGather classifies, Read copies and
+// charges nothing, ChargeLoad charges and copies nothing (NFP charges its
+// column slices through it and reads full rows once per origin).
 // Cache membership lives in one table per machine mapping each cached node
 // to the bitmask of the local GPUs holding it, so classifying a row is one
 // hash probe.
@@ -119,15 +122,23 @@ class FeatureStore {
 
   /// Gathers columns [col_lo, col_hi) of `nodes` into `out` (resized by the
   /// caller to nodes.size() x (col_hi - col_lo)), charging simulated load
-  /// time on `dev` and returning the per-tier volume.
+  /// time on `dev` and returning the per-tier volume: CountGather, then Read,
+  /// then ChargeLoad.
   LoadVolume Gather(DeviceId dev, std::span<const NodeId> nodes, std::int64_t col_lo,
                     std::int64_t col_hi, Tensor& out);
 
-  /// The same gather, charge and counters, but the columns land in columns
-  /// [out_col, out_col + col_hi - col_lo) of a wider `out` (nodes.size()
-  /// rows), so per-device slices can fill one full-width buffer.
-  LoadVolume Gather(DeviceId dev, std::span<const NodeId> nodes, std::int64_t col_lo,
-                    std::int64_t col_hi, Tensor& out, std::int64_t out_col);
+  /// The copy half of a gather: columns [col_lo, col_hi) of `nodes` into
+  /// `out` (nodes.size() x (col_hi - col_lo)), exactly the values Gather
+  /// returns under the storage codec, charging nothing. Safe to call
+  /// concurrently.
+  void Read(std::span<const NodeId> nodes, std::int64_t col_lo, std::int64_t col_hi,
+            Tensor& out) const;
+
+  /// The charge half of a gather: `vol` (a CountGather result) as simulated
+  /// load time on `dev`, one "gather" trace slice, the traffic counters and
+  /// the feature.* metrics. A strategy that charges loads it never copies
+  /// (NFP's column slices) calls this alone.
+  void ChargeLoad(DeviceId dev, const LoadVolume& vol);
 
   /// Volume-only variant used by dry-run: classifies tiers and charges
   /// nothing, copies nothing.

@@ -18,23 +18,6 @@ bool LinkFault::ActiveAt(double t) const {
   return phase < flap_duty;
 }
 
-double FaultPlan::StragglerFactor(DeviceId dev, double t) const {
-  double f = 1.0;
-  for (const StragglerFault& s : stragglers) {
-    if (s.device == dev && s.ActiveAt(t)) f *= s.slowdown;
-  }
-  return f;
-}
-
-LinkSpec FaultPlan::Degrade(LinkSpec base, int cls, double t) const {
-  for (const LinkFault& l : links) {
-    if (l.link_class != cls || !l.ActiveAt(t)) continue;
-    base.bandwidth_bytes_per_s *= l.bandwidth_factor;
-    base.latency_s += l.extra_latency_s;
-  }
-  return base;
-}
-
 bool FaultPlan::AnyDegradationAt(double t) const {
   for (const StragglerFault& s : stragglers) {
     if (s.ActiveAt(t)) return true;

@@ -79,15 +79,6 @@ struct FaultPlan {
     return stragglers.empty() && links.empty() && collectives.empty();
   }
 
-  /// Product of every active straggler slowdown for `dev` at time `t`
-  /// (1.0 when healthy).
-  double StragglerFactor(DeviceId dev, double t) const;
-
-  /// Applies every active LinkFault of `cls` to `base` at time `t`.
-  /// Bandwidth factors multiply; extra latencies add. Returns `base`
-  /// unchanged (bit-identical) when nothing is active.
-  LinkSpec Degrade(LinkSpec base, int cls, double t) const;
-
   /// True if any straggler/link fault could be active at time `t` — used by
   /// re-planning to decide whether a degraded profile is worth measuring.
   bool AnyDegradationAt(double t) const;

@@ -84,21 +84,6 @@ void MatmulRows(const float* ap, std::int64_t k, const Tensor& b, Tensor& c, flo
   }, RowGrain(k + n));
 }
 
-// C = A^T B where `ap` points at k rows of an [., m] matrix.
-void MatmulTNRows(const float* ap, std::int64_t k, std::int64_t m, const Tensor& b,
-                  Tensor& c, float alpha, float beta) {
-  const std::int64_t n = b.cols();
-  APT_CHECK_EQ(b.rows(), k);
-  APT_CHECK_EQ(c.rows(), m);
-  APT_CHECK_EQ(c.cols(), n);
-  if (m == 0 || n == 0) return;
-  const float* bp = b.data();
-  float* cp = c.data();
-  ParallelForChunks(0, m, [&](std::int64_t lo, std::int64_t hi) {
-    GemmRowBlockTN(ap, m, bp, n, cp, k, lo, hi, alpha, beta);
-  }, RowGrain(k + n));
-}
-
 }  // namespace
 
 void Matmul(const Tensor& a, const Tensor& b, Tensor& c, float alpha, float beta) {
@@ -114,14 +99,17 @@ void Matmul(const Tensor& a, std::int64_t a_row0, const Tensor& b, Tensor& c) {
 
 void MatmulTN(const Tensor& a, const Tensor& b, Tensor& c, float alpha, float beta) {
   // A is [k, m]; C = A^T B is [m, n].
-  MatmulTNRows(a.data(), a.rows(), a.cols(), b, c, alpha, beta);
-}
-
-void MatmulTN(const Tensor& a, std::int64_t a_row0, const Tensor& b, Tensor& c, float alpha,
-              float beta) {
-  APT_CHECK(a_row0 >= 0 && a_row0 + b.rows() <= a.rows())
-      << "rows [" << a_row0 << ", " << a_row0 + b.rows() << ") of " << a.rows();
-  MatmulTNRows(a.data() + a_row0 * a.cols(), b.rows(), a.cols(), b, c, alpha, beta);
+  const std::int64_t k = a.rows(), m = a.cols(), n = b.cols();
+  APT_CHECK_EQ(b.rows(), k);
+  APT_CHECK_EQ(c.rows(), m);
+  APT_CHECK_EQ(c.cols(), n);
+  if (m == 0 || n == 0) return;
+  const float* ap = a.data();
+  const float* bp = b.data();
+  float* cp = c.data();
+  ParallelForChunks(0, m, [&](std::int64_t lo, std::int64_t hi) {
+    GemmRowBlockTN(ap, m, bp, n, cp, k, lo, hi, alpha, beta);
+  }, RowGrain(k + n));
 }
 
 void SegmentedMatmulTN(const Tensor& a, const Tensor& b,

@@ -3,8 +3,8 @@
 //
 // Every backward kernel is paired with its forward so the engine can build
 // exact gradients for all four parallelization strategies. The row-window
-// GEMMs run a layer's kernels on rows that sit inside a larger buffer (NFP's
-// stacked layer-0 inputs) with the bits of the plain call on a copy.
+// Matmul reads a prefix of a taller input in place (SageLayer's self term
+// over the destination rows) with the bits of the plain call on a copy.
 #pragma once
 
 #include <cstdint>
@@ -28,11 +28,6 @@ void Matmul(const Tensor& a, std::int64_t a_row0, const Tensor& b, Tensor& c);
 /// C[m,n] = A[k,m]^T * B[k,n].
 void MatmulTN(const Tensor& a, const Tensor& b, Tensor& c, float alpha = 1.0f,
               float beta = 0.0f);
-/// C[m,n] = alpha * A[row0 : row0 + k, :]^T * B[k,n] + beta * C, with k =
-/// B's rows: MatmulTN on a window of A's rows, bit-identical to MatmulTN on
-/// a copy of them.
-void MatmulTN(const Tensor& a, std::int64_t a_row0, const Tensor& b, Tensor& c,
-              float alpha = 1.0f, float beta = 0.0f);
 /// C[m,n] = beta * C + alpha * sum_s A_s^T B_s, where segment s is rows
 /// [segments[s], segments[s+1]) of both A[k,m] and B[k,n]. Bit-identical to
 /// MatmulTN(A_0, B_0, C, alpha, beta) followed by MatmulTN(A_s, B_s, C,

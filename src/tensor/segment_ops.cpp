@@ -86,12 +86,7 @@ void SpmmSum(const CsrView& csr, const Tensor& src, Tensor& out) {
 }
 
 void SpmmMean(const CsrView& csr, const Tensor& src, Tensor& out) {
-  SpmmMean(csr, src, 0, out);
-}
-
-void SpmmMean(const CsrView& csr, const Tensor& src, std::int64_t src_row0, Tensor& out) {
   CheckCsr(csr, src, out);
-  APT_CHECK_GE(src_row0, 0);
   const std::int64_t dim = src.cols();
   ParallelFor(0, csr.num_dst(), [&](std::int64_t d) {
     float* orow = out.data() + d * dim;
@@ -99,7 +94,7 @@ void SpmmMean(const CsrView& csr, const Tensor& src, std::int64_t src_row0, Tens
     const std::int64_t deg = csr.indptr[d + 1] - csr.indptr[d];
     if (deg == 0) return;
     for (std::int64_t e = csr.indptr[d]; e < csr.indptr[d + 1]; ++e) {
-      const float* srow = src.row(src_row0 + csr.col[static_cast<std::size_t>(e)]);
+      const float* srow = src.row(csr.col[static_cast<std::size_t>(e)]);
       for (std::int64_t j = 0; j < dim; ++j) orow[j] += srow[j];
     }
     const float inv = 1.0f / static_cast<float>(deg);

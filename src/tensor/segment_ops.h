@@ -69,10 +69,6 @@ void SpmmSum(const CsrView& csr, const Tensor& src, Tensor& out);
 
 /// out.row(d) = mean over d's edges (empty rows produce zeros).
 void SpmmMean(const CsrView& csr, const Tensor& src, Tensor& out);
-/// SpmmMean over the source rows that start at src.row(src_row0): edge e
-/// reads src.row(src_row0 + col[e]). Bit-identical to SpmmMean on a copy of
-/// those rows.
-void SpmmMean(const CsrView& csr, const Tensor& src, std::int64_t src_row0, Tensor& out);
 /// grad_src.row(col[e]) += grad_out.row(d) / deg(d) (accumulates).
 void SpmmMeanBackward(const CsrView& csr, const Tensor& grad_out, Tensor& grad_src);
 

@@ -358,9 +358,6 @@ struct AllToAllCase {
   LaneMatrix bytes, wire;
   FaultPlan faults;
   std::vector<double> skew;  ///< per-device clock before the call
-  Codec peer_codec = Codec::kIdentity;   ///< wire codec of intra-machine lanes
-  Codec cross_codec = Codec::kIdentity;  ///< wire codec of cross-machine lanes
-  std::int64_t cols = 0;                 ///< row-lane payload width
 };
 
 struct AllToAllObservation {
@@ -386,7 +383,7 @@ std::vector<std::int64_t> AllToAllCounters() {
   return v;
 }
 
-enum class Charger { kOracle, kSparse, kRowLanes };
+enum class Charger { kOracle, kSparse };
 
 /// Charges `c`'s all-to-all twice on a fresh context (so the second call
 /// sees the first one's clocks and fault state) through `charger`.
@@ -394,22 +391,13 @@ AllToAllObservation ObserveAllToAll(const AllToAllCase& c, Charger charger) {
   SimContext sim(c.cluster);
   sim.InstallFaults(c.faults);
   Communicator comm(sim);
-  comm.SetWireCodec(TrafficClass::kPeerGpu, c.peer_codec);
-  comm.SetWireCodec(TrafficClass::kCrossMachine, c.cross_codec);
   for (DeviceId d = 0; d < sim.num_devices(); ++d) {
     sim.Advance(d, c.skew[static_cast<std::size_t>(d)], Phase::kSample);
   }
-  // kRowLanes prices each lane of fp32 rows through RowsWireBytes, the way
-  // the executors' row shuffles do; kSparse takes the case's wire bytes.
   AllToAllTraffic traffic;
   for (std::size_t i = 0; i < c.bytes.size(); ++i) {
     for (std::size_t j = 0; j < c.bytes.size(); ++j) {
-      const auto from = static_cast<DeviceId>(i), to = static_cast<DeviceId>(j);
-      const std::int64_t wire =
-          charger == Charger::kRowLanes
-              ? comm.RowsWireBytes(from, to, c.bytes[i][j] / (4 * c.cols), c.cols)
-              : c.wire[i][j];
-      traffic.Add(to, c.bytes[i][j], wire);
+      traffic.Add(static_cast<DeviceId>(j), c.bytes[i][j], c.wire[i][j]);
     }
     traffic.EndSender();
   }
@@ -426,7 +414,6 @@ AllToAllObservation ObserveAllToAll(const AllToAllCase& c, Charger charger) {
           OracleChargeAllToAll(sim, c.bytes, c.wire, phase);
           break;
         case Charger::kSparse:
-        case Charger::kRowLanes:
           comm.ChargeAllToAll(traffic, phase);
           break;
       }
@@ -551,34 +538,6 @@ TEST(AllToAllChargeParityTest, SameChargeAtOneLaneAndFullWidth) {
   const AllToAllObservation wide = ObserveAllToAll(c, Charger::kSparse);
   ScopedParallelismLimit serial(1);
   ExpectSameObservation(wide, ObserveAllToAll(c, Charger::kSparse));
-}
-
-// Row lanes priced by RowsWireBytes get the wire codec of their link's
-// traffic class (bf16 and int8 make wire != logical bytes), the charge the
-// SNP and DNP row shuffles rely on.
-TEST(AllToAllChargeParityTest, RowLanesGetTheirClassCodecsWireBytes) {
-  Rng rng(5);
-  const std::pair<Codec, Codec> codecs[] = {{Codec::kIdentity, Codec::kInt8},
-                                            {Codec::kBf16, Codec::kIdentity},
-                                            {Codec::kInt8, Codec::kBf16}};
-  for (const auto& [peer_codec, cross_codec] : codecs) {
-    SCOPED_TRACE(std::string(ToString(peer_codec)) + " / " + ToString(cross_codec));
-    AllToAllCase c = RandomAllToAllCase(rng, 17, 4, 0.3, 0, 1);
-    c.peer_codec = peer_codec;
-    c.cross_codec = cross_codec;
-    c.cols = 8;
-    for (std::size_t i = 0; i < c.bytes.size(); ++i) {
-      const MachineId mi = c.cluster.MachineOf(static_cast<DeviceId>(i));
-      for (std::size_t j = 0; j < c.bytes.size(); ++j) {
-        const bool cross = c.cluster.MachineOf(static_cast<DeviceId>(j)) != mi;
-        const auto rows = static_cast<std::int64_t>(c.bytes[i][j] > 0 ? rng.NextBelow(64) : 0);
-        c.bytes[i][j] = rows * c.cols * 4;
-        c.wire[i][j] = CodecWireBytes(cross ? cross_codec : peer_codec, rows, c.cols);
-      }
-    }
-    ExpectSameObservation(ObserveAllToAll(c, Charger::kOracle),
-                          ObserveAllToAll(c, Charger::kRowLanes));
-  }
 }
 
 // Every device reads every input in place; the charge moves (C-1)/C of

@@ -126,6 +126,43 @@ TEST(EngineAccuracyTest, EvaluationImprovesWithTraining) {
   EXPECT_GT(after, before + 0.1);
 }
 
+// A dataset whose features are generated on demand evaluates through the
+// feature store like the same rows materialized, under identity and lossy
+// storage: the rows evaluation reads are the rows training reads.
+TEST(EngineAccuracyTest, ProceduralDatasetEvaluatesLikeItsMaterializedRows) {
+  const Dataset ds = SmallDataset(/*feature_dim=*/16, /*nodes=*/1200);
+  Dataset procedural = ds;
+  procedural.features = Tensor();
+  procedural.procedural_feature_dim = ds.feature_dim();
+  procedural.procedural_feature_seed = 3;
+  Dataset materialized = ds;
+  const NodeId n = ds.graph.num_nodes();
+  {
+    SimContext sim(SingleMachineCluster(1));
+    const FeatureStore store(n, ds.feature_dim(), procedural.procedural_feature_seed,
+                             std::vector<MachineId>(static_cast<std::size_t>(n), 0), sim);
+    std::vector<NodeId> all(static_cast<std::size_t>(n));
+    std::iota(all.begin(), all.end(), NodeId{0});
+    materialized.features = Tensor(n, ds.feature_dim());
+    store.Read(all, 0, ds.feature_dim(), materialized.features);
+  }
+  const ClusterSpec cluster = SingleMachineCluster(2);
+  for (Codec storage : {Codec::kIdentity, Codec::kInt8}) {
+    SCOPED_TRACE(ToString(storage));
+    const auto make = [&](const Dataset& d) {
+      return MakeTrainer(d, cluster, Strategy::kGDP, ModelKind::kSage, /*force_chunked=*/true,
+                         1 << 16, {5, 5}, /*batch=*/128, /*hidden=*/0, /*recovery=*/{},
+                         /*pipeline_depth=*/1, Codec::kIdentity, storage);
+    };
+    auto a = make(procedural);
+    auto b = make(materialized);
+    EXPECT_EQ(a->TrainEpoch(0).loss, b->TrainEpoch(0).loss);
+    const double acc = a->EvaluateAccuracy(ds.val_nodes);
+    EXPECT_EQ(acc, b->EvaluateAccuracy(ds.val_nodes));
+    EXPECT_GT(acc, 0.0);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // exec_common helpers.
 // ---------------------------------------------------------------------------

@@ -1,8 +1,8 @@
 // The engine's core claim (paper Fig 6): GDP, NFP, SNP, and DNP are
 // semantically equivalent — given identical mini-batches they produce the
-// same trained model. NFP runs GDP's layer-0 kernels on its gathered column
-// slices, so it trains GDP's bits exactly; SNP and DNP match up to
-// floating-point reassociation.
+// same trained model. NFP's column split lives in its charges only and its
+// host runs GDP's step, so it trains GDP's bits exactly; SNP and DNP match
+// up to floating-point reassociation.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -139,6 +139,36 @@ TEST(NfpExactTest, MatchesGdpBitForBitOnEmptySlices) {
           SCOPED_TRACE("device " + std::to_string(d));
           ExpectSameParamBits(gdp->replica(d), nfp->replica(d));
         }
+      }
+    }
+  }
+}
+
+// NFP trains GDP's bits on a dataset whose features are generated on demand,
+// under lossy feature storage: every row is generated and rounded where the
+// store serves it, for both layer kinds.
+TEST(NfpExactTest, MatchesGdpBitForBitOnProceduralLossyStorage) {
+  Dataset ds = SmallDataset(/*feature_dim=*/24, /*nodes=*/800);
+  ds.procedural_feature_dim = ds.feature_dim();
+  ds.procedural_feature_seed = 9;
+  ds.features = Tensor();
+  const ClusterSpec cluster = MultiMachineCluster(2, 2);
+  for (ModelKind kind : {ModelKind::kSage, ModelKind::kGat}) {
+    for (Codec storage : {Codec::kBf16, Codec::kInt8}) {
+      SCOPED_TRACE(std::string(ToString(kind)) + " " + ToString(storage));
+      const auto make = [&](Strategy s) {
+        return MakeTrainer(ds, cluster, s, kind, /*force_chunked=*/true, 1 << 16, {4, 4},
+                           /*batch=*/64, /*hidden=*/0, /*recovery=*/{}, /*pipeline_depth=*/1,
+                           Codec::kIdentity, storage);
+      };
+      auto gdp = make(Strategy::kGDP);
+      auto nfp = make(Strategy::kNFP);
+      for (int epoch = 0; epoch < 2; ++epoch) {
+        EXPECT_EQ(gdp->TrainEpoch(epoch).loss, nfp->TrainEpoch(epoch).loss) << "epoch " << epoch;
+      }
+      for (DeviceId d = 0; d < cluster.num_devices(); ++d) {
+        SCOPED_TRACE("device " + std::to_string(d));
+        ExpectSameParamBits(gdp->replica(d), nfp->replica(d));
       }
     }
   }

@@ -125,12 +125,12 @@ TEST(FeatureStoreTest, CountGatherMatchesGather) {
   EXPECT_EQ(counted.CpuBytes(), 2 * 8 * 4);
 }
 
-// Column-block gather: each device gathering its column slice straight into
-// one full-width buffer must equal the per-slice gathers concatenated, with
-// identical volumes, device clocks, traffic and feature.* counters. Under
-// int8 both forms round the full row before slicing, so the buffer also
-// equals one full-width gather.
-std::vector<std::int64_t> FeatureCounters() {
+// A gather is its three public halves: CountGather + Read + ChargeLoad on
+// one store must equal Gather on a twin store in values, volumes, device
+// clocks, traffic and the feature.* / sim.traffic.* counters, for every
+// device's column slice (uneven, some rows served by caches and peers), on
+// materialized and procedural stores under identity and int8 storage.
+std::vector<std::int64_t> GatherCounters() {
   std::vector<std::int64_t> values;
   auto& m = obs::Metrics::Global();
   values.push_back(m.counter("feature.gathers").Get());
@@ -141,16 +141,22 @@ std::vector<std::int64_t> FeatureCounters() {
                            .Get());
     }
   }
+  for (const char* cls : {"local_cpu_gpu", "peer_gpu", "cross_machine"}) {
+    for (const char* kind : {"bytes", "wire_bytes"}) {
+      values.push_back(
+          m.counter(std::string("sim.traffic.") + cls + "." + kind).Get());
+    }
+  }
   return values;
 }
 
 std::vector<std::int64_t> CounterDelta(const std::vector<std::int64_t>& before) {
-  std::vector<std::int64_t> delta = FeatureCounters();
+  std::vector<std::int64_t> delta = GatherCounters();
   for (std::size_t i = 0; i < delta.size(); ++i) delta[i] -= before[i];
   return delta;
 }
 
-void ExpectColumnBlockGatherMatchesSlices(bool procedural, Codec codec) {
+void ExpectGatherIsCountReadAndChargeLoad(bool procedural, Codec codec) {
   constexpr NodeId kNodes = 64;
   constexpr std::int64_t kDim = 30;  // 8, 8, 7 and 7 columns over 4 devices
   const ClusterSpec cluster = MultiMachineCluster(2, 2, /*nvlink=*/true);
@@ -169,83 +175,67 @@ void ExpectColumnBlockGatherMatchesSlices(bool procedural, Codec codec) {
     store.SetStorageCodec(codec);
     store.ConfigureCaches(caches, store.CachedRowBytes(kDim / 4));
   };
-  SimContext sim_slices(cluster), sim_block(cluster);
-  FeatureStore slices = procedural ? FeatureStore(kNodes, kDim, 5, placement, sim_slices)
-                                   : FeatureStore(feats, placement, sim_slices);
-  FeatureStore block = procedural ? FeatureStore(kNodes, kDim, 5, placement, sim_block)
-                                  : FeatureStore(feats, placement, sim_block);
-  configure(slices);
-  configure(block);
+  SimContext sim_gather(cluster), sim_parts(cluster);
+  FeatureStore gather = procedural ? FeatureStore(kNodes, kDim, 5, placement, sim_gather)
+                                   : FeatureStore(feats, placement, sim_gather);
+  FeatureStore parts = procedural ? FeatureStore(kNodes, kDim, 5, placement, sim_parts)
+                                  : FeatureStore(feats, placement, sim_parts);
+  configure(gather);
+  configure(parts);
   const auto rows = static_cast<std::int64_t>(nodes.size());
-  const std::int32_t c = cluster.num_devices();
-  auto slice_of = [&](DeviceId g) {
-    const std::int64_t lo = g * (kDim / c) + std::min<std::int64_t>(g, kDim % c);
-    return std::pair{lo, lo + kDim / c + (g < kDim % c ? 1 : 0)};
-  };
+  const std::vector<std::int64_t> bounds = SliceBounds(kDim, cluster.num_devices());
 
-  Tensor want(rows, kDim);
-  std::vector<LoadVolume> slice_vols;
-  const std::vector<std::int64_t> before_slices = FeatureCounters();
-  for (DeviceId g = 0; g < c; ++g) {
-    const auto [lo, hi] = slice_of(g);
-    Tensor part(rows, hi - lo);
-    slice_vols.push_back(slices.Gather(g, nodes, lo, hi, part));
-    for (std::int64_t r = 0; r < rows; ++r) std::copy_n(part.row(r), hi - lo, want.row(r) + lo);
+  std::vector<Tensor> want;
+  std::vector<LoadVolume> want_vols;
+  const std::vector<std::int64_t> before_gather = GatherCounters();
+  for (DeviceId g = 0; g < cluster.num_devices(); ++g) {
+    const std::int64_t lo = bounds[static_cast<std::size_t>(g)];
+    const std::int64_t hi = bounds[static_cast<std::size_t>(g) + 1];
+    want.emplace_back(rows, hi - lo);
+    want_vols.push_back(gather.Gather(g, nodes, lo, hi, want.back()));
   }
-  const std::vector<std::int64_t> slice_counters = CounterDelta(before_slices);
+  const std::vector<std::int64_t> gather_counters = CounterDelta(before_gather);
 
-  Tensor got(rows, kDim);
-  const std::vector<std::int64_t> before_block = FeatureCounters();
-  for (DeviceId g = 0; g < c; ++g) {
-    const auto [lo, hi] = slice_of(g);
-    const LoadVolume vol = block.Gather(g, nodes, lo, hi, got, lo);
-    const LoadVolume& ref = slice_vols[static_cast<std::size_t>(g)];
-    EXPECT_EQ(vol.rows, ref.rows) << "device " << g;
-    EXPECT_EQ(vol.bytes, ref.bytes) << "device " << g;
-    EXPECT_EQ(vol.wire_bytes, ref.wire_bytes) << "device " << g;
+  const std::vector<std::int64_t> before_parts = GatherCounters();
+  for (DeviceId g = 0; g < cluster.num_devices(); ++g) {
+    SCOPED_TRACE(::testing::Message() << "device " << g);
+    const std::int64_t lo = bounds[static_cast<std::size_t>(g)];
+    const std::int64_t hi = bounds[static_cast<std::size_t>(g) + 1];
+    const LoadVolume vol = parts.CountGather(g, nodes, lo, hi);
+    Tensor got(rows, hi - lo);
+    parts.Read(nodes, lo, hi, got);
+    parts.ChargeLoad(g, vol);
+    const LoadVolume& ref = want_vols[static_cast<std::size_t>(g)];
+    EXPECT_EQ(vol.rows, ref.rows);
+    EXPECT_EQ(vol.bytes, ref.bytes);
+    EXPECT_EQ(vol.wire_bytes, ref.wire_bytes);
+    const Tensor& w = want[static_cast<std::size_t>(g)];
+    for (std::int64_t i = 0; i < w.numel(); ++i) {
+      ASSERT_EQ(std::bit_cast<std::uint32_t>(w.data()[i]),
+                std::bit_cast<std::uint32_t>(got.data()[i]))
+          << "element " << i;
+    }
   }
-  EXPECT_EQ(CounterDelta(before_block), slice_counters);
-
-  for (std::int64_t i = 0; i < want.numel(); ++i) {
-    ASSERT_EQ(std::bit_cast<std::uint32_t>(want.data()[i]),
-              std::bit_cast<std::uint32_t>(got.data()[i]))
-        << "element " << i;
-  }
-  for (DeviceId g = 0; g < c; ++g) {
-    EXPECT_EQ(std::bit_cast<std::uint64_t>(sim_block.Now(g)),
-              std::bit_cast<std::uint64_t>(sim_slices.Now(g)))
+  EXPECT_EQ(CounterDelta(before_parts), gather_counters);
+  for (DeviceId g = 0; g < cluster.num_devices(); ++g) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(sim_parts.Now(g)),
+              std::bit_cast<std::uint64_t>(sim_gather.Now(g)))
         << "device " << g;
   }
   for (TrafficClass t : {TrafficClass::kLocalCpuGpu, TrafficClass::kPeerGpu,
                          TrafficClass::kCrossMachine}) {
-    EXPECT_EQ(sim_block.TrafficBytes(t), sim_slices.TrafficBytes(t));
+    EXPECT_EQ(sim_parts.TrafficBytes(t), sim_gather.TrafficBytes(t));
   }
-  Tensor full(rows, kDim);
-  slices.Gather(0, nodes, 0, kDim, full);
-  EXPECT_EQ(MaxAbsDiff(full, got), 0.0f);
 }
 
-TEST(FeatureStoreTest, ColumnBlockGatherMatchesConcatenatedSlices) {
+TEST(FeatureStoreTest, GatherIsCountReadAndChargeLoad) {
   for (bool procedural : {false, true}) {
     for (Codec codec : {Codec::kIdentity, Codec::kInt8}) {
       SCOPED_TRACE(::testing::Message() << (procedural ? "procedural" : "materialized") << " "
                                         << ToString(codec));
-      ExpectColumnBlockGatherMatchesSlices(procedural, codec);
+      ExpectGatherIsCountReadAndChargeLoad(procedural, codec);
     }
   }
-}
-
-TEST(FeatureStoreTest, ColumnBlockGatherRejectsColumnsPastTheBuffer) {
-  SimContext sim(SingleMachineCluster(1));
-  const Tensor feats = MakeFeatures(4, 8);
-  FeatureStore store(feats, std::vector<MachineId>(4, 0), sim);
-  store.ConfigureCaches({{}}, 0);
-  Tensor out(1, 8);
-  EXPECT_THROW(store.Gather(0, std::vector<NodeId>{3}, 2, 5, out, 6), Error);
-  EXPECT_THROW(store.Gather(0, std::vector<NodeId>{3}, 2, 5, out, -1), Error);
-  store.Gather(0, std::vector<NodeId>{3}, 2, 5, out, 5);
-  EXPECT_FLOAT_EQ(out(0, 5), 3002.0f);
-  EXPECT_FLOAT_EQ(out(0, 7), 3004.0f);
 }
 
 TEST(FeatureStoreTest, CacheRegistersMemory) {
@@ -420,9 +410,9 @@ TEST(FeatureStoreTest, EmptySliceCostsNothing) {
       EXPECT_EQ(store.LoadSeconds(dev, empty), 0.0) << "device " << dev;
       EXPECT_EQ(slices[i].rows, empty.rows) << "device " << dev;
       EXPECT_EQ(slices[i].wire_bytes, empty.wire_bytes) << "device " << dev;
-      Tensor out(kNodes, kDim);
+      Tensor out(kNodes, 0);
       const double before = sim.Now(dev);
-      store.Gather(dev, nodes, kDim, kDim, out, kDim);
+      store.Gather(dev, nodes, kDim, kDim, out);
       EXPECT_EQ(sim.Now(dev), before) << "device " << dev;
     }
   }
@@ -440,9 +430,9 @@ std::uint64_t FloatDigest(const Tensor& t) {
 
 // Procedural rows are generated on every gather, so nothing else pins their
 // values. These digests were recorded on the scalar row generator: a full-row
-// gather and the column window [3, 11), clipped to the row and written at
-// column 1 of a wider buffer whose other columns must stay as they were, per
-// dim and storage codec. Dims 1, 7, 8 and 9 straddle an 8-column vector; 64
+// gather and the column window [3, 11), clipped to the row and digested at
+// column 1 of a wider buffer of 7s (the layout the digests were recorded
+// in), per dim and storage codec. Dims 1, 7, 8 and 9 straddle an 8-column vector; 64
 // and 100 hold several.
 TEST(ProceduralDigestTest, GathersMatchRecordedDigests) {
   constexpr NodeId kNodes = 100000;
@@ -493,9 +483,11 @@ TEST(ProceduralDigestTest, GathersMatchRecordedDigests) {
     store.Gather(1, nodes, 0, p.dim, full);
     const std::int64_t lo = std::min<std::int64_t>(3, p.dim);
     const std::int64_t hi = std::min<std::int64_t>(11, p.dim);
+    Tensor slice(rows, hi - lo);
+    store.Gather(2, nodes, lo, hi, slice);
     Tensor window(rows, hi - lo + 2);
     window.Fill(7.0f);
-    store.Gather(2, nodes, lo, hi, window, 1);
+    for (std::int64_t r = 0; r < rows; ++r) std::copy_n(slice.row(r), hi - lo, window.row(r) + 1);
     EXPECT_EQ(FloatDigest(full), p.full);
     EXPECT_EQ(FloatDigest(window), p.window);
   }

@@ -31,14 +31,24 @@ TEST(LinkFaultTest, WindowAndFlapPhase) {
   EXPECT_TRUE(l.ActiveAt(12.1));    // next period
 }
 
+// A plan's faults are evaluated where they are consumed: straggler factors
+// in SimContext::ComputeSeconds at the device's clock, link faults in
+// SimContext::DegradedLink.
 TEST(FaultPlanTest, StragglerFactorsStack) {
+  SimContext ctx(SingleMachineCluster(2));
+  const double healthy = ctx.ComputeSeconds(1, 1e9);
   FaultPlan plan;
   plan.stragglers.push_back({.device = 1, .start_s = 0.0, .end_s = 10.0, .slowdown = 2.0});
   plan.stragglers.push_back({.device = 1, .start_s = 5.0, .end_s = 10.0, .slowdown = 3.0});
-  EXPECT_DOUBLE_EQ(plan.StragglerFactor(0, 1.0), 1.0);  // other device
-  EXPECT_DOUBLE_EQ(plan.StragglerFactor(1, 1.0), 2.0);
-  EXPECT_DOUBLE_EQ(plan.StragglerFactor(1, 6.0), 6.0);  // overlap multiplies
-  EXPECT_DOUBLE_EQ(plan.StragglerFactor(1, 10.0), 1.0); // window closed
+  ctx.InstallFaults(plan);
+  ctx.Advance(0, 1.0, Phase::kTrain);
+  ctx.Advance(1, 1.0, Phase::kTrain);
+  EXPECT_DOUBLE_EQ(ctx.ComputeSeconds(0, 1e9), healthy);  // other device
+  EXPECT_DOUBLE_EQ(ctx.ComputeSeconds(1, 1e9), 2.0 * healthy);
+  ctx.Advance(1, 5.0, Phase::kTrain);  // t = 6
+  EXPECT_DOUBLE_EQ(ctx.ComputeSeconds(1, 1e9), 6.0 * healthy);  // overlap multiplies
+  ctx.Advance(1, 4.0, Phase::kTrain);  // t = 10
+  EXPECT_DOUBLE_EQ(ctx.ComputeSeconds(1, 1e9), healthy);  // window closed
 }
 
 TEST(FaultPlanTest, DegradeScalesBandwidthAndAddsLatency) {
@@ -48,17 +58,16 @@ TEST(FaultPlanTest, DegradeScalesBandwidthAndAddsLatency) {
                         .end_s = 100.0,
                         .bandwidth_factor = 0.5,
                         .extra_latency_s = 1e-3});
+  SimContext ctx(SingleMachineCluster(2));
+  ctx.InstallFaults(plan);
   const LinkSpec base{.bandwidth_bytes_per_s = 1e9, .latency_s = 1e-5};
-  const LinkSpec hit =
-      plan.Degrade(base, static_cast<int>(TrafficClass::kCrossMachine), 1.0);
+  const LinkSpec hit = ctx.DegradedLink(base, TrafficClass::kCrossMachine, 1.0);
   EXPECT_DOUBLE_EQ(hit.bandwidth_bytes_per_s, 0.5e9);
   EXPECT_DOUBLE_EQ(hit.latency_s, 1e-5 + 1e-3);
   // Wrong class / outside window: untouched.
-  const LinkSpec miss_cls =
-      plan.Degrade(base, static_cast<int>(TrafficClass::kPeerGpu), 1.0);
+  const LinkSpec miss_cls = ctx.DegradedLink(base, TrafficClass::kPeerGpu, 1.0);
   EXPECT_DOUBLE_EQ(miss_cls.bandwidth_bytes_per_s, base.bandwidth_bytes_per_s);
-  const LinkSpec miss_t =
-      plan.Degrade(base, static_cast<int>(TrafficClass::kCrossMachine), 200.0);
+  const LinkSpec miss_t = ctx.DegradedLink(base, TrafficClass::kCrossMachine, 200.0);
   EXPECT_DOUBLE_EQ(miss_t.latency_s, base.latency_s);
 }
 

@@ -256,20 +256,22 @@ TEST(RingChargeGoldenTest, ChargesMatchTheByteMovingCollectives) {
 }
 
 // RingWireBytes: gradient sync prices the grad codec on the content
-// (kDeltaBitmask counts nonzeros); other rings price the ring class's codec
-// on the shape (kDeltaBitmask at its dense worst case).
+// (kDeltaBitmask counts nonzeros); other rings price the wire codec on the
+// shape (WireBytes: kDeltaBitmask at its dense worst case).
 TEST(RingChargeGoldenTest, RingWireBytesPricing) {
   SimContext sim(MultiMachineCluster(2, 2));
   Communicator comm(sim);
-  comm.SetWireCodec(TrafficClass::kCrossMachine, Codec::kDeltaBitmask);
+  comm.SetWireCodecAll(Codec::kDeltaBitmask);
   comm.set_grad_codec(Codec::kDeltaBitmask);
   Tensor t(4, 16);
   t.at(1, 3) = 1.0f;
   t.at(2, 7) = -2.0f;
   EXPECT_EQ(comm.RingWireBytes(t, /*gradient_sync=*/true), CodecWireBytes(Codec::kDeltaBitmask, t));
   EXPECT_EQ(comm.RingWireBytes(t), CodecWireBytes(Codec::kDeltaBitmask, 4, 16));
-  comm.SetWireCodec(TrafficClass::kCrossMachine, Codec::kInt8);
+  EXPECT_EQ(comm.WireBytes(4, 16), CodecWireBytes(Codec::kDeltaBitmask, 4, 16));
+  comm.SetWireCodecAll(Codec::kInt8);
   EXPECT_EQ(comm.RingWireBytes(t), CodecWireBytes(Codec::kInt8, 4, 16));
+  EXPECT_EQ(comm.WireBytes(0, 16), 0);
   comm.set_grad_codec(Codec::kBf16);
   EXPECT_EQ(comm.RingWireBytes(t, /*gradient_sync=*/true), CodecWireBytes(Codec::kBf16, 4, 16));
 }

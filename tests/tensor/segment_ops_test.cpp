@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <random>
@@ -50,27 +49,6 @@ TEST(SpmmTest, MeanExact) {
   EXPECT_FLOAT_EQ(out(0, 0), 3);  // (2+4)/2
   EXPECT_FLOAT_EQ(out(1, 0), 0);
   EXPECT_FLOAT_EQ(out(2, 0), 6);  // (4+6+8)/3
-}
-
-// SpmmMean over a window of source rows equals SpmmMean on a copy of them.
-TEST(SpmmTest, MeanOverRowWindowMatchesCopy) {
-  TinyGraph g;
-  const Tensor src = RandTensor(9, 37, 17);
-  for (std::int64_t row0 : {0, 2, 5}) {
-    Tensor window(4, 37);
-    std::copy_n(src.row(row0), window.numel(), window.data());
-    Tensor want(3, 37), got = RandTensor(3, 37, 18);
-    SpmmMean(g.csr(), window, want);
-    SpmmMean(g.csr(), src, row0, got);
-    for (std::int64_t i = 0; i < want.numel(); ++i) {
-      ASSERT_EQ(std::bit_cast<std::uint32_t>(want.data()[i]),
-                std::bit_cast<std::uint32_t>(got.data()[i]))
-          << "row0 " << row0 << " element " << i;
-    }
-  }
-  Tensor out(3, 37);
-  EXPECT_THROW(SpmmMean(g.csr(), src, 6, out), Error);  // reads row 9 of 9
-  EXPECT_THROW(SpmmMean(g.csr(), src, -1, out), Error);
 }
 
 TEST(SpmmTest, MeanBackwardIsTranspose) {
