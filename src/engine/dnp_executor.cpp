@@ -66,23 +66,31 @@ class DnpExecutor final : public StrategyExecutor {
     stage.Next("execute");
     std::vector<DnpOwnerWork> work(static_cast<std::size_t>(c));
     std::vector<Tensor> owner_out(static_cast<std::size_t>(c));
-    {
-      NodeRowTable table;
-      for (DeviceId g = 0; g < c; ++g) {
-        DnpOwnerWork& w = work[static_cast<std::size_t>(g)];
-        Block& lb = w.block;
-        ExpandDnpOwner(plan, g, table, lb);
-        if (lb.num_dst == 0) continue;
-
-        Tensor feats = Tensor::Uninit(lb.num_src(), d);
-        ctx_->store->Gather(g, lb.src_nodes, 0, d, feats);
-        ctx_->sim->NoteTransient(g, FullGatherTransient(lb.num_src(), d));
-        GnnLayer& layer0 = ctx_->model(g).layer(0);
-        owner_out[static_cast<std::size_t>(g)] =
-            layer0.Forward(lb.csr(), lb.num_dst, feats, &w.saved);
-        ctx_->sim->ChargeCompute(
-            g, layer0.ForwardFlops(lb.num_src(), lb.num_dst, lb.num_edges()));
-      }
+    // Owners run at once, one NodeRowTable per lane; charges follow in
+    // device order.
+    ParallelForChunks(
+        0, c,
+        [&](std::int64_t lo, std::int64_t hi) {
+          NodeRowTable table;
+          for (auto g = static_cast<DeviceId>(lo); g < hi; ++g) {
+            DnpOwnerWork& w = work[static_cast<std::size_t>(g)];
+            Block& lb = w.block;
+            ExpandDnpOwner(plan, g, table, lb);
+            if (lb.num_dst == 0) continue;
+            Tensor feats = Tensor::Uninit(lb.num_src(), d);
+            ctx_->store->Read(lb.src_nodes, 0, d, feats);
+            owner_out[static_cast<std::size_t>(g)] =
+                ctx_->model(g).layer(0).Forward(lb.csr(), lb.num_dst, feats, &w.saved);
+          }
+        },
+        /*grain=*/1);
+    for (DeviceId g = 0; g < c; ++g) {
+      const Block& lb = work[static_cast<std::size_t>(g)].block;
+      if (lb.num_dst == 0) continue;
+      ctx_->store->ChargeLoad(g, ctx_->store->CountGather(g, lb.src_nodes, 0, d));
+      ctx_->sim->NoteTransient(g, FullGatherTransient(lb.num_src(), d));
+      ctx_->sim->ChargeCompute(
+          g, ctx_->model(g).layer(0).ForwardFlops(lb.num_src(), lb.num_dst, lb.num_edges()));
     }
 
     // ---- Reshuffle: one embedding row per destination back to origins. ----
@@ -94,17 +102,21 @@ class DnpExecutor final : public StrategyExecutor {
     // ---- Remainder of the model at origins. --------------------------------
     stage.Next("execute");
     std::vector<Tensor> grad_raw0(static_cast<std::size_t>(c));
-    for (DeviceId o = 0; o < c; ++o) {
-      DeviceBatch& batch = batches[static_cast<std::size_t>(o)];
-      if (batch.labels.empty()) continue;
+    TrainDevicesInParallel(batches, agg, [&](DeviceId o, StepStats& stats) {
+      const DeviceBatch& batch = batches[static_cast<std::size_t>(o)];
       const Block& b = batch.sample.blocks[0];
       Tensor raw0(b.num_dst, out);
       for (const RoutePair& pr : routing.OfOrigin(o)) {
         CopyRowsFrom(owner_out[static_cast<std::size_t>(pr.owner)], pr.row,
                      pr.Of(plan.local), raw0);
       }
+      ModelTape tape;
       grad_raw0[static_cast<std::size_t>(o)] =
-          TrainFromLayer1(*ctx_, o, batch, std::move(raw0), total_seeds, agg);
+          TrainFrom(*ctx_, o, batch, 1, std::move(raw0), 1, total_seeds, stats, tape);
+    });
+    for (DeviceId o = 0; o < c; ++o) {
+      const DeviceBatch& batch = batches[static_cast<std::size_t>(o)];
+      if (!batch.labels.empty()) ChargeStepCompute(*ctx_, o, batch.sample.blocks, 1);
     }
     owner_out.clear();
 
@@ -121,23 +133,31 @@ class DnpExecutor final : public StrategyExecutor {
     // pass, so they live in `grad_outs` rather than the loop body.
     stage.Next("execute");
     const bool quantized = UseQuantizedLayer0(*ctx_);
+    if (!quantized) {
+      ParallelFor(
+          0, c,
+          [&](std::int64_t g) {
+            DnpOwnerWork& w = work[static_cast<std::size_t>(g)];
+            if (w.block.num_dst == 0) return;
+            ctx_->model(static_cast<DeviceId>(g))
+                .layer(0)
+                .Backward(w.block.csr(), w.block.num_dst, *w.saved,
+                          grad_outs[static_cast<std::size_t>(g)], /*input_grad=*/false);
+          },
+          /*grain=*/1);
+    }
     std::vector<std::vector<QuantizedBlockGrad>> qblocks(
         static_cast<std::size_t>(c));
     for (DeviceId g = 0; g < c; ++g) {
       DnpOwnerWork& w = work[static_cast<std::size_t>(g)];
       if (w.block.num_dst == 0) continue;
-      Tensor& grad_out = grad_outs[static_cast<std::size_t>(g)];
-      GnnLayer& layer0 = ctx_->model(g).layer(0);
       if (quantized) {
-        qblocks[static_cast<std::size_t>(g)].push_back(
-            QuantizedBlockGrad{w.block.num_dst, w.saved.get(), &grad_out});
-      } else {
-        layer0.Backward(w.block.csr(), w.block.num_dst, *w.saved, grad_out,
-                        /*input_grad=*/false);
+        qblocks[static_cast<std::size_t>(g)].push_back(QuantizedBlockGrad{
+            w.block.num_dst, w.saved.get(), &grad_outs[static_cast<std::size_t>(g)]});
       }
       ctx_->sim->ChargeCompute(
-          g, layer0.BackwardFlops(w.block.num_src(), w.block.num_dst,
-                                  w.block.num_edges()));
+          g, ctx_->model(g).layer(0).BackwardFlops(w.block.num_src(), w.block.num_dst,
+                                                   w.block.num_edges()));
     }
     if (quantized) QuantizedLayer0Backward(*ctx_, qblocks);
     return agg;

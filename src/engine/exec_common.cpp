@@ -129,14 +129,6 @@ Tensor TrainFrom(EngineCtx& ctx, DeviceId dev, const DeviceBatch& batch, int fir
   return grad_input;
 }
 
-Tensor TrainFromLayer1(EngineCtx& ctx, DeviceId o, const DeviceBatch& batch, Tensor raw0,
-                       std::int64_t total_seeds, StepStats& agg) {
-  ModelTape tape;
-  Tensor grad_raw0 = TrainFrom(ctx, o, batch, 1, std::move(raw0), 1, total_seeds, agg, tape);
-  ChargeStepCompute(ctx, o, batch.sample.blocks, 1);
-  return grad_raw0;
-}
-
 double StepFlops(const GnnModel& model, std::span<const Block> blocks, int first_layer) {
   const int layers = std::min(model.num_layers(), static_cast<int>(blocks.size()));
   double flops = 0.0;

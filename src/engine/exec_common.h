@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "engine/engine_ctx.h"
+#include "runtime/parallel_for.h"
 #include "sampling/block.h"  // SampleTreeEdges
 
 namespace apt {
@@ -49,17 +50,36 @@ StepStats SeedLossAndGrad(EngineCtx& ctx, DeviceId dev, const DeviceBatch& batch
 /// that layer's input `input`, seed loss, and backward to layer
 /// `backward_to`, returning the gradient of that layer's input (empty at
 /// layer 0: features need none). Adds the loss and hits to `agg` and charges
-/// nothing. `input` is freed once the forward holds what it needs; `tape`
-/// keeps the forward's saved state.
+/// nothing, so distinct devices' passes may run at once. `input` is freed
+/// once the forward holds what it needs; `tape` keeps the forward's saved
+/// state.
 Tensor TrainFrom(EngineCtx& ctx, DeviceId dev, const DeviceBatch& batch, int first_layer,
                  Tensor input, int backward_to, std::int64_t total_seeds, StepStats& agg,
                  ModelTape& tape);
 
-/// Layers 1.. at origin `o` on its layer-0 output `raw0` (TrainFrom layer 1
-/// back to layer 1), charged as their compute; returns the gradient of
-/// `raw0`.
-Tensor TrainFromLayer1(EngineCtx& ctx, DeviceId o, const DeviceBatch& batch, Tensor raw0,
-                       std::int64_t total_seeds, StepStats& agg);
+/// Every device's model pass as one ParallelFor over devices (grain 1):
+/// body(dev, stats) runs for each device with seeds, `stats` being what it
+/// passes to TrainFrom. Kernels nested inside a lane run inline, so each
+/// device's float sequence is the serial loop's. The body must charge
+/// nothing: the caller charges afterwards in a serial loop in device order,
+/// so clocks, step tapes and trace spans are the serial loop's. The devices'
+/// stats are added into `agg` in device order.
+template <typename Body>
+void TrainDevicesInParallel(const std::vector<DeviceBatch>& batches, StepStats& agg,
+                            const Body& body) {
+  std::vector<StepStats> stats(batches.size());
+  ParallelFor(
+      0, static_cast<std::int64_t>(batches.size()),
+      [&](std::int64_t i) {
+        const auto u = static_cast<std::size_t>(i);
+        if (!batches[u].labels.empty()) body(static_cast<DeviceId>(i), stats[u]);
+      },
+      /*grain=*/1);
+  for (const StepStats& s : stats) {
+    agg.loss += s.loss;
+    agg.correct += s.correct;
+  }
+}
 
 /// DDP gradient synchronization: every replica ends holding the device-order
 /// sum of all replicas' grads, charged to kTrain as one ring allreduce of

@@ -32,22 +32,32 @@ class GdpExecutor final : public StrategyExecutor {
     // the canonical grid-rounded path (the only GDP reduction whose grouping
     // differs from DNP's), so each device's backward stops at layer 1 and
     // its layer-0 inputs/gradients are kept alive until the joint pass.
+    // Otherwise each device's tape dies with its lane.
     const bool quantized = UseQuantizedLayer0(*ctx_);
     const auto c = static_cast<std::size_t>(ctx_->num_devices());
-    std::vector<ModelTape> tapes(c);
-    std::vector<Tensor> grad_raw0(c);
+    std::vector<ModelTape> tapes(quantized ? c : 0);
+    std::vector<Tensor> grad_raw0(quantized ? c : 0);
+    TrainDevicesInParallel(batches, agg, [&](DeviceId dev, StepStats& stats) {
+      const auto udev = static_cast<std::size_t>(dev);
+      const DeviceBatch& batch = batches[udev];
+      const auto input_nodes = batch.sample.input_nodes();
+      Tensor feats = Tensor::Uninit(static_cast<std::int64_t>(input_nodes.size()), d);
+      ctx_->store->Read(input_nodes, 0, d, feats);
+      ModelTape tape;
+      Tensor grad = TrainFrom(*ctx_, dev, batch, 0, std::move(feats), quantized ? 1 : 0,
+                              total_seeds, stats, quantized ? tapes[udev] : tape);
+      if (quantized) grad_raw0[udev] = std::move(grad);
+    });
     std::vector<std::vector<QuantizedBlockGrad>> qblocks(c);
     for (DeviceId dev = 0; dev < ctx_->num_devices(); ++dev) {
       const auto udev = static_cast<std::size_t>(dev);
-      DeviceBatch& batch = batches[udev];
+      const DeviceBatch& batch = batches[udev];
       if (batch.labels.empty()) continue;
       const auto& blocks = batch.sample.blocks;
       const auto input_nodes = batch.sample.input_nodes();
-      Tensor feats = Tensor::Uninit(static_cast<std::int64_t>(input_nodes.size()), d);
-      ctx_->store->Gather(dev, input_nodes, 0, d, feats);
-      ctx_->sim->NoteTransient(dev, FullGatherTransient(feats.rows(), d));
-      grad_raw0[udev] = TrainFrom(*ctx_, dev, batch, 0, std::move(feats), quantized ? 1 : 0,
-                                  total_seeds, agg, tapes[udev]);
+      ctx_->store->ChargeLoad(dev, ctx_->store->CountGather(dev, input_nodes, 0, d));
+      ctx_->sim->NoteTransient(
+          dev, FullGatherTransient(static_cast<std::int64_t>(input_nodes.size()), d));
       if (quantized) {
         qblocks[udev].push_back(QuantizedBlockGrad{
             blocks[0].num_dst, tapes[udev].layer_ctx[0].get(), &grad_raw0[udev]});

@@ -106,25 +106,27 @@ class NfpExecutor final : public StrategyExecutor {
 
     stage.Next("execute");
     // Each origin trains its replica from its full-width inputs, exactly as
-    // GDP does; the charges are the remainder past the reduced partials
-    // (layers 1.., plus the attention block under GAT).
-    std::vector<std::int64_t> grad_rows(static_cast<std::size_t>(c), 0);
-    for (DeviceId o = 0; o < c; ++o) {
-      const auto uo = static_cast<std::size_t>(o);
-      const DeviceBatch& batch = batches[uo];
-      if (batch.labels.empty()) continue;
-      const auto& blocks = batch.sample.blocks;
+    // GDP does (all origins at once); the charges are the remainder past the
+    // reduced partials (layers 1.., plus the attention block under GAT).
+    TrainDevicesInParallel(batches, agg, [&](DeviceId o, StepStats& stats) {
+      const DeviceBatch& batch = batches[static_cast<std::size_t>(o)];
       const auto inputs = batch.sample.input_nodes();
       Tensor feats = Tensor::Uninit(static_cast<std::int64_t>(inputs.size()), d);
       ctx_->store->Read(inputs, 0, d, feats);
       ModelTape tape;
-      TrainFrom(*ctx_, o, batch, 0, std::move(feats), 0, agg.num_seeds, agg, tape);
+      TrainFrom(*ctx_, o, batch, 0, std::move(feats), 0, agg.num_seeds, stats, tape);
+    });
+    std::vector<std::int64_t> grad_rows(static_cast<std::size_t>(c), 0);
+    for (DeviceId o = 0; o < c; ++o) {
+      const DeviceBatch& batch = batches[static_cast<std::size_t>(o)];
+      if (batch.labels.empty()) continue;
+      const auto& blocks = batch.sample.blocks;
       ChargeStepCompute(*ctx_, o, blocks, 1);
       const Block& b = blocks[0];
       if (gat) {
         ctx_->sim->ChargeCompute(o, layer0.ForwardFlops(b.num_src(), b.num_dst, b.num_edges()));
       }
-      grad_rows[uo] = partial_rows(b);
+      grad_rows[static_cast<std::size_t>(o)] = partial_rows(b);
     }
 
     stage.Next("reshuffle");

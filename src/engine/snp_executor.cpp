@@ -175,17 +175,21 @@ StepStats SnpExecutor::StepSage(std::vector<DeviceBatch>& batches) {
   // ---- Remainder of the model at each origin. -----------------------------
   stage.Next("execute");
   std::vector<Tensor> grad_raw0(static_cast<std::size_t>(c));
-  for (DeviceId o = 0; o < c; ++o) {
-    DeviceBatch& batch = batches[static_cast<std::size_t>(o)];
-    if (batch.labels.empty()) continue;
+  TrainDevicesInParallel(batches, agg, [&](DeviceId o, StepStats& stats) {
+    const auto uo = static_cast<std::size_t>(o);
+    const DeviceBatch& batch = batches[uo];
     auto& sage = dynamic_cast<SageLayer&>(ctx_->model(o).layer(0));
-    Tensor& r0 = raw0[static_cast<std::size_t>(o)];
-    AddBiasRows(r0, sage.bias().value);
-    grad_raw0[static_cast<std::size_t>(o)] =
-        TrainFromLayer1(*ctx_, o, batch, std::move(r0), total_seeds, agg);
+    AddBiasRows(raw0[uo], sage.bias().value);
+    ModelTape tape;
+    grad_raw0[uo] =
+        TrainFrom(*ctx_, o, batch, 1, std::move(raw0[uo]), 1, total_seeds, stats, tape);
     Tensor gb(1, sage.out_dim());
-    BiasGradRows(grad_raw0[static_cast<std::size_t>(o)], gb);
+    BiasGradRows(grad_raw0[uo], gb);
     Axpy(1.0f, gb, sage.bias().grad);
+  });
+  for (DeviceId o = 0; o < c; ++o) {
+    const DeviceBatch& batch = batches[static_cast<std::size_t>(o)];
+    if (!batch.labels.empty()) ChargeStepCompute(*ctx_, o, batch.sample.blocks, 1);
   }
 
   // ---- Backward shuffle: destination grads back to partial computers. ----
@@ -262,9 +266,9 @@ StepStats SnpExecutor::StepGat(std::vector<DeviceBatch>& batches) {
   // ---- Attention + remainder at origins. -----------------------------------
   stage.Next("execute");
   std::vector<Tensor> grad_z_full(static_cast<std::size_t>(c));
-  for (DeviceId o = 0; o < c; ++o) {
-    DeviceBatch& batch = batches[static_cast<std::size_t>(o)];
-    if (batch.labels.empty()) continue;
+  TrainDevicesInParallel(batches, agg, [&](DeviceId o, StepStats& stats) {
+    const auto uo = static_cast<std::size_t>(o);
+    const DeviceBatch& batch = batches[uo];
     auto& gat = dynamic_cast<GatLayer&>(ctx_->model(o).layer(0));
     const Block& b = batch.sample.blocks[0];
     Tensor z(b.num_src(), gat.out_dim());
@@ -273,11 +277,18 @@ StepStats SnpExecutor::StepGat(std::vector<DeviceBatch>& batches) {
     }
     std::unique_ptr<GatAttentionContext> attn_ctx;
     Tensor raw0 = gat.AttentionForward(b.csr(), b.num_dst, z, &attn_ctx);
-    const Tensor grad_raw0 = TrainFromLayer1(*ctx_, o, batch, std::move(raw0), total_seeds, agg);
-    grad_z_full[static_cast<std::size_t>(o)] =
-        gat.AttentionBackward(b.csr(), b.num_dst, *attn_ctx, grad_raw0);
-    ctx_->sim->ChargeCompute(
-        o, gat.ForwardFlops(b.num_src(), b.num_dst, b.num_edges()));
+    ModelTape tape;
+    const Tensor grad_raw0 =
+        TrainFrom(*ctx_, o, batch, 1, std::move(raw0), 1, total_seeds, stats, tape);
+    grad_z_full[uo] = gat.AttentionBackward(b.csr(), b.num_dst, *attn_ctx, grad_raw0);
+  });
+  for (DeviceId o = 0; o < c; ++o) {
+    const DeviceBatch& batch = batches[static_cast<std::size_t>(o)];
+    if (batch.labels.empty()) continue;
+    const Block& b = batch.sample.blocks[0];
+    ChargeStepCompute(*ctx_, o, batch.sample.blocks, 1);
+    ctx_->sim->ChargeCompute(o, ctx_->model(o).layer(0).ForwardFlops(b.num_src(), b.num_dst,
+                                                                       b.num_edges()));
   }
   z_rows.clear();
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <numeric>
 
 #include "engine/exec_common.h"
@@ -15,6 +16,7 @@ namespace apt {
 namespace {
 
 using ::apt::testing::MakeTrainer;
+using ::apt::testing::MakeTrainerWithOptions;
 using ::apt::testing::MaxParamDiff;
 using ::apt::testing::SmallDataset;
 
@@ -318,29 +320,157 @@ TEST(ExecCommonTest, SampleDeviceBatchesMatchAtOneLaneAndFullWidth) {
   }
 }
 
-TEST(ExecCommonTest, TrainingMatchesAtOneLaneAndFullWidth) {
-  const Dataset ds = SmallDataset();
-  const ClusterSpec cluster = MultiMachineCluster(2, 2);
-  for (Strategy strategy : {Strategy::kGDP, Strategy::kSNP}) {
-    for (int depth : {1, 4}) {
-      SCOPED_TRACE(::testing::Message() << ToString(strategy) << " depth " << depth);
-      const auto train = [&] {
-        auto trainer = MakeTrainer(ds, cluster, strategy, ModelKind::kSage,
-                                   /*force_chunked=*/true, 1 << 20, {5, 5}, 128,
-                                   /*hidden=*/0, RecoveryOptions{}, depth);
-        const EpochStats stats = trainer->TrainEpoch(0);
-        return std::make_pair(std::move(trainer), stats);
-      };
-      auto [wide, wide_stats] = train();
-      ScopedParallelismLimit one_lane(1);
-      auto [serial, serial_stats] = train();
-      EXPECT_EQ(wide_stats.loss, serial_stats.loss);
-      for (DeviceId d = 0; d < cluster.num_devices(); ++d) {
-        EXPECT_EQ(wide->sim().Now(d), serial->sim().Now(d)) << "device " << d;
-      }
-      EXPECT_EQ(MaxParamDiff(wide->model0(), serial->model0()), 0.0);
+// FNV-1a over the bytes of a value, a string literal (null-safe) and the
+// simulated record types the lane-count test digests.
+struct Digest {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  void Bytes(const void* p, std::size_t n) {
+    const auto* b = static_cast<const unsigned char*>(p);
+    for (std::size_t i = 0; i < n; ++i) h = (h ^ b[i]) * 0x100000001b3ULL;
+  }
+  template <typename T>
+  void Add(const T& v) {
+    Bytes(&v, sizeof(v));
+  }
+  void Str(const char* s) {
+    if (s == nullptr) return Add('\1');
+    Bytes(s, std::strlen(s) + 1);
+  }
+  template <typename T>
+  void Vec(const std::vector<T>& v) {
+    Add(v.size());
+    Bytes(v.data(), v.size() * sizeof(T));
+  }
+  void Args(const obs::TraceArg* args, int n) {
+    for (int i = 0; i < n; ++i) {
+      Str(args[i].key);
+      Add(args[i].num);
+      Str(args[i].str);
     }
   }
+};
+
+std::uint64_t TapeDigest(const StepTape& tape) {
+  Digest g;
+  for (const StepTapeOp& op : tape.ops) {
+    g.Add(op.kind);
+    g.Add(op.inner);
+    g.Add(op.dev);
+    g.Add(op.phase);
+    g.Add(op.comm);
+    g.Add(op.dt);
+    g.Add(op.flops);
+    g.Str(op.label);
+    g.Args(op.args.data(), op.num_args);
+    g.Add(op.depth);
+    g.Add(op.cls);
+    g.Add(op.bytes);
+    g.Add(op.wire_bytes);
+    g.Add(op.factor);
+    g.Vec(op.a2a.indptr);
+    g.Vec(op.a2a.peer);
+    g.Vec(op.a2a.bytes);
+    g.Vec(op.a2a.wire);
+  }
+  return g.h;
+}
+
+// Every simulated-clock event on track `pid`, in emission order.
+std::uint64_t SimTraceDigest(const std::vector<obs::TraceEvent>& events, std::int32_t pid) {
+  Digest g;
+  for (const obs::TraceEvent& e : events) {
+    if (e.domain != obs::Domain::kSim || e.pid != pid) continue;
+    g.Add(e.tid);
+    g.Add(e.ph);
+    g.Add(e.ts_us);
+    g.Add(e.dur_us);
+    g.Str(e.name);
+    g.Str(e.cat);
+    g.Args(e.args.data(), e.num_args);
+  }
+  return g.h;
+}
+
+// Each step's per-device model passes run as one ParallelFor over devices
+// and every charge follows serially in device order, so a run at full width
+// must be bit-identical to a one-lane run: loss, weights, every device
+// clock, the step tape and the simulated trace. Covers every strategy under
+// SAGE and GAT, serial and pipelined, the quantized layer-0 path, and
+// sampled execution (whose trace includes the fast-forwarded replays).
+TEST(ExecCommonTest, TrainingMatchesAtOneLaneAndFullWidth) {
+  struct Case {
+    Strategy strategy;
+    ModelKind kind;
+    int depth;
+    Codec wire = Codec::kIdentity;
+    std::int64_t sample_period = 1;
+  };
+  std::vector<Case> cases;
+  for (Strategy strategy : kAllStrategies) {
+    for (ModelKind kind : {ModelKind::kSage, ModelKind::kGat}) {
+      for (int depth : {1, 4}) cases.push_back({strategy, kind, depth});
+    }
+  }
+  cases.push_back({Strategy::kGDP, ModelKind::kSage, 1, Codec::kInt8});
+  cases.push_back({Strategy::kDNP, ModelKind::kSage, 1, Codec::kInt8});
+  cases.push_back({Strategy::kSNP, ModelKind::kGat, 1, Codec::kIdentity, 2});
+
+  const Dataset ds = SmallDataset();
+  const ClusterSpec cluster = MultiMachineCluster(2, 2);
+  const bool was_tracing = obs::TracingEnabled();
+  obs::SetTracingEnabled(true);
+  for (const Case& k : cases) {
+    SCOPED_TRACE(::testing::Message() << ToString(k.strategy) << " " << ToString(k.kind)
+                                      << " depth " << k.depth << " wire "
+                                      << ToString(k.wire) << " period " << k.sample_period);
+    struct Run {
+      std::unique_ptr<ParallelTrainer> trainer;
+      EpochStats stats;
+      std::uint64_t tape = 0;
+      std::uint64_t trace = 0;
+    };
+    const auto train = [&] {
+      EngineOptions opts;
+      opts.strategy = k.strategy;
+      opts.fanouts = {5, 5};
+      opts.batch_size_per_device = k.sample_period > 1 ? 32 : 128;
+      opts.cache_bytes_per_device = 1 << 20;
+      opts.seed_assignment = SeedAssignment::kChunked;
+      opts.pipeline_depth = k.depth;
+      opts.wire_codec = k.wire;
+      opts.scale_sample_period = k.sample_period;
+      Run run;
+      run.trainer = MakeTrainerWithOptions(ds, cluster, opts, /*hidden=*/0, k.kind);
+      SimContext& sim = run.trainer->sim();
+      obs::Tracer::Global().Clear();
+      // A sampled run records and replays its own probe tapes; the rest
+      // record the whole epoch as one tape.
+      const bool record = k.sample_period == 1;
+      if (record) sim.BeginStepRecord();
+      run.stats = run.trainer->TrainEpoch(0);
+      if (record) run.tape = TapeDigest(sim.EndStepRecord());
+      run.trace = SimTraceDigest(obs::Tracer::Global().Drain(), sim.ObsPid());
+      return run;
+    };
+    const Run wide = train();
+    Run serial;
+    {
+      ScopedParallelismLimit one_lane(1);
+      serial = train();
+    }
+    if (k.sample_period > 1) {
+      EXPECT_GT(wide.stats.steps_fast_forwarded, 0);
+    }
+    EXPECT_EQ(wide.stats.loss, serial.stats.loss);
+    for (DeviceId d = 0; d < cluster.num_devices(); ++d) {
+      EXPECT_EQ(wide.trainer->sim().Now(d), serial.trainer->sim().Now(d)) << "device " << d;
+    }
+    EXPECT_EQ(MaxParamDiff(wide.trainer->model0(), serial.trainer->model0()), 0.0);
+    EXPECT_EQ(wide.tape, serial.tape);
+    EXPECT_EQ(wide.trace, serial.trace);
+    EXPECT_NE(wide.trace, Digest{}.h);
+  }
+  obs::SetTracingEnabled(was_tracing);
 }
 
 }  // namespace

@@ -8,8 +8,12 @@
 #include <cstring>
 #include <string>
 
+#include "engine/pair_routing.h"
 #include "model/param.h"
+#include "sampling/neighbor_sampler.h"
+#include "tensor/init.h"
 #include "tensor/ops.h"
+#include "tensor/segment_ops.h"
 #include "test_util.h"
 
 namespace apt {
@@ -170,6 +174,76 @@ TEST(NfpExactTest, MatchesGdpBitForBitOnProceduralLossyStorage) {
         SCOPED_TRACE("device " + std::to_string(d));
         ExpectSameParamBits(gdp->replica(d), nfp->replica(d));
       }
+    }
+  }
+}
+
+/// Columns [lo, hi) of x (rows [lo, hi) when `rows`), as a new tensor.
+Tensor SliceOf(const Tensor& x, std::int64_t lo, std::int64_t hi, bool rows) {
+  Tensor out = rows ? Tensor(hi - lo, x.cols()) : Tensor(x.rows(), hi - lo);
+  for (std::int64_t r = 0; r < out.rows(); ++r) {
+    for (std::int64_t j = 0; j < out.cols(); ++j) {
+      out.row(r)[j] = rows ? x.row(lo + r)[j] : x.row(r)[lo + j];
+    }
+  }
+  return out;
+}
+
+float MaxAbs(const Tensor& x) { return MaxAbsDiff(x, Tensor(x.rows(), x.cols())); }
+
+// The identity NFP's column split rests on, executed: over SliceBounds(d, c)
+// slices of a sampled block's real input rows,
+//   SAGE: sum_g SpmmMean(H[:, g]) W[g, :] == SpmmMean(H) W,
+//   GAT projection: sum_g H[:, g] W[g, :] == H W,
+// up to float reassociation: every element within kRelTol of the largest
+// full-width output magnitude. Uneven slices (d % c != 0) and c > d (empty
+// slices, which must contribute nothing) are covered.
+TEST(NfpSliceIdentityTest, SlicePartialsSumToFullWidthLayer) {
+  constexpr float kRelTol = 1e-5f;
+  constexpr std::int64_t kOut = 6;
+  for (std::int64_t d : {10, 37}) {
+    const Dataset ds = SmallDataset(d, /*nodes=*/800);
+    const NeighborSampler sampler(ds.graph, {5});
+    std::vector<NodeId> seeds;
+    for (NodeId s = 0; s < 64; ++s) seeds.push_back(3 * s);
+    Rng rng(7);
+    const SampledBatch batch = sampler.Sample(seeds, rng);
+    const Block& b = batch.blocks.front();
+    const std::vector<std::int64_t> rows(b.src_nodes.begin(), b.src_nodes.end());
+    Tensor h(b.num_src(), d);
+    GatherRows(ds.features, rows, h);
+    Tensor w(d, kOut);
+    XavierUniform(w, rng);
+
+    Tensor agg(b.num_dst, d);
+    SpmmMean(b.csr(), h, agg);
+    Tensor sage_want(b.num_dst, kOut);
+    Matmul(agg, w, sage_want);
+    Tensor gat_want(b.num_src(), kOut);
+    Matmul(h, w, gat_want);
+    for (std::int32_t c : {3, 4, 16}) {
+      SCOPED_TRACE("d " + std::to_string(d) + " c " + std::to_string(c));
+      const std::vector<std::int64_t> bounds = SliceBounds(d, c);
+      ASSERT_EQ(bounds.back(), d);
+      Tensor sage_got(b.num_dst, kOut);
+      Tensor gat_got(b.num_src(), kOut);
+      int empty = 0;
+      for (std::size_t g = 0; g + 1 < bounds.size(); ++g) {
+        const std::int64_t lo = bounds[g], hi = bounds[g + 1];
+        if (lo == hi) {
+          ++empty;
+          continue;
+        }
+        const Tensor hg = SliceOf(h, lo, hi, /*rows=*/false);
+        const Tensor wg = SliceOf(w, lo, hi, /*rows=*/true);
+        Tensor agg_g(b.num_dst, hi - lo);
+        SpmmMean(b.csr(), hg, agg_g);
+        Matmul(agg_g, wg, sage_got, 1.0f, 1.0f);
+        Matmul(hg, wg, gat_got, 1.0f, 1.0f);
+      }
+      EXPECT_EQ(empty, c > d ? c - d : 0);
+      EXPECT_LE(MaxAbsDiff(sage_got, sage_want), kRelTol * MaxAbs(sage_want));
+      EXPECT_LE(MaxAbsDiff(gat_got, gat_want), kRelTol * MaxAbs(gat_want));
     }
   }
 }
