@@ -33,8 +33,11 @@ std::int64_t SamplingEpoch(const Dataset& ds, const EngineOptions& opts,
                    const std::vector<PartId>& partition, std::int32_t c,
                    SeedAssignment assignment, const Visit& visit) {
   NeighborSampler sampler(ds.graph, opts.fanouts);
-  // Mirrors the trainer's two scheduling modes exactly: a globally shuffled
-  // order sliced into chunks, or DistDGL-style partition-local queues.
+  // The trainer's two scheduling modes: a globally shuffled order sliced
+  // into chunks, or DistDGL-style partition-local queues. The order is not
+  // the trainer's: MinibatchPlan and PerDeviceEpochQueues run at their
+  // default seed 1234, not TrainerSetup::minibatch_seed (777), and every
+  // step runs regardless of max_steps_per_epoch (ROADMAP item 3).
   MinibatchPlan plan(ds.train_nodes, opts.batch_size_per_device, c);
   const bool partitioned = assignment == SeedAssignment::kPartition;
   const std::vector<NodeId> epoch_seeds =
@@ -129,10 +132,11 @@ DryRunResult DryRun(const Dataset& dataset, const ClusterSpec& cluster,
     stores[i]->SetStorageCodec(opts.storage_codec, /*materialize=*/false);
     stores[i]->ConfigureCaches(res.caches[i].cache_nodes,
                                res.caches[i].bytes_per_cached_row);
+    res.per_strategy[i].load.assign(static_cast<std::size_t>(c), LoadVolume{});
   }
-  for (auto& st : res.per_strategy) {
-    st.load.assign(static_cast<std::size_t>(c), LoadVolume{});
-  }
+  const auto store_of = [&](Strategy s) -> const FeatureStore& {
+    return *stores[static_cast<std::size_t>(s)];
+  };
   auto& gdp = res.per_strategy[static_cast<std::size_t>(Strategy::kGDP)];
   auto& nfp = res.per_strategy[static_cast<std::size_t>(Strategy::kNFP)];
   auto& snp = res.per_strategy[static_cast<std::size_t>(Strategy::kSNP)];
@@ -155,57 +159,51 @@ DryRunResult DryRun(const Dataset& dataset, const ClusterSpec& cluster,
       st->train_compute_seconds += compute;
     }
   };
-  // Counts one step of strategy s: device g loads load_of(store, g).first
-  // and notes its .second transient bytes; the slowest load bounds the step.
-  using DeviceLoad = std::pair<LoadVolume, std::int64_t>;
-  const auto count_loads = [&](Strategy s, const auto& load_of) {
+  // Adds one step of strategy s, device g loading loads[g]: the slowest
+  // device's load bounds the step.
+  const auto add_loads = [&](Strategy s, std::span<const StepLoad> loads) {
     StrategyDryRun& st = res.per_strategy[static_cast<std::size_t>(s)];
-    const FeatureStore& store = *stores[static_cast<std::size_t>(s)];
     double step_load = 0.0;
     for (std::int32_t g = 0; g < c; ++g) {
-      const auto [vol, transient] = load_of(store, g);
-      st.load[static_cast<std::size_t>(g)].Add(vol);
-      step_load = std::max(step_load, store.LoadSeconds(g, vol));
-      st.peak_transient_bytes = std::max(st.peak_transient_bytes, transient);
+      const StepLoad& load = loads[static_cast<std::size_t>(g)];
+      st.load[static_cast<std::size_t>(g)].Add(load.volume);
+      step_load = std::max(step_load, store_of(s).LoadSeconds(g, load.volume));
+      st.peak_transient_bytes = std::max(st.peak_transient_bytes, load.transient);
     }
     st.load_seconds += step_load;
   };
+  std::vector<StepLoad> loads(static_cast<std::size_t>(c));
 
   // ---- Pass 2 (chunked): GDP + NFP volumes. ---------------------------------
   const std::int64_t steps =
       SamplingEpoch(dataset, opts, partition, c, SeedAssignment::kChunked,
                     [&](const std::vector<SampledBatch>& batches, const auto& blocks) {
     add_step_maxima(batches, gdp, nfp);
-    count_loads(Strategy::kGDP, [&](const auto& store, DeviceId g) {
-      const std::span<const NodeId> inputs = batches[static_cast<std::size_t>(g)].input_nodes();
-      return DeviceLoad(store.CountGather(g, inputs, 0, d),
-                        FullGatherTransient(static_cast<std::int64_t>(inputs.size()), d));
-    });
+    for (std::int32_t g = 0; g < c; ++g) {
+      loads[static_cast<std::size_t>(g)] =
+          GdpLoad(store_of(Strategy::kGDP), g, batches[static_cast<std::size_t>(g)].input_nodes());
+    }
+    add_loads(Strategy::kGDP, loads);
     const NfpPlan plan = BuildNfpPlan(blocks, d, gat);
-    const std::vector<LoadVolume> slices =
-        stores[static_cast<std::size_t>(Strategy::kNFP)]->CountSlices(plan.sources, plan.bounds);
-    count_loads(Strategy::kNFP, [&](const auto&, DeviceId g) {
-      const auto i = static_cast<std::size_t>(g);
-      return DeviceLoad(slices[i], plan.Transient(plan.bounds[i + 1] - plan.bounds[i], d1));
-    });
+    add_loads(Strategy::kNFP, NfpLoads(store_of(Strategy::kNFP), plan, d1));
     nfp.graph_shuffle_bytes += plan.graph_bytes;
     nfp.shuffle_rows += plan.partial_rows;  // fwd allreduce + bwd broadcast
   });
 
   // ---- Pass 3 (partition): SNP + DNP, counted on the executors' plans. ----
   // Each step builds the routing plans the executors run and counts them:
-  // the graph shuffle's bytes, each owner's gather and transient bytes, and
-  // the hidden-shuffle rows each owner receives from other origins (the
-  // busiest owner bounds the step).
+  // the graph shuffle's bytes, each owner's load, and the hidden-shuffle
+  // rows each owner receives from other origins (the busiest owner bounds
+  // the step).
   const NodeRouter owner_of{&partition};
   const NodeRouter snp_route{&partition, opts.hybrid_intra_machine ? &cluster : nullptr};
   std::int64_t snp_max_rows = 0;  // sum over steps of the busiest owner's rows
   std::int64_t dnp_max_rows = 0;
   NodeRowTable table;
   SnpOwnerInputs snp_in;
-  std::vector<NodeId> gat_gather;
   Block dnp_block;
-  const auto count_plan = [&](Strategy s, const RoutePlan& plan, const auto& expand) {
+  const auto count_plan = [&](Strategy s, const RoutePlan& plan, std::span<const StepLoad> loads) {
+    add_loads(s, loads);
     StrategyDryRun& st = res.per_strategy[static_cast<std::size_t>(s)];
     for (std::int64_t bytes : plan.graph.bytes) st.graph_shuffle_bytes += bytes;
     std::vector<std::int64_t> rows(static_cast<std::size_t>(c), 0);
@@ -213,36 +211,25 @@ DryRunResult DryRun(const Dataset& dataset, const ClusterSpec& cluster,
       if (pr.origin != pr.owner) rows[static_cast<std::size_t>(pr.owner)] += pr.items();
     }
     for (std::int64_t r : rows) st.shuffle_rows += r;
-    count_loads(s, expand);
     return *std::max_element(rows.begin(), rows.end());
   };
   const std::int64_t pass3_steps =
       SamplingEpoch(dataset, opts, partition, c, SeedAssignment::kPartition,
                     [&](const std::vector<SampledBatch>& batches, const auto& blocks) {
     add_step_maxima(batches, snp, dnp);
-    if (gat) {
-      const RoutePlan snp_plan = BuildSnpGatPlan(blocks, snp_route);
-      snp_max_rows += count_plan(Strategy::kSNP, snp_plan, [&](const auto& store, DeviceId g) {
-        snp_plan.OwnerNodes(g, gat_gather);
-        const std::int64_t rows = snp_plan.routing.Rows(g);
-        return DeviceLoad(store.CountGather(g, gat_gather, 0, d),
-                          SnpOwnerTransient(true, rows, rows, d, d1));
-      });
-    } else {
-      const RoutePlan snp_plan = BuildSnpSagePlan(blocks, snp_route);
-      snp_max_rows += count_plan(Strategy::kSNP, snp_plan, [&](const auto& store, DeviceId g) {
-        ExpandSnpOwner(snp_plan, g, table, snp_in);
-        const auto gather_rows = static_cast<std::int64_t>(snp_in.gather.size());
-        return DeviceLoad(store.CountGather(g, snp_in.gather, 0, d),
-                          SnpOwnerTransient(false, gather_rows, snp_plan.routing.Rows(g), d, d1));
-      });
+    const RoutePlan snp_plan =
+        gat ? BuildSnpGatPlan(blocks, snp_route) : BuildSnpSagePlan(blocks, snp_route);
+    for (std::int32_t g = 0; g < c; ++g) {
+      loads[static_cast<std::size_t>(g)] =
+          SnpLoad(store_of(Strategy::kSNP), snp_plan, g, gat, d1, table, snp_in);
     }
+    snp_max_rows += count_plan(Strategy::kSNP, snp_plan, loads);
     const RoutePlan dnp_plan = BuildDnpPlan(blocks, owner_of);
-    dnp_max_rows += count_plan(Strategy::kDNP, dnp_plan, [&](const auto& store, DeviceId g) {
-      ExpandDnpOwner(dnp_plan, g, table, dnp_block);
-      return DeviceLoad(store.CountGather(g, dnp_block.src_nodes, 0, d),
-                        FullGatherTransient(dnp_block.num_src(), d));
-    });
+    for (std::int32_t g = 0; g < c; ++g) {
+      loads[static_cast<std::size_t>(g)] =
+          DnpLoad(store_of(Strategy::kDNP), dnp_plan, g, table, dnp_block);
+    }
+    dnp_max_rows += count_plan(Strategy::kDNP, dnp_plan, loads);
   });
 
   // ---- Convert volumes to seconds with the profiled operator speeds. -------

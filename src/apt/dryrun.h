@@ -3,9 +3,9 @@
 // One epoch of graph sampling is performed per seed-assignment family and
 // the samples are routed through each strategy's Permute logic WITHOUT
 // loading features, shuffling embeddings, or computing — only volumes are
-// collected. Every strategy is counted on the plan its executor runs (GDP
-// on each batch's inputs, the others on engine/pair_routing.h's builders),
-// so the volumes are the executors' charges:
+// collected. Every strategy is counted on the plan its executor runs and
+// through its executor's load function (engine/pair_routing.h's builders
+// and StepLoad rules), so the volumes are the executors' charges:
 //   * node access frequencies (drives the cache configuration),
 //   * computation-graph shuffle bytes (the strategy part of T_build),
 //   * per-device feature-load volumes by memory tier (T_load),

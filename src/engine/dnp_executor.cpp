@@ -32,6 +32,7 @@ namespace {
 /// One owner's layer-1 work over its row block.
 struct DnpOwnerWork {
   Block block;  ///< owner-local layer-1 graph, one dst row per record
+  StepLoad load;
   std::unique_ptr<LayerContext> saved;
 };
 
@@ -42,12 +43,7 @@ class DnpExecutor final : public StrategyExecutor {
   StepStats Step(std::vector<DeviceBatch>& batches) override {
     const std::int32_t c = ctx_->num_devices();
     const std::int64_t d = ctx_->feature_dim();
-    std::int64_t total_seeds = 0;
-    for (const auto& b : batches) {
-      total_seeds += static_cast<std::int64_t>(b.labels.size());
-    }
-    StepStats agg;
-    agg.num_seeds = total_seeds;
+    StepStats agg = StepSeeds(batches);
 
     // ---- Permute: counting-sort each origin's destinations by owner. ------
     obs::StageSpan stage("permute", "dnp");
@@ -66,8 +62,8 @@ class DnpExecutor final : public StrategyExecutor {
     stage.Next("execute");
     std::vector<DnpOwnerWork> work(static_cast<std::size_t>(c));
     std::vector<Tensor> owner_out(static_cast<std::size_t>(c));
-    // Owners run at once, one NodeRowTable per lane; charges follow in
-    // device order.
+    // Owners expand, count and run at once, one NodeRowTable per lane;
+    // charges follow in device order.
     ParallelForChunks(
         0, c,
         [&](std::int64_t lo, std::int64_t hi) {
@@ -75,7 +71,7 @@ class DnpExecutor final : public StrategyExecutor {
           for (auto g = static_cast<DeviceId>(lo); g < hi; ++g) {
             DnpOwnerWork& w = work[static_cast<std::size_t>(g)];
             Block& lb = w.block;
-            ExpandDnpOwner(plan, g, table, lb);
+            w.load = DnpLoad(*ctx_->store, plan, g, table, lb);
             if (lb.num_dst == 0) continue;
             Tensor feats = Tensor::Uninit(lb.num_src(), d);
             ctx_->store->Read(lb.src_nodes, 0, d, feats);
@@ -85,10 +81,10 @@ class DnpExecutor final : public StrategyExecutor {
         },
         /*grain=*/1);
     for (DeviceId g = 0; g < c; ++g) {
-      const Block& lb = work[static_cast<std::size_t>(g)].block;
+      const auto& [lb, load, saved] = work[static_cast<std::size_t>(g)];
       if (lb.num_dst == 0) continue;
-      ctx_->store->ChargeLoad(g, ctx_->store->CountGather(g, lb.src_nodes, 0, d));
-      ctx_->sim->NoteTransient(g, FullGatherTransient(lb.num_src(), d));
+      ctx_->store->ChargeLoad(g, load.volume);
+      ctx_->sim->NoteTransient(g, load.transient);
       ctx_->sim->ChargeCompute(
           g, ctx_->model(g).layer(0).ForwardFlops(lb.num_src(), lb.num_dst, lb.num_edges()));
     }
@@ -112,7 +108,7 @@ class DnpExecutor final : public StrategyExecutor {
       }
       ModelTape tape;
       grad_raw0[static_cast<std::size_t>(o)] =
-          TrainFrom(*ctx_, o, batch, 1, std::move(raw0), 1, total_seeds, stats, tape);
+          TrainFrom(*ctx_, o, batch, 1, std::move(raw0), 1, agg.num_seeds, stats, tape);
     });
     for (DeviceId o = 0; o < c; ++o) {
       const DeviceBatch& batch = batches[static_cast<std::size_t>(o)];

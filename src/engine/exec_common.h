@@ -9,12 +9,6 @@
 
 namespace apt {
 
-/// Transient bytes of a full-width gather of `rows` feature rows plus its
-/// copy: what a GDP device notes for its batch and a DNP owner for its block.
-inline std::int64_t FullGatherTransient(std::int64_t rows, std::int64_t d) {
-  return 2 * rows * d * 4;
-}
-
 /// Each device's layer-1 block, as the pair-routing builders take them.
 inline std::vector<const Block*> FirstBlocks(const std::vector<DeviceBatch>& batches) {
   std::vector<const Block*> blocks;
@@ -56,6 +50,13 @@ StepStats SeedLossAndGrad(EngineCtx& ctx, DeviceId dev, const DeviceBatch& batch
 Tensor TrainFrom(EngineCtx& ctx, DeviceId dev, const DeviceBatch& batch, int first_layer,
                  Tensor input, int backward_to, std::int64_t total_seeds, StepStats& agg,
                  ModelTape& tape);
+
+/// A step's stats before any device trains: every device's seeds.
+inline StepStats StepSeeds(const std::vector<DeviceBatch>& batches) {
+  StepStats agg;
+  for (const DeviceBatch& b : batches) agg.num_seeds += static_cast<std::int64_t>(b.labels.size());
+  return agg;
+}
 
 /// Every device's model pass as one ParallelFor over devices (grain 1):
 /// body(dev, stats) runs for each device with seeds, `stats` being what it

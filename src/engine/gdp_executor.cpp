@@ -7,6 +7,7 @@
 // allreduce happens outside the pipelined scope (serial tail by design).
 #include "engine/executor.h"
 #include "engine/exec_common.h"
+#include "engine/pair_routing.h"
 #include "engine/quantized_grad.h"
 #include "obs/trace.h"
 
@@ -19,12 +20,7 @@ class GdpExecutor final : public StrategyExecutor {
   using StrategyExecutor::StrategyExecutor;
 
   StepStats Step(std::vector<DeviceBatch>& batches) override {
-    std::int64_t total_seeds = 0;
-    for (const auto& b : batches) {
-      total_seeds += static_cast<std::int64_t>(b.labels.size());
-    }
-    StepStats agg;
-    agg.num_seeds = total_seeds;
+    StepStats agg = StepSeeds(batches);
     // GDP has no shuffle stages: the whole step is one Execute.
     APT_OBS_SCOPE("execute", "gdp");
     const std::int64_t d = ctx_->feature_dim();
@@ -45,7 +41,7 @@ class GdpExecutor final : public StrategyExecutor {
       ctx_->store->Read(input_nodes, 0, d, feats);
       ModelTape tape;
       Tensor grad = TrainFrom(*ctx_, dev, batch, 0, std::move(feats), quantized ? 1 : 0,
-                              total_seeds, stats, quantized ? tapes[udev] : tape);
+                              agg.num_seeds, stats, quantized ? tapes[udev] : tape);
       if (quantized) grad_raw0[udev] = std::move(grad);
     });
     std::vector<std::vector<QuantizedBlockGrad>> qblocks(c);
@@ -54,10 +50,9 @@ class GdpExecutor final : public StrategyExecutor {
       const DeviceBatch& batch = batches[udev];
       if (batch.labels.empty()) continue;
       const auto& blocks = batch.sample.blocks;
-      const auto input_nodes = batch.sample.input_nodes();
-      ctx_->store->ChargeLoad(dev, ctx_->store->CountGather(dev, input_nodes, 0, d));
-      ctx_->sim->NoteTransient(
-          dev, FullGatherTransient(static_cast<std::int64_t>(input_nodes.size()), d));
+      const StepLoad load = GdpLoad(*ctx_->store, dev, batch.sample.input_nodes());
+      ctx_->store->ChargeLoad(dev, load.volume);
+      ctx_->sim->NoteTransient(dev, load.transient);
       if (quantized) {
         qblocks[udev].push_back(QuantizedBlockGrad{
             blocks[0].num_dst, tapes[udev].layer_ctx[0].get(), &grad_raw0[udev]});

@@ -14,7 +14,7 @@
 // "intermediate tensors exceed GPU memory" behaviour of Fig 10.
 //
 // The column split lives in the charges only. The simulator charges every
-// device's slice load (counted by CountSlices, as the dry-run counts it),
+// device's slice load (NfpLoads, as the dry-run counts it),
 // slice flops and the c x c partials (transient memory and one ring
 // allreduce per origin), then the gradient broadcast and the slice weight
 // gradients. The host runs GDP's step: each origin reads its own full-width
@@ -57,8 +57,7 @@ class NfpExecutor final : public StrategyExecutor {
   using StrategyExecutor::StrategyExecutor;
 
   StepStats Step(std::vector<DeviceBatch>& batches) override {
-    StepStats agg;
-    for (const auto& b : batches) agg.num_seeds += static_cast<std::int64_t>(b.labels.size());
+    StepStats agg = StepSeeds(batches);
     const std::int32_t c = ctx_->num_devices();
     const std::int64_t d = ctx_->feature_dim();
     const bool gat = ctx_->model_kind() == ModelKind::kGat;
@@ -81,17 +80,17 @@ class NfpExecutor final : public StrategyExecutor {
     stage.Next("execute");
     // Each device is charged loading its dimension slice of ALL graphs'
     // inputs, projecting it and keeping its partials for the allreduce.
-    const std::vector<LoadVolume> vols = ctx_->store->CountSlices(plan.sources, plan.bounds);
+    const std::vector<StepLoad> loads = NfpLoads(*ctx_->store, plan, out);
     for (DeviceId g = 0; g < c; ++g) {
       const auto ug = static_cast<std::size_t>(g);
       const std::int64_t width = plan.bounds[ug + 1] - plan.bounds[ug];
-      if (plan.rows() > 0) ctx_->store->ChargeLoad(g, vols[ug]);
+      if (plan.rows() > 0) ctx_->store->ChargeLoad(g, loads[ug].volume);
       double flops = 0.0;
       for (const Block* b : all0) {
         if (b->num_dst > 0) flops += slice_flops(*b, width);
       }
       ctx_->sim->ChargeCompute(g, flops);
-      ctx_->sim->NoteTransient(g, plan.Transient(width, out));
+      ctx_->sim->NoteTransient(g, loads[ug].transient);
     }
 
     stage.Next("reshuffle");

@@ -6,6 +6,15 @@ namespace apt {
 
 namespace {
 
+/// Owner g's items' nodes, its pairs in turn.
+void OwnerNodes(const RoutePlan& plan, DeviceId g, std::vector<NodeId>& out) {
+  out.clear();
+  for (std::size_t p : plan.routing.OfOwner(g)) {
+    const std::span<const NodeId> nodes = plan.routing.pairs[p].Of(plan.node);
+    out.insert(out.end(), nodes.begin(), nodes.end());
+  }
+}
+
 /// The graph shuffle of `plan`: a pair's n records travel as `fields` int64
 /// fields each plus, when they carry sources, a source indptr (n + 1) and
 /// the sources.
@@ -141,7 +150,14 @@ RoutePlan BuildDnpPlan(std::span<const Block* const> blocks, const NodeRouter& r
   return plan;
 }
 
-void ExpandSnpOwner(const RoutePlan& plan, DeviceId g, NodeRowTable& table, SnpOwnerInputs& in) {
+StepLoad SnpLoad(const FeatureStore& store, const RoutePlan& plan, DeviceId g, bool gat,
+                 std::int64_t out, NodeRowTable& table, SnpOwnerInputs& in) {
+  const std::int64_t d = store.feature_dim();
+  const std::int64_t rows = plan.routing.Rows(g);
+  if (gat) {
+    OwnerNodes(plan, g, in.gather);
+    return {store.CountGather(g, in.gather, 0, d), (2 * rows * d + rows * out) * 4};
+  }
   in.gather.clear();
   in.indptr.assign(1, 0);
   in.col.clear();
@@ -167,10 +183,13 @@ void ExpandSnpOwner(const RoutePlan& plan, DeviceId g, NodeRowTable& table, SnpO
     }
     in.self_seg.push_back(static_cast<std::int64_t>(in.self_rows.size()));
   }
+  return {store.CountGather(g, in.gather, 0, d),
+          (static_cast<std::int64_t>(in.gather.size()) * d + rows * out) * 4};
 }
 
-void ExpandDnpOwner(const RoutePlan& plan, DeviceId g, NodeRowTable& table, Block& lb) {
-  plan.OwnerNodes(g, lb.src_nodes);
+StepLoad DnpLoad(const FeatureStore& store, const RoutePlan& plan, DeviceId g,
+                 NodeRowTable& table, Block& lb) {
+  OwnerNodes(plan, g, lb.src_nodes);
   lb.num_dst = plan.routing.Rows(g);
   lb.indptr.assign(1, 0);
   lb.col.clear();
@@ -184,6 +203,7 @@ void ExpandDnpOwner(const RoutePlan& plan, DeviceId g, NodeRowTable& table, Bloc
       lb.indptr.push_back(static_cast<std::int64_t>(lb.col.size()));
     }
   }
+  return GdpLoad(store, g, lb.src_nodes);
 }
 
 std::vector<Tensor> RowsToOwners(const RoutePlan& plan, const std::vector<Tensor>& per_origin,
@@ -211,6 +231,20 @@ NfpPlan BuildNfpPlan(std::span<const Block* const> blocks, std::int64_t d, bool 
     if (b->num_dst > 0) plan.partial_rows += gat ? b->num_src() : b->num_dst;
   }
   return plan;
+}
+
+StepLoad GdpLoad(const FeatureStore& store, DeviceId g, std::span<const NodeId> nodes) {
+  const std::int64_t d = store.feature_dim();
+  return {store.CountGather(g, nodes, 0, d), 2 * static_cast<std::int64_t>(nodes.size()) * d * 4};
+}
+
+std::vector<StepLoad> NfpLoads(const FeatureStore& store, const NfpPlan& plan, std::int64_t out) {
+  std::vector<StepLoad> loads;
+  for (const LoadVolume& vol : store.CountSlices(plan.sources, plan.bounds)) {
+    const std::int64_t width = plan.bounds[loads.size() + 1] - plan.bounds[loads.size()];
+    loads.push_back({vol, (plan.rows() * width + plan.partial_rows * out) * 4});
+  }
+  return loads;
 }
 
 }  // namespace apt

@@ -9,8 +9,9 @@
 // costs O(items moved + pairs) host work rather than O(C^2) per-pair
 // objects, and each shuffle charges one sparse lane per non-empty pair
 // (DESIGN.md "Pair routing on the host"). One builder per strategy turns the
-// step's layer-1 blocks into its plan (RoutePlan, NfpPlan); the executors
-// run it and the dry-run counts it, so the two cannot drift apart.
+// step's layer-1 blocks into its plan (RoutePlan, NfpPlan) and one function
+// per strategy into each device's load (StepLoad); the executors run and
+// charge them and the dry-run counts them, so the two cannot drift apart.
 #pragma once
 
 #include <algorithm>
@@ -21,6 +22,7 @@
 
 #include "comm/collectives.h"
 #include "core/types.h"
+#include "feature/feature_store.h"
 #include "sampling/block.h"
 #include "sim/hardware.h"
 #include "sim/sim_context.h"
@@ -254,15 +256,6 @@ struct RoutePlan {
   AllToAllTraffic graph;  ///< Phase::kSample shuffle of the records
 
   std::size_t Sources(const RoutePair& pr) const { return src_ptr[pr.last] - src_ptr[pr.first]; }
-  /// Owner g's items' nodes, its pairs in turn (GAT's gather list, DNP's
-  /// destination rows).
-  void OwnerNodes(DeviceId g, std::vector<NodeId>& out) const {
-    out.clear();
-    for (std::size_t p : routing.OfOwner(g)) {
-      const std::span<const NodeId> nodes = routing.pairs[p].Of(node);
-      out.insert(out.end(), nodes.begin(), nodes.end());
-    }
-  }
 };
 
 /// `blocks[o]` is origin o's layer-1 block.
@@ -270,8 +263,8 @@ RoutePlan BuildSnpSagePlan(std::span<const Block* const> blocks, const NodeRoute
 RoutePlan BuildSnpGatPlan(std::span<const Block* const> blocks, const NodeRouter& route);
 RoutePlan BuildDnpPlan(std::span<const Block* const> blocks, const NodeRouter& route);
 
-/// An SNP SAGE owner's layer-0 inputs, expanded from the plan one owner at a
-/// time so only the owner at hand holds them.
+/// An SNP owner's layer-0 inputs, expanded by SnpLoad one owner at a time
+/// so only the owner at hand holds them. GAT fills `gather` alone.
 struct SnpOwnerInputs {
   /// The owner's one feature gather: per pair its unique sources in
   /// first-sighting order, then its self rows.
@@ -282,26 +275,12 @@ struct SnpOwnerInputs {
   std::vector<std::int64_t> self_rows;    ///< block rows with a self term
   std::vector<std::int64_t> self_seg;     ///< per-pair boundaries of self_rows
 };
-void ExpandSnpOwner(const RoutePlan& plan, DeviceId g, NodeRowTable& table, SnpOwnerInputs& in);
-
-/// DNP owner g's layer-1 block: destination rows first (origins ascending),
-/// then each pair's sources deduplicated within the pair. Each record keeps
-/// its own row even if the same node arrives from two origins, because its
-/// sampled edge lists differ per origin.
-void ExpandDnpOwner(const RoutePlan& plan, DeviceId g, NodeRowTable& table, Block& lb);
 
 /// The backward shuffle's payload: each owner's row block of `cols`-wide
 /// rows, filled pair by pair from its origins' gradients (`per_origin`,
 /// rows picked by `local`). An origin with items has seeds, hence a gradient.
 std::vector<Tensor> RowsToOwners(const RoutePlan& plan, const std::vector<Tensor>& per_origin,
                                  std::int64_t cols);
-
-/// Transient bytes an SNP owner notes for layer 0: its gathered features and
-/// partial outputs (SAGE), or its features twice and its z rows (GAT).
-inline std::int64_t SnpOwnerTransient(bool gat, std::int64_t gather_rows, std::int64_t rows,
-                                      std::int64_t d, std::int64_t out) {
-  return (gather_rows * d + (gat ? rows * d : 0) + rows * out) * 4;
-}
 
 /// NFP's column slices of a `dim`-wide feature dimension: device g gets
 /// columns [bounds[g], bounds[g + 1]). The first dim % num_devices devices
@@ -317,7 +296,6 @@ inline std::vector<std::int64_t> SliceBounds(std::int64_t dim, std::int32_t num_
 /// One NFP step as its charges count it: every device loads its column
 /// slice of every origin's layer-1 sources and keeps a partial layer-1
 /// output per origin with destinations until the partials are allreduced.
-/// The executor and the dry-run both count the loads with CountSlices.
 struct NfpPlan {
   std::vector<NodeId> sources;       ///< every origin's sources, origin after origin
   std::vector<std::int64_t> bounds;  ///< device g's columns [bounds[g], bounds[g+1])
@@ -328,14 +306,31 @@ struct NfpPlan {
   std::int64_t partial_rows = 0;
 
   std::int64_t rows() const { return static_cast<std::int64_t>(sources.size()); }
-  /// Transient bytes of a device with a `width`-column slice: its gathered
-  /// slice plus its partials of `out` columns.
-  std::int64_t Transient(std::int64_t width, std::int64_t out) const {
-    return (rows() * width + partial_rows * out) * 4;
-  }
 };
 /// `blocks[o]` is origin o's layer-1 block; `d` is the feature dimension.
 NfpPlan BuildNfpPlan(std::span<const Block* const> blocks, std::int64_t d, bool gat);
+
+/// A device's feature load in a step and the transient bytes it notes: each
+/// strategy's one load rule below, charged by its executor and added up by
+/// the dry-run. Expansions land in caller scratch. `out` is layer 0's width.
+struct StepLoad {
+  LoadVolume volume;
+  std::int64_t transient = 0;
+};
+/// GDP device g: `nodes` (its batch's inputs) at full width, plus their copy.
+StepLoad GdpLoad(const FeatureStore& store, DeviceId g, std::span<const NodeId> nodes);
+/// NFP, every device from one CountSlices: its column slice of every
+/// origin's sources, plus its partials.
+std::vector<StepLoad> NfpLoads(const FeatureStore& store, const NfpPlan& plan, std::int64_t out);
+/// SNP owner g: `in` (SAGE dedups with `table`), in.gather at full width,
+/// plus its partial outputs (SAGE) or its features again and its z rows (GAT).
+StepLoad SnpLoad(const FeatureStore& store, const RoutePlan& plan, DeviceId g, bool gat,
+                 std::int64_t out, NodeRowTable& table, SnpOwnerInputs& in);
+/// DNP owner g: its layer-1 block `lb` (destination rows, origins ascending,
+/// then each pair's sources deduplicated within the pair; a record keeps its
+/// row even if two origins send its node), its sources loaded by GDP's rule.
+StepLoad DnpLoad(const FeatureStore& store, const RoutePlan& plan, DeviceId g,
+                 NodeRowTable& table, Block& lb);
 
 /// dst.row(dst_row0 + k) = src.row(index[k]): an owner's row block filled
 /// from an origin's rows.

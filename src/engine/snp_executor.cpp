@@ -66,13 +66,27 @@ class SnpExecutor final : public StrategyExecutor {
         route_{ctx.partition, machine_local ? &ctx.sim->cluster() : nullptr} {}
 
   StepStats Step(std::vector<DeviceBatch>& batches) override {
-    if (ctx_->model_kind() == ModelKind::kSage) return StepSage(batches);
-    return StepGat(batches);
+    const bool gat = ctx_->model_kind() == ModelKind::kGat;
+    // ---- Permute: split each origin's layer-1 graph by owner. Under SAGE a
+    // destination gets one virtual node on every owner of one of its sources
+    // and on its own owner (which adds the self term); under GAT every
+    // layer-1 source node's z row is requested from its owner. -------------
+    obs::StageSpan stage("permute", "snp");
+    const std::vector<const Block*> blocks = FirstBlocks(batches);
+    const RoutePlan plan = gat ? BuildSnpGatPlan(blocks, route_) : BuildSnpSagePlan(blocks, route_);
+    // ---- Shuffle: records to owners, which read them in place. ------------
+    stage.Next("shuffle");
+    ctx_->comm->ChargeAllToAll(plan.graph, Phase::kSample);
+    stage.Next("execute");
+    return gat ? StepGat(batches, plan, stage) : StepSage(batches, plan, stage);
   }
 
  private:
-  StepStats StepSage(std::vector<DeviceBatch>& batches);
-  StepStats StepGat(std::vector<DeviceBatch>& batches);
+  /// The owners' layer 0, the reshuffles and the origins' remainder.
+  StepStats StepSage(std::vector<DeviceBatch>& batches, const RoutePlan& plan,
+                     obs::StageSpan& stage);
+  StepStats StepGat(std::vector<DeviceBatch>& batches, const RoutePlan& plan,
+                    obs::StageSpan& stage);
 
   NodeRouter route_;
 };
@@ -86,30 +100,16 @@ struct SnpOwnerRows {
   std::vector<std::int64_t> self_seg;   ///< per-pair boundaries of self_rows
 };
 
-StepStats SnpExecutor::StepSage(std::vector<DeviceBatch>& batches) {
+StepStats SnpExecutor::StepSage(std::vector<DeviceBatch>& batches, const RoutePlan& plan,
+                                obs::StageSpan& stage) {
   const std::int32_t c = ctx_->num_devices();
-  std::int64_t total_seeds = 0;
-  for (const auto& b : batches) total_seeds += static_cast<std::int64_t>(b.labels.size());
-  StepStats agg;
-  agg.num_seeds = total_seeds;
-
-  // ---- Permute: split each origin's layer-1 graph by source owner. -------
-  // A destination gets one virtual node on every owner of one of its
-  // sources and on its own owner (which adds the self term).
-  obs::StageSpan stage("permute", "snp");
-  const RoutePlan plan = BuildSnpSagePlan(FirstBlocks(batches), route_);
+  StepStats agg = StepSeeds(batches);
   const PairRouting& routing = plan.routing;
-
-  // ---- Shuffle: virtual-node batches to source owners. --------------------
-  // Owners then read their blocks of the step buffer in place.
-  stage.Next("shuffle");
-  ctx_->comm->ChargeAllToAll(plan.graph, Phase::kSample);
 
   // ---- Execute: partial aggregation + projection at each owner. ----------
   // One batched feature gather per device per step (DGL-style): each
   // origin's unique sources, then its owned destinations' self rows, origin
   // after origin, fetched in a single store request.
-  stage.Next("execute");
   const std::int64_t d = ctx_->feature_dim();
   const std::int64_t out = ctx_->model(0).layer(0).out_dim();
   std::vector<SnpOwnerRows> owners(static_cast<std::size_t>(c));
@@ -119,7 +119,7 @@ StepStats SnpExecutor::StepSage(std::vector<DeviceBatch>& batches) {
     for (DeviceId g = 0; g < c; ++g) {
       auto& sage = dynamic_cast<SageLayer&>(ctx_->model(g).layer(0));
       SnpOwnerRows& st = owners[static_cast<std::size_t>(g)];
-      ExpandSnpOwner(plan, g, table, in);
+      const StepLoad load = SnpLoad(*ctx_->store, plan, g, /*gat=*/false, out, table, in);
       std::size_t k = 0;  // pair index within the owner
       const double flops = PairFlops(routing, g, [&](const RoutePair& pr) {
         const std::int64_t num_self = in.self_seg[k + 1] - in.self_seg[k];
@@ -129,7 +129,8 @@ StepStats SnpExecutor::StepSage(std::vector<DeviceBatch>& batches) {
                2.0 * static_cast<double>(num_self) * d * sage.out_dim();
       });
       Tensor h_all = Tensor::Uninit(static_cast<std::int64_t>(in.gather.size()), d);
-      if (!in.gather.empty()) ctx_->store->Gather(g, in.gather, 0, d, h_all);
+      ctx_->store->Read(in.gather, 0, d, h_all);
+      if (!in.gather.empty()) ctx_->store->ChargeLoad(g, load.volume);
 
       // Partial mean: sum local sources / total degree.
       st.aggd = Tensor::Uninit(routing.Rows(g), d);
@@ -152,8 +153,7 @@ StepStats SnpExecutor::StepSage(std::vector<DeviceBatch>& batches) {
         ScatterAddRows(self_out, st.self_rows, st.part);
       }
       ctx_->sim->ChargeCompute(g, flops);
-      ctx_->sim->NoteTransient(
-          g, SnpOwnerTransient(/*gat=*/false, h_all.rows(), routing.Rows(g), d, out));
+      ctx_->sim->NoteTransient(g, load.transient);
     }
   }
 
@@ -182,7 +182,7 @@ StepStats SnpExecutor::StepSage(std::vector<DeviceBatch>& batches) {
     AddBiasRows(raw0[uo], sage.bias().value);
     ModelTape tape;
     grad_raw0[uo] =
-        TrainFrom(*ctx_, o, batch, 1, std::move(raw0[uo]), 1, total_seeds, stats, tape);
+        TrainFrom(*ctx_, o, batch, 1, std::move(raw0[uo]), 1, agg.num_seeds, stats, tape);
     Tensor gb(1, sage.out_dim());
     BiasGradRows(grad_raw0[uo], gb);
     Axpy(1.0f, gb, sage.bias().grad);
@@ -219,43 +219,34 @@ StepStats SnpExecutor::StepSage(std::vector<DeviceBatch>& batches) {
   return agg;
 }
 
-StepStats SnpExecutor::StepGat(std::vector<DeviceBatch>& batches) {
+StepStats SnpExecutor::StepGat(std::vector<DeviceBatch>& batches, const RoutePlan& plan,
+                               obs::StageSpan& stage) {
   const std::int32_t c = ctx_->num_devices();
   const std::int64_t d = ctx_->feature_dim();
-  std::int64_t total_seeds = 0;
-  for (const auto& b : batches) total_seeds += static_cast<std::int64_t>(b.labels.size());
-  StepStats agg;
-  agg.num_seeds = total_seeds;
-
-  // ---- Permute: every layer-1 source node's z row is requested from its
-  // owner. ------------------------------------------------------------------
-  obs::StageSpan stage("permute", "snp");
-  const RoutePlan plan = BuildSnpGatPlan(FirstBlocks(batches), route_);
+  StepStats agg = StepSeeds(batches);
   const PairRouting& routing = plan.routing;
-  stage.Next("shuffle");
-  ctx_->comm->ChargeAllToAll(plan.graph, Phase::kSample);
 
   // ---- Execute at owners: load features, project, ship z rows. ------------
   // One batched gather per device per step; each origin's requests are one
   // contiguous row range of it, and the owner projects all rows at once.
-  stage.Next("execute");
   std::vector<Tensor> saved_h(static_cast<std::size_t>(c));
   std::vector<Tensor> z_rows(static_cast<std::size_t>(c));
   const std::int64_t out = ctx_->model(0).layer(0).out_dim();
   {
-    std::vector<NodeId> gather_nodes;
+    NodeRowTable table;
+    SnpOwnerInputs in;
     for (DeviceId g = 0; g < c; ++g) {
       auto& gat = dynamic_cast<GatLayer&>(ctx_->model(g).layer(0));
-      plan.OwnerNodes(g, gather_nodes);
+      const StepLoad load = SnpLoad(*ctx_->store, plan, g, /*gat=*/true, out, table, in);
       Tensor& h = saved_h[static_cast<std::size_t>(g)];
-      h = Tensor::Uninit(static_cast<std::int64_t>(gather_nodes.size()), d);
-      if (!gather_nodes.empty()) ctx_->store->Gather(g, gather_nodes, 0, d, h);
+      h = Tensor::Uninit(static_cast<std::int64_t>(in.gather.size()), d);
+      ctx_->store->Read(in.gather, 0, d, h);
+      if (!in.gather.empty()) ctx_->store->ChargeLoad(g, load.volume);
       z_rows[static_cast<std::size_t>(g)] = gat.Project(h);
       ctx_->sim->ChargeCompute(g, PairFlops(routing, g, [&](const RoutePair& pr) {
                                  return 2.0 * static_cast<double>(pr.items()) * d * gat.out_dim();
                                }));
-      ctx_->sim->NoteTransient(
-          g, SnpOwnerTransient(/*gat=*/true, h.rows(), routing.Rows(g), d, out));
+      ctx_->sim->NoteTransient(g, load.transient);
     }
   }
   // Hidden-embedding shuffle (the GAT extra communication).
@@ -279,7 +270,7 @@ StepStats SnpExecutor::StepGat(std::vector<DeviceBatch>& batches) {
     Tensor raw0 = gat.AttentionForward(b.csr(), b.num_dst, z, &attn_ctx);
     ModelTape tape;
     const Tensor grad_raw0 =
-        TrainFrom(*ctx_, o, batch, 1, std::move(raw0), 1, total_seeds, stats, tape);
+        TrainFrom(*ctx_, o, batch, 1, std::move(raw0), 1, agg.num_seeds, stats, tape);
     grad_z_full[uo] = gat.AttentionBackward(b.csr(), b.num_dst, *attn_ctx, grad_raw0);
   });
   for (DeviceId o = 0; o < c; ++o) {

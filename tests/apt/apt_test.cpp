@@ -1,6 +1,7 @@
 // Tests for the APT core: dry-run, cost models, planner, adapter, system.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 
@@ -100,22 +101,33 @@ TEST(DryRunTest, SnpSeesFewerCpuReadsThanGdpWithCache) {
 
 /// What one traced training epoch charged: per-device gather rows and bytes,
 /// the bytes of the graph-shuffle (kSample) and hidden-shuffle (kTrain)
-/// all-to-alls, and the payload bytes of the ring collectives in each phase
-/// (kTrain includes the gradient sync).
+/// all-to-alls, the payload bytes of the ring collectives in each phase
+/// (kTrain includes the gradient sync), and the largest gain of any device's
+/// peak memory over its value right after trainer construction.
 struct EpochCharges {
   std::vector<double> gather_rows, gather_bytes;
   double graph_a2a_bytes = 0.0, hidden_a2a_bytes = 0.0;
   double graph_ring_bytes = 0.0, train_ring_bytes = 0.0;
+  std::int64_t peak_transient_bytes = 0;
 };
 
 EpochCharges TraceEpochCharges(const Dataset& ds, TrainerSetup setup) {
   const auto c = static_cast<std::size_t>(setup.cluster.num_devices());
   ParallelTrainer trainer(ds, std::move(setup));
+  std::vector<std::int64_t> built_peak;
+  for (std::size_t g = 0; g < c; ++g) {
+    built_peak.push_back(trainer.sim().PeakMemory(static_cast<DeviceId>(g)));
+  }
   obs::Tracer::Global().Clear();
   obs::SetTracingEnabled(true);
   trainer.TrainEpoch(0);
   obs::SetTracingEnabled(false);
   EpochCharges charges{std::vector<double>(c, 0.0), std::vector<double>(c, 0.0)};
+  for (std::size_t g = 0; g < c; ++g) {
+    charges.peak_transient_bytes =
+        std::max(charges.peak_transient_bytes,
+                 trainer.sim().PeakMemory(static_cast<DeviceId>(g)) - built_peak[g]);
+  }
   for (const obs::TraceEvent& e : obs::Tracer::Global().Drain()) {
     if (e.domain != obs::Domain::kSim) continue;
     const std::string name = e.name;
@@ -165,7 +177,8 @@ TrainerSetup DryRunOrderSetup(const ClusterSpec& cluster,
 // estimated gather rows and bytes equal what its gathers move in a traced
 // training epoch, for GDP and for SAGE and GAT NFP; NFP's graph broadcast
 // bytes and its partial allreduce plus gradient broadcast (2 d' 4 bytes per
-// shuffled row) equal the ring charges.
+// shuffled row) equal the ring charges, and the estimated peak transient
+// equals the largest peak-memory gain of the epoch.
 TEST(DryRunTest, NfpLoadMatchesExecutorGathersOnUnevenSlices) {
   struct Case {
     const char* name;
@@ -219,13 +232,15 @@ TEST(DryRunTest, NfpLoadMatchesExecutorGathersOnUnevenSlices) {
     EXPECT_EQ(shuffle_ring_bytes, 2 * est.shuffle_rows * Layer0OutDim(model) * 4);
     EXPECT_EQ(est.graph_shuffle_bytes > 0, nfp);
     EXPECT_EQ(est.shuffle_rows > 0, nfp);
+    EXPECT_EQ(charged.peak_transient_bytes, est.peak_transient_bytes);
   }
 }
 
 // SNP and DNP are counted on the routing plans their executors run: every
-// device's estimated gather rows and bytes, the graph-shuffle bytes and the
-// hidden-shuffle rows equal what a traced training epoch charges, for SAGE
-// and GAT SNP, hybrid intra-machine SNP and DNP.
+// device's estimated gather rows and bytes, the graph-shuffle bytes, the
+// hidden-shuffle rows and the peak transient bytes equal what a traced
+// training epoch charges, for SAGE and GAT SNP, hybrid intra-machine SNP and
+// DNP.
 TEST(DryRunTest, SnpDnpVolumesMatchExecutorCharges) {
   struct Case {
     const char* name;
@@ -273,6 +288,7 @@ TEST(DryRunTest, SnpDnpVolumesMatchExecutorCharges) {
     const std::int64_t row_bytes = Layer0OutDim(model) * 4;
     EXPECT_GT(est.shuffle_rows, 0);
     EXPECT_EQ(static_cast<std::int64_t>(charged.hidden_a2a_bytes), 2 * est.shuffle_rows * row_bytes);
+    EXPECT_EQ(charged.peak_transient_bytes, est.peak_transient_bytes);
   }
 }
 
