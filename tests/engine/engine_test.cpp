@@ -391,21 +391,19 @@ std::uint64_t SimTraceDigest(const std::vector<obs::TraceEvent>& events, std::in
   return g.h;
 }
 
-// Each step's per-device model passes run as one ParallelFor over devices
-// and every charge follows serially in device order, so a run at full width
-// must be bit-identical to a one-lane run: loss, weights, every device
-// clock, the step tape and the simulated trace. Covers every strategy under
-// SAGE and GAT, serial and pipelined, the quantized layer-0 path, and
-// sampled execution (whose trace includes the fast-forwarded replays).
-TEST(ExecCommonTest, TrainingMatchesAtOneLaneAndFullWidth) {
-  struct Case {
-    Strategy strategy;
-    ModelKind kind;
-    int depth;
-    Codec wire = Codec::kIdentity;
-    std::int64_t sample_period = 1;
-  };
-  std::vector<Case> cases;
+// The cases the lane-count and charge-pin tests train: every strategy under
+// SAGE and GAT, serial and pipelined, the quantized layer-0 path, and sampled
+// execution (whose trace includes the fast-forwarded replays).
+struct ChargeCase {
+  Strategy strategy;
+  ModelKind kind;
+  int depth;
+  Codec wire = Codec::kIdentity;
+  std::int64_t sample_period = 1;
+};
+
+std::vector<ChargeCase> ChargeCases() {
+  std::vector<ChargeCase> cases;
   for (Strategy strategy : kAllStrategies) {
     for (ModelKind kind : {ModelKind::kSage, ModelKind::kGat}) {
       for (int depth : {1, 4}) cases.push_back({strategy, kind, depth});
@@ -414,49 +412,64 @@ TEST(ExecCommonTest, TrainingMatchesAtOneLaneAndFullWidth) {
   cases.push_back({Strategy::kGDP, ModelKind::kSage, 1, Codec::kInt8});
   cases.push_back({Strategy::kDNP, ModelKind::kSage, 1, Codec::kInt8});
   cases.push_back({Strategy::kSNP, ModelKind::kGat, 1, Codec::kIdentity, 2});
+  return cases;
+}
 
+::testing::Message Describe(const ChargeCase& k) {
+  return ::testing::Message() << ToString(k.strategy) << " " << ToString(k.kind) << " depth "
+                              << k.depth << " wire " << ToString(k.wire) << " period "
+                              << k.sample_period;
+}
+
+struct ChargeRun {
+  std::unique_ptr<ParallelTrainer> trainer;
+  EpochStats stats;
+  std::uint64_t tape = 0;
+  std::uint64_t trace = 0;
+};
+
+// One epoch of case `k` on the small dataset, 2 machines x 2 devices, with
+// its step tape and simulated trace digested. Tracing must be on.
+ChargeRun TrainChargeCase(const Dataset& ds, const ClusterSpec& cluster, const ChargeCase& k) {
+  EngineOptions opts;
+  opts.strategy = k.strategy;
+  opts.fanouts = {5, 5};
+  opts.batch_size_per_device = k.sample_period > 1 ? 32 : 128;
+  opts.cache_bytes_per_device = 1 << 20;
+  opts.seed_assignment = SeedAssignment::kChunked;
+  opts.pipeline_depth = k.depth;
+  opts.wire_codec = k.wire;
+  opts.scale_sample_period = k.sample_period;
+  ChargeRun run;
+  run.trainer = MakeTrainerWithOptions(ds, cluster, opts, /*hidden=*/0, k.kind);
+  SimContext& sim = run.trainer->sim();
+  obs::Tracer::Global().Clear();
+  // A sampled run records and replays its own probe tapes; the rest
+  // record the whole epoch as one tape.
+  const bool record = k.sample_period == 1;
+  if (record) sim.BeginStepRecord();
+  run.stats = run.trainer->TrainEpoch(0);
+  if (record) run.tape = TapeDigest(sim.EndStepRecord());
+  run.trace = SimTraceDigest(obs::Tracer::Global().Drain(), sim.ObsPid());
+  return run;
+}
+
+// Each step's per-device model passes run as one ParallelFor over devices
+// and every charge follows serially in device order, so a run at full width
+// must be bit-identical to a one-lane run: loss, weights, every device
+// clock, the step tape and the simulated trace.
+TEST(ExecCommonTest, TrainingMatchesAtOneLaneAndFullWidth) {
   const Dataset ds = SmallDataset();
   const ClusterSpec cluster = MultiMachineCluster(2, 2);
   const bool was_tracing = obs::TracingEnabled();
   obs::SetTracingEnabled(true);
-  for (const Case& k : cases) {
-    SCOPED_TRACE(::testing::Message() << ToString(k.strategy) << " " << ToString(k.kind)
-                                      << " depth " << k.depth << " wire "
-                                      << ToString(k.wire) << " period " << k.sample_period);
-    struct Run {
-      std::unique_ptr<ParallelTrainer> trainer;
-      EpochStats stats;
-      std::uint64_t tape = 0;
-      std::uint64_t trace = 0;
-    };
-    const auto train = [&] {
-      EngineOptions opts;
-      opts.strategy = k.strategy;
-      opts.fanouts = {5, 5};
-      opts.batch_size_per_device = k.sample_period > 1 ? 32 : 128;
-      opts.cache_bytes_per_device = 1 << 20;
-      opts.seed_assignment = SeedAssignment::kChunked;
-      opts.pipeline_depth = k.depth;
-      opts.wire_codec = k.wire;
-      opts.scale_sample_period = k.sample_period;
-      Run run;
-      run.trainer = MakeTrainerWithOptions(ds, cluster, opts, /*hidden=*/0, k.kind);
-      SimContext& sim = run.trainer->sim();
-      obs::Tracer::Global().Clear();
-      // A sampled run records and replays its own probe tapes; the rest
-      // record the whole epoch as one tape.
-      const bool record = k.sample_period == 1;
-      if (record) sim.BeginStepRecord();
-      run.stats = run.trainer->TrainEpoch(0);
-      if (record) run.tape = TapeDigest(sim.EndStepRecord());
-      run.trace = SimTraceDigest(obs::Tracer::Global().Drain(), sim.ObsPid());
-      return run;
-    };
-    const Run wide = train();
-    Run serial;
+  for (const ChargeCase& k : ChargeCases()) {
+    SCOPED_TRACE(Describe(k));
+    const ChargeRun wide = TrainChargeCase(ds, cluster, k);
+    ChargeRun serial;
     {
       ScopedParallelismLimit one_lane(1);
-      serial = train();
+      serial = TrainChargeCase(ds, cluster, k);
     }
     if (k.sample_period > 1) {
       EXPECT_GT(wide.stats.steps_fast_forwarded, 0);
@@ -469,6 +482,49 @@ TEST(ExecCommonTest, TrainingMatchesAtOneLaneAndFullWidth) {
     EXPECT_EQ(wide.tape, serial.tape);
     EXPECT_EQ(wide.trace, serial.trace);
     EXPECT_NE(wide.trace, Digest{}.h);
+  }
+  obs::SetTracingEnabled(was_tracing);
+}
+
+// Pins every case's step tape and simulated trace to fixed digests, so a
+// charge that moves to another place in a step's sequence fails even when
+// every device's clock ends where it did. Charges are priced from shapes,
+// bytes and flops, never from trained values, so the digests do not depend
+// on the GEMM's rounding. A sampled run records no whole-epoch tape, so its
+// tape digest is 0.
+TEST(ExecCommonTest, ChargeOrderIsPinned) {
+  const std::vector<std::pair<std::uint64_t, std::uint64_t>> pinned = {
+      {0x4521231f510a0ea6ULL, 0x1a7cfa2e6330b422ULL},
+      {0x1d4bb2a2991a7e52ULL, 0x08456826abb7e49cULL},
+      {0x61a245a5d15c824eULL, 0x4183bc3e8e033b50ULL},
+      {0xd627fbd6f82c657aULL, 0x3ea7f631157c6251ULL},
+      {0x6d77965d1f5f4f76ULL, 0x92ad60ec64a0bdd2ULL},
+      {0xf2c33fbdba513676ULL, 0x1b179d4d9d1fef43ULL},
+      {0x654b56ce24b31a17ULL, 0x9d4228faeda6ce9fULL},
+      {0x9663bfd78d7b4a83ULL, 0xd88f34f2e7c221b4ULL},
+      {0x8a9996e1a5385537ULL, 0xb6887c8dba912105ULL},
+      {0x8d63ff47a1651b37ULL, 0x795689374dc85061ULL},
+      {0x56e05b40beec8ebcULL, 0x382f5ead3907190dULL},
+      {0xe218100fd6c94150ULL, 0x974579e066290940ULL},
+      {0xd86c73fe956b0bb9ULL, 0x9827723a7c5ec9b4ULL},
+      {0x46c81d9106b20839ULL, 0x8d98239ad92a03b0ULL},
+      {0x7978fc953c0acf66ULL, 0x112d4f9117fce8c4ULL},
+      {0x343503df6fc67b56ULL, 0x5b457c008fbb7b2bULL},
+      {0xb88ab210ccbfdd2aULL, 0xc5fc5166725d3967ULL},
+      {0xe0caa07a02522bebULL, 0x3ec760f7d386de58ULL},
+      {0x0000000000000000ULL, 0x85e129d65b89fdd7ULL},
+  };
+  const Dataset ds = SmallDataset();
+  const ClusterSpec cluster = MultiMachineCluster(2, 2);
+  const bool was_tracing = obs::TracingEnabled();
+  obs::SetTracingEnabled(true);
+  const std::vector<ChargeCase> cases = ChargeCases();
+  ASSERT_EQ(cases.size(), pinned.size());
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    SCOPED_TRACE(Describe(cases[i]));
+    const ChargeRun run = TrainChargeCase(ds, cluster, cases[i]);
+    EXPECT_EQ(run.tape, pinned[i].first);
+    EXPECT_EQ(run.trace, pinned[i].second);
   }
   obs::SetTracingEnabled(was_tracing);
 }
