@@ -26,7 +26,7 @@ namespace {
 constexpr std::int64_t kF = sizeof(float);
 
 /// Runs one deterministic epoch of sampling under `assignment`, invoking
-/// `visit(per-device batches, their layer-1 blocks)` for each step, and
+/// `visit(per-device batches)` for each step (their labels left empty), and
 /// returns the number of steps.
 template <typename Visit>
 std::int64_t SamplingEpoch(const Dataset& ds, const EngineOptions& opts,
@@ -66,18 +66,16 @@ std::int64_t SamplingEpoch(const Dataset& ds, const EngineOptions& opts,
     const Rng step_rng = epoch_rng.Fork(static_cast<std::uint64_t>(step));
     // Each device forks its own stream and fills only its own slot, so the
     // samples are bit-identical at any lane count; `visit` stays serial.
-    std::vector<SampledBatch> batches(static_cast<std::size_t>(c));
+    std::vector<DeviceBatch> batches(static_cast<std::size_t>(c));
     ParallelFor(
         0, c,
         [&](std::int64_t dev) {
           Rng dev_rng = step_rng.Fork(static_cast<std::uint64_t>(dev));
-          batches[static_cast<std::size_t>(dev)] =
+          batches[static_cast<std::size_t>(dev)].sample =
               sampler.Sample(per_device[static_cast<std::size_t>(dev)], dev_rng);
         },
         /*grain=*/1);
-    std::vector<const Block*> blocks;
-    for (const SampledBatch& b : batches) blocks.push_back(&b.blocks.front());
-    visit(batches, blocks);
+    visit(batches);
   }
   return steps;
 }
@@ -101,8 +99,8 @@ DryRunResult DryRun(const Dataset& dataset, const ClusterSpec& cluster,
   // ---- Pass 1 (chunked): node access frequencies. --------------------------
   FrequencyCollector freq(dataset.graph.num_nodes());
   SamplingEpoch(dataset, opts, partition, c, SeedAssignment::kChunked,
-                [&](const std::vector<SampledBatch>& batches, const auto&) {
-                  for (const auto& b : batches) freq.Record(b);
+                [&](const std::vector<DeviceBatch>& batches) {
+                  for (const DeviceBatch& b : batches) freq.Record(b.sample);
                 });
   res.hotness.assign(freq.counts().begin(), freq.counts().end());
 
@@ -144,93 +142,100 @@ DryRunResult DryRun(const Dataset& dataset, const ClusterSpec& cluster,
 
   // The slowest device bounds each step (the trainer synchronizes at every
   // collective), so sampling and compute sum per-step maxima over devices.
-  const auto add_step_maxima = [&](const std::vector<SampledBatch>& batches,
+  const auto add_step_maxima = [&](const std::vector<DeviceBatch>& batches,
                                    StrategyDryRun& a, StrategyDryRun& b) {
     double sample = 0.0, compute = 0.0;
     for (std::int32_t dev = 0; dev < c; ++dev) {
-      const SampledBatch& batch = batches[static_cast<std::size_t>(dev)];
+      const SampledBatch& batch = batches[static_cast<std::size_t>(dev)].sample;
       sample = std::max(sample, SampleSeconds(cluster, dev, batch));
       // The full forward+backward (the paper's strategy-independent T_train),
       // timed by the charge the executors' compute goes through.
-      compute = std::max(compute, scratch.ComputeSeconds(dev, StepFlops(probe, batch.blocks, 0)));
+      compute = std::max(compute, scratch.ComputeSeconds(dev, probe.StepFlops(batch.blocks)));
     }
     for (StrategyDryRun* st : {&a, &b}) {
       st->sample_seconds += sample;
       st->train_compute_seconds += compute;
     }
   };
-  // Adds one step of strategy s, device g loading loads[g]: the slowest
-  // device's load bounds the step.
-  const auto add_loads = [&](Strategy s, std::span<const StepLoad> loads) {
+  // Adds one step of strategy s from the charges its executor commits: each
+  // device's load (the slowest bounds the step) and transient, the graph
+  // shuffle's bytes (its kSample collective), and the hidden rows of NFP's
+  // partial allreduces or of the first kTrain all-to-all (owners to origins).
+  const std::int64_t row_bytes = d1 * kF;
+  std::array<std::int64_t, kNumStrategies> busiest_rows{};  // summed over steps
+  const auto add_charges = [&](Strategy s, const StepCharges& charges) {
     StrategyDryRun& st = res.per_strategy[static_cast<std::size_t>(s)];
     double step_load = 0.0;
-    for (std::int32_t g = 0; g < c; ++g) {
-      const StepLoad& load = loads[static_cast<std::size_t>(g)];
-      st.load[static_cast<std::size_t>(g)].Add(load.volume);
-      step_load = std::max(step_load, store_of(s).LoadSeconds(g, load.volume));
-      st.peak_transient_bytes = std::max(st.peak_transient_bytes, load.transient);
+    bool forward = true;
+    for (const StepCharge& charge : charges) {
+      if (const auto* l = std::get_if<LoadCharge>(&charge)) {
+        st.load[static_cast<std::size_t>(l->dev)].Add(l->load.volume);
+        step_load = std::max(step_load, store_of(s).LoadSeconds(l->dev, l->load.volume));
+        st.peak_transient_bytes = std::max(st.peak_transient_bytes, l->load.transient);
+      } else if (const auto* r = std::get_if<RingCharge>(&charge)) {
+        if (r->phase == Phase::kSample) st.graph_shuffle_bytes += r->bytes;
+        if (r->reduce) st.shuffle_rows += r->bytes / row_bytes;
+      } else if (const auto* a = std::get_if<AllToAllCharge>(&charge)) {
+        const AllToAllTraffic& t = a->traffic;
+        if (a->phase == Phase::kSample) {
+          for (std::int64_t bytes : t.bytes) st.graph_shuffle_bytes += bytes;
+        } else if (forward) {
+          forward = false;
+          std::int64_t busiest = 0;
+          for (std::size_t g = 0; g + 1 < t.indptr.size(); ++g) {
+            std::int64_t rows = 0;
+            for (auto k = t.indptr[g]; k < t.indptr[g + 1]; ++k) rows += t.bytes[k] / row_bytes;
+            st.shuffle_rows += rows;
+            busiest = std::max(busiest, rows);
+          }
+          busiest_rows[static_cast<std::size_t>(s)] += busiest;
+        }
+      }
     }
     st.load_seconds += step_load;
   };
   std::vector<StepLoad> loads(static_cast<std::size_t>(c));
+  const Codec wire = opts.wire_codec;
 
-  // ---- Pass 2 (chunked): GDP + NFP volumes. ---------------------------------
-  const std::int64_t steps =
-      SamplingEpoch(dataset, opts, partition, c, SeedAssignment::kChunked,
-                    [&](const std::vector<SampledBatch>& batches, const auto& blocks) {
-    add_step_maxima(batches, gdp, nfp);
-    for (std::int32_t g = 0; g < c; ++g) {
-      loads[static_cast<std::size_t>(g)] =
-          GdpLoad(store_of(Strategy::kGDP), g, batches[static_cast<std::size_t>(g)].input_nodes());
-    }
-    add_loads(Strategy::kGDP, loads);
-    const NfpPlan plan = BuildNfpPlan(blocks, d, gat);
-    add_loads(Strategy::kNFP, NfpLoads(store_of(Strategy::kNFP), plan, d1));
-    nfp.graph_shuffle_bytes += plan.graph_bytes;
-    nfp.shuffle_rows += plan.partial_rows;  // fwd allreduce + bwd broadcast
-  });
+  // ---- Pass 2 (chunked): GDP + NFP, counted on the executors' charges. -----
+  const std::int64_t steps = SamplingEpoch(
+      dataset, opts, partition, c, SeedAssignment::kChunked,
+      [&](const std::vector<DeviceBatch>& batches) {
+        add_step_maxima(batches, gdp, nfp);
+        for (std::int32_t g = 0; g < c; ++g) {
+          loads[static_cast<std::size_t>(g)] = GdpLoad(
+              store_of(Strategy::kGDP), g, batches[static_cast<std::size_t>(g)].sample.input_nodes());
+        }
+        add_charges(Strategy::kGDP, GdpCharges(probe, batches, loads));
+        const NfpPlan plan = BuildNfpPlan(batches, d, gat);
+        add_charges(Strategy::kNFP, NfpCharges(probe, batches, plan,
+                                               NfpLoads(store_of(Strategy::kNFP), plan, d1), wire));
+      });
 
-  // ---- Pass 3 (partition): SNP + DNP, counted on the executors' plans. ----
-  // Each step builds the routing plans the executors run and counts them:
-  // the graph shuffle's bytes, each owner's load, and the hidden-shuffle
-  // rows each owner receives from other origins (the busiest owner bounds
-  // the step).
+  // ---- Pass 3 (partition): SNP + DNP, counted on the executors' charges. ---
   const NodeRouter owner_of{&partition};
   const NodeRouter snp_route{&partition, opts.hybrid_intra_machine ? &cluster : nullptr};
-  std::int64_t snp_max_rows = 0;  // sum over steps of the busiest owner's rows
-  std::int64_t dnp_max_rows = 0;
   NodeRowTable table;
   SnpOwnerInputs snp_in;
-  Block dnp_block;
-  const auto count_plan = [&](Strategy s, const RoutePlan& plan, std::span<const StepLoad> loads) {
-    add_loads(s, loads);
-    StrategyDryRun& st = res.per_strategy[static_cast<std::size_t>(s)];
-    for (std::int64_t bytes : plan.graph.bytes) st.graph_shuffle_bytes += bytes;
-    std::vector<std::int64_t> rows(static_cast<std::size_t>(c), 0);
-    for (const RoutePair& pr : plan.routing.pairs) {
-      if (pr.origin != pr.owner) rows[static_cast<std::size_t>(pr.owner)] += pr.items();
-    }
-    for (std::int64_t r : rows) st.shuffle_rows += r;
-    return *std::max_element(rows.begin(), rows.end());
-  };
-  const std::int64_t pass3_steps =
-      SamplingEpoch(dataset, opts, partition, c, SeedAssignment::kPartition,
-                    [&](const std::vector<SampledBatch>& batches, const auto& blocks) {
-    add_step_maxima(batches, snp, dnp);
-    const RoutePlan snp_plan =
-        gat ? BuildSnpGatPlan(blocks, snp_route) : BuildSnpSagePlan(blocks, snp_route);
-    for (std::int32_t g = 0; g < c; ++g) {
-      loads[static_cast<std::size_t>(g)] =
-          SnpLoad(store_of(Strategy::kSNP), snp_plan, g, gat, d1, table, snp_in);
-    }
-    snp_max_rows += count_plan(Strategy::kSNP, snp_plan, loads);
-    const RoutePlan dnp_plan = BuildDnpPlan(blocks, owner_of);
-    for (std::int32_t g = 0; g < c; ++g) {
-      loads[static_cast<std::size_t>(g)] =
-          DnpLoad(store_of(Strategy::kDNP), dnp_plan, g, table, dnp_block);
-    }
-    dnp_max_rows += count_plan(Strategy::kDNP, dnp_plan, loads);
-  });
+  std::vector<Block> dnp_blocks(static_cast<std::size_t>(c));
+  const std::int64_t pass3_steps = SamplingEpoch(
+      dataset, opts, partition, c, SeedAssignment::kPartition,
+      [&](const std::vector<DeviceBatch>& batches) {
+        add_step_maxima(batches, snp, dnp);
+        const RoutePlan snp_plan =
+            gat ? BuildSnpGatPlan(batches, snp_route) : BuildSnpSagePlan(batches, snp_route);
+        for (std::int32_t g = 0; g < c; ++g) {
+          loads[static_cast<std::size_t>(g)] =
+              SnpLoad(store_of(Strategy::kSNP), snp_plan, g, gat, d1, table, snp_in);
+        }
+        add_charges(Strategy::kSNP, SnpCharges(probe, batches, snp_plan, loads, wire));
+        const RoutePlan dnp_plan = BuildDnpPlan(batches, owner_of);
+        for (std::int32_t g = 0; g < c; ++g) {
+          loads[static_cast<std::size_t>(g)] = DnpLoad(store_of(Strategy::kDNP), dnp_plan, g,
+                                                       table, dnp_blocks[static_cast<std::size_t>(g)]);
+        }
+        add_charges(Strategy::kDNP, DnpCharges(probe, batches, dnp_plan, loads, dnp_blocks, wire));
+      });
 
   // ---- Convert volumes to seconds with the profiled operator speeds. -------
   const double atob = res.profile.alltoall_bytes_per_s;
@@ -277,9 +282,10 @@ DryRunResult DryRun(const Dataset& dataset, const ClusterSpec& cluster,
   nfp.codec_seconds = wire_compresses ? 2.0 * 2.0 * nfp_vol / mem_bw : 0.0;
   // SNP/DNP: 2 d' per shuffled row (N_vs, N_vd); the busiest owner's rows
   // bound each step.
-  for (const auto& [st, max_rows] :
-       {std::pair(&snp, snp_max_rows), std::pair(&dnp, dnp_max_rows)}) {
-    const double max_bytes = 2.0 * static_cast<double>(max_rows) * d1 * kF;
+  for (Strategy s : {Strategy::kSNP, Strategy::kDNP}) {
+    StrategyDryRun* st = &res.per_strategy[static_cast<std::size_t>(s)];
+    const double max_bytes =
+        2.0 * static_cast<double>(busiest_rows[static_cast<std::size_t>(s)]) * d1 * kF;
     st->graph_shuffle_seconds =
         (atob > 0 ? static_cast<double>(st->graph_shuffle_bytes) / (atob * c) : 0.0) +
         atoa_graph_lat;

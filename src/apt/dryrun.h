@@ -3,9 +3,9 @@
 // One epoch of graph sampling is performed per seed-assignment family and
 // the samples are routed through each strategy's Permute logic WITHOUT
 // loading features, shuffling embeddings, or computing — only volumes are
-// collected. Every strategy is counted on the plan its executor runs and
-// through its executor's load function (engine/pair_routing.h's builders
-// and StepLoad rules), so the volumes are the executors' charges:
+// collected. Every step of every strategy is counted on the charge list
+// its executor commits (engine/pair_routing.h: the plan, the StepLoad rule
+// and the StepCharges builder), so the volumes are the executors' charges:
 //   * node access frequencies (drives the cache configuration),
 //   * computation-graph shuffle bytes (the strategy part of T_build),
 //   * per-device feature-load volumes by memory tier (T_load),

@@ -68,11 +68,8 @@ std::vector<DeviceBatch> SampleDeviceBatches(
   return batches;
 }
 
-StepStats SeedLossAndGrad(EngineCtx& ctx, DeviceId dev, const DeviceBatch& batch,
-                          const Tensor& logits, std::int64_t total_seeds,
-                          Tensor& grad_logits) {
-  (void)ctx;
-  (void)dev;
+StepStats SeedLossAndGrad(const DeviceBatch& batch, const Tensor& logits,
+                          std::int64_t total_seeds, Tensor& grad_logits) {
   StepStats stats;
   stats.num_seeds = static_cast<std::int64_t>(batch.labels.size());
   if (stats.num_seeds == 0) {
@@ -122,27 +119,31 @@ Tensor TrainFrom(EngineCtx& ctx, DeviceId dev, const DeviceBatch& batch, int fir
   const Tensor logits = ctx.model(dev).ForwardFrom(first_layer, blocks, input, &tape);
   input = Tensor();
   Tensor grad_logits;
-  const StepStats s = SeedLossAndGrad(ctx, dev, batch, logits, total_seeds, grad_logits);
+  const StepStats s = SeedLossAndGrad(batch, logits, total_seeds, grad_logits);
   Tensor grad_input = ctx.model(dev).BackwardTo(backward_to, blocks, tape, grad_logits);
   agg.loss += s.loss;
   agg.correct += s.correct;
   return grad_input;
 }
 
-double StepFlops(const GnnModel& model, std::span<const Block> blocks, int first_layer) {
-  const int layers = std::min(model.num_layers(), static_cast<int>(blocks.size()));
-  double flops = 0.0;
-  for (int k = first_layer; k < layers; ++k) {
-    const Block& b = blocks[static_cast<std::size_t>(k)];
-    flops += model.layer(k).ForwardFlops(b.num_src(), b.num_dst, b.num_edges()) +
-             model.layer(k).BackwardFlops(b.num_src(), b.num_dst, b.num_edges());
+void CommitCharges(EngineCtx& ctx, const StepCharges& charges) {
+  for (const StepCharge& charge : charges) {
+    if (const auto* l = std::get_if<LoadCharge>(&charge)) {
+      if (l->load.volume.rows != decltype(LoadVolume::rows){}) {
+        ctx.store->ChargeLoad(l->dev, l->load.volume);
+      }
+      ctx.sim->NoteTransient(l->dev, l->load.transient);
+    } else if (const auto* k = std::get_if<ComputeCharge>(&charge)) {
+      ctx.sim->ChargeCompute(k->dev, k->flops);
+    } else if (const auto* r = std::get_if<RingCharge>(&charge)) {
+      const auto ring =
+          r->reduce ? &Communicator::ChargeAllReduce : &Communicator::ChargeAllBroadcast;
+      (ctx.comm->*ring)(r->bytes, r->wire, r->phase);
+    } else {
+      const auto& a = std::get<AllToAllCharge>(charge);
+      ctx.comm->ChargeAllToAll(a.traffic, a.phase);
+    }
   }
-  return flops;
-}
-
-void ChargeStepCompute(EngineCtx& ctx, DeviceId dev, std::span<const Block> blocks,
-                       int first_layer) {
-  ctx.sim->ChargeCompute(dev, StepFlops(ctx.model(dev), blocks, first_layer));
 }
 
 }  // namespace apt

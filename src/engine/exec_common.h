@@ -4,17 +4,11 @@
 #include <vector>
 
 #include "engine/engine_ctx.h"
+#include "engine/pair_routing.h"
 #include "runtime/parallel_for.h"
 #include "sampling/block.h"  // SampleTreeEdges
 
 namespace apt {
-
-/// Each device's layer-1 block, as the pair-routing builders take them.
-inline std::vector<const Block*> FirstBlocks(const std::vector<DeviceBatch>& batches) {
-  std::vector<const Block*> blocks;
-  for (const DeviceBatch& b : batches) blocks.push_back(&b.sample.blocks.front());
-  return blocks;
-}
 
 /// Splits a global step's seeds across devices per the assignment policy:
 /// contiguous chunks, or each seed to the device owning its partition.
@@ -36,9 +30,8 @@ std::vector<DeviceBatch> SampleDeviceBatches(
 /// Per-device softmax cross-entropy on seed logits. Scales the gradient by
 /// (device seeds / total seeds) so the later *sum* allreduce yields the
 /// global-mean gradient regardless of per-device batch imbalance.
-StepStats SeedLossAndGrad(EngineCtx& ctx, DeviceId dev, const DeviceBatch& batch,
-                          const Tensor& logits, std::int64_t total_seeds,
-                          Tensor& grad_logits);
+StepStats SeedLossAndGrad(const DeviceBatch& batch, const Tensor& logits,
+                          std::int64_t total_seeds, Tensor& grad_logits);
 
 /// One device's model pass on its batch: forward from layer `first_layer` on
 /// that layer's input `input`, seed loss, and backward to layer
@@ -62,9 +55,9 @@ inline StepStats StepSeeds(const std::vector<DeviceBatch>& batches) {
 /// body(dev, stats) runs for each device with seeds, `stats` being what it
 /// passes to TrainFrom. Kernels nested inside a lane run inline, so each
 /// device's float sequence is the serial loop's. The body must charge
-/// nothing: the caller charges afterwards in a serial loop in device order,
-/// so clocks, step tapes and trace spans are the serial loop's. The devices'
-/// stats are added into `agg` in device order.
+/// nothing: the caller commits the step's charges afterwards (CommitCharges),
+/// so clocks, step tapes and trace spans do not depend on the lane count.
+/// The devices' stats are added into `agg` in device order.
 template <typename Body>
 void TrainDevicesInParallel(const std::vector<DeviceBatch>& batches, StepStats& agg,
                             const Body& body) {
@@ -82,20 +75,13 @@ void TrainDevicesInParallel(const std::vector<DeviceBatch>& batches, StepStats& 
   }
 }
 
+/// Makes a step's charges (engine/pair_routing.h) in list order.
+void CommitCharges(EngineCtx& ctx, const StepCharges& charges);
+
 /// DDP gradient synchronization: every replica ends holding the device-order
 /// sum of all replicas' grads, charged to kTrain as one ring allreduce of
 /// the packed flat gradient.
 void AllReduceGradients(EngineCtx& ctx);
-
-/// Forward+backward flops of `model`'s layers from `first_layer` on over a
-/// block stack. The executors charge them and the dry-run estimates with
-/// them (first_layer 0).
-double StepFlops(const GnnModel& model, std::span<const Block> blocks, int first_layer);
-
-/// Charges simulated compute time for a full local forward+backward over a
-/// device's block stack (used by layers the strategy does not distribute).
-void ChargeStepCompute(EngineCtx& ctx, DeviceId dev, std::span<const Block> blocks,
-                       int first_layer);
 
 /// Simulated cost of sampling `batch` on `dev` (UVA edge traversals,
 /// SampleTreeEdges from sampling/block.h). The trainer charges it and the

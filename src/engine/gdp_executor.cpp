@@ -33,32 +33,24 @@ class GdpExecutor final : public StrategyExecutor {
     const auto c = static_cast<std::size_t>(ctx_->num_devices());
     std::vector<ModelTape> tapes(quantized ? c : 0);
     std::vector<Tensor> grad_raw0(quantized ? c : 0);
+    std::vector<std::vector<QuantizedBlockGrad>> qblocks(c);
+    std::vector<StepLoad> loads(c);
     TrainDevicesInParallel(batches, agg, [&](DeviceId dev, StepStats& stats) {
       const auto udev = static_cast<std::size_t>(dev);
       const DeviceBatch& batch = batches[udev];
       const auto input_nodes = batch.sample.input_nodes();
+      loads[udev] = GdpLoad(*ctx_->store, dev, input_nodes);
       Tensor feats = Tensor::Uninit(static_cast<std::int64_t>(input_nodes.size()), d);
       ctx_->store->Read(input_nodes, 0, d, feats);
       ModelTape tape;
       Tensor grad = TrainFrom(*ctx_, dev, batch, 0, std::move(feats), quantized ? 1 : 0,
                               agg.num_seeds, stats, quantized ? tapes[udev] : tape);
-      if (quantized) grad_raw0[udev] = std::move(grad);
+      if (!quantized) return;
+      grad_raw0[udev] = std::move(grad);
+      qblocks[udev].push_back(QuantizedBlockGrad{batch.sample.blocks[0].num_dst,
+                                                 tapes[udev].layer_ctx[0].get(), &grad_raw0[udev]});
     });
-    std::vector<std::vector<QuantizedBlockGrad>> qblocks(c);
-    for (DeviceId dev = 0; dev < ctx_->num_devices(); ++dev) {
-      const auto udev = static_cast<std::size_t>(dev);
-      const DeviceBatch& batch = batches[udev];
-      if (batch.labels.empty()) continue;
-      const auto& blocks = batch.sample.blocks;
-      const StepLoad load = GdpLoad(*ctx_->store, dev, batch.sample.input_nodes());
-      ctx_->store->ChargeLoad(dev, load.volume);
-      ctx_->sim->NoteTransient(dev, load.transient);
-      if (quantized) {
-        qblocks[udev].push_back(QuantizedBlockGrad{
-            blocks[0].num_dst, tapes[udev].layer_ctx[0].get(), &grad_raw0[udev]});
-      }
-      ChargeStepCompute(*ctx_, dev, blocks, 0);
-    }
+    CommitCharges(*ctx_, GdpCharges(ctx_->model(0), batches, loads));
     if (quantized) QuantizedLayer0Backward(*ctx_, qblocks);
     return agg;
   }

@@ -1,5 +1,9 @@
 #include "engine/pair_routing.h"
 
+#include <algorithm>
+#include <numeric>
+#include <utility>
+
 #include "core/error.h"
 
 namespace apt {
@@ -15,18 +19,6 @@ void OwnerNodes(const RoutePlan& plan, DeviceId g, std::vector<NodeId>& out) {
   }
 }
 
-/// The graph shuffle of `plan`: a pair's n records travel as `fields` int64
-/// fields each plus, when they carry sources, a source indptr (n + 1) and
-/// the sources.
-void SetGraphTraffic(RoutePlan& plan, std::int64_t fields, bool with_sources) {
-  plan.graph = plan.routing.Traffic(/*to_owners=*/true, [&](const RoutePair& pr) {
-    const std::int64_t words =
-        fields * pr.items() +
-        (with_sources ? pr.items() + 1 + static_cast<std::int64_t>(plan.Sources(pr)) : 0);
-    return std::pair<std::int64_t, std::int64_t>(8 * words, 8 * words);
-  });
-}
-
 /// Splits each origin's destinations into records, one per destination and
 /// device that `target(o, dst, u)` sends one of its sources u to, plus one on
 /// the device its own node goes to (which adds the self term). Two passes
@@ -34,16 +26,16 @@ void SetGraphTraffic(RoutePlan& plan, std::int64_t fields, bool with_sources) {
 /// Each device's records keep destination order, and a record's sources
 /// keep edge order.
 template <typename Target>
-RoutePlan SplitDestinations(std::span<const Block* const> blocks, const Target& target,
+RoutePlan SplitDestinations(std::span<const DeviceBatch> batches, const Target& target,
                             bool with_degree) {
-  const auto c = static_cast<std::int32_t>(blocks.size());
+  const auto c = static_cast<std::int32_t>(batches.size());
   RoutePlan plan;
   OwnerBuckets buckets(c);
   std::vector<DeviceId> edge_owner, dst_owners;
   std::int64_t stamp = 0;
   std::size_t num_rec = 0, num_srcs = 0;
   for (DeviceId o = 0; o < c; ++o) {
-    const Block& b = *blocks[static_cast<std::size_t>(o)];
+    const Block& b = batches[static_cast<std::size_t>(o)].sample.blocks.front();
     const auto node = [&](std::int64_t i) { return b.src_nodes[static_cast<std::size_t>(i)]; };
     const auto src_of = [&](std::int64_t e) { return node(b.col[static_cast<std::size_t>(e)]); };
     edge_owner.resize(static_cast<std::size_t>(b.num_edges()));
@@ -98,27 +90,109 @@ RoutePlan SplitDestinations(std::span<const Block* const> blocks, const Target& 
   return plan;
 }
 
+/// One message per pair, each origin sending to its owners (`to_owners`) or
+/// each owner back to its origins; `lane(pair)` is its {logical, wire} bytes.
+template <typename Lane>
+AllToAllTraffic PairTraffic(const PairRouting& routing, bool to_owners, const Lane& lane) {
+  AllToAllTraffic traffic;
+  const auto add = [&](const RoutePair& pr) {
+    const auto [bytes, wire] = lane(pr);
+    traffic.Add(to_owners ? pr.owner : pr.origin, bytes, wire);
+  };
+  for (std::size_t d = 0; d < routing.owner_rows.size(); ++d) {
+    if (to_owners) {
+      for (const RoutePair& pr : routing.OfOrigin(static_cast<DeviceId>(d))) add(pr);
+    } else {
+      for (std::size_t p : routing.OfOwner(static_cast<DeviceId>(d))) add(routing.pairs[p]);
+    }
+    traffic.EndSender();
+  }
+  return traffic;
+}
+
+/// The graph shuffle of `plan`: a pair's n records travel as `fields` int64
+/// fields each plus, when they carry sources, a source indptr (n + 1) and
+/// the sources.
+AllToAllTraffic GraphTraffic(const RoutePlan& plan, std::int64_t fields, bool with_sources) {
+  return PairTraffic(plan.routing, /*to_owners=*/true, [&](const RoutePair& pr) {
+    const std::int64_t words =
+        fields * pr.items() +
+        (with_sources ? pr.items() + 1 + static_cast<std::int64_t>(plan.Sources(pr)) : 0);
+    return std::pair<std::int64_t, std::int64_t>(8 * words, 8 * words);
+  });
+}
+
+/// Each origin with seeds: its load when `loads` is given (GDP), its layers
+/// from `first_layer` on and, under `attention`, then layer 0's attention.
+void OriginCharges(const GnnModel& model, std::span<const DeviceBatch> batches,
+                   std::span<const StepLoad> loads, int first_layer, bool attention,
+                   StepCharges& charges) {
+  for (std::size_t o = 0; o < batches.size(); ++o) {
+    const SampledBatch& s = batches[o].sample;
+    if (s.seeds.empty()) continue;
+    const auto dev = static_cast<DeviceId>(o);
+    if (!loads.empty()) charges.push_back(LoadCharge{dev, loads[o]});
+    charges.push_back(ComputeCharge{dev, model.StepFlops(s.blocks, first_layer)});
+    if (!attention) continue;
+    const Block& b = s.blocks.front();
+    charges.push_back(
+        ComputeCharge{dev, model.layer(0).ForwardFlops(b.num_src(), b.num_dst, b.num_edges())});
+  }
+}
+
+/// SNP's and DNP's step, charging each owner g its load and
+/// `owner_flops(g, backward)`; with `owner_blocks` (DNP), only owners with
+/// destinations.
+template <typename OwnerFlops>
+StepCharges RoutedCharges(const GnnModel& model, std::span<const DeviceBatch> batches,
+                          const RoutePlan& plan, std::span<const StepLoad> loads, Codec wire,
+                          AllToAllTraffic graph, bool attention,
+                          std::span<const Block> owner_blocks, const OwnerFlops& owner_flops) {
+  const auto active = [&](DeviceId g) {
+    return owner_blocks.empty() || owner_blocks[static_cast<std::size_t>(g)].num_dst > 0;
+  };
+  const std::int64_t out = model.layer(0).out_dim();
+  const auto rows = [&](bool to_owners) {
+    return PairTraffic(plan.routing, to_owners, [&](const RoutePair& pr) {
+      return std::pair<std::int64_t, std::int64_t>(pr.items() * out * 4,
+                                                   CodecWireBytes(wire, pr.items(), out));
+    });
+  };
+  const auto c = static_cast<DeviceId>(batches.size());
+  StepCharges charges;
+  charges.push_back(AllToAllCharge{Phase::kSample, std::move(graph)});
+  for (DeviceId g = 0; g < c; ++g) {
+    if (!active(g)) continue;
+    charges.push_back(LoadCharge{g, loads[static_cast<std::size_t>(g)]});
+    charges.push_back(ComputeCharge{g, owner_flops(g, false)});
+  }
+  charges.push_back(AllToAllCharge{Phase::kTrain, rows(/*to_owners=*/false)});
+  OriginCharges(model, batches, {}, 1, attention, charges);
+  charges.push_back(AllToAllCharge{Phase::kTrain, rows(/*to_owners=*/true)});
+  for (DeviceId g = 0; g < c; ++g) {
+    if (active(g)) charges.push_back(ComputeCharge{g, owner_flops(g, true)});
+  }
+  return charges;
+}
+
 }  // namespace
 
 // SNP sends each source to the device that routes it.
-RoutePlan BuildSnpSagePlan(std::span<const Block* const> blocks, const NodeRouter& route) {
-  RoutePlan plan = SplitDestinations(
-      blocks, [&](DeviceId o, NodeId, NodeId u) { return route(o, u); }, /*with_degree=*/true);
-  // dst_local, degree and self node per virtual node.
-  SetGraphTraffic(plan, 3, /*with_sources=*/true);
-  return plan;
+RoutePlan BuildSnpSagePlan(std::span<const DeviceBatch> batches, const NodeRouter& route) {
+  return SplitDestinations(
+      batches, [&](DeviceId o, NodeId, NodeId u) { return route(o, u); }, /*with_degree=*/true);
 }
 
 // Every layer-1 source node's z row is requested from its owner, one
 // request per (origin, owner) pair in source order.
-RoutePlan BuildSnpGatPlan(std::span<const Block* const> blocks, const NodeRouter& route) {
-  const auto c = static_cast<std::int32_t>(blocks.size());
+RoutePlan BuildSnpGatPlan(std::span<const DeviceBatch> batches, const NodeRouter& route) {
+  const auto c = static_cast<std::int32_t>(batches.size());
   RoutePlan plan;
   OwnerBuckets buckets(c);
   std::vector<DeviceId> src_owner;
   std::size_t num_req = 0, no_extra = 0;
   for (DeviceId o = 0; o < c; ++o) {
-    const Block& b = *blocks[static_cast<std::size_t>(o)];
+    const Block& b = batches[static_cast<std::size_t>(o)].sample.blocks.front();
     src_owner.resize(static_cast<std::size_t>(b.num_src()));
     for (std::int64_t i = 0; i < b.num_src(); ++i) {
       const DeviceId g = route(o, b.src_nodes[static_cast<std::size_t>(i)]);
@@ -136,18 +210,14 @@ RoutePlan BuildSnpGatPlan(std::span<const Block* const> blocks, const NodeRouter
     }
   }
   plan.routing.IndexOwners(c);
-  SetGraphTraffic(plan, 1, /*with_sources=*/false);
   return plan;
 }
 
 // DNP sends each destination, with all of its sources, to its owner alone.
-RoutePlan BuildDnpPlan(std::span<const Block* const> blocks, const NodeRouter& route) {
-  RoutePlan plan = SplitDestinations(
-      blocks, [&](DeviceId, NodeId dst, NodeId) { return route.Owner(dst); },
+RoutePlan BuildDnpPlan(std::span<const DeviceBatch> batches, const NodeRouter& route) {
+  return SplitDestinations(
+      batches, [&](DeviceId, NodeId dst, NodeId) { return route.Owner(dst); },
       /*with_degree=*/false);
-  // dst_local and the destination per record.
-  SetGraphTraffic(plan, 2, /*with_sources=*/true);
-  return plan;
 }
 
 StepLoad SnpLoad(const FeatureStore& store, const RoutePlan& plan, DeviceId g, bool gat,
@@ -222,13 +292,14 @@ std::vector<Tensor> RowsToOwners(const RoutePlan& plan, const std::vector<Tensor
   return rows;
 }
 
-NfpPlan BuildNfpPlan(std::span<const Block* const> blocks, std::int64_t d, bool gat) {
+NfpPlan BuildNfpPlan(std::span<const DeviceBatch> batches, std::int64_t d, bool gat) {
   NfpPlan plan;
-  plan.bounds = SliceBounds(d, static_cast<std::int32_t>(blocks.size()));
-  for (const Block* b : blocks) {
-    plan.sources.insert(plan.sources.end(), b->src_nodes.begin(), b->src_nodes.end());
-    plan.graph_bytes += b->bytes();
-    if (b->num_dst > 0) plan.partial_rows += gat ? b->num_src() : b->num_dst;
+  plan.bounds = SliceBounds(d, static_cast<std::int32_t>(batches.size()));
+  for (const DeviceBatch& batch : batches) {
+    const Block& b = batch.sample.blocks.front();
+    plan.sources.insert(plan.sources.end(), b.src_nodes.begin(), b.src_nodes.end());
+    plan.graph_bytes += b.bytes();
+    plan.partials.push_back(b.num_dst == 0 ? 0 : gat ? b.num_src() : b.num_dst);
   }
   return plan;
 }
@@ -239,12 +310,114 @@ StepLoad GdpLoad(const FeatureStore& store, DeviceId g, std::span<const NodeId> 
 }
 
 std::vector<StepLoad> NfpLoads(const FeatureStore& store, const NfpPlan& plan, std::int64_t out) {
+  const std::int64_t partial_rows =
+      std::accumulate(plan.partials.begin(), plan.partials.end(), std::int64_t{0});
   std::vector<StepLoad> loads;
   for (const LoadVolume& vol : store.CountSlices(plan.sources, plan.bounds)) {
     const std::int64_t width = plan.bounds[loads.size() + 1] - plan.bounds[loads.size()];
-    loads.push_back({vol, (plan.rows() * width + plan.partial_rows * out) * 4});
+    loads.push_back({vol, (plan.rows() * width + partial_rows * out) * 4});
   }
   return loads;
+}
+
+StepCharges GdpCharges(const GnnModel& model, std::span<const DeviceBatch> batches,
+                       std::span<const StepLoad> loads) {
+  StepCharges charges;
+  OriginCharges(model, batches, loads, 0, /*attention=*/false, charges);
+  return charges;
+}
+
+StepCharges NfpCharges(const GnnModel& model, std::span<const DeviceBatch> batches,
+                       const NfpPlan& plan, std::span<const StepLoad> loads, Codec wire) {
+  const bool gat = model.config().kind == ModelKind::kGat;
+  const std::int64_t out = model.layer(0).out_dim();
+  // Device g's slice of each origin with destinations: forward, projected
+  // (SAGE: aggregated, then the aggregate and self rows projected); backward,
+  // one weight-slice GEMM per saved input (GAT: h; SAGE: both) on its rows.
+  const auto slice_flops = [&](std::size_t g, bool backward) {
+    const std::int64_t w = plan.bounds[g + 1] - plan.bounds[g];
+    double flops = 0.0;
+    for (std::size_t o = 0; o < batches.size(); ++o) {
+      const Block& b = batches[o].sample.blocks.front();
+      const std::int64_t rows = plan.partials[o];
+      if (rows == 0) continue;
+      if (backward) {
+        flops += (gat ? 2.0 : 4.0) * static_cast<double>(rows) * w * out;
+      } else {
+        flops += gat ? 2.0 * static_cast<double>(b.num_src()) * w * out
+                     : 4.0 * static_cast<double>(b.num_dst) * w * out +
+                           2.0 * static_cast<double>(b.num_edges()) * w;
+      }
+    }
+    return flops;
+  };
+  // Every device reads every origin's layer-1 graph in place.
+  StepCharges charges;
+  charges.push_back(RingCharge{false, Phase::kSample, plan.graph_bytes, plan.graph_bytes});
+  for (std::size_t g = 0; g < batches.size(); ++g) {
+    charges.push_back(LoadCharge{static_cast<DeviceId>(g), loads[g]});
+    charges.push_back(ComputeCharge{static_cast<DeviceId>(g), slice_flops(g, false)});
+  }
+  // A SparseAllreduce of each origin's partials; the gradient broadcast
+  // later moves the same rows back to every device.
+  std::int64_t grad_bytes = 0, grad_wire = 0;
+  for (const std::int64_t rows : plan.partials) {
+    const RingCharge partial{true, Phase::kTrain, rows * out * 4, CodecWireBytes(wire, rows, out)};
+    grad_bytes += partial.bytes;
+    grad_wire += partial.wire;
+    if (rows > 0) charges.push_back(partial);
+  }
+  OriginCharges(model, batches, {}, 1, /*attention=*/gat, charges);
+  charges.push_back(RingCharge{false, Phase::kTrain, grad_bytes, grad_wire});
+  for (std::size_t g = 0; g < batches.size(); ++g) {
+    charges.push_back(ComputeCharge{static_cast<DeviceId>(g), slice_flops(g, true)});
+  }
+  return charges;
+}
+
+StepCharges SnpCharges(const GnnModel& model, std::span<const DeviceBatch> batches,
+                       const RoutePlan& plan, std::span<const StepLoad> loads, Codec wire) {
+  const bool gat = model.config().kind == ModelKind::kGat;
+  const std::int64_t d = model.layer(0).in_dim();
+  const std::int64_t out = model.layer(0).out_dim();
+  // Pair by pair, as per-pair kernels charged. GAT projects each requested
+  // row and takes its weight gradient; SAGE aggregates a pair's sources,
+  // projects its rows and self terms (items naming a node), then both grads.
+  const auto owner_flops = [&](DeviceId g, bool backward) {
+    double flops = 0.0;
+    for (std::size_t p : plan.routing.OfOwner(g)) {
+      const RoutePair& pr = plan.routing.pairs[p];
+      if (gat || backward) {
+        flops += (gat ? 2.0 : 4.0) * static_cast<double>(pr.items()) * d * out;
+        continue;
+      }
+      const std::span<const NodeId> nodes = pr.Of(plan.node);
+      const auto num_self = std::count_if(nodes.begin(), nodes.end(),
+                                          [](NodeId v) { return v != kInvalidNode; });
+      flops += 2.0 * static_cast<double>(plan.Sources(pr)) * d +
+               2.0 * static_cast<double>(pr.items()) * d * out +
+               2.0 * static_cast<double>(num_self) * d * out;
+    }
+    return flops;
+  };
+  // A record is a requested source (GAT), or a virtual node's destination
+  // row, degree and self node plus its sources (SAGE).
+  return RoutedCharges(model, batches, plan, loads, wire,
+                       GraphTraffic(plan, gat ? 1 : 3, /*with_sources=*/!gat), gat, {}, owner_flops);
+}
+
+StepCharges DnpCharges(const GnnModel& model, std::span<const DeviceBatch> batches,
+                       const RoutePlan& plan, std::span<const StepLoad> loads,
+                       std::span<const Block> owner_blocks, Codec wire) {
+  const GnnLayer& layer0 = model.layer(0);
+  // A record is a destination's row and node plus its sources.
+  return RoutedCharges(
+      model, batches, plan, loads, wire, GraphTraffic(plan, 2, /*with_sources=*/true),
+      /*attention=*/false, owner_blocks, [&](DeviceId g, bool backward) {
+        const Block& b = owner_blocks[static_cast<std::size_t>(g)];
+        return backward ? layer0.BackwardFlops(b.num_src(), b.num_dst, b.num_edges())
+                        : layer0.ForwardFlops(b.num_src(), b.num_dst, b.num_edges());
+      });
 }
 
 }  // namespace apt

@@ -8,21 +8,25 @@
 // pairs as one contiguous row block (origins ascending). A step therefore
 // costs O(items moved + pairs) host work rather than O(C^2) per-pair
 // objects, and each shuffle charges one sparse lane per non-empty pair
-// (DESIGN.md "Pair routing on the host"). One builder per strategy turns the
-// step's layer-1 blocks into its plan (RoutePlan, NfpPlan) and one function
-// per strategy into each device's load (StepLoad); the executors run and
-// charge them and the dry-run counts them, so the two cannot drift apart.
+// (DESIGN.md "Pair routing on the host"). Per strategy, one builder turns the
+// step's batches into its plan (RoutePlan, NfpPlan), one function gives each
+// device's load (StepLoad), and one prices the step as its ordered charge
+// list (StepCharges). Each executor runs its plan on the host, then commits
+// the list once (CommitCharges); the dry-run counts the same list, so the
+// two cannot drift apart.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
 #include <span>
 #include <utility>
+#include <variant>
 #include <vector>
 
-#include "comm/collectives.h"
 #include "core/types.h"
+#include "engine/engine_types.h"
 #include "feature/feature_store.h"
+#include "model/gnn_model.h"
 #include "sampling/block.h"
 #include "sim/hardware.h"
 #include "sim/sim_context.h"
@@ -95,35 +99,6 @@ struct PairRouting {
     for (std::size_t p : OfOwner(g)) seg.push_back(pairs[p].row);
     seg.push_back(Rows(g));
     return seg;
-  }
-
-  /// Traffic of one message per pair, each origin sending to its owners
-  /// (`to_owners`) or each owner back to its origins; `lane(pair)` returns
-  /// the message's {logical, wire} bytes.
-  template <typename Lane>
-  AllToAllTraffic Traffic(bool to_owners, const Lane& lane) const {
-    AllToAllTraffic traffic;
-    const auto add = [&](const RoutePair& pr) {
-      const auto [bytes, wire] = lane(pr);
-      traffic.Add(to_owners ? pr.owner : pr.origin, bytes, wire);
-    };
-    for (std::size_t d = 0; d < owner_rows.size(); ++d) {
-      if (to_owners) {
-        for (const RoutePair& pr : OfOrigin(static_cast<DeviceId>(d))) add(pr);
-      } else {
-        for (std::size_t p : OfOwner(static_cast<DeviceId>(d))) add(pairs[p]);
-      }
-      traffic.EndSender();
-    }
-    return traffic;
-  }
-  /// Traffic of one fp32 row of `cols` per item, under the wire codec.
-  AllToAllTraffic RowTraffic(const Communicator& comm, std::int64_t cols,
-                             bool to_owners) const {
-    return Traffic(to_owners, [&](const RoutePair& pr) {
-      return std::pair<std::int64_t, std::int64_t>(pr.items() * cols * 4,
-                                                   comm.WireBytes(pr.items(), cols));
-    });
   }
 };
 
@@ -235,9 +210,9 @@ struct NodeRouter {
   }
 };
 
-/// One step's Permute result for SNP or DNP: the pairs, one record per
-/// item in the flat buffer's order, and the graph shuffle that ships the
-/// records to their owners. An item is
+/// One step's Permute result for SNP or DNP: the pairs and one record per
+/// item in the flat buffer's order (the records its graph shuffle ships to
+/// the owners). An item is
 ///  * SNP under SAGE: a virtual node, one per destination and device that
 ///    holds one of its sources or the destination itself (the self term);
 ///  * SNP under GAT: a layer-1 source whose z row its owner projects;
@@ -253,15 +228,14 @@ struct RoutePlan {
   /// pair's sources are contiguous.
   std::vector<std::size_t> src_ptr{0};
   std::vector<NodeId> srcs;
-  AllToAllTraffic graph;  ///< Phase::kSample shuffle of the records
 
   std::size_t Sources(const RoutePair& pr) const { return src_ptr[pr.last] - src_ptr[pr.first]; }
 };
 
-/// `blocks[o]` is origin o's layer-1 block.
-RoutePlan BuildSnpSagePlan(std::span<const Block* const> blocks, const NodeRouter& route);
-RoutePlan BuildSnpGatPlan(std::span<const Block* const> blocks, const NodeRouter& route);
-RoutePlan BuildDnpPlan(std::span<const Block* const> blocks, const NodeRouter& route);
+/// `batches[o]` is origin o's sampled step; its first block is layer 1's.
+RoutePlan BuildSnpSagePlan(std::span<const DeviceBatch> batches, const NodeRouter& route);
+RoutePlan BuildSnpGatPlan(std::span<const DeviceBatch> batches, const NodeRouter& route);
+RoutePlan BuildDnpPlan(std::span<const DeviceBatch> batches, const NodeRouter& route);
 
 /// An SNP owner's layer-0 inputs, expanded by SnpLoad one owner at a time
 /// so only the owner at hand holds them. GAT fills `gather` alone.
@@ -300,19 +274,19 @@ struct NfpPlan {
   std::vector<NodeId> sources;       ///< every origin's sources, origin after origin
   std::vector<std::int64_t> bounds;  ///< device g's columns [bounds[g], bounds[g+1])
   std::int64_t graph_bytes = 0;      ///< the AllBroadcast of the layer-1 graphs
-  /// One device's partial rows: num_dst (SAGE) or num_src (GAT) summed over
-  /// the origins with destinations. The forward allreduce and the backward
-  /// broadcast each move them once.
-  std::int64_t partial_rows = 0;
+  /// Each origin's partial rows: its destinations under SAGE, every
+  /// source's projection under GAT (attention needs whole z rows); none
+  /// without destinations.
+  std::vector<std::int64_t> partials;
 
   std::int64_t rows() const { return static_cast<std::int64_t>(sources.size()); }
 };
-/// `blocks[o]` is origin o's layer-1 block; `d` is the feature dimension.
-NfpPlan BuildNfpPlan(std::span<const Block* const> blocks, std::int64_t d, bool gat);
+/// `d` is the feature dimension.
+NfpPlan BuildNfpPlan(std::span<const DeviceBatch> batches, std::int64_t d, bool gat);
 
 /// A device's feature load in a step and the transient bytes it notes: each
-/// strategy's one load rule below, charged by its executor and added up by
-/// the dry-run. Expansions land in caller scratch. `out` is layer 0's width.
+/// strategy's one load rule below, carried to the simulator and the dry-run by
+/// its step's charges. Expansions land in caller scratch. `out` is layer 0's width.
 struct StepLoad {
   LoadVolume volume;
   std::int64_t transient = 0;
@@ -332,6 +306,37 @@ StepLoad SnpLoad(const FeatureStore& store, const RoutePlan& plan, DeviceId g, b
 StepLoad DnpLoad(const FeatureStore& store, const RoutePlan& plan, DeviceId g,
                  NodeRowTable& table, Block& lb);
 
+/// Device `dev` loads `load.volume` (ChargeLoad) and notes `load.transient`.
+/// A volume of no rows (an NFP step without sources, an SNP owner with
+/// nothing to gather) is not charged; its transient is still noted.
+struct LoadCharge { DeviceId dev; StepLoad load; };
+struct ComputeCharge { DeviceId dev; double flops; };
+/// ChargeAllReduce if `reduce`, else ChargeAllBroadcast.
+struct RingCharge { bool reduce; Phase phase; std::int64_t bytes, wire; };
+struct AllToAllCharge { Phase phase; AllToAllTraffic traffic; };
+/// One step's charges in commit order, priced by each strategy's pure builder
+/// from its plan, each device's load (`loads[g]`), the sampled batches (a
+/// device without seeds trains nothing), the model and the wire codec.
+using StepCharge = std::variant<LoadCharge, ComputeCharge, RingCharge, AllToAllCharge>;
+using StepCharges = std::vector<StepCharge>;
+
+/// Each device with seeds: its full-width load, then its whole model pass.
+StepCharges GdpCharges(const GnnModel& model, std::span<const DeviceBatch> batches,
+                       std::span<const StepLoad> loads);
+/// The graph broadcast; each device's slice load and flops; a partial
+/// allreduce per origin with destinations; the origins' layers 1.. (GAT:
+/// then attention); the gradient broadcast; the slice weight gradients.
+StepCharges NfpCharges(const GnnModel& model, std::span<const DeviceBatch> batches,
+                       const NfpPlan& plan, std::span<const StepLoad> loads, Codec wire);
+/// The graph shuffle; each owner's load and layer-0 pass; its rows back to
+/// the origins; the origins' layers 1.. (GAT: then attention); the gradient
+/// rows to the owners; the owners' weight gradients. A DNP owner runs
+/// `owner_blocks[g]` (DnpLoad's block) and is skipped without destinations.
+StepCharges SnpCharges(const GnnModel& model, std::span<const DeviceBatch> batches,
+                       const RoutePlan& plan, std::span<const StepLoad> loads, Codec wire);
+StepCharges DnpCharges(const GnnModel& model, std::span<const DeviceBatch> batches,
+                       const RoutePlan& plan, std::span<const StepLoad> loads,
+                       std::span<const Block> owner_blocks, Codec wire);
 /// dst.row(dst_row0 + k) = src.row(index[k]): an owner's row block filled
 /// from an origin's rows.
 inline void CopyRowsTo(const Tensor& src, std::span<const std::int64_t> index, Tensor& dst,

@@ -47,14 +47,6 @@ void AddRowsAt(const Tensor& src, std::int64_t src_row0, std::span<const std::in
   }
 }
 
-/// Pair-by-pair flop sum, accumulated in the order per-pair kernels charged.
-template <typename PerPair>
-double PairFlops(const PairRouting& routing, DeviceId g, const PerPair& per_pair) {
-  double flops = 0.0;
-  for (std::size_t p : routing.OfOwner(g)) flops += per_pair(routing.pairs[p]);
-  return flops;
-}
-
 class SnpExecutor final : public StrategyExecutor {
  public:
   /// `machine_local` enables the HYBRID routing the paper's conclusion
@@ -70,23 +62,26 @@ class SnpExecutor final : public StrategyExecutor {
     // ---- Permute: split each origin's layer-1 graph by owner. Under SAGE a
     // destination gets one virtual node on every owner of one of its sources
     // and on its own owner (which adds the self term); under GAT every
-    // layer-1 source node's z row is requested from its owner. -------------
+    // layer-1 source node's z row is requested from its owner. The owners
+    // read their records in place (the graph shuffle). ----------------------
     obs::StageSpan stage("permute", "snp");
-    const std::vector<const Block*> blocks = FirstBlocks(batches);
-    const RoutePlan plan = gat ? BuildSnpGatPlan(blocks, route_) : BuildSnpSagePlan(blocks, route_);
-    // ---- Shuffle: records to owners, which read them in place. ------------
-    stage.Next("shuffle");
-    ctx_->comm->ChargeAllToAll(plan.graph, Phase::kSample);
+    const RoutePlan plan =
+        gat ? BuildSnpGatPlan(batches, route_) : BuildSnpSagePlan(batches, route_);
     stage.Next("execute");
-    return gat ? StepGat(batches, plan, stage) : StepSage(batches, plan, stage);
+    std::vector<StepLoad> loads(batches.size());
+    const StepStats agg =
+        gat ? StepGat(batches, plan, loads, stage) : StepSage(batches, plan, loads, stage);
+    CommitCharges(*ctx_, SnpCharges(ctx_->model(0), batches, plan, loads,
+                                    ctx_->comm->wire_codec()));
+    return agg;
   }
 
  private:
-  /// The owners' layer 0, the reshuffles and the origins' remainder.
+  /// The owners' layer 0, the reshuffles and the origins' remainder; fills `loads`.
   StepStats StepSage(std::vector<DeviceBatch>& batches, const RoutePlan& plan,
-                     obs::StageSpan& stage);
+                     std::vector<StepLoad>& loads, obs::StageSpan& stage);
   StepStats StepGat(std::vector<DeviceBatch>& batches, const RoutePlan& plan,
-                    obs::StageSpan& stage);
+                    std::vector<StepLoad>& loads, obs::StageSpan& stage);
 
   NodeRouter route_;
 };
@@ -101,7 +96,7 @@ struct SnpOwnerRows {
 };
 
 StepStats SnpExecutor::StepSage(std::vector<DeviceBatch>& batches, const RoutePlan& plan,
-                                obs::StageSpan& stage) {
+                                std::vector<StepLoad>& loads, obs::StageSpan& stage) {
   const std::int32_t c = ctx_->num_devices();
   StepStats agg = StepSeeds(batches);
   const PairRouting& routing = plan.routing;
@@ -119,18 +114,10 @@ StepStats SnpExecutor::StepSage(std::vector<DeviceBatch>& batches, const RoutePl
     for (DeviceId g = 0; g < c; ++g) {
       auto& sage = dynamic_cast<SageLayer&>(ctx_->model(g).layer(0));
       SnpOwnerRows& st = owners[static_cast<std::size_t>(g)];
-      const StepLoad load = SnpLoad(*ctx_->store, plan, g, /*gat=*/false, out, table, in);
-      std::size_t k = 0;  // pair index within the owner
-      const double flops = PairFlops(routing, g, [&](const RoutePair& pr) {
-        const std::int64_t num_self = in.self_seg[k + 1] - in.self_seg[k];
-        ++k;
-        return 2.0 * static_cast<double>(plan.Sources(pr)) * d +
-               2.0 * static_cast<double>(pr.items()) * d * sage.out_dim() +
-               2.0 * static_cast<double>(num_self) * d * sage.out_dim();
-      });
+      loads[static_cast<std::size_t>(g)] =
+          SnpLoad(*ctx_->store, plan, g, /*gat=*/false, out, table, in);
       Tensor h_all = Tensor::Uninit(static_cast<std::int64_t>(in.gather.size()), d);
       ctx_->store->Read(in.gather, 0, d, h_all);
-      if (!in.gather.empty()) ctx_->store->ChargeLoad(g, load.volume);
 
       // Partial mean: sum local sources / total degree.
       st.aggd = Tensor::Uninit(routing.Rows(g), d);
@@ -152,8 +139,6 @@ StepStats SnpExecutor::StepSage(std::vector<DeviceBatch>& batches, const RoutePl
         Matmul(st.self_h, sage.w_self().value, self_out);
         ScatterAddRows(self_out, st.self_rows, st.part);
       }
-      ctx_->sim->ChargeCompute(g, flops);
-      ctx_->sim->NoteTransient(g, load.transient);
     }
   }
 
@@ -168,8 +153,6 @@ StepStats SnpExecutor::StepSage(std::vector<DeviceBatch>& batches, const RoutePl
       AddRowsAt(owners[static_cast<std::size_t>(pr.owner)].part, pr.row, pr.Of(plan.local), r0);
     }
   }
-  ctx_->comm->ChargeAllToAll(routing.RowTraffic(*ctx_->comm, out, /*to_owners=*/false),
-                             Phase::kTrain);
   for (SnpOwnerRows& st : owners) st.part = Tensor();
 
   // ---- Remainder of the model at each origin. -----------------------------
@@ -187,16 +170,10 @@ StepStats SnpExecutor::StepSage(std::vector<DeviceBatch>& batches, const RoutePl
     BiasGradRows(grad_raw0[uo], gb);
     Axpy(1.0f, gb, sage.bias().grad);
   });
-  for (DeviceId o = 0; o < c; ++o) {
-    const DeviceBatch& batch = batches[static_cast<std::size_t>(o)];
-    if (!batch.labels.empty()) ChargeStepCompute(*ctx_, o, batch.sample.blocks, 1);
-  }
 
   // ---- Backward shuffle: destination grads back to partial computers. ----
   stage.Next("reshuffle");
   const std::vector<Tensor> grad_rows = RowsToOwners(plan, grad_raw0, out);
-  ctx_->comm->ChargeAllToAll(routing.RowTraffic(*ctx_->comm, out, /*to_owners=*/true),
-                             Phase::kTrain);
 
   // ---- Weight gradients at the partial computers. -------------------------
   // One segmented GEMM per weight folds in the pairs' row blocks origin by
@@ -212,15 +189,12 @@ StepStats SnpExecutor::StepSage(std::vector<DeviceBatch>& batches, const RoutePl
       GatherRows(grows, st.self_rows, gsel);
       SegmentedMatmulTN(st.self_h, gsel, st.self_seg, sage.w_self().grad, 1.0f, 1.0f);
     }
-    ctx_->sim->ChargeCompute(g, PairFlops(routing, g, [&](const RoutePair& pr) {
-                               return 4.0 * static_cast<double>(pr.items()) * d * sage.out_dim();
-                             }));
   }
   return agg;
 }
 
 StepStats SnpExecutor::StepGat(std::vector<DeviceBatch>& batches, const RoutePlan& plan,
-                               obs::StageSpan& stage) {
+                               std::vector<StepLoad>& loads, obs::StageSpan& stage) {
   const std::int32_t c = ctx_->num_devices();
   const std::int64_t d = ctx_->feature_dim();
   StepStats agg = StepSeeds(batches);
@@ -237,25 +211,16 @@ StepStats SnpExecutor::StepGat(std::vector<DeviceBatch>& batches, const RoutePla
     SnpOwnerInputs in;
     for (DeviceId g = 0; g < c; ++g) {
       auto& gat = dynamic_cast<GatLayer&>(ctx_->model(g).layer(0));
-      const StepLoad load = SnpLoad(*ctx_->store, plan, g, /*gat=*/true, out, table, in);
+      loads[static_cast<std::size_t>(g)] =
+          SnpLoad(*ctx_->store, plan, g, /*gat=*/true, out, table, in);
       Tensor& h = saved_h[static_cast<std::size_t>(g)];
       h = Tensor::Uninit(static_cast<std::int64_t>(in.gather.size()), d);
       ctx_->store->Read(in.gather, 0, d, h);
-      if (!in.gather.empty()) ctx_->store->ChargeLoad(g, load.volume);
       z_rows[static_cast<std::size_t>(g)] = gat.Project(h);
-      ctx_->sim->ChargeCompute(g, PairFlops(routing, g, [&](const RoutePair& pr) {
-                                 return 2.0 * static_cast<double>(pr.items()) * d * gat.out_dim();
-                               }));
-      ctx_->sim->NoteTransient(g, load.transient);
     }
   }
-  // Hidden-embedding shuffle (the GAT extra communication).
-  stage.Next("reshuffle");
-  ctx_->comm->ChargeAllToAll(routing.RowTraffic(*ctx_->comm, out, /*to_owners=*/false),
-                             Phase::kTrain);
-
-  // ---- Attention + remainder at origins. -----------------------------------
-  stage.Next("execute");
+  // ---- Attention + remainder at origins, which read their z rows from the
+  // owners in place (the hidden-embedding shuffle, GAT's extra traffic). ----
   std::vector<Tensor> grad_z_full(static_cast<std::size_t>(c));
   TrainDevicesInParallel(batches, agg, [&](DeviceId o, StepStats& stats) {
     const auto uo = static_cast<std::size_t>(o);
@@ -273,29 +238,16 @@ StepStats SnpExecutor::StepGat(std::vector<DeviceBatch>& batches, const RoutePla
         TrainFrom(*ctx_, o, batch, 1, std::move(raw0), 1, agg.num_seeds, stats, tape);
     grad_z_full[uo] = gat.AttentionBackward(b.csr(), b.num_dst, *attn_ctx, grad_raw0);
   });
-  for (DeviceId o = 0; o < c; ++o) {
-    const DeviceBatch& batch = batches[static_cast<std::size_t>(o)];
-    if (batch.labels.empty()) continue;
-    const Block& b = batch.sample.blocks[0];
-    ChargeStepCompute(*ctx_, o, batch.sample.blocks, 1);
-    ctx_->sim->ChargeCompute(o, ctx_->model(o).layer(0).ForwardFlops(b.num_src(), b.num_dst,
-                                                                       b.num_edges()));
-  }
   z_rows.clear();
 
   // ---- Backward: grad_z rows return to the owners. -------------------------
   stage.Next("reshuffle");
   const std::vector<Tensor> gz_rows = RowsToOwners(plan, grad_z_full, out);
-  ctx_->comm->ChargeAllToAll(routing.RowTraffic(*ctx_->comm, out, /*to_owners=*/true),
-                             Phase::kTrain);
   stage.Next("execute");
   for (DeviceId g = 0; g < c; ++g) {
     auto& gat = dynamic_cast<GatLayer&>(ctx_->model(g).layer(0));
     SegmentedMatmulTN(saved_h[static_cast<std::size_t>(g)], gz_rows[static_cast<std::size_t>(g)],
                       routing.Segments(g), gat.w().grad, 1.0f, 1.0f);
-    ctx_->sim->ChargeCompute(g, PairFlops(routing, g, [&](const RoutePair& pr) {
-                               return 2.0 * static_cast<double>(pr.items()) * d * gat.out_dim();
-                             }));
   }
   return agg;
 }

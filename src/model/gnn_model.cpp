@@ -156,10 +156,10 @@ double GnnModel::ForwardFlops(std::span<const Block> blocks) const {
   return flops;
 }
 
-double GnnModel::StepFlops(std::span<const Block> blocks) const {
+double GnnModel::StepFlops(std::span<const Block> blocks, int first_layer) const {
   APT_CHECK_EQ(static_cast<int>(blocks.size()), num_layers());
   double flops = 0.0;
-  for (int k = 0; k < num_layers(); ++k) {
+  for (int k = first_layer; k < num_layers(); ++k) {
     const Block& b = blocks[static_cast<std::size_t>(k)];
     flops += layers_[static_cast<std::size_t>(k)]->ForwardFlops(
                  b.num_src(), b.num_dst, b.num_edges()) +

@@ -83,9 +83,9 @@ class GnnModel {
   void ZeroGrad();
   std::int64_t ParamBytes() const;
 
-  /// Total flops of a full forward+backward over the block stack, for the
-  /// simulator's compute-time model.
-  double StepFlops(std::span<const Block> blocks) const;
+  /// Flops of a forward+backward of layers [first_layer, K) over the block
+  /// stack: what the executors charge and the dry-run estimates with.
+  double StepFlops(std::span<const Block> blocks, int first_layer = 0) const;
 
   /// Forward-only flops over the block stack: what an inference pass costs
   /// (the serving engine's compute-time model).

@@ -248,7 +248,7 @@ TEST(ExecCommonTest, SeedLossGradScalesByDeviceShare) {
   Tensor logits(2, static_cast<std::int64_t>(f.ds.num_classes));
   logits.Fill(0.1f);
   Tensor grad;
-  const StepStats s = SeedLossAndGrad(f.ctx, 0, batch, logits, /*total_seeds=*/8, grad);
+  const StepStats s = SeedLossAndGrad(batch, logits, /*total_seeds=*/8, grad);
   EXPECT_EQ(s.num_seeds, 2);
   // Loss is weighted by 2/8 of the device-mean loss.
   EXPECT_NEAR(s.loss, std::log(static_cast<double>(f.ds.num_classes)) * 0.25, 1e-5);
@@ -263,7 +263,7 @@ TEST(ExecCommonTest, EmptyBatchYieldsZeroStats) {
   DeviceBatch batch;
   Tensor logits(0, 4);
   Tensor grad;
-  const StepStats s = SeedLossAndGrad(f.ctx, 0, batch, logits, 8, grad);
+  const StepStats s = SeedLossAndGrad(batch, logits, 8, grad);
   EXPECT_EQ(s.num_seeds, 0);
   EXPECT_EQ(s.loss, 0.0);
   EXPECT_EQ(grad.rows(), 0);
