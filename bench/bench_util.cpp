@@ -352,6 +352,7 @@ CaseResult RunCase(const CaseConfig& config) {
           trainer.sim().TrafficWireBytes(static_cast<TrafficClass>(c));
     }
   }
+  RecordCase(result);
   return result;
 }
 
@@ -377,7 +378,6 @@ void PrintCaseRow(const CaseResult& result) {
     }
   }
   std::printf("\n");
-  RecordCase(result);
 }
 
 }  // namespace apt::bench

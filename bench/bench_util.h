@@ -61,13 +61,13 @@ struct CaseResult {
   double SelectedSeconds() const { return of(selected).epoch.sim_seconds; }
 };
 
-/// Runs planner + all four strategies for one case.
+/// Runs planner + all four strategies for one case and appends the case as
+/// a machine-readable record (see BenchFinish), keyed by its label.
 CaseResult RunCase(const CaseConfig& config);
 
 /// Prints the header / one row of the standard figure table. Columns per
 /// strategy: total epoch seconds with (sample/load/train) breakdown; the
-/// APT selection is starred. PrintCaseRow also appends the case as a
-/// machine-readable record (see BenchFinish).
+/// APT selection is starred.
 void PrintTableHeader(const std::string& sweep_name);
 void PrintCaseRow(const CaseResult& result);
 

@@ -27,6 +27,7 @@ int main(int argc, char** argv) {
   double worst_err = 0.0;
   for (std::int64_t hidden : {32, 128}) {
     CaseConfig cfg;
+    cfg.label = ds.name + " d'=" + std::to_string(hidden);
     cfg.dataset = &ds;
     cfg.cluster = SingleMachineCluster(8);
     cfg.model = SageConfig(ds, hidden);

@@ -37,6 +37,7 @@ int main(int argc, char** argv) {
     for (std::int64_t hidden : {8, 32, 128, 512}) {
       for (const bool multi : {false, true}) {
         CaseConfig cfg;
+        cfg.label = ds->name + " d'=" + std::to_string(hidden) + (multi ? " 4x4" : " 1x8");
         cfg.dataset = ds;
         cfg.cluster = multi ? MultiMachineCluster(4, 4) : SingleMachineCluster(8);
         cfg.model = SageConfig(*ds, hidden);
@@ -47,6 +48,7 @@ int main(int argc, char** argv) {
     }
     {
       CaseConfig light;  // light fanout, 2 layers
+      light.label = ds->name + " [10,5]";
       light.dataset = ds;
       light.cluster = SingleMachineCluster(8);
       light.model = SageConfig(*ds, 32);
@@ -57,6 +59,7 @@ int main(int argc, char** argv) {
       grid.push_back(light);
 
       CaseConfig nocache;
+      nocache.label = ds->name + " no cache";
       nocache.dataset = ds;
       nocache.cluster = SingleMachineCluster(8);
       nocache.model = SageConfig(*ds, 32);

@@ -5,10 +5,7 @@
 #include "core/timer.h"
 #include "engine/exec_common.h"
 #include "engine/pair_routing.h"
-#include "runtime/parallel_for.h"
 #include "sampling/frequency.h"
-#include "sampling/minibatch.h"
-#include "sampling/neighbor_sampler.h"
 #include "sim/sim_context.h"
 
 namespace apt {
@@ -25,59 +22,22 @@ namespace {
 
 constexpr std::int64_t kF = sizeof(float);
 
-/// Runs one deterministic epoch of sampling under `assignment`, invoking
-/// `visit(per-device batches)` for each step (their labels left empty), and
-/// returns the number of steps.
+/// Steps through epoch 0 of the trainer's schedule under `assignment`, calls
+/// `visit(per-device batches)` per step and returns the step count.
 template <typename Visit>
 std::int64_t SamplingEpoch(const Dataset& ds, const EngineOptions& opts,
-                   const std::vector<PartId>& partition, std::int32_t c,
-                   SeedAssignment assignment, const Visit& visit) {
-  NeighborSampler sampler(ds.graph, opts.fanouts);
-  // The trainer's two scheduling modes: a globally shuffled order sliced
-  // into chunks, or DistDGL-style partition-local queues. The order is not
-  // the trainer's: MinibatchPlan and PerDeviceEpochQueues run at their
-  // default seed 1234, not TrainerSetup::minibatch_seed (777), and every
-  // step runs regardless of max_steps_per_epoch (ROADMAP item 3).
-  MinibatchPlan plan(ds.train_nodes, opts.batch_size_per_device, c);
-  const bool partitioned = assignment == SeedAssignment::kPartition;
-  const std::vector<NodeId> epoch_seeds =
-      partitioned ? std::vector<NodeId>{} : plan.EpochSeeds(0);
-  const std::vector<std::vector<NodeId>> queues =
-      partitioned
-          ? PerDeviceEpochQueues(ds.train_nodes, partition, c, /*epoch=*/0)
-          : std::vector<std::vector<NodeId>>{};
-  const std::int64_t steps =
-      partitioned ? QueueStepsPerEpoch(queues, opts.batch_size_per_device)
-                  : plan.StepsPerEpoch();
-  Rng epoch_rng = Rng(opts.sample_seed).Fork(0);
-  for (std::int64_t step = 0; step < steps; ++step) {
-    std::vector<std::vector<NodeId>> per_device;
-    if (partitioned) {
-      per_device.resize(queues.size());
-      for (std::size_t dq = 0; dq < queues.size(); ++dq) {
-        const auto slice =
-            QueueStepSlice(queues[dq], step, opts.batch_size_per_device);
-        per_device[dq].assign(slice.begin(), slice.end());
-      }
-    } else {
-      const std::vector<NodeId> step_seeds = plan.StepSeeds(epoch_seeds, step);
-      per_device = AssignSeeds(step_seeds, assignment, partition, c);
-    }
-    const Rng step_rng = epoch_rng.Fork(static_cast<std::uint64_t>(step));
-    // Each device forks its own stream and fills only its own slot, so the
-    // samples are bit-identical at any lane count; `visit` stays serial.
-    std::vector<DeviceBatch> batches(static_cast<std::size_t>(c));
-    ParallelFor(
-        0, c,
-        [&](std::int64_t dev) {
-          Rng dev_rng = step_rng.Fork(static_cast<std::uint64_t>(dev));
-          batches[static_cast<std::size_t>(dev)].sample =
-              sampler.Sample(per_device[static_cast<std::size_t>(dev)], dev_rng);
-        },
-        /*grain=*/1);
-    visit(batches);
+                           const std::vector<PartId>& partition, std::int32_t c,
+                           SeedAssignment assignment, const Visit& visit) {
+  // Not yet the trainer's epoch: 1234 is not TrainerSetup::minibatch_seed
+  // (777) and max_steps_per_epoch is not applied. Passing those moves the
+  // hotness, and with it every trainer's cache (ROADMAP item 3).
+  const EpochSchedule schedule(ds.train_nodes, partition, c, opts.batch_size_per_device,
+                               assignment, /*minibatch_seed=*/1234, /*max_steps=*/0,
+                               opts.sample_seed, /*epoch=*/0);
+  for (std::int64_t step = 0; step < schedule.steps(); ++step) {
+    visit(SampleStep(ds, opts.fanouts, schedule.StepSeeds(step), schedule.StepRng(step)));
   }
-  return steps;
+  return schedule.steps();
 }
 
 }  // namespace

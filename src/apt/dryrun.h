@@ -1,11 +1,12 @@
 // Dry-run: the data-dependent half of APT's "Plan" stage (paper §3.2).
 //
-// One epoch of graph sampling is performed per seed-assignment family and
-// the samples are routed through each strategy's Permute logic WITHOUT
-// loading features, shuffling embeddings, or computing — only volumes are
-// collected. Every step of every strategy is counted on the charge list
-// its executor commits (engine/pair_routing.h: the plan, the StepLoad rule
-// and the StepCharges builder), so the volumes are the executors' charges:
+// Each pass steps through the trainer's EpochSchedule for one seed-assignment
+// family, samples each step with its SampleStep and routes the samples
+// through each strategy's Permute logic WITHOUT loading features, shuffling
+// embeddings, or computing — only volumes are collected. Every step of every
+// strategy is counted on the charge list its executor commits
+// (engine/pair_routing.h: the plan, the StepLoad rule and the StepCharges
+// builder), so the volumes are the executors' charges:
 //   * node access frequencies (drives the cache configuration),
 //   * computation-graph shuffle bytes (the strategy part of T_build),
 //   * per-device feature-load volumes by memory tier (T_load),

@@ -8,24 +8,46 @@
 
 namespace apt {
 
-std::vector<std::vector<NodeId>> AssignSeeds(std::span<const NodeId> step_seeds,
-                                             SeedAssignment assignment,
-                                             const std::vector<PartId>& partition,
-                                             std::int32_t num_devices) {
+std::vector<std::vector<NodeId>> ChunkSeeds(std::span<const NodeId> step_seeds,
+                                            std::int32_t num_devices) {
   const auto c = static_cast<std::size_t>(num_devices);
   std::vector<std::vector<NodeId>> out(c);
-  if (assignment == SeedAssignment::kChunked) {
-    const std::size_t n = step_seeds.size();
-    const std::size_t chunk = (n + c - 1) / c;
-    for (std::size_t d = 0; d < c; ++d) {
-      const std::size_t lo = std::min(n, d * chunk);
-      const std::size_t hi = std::min(n, lo + chunk);
-      out[d].assign(step_seeds.begin() + lo, step_seeds.begin() + hi);
-    }
+  const std::size_t n = step_seeds.size();
+  const std::size_t chunk = (n + c - 1) / c;
+  for (std::size_t d = 0; d < c; ++d) {
+    const std::size_t lo = std::min(n, d * chunk);
+    const std::size_t hi = std::min(n, lo + chunk);
+    out[d].assign(step_seeds.begin() + lo, step_seeds.begin() + hi);
+  }
+  return out;
+}
+
+EpochSchedule::EpochSchedule(std::span<const NodeId> train_nodes,
+                             const std::vector<PartId>& partition, std::int32_t num_devices,
+                             std::int64_t batch_size, SeedAssignment assignment,
+                             std::uint64_t minibatch_seed, std::int64_t max_steps,
+                             std::uint64_t sample_seed, std::int64_t epoch)
+    : num_devices_(num_devices),
+      batch_size_(batch_size),
+      epoch_rng_(Rng(sample_seed).Fork(static_cast<std::uint64_t>(epoch))) {
+  if (assignment == SeedAssignment::kPartition) {
+    queues_ = PerDeviceEpochQueues(train_nodes, partition, num_devices, epoch, minibatch_seed);
+    steps_ = QueueStepsPerEpoch(queues_, batch_size);
   } else {
-    for (NodeId s : step_seeds) {
-      out[static_cast<std::size_t>(partition[static_cast<std::size_t>(s)])].push_back(s);
-    }
+    plan_.emplace(std::vector<NodeId>(train_nodes.begin(), train_nodes.end()), batch_size,
+                  num_devices, minibatch_seed);
+    order_ = plan_->EpochSeeds(epoch);
+    steps_ = plan_->StepsPerEpoch();
+  }
+  if (max_steps > 0) steps_ = std::min(steps_, max_steps);
+}
+
+std::vector<std::vector<NodeId>> EpochSchedule::StepSeeds(std::int64_t step) const {
+  if (plan_.has_value()) return ChunkSeeds(plan_->StepSeeds(order_, step), num_devices_);
+  std::vector<std::vector<NodeId>> out(queues_.size());
+  for (std::size_t d = 0; d < queues_.size(); ++d) {
+    const auto slice = QueueStepSlice(queues_[d], step, batch_size_);
+    out[d].assign(slice.begin(), slice.end());
   }
   return out;
 }
@@ -37,19 +59,13 @@ double SampleSeconds(const ClusterSpec& cluster, DeviceId dev,
          static_cast<double>(batch.blocks.size()) * m.gpu.kernel_launch_s;
 }
 
-std::vector<DeviceBatch> SampleDeviceBatches(
-    EngineCtx& ctx, const std::vector<std::vector<NodeId>>& seeds_per_device,
-    Rng& step_rng) {
-  NeighborSampler sampler(ctx.dataset->graph, ctx.opts.fanouts);
-  const auto c = static_cast<std::size_t>(ctx.num_devices());
-  std::vector<DeviceBatch> batches(c);
-  std::vector<double> seconds(c, 0.0);
-  // Each device forks its own stream and fills only its own slot, so the
-  // batches are bit-identical at any lane count. The clocks advance
-  // afterwards in device order, so step tapes and pipelined capture see the
-  // same sequence as a serial loop.
+std::vector<DeviceBatch> SampleStep(const Dataset& dataset, const std::vector<int>& fanouts,
+                                    const std::vector<std::vector<NodeId>>& seeds_per_device,
+                                    const Rng& step_rng) {
+  const NeighborSampler sampler(dataset.graph, fanouts);
+  std::vector<DeviceBatch> batches(seeds_per_device.size());
   ParallelFor(
-      0, static_cast<std::int64_t>(c),
+      0, static_cast<std::int64_t>(batches.size()),
       [&](std::int64_t i) {
         const auto d = static_cast<std::size_t>(i);
         Rng dev_rng = step_rng.Fork(d);
@@ -57,13 +73,24 @@ std::vector<DeviceBatch> SampleDeviceBatches(
         batch.sample = sampler.Sample(seeds_per_device[d], dev_rng);
         batch.labels.reserve(seeds_per_device[d].size());
         for (NodeId s : seeds_per_device[d]) {
-          batch.labels.push_back(ctx.dataset->labels[static_cast<std::size_t>(s)]);
+          batch.labels.push_back(dataset.labels[static_cast<std::size_t>(s)]);
         }
-        seconds[d] = SampleSeconds(ctx.sim->cluster(), static_cast<DeviceId>(d), batch.sample);
       },
       /*grain=*/1);
-  for (std::size_t d = 0; d < c; ++d) {
-    ctx.sim->Advance(static_cast<DeviceId>(d), seconds[d], Phase::kSample);
+  return batches;
+}
+
+std::vector<DeviceBatch> SampleDeviceBatches(
+    EngineCtx& ctx, const std::vector<std::vector<NodeId>>& seeds_per_device,
+    Rng& step_rng) {
+  std::vector<DeviceBatch> batches =
+      SampleStep(*ctx.dataset, ctx.opts.fanouts, seeds_per_device, step_rng);
+  // The clocks advance in device order, so step tapes and pipelined capture
+  // see the same sequence at any lane count.
+  for (std::size_t d = 0; d < batches.size(); ++d) {
+    const auto dev = static_cast<DeviceId>(d);
+    ctx.sim->Advance(dev, SampleSeconds(ctx.sim->cluster(), dev, batches[d].sample),
+                     Phase::kSample);
   }
   return batches;
 }

@@ -1,28 +1,62 @@
 // Helpers shared by all strategy executors.
 #pragma once
 
+#include <optional>
 #include <vector>
 
 #include "engine/engine_ctx.h"
 #include "engine/pair_routing.h"
 #include "runtime/parallel_for.h"
 #include "sampling/block.h"  // SampleTreeEdges
+#include "sampling/minibatch.h"
 
 namespace apt {
 
-/// Splits a global step's seeds across devices per the assignment policy:
-/// contiguous chunks, or each seed to the device owning its partition.
-std::vector<std::vector<NodeId>> AssignSeeds(std::span<const NodeId> step_seeds,
-                                             SeedAssignment assignment,
-                                             const std::vector<PartId>& partition,
-                                             std::int32_t num_devices);
+/// Splits a global step's seeds into contiguous per-device chunks (under
+/// partition assignment, devices drain their own queues: EpochSchedule).
+std::vector<std::vector<NodeId>> ChunkSeeds(std::span<const NodeId> step_seeds,
+                                            std::int32_t num_devices);
 inline std::vector<std::vector<NodeId>> AssignSeeds(const EngineCtx& ctx,
                                                     std::span<const NodeId> step_seeds) {
-  return AssignSeeds(step_seeds, ctx.opts.seed_assignment, *ctx.partition, ctx.num_devices());
+  return ChunkSeeds(step_seeds, ctx.num_devices());
 }
 
-/// Samples each device's blocks (charging simulated sampling time) and looks
-/// up seed labels. rng streams are forked per device for determinism.
+/// The epoch the trainer and the dry-run step through: its step count, each
+/// step's per-device seeds (chunks of one shuffled order, MinibatchPlan, or
+/// slices of per-device partition queues, PerDeviceEpochQueues) and rng.
+/// `minibatch_seed` shuffles the order or queues; `max_steps` > 0 caps steps.
+class EpochSchedule {
+ public:
+  EpochSchedule(std::span<const NodeId> train_nodes, const std::vector<PartId>& partition,
+                std::int32_t num_devices, std::int64_t batch_size,
+                SeedAssignment assignment, std::uint64_t minibatch_seed,
+                std::int64_t max_steps, std::uint64_t sample_seed, std::int64_t epoch);
+
+  std::int64_t steps() const { return steps_; }
+  /// Each device's seeds at `step` (a device's list may be empty).
+  std::vector<std::vector<NodeId>> StepSeeds(std::int64_t step) const;
+  /// The stream `step` samples from: Rng(sample_seed).Fork(epoch).Fork(step).
+  Rng StepRng(std::int64_t step) const {
+    return epoch_rng_.Fork(static_cast<std::uint64_t>(step));
+  }
+
+ private:
+  std::optional<MinibatchPlan> plan_;  ///< chunked assignment only
+  std::vector<NodeId> order_;          ///< plan_'s shuffled epoch order
+  std::vector<std::vector<NodeId>> queues_;  ///< partition assignment only
+  std::int32_t num_devices_;
+  std::int64_t batch_size_;
+  std::int64_t steps_ = 0;
+  Rng epoch_rng_;
+};
+
+/// Samples each device's blocks from its own fork of `step_rng`, with labels.
+/// Charges nothing; bit-identical at any lane count (one slot per device).
+std::vector<DeviceBatch> SampleStep(const Dataset& dataset, const std::vector<int>& fanouts,
+                                    const std::vector<std::vector<NodeId>>& seeds_per_device,
+                                    const Rng& step_rng);
+
+/// SampleStep, then each device's SampleSeconds advanced in device order.
 std::vector<DeviceBatch> SampleDeviceBatches(
     EngineCtx& ctx, const std::vector<std::vector<NodeId>>& seeds_per_device,
     Rng& step_rng);

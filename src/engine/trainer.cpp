@@ -114,9 +114,6 @@ ParallelTrainer::ParallelTrainer(const Dataset& dataset, TrainerSetup setup)
     optimizers_.push_back(std::make_unique<Sgd>(setup_.engine.learning_rate));
     sim_->AllocPersistent(d, models_.back()->ParamBytes() * 3);  // value+grad+opt
   }
-  plan_ = std::make_unique<MinibatchPlan>(dataset.train_nodes,
-                                          setup_.engine.batch_size_per_device, c,
-                                          setup_.minibatch_seed);
   ctx_.sim = sim_.get();
   ctx_.comm = comm_.get();
   ctx_.store = store_.get();
@@ -125,6 +122,14 @@ ParallelTrainer::ParallelTrainer(const Dataset& dataset, TrainerSetup setup)
   ctx_.models = &models_;
   ctx_.opts = setup_.engine;
   executor_ = MakeExecutor(setup_.engine.strategy, ctx_);
+}
+
+EpochSchedule ParallelTrainer::Schedule(std::int64_t epoch) const {
+  const EngineOptions& opts = setup_.engine;
+  return EpochSchedule(dataset_->train_nodes, setup_.partition, sim_->num_devices(),
+                       opts.batch_size_per_device, opts.seed_assignment,
+                       setup_.minibatch_seed, opts.max_steps_per_epoch, opts.sample_seed,
+                       epoch);
 }
 
 EpochStats ParallelTrainer::TrainEpoch(std::int64_t epoch) {
@@ -140,26 +145,8 @@ EpochStats ParallelTrainer::TrainEpoch(std::int64_t epoch) {
   const double comm0_train = sim_->CommMax(Phase::kTrain);
   const double comparable0 = ComparableNow(*sim_, setup_.engine.pipeline_depth);
 
-  // Seed scheduling. Chunked mode slices a globally shuffled order; the
-  // partition mode gives each device its own partition-local queue
-  // (DistDGL-style), so every step is balanced at batch_size per device.
-  const bool partitioned =
-      setup_.engine.seed_assignment == SeedAssignment::kPartition;
-  const std::vector<NodeId> epoch_seeds =
-      partitioned ? std::vector<NodeId>{} : plan_->EpochSeeds(epoch);
-  const std::vector<std::vector<NodeId>> queues =
-      partitioned ? PerDeviceEpochQueues(dataset_->train_nodes, setup_.partition,
-                                         sim_->num_devices(), epoch,
-                                         setup_.minibatch_seed)
-                  : std::vector<std::vector<NodeId>>{};
-  const std::int64_t full_steps =
-      partitioned
-          ? QueueStepsPerEpoch(queues, setup_.engine.batch_size_per_device)
-          : plan_->StepsPerEpoch();
-  const std::int64_t steps =
-      setup_.engine.max_steps_per_epoch > 0
-          ? std::min(full_steps, setup_.engine.max_steps_per_epoch)
-          : full_steps;
+  const EpochSchedule schedule = Schedule(epoch);
+  const std::int64_t steps = schedule.steps();
   // Sampled execution (period > 1): execute one step in `period` for real (a
   // probe), advance the rest by replaying the probe's step tape through the
   // clocks. Probes consume SEQUENTIAL minibatch indices (sched_step below),
@@ -185,7 +172,6 @@ EpochStats ParallelTrainer::TrainEpoch(std::int64_t epoch) {
       StepTelemetry::Resolve(setup_.engine.telemetry_window_s);
   std::vector<double> dev_busy0(
       telem.on() ? static_cast<std::size_t>(sim_->num_devices()) : 0, 0.0);
-  Rng epoch_rng = Rng(setup_.engine.sample_seed).Fork(static_cast<std::uint64_t>(epoch));
   for (std::int64_t step = 0; step < steps; ++step) {
     APT_OBS_SCOPE("step", "engine", {{"step", static_cast<double>(step), nullptr}});
     const double step_comparable0 = ComparableNow(*sim_, setup_.engine.pipeline_depth);
@@ -204,21 +190,6 @@ EpochStats ParallelTrainer::TrainEpoch(std::int64_t epoch) {
     // Fast-forwarded steps replay the probe's tape; only probes sample.
     const bool probe = !sampled || tape.empty() || (step % period == 0);
     const std::int64_t sched_step = sampled ? probe_index : step;
-    std::vector<std::vector<NodeId>> per_device;
-    if (probe) {
-      if (partitioned) {
-        per_device.resize(queues.size());
-        for (std::size_t d = 0; d < queues.size(); ++d) {
-          const auto slice = QueueStepSlice(queues[d], sched_step,
-                                            setup_.engine.batch_size_per_device);
-          per_device[d].assign(slice.begin(), slice.end());
-        }
-      } else {
-        const std::vector<NodeId> step_seeds =
-            plan_->StepSeeds(epoch_seeds, sched_step);
-        per_device = AssignSeeds(ctx_, step_seeds);
-      }
-    }
     const RecoveryOptions& rec = setup_.engine.recovery;
     const double step_wall0 = sim_->MaxNow();
     StepStats s;
@@ -237,9 +208,9 @@ EpochStats ParallelTrainer::TrainEpoch(std::int64_t epoch) {
           break;
         }
         if (sampled) sim_->BeginStepRecord();
-        Rng step_rng = epoch_rng.Fork(static_cast<std::uint64_t>(sched_step));
+        Rng step_rng = schedule.StepRng(sched_step);
         std::vector<DeviceBatch> batches =
-            SampleDeviceBatches(ctx_, per_device, step_rng);
+            SampleDeviceBatches(ctx_, schedule.StepSeeds(sched_step), step_rng);
         for (auto& m : models_) m->ZeroGrad();
         {
           // Pipelined mode: capture this step's advances and replay them as

@@ -2,9 +2,10 @@
 // simulated cluster — the "Run" stage of APT's workflow.
 //
 // Owns the SimContext, communicator, feature store, and one model replica
-// per device (PyTorch-DDP style). Each epoch: shuffle seeds, assign them to
-// devices, sample, execute the strategy's step, allreduce gradients, step
-// the optimizer on every replica.
+// per device (PyTorch-DDP style). Each epoch steps through its
+// EpochSchedule (the one the dry-run samples): sample each step's per-device
+// seeds, execute the strategy's step, allreduce gradients, step the
+// optimizer on every replica.
 #pragma once
 
 #include <memory>
@@ -13,13 +14,13 @@
 #include "comm/collectives.h"
 #include "engine/engine_ctx.h"
 #include "engine/engine_types.h"
+#include "engine/exec_common.h"
 #include "engine/executor.h"
 #include "feature/cache_policy.h"
 #include "feature/feature_store.h"
 #include "graph/dataset.h"
 #include "model/gnn_model.h"
 #include "model/optimizer.h"
-#include "sampling/minibatch.h"
 #include "sim/sim_context.h"
 
 namespace apt {
@@ -68,9 +69,13 @@ class ParallelTrainer {
   /// Device `d`'s model replica (replicas stay in sync after every step).
   GnnModel& replica(DeviceId d) { return *models_[static_cast<std::size_t>(d)]; }
   const TrainerSetup& setup() const { return setup_; }
-  std::int64_t StepsPerEpoch() const { return plan_->StepsPerEpoch(); }
+  /// Steps TrainEpoch runs, executed plus fast-forwarded (the schedule's).
+  std::int64_t StepsPerEpoch() const { return Schedule(0).steps(); }
 
  private:
+  /// Epoch `epoch`'s seeds and rng streams (engine/exec_common.h).
+  EpochSchedule Schedule(std::int64_t epoch) const;
+
   const Dataset* dataset_;
   TrainerSetup setup_;
   std::unique_ptr<SimContext> sim_;
@@ -78,7 +83,6 @@ class ParallelTrainer {
   std::unique_ptr<FeatureStore> store_;
   std::vector<std::unique_ptr<GnnModel>> models_;
   std::vector<std::unique_ptr<Optimizer>> optimizers_;
-  std::unique_ptr<MinibatchPlan> plan_;
   EngineCtx ctx_;
   std::unique_ptr<StrategyExecutor> executor_;
   RecoveryStats recovery_stats_;

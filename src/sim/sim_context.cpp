@@ -70,8 +70,8 @@ const char* ToString(TrafficClass c) {
 SimContext::SimContext(ClusterSpec cluster) : cluster_(std::move(cluster)) {
   const auto n = static_cast<std::size_t>(cluster_.num_devices());
   APT_CHECK_GT(n, 0u);
-  // Built here (single-threaded) so concurrent consumers — serving workers,
-  // the parallel clock commit — never race a lazy build.
+  // Built here (single-threaded) so concurrent consumers (serving workers)
+  // never race a lazy build.
   cluster_.EnsureDeviceIndex();
   clocks_.assign(n, 0.0);
   phase_time_.assign(n, {});

@@ -8,6 +8,7 @@
 
 #include "engine/exec_common.h"
 #include "runtime/parallel_for.h"
+#include "runtime/thread_pool.h"
 #include "sampling/neighbor_sampler.h"
 #include "tensor/ops.h"
 #include "test_util.h"
@@ -211,15 +212,83 @@ TEST(ExecCommonTest, ChunkedAssignmentBalanced) {
   EXPECT_EQ(total, 103u);
 }
 
-TEST(ExecCommonTest, PartitionAssignmentFollowsOwnership) {
+// The schedule is the composition perfbench's mirror trainer restates:
+// MinibatchPlan + AssignSeeds under chunked assignment, PerDeviceEpochQueues
+// + QueueStepSlice under partition assignment, each step sampling from
+// Rng(sample_seed).Fork(epoch).Fork(step).
+TEST(EpochScheduleTest, StepsComposeThePlanOrTheQueues) {
   CommonFixture f;
-  f.ctx.opts.seed_assignment = SeedAssignment::kPartition;
-  std::vector<NodeId> seeds{0, 1, 2, 500, 1000, 1500, 1999};
-  const auto per_dev = AssignSeeds(f.ctx, seeds);
-  for (std::size_t d = 0; d < per_dev.size(); ++d) {
-    for (NodeId s : per_dev[d]) {
-      EXPECT_EQ(f.partition[static_cast<std::size_t>(s)], static_cast<PartId>(d));
+  const std::int64_t batch = 16, epoch = 2;
+  const std::uint64_t minibatch_seed = 777, sample_seed = 99;
+  const MinibatchPlan plan(f.ds.train_nodes, batch, 4, minibatch_seed);
+  const std::vector<NodeId> order = plan.EpochSeeds(epoch);
+  const std::vector<std::vector<NodeId>> queues =
+      PerDeviceEpochQueues(f.ds.train_nodes, f.partition, 4, epoch, minibatch_seed);
+  std::vector<int> is_train(static_cast<std::size_t>(f.ds.graph.num_nodes()), 0);
+  for (NodeId s : f.ds.train_nodes) is_train[static_cast<std::size_t>(s)] = 1;
+  for (SeedAssignment assignment : {SeedAssignment::kChunked, SeedAssignment::kPartition}) {
+    const bool chunked = assignment == SeedAssignment::kChunked;
+    const std::int64_t full =
+        chunked ? plan.StepsPerEpoch() : QueueStepsPerEpoch(queues, batch);
+    ASSERT_GT(full, 2);
+    for (std::int64_t cap : {0, 2}) {
+      SCOPED_TRACE(std::string(chunked ? "chunked" : "partition") + " cap " +
+                   std::to_string(cap));
+      const EpochSchedule schedule(f.ds.train_nodes, f.partition, 4, batch, assignment,
+                                   minibatch_seed, cap, sample_seed, epoch);
+      ASSERT_EQ(schedule.steps(), cap > 0 ? cap : full);
+      std::vector<int> handed(is_train.size(), 0);
+      for (std::int64_t step = 0; step < schedule.steps(); ++step) {
+        std::vector<std::vector<NodeId>> want;
+        if (chunked) {
+          want = AssignSeeds(f.ctx, plan.StepSeeds(order, step));
+        } else {
+          for (const std::vector<NodeId>& q : queues) {
+            const auto slice = QueueStepSlice(q, step, batch);
+            want.emplace_back(slice.begin(), slice.end());
+          }
+        }
+        const std::vector<std::vector<NodeId>> got = schedule.StepSeeds(step);
+        EXPECT_EQ(got, want) << "step " << step;
+        for (std::size_t d = 0; d < got.size(); ++d) {
+          for (NodeId s : got[d]) {
+            ++handed[static_cast<std::size_t>(s)];
+            if (!chunked) {
+              EXPECT_EQ(f.partition[static_cast<std::size_t>(s)], static_cast<PartId>(d));
+            }
+          }
+        }
+        Rng mine = schedule.StepRng(step);
+        Rng spelled = Rng(sample_seed).Fork(epoch).Fork(static_cast<std::uint64_t>(step));
+        for (int i = 0; i < 4; ++i) EXPECT_EQ(mine.Next(), spelled.Next());
+      }
+      // An uncapped epoch hands every train node to one device, once.
+      if (cap == 0) {
+        EXPECT_EQ(handed, is_train);
+      }
     }
+  }
+}
+
+// StepsPerEpoch reports the steps an epoch runs: partition queues can need
+// more steps than the chunked order, and a step cap can need fewer.
+TEST(EpochScheduleTest, StepsPerEpochCountsTheStepsRun) {
+  const Dataset ds = SmallDataset();
+  auto snp = MakeTrainer(ds, SingleMachineCluster(8), Strategy::kSNP, ModelKind::kSage,
+                         /*force_chunked=*/false, 1 << 20, {5, 5}, /*batch=*/16);
+  EngineOptions opts;
+  opts.strategy = Strategy::kGDP;
+  opts.fanouts = {5, 5};
+  opts.batch_size_per_device = 16;
+  opts.cache_bytes_per_device = 1 << 20;
+  opts.seed_assignment = SeedAssignment::kChunked;
+  opts.max_steps_per_epoch = 3;
+  auto gdp = MakeTrainerWithOptions(ds, SingleMachineCluster(4), opts);
+  for (ParallelTrainer* t : {snp.get(), gdp.get()}) {
+    const std::int64_t reported = t->StepsPerEpoch();
+    const EpochStats e = t->TrainEpoch(0);
+    EXPECT_EQ(reported, e.steps_executed + e.steps_fast_forwarded)
+        << ToString(t->setup().engine.strategy);
   }
 }
 
@@ -317,6 +386,46 @@ TEST(ExecCommonTest, SampleDeviceBatchesMatchAtOneLaneAndFullWidth) {
     const auto dev = static_cast<DeviceId>(d);
     EXPECT_GT(wide_fixture.sim.Now(dev), 0.0);
     EXPECT_EQ(wide_fixture.sim.Now(dev), serial_fixture.sim.Now(dev));
+  }
+}
+
+// SampleStep is SampleDeviceBatches without the clock advance: the same
+// batches at one lane and at full width, and no clock moves.
+TEST(ExecCommonTest, SampleStepMatchesSampleDeviceBatches) {
+  std::vector<std::vector<NodeId>> seeds(4);
+  for (std::size_t d = 0; d < seeds.size(); ++d) {
+    for (NodeId s = 0; s < 40; ++s) seeds[d].push_back(static_cast<NodeId>(d) * 400 + 5 * s);
+  }
+  seeds[2].clear();  // a device without seeds samples an empty batch
+  const Rng step_rng = Rng(11).Fork(3);
+  CommonFixture charged;
+  Rng charged_rng = step_rng;
+  const std::vector<DeviceBatch> want = SampleDeviceBatches(charged.ctx, seeds, charged_rng);
+  CommonFixture f;
+  const std::int64_t width = ThreadPool::Global().ParallelismDegree();
+  for (const std::int64_t lanes : {std::int64_t{1}, width}) {
+    SCOPED_TRACE("lanes " + std::to_string(lanes));
+    ScopedParallelismLimit limit(lanes);
+    const std::vector<DeviceBatch> got = SampleStep(f.ds, f.ctx.opts.fanouts, seeds, step_rng);
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t d = 0; d < got.size(); ++d) {
+      EXPECT_EQ(got[d].labels, want[d].labels);
+      ASSERT_EQ(got[d].sample.blocks.size(), want[d].sample.blocks.size());
+      for (std::size_t k = 0; k < got[d].sample.blocks.size(); ++k) {
+        const Block& a = got[d].sample.blocks[k];
+        const Block& b = want[d].sample.blocks[k];
+        EXPECT_EQ(a.num_dst, b.num_dst);
+        EXPECT_EQ(a.src_nodes, b.src_nodes);
+        EXPECT_EQ(a.indptr, b.indptr);
+        EXPECT_EQ(a.col, b.col);
+      }
+    }
+  }
+  for (DeviceId d = 0; d < 4; ++d) {
+    EXPECT_EQ(f.sim.Now(d), 0.0);
+    if (d != 2) {
+      EXPECT_GT(charged.sim.Now(d), 0.0);
+    }
   }
 }
 

@@ -1,7 +1,7 @@
 // The ring charges (ChargeAllReduce / ChargeAllBroadcast) against goldens
 // recorded through the byte-moving ring collectives they replaced, the
-// analytic (shape-priced) twins against the payload-priced charges, and the
-// parallel clock commit against one lane.
+// analytic (shape-priced) twins against the payload-priced charges, and
+// 64-device collective charging at one lane against full width.
 //
 // The ring golden was recorded through the byte-moving ring collectives (a
 // payload-summing allreduce, tensor and object broadcasts, double-vector
